@@ -15,9 +15,12 @@ Exit codes: 0 success, 1 check failure, 2 usage/config error,
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from gcx.chart import ChartPoint, FormField, GcField, courant_bracket
 from gcx.models import LogModelParams, SurgeryGeometry
@@ -27,6 +30,10 @@ from gcx import verify
 
 DEFAULT_QUOTIENTS = ((1, 0), (2, 1), (3, 2), (5, 2))
 CHECK_TARGETS = ("local-model", "surgery", "quotient", "locus", "all")
+
+# what malformed JSON input raises: wrong types, missing keys, and
+# floating-point faults such as a log of 0
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ArithmeticError)
 
 
 @dataclass
@@ -42,16 +49,17 @@ class RunConfig:
     quotients: list
     windows: list
     output: str
-    jobs: int
     notes: list = field(default_factory=list)
 
     def validate(self) -> None:
         if self.samples < 1:
             raise ValueError("--samples must be >= 1")
-        if self.tol <= 0 or self.tol_second <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
+        if not all(math.isfinite(t) and t > 0 for t in (self.tol, self.tol_second)):
+            raise ValueError("tolerances must be positive and finite")
+        if not self.geometry.r_min < 1:  # the samplers draw r from [r_min, 1]
+            raise ValueError(f"--r-min must be < 1, got {self.geometry.r_min}")
+        if os.path.isdir(self.output) or not os.path.isdir(os.path.dirname(self.output) or "."):
+            raise ValueError(f"--output {self.output!r} is not a file in an existing directory")
         if self.target not in CHECK_TARGETS:
             raise ValueError(f"unknown check target {self.target!r}")
         lo_prev = None
@@ -106,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disjoint bump descent windows, e.g. '1:2,2.5:3.5' (default '1:<r-out>')",
     )
     check.add_argument("--output", default="gcx-report.json", help="report file path")
-    check.add_argument("--jobs", type=int, default=1, help="parallel sample evaluation")
 
     nf = sub.add_parser("normal-form", help="factor a pure spinor from JSON")
     nf.add_argument("--input", required=True)
@@ -141,7 +148,6 @@ def config_from_args(args) -> RunConfig:
         quotients=quotients,
         windows=_parse_windows(args.windows, args.r_out),
         output=args.output,
-        jobs=args.jobs,
     )
     cfg.validate()
     for m, k in cfg.quotients:
@@ -157,7 +163,7 @@ def run_checks(cfg: RunConfig, reports: list | None = None) -> list:
     """
     reports = [] if reports is None else reports
     geo = cfg.geometry
-    common = dict(seed=cfg.seed, jobs=cfg.jobs)
+    common = dict(seed=cfg.seed)
 
     if cfg.target in ("local-model", "all"):
         reports.append(
@@ -276,7 +282,7 @@ def _cmd_normal_form(args) -> int:
             data = json.load(handle)
         rho = Multiform.from_json_dict(data)
         nf = normal_form(rho, args.tol)
-    except (OSError, ValueError, KeyError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -300,14 +306,18 @@ def _cmd_bracket(args) -> int:
         dim = int(data.get("dim", 4))
         chart = data.get("chart", "cli")
         periodic = tuple(bool(b) for b in data.get("periodic", [False] * dim))
-        point = ChartPoint(chart, tuple(float(c) for c in data["point"]), periodic)
+        coords = tuple(float(c) for c in data["point"])
+        if not all(math.isfinite(c) for c in coords):
+            raise ValueError(f"point coordinates must be finite, got {coords}")
+        point = ChartPoint(chart, coords, periodic)
         u = GcField.from_expressions(chart, dim, data["u"]["vec"], data["u"]["cov"])
         v = GcField.from_expressions(chart, dim, data["v"]["vec"], data["v"]["cov"])
         h = None
         if data.get("H") is not None:
             h = FormField.from_expressions(chart, dim, data["H"]["terms"])
-        out = courant_bracket(u, v, h, point)
-    except (OSError, ValueError, KeyError) as exc:
+        with np.errstate(all="raise", under="ignore"):
+            out = courant_bracket(u, v, h, point)
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -93,6 +93,8 @@ def validate(node: dict, dim: int) -> None:
     kind = _node_kind(node)
     body = node[kind]
     if kind == "const":
+        if not isinstance(body, dict):
+            raise ValueError(f"const body must be a {{re, im}} object, got {body!r}")
         float(body.get("re", 0.0))
         float(body.get("im", 0.0))
     elif kind == "coord":

@@ -286,18 +286,6 @@ class FormJet:
             out = out + power * (1.0 / factorial)
         return out
 
-    def interior_const(self, vec: np.ndarray) -> "FormJet":
-        """Contraction with a constant tangent vector."""
-        act = _tables(self.dim).action[: self.dim]
-        mat = np.tensordot(np.asarray(vec, dtype=complex), act, axes=1)
-        return FormJet(
-            self.dim,
-            mat @ self.values,
-            mat @ self.grads,
-            np.einsum("us,sij->uij", mat, self.hess),
-            self.order,
-        )
-
     def interior_jet(self, xv: np.ndarray, xg: np.ndarray, xh: np.ndarray) -> "FormJet":
         """Contraction with a jet tangent vector (xv (n,), xg[i,j]=d_j X_i, xh)."""
         act = _tables(self.dim).action[: self.dim]

@@ -5,12 +5,11 @@ the closed-form models through the chart calculus, and reports the
 worst (sup-norm) residual: the identities are pointwise claims, so the
 pass statistic is a max, never an average.  Sampling uses one PRNG
 stream per check (seed + fixed stream id), points are drawn up front,
-and per-point work is order-independent, so reports are byte-identical
-for any parallelism level.
+and per-point work is evaluated in sample order, so reports are
+byte-identical for a given seed.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -114,13 +113,6 @@ def _rng(seed: int, stream: str, extra: int = 0) -> np.random.Generator:
     )
 
 
-def _pmap(fn, items, jobs: int):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _worst(points, residuals) -> tuple:
     arr = np.asarray(residuals, dtype=float)
     idx = int(np.argmax(arr))
@@ -144,7 +136,6 @@ def check_symplectomorphism(
     samples: int = 1000,
     seed: int = 42,
     tol: float = 1e-9,
-    jobs: int = 1,
 ) -> CheckReport:
     """Pullback of the tube form through the gluing map equals the annulus form."""
     geometry = geometry or SurgeryGeometry()
@@ -160,7 +151,7 @@ def check_symplectomorphism(
         _, jac, _ = psi.jets(p.array())
         return res, abs(np.linalg.det(jac))
 
-    rows = _pmap(worker, points, jobs)
+    rows = [worker(p) for p in points]
     residuals = [r for r, _ in rows]
     min_det = min(d for _, d in rows)
     max_res, worst = _worst(points, residuals)
@@ -190,7 +181,6 @@ def _bump_window(geometry: SurgeryGeometry, window) -> tuple:
 
 def _region_setup(region, geometry, params, window):
     """(field, h_field, sampler(rng, samples) -> points, witness_kind)."""
-    geometry = geometry or SurgeryGeometry()
     if region == "cplane":
         rho = local_model_spinor()
 
@@ -245,7 +235,6 @@ def check_integrability(
     params: LogModelParams | None = None,
     window: tuple | None = None,
     flip_h_sign: bool = False,
-    jobs: int = 1,
 ) -> CheckReport:
     """Max integrability residual of the region's model spinor over samples.
 
@@ -276,7 +265,7 @@ def check_integrability(
             extra = wit.v.norm()
         return max(wit.residual, extra)
 
-    residuals = _pmap(worker, points, jobs)
+    residuals = [worker(p) for p in points]
     max_res, worst = _worst(points, residuals)
 
     notes = []
@@ -326,7 +315,6 @@ def check_h_properties(
     tol: float = 1e-8,
     quad_nodes: int = 128,
     window: tuple | None = None,
-    jobs: int = 1,
 ) -> CheckReport:
     """Closedness, support confinement, and the slice integral of H = d(Btilde)."""
     geometry = geometry or SurgeryGeometry()
@@ -335,7 +323,7 @@ def check_h_properties(
     rng = _rng(seed, "h_properties")
 
     points = _sample_annulus(rng, samples, geometry.r_min, hi + 0.5, chart=CHART_TUBE)
-    dh_residuals = _pmap(lambda p: h(p).d().value().max_abs(), points, jobs)
+    dh_residuals = [h(p).d().value().max_abs() for p in points]
     max_dh, worst = _worst(points, dh_residuals)
 
     support_ok = True
@@ -362,7 +350,7 @@ def check_h_properties(
         integral += w * acc / len(ang) ** 2
     integral *= 0.5 * (hi - lo)
     sign = int(np.sign(integral))
-    integral_ok = abs(abs(integral) - 1.0) <= 1e-6
+    integral_ok = abs(integral - conventions.H_SLICE_SIGN) <= 1e-6
 
     passed = max_dh <= tol and support_ok and integral_ok
     return CheckReport(
@@ -398,7 +386,6 @@ def check_quotient(
     seed: int = 42,
     tol: float = 1e-8,
     r_min: float = 0.05,
-    jobs: int = 1,
 ) -> CheckReport:
     """Deck invariance, the quotient pullback identities, and quotient integrability."""
     m = params.m
@@ -423,7 +410,7 @@ def check_quotient(
         integ_res = integrability_residual(rho_q, None, q).residual
         return deck_res, omega_res, disc_res, integ_res
 
-    rows = _pmap(worker, points, jobs)
+    rows = [worker(p) for p in points]
     deck_max = max(r[0] for r in rows)
     omega_max = max(r[1] for r in rows)
     disc_max = max(r[2] for r in rows)
@@ -488,9 +475,7 @@ def check_quotient(
 # ------------------------------------------------------- local model
 
 
-def check_type_jump(
-    samples: int = 200, seed: int = 42, tol: float = 1e-9, jobs: int = 1
-) -> CheckReport:
+def check_type_jump(samples: int = 200, seed: int = 42, tol: float = 1e-9) -> CheckReport:
     """Type is 2 exactly on x1 = y1 = 0 and 0 at sampled points off the locus."""
     rho = local_model_spinor()
     rng = _rng(seed, "type_jump")
@@ -506,8 +491,8 @@ def check_type_jump(
     def typ(p):
         return normal_form(rho(p).value(), tol).type
 
-    types_on = _pmap(typ, on_locus, jobs)
-    types_off = _pmap(typ, off_locus, jobs)
+    types_on = [typ(p) for p in on_locus]
+    types_off = [typ(p) for p in off_locus]
     ok = all(t == 2 for t in types_on) and all(t == 0 for t in types_off)
     return CheckReport(
         check="type_jump",
@@ -523,7 +508,7 @@ def check_type_jump(
 
 
 def check_polar_compatibility(
-    samples: int = 200, seed: int = 42, tol: float = 1e-9, r_min: float = 0.05, jobs: int = 1
+    samples: int = 200, seed: int = 42, tol: float = 1e-9, r_min: float = 0.05
 ) -> CheckReport:
     """The cplane spinor pulled to the annulus chart reproduces the polar forms."""
     rho = local_model_spinor()
@@ -537,7 +522,7 @@ def check_polar_compatibility(
         expected = b_field(p).value() + 1j * w_field(p).value()
         return (nf.b_plus_i_omega() - expected).max_abs()
 
-    residuals = _pmap(worker, points, jobs)
+    residuals = [worker(p) for p in points]
     max_res, worst = _worst(points, residuals)
     return CheckReport(
         check="polar_compatibility",
@@ -718,7 +703,6 @@ def check_locus(
     seeds_count: int = 100,
     seed: int = 42,
     tol: float = 1e-9,
-    jobs: int = 1,
 ) -> CheckReport:
     """Newton localization, nondegeneracy, induced structure and tau = i."""
     rho = local_model_spinor()
@@ -727,7 +711,7 @@ def check_locus(
         ChartPoint(CHART_CPLANE, (*(rng.uniform(-0.35, 0.35, 2)), *rng.uniform(0, 1, 2)))
         for _ in range(seeds_count)
     ]
-    located = _pmap(lambda p: locate_type_change(rho, [p], tol)[0], seeds, jobs)
+    located = [locate_type_change(rho, [p], tol)[0] for p in seeds]
 
     all_converged = all(lp.converged for lp in located)
     all_nondeg = all(lp.nondegenerate for lp in located)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,78 @@ def test_check_invalid_config_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--r-min", "1"],
+        ["--r-min", "2"],
+        ["--output", "{tmp}/missing-dir/report.json"],
+        ["--output", "{tmp}"],
+    ],
+    ids=["tol-nan", "tol-inf", "r-min-1", "r-min-2", "output-dir-missing", "output-is-dir"],
+)
+def test_check_invalid_config_exit_2_before_any_check(flags, tmp_path, monkeypatch, capsys):
+    import gcx.cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a rejected config must not reach the checks or the writer")
+
+    monkeypatch.setattr(gcx.cli, "run_checks", must_not_run)
+    monkeypatch.setattr(gcx.cli, "_write_reports", must_not_run)
+    flags = [f.format(tmp=tmp_path) for f in flags]
+    if "--output" not in flags:
+        flags += ["--output", str(tmp_path / "report.json")]
+    assert run_cli(["check", "all", *flags]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _bracket_payload(point=(0.2, 0.3, 0.4, 0.5), u1=None):
+    """Bracket input of d/dx1 (or the vector u1 d/dx1) and d/dx2."""
+    zero = {"const": {}}
+    one = {"const": {"re": 1.0}}
+    return {
+        "dim": 4,
+        "point": point,
+        "u": {"vec": [u1 or one, zero, zero, zero], "cov": [zero] * 4},
+        "v": {"vec": [zero, one, zero, zero], "cov": [zero] * 4},
+    }
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("normal-form", [1, 2]),
+        ("bracket", _bracket_payload([0.0, 0.3, 0.4, 0.5], {"log": {"coord": 1}})),
+        ("bracket", _bracket_payload(3)),
+        ("bracket", _bracket_payload(u1={"const": 1.0})),
+        ("bracket", _bracket_payload([float("nan")] * 4)),
+        ("bracket", _bracket_payload([2.0, 0.3, 0.4, 0.5], {"pow": [{"coord": 1}, 10**6]})),
+    ],
+    ids=[
+        "normal-form-list",
+        "bracket-log-of-zero",
+        "bracket-scalar-point",
+        "bracket-bare-const",
+        "bracket-nan-point",
+        "bracket-overflow",
+    ],
+)
+def test_malformed_input_exit_2_without_traceback(command, payload, tmp_path, capsys):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(payload))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli([command, "--input", str(src)]) == 2
+    assert not caught, [str(w.message) for w in caught]
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["check", "bogus-target"])
@@ -204,24 +277,9 @@ def test_bracket_with_h_field(tmp_path, capsys):
     assert data["cov"][2] == {"re": 1.0, "im": 0.0}
 
 
-def test_reports_byte_identical_across_jobs(tmp_path):
-    outs = []
-    for jobs in ("1", "4"):
-        out = tmp_path / f"rep{jobs}.json"
-        code = run_cli(
-            [
-                "check",
-                "surgery",
-                "--seed",
-                "42",
-                "--samples",
-                "50",
-                "--jobs",
-                jobs,
-                "--output",
-                str(out),
-            ]
-        )
-        assert code == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+def test_check_jobs_flag_rejected(tmp_path, capsys):
+    # the --jobs thread pool is gone; run-to-run byte identity is criterion 10
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["check", "surgery", "--jobs", "2", "--output", str(tmp_path / "rep.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err

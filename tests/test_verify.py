@@ -91,6 +91,17 @@ def test_h_properties_default_geometry():
     assert "(sign +1)" in note
 
 
+def test_h_properties_fails_on_flipped_slice_sign(monkeypatch):
+    # negative control for H_SLICE_SIGN: the default bump integrates to +1,
+    # so a frozen convention of -1 must fail the report
+    from gcx import conventions
+
+    monkeypatch.setattr(conventions, "H_SLICE_SIGN", -1)
+    rep = check_h_properties(samples=20, seed=42)
+    assert not rep.passed
+    assert "(sign +1)" in rep.notes[0]
+
+
 def test_h_slice_integral_vanishes_outside_window():
     # quadrature over radii beyond the bump support sees an exactly zero form
     from gcx.models import b_extension_and_h
@@ -252,13 +263,11 @@ def test_check_locus_report():
 # ------------------------------------------------------- determinism
 
 
-def test_reports_deterministic_and_jobs_independent():
-    a = check_symplectomorphism(samples=50, seed=11, jobs=1)
-    b = check_symplectomorphism(samples=50, seed=11, jobs=4)
-    c = check_symplectomorphism(samples=50, seed=11, jobs=1)
-    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+def test_reports_deterministic():
+    a = check_symplectomorphism(samples=50, seed=11)
+    c = check_symplectomorphism(samples=50, seed=11)
     assert json.dumps(a.to_json_dict()) == json.dumps(c.to_json_dict())
-    d = check_symplectomorphism(samples=50, seed=12, jobs=1)
+    d = check_symplectomorphism(samples=50, seed=12)
     assert json.dumps(a.to_json_dict()) != json.dumps(d.to_json_dict())
 
 
