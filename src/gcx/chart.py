@@ -1,7 +1,9 @@
 """Calculus on coordinate charts.
 
-Fields are callables from a ChartPoint to a jet (FormJet, GcVectorJet or
-Jet2) carrying exact derivatives to second order; the operations here --
+Fields are callables from a ChartPoint to a jet carrying exact
+derivatives to second order: a FormJet for a form field, and for a
+generator field a jet of shape (2n,) whose first n components are the
+vector part and last n the covector part.  The operations here --
 exterior derivative, H-twisted Courant bracket, pullback along chart
 maps, and the integrability residual -- consume those jets.  Periodic
 coordinates are angles of unit period and reduce modulo 1.
@@ -13,12 +15,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from gcx import expressions
-from gcx.jets import FormJet, GcVectorJet, Jet2
+from gcx.jets import FormJet, Jet2, _Jet
 from gcx.multilinear import GcVector, Multiform, action_matrix
 
 __all__ = [
     "ChartPoint",
     "ChartMap",
+    "MapJet",
     "FormField",
     "GcField",
     "IntegrabilityWitness",
@@ -86,20 +89,52 @@ class ChartMap:
         self._guard(coords)
         ins = [Jet2.coordinate(self.dim, i + 1, coords[i]) for i in range(self.dim)]
         outs = self.jet_fn(ins)
-        y = np.array([o.value.real for o in outs])
-        jac = np.array([o.grad.real for o in outs])
+        y = np.array([o.values.real for o in outs])
+        jac = np.array([o.grads.real for o in outs])
         hess = np.array([o.hess.real for o in outs])
         for o in outs:
-            if abs(o.value.imag) > 1e-12:
+            if abs(o.values.imag) > 1e-12:
                 raise RuntimeError("chart map produced a non-real coordinate")
         return y, jac, hess
 
-    def apply(self, p: ChartPoint) -> ChartPoint:
+    def at(self, p: ChartPoint) -> "MapJet":
+        """Evaluate the map once at p, for every pullback through it."""
         if p.chart != self.source:
             raise ValueError(f"point is on chart {p.chart!r}, map expects {self.source!r}")
-        y, _, _ = self.jets(p.array())
-        periodic = self.target_periodic or p.periodic
-        return ChartPoint(self.target, tuple(y), periodic)
+        y, jac, hess = self.jets(p.array())
+        return MapJet(ChartPoint(self.target, tuple(y), self.target_periodic or p.periodic), jac, hess)
+
+    def apply(self, p: ChartPoint) -> ChartPoint:
+        return self.at(p).image
+
+
+class MapJet:
+    """A chart map evaluated at one point.
+
+    ``image`` is the image point, ``jac[t, i]`` and ``hess[t, i, j]`` the
+    first and second derivatives of the map's components there.  The
+    pulled-back basis forms are built on first use and shared by every
+    form pulled back through this evaluation.
+    """
+
+    def __init__(self, image: ChartPoint, jac: np.ndarray, hess: np.ndarray):
+        self.image, self.jac, self.hess = image, jac, hess
+        n = len(jac)
+        ones = _one_forms(n)
+        # pulled-back basis one-forms d(phi^t); they carry phi's second
+        # derivatives only, so every pulled-back basis form has order 1
+        self._dphi = [FormJet.zero(n, order=1) for _ in range(n)]
+        for t, jet in enumerate(self._dphi):
+            jet.values[ones] = jac[t]
+            jet.grads[ones] = hess[t]
+        self._basis = {0: FormJet.constant(Multiform.scalar(n, 1.0), order=1)}
+
+    def basis(self, mask: int) -> FormJet:
+        """The pullback of the basis monomial ``mask``, with exact first derivatives."""
+        if mask not in self._basis:
+            low = mask & -mask
+            self._basis[mask] = self._dphi[low.bit_length() - 1].wedge(self.basis(mask ^ low))
+        return self._basis[mask]
 
 
 def _check_chart(expected: str, p: ChartPoint) -> None:
@@ -132,19 +167,19 @@ class FormField:
 
 @dataclass(frozen=True)
 class GcField:
-    """A generator field of T + T*: point -> GcVectorJet."""
+    """A generator field of T + T*: point -> jet of shape (2n,), vec then cov."""
 
     chart: str
     dim: int
     fn: Callable = field(repr=False)
 
-    def __call__(self, p: ChartPoint) -> GcVectorJet:
+    def __call__(self, p: ChartPoint) -> _Jet:
         _check_chart(self.chart, p)
         return self.fn(p.array())
 
     @classmethod
     def constant(cls, chart: str, v: GcVector) -> "GcField":
-        return cls(chart, v.dim, lambda coords: GcVectorJet.constant(v))
+        return cls(chart, v.dim, lambda coords: _Jet(v.dim, v.as_array()))
 
     @classmethod
     def from_expressions(cls, chart: str, dim: int, vec_exprs: list, cov_exprs: list) -> "GcField":
@@ -170,62 +205,44 @@ def exterior_derivative(alpha: FormField, p: ChartPoint) -> Multiform:
     return alpha(p).d().value()
 
 
-def pullback_jet(phi: ChartMap, alpha: FormField, p: ChartPoint) -> FormJet:
-    """Pullback of alpha through phi at p, with exact first derivatives.
+def pullback_jet(at: MapJet, alpha: FormField) -> FormJet:
+    """Pullback of alpha through a map evaluation, with exact first derivatives.
 
     Coefficient functions compose to second order; the pulled-back basis
-    one-forms carry phi's second derivatives only, so the result's order
-    is 1 (enough for d of the pullback).
+    forms are order 1, and so is the result (enough for d of the pullback).
     """
-    if p.chart != phi.source:
-        raise ValueError(f"point is on chart {p.chart!r}, map expects {phi.source!r}")
-    coords = p.array()
-    y, jac, hess = phi.jets(coords)
-    q = ChartPoint(phi.target, tuple(y), phi.target_periodic or p.periodic)
-    ajet = alpha(q)
-    n = phi.dim
+    ajet = alpha(at.image)
+    jac, hess = at.jac, at.hess
+    n = len(jac)
 
     # composed coefficient jets (exact to second order)
-    comp_vals = ajet.values
-    comp_grads = ajet.grads @ jac
-    comp_hess = np.einsum("stu,ti,uj->sij", ajet.hess, jac, jac) + np.einsum(
-        "st,tij->sij", ajet.grads, hess
+    comp = FormJet(
+        n,
+        ajet.values,
+        ajet.grads @ jac,
+        np.einsum("stu,ti,uj->sij", ajet.hess, jac, jac) + np.einsum("st,tij->sij", ajet.grads, hess),
     )
-
-    # pulled-back basis one-forms d(phi^t), order 1
-    dphi = []
-    for t in range(n):
-        jet = FormJet.zero(n, order=1)
-        for i in range(n):
-            jet.values[1 << i] = jac[t, i]
-            jet.grads[1 << i] = hess[t, i]
-        dphi.append(jet)
-
-    wedge_cache = {0: FormJet.constant(Multiform.scalar(n, 1.0), order=1)}
-
-    def pulled_basis(mask: int) -> FormJet:
-        if mask not in wedge_cache:
-            low = mask & -mask
-            t = low.bit_length() - 1
-            wedge_cache[mask] = dphi[t].wedge(pulled_basis(mask ^ low))
-        return wedge_cache[mask]
 
     out = FormJet.zero(n, order=1)
     for mask in range(1 << n):
-        if comp_vals[mask] == 0 and not comp_grads[mask].any() and not comp_hess[mask].any():
+        if comp.values[mask] == 0 and not comp.grads[mask].any() and not comp.hess[mask].any():
             continue
-        scalar = Jet2(n, comp_vals[mask], comp_grads[mask], comp_hess[mask])
-        out = out + pulled_basis(mask).scale(scalar)
+        out = out + at.basis(mask).scale(comp[mask])
     return out
 
 
 def pullback(phi: ChartMap, alpha: FormField, p: ChartPoint) -> Multiform:
     """(phi^* alpha) at p."""
-    return pullback_jet(phi, alpha, p).value()
+    return pullback_jet(phi.at(p), alpha).value()
+
+
+def _one_forms(n: int) -> list:
+    """Masks of the basis one-forms dx^1, ..., dx^n."""
+    return [1 << i for i in range(n)]
 
 
 def _one_form_components(form: Multiform) -> np.ndarray:
-    return np.array([form.coeffs[1 << i] for i in range(form.dim)])
+    return form.coeffs[_one_forms(form.dim)]
 
 
 def courant_bracket(
@@ -240,26 +257,26 @@ def courant_bracket(
     uj = u(p)
     vj = v(p)
     n = uj.dim
-    xv, xg = uj.vec_values, uj.vec_grads
-    yv, yg = vj.vec_values, vj.vec_grads
+    # vector and covector slices: values (n,), grads (n, n)
+    xv, xg, xi, xig = uj.values[:n], uj.grads[:n], uj.values[n:], uj.grads[n:]
+    yv, yg, eta, etag = vj.values[:n], vj.grads[:n], vj.values[n:], vj.grads[n:]
 
     lie_xy = np.einsum("i,ji->j", xv, yg) - np.einsum("i,ji->j", yv, xg)
 
-    def lie_derivative(wv, wg, eta_jet: GcVectorJet) -> np.ndarray:
-        """Covector components of L_W eta = i_W d(eta) + d(i_W eta)."""
-        eta_form = eta_jet.cov_form()
-        i_w_deta = _one_form_components(eta_form.d().value().interior(wv))
-        # gradient of the scalar i_W eta, by the product rule
-        d_i_w_eta = np.einsum("ij,i->j", wg, eta_jet.cov_values) + np.einsum(
-            "i,ij->j", wv, eta_jet.cov_grads
-        )
-        return i_w_deta + d_i_w_eta
+    def lie_derivative(wv, wg, cv, cg) -> np.ndarray:
+        """Covector components of L_W c = i_W d(c) + d(i_W c); d(c) needs c's first partials only."""
+        c_form = FormJet.zero(n, order=1)
+        c_form.grads[_one_forms(n)] = cg
+        i_w_dc = _one_form_components(c_form.d().value().interior(wv))
+        # gradient of the scalar i_W c, by the product rule
+        d_i_w_c = np.einsum("ij,i->j", wg, cv) + np.einsum("i,ij->j", wv, cg)
+        return i_w_dc + d_i_w_c
 
-    cov = lie_derivative(xv, xg, vj) - lie_derivative(yv, yg, uj)
+    cov = lie_derivative(xv, xg, eta, etag) - lie_derivative(yv, yg, xi, xig)
 
     # d(eta(X) - xi(Y)) / 2
-    eta_x = np.einsum("ij,i->j", xg, vj.cov_values) + np.einsum("i,ij->j", xv, vj.cov_grads)
-    xi_y = np.einsum("ij,i->j", yg, uj.cov_values) + np.einsum("i,ij->j", yv, uj.cov_grads)
+    eta_x = np.einsum("ij,i->j", xg, eta) + np.einsum("i,ij->j", xv, etag)
+    xi_y = np.einsum("ij,i->j", yg, xi) + np.einsum("i,ij->j", yv, xig)
     cov = cov - 0.5 * (eta_x - xi_y)
 
     if h is not None:
@@ -299,10 +316,16 @@ def e_b_transform(b: FormField, u: GcField) -> GcField:
     if b.dim != u.dim:
         raise ValueError(f"dimension mismatch: {b.dim} vs {u.dim}")
 
-    def fn(coords: np.ndarray) -> GcVectorJet:
+    n = u.dim
+    one_forms = _one_forms(n)
+
+    def fn(coords: np.ndarray) -> _Jet:
         uj = u.fn(coords)
-        bj = b.fn(coords)
-        ixb = bj.interior_jet(uj.vec_values, uj.vec_grads, uj.vec_hess)
-        return uj.with_cov_form(uj.cov_form() + ixb)
+        ixb = b.fn(coords).interior_jet(uj.values[:n], uj.grads[:n], uj.hess[:n])
+        out = _Jet(n, uj.values.copy(), uj.grads.copy(), uj.hess.copy(), min(uj.order, ixb.order))
+        out.values[n:] += ixb.values[one_forms]
+        out.grads[n:] += ixb.grads[one_forms]
+        out.hess[n:] += ixb.hess[one_forms]
+        return out
 
     return GcField(u.chart, u.dim, fn)

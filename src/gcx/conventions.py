@@ -40,9 +40,6 @@ BRACKET_SHIFT_SIGN = +1
 SPINOR_TWIST_SIGN = -1
 H_SLICE_SIGN = +1
 
-NOTE_BRACKET_SHIFT = (
-    "convention: [E_B u, E_B v]_H = E_B([u,v]_{H+dB}) with i_X B = B(X,.)"
-)
 NOTE_SPINOR_TWIST = (
     "convention: glued spinor exp(Btilde + i*sigma) is integrable for H = -d(Btilde)"
 )

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from gcx.jets import FormJet, GcVectorJet, Jet2
+from gcx.jets import FormJet, Jet2, _Jet
 
 __all__ = [
     "evaluate",
@@ -162,13 +162,17 @@ def form_terms_to_jet(dim: int, terms: list, coords: np.ndarray) -> FormJet:
             prev = i
         jet = evaluate(term["expr"], coords)
         coeffs[mask] = coeffs[mask] + jet if mask in coeffs else jet
-    return FormJet.from_coefficients(dim, coeffs)
+    out = FormJet.zero(dim)
+    for mask, jet in coeffs.items():
+        out[mask] = jet
+    return out
 
 
-def gc_components_to_jet(dim: int, vec_exprs: list, cov_exprs: list, coords: np.ndarray) -> GcVectorJet:
-    """Assemble a GcVectorJet from per-component expression nodes."""
+def gc_components_to_jet(dim: int, vec_exprs: list, cov_exprs: list, coords: np.ndarray) -> _Jet:
+    """Assemble a generator jet of shape (2 dim,), vec then cov, from per-component expression nodes."""
     if len(vec_exprs) != dim or len(cov_exprs) != dim:
         raise ValueError(f"expected {dim} vec and cov expressions")
-    vec = [evaluate(e, coords) for e in vec_exprs]
-    cov = [evaluate(e, coords) for e in cov_exprs]
-    return GcVectorJet.from_components(dim, vec, cov)
+    out = _Jet(dim, np.zeros(2 * dim, dtype=complex))
+    for c, node in enumerate([*vec_exprs, *cov_exprs]):
+        out[c] = evaluate(node, coords)
+    return out

@@ -1,41 +1,136 @@
 """Second-order forward-mode jets for chart calculus.
 
-A jet carries an exact value together with exact first and second partial
-derivatives at a point.  ``Jet2`` is the scalar flavour (truncated Taylor
-arithmetic); ``FormJet`` and ``GcVectorJet`` batch jets over the
-coefficients of a mixed exterior form or a generator of T + T*.  Closed
-formulas evaluated through this arithmetic yield derivatives that are
-exact to round-off; finite differences appear only in tests.
+A jet carries exact values of an array of components together with their
+exact first and second partial derivatives at a point (truncated Taylor
+arithmetic).  One core implements the rules every jet shares: sums,
+scalar multiples, the product rule, and get/set of one component.  The
+component shape sets the flavour: ``Jet2`` is a single scalar,
+``FormJet`` holds the 2^n coefficients of a mixed exterior form, and a
+generator X + xi of T + T* is a plain jet of shape (2n,) in
+``GcVector.as_array`` order (vec, then cov).  Closed formulas evaluated
+through this arithmetic yield derivatives that are exact to round-off;
+finite differences appear only in tests.
 
-``order`` tracks how many derivative levels of a batched jet are still
+``order`` tracks how many derivative levels of a jet are still
 trustworthy: exterior differentiation consumes one level (the result's
 Hessians would need third derivatives, which are not carried).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from gcx.multilinear import GcVector, Multiform, _tables
+from gcx.multilinear import Multiform, _exp_wedge_series, _tables
 
-__all__ = ["Jet2", "FormJet", "GcVectorJet"]
+__all__ = ["Jet2", "FormJet"]
 
 TWO_PI = 2.0 * math.pi
 
 
-class Jet2:
+def _zeros(shape) -> np.ndarray:
+    return np.zeros(shape, dtype=complex)
+
+
+def _lifted(values) -> tuple:
+    """Values with one and with two trailing unit axes, to meet grads and hess."""
+    if isinstance(values, np.ndarray):
+        return values[..., None], values[..., None, None]
+    return values, values
+
+
+class _Jet:
+    """Components of any leading shape with their first and second partials.
+
+    values: shape S, grads: S + (n,) with grads[..., i] the i-th partial,
+    hess: S + (n, n), symmetric in the last two axes.  Jets of different
+    shapes combine by broadcasting, so a scalar jet acts on every
+    component of an array jet.
+    """
+
+    __slots__ = ("dim", "values", "grads", "hess", "order")
+    __array_ufunc__ = None  # numpy operands defer to the jet's reflected operators
+
+    def __init__(self, dim: int, values, grads=None, hess=None, order: int = 2):
+        self.dim = dim
+        self.values = values
+        self.grads = _zeros(np.shape(values) + (dim,)) if grads is None else grads
+        self.hess = _zeros(np.shape(values) + (dim, dim)) if hess is None else hess
+        self.order = order
+
+    def _coerce(self, other) -> "_Jet":
+        return other if isinstance(other, _Jet) else Jet2(self.dim, other)
+
+    def _check(self, other: "_Jet") -> None:
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+    def _combine(self, other: "_Jet", values, grads, hess) -> "_Jet":
+        """A result of self and other, typed after the operand with array components."""
+        self._check(other)
+        cls = type(self) if isinstance(self.values, np.ndarray) else type(other)
+        return cls(self.dim, values, grads, hess, min(self.order, other.order))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return self._combine(o, self.values + o.values, self.grads + o.grads, self.hess + o.hess)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return self._combine(o, self.values - o.values, self.grads - o.grads, self.hess - o.hess)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __neg__(self):
+        return type(self)(self.dim, -self.values, -self.grads, -self.hess, self.order)
+
+    def __mul__(self, other):
+        if isinstance(other, _Jet):
+            return self._product(other)
+        s = complex(other)
+        return type(self)(self.dim, self.values * s, self.grads * s, self.hess * s, self.order)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return type(self)(self.dim, self.values / other, self.grads / other, self.hess / other, self.order)
+
+    def _product(self, other: "_Jet") -> "_Jet":
+        """Leibniz rule to second order, broadcasting components."""
+        (sv1, sv2), (ov1, ov2) = _lifted(self.values), _lifted(other.values)
+        sg, og = self.grads, other.grads
+        outer = sg[..., :, None] * og[..., None, :]
+        return self._combine(
+            other,
+            self.values * other.values,
+            sv1 * og + ov1 * sg,
+            sv2 * other.hess + ov2 * self.hess + outer + outer.swapaxes(-1, -2),
+        )
+
+    def __getitem__(self, i) -> "Jet2":
+        return Jet2(self.dim, self.values[i], self.grads[i], self.hess[i], self.order)
+
+    def __setitem__(self, i, jet: "Jet2") -> None:
+        self.values[i] = jet.values
+        self.grads[i] = jet.grads
+        self.hess[i] = jet.hess
+
+
+class Jet2(_Jet):
     """Scalar truncated Taylor value: f, grad f, symmetric hess f."""
 
-    __slots__ = ("n", "value", "grad", "hess")
+    __slots__ = ()
 
-    def __init__(self, n: int, value, grad=None, hess=None):
-        self.n = n
-        self.value = complex(value)
-        self.grad = np.zeros(n, dtype=complex) if grad is None else np.asarray(grad, dtype=complex)
+    def __init__(self, n: int, value, grad=None, hess=None, order: int = 2):
+        self.dim = n
+        self.values = complex(value)
+        self.grads = np.zeros(n, dtype=complex) if grad is None else np.asarray(grad, dtype=complex)
         self.hess = (
             np.zeros((n, n), dtype=complex) if hess is None else np.asarray(hess, dtype=complex)
         )
+        self.order = order
 
     @classmethod
     def constant(cls, n: int, value) -> "Jet2":
@@ -48,114 +143,76 @@ class Jet2:
         g[i - 1] = 1.0
         return cls(n, value, g)
 
-    def _coerce(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
-            return other
-        return Jet2(self.n, other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.n, self.value + o.value, self.grad + o.grad, self.hess + o.hess)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(self.n, -self.value, -self.grad, -self.hess)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        outer = np.outer(self.grad, o.grad)
-        return Jet2(
-            self.n,
-            self.value * o.value,
-            self.value * o.grad + o.value * self.grad,
-            self.value * o.hess + o.value * self.hess + outer + outer.T,
-        )
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        return self * self._coerce(other)._reciprocal()
+        if isinstance(other, _Jet):
+            return self * other._reciprocal()
+        return super().__truediv__(other)
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self._reciprocal()
 
     def _chain(self, f0, f1, f2) -> "Jet2":
-        """Compose with a 1-d function given f, f', f'' at self.value."""
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(self.n, f0, f1 * self.grad, f1 * self.hess + f2 * outer)
+        """Compose with a 1-d function given f, f', f'' at self.values."""
+        outer = np.outer(self.grads, self.grads)
+        return Jet2(self.dim, f0, f1 * self.grads, f1 * self.hess + f2 * outer, self.order)
 
     def _reciprocal(self) -> "Jet2":
-        v = self.value
+        v = self.values
         return self._chain(1.0 / v, -1.0 / v**2, 2.0 / v**3)
 
     def __pow__(self, k):
         if isinstance(k, int):
             if k == 0:
-                return Jet2.constant(self.n, 1.0)
+                return Jet2.constant(self.dim, 1.0)
             if k < 0:
                 return (self.__pow__(-k))._reciprocal()
             out = self
             for _ in range(k - 1):
                 out = out * self
             return out
-        v = self.value
+        v = self.values
         return self._chain(v**k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2))
 
     def exp(self) -> "Jet2":
-        e = np.exp(self.value)
+        e = np.exp(self.values)
         return self._chain(e, e, e)
 
     def log(self) -> "Jet2":
-        v = self.value
+        v = self.values
         return self._chain(np.log(v), 1.0 / v, -1.0 / v**2)
 
     def sqrt(self) -> "Jet2":
-        s = np.sqrt(self.value)
-        return self._chain(s, 0.5 / s, -0.25 / (s * self.value))
+        s = np.sqrt(self.values)
+        return self._chain(s, 0.5 / s, -0.25 / (s * self.values))
 
     def sin(self) -> "Jet2":
-        v = self.value
+        v = self.values
         return self._chain(np.sin(v), np.cos(v), -np.sin(v))
 
     def cos(self) -> "Jet2":
-        v = self.value
+        v = self.values
         return self._chain(np.cos(v), -np.sin(v), -np.cos(v))
 
     def sin_turn(self) -> "Jet2":
         """sin(2*pi*x): sine with unit period."""
-        a = TWO_PI * self.value
+        a = TWO_PI * self.values
         return self._chain(np.sin(a), TWO_PI * np.cos(a), -TWO_PI**2 * np.sin(a))
 
     def cos_turn(self) -> "Jet2":
         """cos(2*pi*x): cosine with unit period."""
-        a = TWO_PI * self.value
+        a = TWO_PI * self.values
         return self._chain(np.cos(a), -TWO_PI * np.sin(a), -TWO_PI**2 * np.cos(a))
 
 
-def _zeros(shape) -> np.ndarray:
-    return np.zeros(shape, dtype=complex)
-
-
-@dataclass
-class FormJet:
+class FormJet(_Jet):
     """A Multiform value with per-coefficient first and second partials.
 
     values: (2^n,), grads: (2^n, n) with grads[s, i] the i-th partial of
-    coefficient s, hess: (2^n, n, n) symmetric in the last two axes.
+    coefficient s, hess: (2^n, n, n) symmetric in the last two axes;
+    ``jet[mask]`` is the coefficient of the basis monomial ``mask``.
     """
 
-    dim: int
-    values: np.ndarray
-    grads: np.ndarray
-    hess: np.ndarray
-    order: int = 2
+    __slots__ = ()
 
     @classmethod
     def zero(cls, dim: int, order: int = 2) -> "FormJet":
@@ -164,22 +221,7 @@ class FormJet:
 
     @classmethod
     def constant(cls, form: Multiform, order: int = 2) -> "FormJet":
-        out = cls.zero(form.dim, order)
-        out.values = form.coeffs.astype(complex)
-        return out
-
-    @classmethod
-    def from_coefficients(cls, dim: int, coeffs: dict) -> "FormJet":
-        """Build from {bitmask: Jet2} entries."""
-        out = cls.zero(dim)
-        for mask, jet in coeffs.items():
-            out.values[mask] = jet.value
-            out.grads[mask] = jet.grad
-            out.hess[mask] = jet.hess
-        return out
-
-    def coefficient(self, mask: int) -> Jet2:
-        return Jet2(self.dim, self.values[mask], self.grads[mask], self.hess[mask])
+        return cls(form.dim, form.coeffs.astype(complex), order=order)
 
     def value(self) -> Multiform:
         return Multiform(self.dim, self.values)
@@ -193,49 +235,12 @@ class FormJet:
         if self.order < order:
             raise ValueError(f"jet carries derivatives to order {self.order}, need {order}")
 
-    def _check(self, other: "FormJet") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "FormJet") -> "FormJet":
-        self._check(other)
-        return FormJet(
-            self.dim,
-            self.values + other.values,
-            self.grads + other.grads,
-            self.hess + other.hess,
-            min(self.order, other.order),
-        )
-
-    def __sub__(self, other: "FormJet") -> "FormJet":
-        self._check(other)
-        return FormJet(
-            self.dim,
-            self.values - other.values,
-            self.grads - other.grads,
-            self.hess - other.hess,
-            min(self.order, other.order),
-        )
-
-    def __mul__(self, scalar) -> "FormJet":
-        s = complex(scalar)
-        return FormJet(self.dim, self.values * s, self.grads * s, self.hess * s, self.order)
-
-    __rmul__ = __mul__
+    def is_zero(self) -> bool:
+        return not (self.values.any() or self.grads.any() or self.hess.any())
 
     def scale(self, jet: Jet2) -> "FormJet":
         """Multiply by a scalar jet (product rule)."""
-        outer = self.grads[:, :, None] * jet.grad[None, None, :]
-        return FormJet(
-            self.dim,
-            self.values * jet.value,
-            self.values[:, None] * jet.grad[None, :] + jet.value * self.grads,
-            self.values[:, None, None] * jet.hess[None]
-            + jet.value * self.hess
-            + outer
-            + outer.transpose(0, 2, 1),
-            self.order,
-        )
+        return self._product(jet)
 
     def wedge(self, other: "FormJet") -> "FormJet":
         self._check(other)
@@ -271,20 +276,8 @@ class FormJet:
 
     def exp_wedge(self) -> "FormJet":
         """Terminating wedge exponential (even degrees, no scalar part)."""
-        t = _tables(self.dim)
-        bad = (t.degree == 0) | (t.degree % 2 == 1)
-        if np.abs(self.values[bad]).max() > 0 or np.abs(self.grads[bad]).max() > 0:
-            raise ValueError("exp_wedge requires an even-degree form with zero scalar part")
-        out = FormJet.constant(Multiform.scalar(self.dim, 1.0), self.order)
-        power = out
-        factorial = 1.0
-        for j in range(1, self.dim + 1):
-            power = power.wedge(self)
-            factorial *= j
-            if np.abs(power.values).max() == 0 and np.abs(power.grads).max() == 0:
-                break
-            out = out + power * (1.0 / factorial)
-        return out
+        one = FormJet.constant(Multiform.scalar(self.dim, 1.0), self.order)
+        return _exp_wedge_series(self, one, (self.values, self.grads))
 
     def interior_jet(self, xv: np.ndarray, xg: np.ndarray, xh: np.ndarray) -> "FormJet":
         """Contraction with a jet tangent vector (xv (n,), xg[i,j]=d_j X_i, xh)."""
@@ -301,80 +294,3 @@ class FormJet:
             + np.einsum("i,iujk->ujk", xv, ah)
         )
         return FormJet(self.dim, values, grads, hess, self.order)
-
-
-@dataclass
-class GcVectorJet:
-    """A generator X + xi of T + T* with exact first and second partials.
-
-    Component layouts mirror FormJet: *_grads[c, i] is the i-th partial of
-    component c.
-    """
-
-    dim: int
-    vec_values: np.ndarray
-    vec_grads: np.ndarray
-    vec_hess: np.ndarray
-    cov_values: np.ndarray
-    cov_grads: np.ndarray
-    cov_hess: np.ndarray
-    order: int = 2
-
-    @classmethod
-    def zero(cls, dim: int, order: int = 2) -> "GcVectorJet":
-        return cls(
-            dim,
-            _zeros(dim),
-            _zeros((dim, dim)),
-            _zeros((dim, dim, dim)),
-            _zeros(dim),
-            _zeros((dim, dim)),
-            _zeros((dim, dim, dim)),
-            order,
-        )
-
-    @classmethod
-    def constant(cls, v: GcVector, order: int = 2) -> "GcVectorJet":
-        out = cls.zero(v.dim, order)
-        out.vec_values = v.vec.astype(complex)
-        out.cov_values = v.cov.astype(complex)
-        return out
-
-    @classmethod
-    def from_components(cls, dim: int, vec_jets, cov_jets) -> "GcVectorJet":
-        out = cls.zero(dim)
-        for c, jet in enumerate(vec_jets):
-            out.vec_values[c] = jet.value
-            out.vec_grads[c] = jet.grad
-            out.vec_hess[c] = jet.hess
-        for c, jet in enumerate(cov_jets):
-            out.cov_values[c] = jet.value
-            out.cov_grads[c] = jet.grad
-            out.cov_hess[c] = jet.hess
-        return out
-
-    def value(self) -> GcVector:
-        return GcVector(self.dim, self.vec_values, self.cov_values)
-
-    def cov_form(self) -> FormJet:
-        """The covector part as a degree-1 FormJet."""
-        out = FormJet.zero(self.dim, self.order)
-        for i in range(self.dim):
-            mask = 1 << i
-            out.values[mask] = self.cov_values[i]
-            out.grads[mask] = self.cov_grads[i]
-            out.hess[mask] = self.cov_hess[i]
-        return out
-
-    def with_cov_form(self, cov: FormJet) -> "GcVectorJet":
-        """Replace the covector part from a degree-1 FormJet."""
-        out = GcVectorJet.zero(self.dim, min(self.order, cov.order))
-        out.vec_values = self.vec_values.copy()
-        out.vec_grads = self.vec_grads.copy()
-        out.vec_hess = self.vec_hess.copy()
-        for i in range(self.dim):
-            mask = 1 << i
-            out.cov_values[i] = cov.values[mask]
-            out.cov_grads[i] = cov.grads[mask]
-            out.cov_hess[i] = cov.hess[mask]
-        return out

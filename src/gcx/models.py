@@ -43,7 +43,6 @@ __all__ = [
     "tube_symplectic",
     "gluing_map",
     "polar_overlap_map",
-    "bump",
     "bump_profile",
     "b_extension_and_h",
     "glued_spinor_field",
@@ -126,9 +125,9 @@ class BumpProfile:
         if self.name == "flat":
             # all-orders-flat descent from exp(-1/t) ratios; the guards keep
             # the underflowing tails exact and nan-free
-            if t.value.real < 5e-3:
+            if t.values.real < 5e-3:
                 return 1.0, 0.0, 0.0
-            if t.value.real > 1.0 - 5e-3:
+            if t.values.real > 1.0 - 5e-3:
                 return 0.0, 0.0, 0.0
             phi_t = (-1.0 / t).exp()
             phi_1mt = (-1.0 / (1.0 - t)).exp()
@@ -137,8 +136,8 @@ class BumpProfile:
             # C^2 polynomial descent 1 - (6t^5 - 15t^4 + 10t^3)
             s = 1.0 - (6.0 * t**5 - 15.0 * t**4 + 10.0 * t**3)
         return (
-            float(s.value.real),
-            float(s.grad[0].real) / width,
+            float(s.values.real),
+            float(s.grads[0].real) / width,
             float(s.hess[0, 0].real) / width**2,
         )
 
@@ -155,11 +154,6 @@ class BumpProfile:
 def bump_profile(geometry: SurgeryGeometry, window: tuple | None = None) -> BumpProfile:
     lo, hi = window if window is not None else (1.0, geometry.r_out)
     return BumpProfile(geometry.profile, float(lo), float(hi))
-
-
-def bump(geometry: SurgeryGeometry, rtilde: float, window: tuple | None = None) -> tuple:
-    """(f, f', f'') of the selected profile at the given tube radius."""
-    return bump_profile(geometry, window).evaluate(rtilde)
 
 
 # ------------------------------------------------------------- cplane
@@ -207,9 +201,7 @@ def local_model_polar(r_min: float = 0.05) -> tuple:
         _guard_radius(coords[0], r_min, "annulus model")
         inv_r = 1.0 / Jet2.coordinate(4, 1, coords[0])
         jet = FormJet.zero(4)
-        jet.values[_M13] = inv_r.value
-        jet.grads[_M13] = inv_r.grad
-        jet.hess[_M13] = inv_r.hess
+        jet[_M13] = inv_r
         jet.values[_M24] = -1.0
         return jet
 
@@ -217,9 +209,7 @@ def local_model_polar(r_min: float = 0.05) -> tuple:
         _guard_radius(coords[0], r_min, "annulus model")
         inv_r = 1.0 / Jet2.coordinate(4, 1, coords[0])
         jet = FormJet.zero(4)
-        jet.values[_M14] = inv_r.value
-        jet.grads[_M14] = inv_r.grad
-        jet.hess[_M14] = inv_r.hess
+        jet[_M14] = inv_r
         jet.values[_M23] = 1.0
         return jet
 
@@ -274,9 +264,7 @@ def log_model(params: LogModelParams, r_min: float = 0.05) -> tuple:
         inv_r = 1.0 / Jet2.coordinate(4, 1, coords[0])
         jet = FormJet.zero(4)
         for mask, scale in ((_M13, 1.0), (_M12, k / m)):
-            jet.values[mask] = scale * inv_r.value
-            jet.grads[mask] = scale * inv_r.grad
-            jet.hess[mask] = scale * inv_r.hess
+            jet[mask] = scale * inv_r
         jet.values[_M24] = -1.0 / m
         return jet
 
@@ -284,9 +272,7 @@ def log_model(params: LogModelParams, r_min: float = 0.05) -> tuple:
         _guard_radius(coords[0], r_floor, "quotient model")
         inv_r = 1.0 / Jet2.coordinate(4, 1, coords[0])
         jet = FormJet.zero(4)
-        jet.values[_M14] = inv_r.value / m
-        jet.grads[_M14] = inv_r.grad / m
-        jet.hess[_M14] = inv_r.hess / m
+        jet[_M14] = inv_r / m
         jet.values[_M23] = 1.0 / m
         return jet
 
@@ -325,9 +311,7 @@ def tube_symplectic() -> FormField:
 
     def fn(coords: np.ndarray) -> FormJet:
         jet = FormJet.zero(4)
-        rt = Jet2.coordinate(4, 1, coords[0])
-        jet.values[_M12] = rt.value
-        jet.grads[_M12] = rt.grad
+        jet[_M12] = Jet2.coordinate(4, 1, coords[0])
         jet.values[0b1100] = 1.0
         return jet
 
@@ -400,9 +384,7 @@ def polar_overlap_map(angle_scale: float = 1.0, r_min: float = 0.0) -> ChartMap:
 def _tube_b_core(coords: np.ndarray) -> FormJet:
     """(psi^{-1})^* B in tube coordinates: rt drt^dt2 - dt1^dt3."""
     jet = FormJet.zero(4)
-    rt = Jet2.coordinate(4, 1, coords[0])
-    jet.values[_M13] = rt.value
-    jet.grads[_M13] = rt.grad
+    jet[_M13] = Jet2.coordinate(4, 1, coords[0])
     jet.values[_M24] = -1.0
     return jet
 

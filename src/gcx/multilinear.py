@@ -406,17 +406,27 @@ def pairing_gram(dim: int) -> np.ndarray:
 
 def exp_wedge(b: Multiform) -> Multiform:
     """Terminating wedge exponential of an even-degree form with no scalar part."""
+    return _exp_wedge_series(b, Multiform.scalar(b.dim, 1.0), (b.coeffs,))
+
+
+def _exp_wedge_series(b, one, parts):
+    """sum_j b^j / j! for forms and form jets alike.
+
+    ``one`` is the unit of b's algebra; ``parts`` are b's coefficient
+    arrays (leading axis over basis monomials), which must vanish off the
+    even positive degrees.  The series stops at the first power that is
+    identically zero.
+    """
     t = _tables(b.dim)
     bad = (t.degree == 0) | (t.degree % 2 == 1)
-    if np.abs(b.coeffs[bad]).max() > 0:
+    if any(np.abs(part[bad]).max() > 0 for part in parts):
         raise ValueError("exp_wedge requires an even-degree form with zero scalar part")
-    out = Multiform.scalar(b.dim, 1.0)
-    power = Multiform.scalar(b.dim, 1.0)
+    out = power = one
     factorial = 1.0
     for j in range(1, b.dim + 1):
         power = power.wedge(b)
         factorial *= j
         if power.is_zero():
             break
-        out = out + power / factorial
+        out = out + power * (1.0 / factorial)
     return out

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from gcx import conventions
-from gcx.chart import ChartPoint, FormField, integrability_residual, pullback
-from gcx.jets import FormJet
+from gcx.chart import ChartPoint, FormField, integrability_residual, pullback, pullback_jet
+from gcx.jets import FormJet, Jet2
 from gcx.models import (
     ANGLES,
     CHART_ANNULUS,
@@ -147,9 +147,9 @@ def check_symplectomorphism(
     _, omega = local_model_polar(geometry.r_min)
 
     def worker(p):
-        res = (pullback(psi, sigma, p) - omega(p).value()).max_abs()
-        _, jac, _ = psi.jets(p.array())
-        return res, abs(np.linalg.det(jac))
+        at = psi.at(p)
+        res = (pullback_jet(at, sigma).value() - omega(p).value()).max_abs()
+        return res, abs(np.linalg.det(at.jac))
 
     rows = [worker(p) for p in points]
     residuals = [r for r, _ in rows]
@@ -174,11 +174,6 @@ def check_symplectomorphism(
     )
 
 
-def _bump_window(geometry: SurgeryGeometry, window) -> tuple:
-    prof = bump_profile(geometry, window)
-    return prof.lo, prof.hi
-
-
 def _region_setup(region, geometry, params, window):
     """(field, h_field, sampler(rng, samples) -> points, witness_kind)."""
     if region == "cplane":
@@ -196,7 +191,7 @@ def _region_setup(region, geometry, params, window):
 
         return rho, None, sampler, None
     if region == "bump":
-        lo, hi = _bump_window(geometry, window)
+        prof = bump_profile(geometry, window)
         rho = glued_spinor_field(geometry, window)
         _, h = b_extension_and_h(geometry, window)
         h_used = FormField(
@@ -204,11 +199,11 @@ def _region_setup(region, geometry, params, window):
         )
 
         def sampler(rng, samples):
-            return _sample_annulus(rng, samples, lo + 1e-6, hi - 1e-6, chart=CHART_TUBE)
+            return _sample_annulus(rng, samples, prof.lo + 1e-6, prof.hi - 1e-6, chart=CHART_TUBE)
 
         return rho, h_used, sampler, None
     if region == "outer":
-        lo, hi = _bump_window(geometry, window)
+        hi = bump_profile(geometry, window).hi
         rho = glued_spinor_field(geometry, window)
 
         def sampler(rng, samples):
@@ -318,7 +313,8 @@ def check_h_properties(
 ) -> CheckReport:
     """Closedness, support confinement, and the slice integral of H = d(Btilde)."""
     geometry = geometry or SurgeryGeometry()
-    lo, hi = _bump_window(geometry, window)
+    prof = bump_profile(geometry, window)
+    lo, hi = prof.lo, prof.hi
     btilde, h = b_extension_and_h(geometry, window)
     rng = _rng(seed, "h_properties")
 
@@ -397,34 +393,31 @@ def check_quotient(
     deck = deck_action_map(params)
     rho_q = quotient_spinor_field(params, r_min)
 
-    def worker(p):
+    closed_res = 0.0
+    rows = []
+    for i, p in enumerate(points):
+        at_deck, at_q = deck.at(p), qmap.at(p)
+        b_p, w_p = b_field(p), w_field(p)
         deck_res = max(
-            (pullback(deck, b_field, p) - b_field(p).value()).max_abs(),
-            (pullback(deck, w_field, p) - w_field(p).value()).max_abs(),
+            (pullback_jet(at_deck, b_field).value() - b_p.value()).max_abs(),
+            (pullback_jet(at_deck, w_field).value() - w_p.value()).max_abs(),
         )
-        omega_res = (pullback(qmap, wq, p) - w_field(p).value()).max_abs()
-        disc = pullback(qmap, bq, p) - b_field(p).value()
+        omega_res = (pullback_jet(at_q, wq).value() - w_p.value()).max_abs()
+        disc_jet = pullback_jet(at_q, bq) - b_p
         expected = Multiform.from_terms(4, {(1, 3): (m - 1) / p.coords[0]})
-        disc_res = (disc - expected).max_abs()
-        q = ChartPoint(CHART_QUOTIENT, qmap.apply(p).coords, ANGLES)
-        integ_res = integrability_residual(rho_q, None, q).residual
-        return deck_res, omega_res, disc_res, integ_res
+        disc_res = (disc_jet.value() - expected).max_abs()
+        integ_res = integrability_residual(rho_q, None, at_q.image).residual
+        rows.append((deck_res, omega_res, disc_res, integ_res))
+        # the recorded discrepancy form is closed: d of the pulled-back
+        # difference through jets at a few points
+        if i < 25:
+            closed_res = max(closed_res, disc_jet.d().value().max_abs())
 
-    rows = [worker(p) for p in points]
     deck_max = max(r[0] for r in rows)
     omega_max = max(r[1] for r in rows)
     disc_max = max(r[2] for r in rows)
     integ_max = max(r[3] for r in rows)
     per_point = [max(r) for r in rows]
-
-    # the recorded discrepancy form is closed: check d of the pulled-back
-    # difference through jets at a few points
-    closed_res = 0.0
-    from gcx.chart import pullback_jet
-
-    for p in points[:25]:
-        disc_jet = pullback_jet(qmap, bq, p) - b_field(p)
-        closed_res = max(closed_res, disc_jet.d().value().max_abs())
 
     # orbit freeness, including on the central fibre
     orbit_ok = True
@@ -488,21 +481,21 @@ def check_type_jump(samples: int = 200, seed: int = 42, tol: float = 1e-9) -> Ch
         if math.hypot(c[0], c[1]) > 1e-3:
             off_locus.append(ChartPoint(CHART_CPLANE, tuple(c)))
 
-    def typ(p):
-        return normal_form(rho(p).value(), tol).type
+    def misclassified(p, expected_type):
+        return float(normal_form(rho(p).value(), tol).type != expected_type)
 
-    types_on = [typ(p) for p in on_locus]
-    types_off = [typ(p) for p in off_locus]
-    ok = all(t == 2 for t in types_on) and all(t == 0 for t in types_off)
+    points = on_locus + off_locus
+    residuals = [misclassified(p, 2) for p in on_locus] + [misclassified(p, 0) for p in off_locus]
+    max_res, worst = _worst(points, residuals)
     return CheckReport(
         check="type_jump",
         params={"seed": seed, "samples": samples, "tol": tol},
         samples=samples,
-        max_residual=0.0 if ok else 1.0,
-        worst_point=list(on_locus[0].coords),
-        passed=ok,
+        max_residual=max_res,
+        worst_point=worst,
+        passed=max_res == 0.0,
         notes=[
-            f"type 2 at {len(types_on)} locus points, type 0 at {len(types_off)} off-locus points"
+            f"type 2 at {len(on_locus)} locus points, type 0 at {len(off_locus)} off-locus points"
         ],
     )
 
@@ -567,10 +560,8 @@ def degenerate_locus_field() -> FormField:
 
     def fn(coords: np.ndarray) -> FormJet:
         jet = FormJet.zero(4)
-        z = coords[0] + 1j * coords[1]
-        jet.values[0] = z * z
-        jet.grads[0] = np.array([2 * z, 2j * z, 0.0, 0.0])
-        jet.hess[0][:2, :2] = np.array([[2.0, 2j], [2j, -2.0]])
+        z = Jet2.coordinate(4, 1, coords[0]) + 1j * Jet2.coordinate(4, 2, coords[1])
+        jet[0] = z * z
         jet.values[0b0101] += 1.0
         jet.values[0b1001] += 1j
         jet.values[0b0110] += 1j
@@ -726,12 +717,15 @@ def check_locus(
     dbar_max = 0.0
     tangent_max = 0.0
     enriched = []
+    per_point = []
     for lp in located:
         st = locus_complex_structure(rho, lp, FIBER_LATTICE, tol)
         tau_err = max(tau_err, abs(st.tau - 1j))
         dbar_max = max(dbar_max, st.dbar_residual)
         tangent_max = max(tangent_max, st.tangent_residual)
         enriched.append(replace(lp, tau=st.tau))
+        z1 = abs(complex(lp.location.coords[0], lp.location.coords[1]))
+        per_point.append(max(z1, abs(st.tau - 1j), st.dbar_residual, st.tangent_residual))
     located = enriched
 
     deg_located = locate_type_change(
@@ -751,7 +745,7 @@ def check_locus(
         and tangent_max <= 1e-9
         and degenerate_flagged
     )
-    worst = list(located[0].location.coords)
+    _, worst = _worst([lp.location for lp in located], per_point)
     return CheckReport(
         check="locus",
         params={"seed": seed, "samples": seeds_count, "tol": tol},

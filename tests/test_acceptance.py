@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from gcx import conventions
 from gcx.chart import ChartPoint, integrability_residual
 from gcx.cli import main as cli_main
 from gcx.models import CHART_CPLANE, LogModelParams, local_model_spinor
@@ -242,6 +243,7 @@ def test_criterion_09_b_transform_bracket_suite():
     open_b = rand_form([(1, 2), (1, 4), (2, 3)])
     d_open_b = d_field(open_b)
 
+    shift_sign = float(conventions.BRACKET_SHIFT_SIGN)
     u, v = rand_gc(), rand_gc()
     worst_closed = 0.0
     worst_shift = 0.0
@@ -252,10 +254,10 @@ def test_criterion_09_b_transform_bracket_suite():
         lhs = courant_bracket(ub, vb, h, p)
         rhs = apply_eb(closed_b(p).value(), courant_bracket(u, v, h, p))
         worst_closed = max(worst_closed, (lhs - rhs).norm())
-        # non-closed B: frozen shift [E_B u, E_B v]_H = E_B([u,v]_{H+dB})
+        # non-closed B: frozen shift [E_B u, E_B v]_H = E_B([u,v]_{H+s*dB})
         ub, vb = e_b_transform(open_b, u), e_b_transform(open_b, v)
         lhs = courant_bracket(ub, vb, h, p)
-        h_shift = FormField(chart, N, lambda c: h.fn(c) + d_open_b.fn(c))
+        h_shift = FormField(chart, N, lambda c: h.fn(c) + d_open_b.fn(c) * shift_sign)
         rhs = apply_eb(open_b(p).value(), courant_bracket(u, v, h_shift, p))
         worst_shift = max(worst_shift, (lhs - rhs).norm())
     report(

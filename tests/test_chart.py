@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gcx import conventions
 from gcx import expressions as ex
 from gcx.chart import (
     ChartMap,
@@ -57,12 +58,12 @@ def test_jet_matches_finite_differences():
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            fd = (ex.evaluate(node, xp).value - ex.evaluate(node, xm).value) / (2 * h)
-            scale = max(1.0, abs(jet.grad[i]))
-            assert abs(fd - jet.grad[i]) <= 1e-7 * scale
+            fd = (ex.evaluate(node, xp).values - ex.evaluate(node, xm).values) / (2 * h)
+            scale = max(1.0, abs(jet.grads[i]))
+            assert abs(fd - jet.grads[i]) <= 1e-7 * scale
             # second partials against central differences of the exact gradient
-            gp = ex.evaluate(node, xp).grad
-            gm = ex.evaluate(node, xm).grad
+            gp = ex.evaluate(node, xp).grads
+            gm = ex.evaluate(node, xm).grads
             fd2 = (gp - gm) / (2 * h)
             assert np.abs(fd2 - jet.hess[i]).max() <= 1e-7 * max(1.0, np.abs(jet.hess[i]).max())
 
@@ -78,11 +79,11 @@ def test_jet_hessian_symmetric():
 def test_jet_division_and_log():
     x = Jet2.coordinate(1, 1, 0.5)
     inv = 1.0 / x
-    assert inv.value == pytest.approx(2.0)
-    assert inv.grad[0] == pytest.approx(-4.0)
+    assert inv.values == pytest.approx(2.0)
+    assert inv.grads[0] == pytest.approx(-4.0)
     assert inv.hess[0, 0] == pytest.approx(16.0)
     lg = x.log()
-    assert lg.grad[0] == pytest.approx(2.0)
+    assert lg.grads[0] == pytest.approx(2.0)
     assert lg.hess[0, 0] == pytest.approx(-4.0)
 
 
@@ -180,11 +181,14 @@ def test_bracket_closed_b_equivariance():
 
 
 def test_bracket_nonclosed_b_shift_frozen_sign():
-    # frozen: [E_B u, E_B v]_H = E_B([u, v]_{H + dB})
+    # frozen: [E_B u, E_B v]_H = E_B([u, v]_{H + s*dB}) with s = BRACKET_SHIFT_SIGN
     rng = np.random.default_rng(56)
     b = form_field({(1, 2): ex.random_polynomial(rng, N), (1, 4): ex.random_polynomial(rng, N)})
     h = d_field(form_field({(2, 3): ex.random_polynomial(rng, N)}))
     db = d_field(b)
+    sign = float(conventions.BRACKET_SHIFT_SIGN)
+    shift = FormField(FLAT, N, lambda coords: db.fn(coords) * sign)
+    wrong_shift = FormField(FLAT, N, lambda coords: db.fn(coords) * -sign)
     u, v = rand_gc_field(rng), rand_gc_field(rng)
     ub, vb = e_b_transform(b, u), e_b_transform(b, v)
     worst_good = 0.0
@@ -192,11 +196,10 @@ def test_bracket_nonclosed_b_shift_frozen_sign():
     for _ in range(20):
         p = pt(*rng.uniform(-1, 1, N))
         lhs = courant_bracket(ub, vb, h, p)
-        rhs_plus = apply_e_b(b(p).value(), courant_bracket(u, v, sum_field(h, db), p))
-        minus_db = FormField(FLAT, N, lambda coords: db.fn(coords) * (-1.0))
-        rhs_minus = apply_e_b(b(p).value(), courant_bracket(u, v, sum_field(h, minus_db), p))
-        worst_good = max(worst_good, (lhs - rhs_plus).norm())
-        worst_bad = max(worst_bad, (lhs - rhs_minus).norm())
+        rhs_frozen = apply_e_b(b(p).value(), courant_bracket(u, v, sum_field(h, shift), p))
+        rhs_wrong = apply_e_b(b(p).value(), courant_bracket(u, v, sum_field(h, wrong_shift), p))
+        worst_good = max(worst_good, (lhs - rhs_frozen).norm())
+        worst_bad = max(worst_bad, (lhs - rhs_wrong).norm())
     assert worst_good < 1e-8
     assert worst_bad > 1e-3  # the opposite sign convention fails
 
@@ -250,7 +253,7 @@ def test_pullback_naturality():
         rhs = pullback(phi, wedge_field, p)
         assert (lhs - rhs).max_abs() < 1e-9
         # d commutes with pullback
-        d_pull = pullback_jet(phi, alpha, p).d().value()
+        d_pull = pullback_jet(phi.at(p), alpha).d().value()
         pull_d = pullback(phi, d_field(alpha), p)
         assert (d_pull - pull_d).max_abs() < 1e-9
 
@@ -278,11 +281,8 @@ def test_integrability_obstructed_example():
     # rho = exp((1 + x3) i dx1^dx2); degree-1 and degree-3 conditions clash
     def fn(coords):
         c = Jet2.coordinate(N, 3, coords[2])
-        factor = (1.0 + c) * 1j
         jet = FormJet.zero(N)
-        jet.values[0b0011] = factor.value
-        jet.grads[0b0011] = factor.grad
-        jet.hess[0b0011] = factor.hess
+        jet[0b0011] = (1.0 + c) * 1j
         return jet.exp_wedge()
 
     rho = FormField(FLAT, N, fn)
@@ -317,7 +317,7 @@ def test_interior_jet_matches_finite_differences():
 
     def contracted(coords):
         uj = u.fn(coords)
-        return b.fn(coords).interior_jet(uj.vec_values, uj.vec_grads, uj.vec_hess)
+        return b.fn(coords).interior_jet(uj.values[:N], uj.grads[:N], uj.hess[:N])
 
     x = rng.uniform(-1, 1, N)
     jet = contracted(x)
@@ -332,15 +332,24 @@ def test_interior_jet_matches_finite_differences():
 
 
 def test_gc_jet_cov_form_round_trip():
+    # the covector slice of a generator jet, moved into the one-form
+    # coefficients of a FormJet and back by component get/set
     rng = np.random.default_rng(92)
     u = rand_gc_field(rng)
     x = rng.uniform(-1, 1, N)
     uj = u.fn(x)
-    back = uj.with_cov_form(uj.cov_form())
-    assert np.allclose(back.cov_values, uj.cov_values)
-    assert np.allclose(back.cov_grads, uj.cov_grads)
-    assert np.allclose(back.cov_hess, uj.cov_hess)
-    assert np.allclose(back.vec_values, uj.vec_values)
+    cov = FormJet.zero(N)
+    for i in range(N):
+        cov[1 << i] = uj[N + i]
+    assert np.array_equal(cov.values[[1 << i for i in range(N)]], uj.values[N:])
+    assert cov.value().allclose(cov.value().degree_part(1), tol=0.0)
+    back = u.fn(x)
+    back.values[N:] = back.grads[N:] = back.hess[N:] = 0.0
+    for i in range(N):
+        back[N + i] = cov[1 << i]
+    assert np.array_equal(back.values, uj.values)
+    assert np.array_equal(back.grads, uj.grads)
+    assert np.array_equal(back.hess, uj.hess)
 
 
 def test_model_field_jets_match_finite_differences():
@@ -385,4 +394,4 @@ def test_expression_json_vocabulary():
         ex.validate({"pow": [ex.coord(1), 0.5]}, N)
     # unit-period convention: cos at a quarter turn vanishes
     jet = ex.evaluate(ex.cos(ex.coord(1)), np.array([0.25, 0, 0, 0]))
-    assert abs(jet.value) < 1e-15
+    assert abs(jet.values) < 1e-15

@@ -14,7 +14,6 @@ from gcx.models import (
     LogModelParams,
     SurgeryGeometry,
     b_extension_and_h,
-    bump,
     bump_profile,
     deck_action,
     deck_action_map,
@@ -367,53 +366,57 @@ def test_gluing_pullback_numeric():
 @pytest.mark.parametrize("profile", ["flat", "poly"])
 def test_bump_basic_values(profile):
     geo = SurgeryGeometry(profile=profile)
-    f, fp, _ = bump(geo, 0.5)
+    prof = bump_profile(geo)
+    f, fp, _ = prof.evaluate(0.5)
     assert f == 1.0 and fp == 0.0
-    f, fp, fpp = bump(geo, geo.r_out + 1.0)
+    f, fp, fpp = prof.evaluate(geo.r_out + 1.0)
     assert f == 0.0 and fp == 0.0 and fpp == 0.0
     # endpoints of the descent window
-    assert bump(geo, 1.0)[0] == 1.0
-    assert bump(geo, geo.r_out)[0] == 0.0
+    assert (prof.lo, prof.hi) == (1.0, geo.r_out)
+    assert prof.evaluate(prof.lo)[0] == 1.0
+    assert prof.evaluate(prof.hi)[0] == 0.0
 
 
 @pytest.mark.parametrize("profile", ["flat", "poly"])
 def test_bump_junction_continuity_and_monotone(profile):
     geo = SurgeryGeometry(profile=profile)
+    prof = bump_profile(geo)
     eps = 1e-4
     for junction in (1.0, geo.r_out):
-        inner = bump(geo, junction + (eps if junction == 1.0 else -eps))
-        outer = bump(geo, junction + (-eps if junction == 1.0 else eps))
+        inner = prof.evaluate(junction + (eps if junction == 1.0 else -eps))
+        outer = prof.evaluate(junction + (-eps if junction == 1.0 else eps))
         assert abs(inner[1] - outer[1]) < 1e-2  # derivative levels meet at the seam
     grid = np.linspace(1.0, geo.r_out, 200)
-    vals = [bump(geo, r)[0] for r in grid]
+    vals = [prof.evaluate(r)[0] for r in grid]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
     # all-orders-flat profile: derivatives vanish at the seams to round-off
     if profile == "flat":
         for r in (1.0 + 1e-9, geo.r_out - 1e-9):
-            _, fp, fpp = bump(geo, r)
+            _, fp, fpp = prof.evaluate(r)
             assert abs(fp) < 1e-10 and abs(fpp) < 1e-10
 
 
 @pytest.mark.parametrize("profile", ["flat", "poly"])
 def test_bump_fundamental_theorem_by_quadrature(profile):
     geo = SurgeryGeometry(profile=profile)
+    prof = bump_profile(geo)
     nodes, weights = np.polynomial.legendre.leggauss(160)
-    lo, hi = 1.0, geo.r_out
+    lo, hi = prof.lo, prof.hi
     scaled = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     integral = 0.5 * (hi - lo) * sum(
-        w * bump(geo, r)[1] for w, r in zip(weights, scaled)
+        w * prof.evaluate(r)[1] for w, r in zip(weights, scaled)
     )
-    assert bump(geo, 1.0)[0] - bump(geo, hi)[0] == pytest.approx(1.0)
+    assert prof.evaluate(1.0)[0] - prof.evaluate(hi)[0] == pytest.approx(1.0)
     assert integral == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_bump_derivative_matches_finite_differences():
-    geo = SurgeryGeometry()
+    prof = bump_profile(SurgeryGeometry())
     h = 1e-5
     for r in (1.2, 1.5, 1.8):
-        f_hi = bump(geo, r + h)
-        f_lo = bump(geo, r - h)
-        f, fp, fpp = bump(geo, r)
+        f_hi = prof.evaluate(r + h)
+        f_lo = prof.evaluate(r - h)
+        f, fp, fpp = prof.evaluate(r)
         assert (f_hi[0] - f_lo[0]) / (2 * h) == pytest.approx(fp, abs=1e-7)
         assert (f_hi[1] - f_lo[1]) / (2 * h) == pytest.approx(fpp, abs=1e-6)
 
@@ -445,7 +448,7 @@ def test_b_extension_support_and_h_closed_form():
     assert h(p).value().max_abs() == 0.0
     # in the descent window: H = -f'(rt) drt^dt1^dt3 (the assembled d(Btilde))
     rt = 1.5
-    _, fp, _ = bump(geo, rt)
+    _, fp, _ = bump_profile(geo).evaluate(rt)
     val = h(tpt(rt, 0.0, 0.0, 0.0)).value()
     expected = Multiform.from_terms(4, {(1, 2, 4): -fp})
     assert val.allclose(expected, tol=1e-12)

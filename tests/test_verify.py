@@ -145,6 +145,34 @@ def test_type_jump():
     assert rep.passed
 
 
+def test_type_jump_worst_point_is_the_misclassified_point(monkeypatch):
+    # classify the fifth evaluated point wrongly: the report must name it
+    from types import SimpleNamespace
+
+    from gcx import verify
+    from gcx.chart import FormField
+
+    rho = local_model_spinor()
+    seen = []
+
+    def recording(coords):
+        seen.append(tuple(coords))
+        return rho.fn(coords)
+
+    real_normal_form = verify.normal_form
+
+    def wrong_at_fifth(form, tol):
+        return SimpleNamespace(type=1) if len(seen) == 5 else real_normal_form(form, tol)
+
+    monkeypatch.setattr(verify, "local_model_spinor", lambda: FormField(rho.chart, 4, recording))
+    monkeypatch.setattr(verify, "normal_form", wrong_at_fifth)
+    rep = check_type_jump(samples=20, seed=42)
+    assert not rep.passed
+    assert rep.max_residual == 1.0
+    assert rep.worst_point == list(seen[4])
+    assert rep.worst_point != list(seen[0])
+
+
 def test_polar_compatibility_check():
     rep = check_polar_compatibility(samples=60, seed=42, tol=1e-9)
     assert rep.passed
@@ -258,6 +286,33 @@ def test_check_locus_report():
     assert rep.passed, rep.notes
     assert rep.max_residual <= 1e-9
     assert any("degenerate fixture" in n for n in rep.notes)
+
+
+def test_check_locus_worst_point_is_the_largest_residual(monkeypatch):
+    # inflate the dbar residual of the fourth located point, then recompute
+    # the per-point residual max(|z1|, |tau - i|, dbar, tangent) and its argmax
+    from dataclasses import replace
+
+    from gcx import verify
+
+    real_structure = verify.locus_complex_structure
+    located = []
+
+    def inflated_at_fourth(rho, lp, lattice_basis, tol=1e-9):
+        st = real_structure(rho, lp, lattice_basis, tol)
+        if len(located) == 3:
+            st = replace(st, dbar_residual=1e-3)
+        z1 = abs(complex(*lp.location.coords[:2]))
+        located.append((lp.location.coords, max(z1, abs(st.tau - 1j), st.dbar_residual, st.tangent_residual)))
+        return st
+
+    monkeypatch.setattr(verify, "locus_complex_structure", inflated_at_fourth)
+    rep = check_locus(seeds_count=10, seed=42)
+    residuals = [r for _, r in located]
+    assert int(np.argmax(residuals)) == 3
+    assert rep.worst_point == list(located[3][0])
+    assert rep.max_residual == 1e-3
+    assert not rep.passed
 
 
 # ------------------------------------------------------- determinism
