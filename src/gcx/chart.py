@@ -76,7 +76,6 @@ class ChartMap:
     dim: int
     jet_fn: Callable
     target_periodic: tuple = ()
-    inverse: Optional["ChartMap"] = None
     domain: Optional[Callable] = None
 
     def _guard(self, coords: np.ndarray) -> None:
@@ -208,24 +207,18 @@ def exterior_derivative(alpha: FormField, p: ChartPoint) -> Multiform:
 def pullback_jet(at: MapJet, alpha: FormField) -> FormJet:
     """Pullback of alpha through a map evaluation, with exact first derivatives.
 
-    Coefficient functions compose to second order; the pulled-back basis
-    forms are order 1, and so is the result (enough for d of the pullback).
+    The pulled-back basis forms are order 1, and so is the result (enough
+    for d of the pullback); coefficient functions compose to first order.
     """
     ajet = alpha(at.image)
-    jac, hess = at.jac, at.hess
-    n = len(jac)
+    n = len(at.jac)
 
-    # composed coefficient jets (exact to second order)
-    comp = FormJet(
-        n,
-        ajet.values,
-        ajet.grads @ jac,
-        np.einsum("stu,ti,uj->sij", ajet.hess, jac, jac) + np.einsum("st,tij->sij", ajet.grads, hess),
-    )
+    # composed coefficient jets (exact to first order)
+    comp = FormJet(n, ajet.values, ajet.grads @ at.jac, order=1)
 
     out = FormJet.zero(n, order=1)
     for mask in range(1 << n):
-        if comp.values[mask] == 0 and not comp.grads[mask].any() and not comp.hess[mask].any():
+        if comp.values[mask] == 0 and not comp.grads[mask].any():
             continue
         out = out + at.basis(mask).scale(comp[mask])
     return out

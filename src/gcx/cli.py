@@ -248,9 +248,18 @@ def run_checks(cfg: RunConfig, reports: list | None = None) -> list:
 
 
 def _write_reports(path: str, reports: list) -> None:
+    """Write the reports whole or not at all: a temporary file beside path, then a rename."""
     payload = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
-    with open(path, "w") as handle:
-        handle.write(payload)
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _cmd_check(args) -> int:

@@ -13,7 +13,14 @@ finite differences appear only in tests.
 
 ``order`` tracks how many derivative levels of a jet are still
 trustworthy: exterior differentiation consumes one level (the result's
-Hessians would need third derivatives, which are not carried).
+Hessians would need third derivatives, which are not carried).  Levels
+past ``order`` are not computed: a product with an operand of order < 2
+carries a zero Hessian.
+
+``FormJet.wedge`` and ``FormJet.d`` run as small dense matmuls over
+signed tables built once per dimension (``multilinear._tables``): the
+wedge table W[u, s, t] turns one factor into a 2^n x 2^n matrix, and d
+is one (2^n, 2^n n) matrix applied to the flattened partials.
 """
 
 import math
@@ -98,16 +105,18 @@ class _Jet:
         return type(self)(self.dim, self.values / other, self.grads / other, self.hess / other, self.order)
 
     def _product(self, other: "_Jet") -> "_Jet":
-        """Leibniz rule to second order, broadcasting components."""
+        """Leibniz rule to second order, broadcasting components.
+
+        An operand of order < 2 leaves the untrusted Hessian zero.
+        """
         (sv1, sv2), (ov1, ov2) = _lifted(self.values), _lifted(other.values)
         sg, og = self.grads, other.grads
+        values, grads = self.values * other.values, sv1 * og + ov1 * sg
+        if min(self.order, other.order) < 2:
+            return self._combine(other, values, grads, None)
         outer = sg[..., :, None] * og[..., None, :]
-        return self._combine(
-            other,
-            self.values * other.values,
-            sv1 * og + ov1 * sg,
-            sv2 * other.hess + ov2 * self.hess + outer + outer.swapaxes(-1, -2),
-        )
+        hess = sv2 * other.hess + ov2 * self.hess + outer + outer.swapaxes(-1, -2)
+        return self._combine(other, values, grads, hess)
 
     def __getitem__(self, i) -> "Jet2":
         return Jet2(self.dim, self.values[i], self.grads[i], self.hess[i], self.order)
@@ -210,6 +219,9 @@ class FormJet(_Jet):
     values: (2^n,), grads: (2^n, n) with grads[s, i] the i-th partial of
     coefficient s, hess: (2^n, n, n) symmetric in the last two axes;
     ``jet[mask]`` is the coefficient of the basis monomial ``mask``.
+    ``wedge`` and ``d`` apply the dense signed tables of
+    ``multilinear._tables``; ``wedge`` and ``scale`` at order < 2 leave
+    the Hessian zero.
     """
 
     __slots__ = ()
@@ -226,11 +238,6 @@ class FormJet(_Jet):
     def value(self) -> Multiform:
         return Multiform(self.dim, self.values)
 
-    def partial(self, i: int) -> Multiform:
-        """Multiform of i-th partials (0-based i); needs order >= 1."""
-        self._need(1)
-        return Multiform(self.dim, self.grads[:, i])
-
     def _need(self, order: int) -> None:
         if self.order < order:
             raise ValueError(f"jet carries derivatives to order {self.order}, need {order}")
@@ -243,36 +250,38 @@ class FormJet(_Jet):
         return self._product(jet)
 
     def wedge(self, other: "FormJet") -> "FormJet":
+        """Product rule through the dense wedge table, as 2^n x 2^n matrices.
+
+        With L_a = a.W and R_b = W.b: values L_a b, grads L_a db + R_b da,
+        hess L_a d2b + R_b d2a + C + C^T with C[u, i, j] the sum over s, t
+        of W[u, s, t] d_i a_s d_j b_t.
+        """
         self._check(other)
-        order = min(self.order, other.order)
-        t = _tables(self.dim)
-        s1, s2, dst, sgn = t.w_src1, t.w_src2, t.w_dst, t.w_sign
-        av, bv = self.values[s1], other.values[s2]
-        out = FormJet.zero(self.dim, order)
-        np.add.at(out.values, dst, sgn * av * bv)
-        if order >= 1:
-            term = sgn[:, None] * (av[:, None] * other.grads[s2] + bv[:, None] * self.grads[s1])
-            np.add.at(out.grads, dst, term)
-        if order >= 2:
-            outer = self.grads[s1][:, :, None] * other.grads[s2][:, None, :]
-            term = sgn[:, None, None] * (
-                av[:, None, None] * other.hess[s2]
-                + bv[:, None, None] * self.hess[s1]
-                + outer
-                + outer.transpose(0, 2, 1)
-            )
-            np.add.at(out.hess, dst, term)
-        return out
+        n, order = self.dim, min(self.order, other.order)
+        size = 1 << n
+        t = _tables(n)
+        left = (self.values @ t.wedge_left).reshape(size, size)
+        values = left @ other.values
+        if order < 1:
+            return FormJet(n, values, order=order)
+        right = (t.wedge_right @ other.values).reshape(size, size)
+        grads = left @ other.grads + right @ self.grads
+        if order < 2:
+            return FormJet(n, values, grads, order=order)
+        cross = self.grads.T @ (t.wedge_right @ other.grads).reshape(size, size, n)
+        flat = (size, n * n)
+        hess = left @ other.hess.reshape(flat) + right @ self.hess.reshape(flat)
+        hess = hess.reshape(size, n, n)
+        return FormJet(n, values, grads, hess + cross + cross.swapaxes(1, 2), order)
 
     def d(self) -> "FormJet":
-        """Exterior derivative; consumes one derivative level."""
+        """Exterior derivative, one matmul per level; consumes one derivative level."""
         self._need(1)
-        wedge_act = _tables(self.dim).action[self.dim :]
-        out = FormJet.zero(self.dim, self.order - 1)
-        out.values = np.einsum("ius,si->u", wedge_act, self.grads)
-        if self.order >= 2:
-            out.grads = np.einsum("ius,sij->uj", wedge_act, self.hess)
-        return out
+        n = self.dim
+        d_matrix = _tables(n).d_matrix
+        values = d_matrix @ self.grads.reshape(-1)
+        grads = d_matrix @ self.hess.reshape(-1, n) if self.order >= 2 else None
+        return FormJet(n, values, grads, order=self.order - 1)
 
     def exp_wedge(self) -> "FormJet":
         """Terminating wedge exponential (even degrees, no scalar part)."""

@@ -16,6 +16,7 @@ Every field here is a closed-form evaluator with exact second-order
 jets; r_min guards keep the log terms finite.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,8 +113,15 @@ class BumpProfile:
         if not 1.0 <= self.lo < self.hi:
             raise ValueError(f"need 1 <= lo < hi, got window ({self.lo}, {self.hi})")
 
+    @functools.lru_cache(maxsize=1)
     def evaluate(self, rtilde: float) -> tuple:
-        """(f, f', f'') at the given tube radius."""
+        """(f, f', f'') at the given tube radius.
+
+        Remembers its last (profile, radius) call: every repeat comes right
+        after the call it repeats (H's cross-check after Btilde, H after
+        the spinor at a point, the quadrature angles at a radius), so one
+        entry catches them all and more would only grow memory.
+        """
         if rtilde < 0:
             raise ValueError(f"tube radius must be >= 0, got {rtilde}")
         if rtilde <= self.lo:
@@ -322,11 +330,10 @@ _R_LOW = 1.0 / math.sqrt(math.e)
 
 
 def gluing_map(slack: float = 1e-12) -> ChartMap:
-    """The annulus -> tube symplectomorphism and its inverse.
+    """The annulus -> tube symplectomorphism.
 
-    Forward: (r, t1, t2, t3) -> (sqrt(log(e r^2)), t3, t2, -t1) on the
-    annulus 1/sqrt(e) < r <= 1; inverse via r = exp((rt^2 - 1)/2) on
-    0 < rt <= 1.
+    (r, t1, t2, t3) -> (sqrt(log(e r^2)), t3, t2, -t1) on the annulus
+    1/sqrt(e) < r <= 1; its inverse is r = exp((rt^2 - 1)/2) on 0 < rt <= 1.
     """
 
     def fwd(ins):
@@ -334,26 +341,12 @@ def gluing_map(slack: float = 1e-12) -> ChartMap:
         rt = (1.0 + 2.0 * r.log()).sqrt()
         return [rt, t3, t2, -1.0 * t1]
 
-    def inv(ins):
-        rt, t1, t2, t3 = ins
-        r = ((rt * rt - 1.0) * 0.5).exp()
-        return [r, -1.0 * t3, t2, t1]
-
-    inverse = ChartMap(
-        CHART_TUBE,
-        CHART_ANNULUS,
-        4,
-        inv,
-        target_periodic=ANGLES,
-        domain=lambda c: 0.0 < c[0] <= 1.0 + slack,
-    )
     return ChartMap(
         CHART_ANNULUS,
         CHART_TUBE,
         4,
         fwd,
         target_periodic=ANGLES,
-        inverse=inverse,
         domain=lambda c: _R_LOW < c[0] <= 1.0 + slack,
     )
 

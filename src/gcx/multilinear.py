@@ -55,6 +55,13 @@ class _Tables:
     w_dst: np.ndarray
     w_sign: np.ndarray
     action: np.ndarray      # (2n, 2^n, 2^n); rows 0..n-1 interior, n..2n-1 wedge
+    # the wedge as a dense signed table W[u, s, t], laid out so that
+    # a @ wedge_left = L_a[u, t] = sum_s a_s W[u, s, t] and
+    # wedge_right @ b = R_b[u, s] = sum_t W[u, s, t] b_t (both flattened);
+    # complex, so that matmuls with complex jets cast nothing per call
+    wedge_left: np.ndarray  # (2^n, 4^n)
+    wedge_right: np.ndarray  # (4^n, 2^n)
+    d_matrix: np.ndarray    # (2^n, 2^n n); [u, s n + i] = action[n + i, u, s]
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +90,9 @@ def _tables(n: int) -> _Tables:
             else:
                 action[n + i, s | bit, s] = sgn      # wedge by dx^{i+1}
 
+    dense = np.zeros((size, size, size), dtype=complex)
+    dense[dst, src1, src2] = sign
+
     return _Tables(
         dim=n,
         degree=degree,
@@ -91,6 +101,9 @@ def _tables(n: int) -> _Tables:
         w_dst=np.array(dst, dtype=np.int64),
         w_sign=np.array(sign, dtype=np.float64),
         action=action,
+        wedge_left=dense.transpose(1, 0, 2).reshape(size, size * size),
+        wedge_right=dense.reshape(size * size, size),
+        d_matrix=action[n:].transpose(1, 2, 0).reshape(size, size * n).astype(complex),
     )
 
 

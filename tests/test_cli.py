@@ -199,6 +199,45 @@ def test_runtime_failure_exit_3_with_partial_report(tmp_path, monkeypatch, capsy
     assert "runtime failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_report_write_is_atomic(fail_at, tmp_path, monkeypatch):
+    # a write that fails partway leaves the old report byte-identical and no temporary file
+    import gcx.cli
+
+    out = tmp_path / "report.json"
+    assert run_cli(["check", "locus", "--samples", "5", "--output", str(out)]) == 0
+    before = out.read_bytes()
+
+    class HalfWriter:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+    def half_open(*args, **kwargs):
+        return HalfWriter(open(*args, **kwargs))
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    if fail_at == "write":
+        monkeypatch.setattr(gcx.cli, "open", half_open, raising=False)
+    else:
+        monkeypatch.setattr(gcx.cli.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        run_cli(["check", "locus", "--samples", "5", "--seed", "7", "--output", str(out)])
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -1,12 +1,15 @@
-"""Property tests for the shared jet core: product rule, component access, wedge."""
+"""Property tests for the shared jet core: product rule, component access, wedge, d."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gcx.jets import FormJet, Jet2
+from gcx.models import BumpProfile
 from gcx.multilinear import Multiform, exp_wedge
+from helpers_naive import from_multiform, naive_wedge, to_multiform
 
 N = 4
 SIZE = 1 << N
@@ -116,3 +119,135 @@ def test_exp_wedge_keeps_a_power_that_vanishes_to_first_order():
     top = b.exp_wedge()[0b1111]
     assert top.values == 0 and not top.grads.any()
     assert top.hess[0, 0] == 2.0
+
+
+# -- the dense-table kernels against the brute-force wedge -----------------
+
+
+def naive_wedge_coeffs(n, x, y):
+    """Coefficients of x ^ y by the bubble-sort oracle."""
+    oracle = naive_wedge(from_multiform(Multiform(n, x)), from_multiform(Multiform(n, y)))
+    return to_multiform(oracle, n).coeffs
+
+
+def naive_one_form(n, i):
+    """Coefficients of dx^{i+1}."""
+    out = np.zeros(1 << n, dtype=complex)
+    out[1 << i] = 1.0
+    return out
+
+
+@st.composite
+def sized_form_jets(draw, n, order):
+    size = 1 << n
+    values = draw(complex_arrays((size,)))
+    grads = draw(complex_arrays((size, n)))
+    half = draw(complex_arrays((size, n, n)))
+    return FormJet(n, values, grads, half + half.swapaxes(1, 2), order)
+
+
+DIMS = st.sampled_from([2, 3, 4])
+
+
+@st.composite
+def wedge_operands(draw):
+    n = draw(DIMS)
+    orders = st.integers(0, 2)
+    return n, draw(sized_form_jets(n, draw(orders))), draw(sized_form_jets(n, draw(orders)))
+
+
+def assert_close_relative(got, ref, scale):
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * max(1.0, scale)
+
+
+def magnitude(jet):
+    return max(np.abs(part).max() for part in (jet.values, jet.grads, jet.hess))
+
+
+@property_settings
+@given(wedge_operands())
+def test_wedge_matches_naive_product_rule(operands):
+    n, a, b = operands
+    order = min(a.order, b.order)
+    got = a.wedge(b)
+    scale = magnitude(a) * magnitude(b)
+
+    def w(x, y):
+        return naive_wedge_coeffs(n, x, y)
+
+    assert got.order == order
+    assert_close_relative(got.values, w(a.values, b.values), scale)
+    for i in range(n):
+        ref = w(a.grads[:, i], b.values) + w(a.values, b.grads[:, i]) if order >= 1 else 0.0
+        assert_close_relative(got.grads[:, i], ref, scale)
+        for j in range(n):
+            ref = (
+                w(a.hess[:, i, j], b.values)
+                + w(a.grads[:, i], b.grads[:, j])
+                + w(a.grads[:, j], b.grads[:, i])
+                + w(a.values, b.hess[:, i, j])
+                if order >= 2
+                else 0.0
+            )
+            assert_close_relative(got.hess[:, i, j], ref, scale)
+
+
+@property_settings
+@given(DIMS.flatmap(lambda n: sized_form_jets(n, 2)), st.integers(1, 2))
+def test_d_matches_naive_sum_of_partials(f, order):
+    # d f = sum_i dx^i ^ d_i f; its j-th partial is sum_i dx^i ^ d_j d_i f
+    f.order = order
+    n = f.dim
+    got = f.d()
+    scale = magnitude(f)
+
+    def w(i, x):
+        return naive_wedge_coeffs(n, naive_one_form(n, i), x)
+
+    assert got.order == order - 1
+    assert_close_relative(got.values, sum(w(i, f.grads[:, i]) for i in range(n)), scale)
+    for j in range(n):
+        ref = sum(w(i, f.hess[:, i, j]) for i in range(n)) if order >= 2 else 0.0
+        assert_close_relative(got.grads[:, j], ref, scale)
+    assert not got.hess.any()
+
+
+@property_settings
+@given(form_jets, scalar_jets)
+def test_order_one_product_keeps_values_and_grads(f, a):
+    # an operand of order 1 drops the product's Hessian and nothing else
+    f1 = FormJet(N, f.values, f.grads, f.hess, order=1)
+    a1 = Jet2(N, a.values, a.grads, a.hess, order=1)
+    pairs = ((f1.scale(a), f.scale(a)), (f.scale(a1), f.scale(a)), (a1 * f, a * f), (a * a1, a * a))
+    for low, full in pairs:
+        assert low.order == 1 and full.order == 2
+        assert np.array_equal(low.values, full.values)
+        assert np.array_equal(low.grads, full.grads)
+        assert not low.hess.any()
+
+
+# -- the one-entry memo on BumpProfile.evaluate ----------------------------
+
+PROFILES = (
+    BumpProfile("flat", 1.0, 2.0),
+    BumpProfile("flat", 1.5, 3.0),
+    BumpProfile("poly", 1.5, 3.0),
+)
+
+
+@property_settings
+@given(st.lists(st.tuples(st.integers(0, 2), st.floats(1.55, 1.95)), min_size=2, max_size=12))
+def test_bump_memo_returns_each_profiles_own_values(calls):
+    # alternating profiles at one radius must never see each other's triple
+    for k, r in calls:
+        for profile in (PROFILES[k], PROFILES[(k + 1) % 3]):
+            assert profile.evaluate(r) == BumpProfile.evaluate.__wrapped__(profile, r)
+        assert PROFILES[k].evaluate(r) != PROFILES[(k + 1) % 3].evaluate(r)
+
+
+def test_bump_negative_radius_raises_every_call():
+    profile = PROFILES[0]
+    profile.evaluate(1.5)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="radius"):
+            profile.evaluate(-0.25)

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gcx.multilinear import (
     GcVector,
@@ -25,6 +28,40 @@ N = 4
 
 def mf(terms):
     return Multiform.from_terms(N, terms)
+
+
+# -- hypothesis strategies: forms and generators in dims 2..4 ---------------
+
+finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+dims = st.sampled_from([2, 3, 4])
+property_settings = settings(max_examples=50, deadline=None)
+
+
+def complex_arrays(size):
+    # draw every element: a constant fill makes degenerate forms (a ^ b = 0)
+    part = arrays(float, size, elements=finite, fill=st.nothing())
+    parts = st.tuples(part, part)
+    return parts.map(lambda ri: ri[0] + 1j * ri[1])
+
+
+def forms(n, degree=None):
+    """Random forms of dim n; with a degree, zero off that degree."""
+    keep = np.array([degree is None or bin(s).count("1") == degree for s in range(1 << n)])
+    return complex_arrays(1 << n).map(lambda c: Multiform(n, np.where(keep, c, 0.0)))
+
+
+@st.composite
+def homogeneous_pairs(draw):
+    n = draw(dims)
+    p, q = draw(st.integers(0, n)), draw(st.integers(0, n))
+    return p, q, draw(forms(n, p)), draw(forms(n, q))
+
+
+@st.composite
+def generator_and_form(draw):
+    n = draw(dims)
+    vec, cov = draw(complex_arrays(n)), draw(complex_arrays(n))
+    return GcVector(n, vec, cov), draw(forms(n))
 
 
 def test_clifford_interior_on_dual_covector():
@@ -95,6 +132,32 @@ def test_clifford_relation_randomized():
         lhs = clifford(v, clifford(v, rho))
         rhs = pairing(v, v) * rho
         assert (lhs - rhs).max_abs() <= 1e-12 * max(1.0, rho.max_abs() * v.norm() ** 2)
+
+
+@property_settings
+@given(dims.flatmap(lambda n: st.tuples(forms(n), forms(n), forms(n))))
+def test_wedge_associative_property(abc):
+    a, b, c = abc
+    scale = max(1.0, a.max_abs() * b.max_abs() * c.max_abs())
+    assert a.wedge(b).wedge(c).allclose(a.wedge(b.wedge(c)), tol=1e-12 * scale)
+
+
+@property_settings
+@given(homogeneous_pairs())
+def test_wedge_graded_commutative_property(pair):
+    p, q, a, b = pair
+    scale = max(1.0, a.max_abs() * b.max_abs())
+    assert a.wedge(b).allclose(b.wedge(a) * (-1) ** (p * q), tol=1e-12 * scale)
+
+
+@property_settings
+@given(generator_and_form())
+def test_clifford_relation_property(v_rho):
+    # v.(v.rho) = <v,v> rho
+    v, rho = v_rho
+    lhs = clifford(v, clifford(v, rho))
+    rhs = pairing(v, v) * rho
+    assert lhs.allclose(rhs, tol=1e-12 * max(1.0, rho.max_abs() * v.norm() ** 2))
 
 
 def test_graded_commutativity():

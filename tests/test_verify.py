@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -100,6 +101,22 @@ def test_h_properties_fails_on_flipped_slice_sign(monkeypatch):
     rep = check_h_properties(samples=20, seed=42)
     assert not rep.passed
     assert "(sign +1)" in rep.notes[0]
+
+
+def test_polar_compatibility_fails_on_turn_angle_overlap(monkeypatch):
+    # negative control for POLAR_OVERLAP: the geometric torus angle
+    # z1 = r e^{2 pi i theta1} scales the dtheta1 terms by 2*pi, so an
+    # overlap map built on it must fail the report
+    import gcx.verify
+    from gcx.models import polar_overlap_map
+
+    assert check_polar_compatibility(samples=20, seed=42).passed
+    monkeypatch.setattr(
+        gcx.verify, "polar_overlap_map", lambda: polar_overlap_map(angle_scale=2 * math.pi)
+    )
+    rep = check_polar_compatibility(samples=20, seed=42)
+    assert not rep.passed
+    assert rep.max_residual > 1.0
 
 
 def test_h_slice_integral_vanishes_outside_window():
