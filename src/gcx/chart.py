@@ -4,9 +4,10 @@ Fields are callables from a ChartPoint to a jet carrying exact
 derivatives to second order: a FormJet for a form field, and for a
 generator field a jet of shape (2n,) whose first n components are the
 vector part and last n the covector part.  The operations here --
-exterior derivative, H-twisted Courant bracket, pullback along chart
-maps, and the integrability residual -- consume those jets.  Periodic
-coordinates are angles of unit period and reduce modulo 1.
+H-twisted Courant bracket, pullback along chart maps, and the
+integrability residual -- consume those jets; d(alpha) at p is
+``alpha(p).d().value()``.  Periodic coordinates are angles of unit
+period and reduce modulo 1.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +26,6 @@ __all__ = [
     "FormField",
     "GcField",
     "IntegrabilityWitness",
-    "exterior_derivative",
     "pullback",
     "pullback_jet",
     "courant_bracket",
@@ -51,10 +51,6 @@ class ChartPoint:
         )
         object.__setattr__(self, "coords", reduced)
         object.__setattr__(self, "periodic", per)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
 
     def array(self) -> np.ndarray:
         return np.array(self.coords)
@@ -102,9 +98,6 @@ class ChartMap:
             raise ValueError(f"point is on chart {p.chart!r}, map expects {self.source!r}")
         y, jac, hess = self.jets(p.array())
         return MapJet(ChartPoint(self.target, tuple(y), self.target_periodic or p.periodic), jac, hess)
-
-    def apply(self, p: ChartPoint) -> ChartPoint:
-        return self.at(p).image
 
 
 class MapJet:
@@ -197,11 +190,6 @@ class IntegrabilityWitness:
 
     v: GcVector
     residual: float
-
-
-def exterior_derivative(alpha: FormField, p: ChartPoint) -> Multiform:
-    """d(alpha) at p, assembled from the field's first partials."""
-    return alpha(p).d().value()
 
 
 def pullback_jet(at: MapJet, alpha: FormField) -> FormJet:

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class RunConfig:
     quotients: list
     windows: list
     output: str
-    notes: list = field(default_factory=list)
 
     def validate(self) -> None:
         if self.samples < 1:
@@ -156,94 +155,14 @@ def config_from_args(args) -> RunConfig:
 
 
 def run_checks(cfg: RunConfig, reports: list | None = None) -> list:
-    """Execute the configured check suites in a fixed order.
+    """Run the rows of ``verify.CHECKS`` that cfg's target selects, in table order.
 
     Completed reports are appended to ``reports`` as they finish, so a
     failure partway through still leaves the partial list behind.
     """
     reports = [] if reports is None else reports
-    geo = cfg.geometry
-    common = dict(seed=cfg.seed)
-
-    if cfg.target in ("local-model", "all"):
-        reports.append(
-            verify.check_integrability(
-                "cplane", samples=cfg.samples, tol=cfg.tol, geometry=geo, **common
-            )
-        )
-        reports.append(
-            verify.check_integrability(
-                "polar", samples=cfg.samples, tol=cfg.tol, geometry=geo, **common
-            )
-        )
-        reports.append(verify.check_type_jump(samples=min(cfg.samples, 200), tol=cfg.tol, **common))
-        reports.append(
-            verify.check_polar_compatibility(
-                samples=min(cfg.samples, 400), tol=cfg.tol, r_min=geo.r_min, **common
-            )
-        )
-
-    if cfg.target in ("surgery", "all"):
-        reports.append(
-            verify.check_symplectomorphism(geometry=geo, samples=cfg.samples, tol=cfg.tol, **common)
-        )
-        for i, window in enumerate(cfg.windows):
-            suffix = f"_w{i + 1}" if len(cfg.windows) > 1 else ""
-            rep = verify.check_h_properties(
-                geometry=geo,
-                samples=min(cfg.samples, 500),
-                tol=cfg.tol_second,
-                window=window,
-                **common,
-            )
-            rep.check += suffix
-            reports.append(rep)
-            rep = verify.check_integrability(
-                "bump",
-                samples=min(cfg.samples, 500),
-                tol=cfg.tol,
-                geometry=geo,
-                window=window,
-                **common,
-            )
-            rep.check += suffix
-            reports.append(rep)
-        reports.append(
-            verify.check_integrability(
-                "outer",
-                samples=min(cfg.samples, 500),
-                tol=cfg.tol,
-                geometry=geo,
-                window=cfg.windows[-1],
-                **common,
-            )
-        )
-        reports.append(
-            verify.check_integrability(
-                "bump",
-                samples=min(cfg.samples, 200),
-                geometry=geo,
-                window=cfg.windows[0],
-                flip_h_sign=True,
-                **common,
-            )
-        )
-
-    if cfg.target in ("quotient", "all"):
-        for m, k in cfg.quotients:
-            reports.append(
-                verify.check_quotient(
-                    LogModelParams(m, k),
-                    samples=min(cfg.samples, 500),
-                    tol=cfg.tol_second,
-                    r_min=geo.r_min,
-                    **common,
-                )
-            )
-
-    if cfg.target in ("locus", "all"):
-        reports.append(verify.check_locus(seeds_count=min(cfg.samples, 100), tol=cfg.tol, **common))
-
+    for spec, suffix, extra in verify.check_plan(cfg):
+        reports.append(spec.run(cfg, suffix, **extra))
     return reports
 
 
@@ -313,6 +232,8 @@ def _cmd_bracket(args) -> int:
         with open(args.input) as handle:
             data = json.load(handle)
         dim = int(data.get("dim", 4))
+        if not 2 <= dim <= 4:  # the kernel's tables grow as 8^dim
+            raise ValueError(f"dim must be 2..4, got {dim}")
         chart = data.get("chart", "cli")
         periodic = tuple(bool(b) for b in data.get("periodic", [False] * dim))
         coords = tuple(float(c) for c in data["point"])

@@ -90,9 +90,6 @@ class _Jet:
     def __rsub__(self, other):
         return self._coerce(other) - self
 
-    def __neg__(self):
-        return type(self)(self.dim, -self.values, -self.grads, -self.hess, self.order)
-
     def __mul__(self, other):
         if isinstance(other, _Jet):
             return self._product(other)
@@ -169,18 +166,15 @@ class Jet2(_Jet):
         v = self.values
         return self._chain(1.0 / v, -1.0 / v**2, 2.0 / v**3)
 
-    def __pow__(self, k):
-        if isinstance(k, int):
-            if k == 0:
-                return Jet2.constant(self.dim, 1.0)
-            if k < 0:
-                return (self.__pow__(-k))._reciprocal()
-            out = self
-            for _ in range(k - 1):
-                out = out * self
-            return out
-        v = self.values
-        return self._chain(v**k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2))
+    def __pow__(self, k: int):
+        if k == 0:
+            return Jet2.constant(self.dim, 1.0)
+        if k < 0:
+            return (self.__pow__(-k))._reciprocal()
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
 
     def exp(self) -> "Jet2":
         e = np.exp(self.values)

@@ -177,9 +177,6 @@ class Multiform:
         self._check(other)
         return Multiform(self.dim, self.coeffs - other.coeffs)
 
-    def __neg__(self) -> "Multiform":
-        return Multiform(self.dim, -self.coeffs)
-
     def __mul__(self, scalar) -> "Multiform":
         return Multiform(self.dim, self.coeffs * complex(scalar))
 
@@ -269,7 +266,7 @@ class Multiform:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Multiform":
         dim = int(data["dim"])
-        form = np.zeros(1 << dim, dtype=complex)
+        form = np.array(cls(dim).coeffs)  # the constructor rejects dim outside 2..4 before allocating
         for term in data.get("terms", []):
             mask = _indices_to_mask(dim, term["indices"])
             form[mask] += complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
@@ -360,21 +357,10 @@ class GcVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.as_array()))
 
-    def __add__(self, other: "GcVector") -> "GcVector":
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return GcVector(self.dim, self.vec + other.vec, self.cov + other.cov)
-
     def __sub__(self, other: "GcVector") -> "GcVector":
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return GcVector(self.dim, self.vec - other.vec, self.cov - other.cov)
-
-    def __mul__(self, scalar) -> "GcVector":
-        s = complex(scalar)
-        return GcVector(self.dim, self.vec * s, self.cov * s)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"GcVector<vec={self.vec}, cov={self.cov}>"

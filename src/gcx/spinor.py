@@ -126,11 +126,6 @@ class GcEndomorphism:
     def __setattr__(self, name, value):
         raise AttributeError("GcEndomorphism is immutable")
 
-    def apply(self, v: GcVector) -> GcVector:
-        if v.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {v.dim}")
-        return GcVector.from_array(self.dim, self.matrix @ v.as_array())
-
 
 def annihilator(rho: Multiform, tol: float = DEFAULT_TOL) -> AnnihilatorBasis:
     """Basis of the kernel of v -> v . rho over generators v in C^{2n}.

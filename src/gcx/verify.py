@@ -7,10 +7,14 @@ pass statistic is a max, never an average.  Sampling uses one PRNG
 stream per check (seed + fixed stream id), points are drawn up front,
 and per-point work is evaluated in sample order, so reports are
 byte-identical for a given seed.
+
+``CHECKS`` is the table ``gcx check`` runs: one row per report with
+its stream id, target, sample cap, tolerance kind and runner.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +25,6 @@ from gcx.models import (
     ANGLES,
     CHART_ANNULUS,
     CHART_CPLANE,
-    CHART_QUOTIENT,
     CHART_TUBE,
     LogModelParams,
     SurgeryGeometry,
@@ -44,7 +47,9 @@ from gcx.multilinear import GcVector, Multiform, clifford
 from gcx.spinor import j_endomorphism, normal_form
 
 __all__ = [
+    "CHECKS",
     "CheckReport",
+    "CheckSpec",
     "LocusPoint",
     "LocusStructure",
     "check_symplectomorphism",
@@ -59,24 +64,11 @@ __all__ = [
     "reduce_modular",
     "degenerate_locus_field",
     "INTEGRABILITY_REGIONS",
+    "check_plan",
 ]
 
-_STREAMS = {
-    "symplectomorphism": 1,
-    "integrability_cplane": 2,
-    "integrability_polar": 3,
-    "integrability_bump": 4,
-    "integrability_outer": 5,
-    "integrability_quotient": 6,
-    "h_properties": 7,
-    "quotient": 8,
-    "locus": 9,
-    "type_jump": 10,
-    "polar_compatibility": 11,
-    "h_sign_negative_control": 12,
-}
-
-INTEGRABILITY_REGIONS = ("cplane", "polar", "bump", "outer", "quotient")
+INTEGRABILITY_REGIONS = ("cplane", "polar", "bump", "outer")
+QUAD_NODES = 128  # Gauss-Legendre nodes of the H slice integral over the window
 
 
 @dataclass
@@ -107,9 +99,133 @@ class CheckReport:
         return f"{flag}  {self.check:<28} max_residual={self.max_residual:.3e} samples={self.samples}"
 
 
+def _report(check, seed, samples, tol, max_residual, worst_point, passed, notes, **params):
+    """A CheckReport whose params are seed, samples and tol, then the runner's own in order."""
+    params = {"seed": seed, "samples": samples, "tol": tol, **params}
+    return CheckReport(check, params, samples, max_residual, worst_point, passed, notes)
+
+
+def _geometry_params(geometry: SurgeryGeometry) -> dict:
+    return {"r_min": geometry.r_min, "r_out": geometry.r_out, "profile": geometry.profile}
+
+
+# ---------------------------------------------------------- check table
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One row of the check table: a report, its PRNG stream, and how ``gcx check`` runs it."""
+
+    name: str  # report name (quotient reports add _m<m>_k<k>); runners pass it to _rng
+    stream: int  # PRNG stream id; changing it changes every report of the row
+    target: str  # the ``gcx check`` target that runs the row (``all`` runs every row)
+    runner: str  # the runner in this module, looked up when the row runs
+    cap: int | None = None  # the run takes min(--samples, cap) samples
+    tol: str | None = "tol"  # RunConfig tolerance passed as tol; None keeps the runner's default
+    repeat: str | None = None  # "window": once per bump window; "quotient": once per quotient
+    window: int | None = None  # index of the one bump window the row takes
+    args: tuple = ("samples", "geometry")  # what the runner takes from the run besides seed and tol
+    kwargs: dict = field(default_factory=dict)  # fixed keyword arguments
+
+    def run(self, cfg, suffix: str = "", **extra) -> CheckReport:
+        """The row's report under a ``cli.RunConfig``; extra is a repeat's window or quotient."""
+        samples = cfg.samples if self.cap is None else min(cfg.samples, self.cap)
+        geo = cfg.geometry
+        given = {"samples": samples, "seeds_count": samples, "geometry": geo, "r_min": geo.r_min}
+        kwargs = {name: given[name] for name in self.args}
+        if self.tol is not None:
+            kwargs["tol"] = getattr(cfg, self.tol)
+        if self.window is not None:
+            kwargs["window"] = cfg.windows[self.window]
+        rep = globals()[self.runner](seed=cfg.seed, **kwargs, **self.kwargs, **extra)
+        rep.check += suffix
+        return rep
+
+
+CHECKS = (
+    CheckSpec("integrability_cplane", 2, "local-model", "check_integrability", kwargs={"region": "cplane"}),
+    CheckSpec("integrability_polar", 3, "local-model", "check_integrability", kwargs={"region": "polar"}),
+    CheckSpec("type_jump", 10, "local-model", "check_type_jump", cap=200, args=("samples",)),
+    CheckSpec(
+        "polar_compatibility",
+        11,
+        "local-model",
+        "check_polar_compatibility",
+        cap=400,
+        args=("samples", "r_min"),
+    ),
+    CheckSpec("symplectomorphism", 1, "surgery", "check_symplectomorphism"),
+    CheckSpec("h_properties", 7, "surgery", "check_h_properties", cap=500, tol="tol_second", repeat="window"),
+    CheckSpec(
+        "integrability_bump",
+        4,
+        "surgery",
+        "check_integrability",
+        cap=500,
+        repeat="window",
+        kwargs={"region": "bump"},
+    ),
+    CheckSpec(
+        "integrability_outer",
+        5,
+        "surgery",
+        "check_integrability",
+        cap=500,
+        window=-1,
+        kwargs={"region": "outer"},
+    ),
+    CheckSpec(
+        "h_sign_negative_control",
+        12,
+        "surgery",
+        "check_integrability",
+        cap=200,
+        tol=None,
+        window=0,
+        kwargs={"region": "bump", "flip_h_sign": True},
+    ),
+    CheckSpec(
+        "quotient",
+        8,
+        "quotient",
+        "check_quotient",
+        cap=500,
+        tol="tol_second",
+        repeat="quotient",
+        args=("samples", "r_min"),
+    ),
+    CheckSpec("locus", 9, "locus", "check_locus", cap=100, args=("seeds_count",)),
+)
+
+
+def check_plan(cfg) -> list:
+    """(row, name suffix, extra arguments) of each report a ``cli.RunConfig`` asks for, in order.
+
+    Consecutive rows that repeat per window run window by window:
+    h_properties_w1, integrability_bump_w1, h_properties_w2, ...  The
+    suffix is empty when there is one window.
+    """
+    rows = [spec for spec in CHECKS if cfg.target in (spec.target, "all")]
+    plan = []
+    for repeat, block in itertools.groupby(rows, key=lambda spec: spec.repeat):
+        if repeat == "window":
+            several = len(cfg.windows) > 1
+            variants = [
+                (f"_w{i + 1}" if several else "", {"window": w}) for i, w in enumerate(cfg.windows)
+            ]
+        elif repeat == "quotient":
+            variants = [("", {"params": LogModelParams(m, k)}) for m, k in cfg.quotients]
+        else:
+            variants = [("", {})]
+        block = list(block)
+        plan += [(spec, suffix, extra) for suffix, extra in variants for spec in block]
+    return plan
+
+
 def _rng(seed: int, stream: str, extra: int = 0) -> np.random.Generator:
+    stream_id = next(spec.stream for spec in CHECKS if spec.name == stream)
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(_STREAMS[stream], extra))
+        np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(stream_id, extra))
     )
 
 
@@ -156,25 +272,12 @@ def check_symplectomorphism(
     min_det = min(d for _, d in rows)
     max_res, worst = _worst(points, residuals)
     passed = max_res <= tol and min_det > 1e-12
-    return CheckReport(
-        check="symplectomorphism",
-        params={
-            "seed": seed,
-            "samples": samples,
-            "tol": tol,
-            "r_min": geometry.r_min,
-            "r_out": geometry.r_out,
-            "profile": geometry.profile,
-        },
-        samples=samples,
-        max_residual=max_res,
-        worst_point=worst,
-        passed=passed,
-        notes=[f"min |det Dpsi| = {min_det:.6e}"],
-    )
+    notes = [f"min |det Dpsi| = {min_det:.6e}"]
+    params = _geometry_params(geometry)
+    return _report("symplectomorphism", seed, samples, tol, max_res, worst, passed, notes, **params)
 
 
-def _region_setup(region, geometry, params, window):
+def _region_setup(region, geometry, window):
     """(field, h_field, sampler(rng, samples) -> points, witness_kind)."""
     if region == "cplane":
         rho = local_model_spinor()
@@ -210,14 +313,6 @@ def _region_setup(region, geometry, params, window):
             return _sample_annulus(rng, samples, hi, hi + 1.0, chart=CHART_TUBE)
 
         return rho, None, sampler, "zero"
-    if region == "quotient":
-        params = params or LogModelParams(2, 1)
-        rho = quotient_spinor_field(params, geometry.r_min)
-
-        def sampler(rng, samples):
-            return _sample_annulus(rng, samples, geometry.r_min, 1.0, chart=CHART_QUOTIENT)
-
-        return rho, None, sampler, None
     raise ValueError(f"unknown integrability region {region!r}; expected one of {INTEGRABILITY_REGIONS}")
 
 
@@ -227,7 +322,6 @@ def check_integrability(
     seed: int = 42,
     tol: float = 1e-8,
     geometry: SurgeryGeometry | None = None,
-    params: LogModelParams | None = None,
     window: tuple | None = None,
     flip_h_sign: bool = False,
 ) -> CheckReport:
@@ -238,7 +332,7 @@ def check_integrability(
     sign, whose report passes iff the residual is large (> 1e-3).
     """
     geometry = geometry or SurgeryGeometry()
-    rho, h_used, sampler, witness_kind = _region_setup(region, geometry, params, window)
+    rho, h_used, sampler, witness_kind = _region_setup(region, geometry, window)
     if flip_h_sign:
         if region != "bump":
             raise ValueError("the sign control only applies to the bump region")
@@ -274,33 +368,12 @@ def check_integrability(
     if flip_h_sign:
         passed = max_res > 1e-3
         notes.append("negative control: wrong twist sign must fail; pass means residual > 1e-3")
-        name = "h_sign_negative_control"
     else:
         passed = max_res <= tol
-        name = f"integrability_{region}"
-
-    params_dict = {
-        "seed": seed,
-        "samples": samples,
-        "tol": tol,
-        "region": region,
-        "r_min": geometry.r_min,
-        "r_out": geometry.r_out,
-        "profile": geometry.profile,
-    }
+    params = {"region": region, **_geometry_params(geometry)}
     if window is not None:
-        params_dict["window"] = list(window)
-    if params is not None:
-        params_dict.update({"m": params.m, "k": params.k})
-    return CheckReport(
-        check=name,
-        params=params_dict,
-        samples=samples,
-        max_residual=max_res,
-        worst_point=worst,
-        passed=passed,
-        notes=notes,
-    )
+        params["window"] = list(window)
+    return _report(stream, seed, samples, tol, max_res, worst, passed, notes, **params)
 
 
 def check_h_properties(
@@ -308,7 +381,6 @@ def check_h_properties(
     samples: int = 500,
     seed: int = 42,
     tol: float = 1e-8,
-    quad_nodes: int = 128,
     window: tuple | None = None,
 ) -> CheckReport:
     """Closedness, support confinement, and the slice integral of H = d(Btilde)."""
@@ -332,7 +404,7 @@ def check_h_properties(
         support_ok &= btilde(p).value().max_abs() == 0.0
 
     # product quadrature over the 3-cycle {t2 = const}, orientation dr^dt1^dt3
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
     radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     ang = (np.arange(4) + 0.5) / 4.0
     t2_const = 0.37
@@ -349,28 +421,13 @@ def check_h_properties(
     integral_ok = abs(integral - conventions.H_SLICE_SIGN) <= 1e-6
 
     passed = max_dh <= tol and support_ok and integral_ok
-    return CheckReport(
-        check="h_properties",
-        params={
-            "seed": seed,
-            "samples": samples,
-            "tol": tol,
-            "quad_nodes": quad_nodes,
-            "r_min": geometry.r_min,
-            "r_out": geometry.r_out,
-            "profile": geometry.profile,
-            "window": [lo, hi],
-        },
-        samples=samples,
-        max_residual=max_dh,
-        worst_point=worst,
-        passed=passed,
-        notes=[
-            f"slice integral = {integral:.9f} (sign {sign:+d})",
-            conventions.NOTE_H_SLICE,
-            f"support confined to window [{lo}, {hi}]: {bool(support_ok)}",
-        ],
-    )
+    notes = [
+        f"slice integral = {integral:.9f} (sign {sign:+d})",
+        conventions.NOTE_H_SLICE,
+        f"support confined to window [{lo}, {hi}]: {bool(support_ok)}",
+    ]
+    params = {"quad_nodes": QUAD_NODES, **_geometry_params(geometry), "window": [lo, hi]}
+    return _report("h_properties", seed, samples, tol, max_dh, worst, passed, notes, **params)
 
 
 # ------------------------------------------------------------ quotient
@@ -440,29 +497,16 @@ def check_quotient(
         and integ_max <= tol
         and orbit_ok
     )
-    return CheckReport(
-        check=f"quotient_m{params.m}_k{params.k}",
-        params={
-            "seed": seed,
-            "samples": samples,
-            "tol": tol,
-            "m": params.m,
-            "k": params.k,
-            "r_min": r_min,
-        },
-        samples=samples,
-        max_residual=all_res,
-        worst_point=worst,
-        passed=passed,
-        notes=[
-            f"deck invariance residual = {deck_max:.3e} (<= 1e-12)",
-            f"omega pullback residual = {omega_max:.3e} (<= 1e-12)",
-            f"B pullback discrepancy = (m-1) dlog r ^ dtheta2, m-1 = {m - 1}; "
-            f"residual vs formula = {disc_max:.3e} (<= 1e-10), d(discrepancy) = {closed_res:.3e}",
-            f"quotient integrability residual = {integ_max:.3e}",
-            f"orbit size {m} at r = 0 and r = 0.5: {bool(orbit_ok)}",
-        ],
-    )
+    notes = [
+        f"deck invariance residual = {deck_max:.3e} (<= 1e-12)",
+        f"omega pullback residual = {omega_max:.3e} (<= 1e-12)",
+        f"B pullback discrepancy = (m-1) dlog r ^ dtheta2, m-1 = {m - 1}; "
+        f"residual vs formula = {disc_max:.3e} (<= 1e-10), d(discrepancy) = {closed_res:.3e}",
+        f"quotient integrability residual = {integ_max:.3e}",
+        f"orbit size {m} at r = 0 and r = 0.5: {bool(orbit_ok)}",
+    ]
+    name = f"quotient_m{m}_k{params.k}"
+    return _report(name, seed, samples, tol, all_res, worst, passed, notes, m=m, k=params.k, r_min=r_min)
 
 
 # ------------------------------------------------------- local model
@@ -476,7 +520,7 @@ def check_type_jump(samples: int = 200, seed: int = 42, tol: float = 1e-9) -> Ch
         ChartPoint(CHART_CPLANE, (0.0, 0.0, *rng.uniform(-1, 1, 2))) for _ in range(samples // 2)
     ]
     off_locus = []
-    while len(off_locus) < samples // 2:
+    while len(off_locus) < samples - samples // 2:
         c = rng.uniform(-1, 1, 4)
         if math.hypot(c[0], c[1]) > 1e-3:
             off_locus.append(ChartPoint(CHART_CPLANE, tuple(c)))
@@ -487,17 +531,8 @@ def check_type_jump(samples: int = 200, seed: int = 42, tol: float = 1e-9) -> Ch
     points = on_locus + off_locus
     residuals = [misclassified(p, 2) for p in on_locus] + [misclassified(p, 0) for p in off_locus]
     max_res, worst = _worst(points, residuals)
-    return CheckReport(
-        check="type_jump",
-        params={"seed": seed, "samples": samples, "tol": tol},
-        samples=samples,
-        max_residual=max_res,
-        worst_point=worst,
-        passed=max_res == 0.0,
-        notes=[
-            f"type 2 at {len(on_locus)} locus points, type 0 at {len(off_locus)} off-locus points"
-        ],
-    )
+    notes = [f"type 2 at {len(on_locus)} locus points, type 0 at {len(off_locus)} off-locus points"]
+    return _report("type_jump", seed, samples, tol, max_res, worst, max_res == 0.0, notes)
 
 
 def check_polar_compatibility(
@@ -517,15 +552,9 @@ def check_polar_compatibility(
 
     residuals = [worker(p) for p in points]
     max_res, worst = _worst(points, residuals)
-    return CheckReport(
-        check="polar_compatibility",
-        params={"seed": seed, "samples": samples, "tol": tol, "r_min": r_min},
-        samples=samples,
-        max_residual=max_res,
-        worst_point=worst,
-        passed=max_res <= tol,
-        notes=[conventions.NOTE_POLAR_OVERLAP],
-    )
+    notes = [conventions.NOTE_POLAR_OVERLAP]
+    passed = max_res <= tol
+    return _report("polar_compatibility", seed, samples, tol, max_res, worst, passed, notes, r_min=r_min)
 
 
 # ---------------------------------------------------------------- locus
@@ -542,7 +571,6 @@ class LocusPoint:
     nondegenerate: bool
     tangent: np.ndarray  # (2, n) kernel rows of the Jacobian
     jacobian_svals: tuple
-    tau: complex | None = None  # induced fibre modulus, where computed
 
 
 @dataclass(frozen=True)
@@ -716,17 +744,14 @@ def check_locus(
     tau_err = 0.0
     dbar_max = 0.0
     tangent_max = 0.0
-    enriched = []
     per_point = []
     for lp in located:
         st = locus_complex_structure(rho, lp, FIBER_LATTICE, tol)
         tau_err = max(tau_err, abs(st.tau - 1j))
         dbar_max = max(dbar_max, st.dbar_residual)
         tangent_max = max(tangent_max, st.tangent_residual)
-        enriched.append(replace(lp, tau=st.tau))
         z1 = abs(complex(lp.location.coords[0], lp.location.coords[1]))
         per_point.append(max(z1, abs(st.tau - 1j), st.dbar_residual, st.tangent_residual))
-    located = enriched
 
     deg_located = locate_type_change(
         degenerate_locus_field(),
@@ -746,17 +771,10 @@ def check_locus(
         and degenerate_flagged
     )
     _, worst = _worst([lp.location for lp in located], per_point)
-    return CheckReport(
-        check="locus",
-        params={"seed": seed, "samples": seeds_count, "tol": tol},
-        samples=seeds_count,
-        max_residual=max_res,
-        worst_point=worst,
-        passed=passed,
-        notes=[
-            f"max |z1| at located points = {on_locus:.3e}",
-            f"quadratic residual decay: {bool(quadratic_ok)}",
-            f"tau error vs i = {tau_err:.3e}; dbar residual = {dbar_max:.3e}",
-            f"degenerate fixture (z1^2) flagged: {bool(degenerate_flagged)}",
-        ],
-    )
+    notes = [
+        f"max |z1| at located points = {on_locus:.3e}",
+        f"quadratic residual decay: {bool(quadratic_ok)}",
+        f"tau error vs i = {tau_err:.3e}; dbar residual = {dbar_max:.3e}",
+        f"degenerate fixture (z1^2) flagged: {bool(degenerate_flagged)}",
+    ]
+    return _report("locus", seed, seeds_count, tol, max_res, worst, passed, notes)

@@ -96,6 +96,15 @@ def test_check_quotient_defaults_to_suite(tmp_path):
     ]
 
 
+def test_check_all_one_sample(tmp_path):
+    # every capped check draws exactly one sample, type_jump's off-locus half included
+    out = tmp_path / "report.json"
+    assert run_cli(["check", "all", "--samples", "1", "--output", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    assert len(reports) == 14
+    assert all(r["samples"] == 1 and r["params"]["samples"] == 1 for r in reports)
+
+
 def test_check_invalid_config_exit_2(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run_cli(["check", "all", "--samples", "0", "--output", str(out)]) == 2
@@ -145,6 +154,18 @@ def _bracket_payload(point=(0.2, 0.3, 0.4, 0.5), u1=None):
     }
 
 
+def _bracket_payload_in_dim(n):
+    """Bracket input of d/dx1 and d/dx2 in dimension n, all else well formed."""
+    zero = {"const": {}}
+    one = {"const": {"re": 1.0}}
+    return {
+        "dim": n,
+        "point": [0.5] * n,
+        "u": {"vec": [one] + [zero] * (n - 1), "cov": [zero] * n},
+        "v": {"vec": [zero, one] + [zero] * (n - 2), "cov": [zero] * n},
+    }
+
+
 @pytest.mark.parametrize(
     "command,payload",
     [
@@ -154,6 +175,8 @@ def _bracket_payload(point=(0.2, 0.3, 0.4, 0.5), u1=None):
         ("bracket", _bracket_payload(u1={"const": 1.0})),
         ("bracket", _bracket_payload([float("nan")] * 4)),
         ("bracket", _bracket_payload([2.0, 0.3, 0.4, 0.5], {"pow": [{"coord": 1}, 10**6]})),
+        ("normal-form", {"dim": 40, "terms": []}),
+        ("bracket", _bracket_payload_in_dim(40)),
     ],
     ids=[
         "normal-form-list",
@@ -162,6 +185,8 @@ def _bracket_payload(point=(0.2, 0.3, 0.4, 0.5), u1=None):
         "bracket-bare-const",
         "bracket-nan-point",
         "bracket-overflow",
+        "normal-form-huge-dim",
+        "bracket-huge-dim",
     ],
 )
 def test_malformed_input_exit_2_without_traceback(command, payload, tmp_path, capsys):

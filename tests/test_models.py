@@ -311,10 +311,10 @@ def test_tube_symplectic_closed_and_nondegenerate():
 
 def test_gluing_map_boundary_and_formula():
     psi = gluing_map()
-    out = psi.apply(apt(1.0, 0.2, 0.5, 0.7))
+    out = psi.at(apt(1.0, 0.2, 0.5, 0.7)).image
     assert out.chart == CHART_TUBE
     assert out.coords == pytest.approx((1.0, 0.7, 0.5, 0.8))  # (1, c, b, -a) mod 1
-    out2 = psi.apply(apt(math.exp(-0.25), 0.0, 0.0, 0.0))
+    out2 = psi.at(apt(math.exp(-0.25), 0.0, 0.0, 0.0)).image
     assert out2.coords[0] == pytest.approx(math.sqrt(0.5))
 
 
@@ -341,16 +341,16 @@ def test_gluing_map_round_trip():
     rng = np.random.default_rng(4)
     for _ in range(100):
         p = apt(rng.uniform(1 / math.sqrt(math.e) + 1e-6, 1.0), *rng.uniform(0, 1, 3))
-        q = psi_inv.apply(psi.apply(p))
+        q = psi_inv.at(psi.at(p).image).image
         assert np.abs(np.array(q.coords) - np.array(p.coords)).max() < 1e-12
 
 
 def test_gluing_map_domain_guards():
     psi = gluing_map()
     with pytest.raises(ValueError, match="domain"):
-        psi.apply(apt(0.5, 0, 0, 0))  # below 1/sqrt(e)
+        psi.at(apt(0.5, 0, 0, 0))  # below 1/sqrt(e)
     with pytest.raises(ValueError, match="domain"):
-        gluing_map_inverse().apply(tpt(1.5, 0, 0, 0))
+        gluing_map_inverse().at(tpt(1.5, 0, 0, 0))
 
 
 def test_gluing_pullback_is_symplectomorphism_symbolic():

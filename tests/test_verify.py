@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +17,14 @@ from gcx.models import (
     local_model_spinor,
     tube_symplectic,
 )
+from gcx import verify
 from gcx.verify import (
+    CHECKS,
     FIBER_LATTICE,
     check_h_properties,
     check_integrability,
     check_locus,
+    check_plan,
     check_polar_compatibility,
     check_quotient,
     check_symplectomorphism,
@@ -62,7 +66,7 @@ def test_symplectomorphism_single_boundary_sample():
     assert rep.passed
 
 
-@pytest.mark.parametrize("region", ["cplane", "polar", "bump", "outer", "quotient"])
+@pytest.mark.parametrize("region", ["cplane", "polar", "bump", "outer"])
 def test_integrability_regions_pass(region):
     rep = check_integrability(region, samples=60, seed=42, tol=1e-8)
     assert rep.passed, rep.notes
@@ -356,3 +360,28 @@ def test_report_json_schema():
     data = rep.to_json_dict()
     assert set(data) == {"check", "params", "samples", "max_residual", "worst_point", "pass", "notes"}
     json.dumps(data)  # serializable
+
+
+# ------------------------------------------------------- check table
+
+
+def test_check_table_names_streams_and_runners():
+    names = [spec.name for spec in CHECKS]
+    streams = [spec.stream for spec in CHECKS]
+    assert len(set(names)) == len(names) and len(set(streams)) == len(streams)
+    assert all(callable(getattr(verify, spec.runner)) for spec in CHECKS)
+    assert {spec.tol for spec in CHECKS} == {"tol", "tol_second", None}
+
+
+def test_check_plan_runs_window_rows_window_by_window():
+    cfg = SimpleNamespace(target="surgery", windows=[(1.0, 2.0), (2.5, 3.5)], quotients=[(2, 1)])
+    plan = [(spec.name + suffix, extra.get("window")) for spec, suffix, extra in check_plan(cfg)]
+    assert plan == [
+        ("symplectomorphism", None),
+        ("h_properties_w1", (1.0, 2.0)),
+        ("integrability_bump_w1", (1.0, 2.0)),
+        ("h_properties_w2", (2.5, 3.5)),
+        ("integrability_bump_w2", (2.5, 3.5)),
+        ("integrability_outer", None),
+        ("h_sign_negative_control", None),
+    ]
