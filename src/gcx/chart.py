@@ -7,7 +7,9 @@ vector part and last n the covector part.  The operations here --
 H-twisted Courant bracket, pullback along chart maps, and the
 integrability residual -- consume those jets; d(alpha) at p is
 ``alpha(p).d().value()``.  Periodic coordinates are angles of unit
-period and reduce modulo 1.
+period and reduce modulo 1.  A ChartPoint with n coordinate arrays of
+length N is a block of N points, which fields, maps, pullbacks and
+integrability residuals evaluate in one pass (see gcx.jets).
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +19,7 @@ import numpy as np
 
 from gcx import expressions
 from gcx.jets import FormJet, Jet2, _Jet
-from gcx.multilinear import GcVector, Multiform, action_matrix
+from gcx.multilinear import GcVector, Multiform, action_matrix, wedge_coeffs
 
 __all__ = [
     "ChartPoint",
@@ -34,9 +36,15 @@ __all__ = [
 ]
 
 
+def _coordinate(c, periodic: bool):
+    """A float, or a float array for a block; periodic coordinates reduce to [0, 1)."""
+    c = c.astype(float) if isinstance(c, np.ndarray) and c.ndim else float(c)
+    return c % 1.0 if periodic else c
+
+
 @dataclass(frozen=True)
 class ChartPoint:
-    """A point of a named chart; periodic coordinates are reduced to [0, 1)."""
+    """A point of a named chart, or a block of points; periodic coordinates are reduced to [0, 1)."""
 
     chart: str
     coords: tuple
@@ -46,9 +54,7 @@ class ChartPoint:
         per = tuple(bool(b) for b in self.periodic) or (False,) * len(self.coords)
         if len(per) != len(self.coords):
             raise ValueError("periodic mask length must match coordinate count")
-        reduced = tuple(
-            float(c) % 1.0 if p else float(c) for c, p in zip(self.coords, per)
-        )
+        reduced = tuple(_coordinate(c, p) for c, p in zip(self.coords, per))
         object.__setattr__(self, "coords", reduced)
         object.__setattr__(self, "periodic", per)
 
@@ -65,6 +71,7 @@ class ChartMap:
 
     ``jet_fn`` evaluates the forward map in Jet2 arithmetic on coordinate
     jets; Jacobian and second derivative are read off the outputs.
+    ``domain`` maps coordinates to a bool, elementwise over a block.
     """
 
     source: str
@@ -75,21 +82,25 @@ class ChartMap:
     domain: Optional[Callable] = None
 
     def _guard(self, coords: np.ndarray) -> None:
-        if self.domain is not None and not self.domain(coords):
-            raise ValueError(f"point {tuple(coords)} outside the domain of map {self.source}->{self.target}")
+        inside = np.asarray(True if self.domain is None else self.domain(coords))
+        if not inside.all():
+            bad = tuple((coords if coords.ndim == 1 else coords[:, np.argmin(inside)]).tolist())
+            raise ValueError(f"point {bad} outside the domain of map {self.source}->{self.target}")
 
     def jets(self, coords: np.ndarray):
-        """(y, J, H): image, Jacobian J[t, i], second derivative H[t, i, j]."""
+        """(y, J, H): image, Jacobian J[t, i], second derivative H[t, i, j].
+
+        A block has coords and y (n, N), and one J and H per point: (N, n, n), (N, n, n, n).
+        """
         coords = np.asarray(coords, dtype=float)
         self._guard(coords)
         ins = [Jet2.coordinate(self.dim, i + 1, coords[i]) for i in range(self.dim)]
         outs = self.jet_fn(ins)
+        if max(np.abs(np.imag(o.values)).max() for o in outs) > 1e-12:
+            raise RuntimeError("chart map produced a non-real coordinate")
         y = np.array([o.values.real for o in outs])
-        jac = np.array([o.grads.real for o in outs])
-        hess = np.array([o.hess.real for o in outs])
-        for o in outs:
-            if abs(o.values.imag) > 1e-12:
-                raise RuntimeError("chart map produced a non-real coordinate")
+        jac = np.stack([o.grads.real for o in outs], axis=-2)
+        hess = np.stack([o.hess.real for o in outs], axis=-3)
         return y, jac, hess
 
     def at(self, p: ChartPoint) -> "MapJet":
@@ -101,25 +112,26 @@ class ChartMap:
 
 
 class MapJet:
-    """A chart map evaluated at one point.
+    """A chart map evaluated at one point or at a block of points.
 
-    ``image`` is the image point, ``jac[t, i]`` and ``hess[t, i, j]`` the
-    first and second derivatives of the map's components there.  The
+    ``image`` is the image point, ``jac[..., t, i]`` and ``hess[..., t, i, j]``
+    the first and second derivatives of the map's components there.  The
     pulled-back basis forms are built on first use and shared by every
     form pulled back through this evaluation.
     """
 
     def __init__(self, image: ChartPoint, jac: np.ndarray, hess: np.ndarray):
         self.image, self.jac, self.hess = image, jac, hess
-        n = len(jac)
+        n, batch = jac.shape[-1], jac.shape[:-2]
         ones = _one_forms(n)
         # pulled-back basis one-forms d(phi^t); they carry phi's second
         # derivatives only, so every pulled-back basis form has order 1
-        self._dphi = [FormJet.zero(n, order=1) for _ in range(n)]
+        self._dphi = [FormJet.zero(n, 1, batch) for _ in range(n)]
         for t, jet in enumerate(self._dphi):
-            jet.values[ones] = jac[t]
-            jet.grads[ones] = hess[t]
-        self._basis = {0: FormJet.constant(Multiform.scalar(n, 1.0), order=1)}
+            jet.values[ones] = jac[..., t, :].T
+            jet.grads[ones] = hess[..., t, :, :].swapaxes(0, -2)
+        self._basis = {0: FormJet.constant(Multiform.scalar(n, 1.0), 1, batch)}
+        self._basis.update((1 << t, jet) for t, jet in enumerate(self._dphi))
 
     def basis(self, mask: int) -> FormJet:
         """The pullback of the basis monomial ``mask``, with exact first derivatives."""
@@ -129,26 +141,27 @@ class MapJet:
         return self._basis[mask]
 
 
-def _check_chart(expected: str, p: ChartPoint) -> None:
-    if expected and p.chart != expected:
-        raise ValueError(f"field lives on chart {expected!r}, got point on {p.chart!r}")
-
-
 @dataclass(frozen=True)
-class FormField:
-    """A Multiform-valued field: point -> FormJet."""
+class _Field:
+    """A field on a named chart (any chart if empty): fn maps coordinates to a jet."""
 
     chart: str
     dim: int
     fn: Callable = field(repr=False)
 
-    def __call__(self, p: ChartPoint) -> FormJet:
-        _check_chart(self.chart, p)
+    def __call__(self, p: ChartPoint):
+        if self.chart and p.chart != self.chart:
+            raise ValueError(f"field lives on chart {self.chart!r}, got point on {p.chart!r}")
         return self.fn(p.array())
+
+
+@dataclass(frozen=True)
+class FormField(_Field):
+    """A Multiform-valued field: point -> FormJet."""
 
     @classmethod
     def constant(cls, chart: str, form: Multiform) -> "FormField":
-        return cls(chart, form.dim, lambda coords: FormJet.constant(form))
+        return cls(chart, form.dim, lambda coords: FormJet.constant(form, batch=np.shape(coords)[1:]))
 
     @classmethod
     def from_expressions(cls, chart: str, dim: int, terms: list) -> "FormField":
@@ -158,16 +171,8 @@ class FormField:
 
 
 @dataclass(frozen=True)
-class GcField:
+class GcField(_Field):
     """A generator field of T + T*: point -> jet of shape (2n,), vec then cov."""
-
-    chart: str
-    dim: int
-    fn: Callable = field(repr=False)
-
-    def __call__(self, p: ChartPoint) -> _Jet:
-        _check_chart(self.chart, p)
-        return self.fn(p.array())
 
     @classmethod
     def constant(cls, chart: str, v: GcVector) -> "GcField":
@@ -186,7 +191,10 @@ class GcField:
 
 @dataclass(frozen=True)
 class IntegrabilityWitness:
-    """Least-squares witness for d rho + H ^ rho = v . rho at a point."""
+    """Least-squares witness for d rho + H ^ rho = v . rho at a point.
+
+    At a block of N points, v is the (2n, N) array of generator components and residual (N,).
+    """
 
     v: GcVector
     residual: float
@@ -197,18 +205,18 @@ def pullback_jet(at: MapJet, alpha: FormField) -> FormJet:
 
     The pulled-back basis forms are order 1, and so is the result (enough
     for d of the pullback); coefficient functions compose to first order.
+    A coefficient that vanishes with its gradient at every point is skipped.
     """
     ajet = alpha(at.image)
-    n = len(at.jac)
+    n = at.jac.shape[-1]
 
     # composed coefficient jets (exact to first order)
-    comp = FormJet(n, ajet.values, ajet.grads @ at.jac, order=1)
+    comp = FormJet(n, ajet.values, (ajet.grads[..., None, :] @ at.jac)[..., 0, :], order=1)
 
-    out = FormJet.zero(n, order=1)
+    out = FormJet.zero(n, 1, at.jac.shape[:-2])
     for mask in range(1 << n):
-        if comp.values[mask] == 0 and not comp.grads[mask].any():
-            continue
-        out = out + at.basis(mask).scale(comp[mask])
+        if comp.values[mask].any() or comp.grads[mask].any():
+            out = out + at.basis(mask).scale(comp[mask])
     return out
 
 
@@ -273,19 +281,23 @@ def integrability_residual(
     """Least-squares minimizer of |d rho + H ^ rho - v . rho| over v.
 
     A residual at round-off level certifies pointwise integrability of
-    the spinor line generated by rho.
+    the spinor line generated by rho.  The least squares is a stacked
+    pseudo-inverse with numpy lstsq's default singular-value cutoff.
     """
     jet = rho(p)
-    val = jet.value()
-    if val.max_abs() <= zero_tol:
+    val = jet.values
+    if (np.abs(val).max(axis=0) <= zero_tol).any():
         raise ValueError("spinor vanishes here; evaluate off the zero locus")
-    target = jet.d().value()
+    target = jet.d().values
     if h is not None:
-        target = target + h(p).value().wedge(val)
+        target = target + wedge_coeffs(jet.dim, h(p).values, val)
     mat = action_matrix(val)
-    sol, _, _, _ = np.linalg.lstsq(mat, target.coeffs, rcond=None)
-    residual = float(np.linalg.norm(mat @ sol - target.coeffs))
-    return IntegrabilityWitness(v=GcVector.from_array(val.dim, sol), residual=residual)
+    cutoff = np.finfo(float).eps * max(mat.shape[-2:])
+    sol = (np.linalg.pinv(mat, cutoff) @ target.T[..., None])[..., 0]
+    residual = np.linalg.norm((mat @ sol[..., None])[..., 0] - target.T, axis=-1)
+    if val.ndim > 1:
+        return IntegrabilityWitness(v=sol.T, residual=residual)
+    return IntegrabilityWitness(v=GcVector.from_array(jet.dim, sol), residual=float(residual))
 
 
 def e_b_transform(b: FormField, u: GcField) -> GcField:

@@ -21,6 +21,7 @@ from functools import reduce
 import numpy as np
 
 from gcx.jets import FormJet, Jet2, _Jet
+from gcx.multilinear import _indices_to_mask
 
 __all__ = [
     "evaluate",
@@ -122,7 +123,7 @@ def evaluate(node: dict, coords: np.ndarray) -> Jet2:
     kind = _node_kind(node)
     body = node[kind]
     if kind == "const":
-        return Jet2.constant(n, complex(float(body.get("re", 0.0)), float(body.get("im", 0.0))))
+        return Jet2(n, complex(float(body.get("re", 0.0)), float(body.get("im", 0.0))))
     if kind == "coord":
         return Jet2.coordinate(n, int(body), coords[int(body) - 1])
     if kind == "add":
@@ -152,14 +153,7 @@ def form_terms_to_jet(dim: int, terms: list, coords: np.ndarray) -> FormJet:
     """Assemble a FormJet from [{"indices": [...], "expr": node}, ...]."""
     coeffs = {}
     for term in terms:
-        mask = 0
-        prev = 0
-        for i in term["indices"]:
-            i = int(i)
-            if not 1 <= i <= dim or i <= prev:
-                raise ValueError(f"indices must be ascending in 1..{dim}: {term['indices']}")
-            mask |= 1 << (i - 1)
-            prev = i
+        mask = _indices_to_mask(dim, term["indices"])
         jet = evaluate(term["expr"], coords)
         coeffs[mask] = coeffs[mask] + jet if mask in coeffs else jet
     out = FormJet.zero(dim)

@@ -11,23 +11,29 @@ generator X + xi of T + T* is a plain jet of shape (2n,) in
 through this arithmetic yield derivatives that are exact to round-off;
 finite differences appear only in tests.
 
+A jet may hold a block of N points, the sample axis after the component
+axes: a ``Jet2`` has values (N,), a ``FormJet`` values (2^n, N) and
+grads (2^n, N, n).  The per-point shapes are the N-less case.
+
 ``order`` tracks how many derivative levels of a jet are still
 trustworthy: exterior differentiation consumes one level (the result's
 Hessians would need third derivatives, which are not carried).  Levels
-past ``order`` are not computed: a product with an operand of order < 2
-carries a zero Hessian.
+past ``order`` are neither computed nor stored: they are shared
+read-only zeros.
 
 ``FormJet.wedge`` and ``FormJet.d`` run as small dense matmuls over
 signed tables built once per dimension (``multilinear._tables``): the
-wedge table W[u, s, t] turns one factor into a 2^n x 2^n matrix, and d
-is one (2^n, 2^n n) matrix applied to the flattened partials.
+wedge table W[u, s, t] turns one factor into a 2^n x 2^n matrix per
+point, and d is one (2^n, 2^n n) matrix applied to the flattened
+partials.  A wedge of values alone scatters the disjoint pair products.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from gcx.multilinear import Multiform, _exp_wedge_series, _tables
+from gcx.multilinear import Multiform, _exp_wedge_series, _tables, wedge_coeffs
 
 __all__ = ["Jet2", "FormJet"]
 
@@ -38,11 +44,26 @@ def _zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=complex)
 
 
+@functools.lru_cache(maxsize=64)
+def _untrusted(shape) -> np.ndarray:
+    """Shared read-only zeros for a derivative level past a jet's order."""
+    out = _zeros(shape)
+    out.setflags(write=False)
+    return out
+
+
 def _lifted(values) -> tuple:
     """Values with one and with two trailing unit axes, to meet grads and hess."""
     if isinstance(values, np.ndarray):
         return values[..., None], values[..., None, None]
     return values, values
+
+
+def _per_point(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-point matrices (N, S, S) of a block applied to the component axis of x, (S, N) or (S, N, k)."""
+    if x.ndim == 2:
+        return (mats @ x.T[..., None])[..., 0].T
+    return (mats @ x.swapaxes(0, 1)).swapaxes(0, 1)
 
 
 class _Jet:
@@ -58,11 +79,12 @@ class _Jet:
     __array_ufunc__ = None  # numpy operands defer to the jet's reflected operators
 
     def __init__(self, dim: int, values, grads=None, hess=None, order: int = 2):
-        self.dim = dim
-        self.values = values
-        self.grads = _zeros(np.shape(values) + (dim,)) if grads is None else grads
-        self.hess = _zeros(np.shape(values) + (dim, dim)) if hess is None else hess
-        self.order = order
+        self.dim, self.values, self.order = dim, values, order
+        if grads is None:
+            grads = (_zeros if order > 0 else _untrusted)(np.shape(values) + (dim,))
+        if hess is None:
+            hess = (_zeros if order > 1 else _untrusted)(np.shape(values) + (dim, dim))
+        self.grads, self.hess = grads, hess
 
     def _coerce(self, other) -> "_Jet":
         return other if isinstance(other, _Jet) else Jet2(self.dim, other)
@@ -72,20 +94,22 @@ class _Jet:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def _combine(self, other: "_Jet", values, grads, hess) -> "_Jet":
-        """A result of self and other, typed after the operand with array components."""
+        """A result of self and other, typed after the operand that is not a scalar Jet2."""
         self._check(other)
-        cls = type(self) if isinstance(self.values, np.ndarray) else type(other)
+        cls = type(other) if isinstance(self, Jet2) else type(self)
         return cls(self.dim, values, grads, hess, min(self.order, other.order))
 
     def __add__(self, other):
         o = self._coerce(other)
-        return self._combine(o, self.values + o.values, self.grads + o.grads, self.hess + o.hess)
+        hess = self.hess + o.hess if min(self.order, o.order) > 1 else None
+        return self._combine(o, self.values + o.values, self.grads + o.grads, hess)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return self._combine(o, self.values - o.values, self.grads - o.grads, self.hess - o.hess)
+        hess = self.hess - o.hess if min(self.order, o.order) > 1 else None
+        return self._combine(o, self.values - o.values, self.grads - o.grads, hess)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -94,12 +118,14 @@ class _Jet:
         if isinstance(other, _Jet):
             return self._product(other)
         s = complex(other)
-        return type(self)(self.dim, self.values * s, self.grads * s, self.hess * s, self.order)
+        hess = self.hess * s if self.order > 1 else None
+        return type(self)(self.dim, self.values * s, self.grads * s, hess, self.order)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return type(self)(self.dim, self.values / other, self.grads / other, self.hess / other, self.order)
+        hess = self.hess / other if self.order > 1 else None
+        return type(self)(self.dim, self.values / other, self.grads / other, hess, self.order)
 
     def _product(self, other: "_Jet") -> "_Jet":
         """Leibniz rule to second order, broadcasting components.
@@ -125,28 +151,25 @@ class _Jet:
 
 
 class Jet2(_Jet):
-    """Scalar truncated Taylor value: f, grad f, symmetric hess f."""
+    """Scalar truncated Taylor value: f, grad f, symmetric hess f (each per point of a block)."""
 
     __slots__ = ()
 
     def __init__(self, n: int, value, grad=None, hess=None, order: int = 2):
         self.dim = n
-        self.values = complex(value)
-        self.grads = np.zeros(n, dtype=complex) if grad is None else np.asarray(grad, dtype=complex)
-        self.hess = (
-            np.zeros((n, n), dtype=complex) if hess is None else np.asarray(hess, dtype=complex)
-        )
+        if isinstance(value, np.ndarray) and value.ndim:
+            self.values, shape = value.astype(complex, copy=False), value.shape
+        else:
+            self.values, shape = complex(value), ()
+        self.grads = _zeros(shape + (n,)) if grad is None else np.asarray(grad, dtype=complex)
+        self.hess = _zeros(shape + (n, n)) if hess is None else np.asarray(hess, dtype=complex)
         self.order = order
 
     @classmethod
-    def constant(cls, n: int, value) -> "Jet2":
-        return cls(n, value)
-
-    @classmethod
     def coordinate(cls, n: int, i: int, value) -> "Jet2":
-        """The i-th coordinate function (1-based) evaluated at ``value``."""
-        g = np.zeros(n, dtype=complex)
-        g[i - 1] = 1.0
+        """The i-th coordinate function (1-based) evaluated at ``value`` (a number or a block)."""
+        g = _zeros(np.shape(value) + (n,))
+        g[..., i - 1] = 1.0
         return cls(n, value, g)
 
     def __truediv__(self, other):
@@ -159,16 +182,18 @@ class Jet2(_Jet):
 
     def _chain(self, f0, f1, f2) -> "Jet2":
         """Compose with a 1-d function given f, f', f'' at self.values."""
-        outer = np.outer(self.grads, self.grads)
-        return Jet2(self.dim, f0, f1 * self.grads, f1 * self.hess + f2 * outer, self.order)
+        g = self.grads
+        (f1g, f1h), (_, f2h) = _lifted(f1), _lifted(f2)
+        outer = g[..., :, None] * g[..., None, :]
+        return Jet2(self.dim, f0, f1g * g, f1h * self.hess + f2h * outer, self.order)
 
     def _reciprocal(self) -> "Jet2":
         v = self.values
         return self._chain(1.0 / v, -1.0 / v**2, 2.0 / v**3)
 
     def __pow__(self, k: int):
-        if k == 0:
-            return Jet2.constant(self.dim, 1.0)
+        if k == 0:  # the constant 1, at every point of a block
+            return Jet2(self.dim, np.ones(np.shape(self.values)))
         if k < 0:
             return (self.__pow__(-k))._reciprocal()
         out = self
@@ -211,9 +236,10 @@ class FormJet(_Jet):
     """A Multiform value with per-coefficient first and second partials.
 
     values: (2^n,), grads: (2^n, n) with grads[s, i] the i-th partial of
-    coefficient s, hess: (2^n, n, n) symmetric in the last two axes;
+    coefficient s, hess: (2^n, n, n) symmetric in the last two axes; a
+    block of N points has (2^n, N), (2^n, N, n) and (2^n, N, n, n).
     ``jet[mask]`` is the coefficient of the basis monomial ``mask``.
-    ``wedge`` and ``d`` apply the dense signed tables of
+    ``wedge`` and ``d`` apply the signed tables of
     ``multilinear._tables``; ``wedge`` and ``scale`` at order < 2 leave
     the Hessian zero.
     """
@@ -221,20 +247,20 @@ class FormJet(_Jet):
     __slots__ = ()
 
     @classmethod
-    def zero(cls, dim: int, order: int = 2) -> "FormJet":
-        size = 1 << dim
-        return cls(dim, _zeros(size), _zeros((size, dim)), _zeros((size, dim, dim)), order)
+    def zero(cls, dim: int, order: int = 2, batch: tuple = ()) -> "FormJet":
+        """The zero form at one point, or at each of a block of points (batch = (N,))."""
+        shape = (1 << dim, *batch)
+        hess = _zeros(shape + (dim, dim)) if order > 1 else None
+        return cls(dim, _zeros(shape), _zeros(shape + (dim,)), hess, order)
 
     @classmethod
-    def constant(cls, form: Multiform, order: int = 2) -> "FormJet":
-        return cls(form.dim, form.coeffs.astype(complex), order=order)
+    def constant(cls, form: Multiform, order: int = 2, batch: tuple = ()) -> "FormJet":
+        jet = cls.zero(form.dim, order, batch)
+        jet.values[:] = form.coeffs.reshape((-1,) + (1,) * len(batch))
+        return jet
 
     def value(self) -> Multiform:
         return Multiform(self.dim, self.values)
-
-    def _need(self, order: int) -> None:
-        if self.order < order:
-            raise ValueError(f"jet carries derivatives to order {self.order}, need {order}")
 
     def is_zero(self) -> bool:
         return not (self.values.any() or self.grads.any() or self.hess.any())
@@ -244,42 +270,57 @@ class FormJet(_Jet):
         return self._product(jet)
 
     def wedge(self, other: "FormJet") -> "FormJet":
-        """Product rule through the dense wedge table, as 2^n x 2^n matrices.
+        """Product rule through the dense wedge table, as 2^n x 2^n matrices per point.
 
         With L_a = a.W and R_b = W.b: values L_a b, grads L_a db + R_b da,
         hess L_a d2b + R_b d2a + C + C^T with C[u, i, j] the sum over s, t
-        of W[u, s, t] d_i a_s d_j b_t.
+        of W[u, s, t] d_i a_s d_j b_t.  At order 0 only the values are
+        formed, from the products of disjoint coefficient pairs.
         """
         self._check(other)
         n, order = self.dim, min(self.order, other.order)
-        size = 1 << n
-        t = _tables(n)
-        left = (self.values @ t.wedge_left).reshape(size, size)
-        values = left @ other.values
         if order < 1:
-            return FormJet(n, values, order=order)
-        right = (t.wedge_right @ other.values).reshape(size, size)
-        grads = left @ other.grads + right @ self.grads
+            return FormJet(n, wedge_coeffs(n, self.values, other.values), order=order)
+        size, t = 1 << n, _tables(n)
+        batch = self.values.shape[1:]
+        apply = _per_point if batch else np.matmul  # per point, the matrices meet x directly
+        square = batch + (size, size)
+        left = (self.values.T @ t.wedge_left).reshape(square)
+        right = (t.wedge_right @ other.values).T.reshape(square)
+        values = apply(left, other.values)
+        grads = apply(left, other.grads) + apply(right, self.grads)
         if order < 2:
             return FormJet(n, values, grads, order=order)
-        cross = self.grads.T @ (t.wedge_right @ other.grads).reshape(size, size, n)
-        flat = (size, n * n)
-        hess = left @ other.hess.reshape(flat) + right @ self.hess.reshape(flat)
-        hess = hess.reshape(size, n, n)
-        return FormJet(n, values, grads, hess + cross + cross.swapaxes(1, 2), order)
+        # C[u, ..., i, j] = sum_s d_i a_s M[u, s, ..., j] with M = W.db
+        if batch:  # [N, i, s] @ [u, N, s, j]
+            wdb = (t.wedge_right @ other.grads.reshape(size, -1)).reshape((size,) + other.grads.shape)
+            cross = self.grads.transpose(1, 2, 0) @ wdb.swapaxes(1, 2)
+        else:
+            cross = self.grads.T @ (t.wedge_right @ other.grads).reshape(size, size, n)
+        flat = other.grads.shape[:-1] + (n * n,)
+        hess = apply(left, other.hess.reshape(flat)) + apply(right, self.hess.reshape(flat))
+        hess = hess.reshape(cross.shape) + cross
+        hess += cross.swapaxes(-1, -2)
+        return FormJet(n, values, grads, hess, order)
 
     def d(self) -> "FormJet":
         """Exterior derivative, one matmul per level; consumes one derivative level."""
-        self._need(1)
+        if self.order < 1:
+            raise ValueError(f"jet carries derivatives to order {self.order}, need 1")
         n = self.dim
         d_matrix = _tables(n).d_matrix
-        values = d_matrix @ self.grads.reshape(-1)
-        grads = d_matrix @ self.hess.reshape(-1, n) if self.order >= 2 else None
+        # bring the differentiated axis next to the component axis: [s, i, ...]
+        rows = d_matrix.shape[1]
+        values = d_matrix @ self.grads.swapaxes(1, -1).reshape((rows,) + self.values.shape[1:])
+        grads = None
+        if self.order >= 2:
+            grads = d_matrix @ self.hess.swapaxes(1, -2).reshape(rows, -1)
+            grads = grads.reshape(self.grads.shape) if self.values.ndim > 1 else grads
         return FormJet(n, values, grads, order=self.order - 1)
 
     def exp_wedge(self) -> "FormJet":
         """Terminating wedge exponential (even degrees, no scalar part)."""
-        one = FormJet.constant(Multiform.scalar(self.dim, 1.0), self.order)
+        one = FormJet.constant(Multiform.scalar(self.dim, 1.0), self.order, self.values.shape[1:])
         return _exp_wedge_series(self, one, (self.values, self.grads))
 
     def interior_jet(self, xv: np.ndarray, xg: np.ndarray, xh: np.ndarray) -> "FormJet":

@@ -122,40 +122,44 @@ class BumpProfile:
         the spinor at a point, the quadrature angles at a radius), so one
         entry catches them all and more would only grow memory.
         """
-        if rtilde < 0:
-            raise ValueError(f"tube radius must be >= 0, got {rtilde}")
-        if rtilde <= self.lo:
-            return 1.0, 0.0, 0.0
-        if rtilde >= self.hi:
-            return 0.0, 0.0, 0.0
+        return tuple(float(v[0]) for v in self.evaluate_block(np.array([rtilde], dtype=float)))
+
+    def evaluate_block(self, rtilde: np.ndarray) -> tuple:
+        """(f, f', f'') at an array of tube radii, each an array of the same shape."""
+        if (rtilde < 0).any():
+            raise ValueError(f"tube radius must be >= 0, got {rtilde.min()}")
         width = self.hi - self.lo
-        t = Jet2.coordinate(1, 1, (rtilde - self.lo) / width)
+        x = (rtilde - self.lo) / width
+        # outside the window the profile is exactly 1 or 0; the flat
+        # profile's guards keep its underflowing tails exact and nan-free
+        guard = 5e-3 if self.name == "flat" else 0.0
+        low = (rtilde <= self.lo) | (x < guard)
+        inside = ~low & (rtilde < self.hi) & (x <= 1.0 - guard)
+        out = [np.where(low, 1.0, 0.0), np.zeros(x.shape), np.zeros(x.shape)]
+        if not inside.any():
+            return tuple(out)
+        t = Jet2.coordinate(1, 1, x[inside])
         if self.name == "flat":
-            # all-orders-flat descent from exp(-1/t) ratios; the guards keep
-            # the underflowing tails exact and nan-free
-            if t.values.real < 5e-3:
-                return 1.0, 0.0, 0.0
-            if t.values.real > 1.0 - 5e-3:
-                return 0.0, 0.0, 0.0
+            # all-orders-flat descent from exp(-1/t) ratios
             phi_t = (-1.0 / t).exp()
             phi_1mt = (-1.0 / (1.0 - t)).exp()
             s = phi_1mt / (phi_t + phi_1mt)
         else:
             # C^2 polynomial descent 1 - (6t^5 - 15t^4 + 10t^3)
             s = 1.0 - (6.0 * t**5 - 15.0 * t**4 + 10.0 * t**3)
-        return (
-            float(s.values.real),
-            float(s.grads[0].real) / width,
-            float(s.hess[0, 0].real) / width**2,
-        )
+        out[0][inside] = s.values.real
+        out[1][inside] = s.grads[..., 0].real / width
+        out[2][inside] = s.hess[..., 0, 0].real / width**2
+        return tuple(out)
 
-    def jet(self, rtilde: float, dim: int = 4) -> Jet2:
-        """The cutoff as a jet in the tube coordinates (radius is coord 1)."""
-        f, fp, fpp = self.evaluate(rtilde)
-        grad = np.zeros(dim, dtype=complex)
-        grad[0] = fp
-        hess = np.zeros((dim, dim), dtype=complex)
-        hess[0, 0] = fpp
+    def jet(self, rtilde, dim: int = 4) -> Jet2:
+        """The cutoff as a jet in the tube coordinates (radius is coord 1), at one radius or a block."""
+        shape = np.shape(rtilde)
+        f, fp, fpp = self.evaluate_block(rtilde) if shape else self.evaluate(rtilde)
+        grad = np.zeros(shape + (dim,), dtype=complex)
+        grad[..., 0] = fp
+        hess = np.zeros(shape + (dim, dim), dtype=complex)
+        hess[..., 0, 0] = fpp
         return Jet2(dim, f, grad, hess)
 
 
@@ -175,9 +179,9 @@ def local_model_spinor() -> FormField:
     """
 
     def fn(coords: np.ndarray) -> FormJet:
-        jet = FormJet.zero(4)
+        jet = FormJet.zero(4, batch=coords.shape[1:])
         jet.values[0] = coords[0] + 1j * coords[1]
-        jet.grads[0] = np.array([1.0, 1j, 0.0, 0.0])
+        jet.grads[0] = [1.0, 1j, 0.0, 0.0]
         # dz1^dz2 = (dx1 + i dy1)^(dx2 + i dy2), coords (x1, y1, x2, y2)
         jet.values[_M13] += 1.0
         jet.values[_M14] += 1j
@@ -191,9 +195,33 @@ def local_model_spinor() -> FormField:
 # ------------------------------------------------------------ annulus
 
 
-def _guard_radius(r: float, r_min: float, what: str) -> None:
-    if r < r_min:
-        raise ValueError(f"{what} requires radius >= {r_min}, got {r}")
+def _log_forms(chart: str, m: int, k: int, r_floor: float, what: str) -> tuple:
+    """(B', omega') of the Z_m quotient model on a chart; m = 1, k = 0 is the annulus model."""
+
+    def inv_r(coords: np.ndarray) -> Jet2:
+        if (coords[0] < r_floor).any():
+            raise ValueError(f"{what} requires radius >= {r_floor}, got {np.min(coords[0])}")
+        return 1.0 / Jet2.coordinate(4, 1, coords[0])
+
+    def b_fn(coords: np.ndarray) -> FormJet:
+        inv, jet = inv_r(coords), FormJet.zero(4, batch=coords.shape[1:])
+        for mask, scale in ((_M13, 1.0), (_M12, k / m)):
+            jet[mask] = scale * inv
+        jet.values[_M24] = -1.0 / m
+        return jet
+
+    def w_fn(coords: np.ndarray) -> FormJet:
+        jet = FormJet.zero(4, batch=coords.shape[1:])
+        jet[_M14] = inv_r(coords) / m
+        jet.values[_M23] = 1.0 / m
+        return jet
+
+    return FormField(chart, 4, b_fn), FormField(chart, 4, w_fn)
+
+
+def _exp_field(chart: str, b: FormField, w: FormField) -> FormField:
+    """exp(b + i*w) as a field."""
+    return FormField(chart, 4, lambda coords: (b.fn(coords) + w.fn(coords) * 1j).exp_wedge())
 
 
 def local_model_polar(r_min: float = 0.05) -> tuple:
@@ -204,37 +232,12 @@ def local_model_polar(r_min: float = 0.05) -> tuple:
 
     Both closed; exp(B + i*omega) is pure, nondegenerate and of type 0.
     """
-
-    def b_fn(coords: np.ndarray) -> FormJet:
-        _guard_radius(coords[0], r_min, "annulus model")
-        inv_r = 1.0 / Jet2.coordinate(4, 1, coords[0])
-        jet = FormJet.zero(4)
-        jet[_M13] = inv_r
-        jet.values[_M24] = -1.0
-        return jet
-
-    def w_fn(coords: np.ndarray) -> FormJet:
-        _guard_radius(coords[0], r_min, "annulus model")
-        inv_r = 1.0 / Jet2.coordinate(4, 1, coords[0])
-        jet = FormJet.zero(4)
-        jet[_M14] = inv_r
-        jet.values[_M23] = 1.0
-        return jet
-
-    return (
-        FormField(CHART_ANNULUS, 4, b_fn),
-        FormField(CHART_ANNULUS, 4, w_fn),
-    )
+    return _log_forms(CHART_ANNULUS, 1, 0, r_min, "annulus model")
 
 
 def polar_spinor_field(r_min: float = 0.05) -> FormField:
     """exp(B + i*omega) on the annulus chart."""
-    b, w = local_model_polar(r_min)
-
-    def fn(coords: np.ndarray) -> FormJet:
-        return (b.fn(coords) + w.fn(coords) * 1j).exp_wedge()
-
-    return FormField(CHART_ANNULUS, 4, fn)
+    return _exp_field(CHART_ANNULUS, *local_model_polar(r_min))
 
 
 def deck_action(params: LogModelParams, p: ChartPoint) -> ChartPoint:
@@ -264,40 +267,12 @@ def log_model(params: LogModelParams, r_min: float = 0.05) -> tuple:
 
     Valid for r' >= r_min^m, where the quotient coordinates are defined.
     """
-    m, k = params.m, params.k
-    r_floor = r_min**m
-
-    def b_fn(coords: np.ndarray) -> FormJet:
-        _guard_radius(coords[0], r_floor, "quotient model")
-        inv_r = 1.0 / Jet2.coordinate(4, 1, coords[0])
-        jet = FormJet.zero(4)
-        for mask, scale in ((_M13, 1.0), (_M12, k / m)):
-            jet[mask] = scale * inv_r
-        jet.values[_M24] = -1.0 / m
-        return jet
-
-    def w_fn(coords: np.ndarray) -> FormJet:
-        _guard_radius(coords[0], r_floor, "quotient model")
-        inv_r = 1.0 / Jet2.coordinate(4, 1, coords[0])
-        jet = FormJet.zero(4)
-        jet[_M14] = inv_r / m
-        jet.values[_M23] = 1.0 / m
-        return jet
-
-    return (
-        FormField(CHART_QUOTIENT, 4, b_fn),
-        FormField(CHART_QUOTIENT, 4, w_fn),
-    )
+    return _log_forms(CHART_QUOTIENT, params.m, params.k, r_min**params.m, "quotient model")
 
 
 def quotient_spinor_field(params: LogModelParams, r_min: float = 0.05) -> FormField:
     """exp(B' + i*omega') on the quotient chart."""
-    b, w = log_model(params, r_min)
-
-    def fn(coords: np.ndarray) -> FormJet:
-        return (b.fn(coords) + w.fn(coords) * 1j).exp_wedge()
-
-    return FormField(CHART_QUOTIENT, 4, fn)
+    return _exp_field(CHART_QUOTIENT, *log_model(params, r_min))
 
 
 def quotient_map(params: LogModelParams) -> ChartMap:
@@ -318,7 +293,7 @@ def tube_symplectic() -> FormField:
     """sigma = rt drt^dt1 + dt2^dt3 on the tube chart; closed, nondegenerate for rt > 0."""
 
     def fn(coords: np.ndarray) -> FormJet:
-        jet = FormJet.zero(4)
+        jet = FormJet.zero(4, batch=coords.shape[1:])
         jet[_M12] = Jet2.coordinate(4, 1, coords[0])
         jet.values[0b1100] = 1.0
         return jet
@@ -347,7 +322,7 @@ def gluing_map(slack: float = 1e-12) -> ChartMap:
         4,
         fwd,
         target_periodic=ANGLES,
-        domain=lambda c: _R_LOW < c[0] <= 1.0 + slack,
+        domain=lambda c: (_R_LOW < c[0]) & (c[0] <= 1.0 + slack),
     )
 
 
@@ -374,14 +349,6 @@ def polar_overlap_map(angle_scale: float = 1.0, r_min: float = 0.0) -> ChartMap:
     )
 
 
-def _tube_b_core(coords: np.ndarray) -> FormJet:
-    """(psi^{-1})^* B in tube coordinates: rt drt^dt2 - dt1^dt3."""
-    jet = FormJet.zero(4)
-    jet[_M13] = Jet2.coordinate(4, 1, coords[0])
-    jet.values[_M24] = -1.0
-    return jet
-
-
 def b_extension_and_h(
     geometry: SurgeryGeometry, window: tuple | None = None, check_tol: float = 1e-10
 ) -> tuple:
@@ -394,13 +361,19 @@ def b_extension_and_h(
     profile = bump_profile(geometry, window)
 
     def b_fn(coords: np.ndarray) -> FormJet:
-        _guard_radius(coords[0], geometry.r_min, "tube extension")
-        return _tube_b_core(coords).scale(profile.jet(coords[0]))
+        if (coords[0] < geometry.r_min).any():
+            raise ValueError(f"tube extension requires radius >= {geometry.r_min}, got {np.min(coords[0])}")
+        # (psi^{-1})^* B in tube coordinates: rt drt^dt2 - dt1^dt3
+        core = FormJet.zero(4, batch=coords.shape[1:])
+        core[_M13] = Jet2.coordinate(4, 1, coords[0])
+        core.values[_M24] = -1.0
+        return core.scale(profile.jet(coords[0]))
 
     def h_fn(coords: np.ndarray) -> FormJet:
         jet = b_fn(coords).d()
-        _, fp, _ = profile.evaluate(coords[0])
-        closed = np.zeros(16, dtype=complex)
+        r = coords[0]
+        fp = (profile.evaluate_block(r) if np.ndim(r) else profile.evaluate(r))[1]
+        closed = np.zeros(jet.values.shape, dtype=complex)
         closed[_M124] = -fp
         if np.abs(jet.values - closed).max() > check_tol:
             raise RuntimeError("assembled d(Btilde) disagrees with its closed form")
@@ -414,10 +387,4 @@ def b_extension_and_h(
 
 def glued_spinor_field(geometry: SurgeryGeometry, window: tuple | None = None) -> FormField:
     """exp(Btilde + i*sigma) on the tube chart."""
-    btilde, _ = b_extension_and_h(geometry, window)
-    sigma = tube_symplectic()
-
-    def fn(coords: np.ndarray) -> FormJet:
-        return (btilde.fn(coords) + sigma.fn(coords) * 1j).exp_wedge()
-
-    return FormField(CHART_TUBE, 4, fn)
+    return _exp_field(CHART_TUBE, b_extension_and_h(geometry, window)[0], tube_symplectic())

@@ -50,10 +50,8 @@ def _shuffle_sign(s: int, t: int) -> int:
 class _Tables:
     dim: int
     degree: np.ndarray      # (2^n,) popcounts
-    w_src1: np.ndarray      # flat wedge table over disjoint subset pairs
+    w_src1: np.ndarray      # the disjoint subset pairs (s, t) of the wedge
     w_src2: np.ndarray
-    w_dst: np.ndarray
-    w_sign: np.ndarray
     action: np.ndarray      # (2n, 2^n, 2^n); rows 0..n-1 interior, n..2n-1 wedge
     # the wedge as a dense signed table W[u, s, t], laid out so that
     # a @ wedge_left = L_a[u, t] = sum_s a_s W[u, s, t] and
@@ -61,6 +59,7 @@ class _Tables:
     # complex, so that matmuls with complex jets cast nothing per call
     wedge_left: np.ndarray  # (2^n, 4^n)
     wedge_right: np.ndarray  # (4^n, 2^n)
+    wedge_scatter: np.ndarray  # (2^n, pairs): the pair's sign at [s | t, pair]
     d_matrix: np.ndarray    # (2^n, 2^n n); [u, s n + i] = action[n + i, u, s]
 
 
@@ -92,19 +91,27 @@ def _tables(n: int) -> _Tables:
 
     dense = np.zeros((size, size, size), dtype=complex)
     dense[dst, src1, src2] = sign
+    scatter = np.zeros((size, len(dst)), dtype=complex)
+    scatter[dst, np.arange(len(dst))] = sign
 
     return _Tables(
         dim=n,
         degree=degree,
         w_src1=np.array(src1, dtype=np.int64),
         w_src2=np.array(src2, dtype=np.int64),
-        w_dst=np.array(dst, dtype=np.int64),
-        w_sign=np.array(sign, dtype=np.float64),
         action=action,
         wedge_left=dense.transpose(1, 0, 2).reshape(size, size * size),
         wedge_right=dense.reshape(size * size, size),
+        wedge_scatter=scatter,
         d_matrix=action[n:].transpose(1, 2, 0).reshape(size, size * n).astype(complex),
     )
+
+
+def wedge_coeffs(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of a ^ b from coefficient arrays (2^n,) + B: pair products, one signed scatter."""
+    t = _tables(n)
+    prod = a[t.w_src1] * b[t.w_src2]
+    return (t.wedge_scatter @ prod.reshape(len(prod), -1)).reshape(a.shape)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -189,10 +196,7 @@ class Multiform:
 
     def wedge(self, other: "Multiform") -> "Multiform":
         self._check(other)
-        t = _tables(self.dim)
-        out = np.zeros(1 << self.dim, dtype=complex)
-        np.add.at(out, t.w_dst, t.w_sign * self.coeffs[t.w_src1] * other.coeffs[t.w_src2])
-        return Multiform(self.dim, out)
+        return Multiform(self.dim, wedge_coeffs(self.dim, self.coeffs, other.coeffs))
 
     def interior(self, vec) -> "Multiform":
         """Contraction with a tangent vector given as n complex components."""
@@ -370,22 +374,19 @@ def clifford(v: GcVector, rho: Multiform) -> Multiform:
     """Clifford action (X + xi) . rho = i_X rho + xi ^ rho."""
     if v.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {rho.dim}")
-    t = _tables(rho.dim)
-    size = 1 << rho.dim
-    mat = (np.concatenate([v.vec, v.cov]) @ t.action.reshape(2 * rho.dim, size * size)).reshape(
-        size, size
-    )
-    return Multiform(rho.dim, mat @ rho.coeffs)
+    return Multiform(rho.dim, action_matrix(rho) @ v.as_array())
 
 
-def action_matrix(rho: Multiform) -> np.ndarray:
+def action_matrix(rho) -> np.ndarray:
     """(2^n, 2n) matrix whose j-th column is (basis generator j) . rho.
 
     Generators are ordered d/dx^1..d/dx^n, dx^1..dx^n, matching
-    GcVector.as_array().
+    GcVector.as_array().  ``rho`` is a Multiform, or the coefficients
+    (2^n, N) of a block of N forms, which give N stacked matrices.
     """
-    t = _tables(rho.dim)
-    return np.einsum("jab,b->aj", t.action, rho.coeffs)
+    coeffs = rho.coeffs if isinstance(rho, Multiform) else rho
+    t = _tables(len(coeffs).bit_length() - 1)
+    return np.einsum("jab,b...->...aj", t.action, coeffs)
 
 
 def pairing(u: GcVector, v: GcVector) -> complex:
@@ -413,19 +414,17 @@ def _exp_wedge_series(b, one, parts):
 
     ``one`` is the unit of b's algebra; ``parts`` are b's coefficient
     arrays (leading axis over basis monomials), which must vanish off the
-    even positive degrees.  The series stops at the first power that is
-    identically zero.
+    even positive degrees.  The series stops at j = n/2: b^j has degree >= 2j.
     """
     t = _tables(b.dim)
     bad = (t.degree == 0) | (t.degree % 2 == 1)
     if any(np.abs(part[bad]).max() > 0 for part in parts):
         raise ValueError("exp_wedge requires an even-degree form with zero scalar part")
-    out = power = one
+    out = one + b
+    power = b
     factorial = 1.0
-    for j in range(1, b.dim + 1):
+    for j in range(2, b.dim // 2 + 1):
         power = power.wedge(b)
         factorial *= j
-        if power.is_zero():
-            break
         out = out + power * (1.0 / factorial)
     return out

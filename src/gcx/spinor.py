@@ -20,6 +20,7 @@ from gcx.multilinear import (
     exp_wedge,
     pairing,
     pairing_gram,
+    wedge_coeffs,
 )
 
 __all__ = [
@@ -156,20 +157,12 @@ def is_pure(rho: Multiform, tol: float = DEFAULT_TOL) -> bool:
     return True
 
 
-def _two_form_masks(dim: int) -> list[int]:
-    return [m for m in range(1 << dim) if bin(m).count("1") == 2]
-
-
 def _solve_exponent(omega0: Multiform, target: Multiform, tol: float):
     """Minimal-norm 2-form C with C ^ omega0 = target; returns (C, unique)."""
     dim = omega0.dim
-    masks = _two_form_masks(dim)
-    cols = []
-    for m in masks:
-        basis = np.zeros(1 << dim, dtype=complex)
-        basis[m] = 1.0
-        cols.append(Multiform(dim, basis).wedge(omega0).coeffs)
-    mat = np.column_stack(cols)
+    masks = [m for m in range(1 << dim) if bin(m).count("1") == 2]
+    # one column per basis 2-form: its wedge with omega0
+    mat = wedge_coeffs(dim, np.eye(1 << dim, dtype=complex)[:, masks], omega0.coeffs[:, None])
     sol, _, rank, _ = np.linalg.lstsq(mat, target.coeffs, rcond=tol)
     coeffs = np.zeros(1 << dim, dtype=complex)
     coeffs[masks] = sol
@@ -286,7 +279,9 @@ def from_complex(I: np.ndarray, tol: float = DEFAULT_TOL) -> Multiform:
         raise RuntimeError("eigenvalue +i of I^T must have multiplicity n/2")
     rho = Multiform.scalar(n, 1.0)
     for xi in plus_i:
-        rho = rho.wedge(Multiform(n, _one_form_coeffs(n, xi)))
+        one_form = np.zeros(1 << n, dtype=complex)
+        one_form[1 << np.arange(n)] = xi
+        rho = rho.wedge(Multiform(n, one_form))
     # the line is scale-free; pin the representative deterministically
     lead = rho.coeffs[int(np.argmax(np.abs(rho.coeffs)))]
     rho = rho / lead
@@ -296,13 +291,6 @@ def from_complex(I: np.ndarray, tol: float = DEFAULT_TOL) -> Multiform:
         if clifford(GcVector(n, vec=x), rho).max_abs() > 1e3 * tol:
             raise RuntimeError("result fails to annihilate the -i eigenspace of I")
     return rho
-
-
-def _one_form_coeffs(dim: int, components: np.ndarray) -> np.ndarray:
-    coeffs = np.zeros(1 << dim, dtype=complex)
-    for i in range(dim):
-        coeffs[1 << i] = components[i]
-    return coeffs
 
 
 def j_endomorphism(rho: Multiform, tol: float = DEFAULT_TOL) -> GcEndomorphism:

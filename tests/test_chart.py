@@ -394,3 +394,113 @@ def test_expression_json_vocabulary():
     # unit-period convention: cos at a quarter turn vanishes
     jet = ex.evaluate(ex.cos(ex.coord(1)), np.array([0.25, 0, 0, 0]))
     assert abs(jet.values) < 1e-15
+
+
+# ------------------------------------------- blocks of points in one pass
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from gcx import models  # noqa: E402
+
+block_settings = settings(max_examples=25, deadline=None)
+
+
+def block_point(chart, coords, periodic=models.ANGLES):
+    """A block ChartPoint and its points one at a time."""
+    coords = np.asarray(coords, dtype=float)
+    block = ChartPoint(chart, tuple(coords), periodic)
+    return block, [ChartPoint(chart, tuple(c), periodic) for c in coords.T]
+
+
+def assert_stacked(got, refs, axis=-1):
+    ref = np.stack(refs, axis=axis)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0))
+
+
+def assert_jet_block(block, points):
+    axis = np.ndim(points[0].values)
+    for level in ("values", "grads", "hess"):
+        assert_stacked(getattr(block, level), [getattr(j, level) for j in points], axis)
+
+
+def annulus_coords(rng, count, r_lo=0.65, r_hi=1.0):
+    return np.vstack([rng.uniform(r_lo, r_hi, count), rng.uniform(-0.5, 1.5, (3, count))])
+
+
+def half_plane_form():
+    """x1 dx1^dx3 where x1 > 0, zero elsewhere: its coefficient vanishes on part of a block."""
+
+    def fn(coords):
+        jet = FormJet.zero(N, batch=np.shape(coords)[1:])
+        on = coords[0] > 0
+        jet.values[0b0101] = np.where(on, coords[0], 0.0)
+        jet.grads[0b0101, ..., 0] = np.where(on, 1.0, 0.0)
+        jet.values[0b1100] = 2.0
+        return jet
+
+    return FormField(FLAT, N, fn)
+
+
+@block_settings
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_block_map_jets_and_pullbacks_match_points(seed, count):
+    rng = np.random.default_rng(seed)
+    coords = annulus_coords(rng, count)
+    block, points = block_point(models.CHART_ANNULUS, coords)
+    params = models.LogModelParams(3, 2)
+    cases = [
+        (models.gluing_map(), models.tube_symplectic()),
+        (models.quotient_map(params), models.log_model(params)[0]),
+        (models.quotient_map(params), models.quotient_spinor_field(params)),
+        (models.deck_action_map(params), models.local_model_polar()[1]),
+        (models.polar_overlap_map(), models.local_model_spinor()),
+    ]
+    for phi, alpha in cases:
+        y, jac, hess = phi.jets(coords)
+        per = [phi.jets(c) for c in coords.T]
+        assert_stacked(y, [p[0] for p in per])
+        assert_stacked(jac, [p[1] for p in per], axis=0)
+        assert_stacked(hess, [p[2] for p in per], axis=0)
+        assert_jet_block(pullback_jet(phi.at(block), alpha), [pullback_jet(phi.at(p), alpha) for p in points])
+    # a block where the coefficient of dx1^dx3 vanishes at some points only
+    flat = ChartMap(FLAT, FLAT, N, lambda ins: [ins[0] * ins[1], ins[1], ins[2] + ins[0], ins[3]])
+    signs = np.where(rng.uniform(size=count) < 0.5, -1.0, 1.0)
+    block, points = block_point(FLAT, coords * signs, periodic=())
+    alpha = half_plane_form()
+    assert_jet_block(pullback_jet(flat.at(block), alpha), [pullback_jet(flat.at(p), alpha) for p in points])
+
+
+@block_settings
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_block_integrability_residual_matches_points(seed, count):
+    rng = np.random.default_rng(seed)
+    geometry = models.SurgeryGeometry()
+    window = (1.0, 1.6)
+    _, h = models.b_extension_and_h(geometry, window)
+    tube = np.vstack([rng.uniform(0.9, 1.8, count), rng.uniform(0, 1, (3, count))])
+    cases = [
+        (models.local_model_spinor(), None, models.CHART_CPLANE, rng.uniform(-1, 1, (4, count)), ()),
+        (models.polar_spinor_field(), None, models.CHART_ANNULUS, annulus_coords(rng, count, 0.05),
+         models.ANGLES),
+        (models.glued_spinor_field(geometry, window), h, models.CHART_TUBE, tube, models.ANGLES),
+    ]
+    for rho, h_field, chart, coords, periodic in cases:
+        block, points = block_point(chart, coords, periodic)
+        wit = integrability_residual(rho, h_field, block)
+        per = [integrability_residual(rho, h_field, p) for p in points]
+        assert_stacked(wit.residual, [w.residual for w in per])
+        assert_stacked(wit.v, [w.v.as_array() for w in per])
+
+
+def test_block_with_one_point_outside_the_domain_raises():
+    coords = annulus_coords(np.random.default_rng(5), 7)
+    coords[0, 4] = 0.5  # below the gluing map's 1/sqrt(e)
+    block, _ = block_point(models.CHART_ANNULUS, coords)
+    with pytest.raises(ValueError, match=r"point \(0\.5, .*outside the domain"):
+        models.gluing_map().at(block)
+    coords[0, 4] = 0.01  # below the annulus model's r_min
+    block, _ = block_point(models.CHART_ANNULUS, coords)
+    with pytest.raises(ValueError, match="annulus model requires radius >= 0.05, got 0.01"):
+        models.polar_spinor_field()(block)

@@ -268,3 +268,98 @@ def test_bump_negative_radius_raises_every_call():
     for _ in range(3):
         with pytest.raises(ValueError, match="radius"):
             profile.evaluate(-0.25)
+
+
+# -- a block of N points against the same points one at a time ------------
+#
+# Elements come from a numpy generator seeded by hypothesis: a block of
+# several jets drawn element by element would trip hypothesis' example-size
+# health check.
+
+
+def random_parts(rng, shape, n=N):
+    def c(*s):
+        return rng.normal(size=s) + 1j * rng.normal(size=s)
+
+    u, v = c(*shape, n, 1), c(*shape, n, 1)
+    return c(*shape), c(*shape, n), u * v.swapaxes(-1, -2) + v * u.swapaxes(-1, -2)
+
+
+def block_of(jets):
+    """Stack per-point jets of one type into a jet of the block (sample axis after the components)."""
+    first = jets[0]
+    axis = np.ndim(first.values)
+    parts = (np.stack([j.values for j in jets], axis), np.stack([j.grads for j in jets], axis))
+    hess = np.stack([j.hess for j in jets], axis)
+    return type(first)(first.dim, *parts, hess, first.order)
+
+
+def assert_block_matches(block, points):
+    stacked = block_of(points)
+    assert block.order == stacked.order
+    for level in ("values", "grads", "hess"):
+        got, ref = getattr(block, level), getattr(stacked, level)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0))
+
+
+blocks = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 2), st.integers(0, 2))
+
+
+@property_settings
+@given(blocks)
+def test_block_form_jet_ops_match_points(draw):
+    seed, count, order_a, order_b = draw
+    rng = np.random.default_rng(seed)
+    a = [FormJet(N, *random_parts(rng, (SIZE,)), order_a) for _ in range(count)]
+    b = [FormJet(N, *random_parts(rng, (SIZE,)), order_b) for _ in range(count)]
+    s = [Jet2(N, *random_parts(rng, ()), order_b) for _ in range(count)]
+    ba, bb, bs = block_of(a), block_of(b), block_of(s)
+    assert_block_matches(ba.wedge(bb), [x.wedge(y) for x, y in zip(a, b)])
+    assert_block_matches(ba.scale(bs), [x.scale(y) for x, y in zip(a, s)])
+    assert_block_matches(bs * ba + bb, [y * x + z for x, y, z in zip(a, s, b)])
+    if order_a:
+        assert_block_matches(ba.d(), [x.d() for x in a])
+    even = (DEGREE % 2 == 0) & (DEGREE > 0)
+    for x in a:
+        x.values[~even] = x.grads[~even] = x.hess[~even] = 0.0
+    assert_block_matches(block_of(a).exp_wedge(), [x.exp_wedge() for x in a])
+
+
+def test_block_jet2_functions_match_points():
+    rng = np.random.default_rng(7)
+    points = [Jet2(N, *random_parts(rng, ())) for _ in range(6)]
+    block = block_of(points)
+    for fn in (lambda j: j.exp(), lambda j: j.log(), lambda j: j.sqrt(), lambda j: j.sin_turn(),
+               lambda j: (1.0 / j) ** 3 - j.cos(), lambda j: j**0 + j):
+        assert_block_matches(fn(block), [fn(j) for j in points])
+
+
+def test_block_bump_profile_matches_radii_one_at_a_time():
+    # radii on and beside lo, hi and both 5e-3 guards of the flat profile
+    for profile in PROFILES:
+        lo, hi = profile.lo, profile.hi
+        width = hi - lo
+        edges = [lo, hi, lo + 5e-3 * width, hi - 5e-3 * width]
+        radii = {r + e for r in edges for e in (-1e-9, 0.0, 1e-9)} | {0.0, 0.5 * (lo + hi), hi + 1}
+        radii = np.array(sorted(radii))
+        block = profile.evaluate_block(radii)
+        for i, r in enumerate(radii):
+            one = BumpProfile.evaluate.__wrapped__(profile, float(r))
+            assert tuple(float(v[i]) for v in block) == one
+        jet = profile.jet(radii)
+        for i, r in enumerate(radii):
+            ref = profile.jet(float(r))
+            assert jet.values[i] == ref.values and np.array_equal(jet.grads[i], ref.grads)
+            assert np.array_equal(jet.hess[i], ref.hess)
+    with pytest.raises(ValueError, match="radius"):
+        PROFILES[0].evaluate_block(np.array([1.5, -0.25]))
+
+
+def test_order_past_a_jet_is_shared_and_read_only():
+    # levels past ``order`` are never materialized per jet, and cannot be written into
+    rng = np.random.default_rng(3)
+    a = FormJet(N, *random_parts(rng, (SIZE, 4)), order=1)
+    out = a.wedge(a)
+    assert out.order == 1 and not out.hess.any() and not out.hess.flags.writeable
+    assert (a + a).hess is out.hess

@@ -385,3 +385,88 @@ def test_check_plan_runs_window_rows_window_by_window():
         ("integrability_outer", None),
         ("h_sign_negative_control", None),
     ]
+
+
+# ------------------------------------------------ blocks of sample points
+
+
+def test_sign_control_records_the_threshold_its_verdict_reads():
+    rep = check_integrability("bump", samples=20, seed=42, flip_h_sign=True)
+    assert rep.params["tol"] == verify.SIGN_CONTROL_TOL == 1e-3
+    assert rep.passed == (rep.max_residual > rep.params["tol"])
+    # the check table's row runs it with that threshold too
+    cfg = SimpleNamespace(
+        target="surgery", seed=42, samples=20, tol=1e-9, tol_second=1e-8,
+        geometry=SurgeryGeometry(), windows=[(1.0, 2.0)], quotients=[],
+    )
+    (spec, suffix, extra), = [row for row in check_plan(cfg) if row[0].name == "h_sign_negative_control"]
+    assert spec.run(cfg, suffix, **extra).params["tol"] == 1e-3
+
+
+def per_point_annulus(rng, samples, r_lo, r_hi):
+    """The sampler's draws one point at a time: u, then three angles."""
+    pts = []
+    for _ in range(samples):
+        r = r_hi - (r_hi - r_lo) * rng.uniform(0.0, 1.0)
+        pts.append((r, *rng.uniform(0.0, 1.0, 3)))
+    return np.array(pts).T
+
+
+def test_block_samplers_draw_the_points_one_at_a_time_gives():
+    samples = 3 * verify.BLOCK + 5
+    ref = per_point_annulus(verify._rng(42, "quotient", extra=5), samples, 0.1, 1.0)
+    rng = verify._rng(42, "quotient", extra=5)
+    counts = [min(verify.BLOCK, samples - i) for i in range(0, samples, verify.BLOCK)]
+    blocks = [verify._sample_annulus(rng, count, 0.1, 1.0) for count in counts]
+    got = np.hstack([np.array(b.coords) for b in blocks])
+    assert np.array_equal(got, ref)  # bit for bit
+
+
+def test_block_runner_worst_point_is_the_per_point_argmax():
+    # the wrong-sign control has O(1) residuals that vary from point to point
+    from gcx.chart import FormField, integrability_residual
+
+    samples = 2 * verify.BLOCK + 7
+    rep = check_integrability("bump", samples=samples, seed=11, flip_h_sign=True)
+    rho, h, (chart, r_lo, r_hi), _ = verify._region_setup("bump", SurgeryGeometry(), None)
+    minus_h = FormField(CHART_TUBE, 4, lambda c: h.fn(c) * (-1.0))
+    coords = per_point_annulus(verify._rng(11, "h_sign_negative_control"), samples, r_lo, r_hi)
+    points = [ChartPoint(chart, tuple(c), ANGLES) for c in coords.T]
+    residuals = [integrability_residual(rho, minus_h, p).residual for p in points]
+    assert rep.max_residual == pytest.approx(max(residuals), rel=1e-12)
+    assert rep.worst_point == list(points[int(np.argmax(residuals))].coords)
+    assert len(set(np.round(residuals, 6))) > samples // 2  # no ties to hide a wrong index
+
+
+def test_quotient_check_memory_is_bounded_by_the_block():
+    import tracemalloc
+
+    sizes = (500, 2000)
+    for samples in sizes:  # tables and caches are built once per process, outside the measurement
+        check_quotient(LogModelParams(5, 2), samples=samples)
+    peaks = []
+    for samples in sizes:
+        tracemalloc.start()
+        try:
+            assert check_quotient(LogModelParams(5, 2), samples=samples).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.5 * 2**20
+    assert peaks[1] < 1.1 * peaks[0]
+
+
+def test_cli_exits_3_on_a_sampled_point_outside_a_map_domain(monkeypatch, tmp_path, capsys):
+    from gcx.cli import main
+
+    sample = verify._sample_annulus
+
+    def one_bad_point(rng, samples, r_lo, r_hi, chart=CHART_ANNULUS):
+        block = sample(rng, samples, r_lo, r_hi, chart)
+        return block.with_coords([np.r_[0.5, block.coords[0][1:]], *block.coords[1:]])
+
+    monkeypatch.setattr(verify, "_sample_annulus", one_bad_point)
+    code = main(["check", "surgery", "--samples", "10", "--output", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "outside the domain of map annulus->tube" in err and "Traceback" not in err
