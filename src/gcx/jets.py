@@ -81,9 +81,9 @@ class _Jet:
     def __init__(self, dim: int, values, grads=None, hess=None, order: int = 2):
         self.dim, self.values, self.order = dim, values, order
         if grads is None:
-            grads = (_zeros if order > 0 else _untrusted)(np.shape(values) + (dim,))
+            grads = (_zeros if order > 0 else _untrusted)(values.shape + (dim,))
         if hess is None:
-            hess = (_zeros if order > 1 else _untrusted)(np.shape(values) + (dim, dim))
+            hess = (_zeros if order > 1 else _untrusted)(values.shape + (dim, dim))
         self.grads, self.hess = grads, hess
 
     def _coerce(self, other) -> "_Jet":
@@ -168,7 +168,7 @@ class Jet2(_Jet):
     @classmethod
     def coordinate(cls, n: int, i: int, value) -> "Jet2":
         """The i-th coordinate function (1-based) evaluated at ``value`` (a number or a block)."""
-        g = _zeros(np.shape(value) + (n,))
+        g = _zeros(getattr(value, "shape", ()) + (n,))
         g[..., i - 1] = 1.0
         return cls(n, value, g)
 

@@ -154,7 +154,7 @@ class BumpProfile:
 
     def jet(self, rtilde, dim: int = 4) -> Jet2:
         """The cutoff as a jet in the tube coordinates (radius is coord 1), at one radius or a block."""
-        shape = np.shape(rtilde)
+        shape = getattr(rtilde, "shape", ())
         f, fp, fpp = self.evaluate_block(rtilde) if shape else self.evaluate(rtilde)
         grad = np.zeros(shape + (dim,), dtype=complex)
         grad[..., 0] = fp
