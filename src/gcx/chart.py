@@ -42,6 +42,11 @@ def _coordinate(c, periodic: bool):
     return c % 1.0 if periodic else c
 
 
+def anywhere(mask) -> bool:
+    """Whether a condition holds at a point, or at any point of a block."""
+    return bool(mask.any() if getattr(mask, "ndim", 0) else mask)
+
+
 @dataclass(frozen=True)
 class ChartPoint:
     """A point of a named chart, or a block of points; periodic coordinates are reduced to [0, 1)."""
@@ -83,7 +88,7 @@ class ChartMap:
 
     def _guard(self, coords: np.ndarray) -> None:
         inside = np.asarray(True if self.domain is None else self.domain(coords))
-        if not inside.all():
+        if anywhere(~inside):
             bad = tuple((coords if coords.ndim == 1 else coords[:, np.argmin(inside)]).tolist())
             raise ValueError(f"point {bad} outside the domain of map {self.source}->{self.target}")
 
@@ -176,7 +181,7 @@ class GcField(_Field):
 
     @classmethod
     def constant(cls, chart: str, v: GcVector) -> "GcField":
-        return cls(chart, v.dim, lambda coords: _Jet(v.dim, v.as_array()))
+        return cls(chart, v.dim, lambda c: _Jet(v.dim, np.multiply.outer(v.as_array(), np.ones_like(c[0]))))
 
     @classmethod
     def from_expressions(cls, chart: str, dim: int, vec_exprs: list, cov_exprs: list) -> "GcField":
@@ -209,7 +214,6 @@ def pullback_jet(at: MapJet, alpha: FormField) -> FormJet:
     """
     ajet = alpha(at.image)
     n = at.jac.shape[-1]
-
     # composed coefficient jets (exact to first order)
     comp = FormJet(n, ajet.values, (ajet.grads[..., None, :] @ at.jac)[..., 0, :], order=1)
 

@@ -156,7 +156,7 @@ def form_terms_to_jet(dim: int, terms: list, coords: np.ndarray) -> FormJet:
         mask = _indices_to_mask(dim, term["indices"])
         jet = evaluate(term["expr"], coords)
         coeffs[mask] = coeffs[mask] + jet if mask in coeffs else jet
-    out = FormJet.zero(dim)
+    out = FormJet.zero(dim, batch=np.shape(coords)[1:])
     for mask, jet in coeffs.items():
         out[mask] = jet
     return out
@@ -166,7 +166,7 @@ def gc_components_to_jet(dim: int, vec_exprs: list, cov_exprs: list, coords: np.
     """Assemble a generator jet of shape (2 dim,), vec then cov, from per-component expression nodes."""
     if len(vec_exprs) != dim or len(cov_exprs) != dim:
         raise ValueError(f"expected {dim} vec and cov expressions")
-    out = _Jet(dim, np.zeros(2 * dim, dtype=complex))
+    out = _Jet(dim, np.zeros((2 * dim,) + np.shape(coords)[1:], dtype=complex))
     for c, node in enumerate([*vec_exprs, *cov_exprs]):
         out[c] = evaluate(node, coords)
     return out

@@ -23,9 +23,9 @@ read-only zeros.
 
 ``FormJet.wedge`` and ``FormJet.d`` run as small dense matmuls over
 signed tables built once per dimension (``multilinear._tables``): the
-wedge table W[u, s, t] turns one factor into a 2^n x 2^n matrix per
-point, and d is one (2^n, 2^n n) matrix applied to the flattened
-partials.  A wedge of values alone scatters the disjoint pair products.
+wedge table W[u, s, t] places one factor's coefficients in a 2^n x 2^n
+matrix per point, and d is one (2^n, 2^n n) matrix applied to the
+flattened partials.  A wedge of values alone scatters pair products.
 """
 
 import functools
@@ -59,11 +59,16 @@ def _lifted(values) -> tuple:
     return values, values
 
 
-def _per_point(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-point matrices (N, S, S) of a block applied to the component axis of x, (S, N) or (S, N, k)."""
-    if x.ndim == 2:
-        return (mats @ x.T[..., None])[..., 0].T
-    return (mats @ x.swapaxes(0, 1)).swapaxes(0, 1)
+def _apply(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrices (..., S, S), one per point, applied to the component axis of x: (S, k) or (S, N, k)."""
+    return (mats @ x.swapaxes(0, -2)).swapaxes(0, -2)
+
+
+def _wedge_matrices(coeffs: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """L_a or R_b of the wedge table per column of coeffs, (S, *rest) -> (*reversed(rest), S, S)."""
+    size = len(coeffs)
+    signed = np.concatenate((_zeros((1,) + coeffs.shape[1:]), coeffs, -coeffs))
+    return signed.take(pick, 0).reshape((size, size) + coeffs.shape[1:]).T
 
 
 class _Jet:
@@ -161,14 +166,14 @@ class Jet2(_Jet):
             self.values, shape = value.astype(complex, copy=False), value.shape
         else:
             self.values, shape = complex(value), ()
-        self.grads = _zeros(shape + (n,)) if grad is None else np.asarray(grad, dtype=complex)
-        self.hess = _zeros(shape + (n, n)) if hess is None else np.asarray(hess, dtype=complex)
+        self.grads = np.zeros(shape + (n,), complex) if grad is None else np.asarray(grad, dtype=complex)
+        self.hess = np.zeros(shape + (n, n), complex) if hess is None else np.asarray(hess, dtype=complex)
         self.order = order
 
     @classmethod
     def coordinate(cls, n: int, i: int, value) -> "Jet2":
         """The i-th coordinate function (1-based) evaluated at ``value`` (a number or a block)."""
-        g = _zeros(getattr(value, "shape", ()) + (n,))
+        g = np.zeros(getattr(value, "shape", ()) + (n,), complex)
         g[..., i - 1] = 1.0
         return cls(n, value, g)
 
@@ -262,43 +267,31 @@ class FormJet(_Jet):
     def value(self) -> Multiform:
         return Multiform(self.dim, self.values)
 
-    def is_zero(self) -> bool:
-        return not (self.values.any() or self.grads.any() or self.hess.any())
-
     def scale(self, jet: Jet2) -> "FormJet":
         """Multiply by a scalar jet (product rule)."""
         return self._product(jet)
 
     def wedge(self, other: "FormJet") -> "FormJet":
-        """Product rule through the dense wedge table, as 2^n x 2^n matrices per point.
+        """Product rule through the signed wedge table, as 2^n x 2^n matrices per point.
 
         With L_a = a.W and R_b = W.b: values L_a b, grads L_a db + R_b da,
-        hess L_a d2b + R_b d2a + C + C^T with C[u, i, j] the sum over s, t
-        of W[u, s, t] d_i a_s d_j b_t.  At order 0 only the values are
-        formed, from the products of disjoint coefficient pairs.
+        hess L_a d2b + R_b d2a + C + C^T with C^T[u, j, i] = (R_{d_j b} d_i a)_u.
+        At order 0 only the values are formed, from the products of
+        disjoint coefficient pairs.
         """
         self._check(other)
         n, order = self.dim, min(self.order, other.order)
         if order < 1:
             return FormJet(n, wedge_coeffs(n, self.values, other.values), order=order)
-        size, t = 1 << n, _tables(n)
-        batch = self.values.shape[1:]
-        apply = _per_point if batch else np.matmul  # per point, the matrices meet x directly
-        square = batch + (size, size)
-        left = (self.values.T @ t.wedge_left).reshape(square)
-        right = (t.wedge_right @ other.values).T.reshape(square)
-        values = apply(left, other.values)
-        grads = apply(left, other.grads) + apply(right, self.grads)
+        t = _tables(n)
+        left, right = _wedge_matrices(self.values, t.wedge_left), _wedge_matrices(other.values, t.wedge_right)
+        values = _apply(left, other.values[..., None])[..., 0]
+        grads = _apply(left, other.grads) + _apply(right, self.grads)
         if order < 2:
             return FormJet(n, values, grads, order=order)
-        # C[u, ..., i, j] = sum_s d_i a_s M[u, s, ..., j] with M = W.db
-        if batch:  # [N, i, s] @ [u, N, s, j]
-            wdb = (t.wedge_right @ other.grads.reshape(size, -1)).reshape((size,) + other.grads.shape)
-            cross = self.grads.transpose(1, 2, 0) @ wdb.swapaxes(1, 2)
-        else:
-            cross = self.grads.T @ (t.wedge_right @ other.grads).reshape(size, size, n)
+        cross = _apply(_wedge_matrices(other.grads, t.wedge_right), self.grads)  # C^T
         flat = other.grads.shape[:-1] + (n * n,)
-        hess = apply(left, other.hess.reshape(flat)) + apply(right, self.hess.reshape(flat))
+        hess = _apply(left, other.hess.reshape(flat)) + _apply(right, self.hess.reshape(flat))
         hess = hess.reshape(cross.shape) + cross
         hess += cross.swapaxes(-1, -2)
         return FormJet(n, values, grads, hess, order)
@@ -314,8 +307,7 @@ class FormJet(_Jet):
         values = d_matrix @ self.grads.swapaxes(1, -1).reshape((rows,) + self.values.shape[1:])
         grads = None
         if self.order >= 2:
-            grads = d_matrix @ self.hess.swapaxes(1, -2).reshape(rows, -1)
-            grads = grads.reshape(self.grads.shape) if self.values.ndim > 1 else grads
+            grads = (d_matrix @ self.hess.swapaxes(1, -2).reshape(rows, -1)).reshape(self.grads.shape)
         return FormJet(n, values, grads, order=self.order - 1)
 
     def exp_wedge(self) -> "FormJet":

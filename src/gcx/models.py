@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gcx.chart import ChartMap, ChartPoint, FormField
+from gcx.chart import ChartMap, ChartPoint, FormField, anywhere
 from gcx.jets import FormJet, Jet2
 
 __all__ = [
@@ -101,6 +101,12 @@ class SurgeryGeometry:
             raise ValueError(f"unknown bump profile {self.profile!r}")
 
 
+def _memo_per_radius(method):
+    """A one-entry memo on the calls of ``method`` at one radius; arrays of radii run afresh."""
+    memo = functools.lru_cache(maxsize=1)(method)
+    return functools.wraps(method)(lambda self, r: method(self, r) if getattr(r, "ndim", 0) else memo(self, r))
+
+
 @dataclass(frozen=True)
 class BumpProfile:
     """A smooth decreasing cutoff: 1 on [0, lo], 0 on [hi, inf)."""
@@ -113,32 +119,34 @@ class BumpProfile:
         if not 1.0 <= self.lo < self.hi:
             raise ValueError(f"need 1 <= lo < hi, got window ({self.lo}, {self.hi})")
 
-    @functools.lru_cache(maxsize=1)
-    def evaluate(self, rtilde: float) -> tuple:
-        """(f, f', f'') at the given tube radius.
+    @_memo_per_radius
+    def evaluate(self, rtilde) -> tuple:
+        """(f, f', f'') at a tube radius, or three arrays of its shape at an array of radii.
 
-        Remembers its last (profile, radius) call: every repeat comes right
-        after the call it repeats (H's cross-check after Btilde, H after
-        the spinor at a point, the quadrature angles at a radius), so one
-        entry catches them all and more would only grow memory.
+        Remembers its last call at one radius: every repeat comes right after
+        the call it repeats (H's cross-check after Btilde, H after the spinor
+        at a point, the quadrature angles at a radius).
         """
-        return tuple(float(v[0]) for v in self.evaluate_block(np.array([rtilde], dtype=float)))
-
-    def evaluate_block(self, rtilde: np.ndarray) -> tuple:
-        """(f, f', f'') at an array of tube radii, each an array of the same shape."""
-        if (rtilde < 0).any():
-            raise ValueError(f"tube radius must be >= 0, got {rtilde.min()}")
-        width = self.hi - self.lo
-        x = (rtilde - self.lo) / width
+        x = (rtilde - self.lo) / (self.hi - self.lo)
         # outside the window the profile is exactly 1 or 0; the flat
         # profile's guards keep its underflowing tails exact and nan-free
         guard = 5e-3 if self.name == "flat" else 0.0
         low = (rtilde <= self.lo) | (x < guard)
-        inside = ~low & (rtilde < self.hi) & (x <= 1.0 - guard)
+        high = (rtilde >= self.hi) | (x > 1.0 - guard)
+        if not getattr(rtilde, "ndim", 0) and not rtilde < 0:  # one radius: no masks
+            return (float(low), 0.0, 0.0) if low or high else tuple(map(float, self._descent(x)))
+        if (np.asarray(rtilde) < 0).any():
+            raise ValueError(f"tube radius must be >= 0, got {np.min(rtilde)}")
+        inside = ~(low | high)
         out = [np.where(low, 1.0, 0.0), np.zeros(x.shape), np.zeros(x.shape)]
-        if not inside.any():
-            return tuple(out)
-        t = Jet2.coordinate(1, 1, x[inside])
+        if inside.any():
+            for level, v in zip(out, self._descent(x[inside])):
+                level[inside] = v
+        return tuple(out)
+
+    def _descent(self, x) -> tuple:
+        """(f, f', f'') inside the window, at x = (rtilde - lo) / (hi - lo), a number or an array."""
+        t = Jet2.coordinate(1, 1, x)
         if self.name == "flat":
             # all-orders-flat descent from exp(-1/t) ratios
             phi_t = (-1.0 / t).exp()
@@ -147,15 +155,13 @@ class BumpProfile:
         else:
             # C^2 polynomial descent 1 - (6t^5 - 15t^4 + 10t^3)
             s = 1.0 - (6.0 * t**5 - 15.0 * t**4 + 10.0 * t**3)
-        out[0][inside] = s.values.real
-        out[1][inside] = s.grads[..., 0].real / width
-        out[2][inside] = s.hess[..., 0, 0].real / width**2
-        return tuple(out)
+        width = self.hi - self.lo
+        return s.values.real, s.grads[..., 0].real / width, s.hess[..., 0, 0].real / width**2
 
     def jet(self, rtilde, dim: int = 4) -> Jet2:
         """The cutoff as a jet in the tube coordinates (radius is coord 1), at one radius or a block."""
         shape = getattr(rtilde, "shape", ())
-        f, fp, fpp = self.evaluate_block(rtilde) if shape else self.evaluate(rtilde)
+        f, fp, fpp = self.evaluate(rtilde)
         grad = np.zeros(shape + (dim,), dtype=complex)
         grad[..., 0] = fp
         hess = np.zeros(shape + (dim, dim), dtype=complex)
@@ -199,7 +205,7 @@ def _log_forms(chart: str, m: int, k: int, r_floor: float, what: str) -> tuple:
     """(B', omega') of the Z_m quotient model on a chart; m = 1, k = 0 is the annulus model."""
 
     def inv_r(coords: np.ndarray) -> Jet2:
-        if (coords[0] < r_floor).any():
+        if anywhere(coords[0] < r_floor):
             raise ValueError(f"{what} requires radius >= {r_floor}, got {np.min(coords[0])}")
         return 1.0 / Jet2.coordinate(4, 1, coords[0])
 
@@ -361,7 +367,7 @@ def b_extension_and_h(
     profile = bump_profile(geometry, window)
 
     def b_fn(coords: np.ndarray) -> FormJet:
-        if (coords[0] < geometry.r_min).any():
+        if anywhere(coords[0] < geometry.r_min):
             raise ValueError(f"tube extension requires radius >= {geometry.r_min}, got {np.min(coords[0])}")
         # (psi^{-1})^* B in tube coordinates: rt drt^dt2 - dt1^dt3
         core = FormJet.zero(4, batch=coords.shape[1:])
@@ -371,8 +377,7 @@ def b_extension_and_h(
 
     def h_fn(coords: np.ndarray) -> FormJet:
         jet = b_fn(coords).d()
-        r = coords[0]
-        fp = (profile.evaluate_block(r) if np.ndim(r) else profile.evaluate(r))[1]
+        fp = profile.evaluate(coords[0])[1]
         closed = np.zeros(jet.values.shape, dtype=complex)
         closed[_M124] = -fp
         if np.abs(jet.values - closed).max() > check_tol:

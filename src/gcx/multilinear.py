@@ -53,12 +53,11 @@ class _Tables:
     w_src1: np.ndarray      # the disjoint subset pairs (s, t) of the wedge
     w_src2: np.ndarray
     action: np.ndarray      # (2n, 2^n, 2^n); rows 0..n-1 interior, n..2n-1 wedge
-    # the wedge as a dense signed table W[u, s, t], laid out so that
-    # a @ wedge_left = L_a[u, t] = sum_s a_s W[u, s, t] and
-    # wedge_right @ b = R_b[u, s] = sum_t W[u, s, t] b_t (both flattened);
-    # complex, so that matmuls with complex jets cast nothing per call
-    wedge_left: np.ndarray  # (2^n, 4^n)
-    wedge_right: np.ndarray  # (4^n, 2^n)
+    # the wedge W[u, s, t], nonzero at u = s | t for the pairs above, as the
+    # entries of L_a[u, t] = sum_s a_s W[u, s, t] and R_b[u, s] = sum_t W[u, s, t] b_t:
+    # flat L_a^T and R_b^T index into [0, c, -c] for c = a and c = b
+    wedge_left: np.ndarray  # (4^n,)
+    wedge_right: np.ndarray  # (4^n,)
     wedge_scatter: np.ndarray  # (2^n, pairs): the pair's sign at [s | t, pair]
     d_matrix: np.ndarray    # (2^n, 2^n n); [u, s n + i] = action[n + i, u, s]
 
@@ -89,19 +88,21 @@ def _tables(n: int) -> _Tables:
             else:
                 action[n + i, s | bit, s] = sgn      # wedge by dx^{i+1}
 
-    dense = np.zeros((size, size, size), dtype=complex)
-    dense[dst, src1, src2] = sign
+    dst, src1, src2 = (np.array(v, dtype=np.int64) for v in (dst, src1, src2))
+    picks = [np.zeros(size * size, dtype=np.int64) for _ in range(2)]
+    for pick, src, other in zip(picks, (src1, src2), (src2, src1)):
+        pick[other * size + dst] = np.where(np.array(sign) > 0, 1, 1 + size) + src
     scatter = np.zeros((size, len(dst)), dtype=complex)
     scatter[dst, np.arange(len(dst))] = sign
 
     return _Tables(
         dim=n,
         degree=degree,
-        w_src1=np.array(src1, dtype=np.int64),
-        w_src2=np.array(src2, dtype=np.int64),
+        w_src1=src1,
+        w_src2=src2,
         action=action,
-        wedge_left=dense.transpose(1, 0, 2).reshape(size, size * size),
-        wedge_right=dense.reshape(size * size, size),
+        wedge_left=picks[0],
+        wedge_right=picks[1],
         wedge_scatter=scatter,
         d_matrix=action[n:].transpose(1, 2, 0).reshape(size, size * n).astype(complex),
     )

@@ -472,6 +472,21 @@ def test_block_map_jets_and_pullbacks_match_points(seed, count):
     assert_jet_block(pullback_jet(flat.at(block), alpha), [pullback_jet(flat.at(p), alpha) for p in points])
 
 
+def test_block_expression_and_constant_fields_match_points():
+    # JSON-built and constant fields carry the block axis, constant terms included
+    coords = np.random.default_rng(9).uniform(0.5, 1.5, (N, 5))
+    block, points = block_point(FLAT, coords, periodic=())
+    x1, x3 = ex.coord(1), ex.coord(3)
+    fields = [
+        form_field({(1, 3): ex.mul(x1, ex.sin(x3)), (): ex.const(2.0), (2, 4): ex.const(0.5)}),
+        gc_field(vec=[x1, ex.const(1.0), ex.power(x3, 2), ex.const(0.0)]),
+        FormField.constant(FLAT, Multiform.from_terms(N, {(1, 2): 1.0, (3,): -2.0})),
+        GcField.constant(FLAT, GcVector(N, np.arange(N, dtype=float), np.ones(N))),
+    ]
+    for field in fields:
+        assert_jet_block(field(block), [field(p) for p in points])
+
+
 @block_settings
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_block_integrability_residual_matches_points(seed, count):

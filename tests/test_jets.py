@@ -343,7 +343,7 @@ def test_block_bump_profile_matches_radii_one_at_a_time():
         edges = [lo, hi, lo + 5e-3 * width, hi - 5e-3 * width]
         radii = {r + e for r in edges for e in (-1e-9, 0.0, 1e-9)} | {0.0, 0.5 * (lo + hi), hi + 1}
         radii = np.array(sorted(radii))
-        block = profile.evaluate_block(radii)
+        block = profile.evaluate(radii)
         for i, r in enumerate(radii):
             one = BumpProfile.evaluate.__wrapped__(profile, float(r))
             assert tuple(float(v[i]) for v in block) == one
@@ -353,7 +353,7 @@ def test_block_bump_profile_matches_radii_one_at_a_time():
             assert jet.values[i] == ref.values and np.array_equal(jet.grads[i], ref.grads)
             assert np.array_equal(jet.hess[i], ref.hess)
     with pytest.raises(ValueError, match="radius"):
-        PROFILES[0].evaluate_block(np.array([1.5, -0.25]))
+        PROFILES[0].evaluate(np.array([1.5, -0.25]))
 
 
 def test_order_past_a_jet_is_shared_and_read_only():
