@@ -96,11 +96,16 @@ class ChartMap:
         """(y, J, H): image, Jacobian J[t, i], second derivative H[t, i, j].
 
         A block has coords and y (n, N), and one J and H per point: (N, n, n), (N, n, n, n).
+        An output that is a number, or a jet without the block axis, is constant over the block.
         """
         coords = np.asarray(coords, dtype=float)
         self._guard(coords)
         ins = [Jet2.coordinate(self.dim, i + 1, coords[i]) for i in range(self.dim)]
-        outs = self.jet_fn(ins)
+        batch = coords.shape[1:]
+        outs = [
+            o if isinstance(o, Jet2) and np.shape(o.values) == batch else Jet2(self.dim, np.zeros(batch)) + o
+            for o in self.jet_fn(ins)
+        ]
         if max(np.abs(np.imag(o.values)).max() for o in outs) > 1e-12:
             raise RuntimeError("chart map produced a non-real coordinate")
         y = np.array([o.values.real for o in outs])

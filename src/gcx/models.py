@@ -16,7 +16,6 @@ Every field here is a closed-form evaluator with exact second-order
 jets; r_min guards keep the log terms finite.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -101,12 +100,6 @@ class SurgeryGeometry:
             raise ValueError(f"unknown bump profile {self.profile!r}")
 
 
-def _memo_per_radius(method):
-    """A one-entry memo on the calls of ``method`` at one radius; arrays of radii run afresh."""
-    memo = functools.lru_cache(maxsize=1)(method)
-    return functools.wraps(method)(lambda self, r: method(self, r) if getattr(r, "ndim", 0) else memo(self, r))
-
-
 @dataclass(frozen=True)
 class BumpProfile:
     """A smooth decreasing cutoff: 1 on [0, lo], 0 on [hi, inf)."""
@@ -119,13 +112,12 @@ class BumpProfile:
         if not 1.0 <= self.lo < self.hi:
             raise ValueError(f"need 1 <= lo < hi, got window ({self.lo}, {self.hi})")
 
-    @_memo_per_radius
     def evaluate(self, rtilde) -> tuple:
         """(f, f', f'') at a tube radius, or three arrays of its shape at an array of radii.
 
-        Remembers its last call at one radius: every repeat comes right after
-        the call it repeats (H's cross-check after Btilde, H after the spinor
-        at a point, the quadrature angles at a radius).
+        One radius outside the window takes no descent and no masks.  A caller
+        that needs the triple twice (H and its closed-form cross-check) takes
+        both from one call.
         """
         x = (rtilde - self.lo) / (self.hi - self.lo)
         # outside the window the profile is exactly 1 or 0; the flat
@@ -366,26 +358,27 @@ def b_extension_and_h(
     """
     profile = bump_profile(geometry, window)
 
-    def b_fn(coords: np.ndarray) -> FormJet:
+    def btilde(coords: np.ndarray) -> tuple:
+        """Btilde's jet and the bump jet it scales."""
         if anywhere(coords[0] < geometry.r_min):
             raise ValueError(f"tube extension requires radius >= {geometry.r_min}, got {np.min(coords[0])}")
-        # (psi^{-1})^* B in tube coordinates: rt drt^dt2 - dt1^dt3
-        core = FormJet.zero(4, batch=coords.shape[1:])
-        core[_M13] = Jet2.coordinate(4, 1, coords[0])
-        core.values[_M24] = -1.0
-        return core.scale(profile.jet(coords[0]))
+        # f times (psi^{-1})^* B in tube coordinates: f (rt drt^dt2 - dt1^dt3)
+        bump, jet = profile.jet(coords[0]), FormJet.zero(4, batch=coords.shape[1:])
+        jet[_M13] = Jet2.coordinate(4, 1, coords[0]) * bump
+        jet[_M24] = -1.0 * bump
+        return jet, bump
 
     def h_fn(coords: np.ndarray) -> FormJet:
-        jet = b_fn(coords).d()
-        fp = profile.evaluate(coords[0])[1]
+        b, bump = btilde(coords)  # one bump evaluation for d(Btilde) and its closed form
+        jet = b.d()
         closed = np.zeros(jet.values.shape, dtype=complex)
-        closed[_M124] = -fp
+        closed[_M124] = -bump.grads[..., 0]
         if np.abs(jet.values - closed).max() > check_tol:
             raise RuntimeError("assembled d(Btilde) disagrees with its closed form")
         return jet
 
     return (
-        FormField(CHART_TUBE, 4, b_fn),
+        FormField(CHART_TUBE, 4, lambda coords: btilde(coords)[0]),
         FormField(CHART_TUBE, 4, h_fn),
     )
 

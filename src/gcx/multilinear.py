@@ -60,6 +60,7 @@ class _Tables:
     wedge_right: np.ndarray  # (4^n,)
     wedge_scatter: np.ndarray  # (2^n, pairs): the pair's sign at [s | t, pair]
     d_matrix: np.ndarray    # (2^n, 2^n n); [u, s n + i] = action[n + i, u, s]
+    action_rows: np.ndarray  # (2n 2^n, 2^n); [j 2^n + u, s] = action[j, u, s]
 
 
 @lru_cache(maxsize=None)
@@ -105,6 +106,7 @@ def _tables(n: int) -> _Tables:
         wedge_right=picks[1],
         wedge_scatter=scatter,
         d_matrix=action[n:].transpose(1, 2, 0).reshape(size, size * n).astype(complex),
+        action_rows=action.reshape(2 * n * size, size).astype(complex),
     )
 
 
@@ -386,8 +388,10 @@ def action_matrix(rho) -> np.ndarray:
     (2^n, N) of a block of N forms, which give N stacked matrices.
     """
     coeffs = rho.coeffs if isinstance(rho, Multiform) else rho
-    t = _tables(len(coeffs).bit_length() - 1)
-    return np.einsum("jab,b...->...aj", t.action, coeffs)
+    size = len(coeffs)
+    # one matmul, exact (the table holds 0 and +-1); the transposed view keeps the generator
+    # axis outermost in memory, which fixes the summation order of products with the matrices
+    return (_tables(size.bit_length() - 1).action_rows @ coeffs).reshape(-1, size, *coeffs.shape[1:]).T
 
 
 def pairing(u: GcVector, v: GcVector) -> complex:

@@ -6,10 +6,12 @@ worst (sup-norm) residual: the identities are pointwise claims, so the
 pass statistic is a max, never an average.  Sampling uses one PRNG
 stream per check (seed + fixed stream id), and points are drawn and
 evaluated in sample order, so reports are byte-identical for a given
-seed.  The symplectomorphism, integrability and quotient checks draw and
-evaluate their points BLOCK at a time, one numpy pass per block (a block
-is one ChartPoint with coordinate arrays), and keep only running
-maxima, so their memory does not grow with the sample count.
+seed.  Every sampled check but type_jump and locus draws and evaluates
+its points BLOCK at a time, one numpy pass per block (a block is one
+ChartPoint with coordinate arrays), and keeps only running maxima, so
+its memory does not grow with the sample count; polar_compatibility
+takes its normal forms point by point inside the block, and the H
+slice quadrature is one block per Gauss node.
 
 ``CHECKS`` is the table ``gcx check`` runs: one row per report with
 its stream id, target, sample cap, tolerance kind and runner.
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gcx import conventions
-from gcx.chart import ChartPoint, FormField, integrability_residual, pullback, pullback_jet
+from gcx.chart import ChartPoint, FormField, integrability_residual, pullback_jet
 from gcx.jets import FormJet, Jet2
 from gcx.models import (
     ANGLES,
@@ -46,7 +48,7 @@ from gcx.models import (
     quotient_spinor_field,
     tube_symplectic,
 )
-from gcx.multilinear import GcVector, action_matrix
+from gcx.multilinear import GcVector, Multiform, action_matrix
 from gcx.spinor import j_endomorphism, normal_form
 
 __all__ = [
@@ -247,11 +249,6 @@ def _sample_annulus(rng, samples, r_lo, r_hi, chart=CHART_ANNULUS) -> ChartPoint
     return ChartPoint(chart, tuple(coords), ANGLES)
 
 
-def _each(block: ChartPoint) -> list:
-    """The points of a block, one ChartPoint each."""
-    return [block.with_coords(c) for c in np.transpose(block.coords)]
-
-
 def _per_block(fn, draw, samples: int) -> tuple:
     """Each row's max and min over the samples, and the first point where row 0 is largest.
 
@@ -399,32 +396,31 @@ def check_h_properties(
     btilde, h = b_extension_and_h(geometry, window)
     rng = _rng(seed, "h_properties")
 
-    points = _each(_sample_annulus(rng, samples, geometry.r_min, hi + 0.5, chart=CHART_TUBE))
-    dh_residuals = [h(p).d().value().max_abs() for p in points]
-    max_dh, worst = _worst(points, dh_residuals)
+    def draw(r_lo, r_hi):
+        return lambda count: _sample_annulus(rng, count, r_lo, r_hi, chart=CHART_TUBE)
 
-    support_ok = True
-    inner = _each(_sample_annulus(rng, 50, geometry.r_min, lo, chart=CHART_TUBE))
-    outer = _each(_sample_annulus(rng, 50, hi, hi + 1.0, chart=CHART_TUBE))
-    for p in inner:
-        support_ok &= h(p).value().max_abs() == 0.0
-    for p in outer:
-        support_ok &= h(p).value().max_abs() == 0.0
-        support_ok &= btilde(p).value().max_abs() == 0.0
+    top, _, worst = _per_block(lambda p: _max_abs(h(p).d().values), draw(geometry.r_min, hi + 0.5), samples)
+    max_dh = float(top[0])
 
-    # product quadrature over the 3-cycle {t2 = const}, orientation dr^dt1^dt3
+    # H vanishes inside lo and outside hi, and so does Btilde outside hi: 50 points each, BLOCK at a time
+    inner, _, _ = _per_block(lambda p: _max_abs(h(p).values), draw(geometry.r_min, lo), 50)
+    outer, _, _ = _per_block(
+        lambda p: np.maximum(_max_abs(h(p).values), _max_abs(btilde(p).values)), draw(hi, hi + 1.0), 50
+    )
+    support_ok = inner[0] == 0.0 and outer[0] == 0.0
+
+    # product quadrature over the 3-cycle {t2 = const}, orientation dr^dt1^dt3:
+    # one block of the 16 angle pairs per Gauss node
     nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
     radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     ang = (np.arange(4) + 0.5) / 4.0
-    t2_const = 0.37
+    a1, a3 = np.repeat(ang, len(ang)), np.tile(ang, len(ang))
     integral = 0.0
     for r, w in zip(radii, weights):
-        acc = 0.0
-        for a1 in ang:
-            for a3 in ang:
-                p = ChartPoint(CHART_TUBE, (r, a1, t2_const, a3), ANGLES)
-                acc += h(p).value().coeffs[0b1011].real
-        integral += w * acc / len(ang) ** 2
+        grid = ChartPoint(CHART_TUBE, (np.full(len(a1), r), a1, np.full(len(a1), 0.37), a3), ANGLES)
+        # summed pair after pair, in the order of the points
+        acc = np.add.accumulate(h(grid).values[0b1011].real)[-1]
+        integral += w * acc / len(a1)
     integral *= 0.5 * (hi - lo)
     sign = int(np.sign(integral))
     integral_ok = abs(integral - conventions.H_SLICE_SIGN) <= 1e-6
@@ -538,15 +534,16 @@ def check_polar_compatibility(
     overlap = polar_overlap_map()
     b_field, w_field = local_model_polar(r_min)
     rng = _rng(seed, "polar_compatibility")
-    points = _each(_sample_annulus(rng, samples, max(r_min, 0.1), 1.0))
 
-    def worker(p):
-        nf = normal_form(pullback(overlap, rho, p))
-        expected = b_field(p).value() + 1j * w_field(p).value()
-        return (nf.b_plus_i_omega() - expected).max_abs()
+    def block(p):
+        pulled = pullback_jet(overlap.at(p), rho).values
+        expected = b_field(p).values + 1j * w_field(p).values
+        # the normal form is per point: one Multiform per column
+        found = np.transpose([normal_form(Multiform(4, c)).b_plus_i_omega().coeffs for c in pulled.T])
+        return _max_abs(found - expected)
 
-    residuals = [worker(p) for p in points]
-    max_res, worst = _worst(points, residuals)
+    top, _, worst = _per_block(block, lambda count: _sample_annulus(rng, count, max(r_min, 0.1), 1.0), samples)
+    max_res = float(top[0])
     notes = [conventions.NOTE_POLAR_OVERLAP]
     passed = max_res <= tol
     return _report("polar_compatibility", seed, samples, tol, max_res, worst, passed, notes, r_min=r_min)

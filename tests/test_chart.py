@@ -472,6 +472,18 @@ def test_block_map_jets_and_pullbacks_match_points(seed, count):
     assert_jet_block(pullback_jet(flat.at(block), alpha), [pullback_jet(flat.at(p), alpha) for p in points])
 
 
+def test_block_map_with_constant_outputs_matches_points():
+    # outputs without the block axis (a number, a jet built from one) are constant over the block
+    coords = annulus_coords(np.random.default_rng(3), 5)
+    phi = ChartMap(FLAT, FLAT, N, lambda ins: [ins[0], 0.5 * Jet2(N, 1.0), 2.0, ins[1] * ins[3]])
+    y, jac, hess = phi.jets(coords)
+    per = [phi.jets(c) for c in coords.T]
+    assert_stacked(y, [p[0] for p in per])
+    assert_stacked(jac, [p[1] for p in per], axis=0)
+    assert_stacked(hess, [p[2] for p in per], axis=0)
+    assert np.array_equal(y[1:3], [[0.5] * 5, [2.0] * 5]) and not jac[:, 1:3].any()
+
+
 def test_block_expression_and_constant_fields_match_points():
     # JSON-built and constant fields carry the block axis, constant terms included
     coords = np.random.default_rng(9).uniform(0.5, 1.5, (N, 5))

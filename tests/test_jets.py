@@ -243,7 +243,7 @@ def test_order_one_product_keeps_values_and_grads(f, a):
         assert not low.hess.any()
 
 
-# -- the one-entry memo on BumpProfile.evaluate ----------------------------
+# -- BumpProfile.evaluate at one radius --------------------------------------
 
 PROFILES = (
     BumpProfile("flat", 1.0, 2.0),
@@ -255,10 +255,11 @@ PROFILES = (
 @property_settings
 @given(st.lists(st.tuples(st.integers(0, 2), st.floats(1.55, 1.95)), min_size=2, max_size=12))
 def test_bump_memo_returns_each_profiles_own_values(calls):
-    # alternating profiles at one radius must never see each other's triple
+    # alternating profiles at one radius must never see each other's triple;
+    # each one-radius triple is its profile's array path at that radius
     for k, r in calls:
         for profile in (PROFILES[k], PROFILES[(k + 1) % 3]):
-            assert profile.evaluate(r) == BumpProfile.evaluate.__wrapped__(profile, r)
+            assert profile.evaluate(r) == tuple(float(v[0]) for v in profile.evaluate(np.array([r])))
         assert PROFILES[k].evaluate(r) != PROFILES[(k + 1) % 3].evaluate(r)
 
 
@@ -345,7 +346,7 @@ def test_block_bump_profile_matches_radii_one_at_a_time():
         radii = np.array(sorted(radii))
         block = profile.evaluate(radii)
         for i, r in enumerate(radii):
-            one = BumpProfile.evaluate.__wrapped__(profile, float(r))
+            one = profile.evaluate(float(r))
             assert tuple(float(v[i]) for v in block) == one
         jet = profile.jet(radii)
         for i, r in enumerate(radii):

@@ -456,6 +456,79 @@ def test_quotient_check_memory_is_bounded_by_the_block():
     assert peaks[1] < 1.1 * peaks[0]
 
 
+@pytest.mark.parametrize("run", [check_h_properties, check_polar_compatibility])
+def test_h_and_polar_check_memory_is_bounded_by_the_block(run):
+    import tracemalloc
+
+    sizes = (500, 2000)
+    run(samples=verify.BLOCK + 4)  # tables and caches (full and 4-point blocks), outside the measurement
+    peaks = []
+    for samples in sizes:
+        tracemalloc.start()
+        try:
+            assert run(samples=samples).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
+    if run is check_h_properties:  # the 16-point quadrature blocks stay within the bump check's peak
+        check_integrability("bump", samples=sizes[0])
+        tracemalloc.start()
+        try:
+            check_integrability("bump", samples=sizes[0])
+            assert peaks[0] <= tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_polar_compatibility_worst_point_is_the_per_point_argmax(monkeypatch):
+    # the turn-angle overlap gives O(1) residuals, many of them 2 pi - 1 up to round-off
+    from gcx.models import polar_overlap_map
+    from gcx.spinor import normal_form
+
+    turn = polar_overlap_map(angle_scale=2 * math.pi)
+    monkeypatch.setattr(verify, "polar_overlap_map", lambda: turn)
+    samples = 2 * verify.BLOCK + 7
+    rep = check_polar_compatibility(samples=samples, seed=11)
+    rho, (b_field, w_field) = local_model_spinor(), local_model_polar()
+    coords = per_point_annulus(verify._rng(11, "polar_compatibility"), samples, 0.1, 1.0)
+    points = [ChartPoint(CHART_ANNULUS, tuple(c), ANGLES) for c in coords.T]
+    residuals = [
+        (normal_form(pullback(turn, rho, p)).b_plus_i_omega() - (b_field(p).value() + 1j * w_field(p).value()))
+        .max_abs()
+        for p in points
+    ]
+    assert not rep.passed
+    assert rep.max_residual == pytest.approx(max(residuals), rel=1e-12)
+    assert rep.worst_point == list(points[int(np.argmax(residuals))].coords)
+    second, first = sorted(residuals)[-2:]
+    assert first > second + 1e-3  # the largest is not tied, so its index is the one to find
+
+
+def test_h_properties_fails_when_h_leaks_outside_the_window(monkeypatch):
+    # negative control for the support check: a constant dr^dt1^dt3 term past hi
+    # leaves d(H) and the slice integral over [lo, hi] as they were
+    from gcx.chart import FormField
+    from gcx.models import b_extension_and_h
+
+    def leaky(geometry, window=None):
+        btilde, h = b_extension_and_h(geometry, window)
+
+        def fn(coords):
+            jet = h.fn(coords)
+            jet.values[0b1011] += 1e-3 * (coords[0] > 2.0)
+            return jet
+
+        return btilde, FormField(CHART_TUBE, 4, fn)
+
+    assert "support confined to window [1.0, 2.0]: True" in check_h_properties(samples=20).notes
+    monkeypatch.setattr(verify, "b_extension_and_h", leaky)
+    rep = check_h_properties(samples=20)
+    assert "support confined to window [1.0, 2.0]: False" in rep.notes
+    assert rep.max_residual == 0.0 and "(sign +1)" in rep.notes[0]
+    assert not rep.passed
+
+
 def test_cli_exits_3_on_a_sampled_point_outside_a_map_domain(monkeypatch, tmp_path, capsys):
     from gcx.cli import main
 
