@@ -284,9 +284,7 @@ def courant_bracket(
     return GcVector(n, vec=lie_xy, cov=cov)
 
 
-def integrability_residual(
-    rho: FormField, h: Optional[FormField], p: ChartPoint, zero_tol: float = 1e-12
-) -> IntegrabilityWitness:
+def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint) -> IntegrabilityWitness:
     """Least-squares minimizer of |d rho + H ^ rho - v . rho| over v.
 
     A residual at round-off level certifies pointwise integrability of
@@ -295,7 +293,7 @@ def integrability_residual(
     """
     jet = rho(p)
     val = jet.values
-    if (np.abs(val).max(axis=0) <= zero_tol).any():
+    if (np.abs(val).max(axis=0) <= 1e-12).any():
         raise ValueError("spinor vanishes here; evaluate off the zero locus")
     target = jet.d().values
     if h is not None:

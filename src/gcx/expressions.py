@@ -16,6 +16,7 @@ JSON encoding, one key per node:
     {"exp": node} | {"log": node} | {"sin": node} | {"cos": node}
 """
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -38,11 +39,13 @@ __all__ = [
     "random_polynomial",
 ]
 
+TWO_PI = 2.0 * math.pi
+
 _UNARY = {
     "exp": lambda j: j.exp(),
     "log": lambda j: j.log(),
-    "sin": lambda j: j.sin_turn(),
-    "cos": lambda j: j.cos_turn(),
+    "sin": lambda j: (TWO_PI * j).sin(),
+    "cos": lambda j: (TWO_PI * j).cos(),
 }
 
 

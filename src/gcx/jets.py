@@ -29,15 +29,12 @@ flattened partials.  A wedge of values alone scatters pair products.
 """
 
 import functools
-import math
 
 import numpy as np
 
 from gcx.multilinear import Multiform, _exp_wedge_series, _tables, wedge_coeffs
 
 __all__ = ["Jet2", "FormJet"]
-
-TWO_PI = 2.0 * math.pi
 
 
 def _zeros(shape) -> np.ndarray:
@@ -225,16 +222,6 @@ class Jet2(_Jet):
     def cos(self) -> "Jet2":
         v = self.values
         return self._chain(np.cos(v), -np.sin(v), -np.cos(v))
-
-    def sin_turn(self) -> "Jet2":
-        """sin(2*pi*x): sine with unit period."""
-        a = TWO_PI * self.values
-        return self._chain(np.sin(a), TWO_PI * np.cos(a), -TWO_PI**2 * np.sin(a))
-
-    def cos_turn(self) -> "Jet2":
-        """cos(2*pi*x): cosine with unit period."""
-        a = TWO_PI * self.values
-        return self._chain(np.cos(a), -TWO_PI * np.sin(a), -TWO_PI**2 * np.cos(a))
 
 
 class FormJet(_Jet):

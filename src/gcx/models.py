@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gcx.chart import ChartMap, ChartPoint, FormField, anywhere
+from gcx.chart import ChartMap, FormField, anywhere
 from gcx.jets import FormJet, Jet2
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "polar_spinor_field",
     "log_model",
     "quotient_spinor_field",
-    "deck_action",
     "deck_action_map",
     "quotient_map",
     "tube_symplectic",
@@ -55,13 +54,15 @@ CHART_TUBE = "tube"
 
 ANGLES = (False, True, True, True)
 
-# masks for coordinate pairs, coords ordered 1..4
+# masks of basis monomials, coords ordered 1..4
 _M12 = 0b0011
 _M13 = 0b0101
 _M14 = 0b1001
 _M23 = 0b0110
 _M24 = 0b1010
 _M124 = 0b1011
+
+_R_LOW = 1.0 / math.sqrt(math.e)  # inner radius of the gluing annulus, where psi reaches rt = 0
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class SurgeryGeometry:
     def __post_init__(self):
         if self.r_min <= 0:
             raise ValueError(f"r_min must be positive, got {self.r_min}")
-        if not 1.0 / math.sqrt(math.e) < 1.0 < self.r_out:
+        if not _R_LOW < 1.0 < self.r_out:
             raise ValueError(f"need 1/sqrt(e) < 1 < r_out, got r_out = {self.r_out}")
         if self.profile not in ("flat", "poly"):
             raise ValueError(f"unknown bump profile {self.profile!r}")
@@ -113,23 +114,20 @@ class BumpProfile:
             raise ValueError(f"need 1 <= lo < hi, got window ({self.lo}, {self.hi})")
 
     def evaluate(self, rtilde) -> tuple:
-        """(f, f', f'') at a tube radius, or three arrays of its shape at an array of radii.
+        """(f, f', f'') as three arrays of the shape of rtilde: 0-d at one radius.
 
-        One radius outside the window takes no descent and no masks.  A caller
-        that needs the triple twice (H and its closed-form cross-check) takes
-        both from one call.
+        A caller that needs the triple twice (H and its closed-form
+        cross-check) takes both from one call.
         """
-        x = (rtilde - self.lo) / (self.hi - self.lo)
+        r = np.asarray(rtilde, dtype=float)
+        if (r < 0).any():
+            raise ValueError(f"tube radius must be >= 0, got {np.min(r)}")
+        x = (r - self.lo) / (self.hi - self.lo)
         # outside the window the profile is exactly 1 or 0; the flat
         # profile's guards keep its underflowing tails exact and nan-free
         guard = 5e-3 if self.name == "flat" else 0.0
-        low = (rtilde <= self.lo) | (x < guard)
-        high = (rtilde >= self.hi) | (x > 1.0 - guard)
-        if not getattr(rtilde, "ndim", 0) and not rtilde < 0:  # one radius: no masks
-            return (float(low), 0.0, 0.0) if low or high else tuple(map(float, self._descent(x)))
-        if (np.asarray(rtilde) < 0).any():
-            raise ValueError(f"tube radius must be >= 0, got {np.min(rtilde)}")
-        inside = ~(low | high)
+        low = (r <= self.lo) | (x < guard)
+        inside = ~(low | (r >= self.hi) | (x > 1.0 - guard))
         out = [np.where(low, 1.0, 0.0), np.zeros(x.shape), np.zeros(x.shape)]
         if inside.any():
             for level, v in zip(out, self._descent(x[inside])):
@@ -137,7 +135,7 @@ class BumpProfile:
         return tuple(out)
 
     def _descent(self, x) -> tuple:
-        """(f, f', f'') inside the window, at x = (rtilde - lo) / (hi - lo), a number or an array."""
+        """(f, f', f'') inside the window, at an array of x = (rtilde - lo) / (hi - lo)."""
         t = Jet2.coordinate(1, 1, x)
         if self.name == "flat":
             # all-orders-flat descent from exp(-1/t) ratios
@@ -150,15 +148,14 @@ class BumpProfile:
         width = self.hi - self.lo
         return s.values.real, s.grads[..., 0].real / width, s.hess[..., 0, 0].real / width**2
 
-    def jet(self, rtilde, dim: int = 4) -> Jet2:
+    def jet(self, rtilde) -> Jet2:
         """The cutoff as a jet in the tube coordinates (radius is coord 1), at one radius or a block."""
-        shape = getattr(rtilde, "shape", ())
         f, fp, fpp = self.evaluate(rtilde)
-        grad = np.zeros(shape + (dim,), dtype=complex)
+        grad = np.zeros(f.shape + (4,), dtype=complex)
         grad[..., 0] = fp
-        hess = np.zeros(shape + (dim, dim), dtype=complex)
+        hess = np.zeros(f.shape + (4, 4), dtype=complex)
         hess[..., 0, 0] = fpp
-        return Jet2(dim, f, grad, hess)
+        return Jet2(4, f, grad, hess)
 
 
 def bump_profile(geometry: SurgeryGeometry, window: tuple | None = None) -> BumpProfile:
@@ -238,13 +235,8 @@ def polar_spinor_field(r_min: float = 0.05) -> FormField:
     return _exp_field(CHART_ANNULUS, *local_model_polar(r_min))
 
 
-def deck_action(params: LogModelParams, p: ChartPoint) -> ChartPoint:
-    """The free Z_m generator (r, t1, t2, t3) -> (r, t1 + 1/m, t2 + k/m, t3)."""
-    r, t1, t2, t3 = p.coords
-    return ChartPoint(p.chart, (r, t1 + 1.0 / params.m, t2 + params.k / params.m, t3), ANGLES)
-
-
 def deck_action_map(params: LogModelParams) -> ChartMap:
+    """The free Z_m generator (r, t1, t2, t3) -> (r, t1 + 1/m, t2 + k/m, t3)."""
     m, k = params.m, params.k
 
     def fn(ins):
@@ -299,14 +291,12 @@ def tube_symplectic() -> FormField:
     return FormField(CHART_TUBE, 4, fn)
 
 
-_R_LOW = 1.0 / math.sqrt(math.e)
-
-
-def gluing_map(slack: float = 1e-12) -> ChartMap:
+def gluing_map() -> ChartMap:
     """The annulus -> tube symplectomorphism.
 
     (r, t1, t2, t3) -> (sqrt(log(e r^2)), t3, t2, -t1) on the annulus
-    1/sqrt(e) < r <= 1; its inverse is r = exp((rt^2 - 1)/2) on 0 < rt <= 1.
+    1/sqrt(e) < r <= 1 (with 1e-12 slack at r = 1); its inverse is
+    r = exp((rt^2 - 1)/2) on 0 < rt <= 1.
     """
 
     def fwd(ins):
@@ -320,11 +310,11 @@ def gluing_map(slack: float = 1e-12) -> ChartMap:
         4,
         fwd,
         target_periodic=ANGLES,
-        domain=lambda c: (_R_LOW < c[0]) & (c[0] <= 1.0 + slack),
+        domain=lambda c: (_R_LOW < c[0]) & (c[0] <= 1.0 + 1e-12),
     )
 
 
-def polar_overlap_map(angle_scale: float = 1.0, r_min: float = 0.0) -> ChartMap:
+def polar_overlap_map(angle_scale: float = 1.0) -> ChartMap:
     """The annulus -> cplane overlap z1 = r exp(i*angle_scale*theta1), z2 = t2 + i t3.
 
     angle_scale = 1 identifies the chart angle with the radian polar
@@ -343,18 +333,16 @@ def polar_overlap_map(angle_scale: float = 1.0, r_min: float = 0.0) -> ChartMap:
         CHART_CPLANE,
         4,
         fn,
-        domain=lambda c: c[0] >= r_min,
+        domain=lambda c: c[0] >= 0.0,
     )
 
 
-def b_extension_and_h(
-    geometry: SurgeryGeometry, window: tuple | None = None, check_tol: float = 1e-10
-) -> tuple:
+def b_extension_and_h(geometry: SurgeryGeometry, window: tuple | None = None) -> tuple:
     """(Btilde, H) on the tube chart.
 
     Btilde = f(rt) * (rt drt^dt2 - dt1^dt3) with f the selected bump;
     H is the assembled d(Btilde), cross-checked against the closed form
-    -f'(rt) drt^dt1^dt3 at every evaluation.
+    -f'(rt) drt^dt1^dt3 at every evaluation (to 1e-10).
     """
     profile = bump_profile(geometry, window)
 
@@ -373,7 +361,7 @@ def b_extension_and_h(
         jet = b.d()
         closed = np.zeros(jet.values.shape, dtype=complex)
         closed[_M124] = -bump.grads[..., 0]
-        if np.abs(jet.values - closed).max() > check_tol:
+        if np.abs(jet.values - closed).max() > 1e-10:
             raise RuntimeError("assembled d(Btilde) disagrees with its closed form")
         return jet
 

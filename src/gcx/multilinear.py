@@ -202,13 +202,11 @@ class Multiform:
         return Multiform(self.dim, wedge_coeffs(self.dim, self.coeffs, other.coeffs))
 
     def interior(self, vec) -> "Multiform":
-        """Contraction with a tangent vector given as n complex components."""
+        """Contraction with a tangent vector given as n complex components: the Clifford action of X + 0."""
         v = np.asarray(vec, dtype=complex)
         if v.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} vector components, got {v.shape}")
-        t = _tables(self.dim)
-        mat = np.tensordot(v, t.action[: self.dim], axes=1)
-        return Multiform(self.dim, mat @ self.coeffs)
+        return Multiform(self.dim, action_matrix(self)[:, : self.dim] @ v)
 
     def conjugate(self) -> "Multiform":
         return Multiform(self.dim, np.conj(self.coeffs))
@@ -237,9 +235,6 @@ class Multiform:
 
     def max_abs(self) -> float:
         return float(np.abs(self.coeffs).max())
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
 
     def is_real(self, tol: float = 1e-12) -> bool:
         return float(np.abs(self.coeffs.imag).max()) <= tol

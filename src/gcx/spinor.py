@@ -4,8 +4,9 @@ A mixed form rho is pure when the space of generators annihilating it
 under the Clifford action is maximal isotropic (dimension n).  Pure
 spinors factor as exp(B + i*omega) ^ Omega with B, omega real 2-forms
 and Omega decomposable of degree k (the type).  This module computes
-annihilators, that factorization, the nondegeneracy test, B-field
-transforms, and the induced complex structure on T + T*.
+annihilators (the (2n, k) kernel matrix of the Clifford action, kept as
+``AnnihilatorBasis.matrix``), that factorization, the nondegeneracy
+test, B-field transforms, and the induced complex structure on T + T*.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +19,6 @@ from gcx.multilinear import (
     action_matrix,
     clifford,
     exp_wedge,
-    pairing,
     pairing_gram,
     wedge_coeffs,
 )
@@ -40,30 +40,24 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnihilatorBasis:
-    """Basis of the space of generators annihilating a spinor."""
+    """Basis of the space of generators annihilating a spinor: the columns of a (2n, k) matrix."""
 
     dim: int
-    vectors: tuple
+    matrix: np.ndarray
     tol: float
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self.matrix.shape[1]
 
-    def matrix(self) -> np.ndarray:
-        """(2n, k) column stack of the basis vectors."""
-        if not self.vectors:
-            return np.zeros((2 * self.dim, 0), dtype=complex)
-        return np.column_stack([v.as_array() for v in self.vectors])
+    @property
+    def vectors(self) -> tuple:
+        return tuple(GcVector.from_array(self.dim, col) for col in self.matrix.T)
 
     def max_pairing(self) -> float:
-        """Largest |<u, v>| over basis pairs; ~0 certifies isotropy."""
-        worst = 0.0
-        for i, u in enumerate(self.vectors):
-            for v in self.vectors[i:]:
-                worst = max(worst, abs(pairing(u, v)))
-        return worst
+        """Largest |<u, v>| over basis pairs, max |P^T G P|; ~0 certifies isotropy."""
+        return float(np.abs(self.matrix.T @ pairing_gram(self.dim) @ self.matrix).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -111,14 +105,14 @@ class GcEndomorphism:
 
     __slots__ = ("dim", "matrix")
 
-    def __init__(self, dim: int, matrix, tol: float = 1e-8):
+    def __init__(self, dim: int, matrix):
         mat = np.array(matrix, dtype=float)
         if mat.shape != (2 * dim, 2 * dim):
             raise ValueError(f"expected {2 * dim}x{2 * dim} matrix, got {mat.shape}")
-        if np.abs(mat @ mat + np.eye(2 * dim)).max() > tol:
+        if np.abs(mat @ mat + np.eye(2 * dim)).max() > 1e-8:
             raise ValueError("matrix does not square to -identity")
         g = pairing_gram(dim)
-        if np.abs(mat.T @ g @ mat - g).max() > tol:
+        if np.abs(mat.T @ g @ mat - g).max() > 1e-8:
             raise ValueError("matrix does not preserve the pairing")
         mat.setflags(write=False)
         object.__setattr__(self, "dim", dim)
@@ -140,9 +134,9 @@ def annihilator(rho: Multiform, tol: float = DEFAULT_TOL) -> AnnihilatorBasis:
     _, svals, vh = np.linalg.svd(mat)
     cutoff = tol * svals[0] if svals.size and svals[0] > 0 else tol
     rank = int(np.sum(svals > cutoff))
-    null_rows = vh[rank:].conj()
-    vectors = tuple(GcVector.from_array(rho.dim, row) for row in null_rows)
-    return AnnihilatorBasis(dim=rho.dim, vectors=vectors, tol=tol)
+    kernel = vh[rank:].conj().T
+    kernel.setflags(write=False)
+    return AnnihilatorBasis(dim=rho.dim, matrix=kernel, tol=tol)
 
 
 def is_pure(rho: Multiform, tol: float = DEFAULT_TOL) -> bool:
@@ -151,7 +145,7 @@ def is_pure(rho: Multiform, tol: float = DEFAULT_TOL) -> bool:
     if len(ann) != rho.dim:
         return False
     # cross-check: a maximal annihilator must be isotropic
-    scale = max(1.0, max(v.norm() for v in ann.vectors) ** 2)
+    scale = max(1.0, np.linalg.norm(ann.matrix, axis=0).max() ** 2)
     if ann.max_pairing() > 1e3 * tol * scale:
         raise RuntimeError("maximal annihilator failed the isotropy cross-check")
     return True
@@ -302,7 +296,7 @@ def j_endomorphism(rho: Multiform, tol: float = DEFAULT_TOL) -> GcEndomorphism:
     ann = annihilator(rho, tol)
     if len(ann) != rho.dim:
         raise ValueError(f"spinor is not pure (annihilator dimension {len(ann)})")
-    p = ann.matrix()
+    p = ann.matrix
     s = np.hstack([p, np.conj(p)])
     svals = np.linalg.svd(s, compute_uv=False)
     if svals[-1] <= tol * svals[0]:

@@ -27,6 +27,9 @@ from gcx import conventions
 from gcx.chart import ChartPoint, FormField, integrability_residual, pullback_jet
 from gcx.jets import FormJet, Jet2
 from gcx.models import (
+    _M13,
+    _M124,
+    _R_LOW,
     ANGLES,
     CHART_ANNULUS,
     CHART_CPLANE,
@@ -35,7 +38,6 @@ from gcx.models import (
     SurgeryGeometry,
     b_extension_and_h,
     bump_profile,
-    deck_action,
     deck_action_map,
     gluing_map,
     glued_spinor_field,
@@ -283,7 +285,7 @@ def check_symplectomorphism(
     """Pullback of the tube form through the gluing map equals the annulus form."""
     geometry = geometry or SurgeryGeometry()
     rng = _rng(seed, "symplectomorphism")
-    r_lo = max(1.0 / math.sqrt(math.e), geometry.r_min) + 1e-9
+    r_lo = max(_R_LOW, geometry.r_min) + 1e-9
     psi, sigma, omega = gluing_map(), tube_symplectic(), local_model_polar(geometry.r_min)[1]
 
     def block(p):
@@ -419,7 +421,7 @@ def check_h_properties(
     for r, w in zip(radii, weights):
         grid = ChartPoint(CHART_TUBE, (np.full(len(a1), r), a1, np.full(len(a1), 0.37), a3), ANGLES)
         # summed pair after pair, in the order of the points
-        acc = np.add.accumulate(h(grid).values[0b1011].real)[-1]
+        acc = np.add.accumulate(h(grid).values[_M124].real)[-1]
         integral += w * acc / len(a1)
     integral *= 0.5 * (hi - lo)
     sign = int(np.sign(integral))
@@ -464,7 +466,7 @@ def check_quotient(
         omega_res = _max_abs(pullback_jet(at_q, wq).values - w_p.values)
         disc_jet = pullback_jet(at_q, bq) - b_p
         expected = np.zeros(disc_jet.values.shape, dtype=complex)
-        expected[0b0101] = (m - 1) / p.coords[0]  # (m-1) dlog r ^ dtheta2
+        expected[_M13] = (m - 1) / p.coords[0]  # (m-1) dlog r ^ dtheta2
         disc_res = _max_abs(disc_jet.values - expected)
         integ_res = integrability_residual(rho_q, None, at_q.image).residual
         # the recorded discrepancy form is closed: d of the pulled-back difference
@@ -481,7 +483,7 @@ def check_quotient(
     for r in (0.0, 0.5):
         q, orbit = ChartPoint(CHART_ANNULUS, (r, 0.11, 0.21, 0.31), ANGLES), set()
         for _ in range(m):
-            q = deck_action(params, q)
+            q = deck.at(q).image
             orbit.add(tuple(round(c, 9) for c in q.coords))
         orbit_ok &= len(orbit) == m
 
@@ -577,15 +579,12 @@ class LocusStructure:
 
 def degenerate_locus_field() -> FormField:
     """Test fixture z1^2 + dz1^dz2: its locus zeros are degenerate."""
+    local = local_model_spinor()
 
     def fn(coords: np.ndarray) -> FormJet:
-        jet = FormJet.zero(4)
+        jet = local.fn(coords)  # z1 + dz1^dz2, whose z1 is replaced
         z = Jet2.coordinate(4, 1, coords[0]) + 1j * Jet2.coordinate(4, 2, coords[1])
         jet[0] = z * z
-        jet.values[0b0101] += 1.0
-        jet.values[0b1001] += 1j
-        jet.values[0b0110] += 1j
-        jet.values[0b1010] += -1.0
         return jet
 
     return FormField(CHART_CPLANE, 4, fn)
@@ -597,28 +596,23 @@ def _scalar_jacobian(jet: FormJet) -> np.ndarray:
     return np.vstack([g.real, g.imag])
 
 
-def locate_type_change(
-    rho_field: FormField,
-    seeds: list,
-    tol: float = 1e-9,
-    max_iter: int = 50,
-    target: float = 1e-22,
-) -> list:
+def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> list:
     """Newton iteration on the degree-0 component with a pseudo-inverse step.
 
     Converged points are classified nondegenerate iff the 2 x n Jacobian
     of (Re rho0, Im rho0) has rank 2 with smallest singular value >= tol;
     the locus tangent space is the Jacobian kernel.  Non-convergence is
-    recorded, not fatal.  The deep target lets linearly converging
-    degenerate zeros (Jacobian singular values shrinking with the
-    iterate) expose themselves: their singular values end up below tol.
+    recorded, not fatal.  The deep target (|rho0| <= 1e-22, at most 50
+    steps) lets linearly converging degenerate zeros (Jacobian singular
+    values shrinking with the iterate) expose themselves: their singular
+    values end up below tol.
     """
     out = []
     for p in seeds:
         jet = rho_field(p)
         residuals = [abs(jet.values[0])]
         iterations = 0
-        while residuals[-1] > target and iterations < max_iter:
+        while residuals[-1] > 1e-22 and iterations < 50:
             jac = _scalar_jacobian(jet)
             f = np.array([jet.values[0].real, jet.values[0].imag])
             step, _, _, _ = np.linalg.lstsq(jac, f, rcond=None)
@@ -646,14 +640,14 @@ def locate_type_change(
     return out
 
 
-def reduce_modular(tau: complex, max_steps: int = 200) -> complex:
+def reduce_modular(tau: complex) -> complex:
     """Reduce a lattice modulus to the standard fundamental domain."""
     tau = complex(tau)
     if tau.imag < 0:
         tau = -tau
     if tau.imag == 0:
         raise ValueError("degenerate lattice: real modulus")
-    for _ in range(max_steps):
+    for _ in range(200):
         tau = complex(tau.real - round(tau.real), tau.imag)
         if abs(tau) < 1.0 - 1e-14:
             tau = -1.0 / tau
@@ -722,28 +716,23 @@ def check_locus(
         ChartPoint(CHART_CPLANE, (*(rng.uniform(-0.35, 0.35, 2)), *rng.uniform(0, 1, 2)))
         for _ in range(seeds_count)
     ]
-    located = [locate_type_change(rho, [p], tol)[0] for p in seeds]
+    located = locate_type_change(rho, seeds, tol)
 
     all_converged = all(lp.converged for lp in located)
     all_nondeg = all(lp.nondegenerate for lp in located)
-    on_locus = max(abs(complex(lp.location.coords[0], lp.location.coords[1])) for lp in located)
 
     quadratic_ok = True
     for lp in located:
         for prev, nxt in zip(lp.residuals, lp.residuals[1:]):
             quadratic_ok &= nxt <= 10.0 * prev**2 + 1e-12
 
-    tau_err = 0.0
-    dbar_max = 0.0
-    tangent_max = 0.0
+    # per located point: |z1|, tau error vs i, dbar residual, tangent residual
     per_point = []
     for lp in located:
         st = locus_complex_structure(rho, lp, FIBER_LATTICE, tol)
-        tau_err = max(tau_err, abs(st.tau - 1j))
-        dbar_max = max(dbar_max, st.dbar_residual)
-        tangent_max = max(tangent_max, st.tangent_residual)
         z1 = abs(complex(lp.location.coords[0], lp.location.coords[1]))
-        per_point.append(max(z1, abs(st.tau - 1j), st.dbar_residual, st.tangent_residual))
+        per_point.append((z1, abs(st.tau - 1j), st.dbar_residual, st.tangent_residual))
+    on_locus, tau_err, dbar_max, tangent_max = np.max(per_point, axis=0)
 
     deg_located = locate_type_change(
         degenerate_locus_field(),
@@ -762,7 +751,7 @@ def check_locus(
         and tangent_max <= 1e-9
         and degenerate_flagged
     )
-    _, worst = _worst([lp.location for lp in located], per_point)
+    _, worst = _worst([lp.location for lp in located], np.max(per_point, axis=1))
     notes = [
         f"max |z1| at located points = {on_locus:.3e}",
         f"quadratic residual decay: {bool(quadratic_ok)}",

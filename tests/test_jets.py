@@ -331,7 +331,7 @@ def test_block_jet2_functions_match_points():
     rng = np.random.default_rng(7)
     points = [Jet2(N, *random_parts(rng, ())) for _ in range(6)]
     block = block_of(points)
-    for fn in (lambda j: j.exp(), lambda j: j.log(), lambda j: j.sqrt(), lambda j: j.sin_turn(),
+    for fn in (lambda j: j.exp(), lambda j: j.log(), lambda j: j.sqrt(), lambda j: (2 * np.pi * j).sin(),
                lambda j: (1.0 / j) ** 3 - j.cos(), lambda j: j**0 + j):
         assert_block_matches(fn(block), [fn(j) for j in points])
 
@@ -347,7 +347,9 @@ def test_block_bump_profile_matches_radii_one_at_a_time():
         block = profile.evaluate(radii)
         for i, r in enumerate(radii):
             one = profile.evaluate(float(r))
+            assert all(v.shape == () for v in one)  # one radius gives 0-d results
             assert tuple(float(v[i]) for v in block) == one
+            assert tuple(float(v[0]) for v in profile.evaluate(radii[i : i + 1])) == one
         jet = profile.jet(radii)
         for i, r in enumerate(radii):
             ref = profile.jet(float(r))

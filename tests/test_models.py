@@ -15,7 +15,6 @@ from gcx.models import (
     SurgeryGeometry,
     b_extension_and_h,
     bump_profile,
-    deck_action,
     deck_action_map,
     gluing_map,
     glued_spinor_field,
@@ -193,11 +192,15 @@ def test_polar_overlap_turn_angle_scales_theta1_terms():
 # ------------------------------------------------------ quotient model
 
 
+def deck_image(params, p):
+    return deck_action_map(params).at(p).image
+
+
 def test_deck_action_examples():
-    assert deck_action(LogModelParams(1, 0), apt(0.5, 0.1, 0.2, 0.3)).coords == pytest.approx(
+    assert deck_image(LogModelParams(1, 0), apt(0.5, 0.1, 0.2, 0.3)).coords == pytest.approx(
         (0.5, 0.1, 0.2, 0.3)
     )
-    moved = deck_action(LogModelParams(2, 1), apt(0.5, 0.1, 0.2, 0.3))
+    moved = deck_image(LogModelParams(2, 1), apt(0.5, 0.1, 0.2, 0.3))
     assert moved.coords == pytest.approx((0.5, 0.6, 0.7, 0.3))
 
 
@@ -209,7 +212,7 @@ def test_deck_action_orbits(m, k):
         orbit = []
         q = p
         for _ in range(m):
-            q = deck_action(params, q)
+            q = deck_image(params, q)
             orbit.append(q.coords)
         assert np.allclose(orbit[-1], p.coords, atol=1e-12)  # order m
         seen = {tuple(np.round(c, 9)) for c in orbit}

@@ -160,6 +160,15 @@ def test_clifford_relation_property(v_rho):
     assert lhs.allclose(rhs, tol=1e-12 * max(1.0, rho.max_abs() * v.norm() ** 2))
 
 
+@property_settings
+@given(dims.flatmap(lambda n: st.tuples(complex_arrays(n), forms(n))))
+def test_interior_is_the_vector_part_of_clifford_property(vec_rho):
+    # i_X rho = (X + 0) . rho
+    vec, rho = vec_rho
+    expected = clifford(GcVector(rho.dim, vec=vec), rho)
+    assert rho.interior(vec).allclose(expected, tol=1e-14 * rho.max_abs() * np.abs(vec).sum())
+
+
 def test_graded_commutativity():
     rng = np.random.default_rng(5)
     for p in range(1, N + 1):

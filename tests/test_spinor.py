@@ -3,6 +3,7 @@ import pytest
 
 from gcx.multilinear import GcVector, Multiform, clifford, exp_wedge, pairing
 from gcx.spinor import (
+    AnnihilatorBasis,
     annihilator,
     b_transform,
     check_nondegenerate,
@@ -125,6 +126,26 @@ def test_annihilator_isotropy_and_roundtrip():
             assert clifford(u, rho).max_abs() < 1e-9
             for v in ann.vectors:
                 assert abs(pairing(u, v)) < 1e-9
+
+
+def test_max_pairing_is_the_largest_pairwise_pairing():
+    # pairing is the reference for max |P^T G P| over the basis columns
+    rng = np.random.default_rng(17)
+
+    def reference(basis):
+        return max(abs(pairing(u, v)) for u in basis.vectors for v in basis.vectors)
+
+    for j in range(10):
+        b = random_multiform(rng, N, degrees={2})
+        # pure of type 0, and of type 2 through a B-transform of dz1^dz2
+        rho = exp_wedge(b) if j % 2 else b_transform(Multiform(N, b.coeffs.real), dz1_dz2())
+        ann = annihilator(rho)
+        assert len(ann) == 4
+        assert ann.max_pairing() == pytest.approx(reference(ann), rel=1e-12, abs=1e-15)
+    # a basis that is not isotropic: its largest pairing is far from 0
+    basis = AnnihilatorBasis(N, rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)), 1e-9)
+    assert basis.max_pairing() == pytest.approx(reference(basis), rel=1e-13)
+    assert basis.max_pairing() > 0.1
 
 
 def test_normal_form_local_model_point():
