@@ -1,12 +1,14 @@
 """Calculus on coordinate charts.
 
-Fields are callables from a ChartPoint to a jet carrying exact
-derivatives to second order: a FormJet for a form field, and for a
+Fields are callables from a ChartPoint and a derivative order to a jet
+carrying exact derivatives to the order asked (at most 2, and at most
+what the field can carry): a FormJet for a form field, and for a
 generator field a jet of shape (2n,) whose first n components are the
-vector part and last n the covector part.  The operations here --
-H-twisted Courant bracket, pullback along chart maps, and the
-integrability residual -- consume those jets; d(alpha) at p is
-``alpha(p).d().value()``.  Periodic coordinates are angles of unit
+vector part and last n the covector part.  Each caller asks for the
+levels it reads, so no jet is built to a higher order than it is used.
+The operations here -- H-twisted Courant bracket, pullback along chart
+maps, and the integrability residual -- consume those jets; d(alpha) at p is
+``alpha(p, 1).d().value()``.  Periodic coordinates are angles of unit
 period and reduce modulo 1.  A ChartPoint with n coordinate arrays of
 length N is a block of N points, which fields, maps, pullbacks and
 integrability residuals evaluate in one pass (see gcx.jets).
@@ -153,16 +155,20 @@ class MapJet:
 
 @dataclass(frozen=True)
 class _Field:
-    """A field on a named chart (any chart if empty): fn maps coordinates to a jet."""
+    """A field on a named chart (any chart if empty).
+
+    ``fn(coords, order)`` maps coordinates to a jet of order
+    min(order, what the field can carry); jets carry at most order 2.
+    """
 
     chart: str
     dim: int
     fn: Callable = field(repr=False)
 
-    def __call__(self, p: ChartPoint):
+    def __call__(self, p: ChartPoint, order: int = 2):
         if self.chart and p.chart != self.chart:
             raise ValueError(f"field lives on chart {self.chart!r}, got point on {p.chart!r}")
-        return self.fn(p.array())
+        return self.fn(p.array(), min(order, 2))
 
 
 @dataclass(frozen=True)
@@ -171,13 +177,13 @@ class FormField(_Field):
 
     @classmethod
     def constant(cls, chart: str, form: Multiform) -> "FormField":
-        return cls(chart, form.dim, lambda coords: FormJet.constant(form, batch=np.shape(coords)[1:]))
+        return cls(chart, form.dim, lambda coords, order: FormJet.constant(form, order, np.shape(coords)[1:]))
 
     @classmethod
     def from_expressions(cls, chart: str, dim: int, terms: list) -> "FormField":
         for term in terms:
             expressions.validate(term["expr"], dim)
-        return cls(chart, dim, lambda coords: expressions.form_terms_to_jet(dim, terms, coords))
+        return cls(chart, dim, lambda coords, order: expressions.form_terms_to_jet(dim, terms, coords, order))
 
 
 @dataclass(frozen=True)
@@ -186,7 +192,10 @@ class GcField(_Field):
 
     @classmethod
     def constant(cls, chart: str, v: GcVector) -> "GcField":
-        return cls(chart, v.dim, lambda c: _Jet(v.dim, np.multiply.outer(v.as_array(), np.ones_like(c[0]))))
+        def fn(coords: np.ndarray, order: int) -> _Jet:
+            return _Jet(v.dim, np.multiply.outer(v.as_array(), np.ones_like(coords[0])), order=order)
+
+        return cls(chart, v.dim, fn)
 
     @classmethod
     def from_expressions(cls, chart: str, dim: int, vec_exprs: list, cov_exprs: list) -> "GcField":
@@ -195,7 +204,7 @@ class GcField(_Field):
         return cls(
             chart,
             dim,
-            lambda coords: expressions.gc_components_to_jet(dim, vec_exprs, cov_exprs, coords),
+            lambda coords, order: expressions.gc_components_to_jet(dim, vec_exprs, cov_exprs, coords, order),
         )
 
 
@@ -214,10 +223,11 @@ def pullback_jet(at: MapJet, alpha: FormField) -> FormJet:
     """Pullback of alpha through a map evaluation, with exact first derivatives.
 
     The pulled-back basis forms are order 1, and so is the result (enough
-    for d of the pullback); coefficient functions compose to first order.
-    A coefficient that vanishes with its gradient at every point is skipped.
+    for d of the pullback); alpha is evaluated to order 1 and its
+    coefficient functions compose to first order.  A coefficient that
+    vanishes with its gradient at every point is skipped.
     """
-    ajet = alpha(at.image)
+    ajet = alpha(at.image, 1)
     n = at.jac.shape[-1]
     # composed coefficient jets (exact to first order)
     comp = FormJet(n, ajet.values, (ajet.grads[..., None, :] @ at.jac)[..., 0, :], order=1)
@@ -252,8 +262,8 @@ def courant_bracket(
                       + i_Y i_X H,
     with Lie derivatives expanded through the Cartan formula.
     """
-    uj = u(p)
-    vj = v(p)
+    uj = u(p, 1)
+    vj = v(p, 1)
     n = uj.dim
     # vector and covector slices: values (n,), grads (n, n)
     xv, xg, xi, xig = uj.values[:n], uj.grads[:n], uj.values[n:], uj.grads[n:]
@@ -278,7 +288,7 @@ def courant_bracket(
     cov = cov - 0.5 * (eta_x - xi_y)
 
     if h is not None:
-        h_val = h(p).value()
+        h_val = h(p, 0).value()
         cov = cov + _one_form_components(h_val.interior(xv).interior(yv))
 
     return GcVector(n, vec=lie_xy, cov=cov)
@@ -291,13 +301,13 @@ def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint
     the spinor line generated by rho.  The least squares is a stacked
     pseudo-inverse with numpy lstsq's default singular-value cutoff.
     """
-    jet = rho(p)
+    jet = rho(p, 1)
     val = jet.values
     if (np.abs(val).max(axis=0) <= 1e-12).any():
         raise ValueError("spinor vanishes here; evaluate off the zero locus")
     target = jet.d().values
     if h is not None:
-        target = target + wedge_coeffs(jet.dim, h(p).values, val)
+        target = target + wedge_coeffs(jet.dim, h(p, 0).values, val)
     mat = action_matrix(val)
     cutoff = np.finfo(float).eps * max(mat.shape[-2:])
     sol = (np.linalg.pinv(mat, cutoff) @ target.T[..., None])[..., 0]
@@ -319,13 +329,12 @@ def e_b_transform(b: FormField, u: GcField) -> GcField:
     n = u.dim
     one_forms = _one_forms(n)
 
-    def fn(coords: np.ndarray) -> _Jet:
-        uj = u.fn(coords)
-        ixb = b.fn(coords).interior_jet(uj.values[:n], uj.grads[:n], uj.hess[:n])
-        out = _Jet(n, uj.values.copy(), uj.grads.copy(), uj.hess.copy(), min(uj.order, ixb.order))
-        out.values[n:] += ixb.values[one_forms]
-        out.grads[n:] += ixb.grads[one_forms]
-        out.hess[n:] += ixb.hess[one_forms]
+    def fn(coords: np.ndarray, order: int) -> _Jet:
+        uj = u.fn(coords, order)
+        ixb = b.fn(coords, order).interior_jet(uj.values[:n], uj.grads[:n], uj.hess[:n])
+        out = _Jet(n, uj.values.copy(), order=min(uj.order, ixb.order))
+        out[:n] = uj[:n]
+        out[n:] = uj[n:] + ixb[one_forms]
         return out
 
     return GcField(u.chart, u.dim, fn)

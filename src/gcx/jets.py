@@ -1,12 +1,12 @@
-"""Second-order forward-mode jets for chart calculus.
+"""Forward-mode jets, to second order, for chart calculus.
 
 A jet carries exact values of an array of components together with their
-exact first and second partial derivatives at a point (truncated Taylor
-arithmetic).  One core implements the rules every jet shares: sums,
-scalar multiples, the product rule, and get/set of one component.  The
-component shape sets the flavour: ``Jet2`` is a single scalar,
-``FormJet`` holds the 2^n coefficients of a mixed exterior form, and a
-generator X + xi of T + T* is a plain jet of shape (2n,) in
+exact first and second partial derivatives at a point, up to its order
+(truncated Taylor arithmetic).  One core implements the rules every jet
+shares: sums, scalar multiples, the product rule, and get/set of one
+component.  The component shape sets the flavour: ``Jet2`` is a single
+scalar, ``FormJet`` holds the 2^n coefficients of a mixed exterior
+form, and a generator X + xi of T + T* is a plain jet of shape (2n,) in
 ``GcVector.as_array`` order (vec, then cov).  Closed formulas evaluated
 through this arithmetic yield derivatives that are exact to round-off;
 finite differences appear only in tests.
@@ -17,9 +17,11 @@ grads (2^n, N, n).  The per-point shapes are the N-less case.
 
 ``order`` tracks how many derivative levels of a jet are still
 trustworthy: exterior differentiation consumes one level (the result's
-Hessians would need third derivatives, which are not carried).  Levels
-past ``order`` are neither computed nor stored: they are shared
-read-only zeros.
+Hessians would need third derivatives, which are not carried).  A jet
+may also be built to a lower order than 2 when its reader needs fewer
+levels; every rule keeps the lower order of its operands.  Levels past
+``order`` are neither computed nor stored: they are shared read-only
+zeros, and writes into a jet skip them.
 
 ``FormJet.wedge`` and ``FormJet.d`` run as small dense matmuls over
 signed tables built once per dimension (``multilinear._tables``): the
@@ -82,20 +84,25 @@ class _Jet:
 
     def __init__(self, dim: int, values, grads=None, hess=None, order: int = 2):
         self.dim, self.values, self.order = dim, values, order
+        shape = getattr(values, "shape", ())  # a complex number is a scalar Jet2's one value
         if grads is None:
-            grads = (_zeros if order > 0 else _untrusted)(values.shape + (dim,))
+            grads = (_zeros if order > 0 else _untrusted)(shape + (dim,))
         if hess is None:
-            hess = (_zeros if order > 1 else _untrusted)(values.shape + (dim, dim))
+            hess = (_zeros if order > 1 else _untrusted)(shape + (dim, dim))
         self.grads, self.hess = grads, hess
 
     def _coerce(self, other) -> "_Jet":
-        return other if isinstance(other, _Jet) else Jet2(self.dim, other)
+        return other if isinstance(other, _Jet) else Jet2(self.dim, other, order=self.order)
 
     def _check(self, other: "_Jet") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def _combine(self, other: "_Jet", values, grads, hess) -> "_Jet":
+    def _trusted(self, order: int) -> tuple:
+        """(values, grads, hess) cut to ``order``: the levels a result of that order is built from."""
+        return (self.values, self.grads, self.hess)[: order + 1]
+
+    def _combine(self, other: "_Jet", values, grads=None, hess=None) -> "_Jet":
         """A result of self and other, typed after the operand that is not a scalar Jet2."""
         self._check(other)
         cls = type(other) if isinstance(self, Jet2) else type(self)
@@ -103,15 +110,15 @@ class _Jet:
 
     def __add__(self, other):
         o = self._coerce(other)
-        hess = self.hess + o.hess if min(self.order, o.order) > 1 else None
-        return self._combine(o, self.values + o.values, self.grads + o.grads, hess)
+        order = min(self.order, o.order)
+        return self._combine(o, *(a + b for a, b in zip(self._trusted(order), o._trusted(order))))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        hess = self.hess - o.hess if min(self.order, o.order) > 1 else None
-        return self._combine(o, self.values - o.values, self.grads - o.grads, hess)
+        order = min(self.order, o.order)
+        return self._combine(o, *(a - b for a, b in zip(self._trusted(order), o._trusted(order))))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -120,25 +127,24 @@ class _Jet:
         if isinstance(other, _Jet):
             return self._product(other)
         s = complex(other)
-        hess = self.hess * s if self.order > 1 else None
-        return type(self)(self.dim, self.values * s, self.grads * s, hess, self.order)
+        return type(self)(self.dim, *(x * s for x in self._trusted(self.order)), order=self.order)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        hess = self.hess / other if self.order > 1 else None
-        return type(self)(self.dim, self.values / other, self.grads / other, hess, self.order)
+        return type(self)(self.dim, *(x / other for x in self._trusted(self.order)), order=self.order)
 
     def _product(self, other: "_Jet") -> "_Jet":
-        """Leibniz rule to second order, broadcasting components.
-
-        An operand of order < 2 leaves the untrusted Hessian zero.
-        """
+        """Leibniz rule to the lower order of the operands, broadcasting components."""
+        order = min(self.order, other.order)
+        values = self.values * other.values
+        if order < 1:
+            return self._combine(other, values)
         (sv1, sv2), (ov1, ov2) = _lifted(self.values), _lifted(other.values)
         sg, og = self.grads, other.grads
-        values, grads = self.values * other.values, sv1 * og + ov1 * sg
-        if min(self.order, other.order) < 2:
-            return self._combine(other, values, grads, None)
+        grads = sv1 * og + ov1 * sg
+        if order < 2:
+            return self._combine(other, values, grads)
         outer = sg[..., :, None] * og[..., None, :]
         hess = sv2 * other.hess + ov2 * self.hess + outer + outer.swapaxes(-1, -2)
         return self._combine(other, values, grads, hess)
@@ -147,9 +153,13 @@ class _Jet:
         return Jet2(self.dim, self.values[i], self.grads[i], self.hess[i], self.order)
 
     def __setitem__(self, i, jet: "Jet2") -> None:
+        """Write one component's trusted levels; a lower-order jet lowers this jet's order."""
+        self.order = min(self.order, jet.order)
         self.values[i] = jet.values
-        self.grads[i] = jet.grads
-        self.hess[i] = jet.hess
+        if self.order > 0:
+            self.grads[i] = jet.grads
+        if self.order > 1:
+            self.hess[i] = jet.hess
 
 
 class Jet2(_Jet):
@@ -158,21 +168,22 @@ class Jet2(_Jet):
     __slots__ = ()
 
     def __init__(self, n: int, value, grad=None, hess=None, order: int = 2):
-        self.dim = n
         if isinstance(value, np.ndarray) and value.ndim:
-            self.values, shape = value.astype(complex, copy=False), value.shape
+            value = value.astype(complex, copy=False)
         else:
-            self.values, shape = complex(value), ()
-        self.grads = np.zeros(shape + (n,), complex) if grad is None else np.asarray(grad, dtype=complex)
-        self.hess = np.zeros(shape + (n, n), complex) if hess is None else np.asarray(hess, dtype=complex)
-        self.order = order
+            value = complex(value)
+        grad = None if grad is None else np.asarray(grad, dtype=complex)
+        hess = None if hess is None else np.asarray(hess, dtype=complex)
+        super().__init__(n, value, grad, hess, order)
 
     @classmethod
-    def coordinate(cls, n: int, i: int, value) -> "Jet2":
+    def coordinate(cls, n: int, i: int, value, order: int = 2) -> "Jet2":
         """The i-th coordinate function (1-based) evaluated at ``value`` (a number or a block)."""
-        g = np.zeros(getattr(value, "shape", ()) + (n,), complex)
-        g[..., i - 1] = 1.0
-        return cls(n, value, g)
+        g = None
+        if order > 0:
+            g = np.zeros(getattr(value, "shape", ()) + (n,), complex)
+            g[..., i - 1] = 1.0
+        return cls(n, value, g, order=order)
 
     def __truediv__(self, other):
         if isinstance(other, _Jet):
@@ -183,9 +194,14 @@ class Jet2(_Jet):
         return self._coerce(other) * self._reciprocal()
 
     def _chain(self, f0, f1, f2) -> "Jet2":
-        """Compose with a 1-d function given f, f', f'' at self.values."""
+        """Compose with a 1-d function given f, f', f'' at self.values (f'' is read at order 2 only)."""
+        if self.order < 1:
+            return Jet2(self.dim, f0, order=self.order)
         g = self.grads
-        (f1g, f1h), (_, f2h) = _lifted(f1), _lifted(f2)
+        f1g, f1h = _lifted(f1)
+        if self.order < 2:
+            return Jet2(self.dim, f0, f1g * g, order=self.order)
+        f2h = _lifted(f2)[1]
         outer = g[..., :, None] * g[..., None, :]
         return Jet2(self.dim, f0, f1g * g, f1h * self.hess + f2h * outer, self.order)
 
@@ -195,7 +211,7 @@ class Jet2(_Jet):
 
     def __pow__(self, k: int):
         if k == 0:  # the constant 1, at every point of a block
-            return Jet2(self.dim, np.ones(np.shape(self.values)))
+            return Jet2(self.dim, np.ones(np.shape(self.values)), order=self.order)
         if k < 0:
             return (self.__pow__(-k))._reciprocal()
         out = self
@@ -241,9 +257,7 @@ class FormJet(_Jet):
     @classmethod
     def zero(cls, dim: int, order: int = 2, batch: tuple = ()) -> "FormJet":
         """The zero form at one point, or at each of a block of points (batch = (N,))."""
-        shape = (1 << dim, *batch)
-        hess = _zeros(shape + (dim, dim)) if order > 1 else None
-        return cls(dim, _zeros(shape), _zeros(shape + (dim,)), hess, order)
+        return cls(dim, _zeros((1 << dim, *batch)), order=order)
 
     @classmethod
     def constant(cls, form: Multiform, order: int = 2, batch: tuple = ()) -> "FormJet":
@@ -306,10 +320,14 @@ class FormJet(_Jet):
         """Contraction with a jet tangent vector (xv (n,), xg[i,j]=d_j X_i, xh)."""
         act = _tables(self.dim).action[: self.dim]
         av = np.einsum("ius,s->iu", act, self.values)
-        ag = np.einsum("ius,sj->iuj", act, self.grads)
-        ah = np.einsum("ius,sjk->iujk", act, self.hess)
         values = np.einsum("i,iu->u", xv, av)
+        if self.order < 1:
+            return FormJet(self.dim, values, order=self.order)
+        ag = np.einsum("ius,sj->iuj", act, self.grads)
         grads = np.einsum("ij,iu->uj", xg, av) + np.einsum("i,iuj->uj", xv, ag)
+        if self.order < 2:
+            return FormJet(self.dim, values, grads, order=self.order)
+        ah = np.einsum("ius,sjk->iujk", act, self.hess)
         hess = (
             np.einsum("ijk,iu->ujk", xh, av)
             + np.einsum("ij,iuk->ujk", xg, ag)

@@ -76,7 +76,9 @@ __all__ = [
 
 INTEGRABILITY_REGIONS = ("cplane", "polar", "bump", "outer")
 QUAD_NODES = 128  # Gauss-Legendre nodes of the H slice integral over the window
-BLOCK = 8  # sample points per numpy pass; bounds a check's transient memory whatever --samples is
+# sample points per numpy pass; bounds a check's transient memory whatever --samples is.  Fields
+# are evaluated only to the order each check reads, so 16 points peak about where 8 did at order 2.
+BLOCK = 16
 SIGN_CONTROL_TOL = 1e-3  # the wrong-sign H control passes iff its residual exceeds this
 
 
@@ -290,7 +292,7 @@ def check_symplectomorphism(
 
     def block(p):
         at = psi.at(p)
-        return _max_abs(pullback_jet(at, sigma).values - omega(p).values), np.abs(np.linalg.det(at.jac))
+        return _max_abs(pullback_jet(at, sigma).values - omega(p, 0).values), np.abs(np.linalg.det(at.jac))
 
     top, low, worst = _per_block(block, lambda count: _sample_annulus(rng, count, r_lo, 1.0), samples)
     max_res, min_det = float(top[0]), float(low[1])
@@ -310,7 +312,8 @@ def _region_setup(region, geometry, window):
     rho = glued_spinor_field(geometry, window)
     if region == "bump":
         _, h = b_extension_and_h(geometry, window)
-        h_used = FormField(CHART_TUBE, 4, lambda c: h.fn(c) * float(conventions.SPINOR_TWIST_SIGN))
+        sign = float(conventions.SPINOR_TWIST_SIGN)
+        h_used = FormField(CHART_TUBE, 4, lambda c, order: h.fn(c, order) * sign)
         return rho, h_used, (CHART_TUBE, prof.lo + 1e-6, prof.hi - 1e-6), None
     if region == "outer":
         return rho, None, (CHART_TUBE, prof.hi, prof.hi + 1.0), "zero"
@@ -341,7 +344,7 @@ def check_integrability(
         if region != "bump":
             raise ValueError("the sign control only applies to the bump region")
         base = h_used
-        h_used = FormField(CHART_TUBE, 4, lambda c: base.fn(c) * (-1.0))
+        h_used = FormField(CHART_TUBE, 4, lambda c, order: base.fn(c, order) * (-1.0))
     stream = "h_sign_negative_control" if flip_h_sign else f"integrability_{region}"
     rng = _rng(seed, stream)
     v_local = GcVector(4, vec=[0, 0, -0.5, 0.5j]).as_array()  # -d/dz2 on the cplane chart
@@ -356,7 +359,7 @@ def check_integrability(
         extra = 0.0
         if witness_kind == "local_model":
             # Clifford action of the witness minus that of -d/dz2
-            action = action_matrix(rho(p).values) @ (wit.v.T - v_local)[..., None]
+            action = action_matrix(rho(p, 0).values) @ (wit.v.T - v_local)[..., None]
             extra = np.abs(action[..., 0]).max(axis=-1)
         elif witness_kind == "zero":
             extra = np.linalg.norm(wit.v, axis=0)
@@ -405,9 +408,9 @@ def check_h_properties(
     max_dh = float(top[0])
 
     # H vanishes inside lo and outside hi, and so does Btilde outside hi: 50 points each, BLOCK at a time
-    inner, _, _ = _per_block(lambda p: _max_abs(h(p).values), draw(geometry.r_min, lo), 50)
+    inner, _, _ = _per_block(lambda p: _max_abs(h(p, 0).values), draw(geometry.r_min, lo), 50)
     outer, _, _ = _per_block(
-        lambda p: np.maximum(_max_abs(h(p).values), _max_abs(btilde(p).values)), draw(hi, hi + 1.0), 50
+        lambda p: np.maximum(_max_abs(h(p, 0).values), _max_abs(btilde(p, 0).values)), draw(hi, hi + 1.0), 50
     )
     support_ok = inner[0] == 0.0 and outer[0] == 0.0
 
@@ -421,7 +424,7 @@ def check_h_properties(
     for r, w in zip(radii, weights):
         grid = ChartPoint(CHART_TUBE, (np.full(len(a1), r), a1, np.full(len(a1), 0.37), a3), ANGLES)
         # summed pair after pair, in the order of the points
-        acc = np.add.accumulate(h(grid).values[_M124].real)[-1]
+        acc = np.add.accumulate(h(grid, 0).values[_M124].real)[-1]
         integral += w * acc / len(a1)
     integral *= 0.5 * (hi - lo)
     sign = int(np.sign(integral))
@@ -447,7 +450,7 @@ def check_quotient(
     tol: float = 1e-8,
     r_min: float = 0.05,
 ) -> CheckReport:
-    """Deck invariance, the quotient pullback identities, and quotient integrability."""
+    """Deck invariance of the forms and of the quotient map, the quotient pullbacks, and quotient integrability."""
     m = params.m
     rng = _rng(seed, "quotient", extra=m)
     b_field, w_field = local_model_polar(r_min)
@@ -458,7 +461,7 @@ def check_quotient(
 
     def block(p):
         at_deck, at_q = deck.at(p), qmap.at(p)
-        b_p, w_p = b_field(p), w_field(p)
+        b_p, w_p = b_field(p, 1), w_field(p, 0)  # d(discrepancy) reads b_p's gradient
         deck_res = np.maximum(
             _max_abs(pullback_jet(at_deck, b_field).values - b_p.values),
             _max_abs(pullback_jet(at_deck, w_field).values - w_p.values),
@@ -478,12 +481,20 @@ def check_quotient(
     top, _, worst = _per_block(block, lambda count: _sample_annulus(rng, count, r_lo, 1.0), samples)
     deck_max, omega_max, disc_max, integ_max, closed_res = top[1:]
 
-    # orbit freeness, including on the central fibre
+    def same_image(a: ChartPoint, b: ChartPoint) -> bool:
+        """q(a) = q(b): the radius exactly, the angles modulo 1 to 1e-12."""
+        ya, yb = qmap.at(a).image.coords, qmap.at(b).image.coords
+        turns = (np.subtract(ya[1:], yb[1:]) + 0.5) % 1.0 - 0.5
+        return ya[0] == yb[0] and np.abs(turns).max() <= 1e-12
+
+    # orbit freeness, including on the central fibre, and q constant on each orbit
     orbit_ok = True
     for r in (0.0, 0.5):
         q, orbit = ChartPoint(CHART_ANNULUS, (r, 0.11, 0.21, 0.31), ANGLES), set()
         for _ in range(m):
-            q = deck.at(q).image
+            step = deck.at(q).image
+            orbit_ok &= same_image(q, step)
+            q = step
             orbit.add(tuple(round(c, 9) for c in q.coords))
         orbit_ok &= len(orbit) == m
 
@@ -496,7 +507,7 @@ def check_quotient(
         f"B pullback discrepancy = (m-1) dlog r ^ dtheta2, m-1 = {m - 1}; "
         f"residual vs formula = {disc_max:.3e} (<= 1e-10), d(discrepancy) = {closed_res:.3e}",
         f"quotient integrability residual = {integ_max:.3e}",
-        f"orbit size {m} at r = 0 and r = 0.5: {bool(orbit_ok)}",
+        f"orbit size {m} and q(deck(p)) = q(p) at r = 0 and r = 0.5: {bool(orbit_ok)}",
     ]
     name = f"quotient_m{m}_k{params.k}"
     return _report(name, seed, samples, tol, all_res, worst, passed, notes, m=m, k=params.k, r_min=r_min)
@@ -519,7 +530,7 @@ def check_type_jump(samples: int = 200, seed: int = 42, tol: float = 1e-9) -> Ch
             off_locus.append(ChartPoint(CHART_CPLANE, tuple(c)))
 
     def misclassified(p, expected_type):
-        return float(normal_form(rho(p).value(), tol).type != expected_type)
+        return float(normal_form(rho(p, 0).value(), tol).type != expected_type)
 
     points = on_locus + off_locus
     residuals = [misclassified(p, 2) for p in on_locus] + [misclassified(p, 0) for p in off_locus]
@@ -539,7 +550,7 @@ def check_polar_compatibility(
 
     def block(p):
         pulled = pullback_jet(overlap.at(p), rho).values
-        expected = b_field(p).values + 1j * w_field(p).values
+        expected = b_field(p, 0).values + 1j * w_field(p, 0).values
         # the normal form is per point: one Multiform per column
         found = np.transpose([normal_form(Multiform(4, c)).b_plus_i_omega().coeffs for c in pulled.T])
         return _max_abs(found - expected)
@@ -581,9 +592,9 @@ def degenerate_locus_field() -> FormField:
     """Test fixture z1^2 + dz1^dz2: its locus zeros are degenerate."""
     local = local_model_spinor()
 
-    def fn(coords: np.ndarray) -> FormJet:
-        jet = local.fn(coords)  # z1 + dz1^dz2, whose z1 is replaced
-        z = Jet2.coordinate(4, 1, coords[0]) + 1j * Jet2.coordinate(4, 2, coords[1])
+    def fn(coords: np.ndarray, order: int) -> FormJet:
+        jet = local.fn(coords, order)  # z1 + dz1^dz2, whose z1 is replaced
+        z = Jet2.coordinate(4, 1, coords[0], order) + 1j * Jet2.coordinate(4, 2, coords[1], order)
         jet[0] = z * z
         return jet
 
@@ -609,7 +620,7 @@ def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> 
     """
     out = []
     for p in seeds:
-        jet = rho_field(p)
+        jet = rho_field(p, 1)
         residuals = [abs(jet.values[0])]
         iterations = 0
         while residuals[-1] > 1e-22 and iterations < 50:
@@ -619,7 +630,7 @@ def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> 
             if not np.isfinite(step).all() or np.abs(step).max() == 0.0:
                 break
             p = p.with_coords(np.asarray(p.coords) - step)
-            jet = rho_field(p)
+            jet = rho_field(p, 1)
             iterations += 1
             residuals.append(abs(jet.values[0]))
         jac = _scalar_jacobian(jet)
@@ -670,7 +681,7 @@ def locus_complex_structure(
     """
     if not lp.nondegenerate:
         raise ValueError("locus point is degenerate; no induced complex structure")
-    jet = rho_field(lp.location)
+    jet = rho_field(lp.location, 1)
     omega2 = jet.value().degree_part(2)
     endo = j_endomorphism(omega2, tol)
     n = omega2.dim

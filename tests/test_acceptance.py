@@ -232,7 +232,7 @@ def test_criterion_09_b_transform_bracket_suite():
         )
 
     def d_field(f):
-        return FormField(chart, N, lambda c: f.fn(c).d())
+        return FormField(chart, N, lambda c, order: f.fn(c, min(order + 1, 2)).d())
 
     def apply_eb(bval, w):
         ixb = bval.interior(w.vec)
@@ -257,7 +257,7 @@ def test_criterion_09_b_transform_bracket_suite():
         # non-closed B: frozen shift [E_B u, E_B v]_H = E_B([u,v]_{H+s*dB})
         ub, vb = e_b_transform(open_b, u), e_b_transform(open_b, v)
         lhs = courant_bracket(ub, vb, h, p)
-        h_shift = FormField(chart, N, lambda c: h.fn(c) + d_open_b.fn(c) * shift_sign)
+        h_shift = FormField(chart, N, lambda c, order: h.fn(c, order) + d_open_b.fn(c, order) * shift_sign)
         rhs = apply_eb(open_b(p).value(), courant_bracket(u, v, h_shift, p))
         worst_shift = max(worst_shift, (lhs - rhs).norm())
     report(

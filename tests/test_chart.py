@@ -152,11 +152,11 @@ def rand_gc_field(rng):
 
 
 def d_field(f: FormField) -> FormField:
-    return FormField(f.chart, f.dim, lambda coords: f.fn(coords).d())
+    return FormField(f.chart, f.dim, lambda coords, order: f.fn(coords, min(order + 1, 2)).d())
 
 
 def sum_field(a: FormField, b: FormField) -> FormField:
-    return FormField(a.chart, a.dim, lambda coords: a.fn(coords) + b.fn(coords))
+    return FormField(a.chart, a.dim, lambda coords, order: a.fn(coords, order) + b.fn(coords, order))
 
 
 def apply_e_b(b_val: Multiform, w: GcVector) -> GcVector:
@@ -186,8 +186,8 @@ def test_bracket_nonclosed_b_shift_frozen_sign():
     h = d_field(form_field({(2, 3): ex.random_polynomial(rng, N)}))
     db = d_field(b)
     sign = float(conventions.BRACKET_SHIFT_SIGN)
-    shift = FormField(FLAT, N, lambda coords: db.fn(coords) * sign)
-    wrong_shift = FormField(FLAT, N, lambda coords: db.fn(coords) * -sign)
+    shift = FormField(FLAT, N, lambda coords, order: db.fn(coords, order) * sign)
+    wrong_shift = FormField(FLAT, N, lambda coords, order: db.fn(coords, order) * -sign)
     u, v = rand_gc_field(rng), rand_gc_field(rng)
     ub, vb = e_b_transform(b, u), e_b_transform(b, v)
     worst_good = 0.0
@@ -248,7 +248,7 @@ def test_pullback_naturality():
     for _ in range(10):
         p = pt(*rng.uniform(-0.8, 0.8, N))
         lhs = pullback(phi, alpha, p).wedge(pullback(phi, beta, p))
-        wedge_field = FormField(FLAT, N, lambda c: alpha.fn(c).wedge(beta.fn(c)))
+        wedge_field = FormField(FLAT, N, lambda c, order: alpha.fn(c, order).wedge(beta.fn(c, order)))
         rhs = pullback(phi, wedge_field, p)
         assert (lhs - rhs).max_abs() < 1e-9
         # d commutes with pullback
@@ -278,9 +278,9 @@ def test_integrability_constant_symplectic():
 
 def test_integrability_obstructed_example():
     # rho = exp((1 + x3) i dx1^dx2); degree-1 and degree-3 conditions clash
-    def fn(coords):
-        c = Jet2.coordinate(N, 3, coords[2])
-        jet = FormJet.zero(N)
+    def fn(coords, order):
+        c = Jet2.coordinate(N, 3, coords[2], order)
+        jet = FormJet.zero(N, order)
         jet[0b0011] = (1.0 + c) * 1j
         return jet.exp_wedge()
 
@@ -315,8 +315,8 @@ def test_interior_jet_matches_finite_differences():
     h = 1e-5
 
     def contracted(coords):
-        uj = u.fn(coords)
-        return b.fn(coords).interior_jet(uj.values[:N], uj.grads[:N], uj.hess[:N])
+        uj = u.fn(coords, 2)
+        return b.fn(coords, 2).interior_jet(uj.values[:N], uj.grads[:N], uj.hess[:N])
 
     x = rng.uniform(-1, 1, N)
     jet = contracted(x)
@@ -336,13 +336,13 @@ def test_gc_jet_cov_form_round_trip():
     rng = np.random.default_rng(92)
     u = rand_gc_field(rng)
     x = rng.uniform(-1, 1, N)
-    uj = u.fn(x)
+    uj = u.fn(x, 2)
     cov = FormJet.zero(N)
     for i in range(N):
         cov[1 << i] = uj[N + i]
     assert np.array_equal(cov.values[[1 << i for i in range(N)]], uj.values[N:])
     assert cov.value().allclose(cov.value().degree_part(1), tol=0.0)
-    back = u.fn(x)
+    back = u.fn(x, 2)
     back.values[N:] = back.grads[N:] = back.hess[N:] = 0.0
     for i in range(N):
         back[N + i] = cov[1 << i]
@@ -432,11 +432,12 @@ def annulus_coords(rng, count, r_lo=0.65, r_hi=1.0):
 def half_plane_form():
     """x1 dx1^dx3 where x1 > 0, zero elsewhere: its coefficient vanishes on part of a block."""
 
-    def fn(coords):
-        jet = FormJet.zero(N, batch=np.shape(coords)[1:])
+    def fn(coords, order):
+        jet = FormJet.zero(N, order, np.shape(coords)[1:])
         on = coords[0] > 0
         jet.values[0b0101] = np.where(on, coords[0], 0.0)
-        jet.grads[0b0101, ..., 0] = np.where(on, 1.0, 0.0)
+        if order > 0:
+            jet.grads[0b0101, ..., 0] = np.where(on, 1.0, 0.0)
         jet.values[0b1100] = 2.0
         return jet
 

@@ -366,3 +366,38 @@ def test_order_past_a_jet_is_shared_and_read_only():
     out = a.wedge(a)
     assert out.order == 1 and not out.hess.any() and not out.hess.flags.writeable
     assert (a + a).hess is out.hess
+
+
+def test_writes_into_an_order_one_jet_keep_its_untrusted_levels():
+    # a component write fills values and grads; the shared zeros past order 1 stay untouched
+    rng = np.random.default_rng(4)
+    jet = FormJet.zero(N, 1, (3,))
+    src = Jet2(N, *random_parts(rng, (3,)))
+    jet[0b0101] = src
+    assert jet.order == 1 and not jet.hess.flags.writeable and not jet.hess.any()
+    assert np.array_equal(jet.values[0b0101], src.values)
+    assert np.array_equal(jet.grads[0b0101], src.grads)
+    # a lower-order component lowers the jet's order, so no level it lacks claims to be exact
+    jet[0b0011] = Jet2.coordinate(N, 2, np.ones(3), order=0)
+    assert jet.order == 0 and np.array_equal(jet.values[0b0011], np.ones(3))
+
+
+def test_lower_order_jets_keep_values_and_grads():
+    # Jet2 functions and the constructors at order < 2 give the order-2 levels they keep
+    x = np.linspace(0.3, 0.9, 5)
+    for order in (0, 1):
+        j, ref = Jet2.coordinate(N, 2, x, order), Jet2.coordinate(N, 2, x)
+        fns = (lambda t: t.exp(), lambda t: t.log(), lambda t: (2.0 * t).sin(), lambda t: 1.0 / t, lambda t: t**0)
+        for fn in fns:
+            low, full = fn(j), fn(ref)
+            assert low.order == order and np.array_equal(low.values, full.values)
+            assert not low.hess.flags.writeable
+            if order:
+                assert np.array_equal(low.grads, full.grads)
+            else:
+                assert not low.grads.flags.writeable
+        for bump in PROFILES:
+            low, full = bump.jet(x + 1.0, order), bump.jet(x + 1.0)
+            assert low.order == order and np.array_equal(low.values, full.values)
+            assert not order or np.array_equal(low.grads, full.grads)
+            assert not bump.evaluate(x + 1.0, order)[2].any()  # f'' is not formed below order 2

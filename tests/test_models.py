@@ -491,7 +491,7 @@ def test_glued_spinor_integrable_against_minus_db():
     _, h = b_extension_and_h(geo)
     from gcx.chart import FormField
 
-    minus_h = FormField(CHART_TUBE, 4, lambda c: h.fn(c) * (-1.0))
+    minus_h = FormField(CHART_TUBE, 4, lambda c, order: h.fn(c, order) * (-1.0))
     rng = np.random.default_rng(14)
     worst_right = 0.0
     worst_wrong = 0.0
@@ -510,3 +510,52 @@ def test_glued_spinor_type_zero():
     nf = normal_form(val)
     assert nf.type == 0
     assert check_nondegenerate(nf)
+
+
+def _order_contract_fields():
+    """(name, field, the highest order it carries, chart, radius range) for every model field."""
+    geo = SurgeryGeometry()
+    btilde, h = b_extension_and_h(geo)
+    b, w = local_model_polar()
+    bq, wq = log_model(LogModelParams(5, 2))
+    return [
+        ("local", local_model_spinor(), 2, CHART_CPLANE, (-1.0, 1.0)),
+        ("polar_b", b, 2, CHART_ANNULUS, (0.06, 1.0)),
+        ("polar_omega", w, 2, CHART_ANNULUS, (0.06, 1.0)),
+        ("polar_spinor", polar_spinor_field(), 2, CHART_ANNULUS, (0.06, 1.0)),
+        ("quotient_b", bq, 2, CHART_QUOTIENT, (0.01, 1.0)),
+        ("quotient_omega", wq, 2, CHART_QUOTIENT, (0.01, 1.0)),
+        ("quotient_spinor", quotient_spinor_field(LogModelParams(5, 2)), 2, CHART_QUOTIENT, (0.01, 1.0)),
+        ("tube_symplectic", tube_symplectic(), 2, CHART_TUBE, (0.06, 3.0)),
+        ("btilde", btilde, 2, CHART_TUBE, (0.06, 3.0)),
+        ("h", h, 1, CHART_TUBE, (0.06, 3.0)),
+        ("glued_spinor", glued_spinor_field(geo), 2, CHART_TUBE, (0.06, 3.0)),
+    ]
+
+
+ORDER_CONTRACT_FIELDS = _order_contract_fields()
+
+
+@pytest.mark.parametrize("name, field, top, chart, radii", ORDER_CONTRACT_FIELDS, ids=[r[0] for r in ORDER_CONTRACT_FIELDS])
+def test_field_at_a_lower_order_keeps_the_levels_it_carries(name, field, top, chart, radii):
+    # a 16-point block; the lower-order jet is the order-2 jet cut short, bit for bit
+    rng = np.random.default_rng(17)
+    coords = rng.uniform(0.0, 1.0, (4, 16))
+    coords[0] = radii[0] + (radii[1] - radii[0]) * coords[0]
+    p = ChartPoint(chart, tuple(coords), () if chart == CHART_CPLANE else ANGLES)
+    full = field(p)
+    assert full.order == top and field(p, 3).order == top
+    for k in range(top + 1):
+        jet = field(p, k)
+        assert jet.order == k
+        assert np.array_equal(jet.values, full.values)
+        if k >= 1:
+            assert np.array_equal(jet.grads, full.grads)
+
+
+def test_h_at_order_zero_has_no_derivative_to_take():
+    _, h = b_extension_and_h(SurgeryGeometry())
+    p = tpt(1.5, 0.1, 0.2, 0.3)
+    assert h(p).d().order == 0
+    with pytest.raises(ValueError, match="order 0"):
+        h(p, 0).d()

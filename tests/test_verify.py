@@ -176,9 +176,9 @@ def test_type_jump_worst_point_is_the_misclassified_point(monkeypatch):
     rho = local_model_spinor()
     seen = []
 
-    def recording(coords):
+    def recording(coords, order):
         seen.append(tuple(coords))
-        return rho.fn(coords)
+        return rho.fn(coords, order)
 
     real_normal_form = verify.normal_form
 
@@ -238,8 +238,8 @@ def test_locate_nonconvergence_recorded_not_fatal():
     from gcx.chart import FormField
     from gcx.jets import FormJet
 
-    def fn(coords):
-        jet = FormJet.zero(4)
+    def fn(coords, order):
+        jet = FormJet.zero(4, order)
         jet.values[0] = 1.0
         jet.values[0b0101] = 1.0
         return jet
@@ -429,7 +429,7 @@ def test_block_runner_worst_point_is_the_per_point_argmax():
     samples = 2 * verify.BLOCK + 7
     rep = check_integrability("bump", samples=samples, seed=11, flip_h_sign=True)
     rho, h, (chart, r_lo, r_hi), _ = verify._region_setup("bump", SurgeryGeometry(), None)
-    minus_h = FormField(CHART_TUBE, 4, lambda c: h.fn(c) * (-1.0))
+    minus_h = FormField(CHART_TUBE, 4, lambda c, order: h.fn(c, order) * (-1.0))
     coords = per_point_annulus(verify._rng(11, "h_sign_negative_control"), samples, r_lo, r_hi)
     points = [ChartPoint(chart, tuple(c), ANGLES) for c in coords.T]
     residuals = [integrability_residual(rho, minus_h, p).residual for p in points]
@@ -514,8 +514,8 @@ def test_h_properties_fails_when_h_leaks_outside_the_window(monkeypatch):
     def leaky(geometry, window=None):
         btilde, h = b_extension_and_h(geometry, window)
 
-        def fn(coords):
-            jet = h.fn(coords)
+        def fn(coords, order):
+            jet = h.fn(coords, order)
             jet.values[0b1011] += 1e-3 * (coords[0] > 2.0)
             return jet
 
@@ -543,3 +543,43 @@ def test_cli_exits_3_on_a_sampled_point_outside_a_map_domain(monkeypatch, tmp_pa
     err = capsys.readouterr().err
     assert code == 3
     assert "outside the domain of map annulus->tube" in err and "Traceback" not in err
+
+
+def test_quotient_check_fails_on_a_deck_map_with_the_wrong_twist(monkeypatch):
+    # t2 + k in place of t2 + k/m: B and omega are translation invariant, so only q(deck(p)) = q(p) sees it
+    def wrong_twist(params):
+        m, k = params.m, params.k
+        def fn(ins):
+            r, t1, t2, t3 = ins
+            return [r, t1 + 1.0 / m, t2 + k, t3]
+
+        return ChartMap(CHART_ANNULUS, CHART_ANNULUS, 4, fn, target_periodic=ANGLES)
+
+    note = "orbit size {} and q(deck(p)) = q(p) at r = 0 and r = 0.5: {}"
+    quotients = [LogModelParams(m, k) for m, k in ((2, 1), (3, 2), (5, 2))]
+    for params in quotients:
+        assert check_quotient(params, samples=20).notes[-1] == note.format(params.m, True)
+    monkeypatch.setattr(verify, "deck_action_map", wrong_twist)
+    for params in quotients:
+        rep = check_quotient(params, samples=20)
+        assert not rep.passed
+        assert rep.notes[-1] == note.format(params.m, False)
+
+
+def test_quotient_and_integrability_checks_ask_for_order_one_at_most(monkeypatch):
+    # the batched checks read values and gradients only; an order-2 request would build Hessians unread
+    from gcx import chart
+
+    asked = []
+    call = chart._Field.__call__
+
+    def spy(field, p, order=2):
+        asked.append(order)
+        return call(field, p, order)
+
+    monkeypatch.setattr(chart._Field, "__call__", spy)
+    check_quotient(LogModelParams(5, 2), samples=20)
+    for region in verify.INTEGRABILITY_REGIONS:
+        check_integrability(region, samples=20)
+    check_integrability("bump", samples=20, flip_h_sign=True)
+    assert asked and max(asked) <= 1
