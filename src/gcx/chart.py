@@ -8,10 +8,12 @@ vector part and last n the covector part.  Each caller asks for the
 levels it reads, so no jet is built to a higher order than it is used.
 The operations here -- H-twisted Courant bracket, pullback along chart
 maps, and the integrability residual -- consume those jets; d(alpha) at p is
-``alpha(p, 1).d().value()``.  Periodic coordinates are angles of unit
-period and reduce modulo 1.  A ChartPoint with n coordinate arrays of
-length N is a block of N points, which fields, maps, pullbacks and
-integrability residuals evaluate in one pass (see gcx.jets).
+``alpha(p, 1).d().value()``.  A map evaluated to order 1 (its
+``order`` field) gives pullbacks of values alone.  Periodic
+coordinates are angles of unit period and reduce modulo 1.  A
+ChartPoint with n coordinate arrays of length N is a block of N
+points, which fields, maps, pullbacks and integrability residuals
+evaluate in one pass (see gcx.jets).
 """
 
 from dataclasses import dataclass, field
@@ -79,6 +81,10 @@ class ChartMap:
     ``jet_fn`` evaluates the forward map in Jet2 arithmetic on coordinate
     jets; Jacobian and second derivative are read off the outputs.
     ``domain`` maps coordinates to a bool, elementwise over a block.
+    ``order`` is how far the map is evaluated: 2 for pullbacks with first
+    derivatives (enough for d of a pullback), 1 for pullbacks of values
+    alone, without the second derivative (``dataclasses.replace`` gives
+    the same map at the other order).
     """
 
     source: str
@@ -87,6 +93,11 @@ class ChartMap:
     jet_fn: Callable
     target_periodic: tuple = ()
     domain: Optional[Callable] = None
+    order: int = 2
+
+    def __post_init__(self):
+        if self.order not in (1, 2):
+            raise ValueError(f"a chart map is evaluated to order 1 or 2, got {self.order}")
 
     def _guard(self, coords: np.ndarray) -> None:
         inside = np.asarray(True if self.domain is None else self.domain(coords))
@@ -95,24 +106,22 @@ class ChartMap:
             raise ValueError(f"point {bad} outside the domain of map {self.source}->{self.target}")
 
     def jets(self, coords: np.ndarray):
-        """(y, J, H): image, Jacobian J[t, i], second derivative H[t, i, j].
+        """(y, J, H): image, Jacobian J[t, i], second derivative H[t, i, j] (None at order 1).
 
         A block has coords and y (n, N), and one J and H per point: (N, n, n), (N, n, n, n).
         An output that is a number, or a jet without the block axis, is constant over the block.
         """
         coords = np.asarray(coords, dtype=float)
         self._guard(coords)
-        ins = [Jet2.coordinate(self.dim, i + 1, coords[i]) for i in range(self.dim)]
+        ins = [Jet2.coordinate(self.dim, i + 1, coords[i], self.order) for i in range(self.dim)]
         batch = coords.shape[1:]
-        outs = [
-            o if isinstance(o, Jet2) and np.shape(o.values) == batch else Jet2(self.dim, np.zeros(batch)) + o
-            for o in self.jet_fn(ins)
-        ]
+        zero = Jet2(self.dim, np.zeros(batch), order=self.order)
+        outs = [o if isinstance(o, Jet2) and np.shape(o.values) == batch else zero + o for o in self.jet_fn(ins)]
         if max(np.abs(np.imag(o.values)).max() for o in outs) > 1e-12:
             raise RuntimeError("chart map produced a non-real coordinate")
         y = np.array([o.values.real for o in outs])
         jac = np.stack([o.grads.real for o in outs], axis=-2)
-        hess = np.stack([o.hess.real for o in outs], axis=-3)
+        hess = np.stack([o.hess.real for o in outs], axis=-3) if self.order > 1 else None
         return y, jac, hess
 
     def at(self, p: ChartPoint) -> "MapJet":
@@ -127,26 +136,29 @@ class MapJet:
     """A chart map evaluated at one point or at a block of points.
 
     ``image`` is the image point, ``jac[..., t, i]`` and ``hess[..., t, i, j]``
-    the first and second derivatives of the map's components there.  The
+    the first and second derivatives of the map's components there
+    (``hess`` is None for a map evaluated to first order).  The
     pulled-back basis forms are built on first use and shared by every
     form pulled back through this evaluation.
     """
 
-    def __init__(self, image: ChartPoint, jac: np.ndarray, hess: np.ndarray):
+    def __init__(self, image: ChartPoint, jac: np.ndarray, hess: Optional[np.ndarray]):
         self.image, self.jac, self.hess = image, jac, hess
         n, batch = jac.shape[-1], jac.shape[:-2]
         ones = _one_forms(n)
-        # pulled-back basis one-forms d(phi^t); they carry phi's second
-        # derivatives only, so every pulled-back basis form has order 1
-        self._dphi = [FormJet.zero(n, 1, batch) for _ in range(n)]
+        # pulled-back basis one-forms d(phi^t); their gradients are phi's second
+        # derivatives, so every pulled-back basis form has order 1, or 0 without them
+        self.order = 0 if hess is None else 1
+        self._dphi = [FormJet.zero(n, self.order, batch) for _ in range(n)]
         for t, jet in enumerate(self._dphi):
             jet.values[ones] = jac[..., t, :].T
-            jet.grads[ones] = hess[..., t, :, :].swapaxes(0, -2)
-        self._basis = {0: FormJet.constant(Multiform.scalar(n, 1.0), 1, batch)}
+            if hess is not None:
+                jet.grads[ones] = hess[..., t, :, :].swapaxes(0, -2)
+        self._basis = {0: FormJet.constant(Multiform.scalar(n, 1.0), self.order, batch)}
         self._basis.update((1 << t, jet) for t, jet in enumerate(self._dphi))
 
     def basis(self, mask: int) -> FormJet:
-        """The pullback of the basis monomial ``mask``, with exact first derivatives."""
+        """The pullback of the basis monomial ``mask``, to the order of this evaluation's basis forms."""
         if mask not in self._basis:
             low = mask & -mask
             self._basis[mask] = self._dphi[low.bit_length() - 1].wedge(self.basis(mask ^ low))
@@ -220,22 +232,27 @@ class IntegrabilityWitness:
 
 
 def pullback_jet(at: MapJet, alpha: FormField) -> FormJet:
-    """Pullback of alpha through a map evaluation, with exact first derivatives.
+    """Pullback of alpha through a map evaluation, to the order of its basis forms.
 
-    The pulled-back basis forms are order 1, and so is the result (enough
-    for d of the pullback); alpha is evaluated to order 1 and its
-    coefficient functions compose to first order.  A coefficient that
-    vanishes with its gradient at every point is skipped.
+    Through a map evaluated to order 2 the result has exact first
+    derivatives (enough for d of the pullback); through one evaluated to
+    order 1 it has values alone.  alpha is evaluated to that order and
+    its coefficient functions compose to it.  A coefficient that vanishes
+    at every point (with its gradient, at order 1) is skipped.
     """
-    ajet = alpha(at.image, 1)
+    order = at.order
+    ajet = alpha(at.image, order)
     n = at.jac.shape[-1]
     # composed coefficient jets (exact to first order)
-    comp = FormJet(n, ajet.values, (ajet.grads[..., None, :] @ at.jac)[..., 0, :], order=1)
+    grads = (ajet.grads[..., None, :] @ at.jac)[..., 0, :] if order else None
+    comp = FormJet(n, ajet.values, grads, order=order)
+    live = comp.values.reshape(1 << n, -1).any(axis=1)
+    if order:
+        live |= comp.grads.reshape(1 << n, -1).any(axis=1)
 
-    out = FormJet.zero(n, 1, at.jac.shape[:-2])
-    for mask in range(1 << n):
-        if comp.values[mask].any() or comp.grads[mask].any():
-            out = out + at.basis(mask).scale(comp[mask])
+    out = FormJet.zero(n, order, at.jac.shape[:-2])
+    for mask in np.flatnonzero(live).tolist():
+        out = out + at.basis(mask).scale(comp[mask])
     return out
 
 

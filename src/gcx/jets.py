@@ -20,8 +20,8 @@ trustworthy: exterior differentiation consumes one level (the result's
 Hessians would need third derivatives, which are not carried).  A jet
 may also be built to a lower order than 2 when its reader needs fewer
 levels; every rule keeps the lower order of its operands.  Levels past
-``order`` are neither computed nor stored: they are shared read-only
-zeros, and writes into a jet skip them.
+``order`` are neither computed nor stored: they are read-only views of
+one shared zero, and writes into a jet skip them.
 
 ``FormJet.wedge`` and ``FormJet.d`` run as small dense matmuls over
 signed tables built once per dimension (``multilinear._tables``): the
@@ -43,12 +43,13 @@ def _zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=complex)
 
 
+_ZERO = np.zeros((), dtype=complex)
+
+
 @functools.lru_cache(maxsize=64)
 def _untrusted(shape) -> np.ndarray:
-    """Shared read-only zeros for a derivative level past a jet's order."""
-    out = _zeros(shape)
-    out.setflags(write=False)
-    return out
+    """Shared read-only zeros for a derivative level past a jet's order: a view of one zero, any shape."""
+    return np.broadcast_to(_ZERO, shape)
 
 
 def _lifted(values) -> tuple:

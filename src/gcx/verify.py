@@ -11,15 +11,16 @@ its points BLOCK at a time, one numpy pass per block (a block is one
 ChartPoint with coordinate arrays), and keeps only running maxima, so
 its memory does not grow with the sample count; polar_compatibility
 takes its normal forms point by point inside the block, and the H
-slice quadrature is one block per Gauss node.
+slice quadrature takes QUAD_NODES_PER_BLOCK Gauss nodes per block.
 
 ``CHECKS`` is the table ``gcx check`` runs: one row per report with
 its stream id, target, sample cap, tolerance kind and runner.
 """
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,6 +77,11 @@ __all__ = [
 
 INTEGRABILITY_REGIONS = ("cplane", "polar", "bump", "outer")
 QUAD_NODES = 128  # Gauss-Legendre nodes of the H slice integral over the window
+# nodes per H evaluation of the slice quadrature: 48 points, below the 64 columns at which
+# FormJet.d's (16 x 64) matmul can take OpenBLAS's multithreaded path
+QUAD_NODES_PER_BLOCK = 3
+FT_NODES = 64  # Gauss-Legendre nodes of each integral of f' that h_properties compares with f
+FT_POINTS = 8  # sample points whose FT_NODES radii one bump evaluation takes, which bounds its memory
 # sample points per numpy pass; bounds a check's transient memory whatever --samples is.  Fields
 # are evaluated only to the order each check reads, so 16 points peak about where 8 did at order 2.
 BLOCK = 16
@@ -275,6 +281,15 @@ def _max_abs(values: np.ndarray) -> np.ndarray:
     return np.abs(values).max(axis=0)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(nodes: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use (an eigenvalue problem) and kept."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 # ------------------------------------------------------------- surgery
 
 
@@ -284,20 +299,41 @@ def check_symplectomorphism(
     seed: int = 42,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Pullback of the tube form through the gluing map equals the annulus form."""
+    """The gluing map pulls the tube form back to the annulus form, and Btilde back to the annulus B.
+
+    Btilde is defined for rt >= r_min only, so its comparison covers the
+    sampled points whose image lies there; the bump is 1 on the whole
+    image (rt <= 1 <= lo), so the comparison holds for every window.
+    """
     geometry = geometry or SurgeryGeometry()
     rng = _rng(seed, "symplectomorphism")
     r_lo = max(_R_LOW, geometry.r_min) + 1e-9
-    psi, sigma, omega = gluing_map(), tube_symplectic(), local_model_polar(geometry.r_min)[1]
+    psi, sigma = replace(gluing_map(), order=1), tube_symplectic()  # both comparisons read values only
+    b_field, omega = local_model_polar(geometry.r_min)
+    btilde = b_extension_and_h(geometry)[0]
+    covered = 0
 
     def block(p):
+        nonlocal covered
         at = psi.at(p)
-        return _max_abs(pullback_jet(at, sigma).values - omega(p, 0).values), np.abs(np.linalg.det(at.jac))
+        sigma_res = _max_abs(pullback_jet(at, sigma).values - omega(p, 0).values)
+        inside = at.image.coords[0] >= geometry.r_min
+        b_res = np.zeros(len(inside))
+        if inside.any():
+            bt = btilde(at.image.with_coords(c[inside] for c in at.image.coords), 0).values
+            masks = np.flatnonzero(bt.any(axis=1)).tolist()
+            pulled = sum(bt[mask] * at.basis(mask).values[:, inside] for mask in masks)
+            b_res[inside] = _max_abs(pulled - b_field(p, 0).values[:, inside])
+            covered += int(inside.sum())
+        return np.maximum(sigma_res, b_res), np.abs(np.linalg.det(at.jac)), b_res
 
     top, low, worst = _per_block(block, lambda count: _sample_annulus(rng, count, r_lo, 1.0), samples)
     max_res, min_det = float(top[0]), float(low[1])
     passed = max_res <= tol and min_det > 1e-12
-    notes = [f"min |det Dpsi| = {min_det:.6e}"]
+    notes = [
+        f"min |det Dpsi| = {min_det:.6e}",
+        f"psi^*Btilde = B at the {covered} points with image rt >= r_min: residual = {top[2]:.3e}",
+    ]
     params = _geometry_params(geometry)
     return _report("symplectomorphism", seed, samples, tol, max_res, worst, passed, notes, **params)
 
@@ -387,6 +423,14 @@ def check_integrability(
     return _report(stream, seed, samples, tol, max_res, worst, passed, notes, **params)
 
 
+def _integral_of_derivative(prof, upper: np.ndarray) -> np.ndarray:
+    """The integral of f' from lo to each radius of upper (lo <= upper <= hi), by FT_NODES-node Gauss."""
+    nodes, weights = _gauss_rule(FT_NODES)
+    half = 0.5 * (upper - prof.lo)
+    radii = prof.lo + half[..., None] * (nodes + 1.0)
+    return half * (prof.evaluate(radii, 1)[1] * weights).sum(axis=-1)
+
+
 def check_h_properties(
     geometry: SurgeryGeometry | None = None,
     samples: int = 500,
@@ -394,7 +438,13 @@ def check_h_properties(
     tol: float = 1e-8,
     window: tuple | None = None,
 ) -> CheckReport:
-    """Closedness, support confinement, and the slice integral of H = d(Btilde)."""
+    """The bump's f' against f, support confinement, and the slice integral of H = d(Btilde).
+
+    H = -f'(rt) drt^dt1^dt3, so f' is what H reads; at each sampled radius
+    f(rt) - f(lo) must equal the integral of f' from lo to min(rt, hi)
+    (the fundamental theorem), which a wrong f' fails even where its
+    slice integral stays 1.
+    """
     geometry = geometry or SurgeryGeometry()
     prof = bump_profile(geometry, window)
     lo, hi = prof.lo, prof.hi
@@ -404,8 +454,20 @@ def check_h_properties(
     def draw(r_lo, r_hi):
         return lambda count: _sample_annulus(rng, count, r_lo, r_hi, chart=CHART_TUBE)
 
-    top, _, worst = _per_block(lambda p: _max_abs(h(p).d().values), draw(geometry.r_min, hi + 0.5), samples)
-    max_dh = float(top[0])
+    f_lo = prof.evaluate(lo, 0)[0]
+    whole = _integral_of_derivative(prof, np.array(hi))  # every radius past hi reads the whole window
+
+    def ft_residual(p):
+        rt = p.coords[0]
+        integral = np.where(rt >= hi, whole, 0.0)  # empty at rt <= lo
+        inside = np.flatnonzero((lo < rt) & (rt < hi))
+        for start in range(0, len(inside), FT_POINTS):
+            part = inside[start : start + FT_POINTS]
+            integral[part] = _integral_of_derivative(prof, rt[part])
+        return np.abs(prof.evaluate(rt, 0)[0] - f_lo - integral)
+
+    top, _, worst = _per_block(ft_residual, draw(geometry.r_min, hi + 0.5), samples)
+    max_res = float(top[0])
 
     # H vanishes inside lo and outside hi, and so does Btilde outside hi: 50 points each, BLOCK at a time
     inner, _, _ = _per_block(lambda p: _max_abs(h(p, 0).values), draw(geometry.r_min, lo), 50)
@@ -415,29 +477,35 @@ def check_h_properties(
     support_ok = inner[0] == 0.0 and outer[0] == 0.0
 
     # product quadrature over the 3-cycle {t2 = const}, orientation dr^dt1^dt3:
-    # one block of the 16 angle pairs per Gauss node
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+    # the 16 angle pairs at each Gauss node, QUAD_NODES_PER_BLOCK nodes per block
+    nodes, weights = _gauss_rule(QUAD_NODES)
     radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     ang = (np.arange(4) + 0.5) / 4.0
     a1, a3 = np.repeat(ang, len(ang)), np.tile(ang, len(ang))
     integral = 0.0
-    for r, w in zip(radii, weights):
-        grid = ChartPoint(CHART_TUBE, (np.full(len(a1), r), a1, np.full(len(a1), 0.37), a3), ANGLES)
-        # summed pair after pair, in the order of the points
-        acc = np.add.accumulate(h(grid, 0).values[_M124].real)[-1]
-        integral += w * acc / len(a1)
+    for start in range(0, QUAD_NODES, QUAD_NODES_PER_BLOCK):
+        r = radii[start : start + QUAD_NODES_PER_BLOCK]
+        t1, t3 = np.tile(a1, len(r)), np.tile(a3, len(r))
+        grid = ChartPoint(CHART_TUBE, (np.repeat(r, len(a1)), t1, np.full(len(t1), 0.37), t3), ANGLES)
+        # at each node, summed pair after pair, in the order of the points
+        sums = np.add.accumulate(h(grid, 0).values[_M124].real.reshape(len(r), len(a1)), axis=1)[:, -1]
+        for w, acc in zip(weights[start : start + QUAD_NODES_PER_BLOCK], sums):
+            integral += w * acc / len(a1)
     integral *= 0.5 * (hi - lo)
     sign = int(np.sign(integral))
     integral_ok = abs(integral - conventions.H_SLICE_SIGN) <= 1e-6
 
-    passed = max_dh <= tol and support_ok and integral_ok
+    passed = max_res <= tol and support_ok and integral_ok
     notes = [
         f"slice integral = {integral:.9f} (sign {sign:+d})",
         conventions.NOTE_H_SLICE,
         f"support confined to window [{lo}, {hi}]: {bool(support_ok)}",
+        f"residual = |f(rt) - f(lo) - integral of f' from lo to min(rt, hi)|, {FT_NODES}-node Gauss-Legendre",
+        "dH = 0: H = -f'(rt) drt^dt1^dt3 has a coefficient in rt alone, cross-checked against d(Btilde) "
+        "at every evaluation",
     ]
     params = {"quad_nodes": QUAD_NODES, **_geometry_params(geometry), "window": [lo, hi]}
-    return _report("h_properties", seed, samples, tol, max_dh, worst, passed, notes, **params)
+    return _report("h_properties", seed, samples, tol, max_res, worst, passed, notes, **params)
 
 
 # ------------------------------------------------------------ quotient
@@ -456,22 +524,28 @@ def check_quotient(
     b_field, w_field = local_model_polar(r_min)
     bq, wq = log_model(params, r_min)
     qmap = quotient_map(params)
-    deck = deck_action_map(params)
+    deck = replace(deck_action_map(params), order=1)  # its pullbacks' values are all the check reads
     rho_q = quotient_spinor_field(params, r_min)
 
-    def block(p):
-        at_deck, at_q = deck.at(p), qmap.at(p)
-        b_p, w_p = b_field(p, 1), w_field(p, 0)  # d(discrepancy) reads b_p's gradient
-        deck_res = np.maximum(
+    def deck_residual(p, b_p, w_p):
+        """Deck invariance of B and omega; the deck map's evaluation and its basis forms die with the call."""
+        at_deck = deck.at(p)
+        return np.maximum(
             _max_abs(pullback_jet(at_deck, b_field).values - b_p.values),
             _max_abs(pullback_jet(at_deck, w_field).values - w_p.values),
         )
+
+    def block(p):
+        b_p, w_p = b_field(p, 1), w_field(p, 0)  # d(discrepancy) reads b_p's gradient
+        deck_res = deck_residual(p, b_p, w_p)
+        at_q = qmap.at(p)
+        # integrability first, before the quotient pullbacks fill at_q's basis cache
+        integ_res = integrability_residual(rho_q, None, at_q.image).residual
         omega_res = _max_abs(pullback_jet(at_q, wq).values - w_p.values)
         disc_jet = pullback_jet(at_q, bq) - b_p
         expected = np.zeros(disc_jet.values.shape, dtype=complex)
         expected[_M13] = (m - 1) / p.coords[0]  # (m-1) dlog r ^ dtheta2
         disc_res = _max_abs(disc_jet.values - expected)
-        integ_res = integrability_residual(rho_q, None, at_q.image).residual
         # the recorded discrepancy form is closed: d of the pulled-back difference
         closed = _max_abs(disc_jet.d().values)
         point = np.maximum.reduce([deck_res, omega_res, disc_res, integ_res])
@@ -544,7 +618,7 @@ def check_polar_compatibility(
 ) -> CheckReport:
     """The cplane spinor pulled to the annulus chart reproduces the polar forms."""
     rho = local_model_spinor()
-    overlap = polar_overlap_map()
+    overlap = replace(polar_overlap_map(), order=1)
     b_field, w_field = local_model_polar(r_min)
     rng = _rng(seed, "polar_compatibility")
 

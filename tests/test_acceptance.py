@@ -166,7 +166,7 @@ def test_criterion_05_h_suite():
         5,
         "h-suite",
         rep.passed and rep.max_residual <= 1e-8,
-        f"dH residual {rep.max_residual:.2e}; {sign_note}",
+        f"f' fundamental-theorem residual {rep.max_residual:.2e}; {sign_note}",
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -483,6 +485,28 @@ def test_block_map_with_constant_outputs_matches_points():
     assert_stacked(jac, [p[1] for p in per], axis=0)
     assert_stacked(hess, [p[2] for p in per], axis=0)
     assert np.array_equal(y[1:3], [[0.5] * 5, [2.0] * 5]) and not jac[:, 1:3].any()
+
+
+def test_first_order_map_pullbacks_are_the_values_of_second_order_ones():
+    # a check that reads a pullback's values evaluates its map to order 1: no Hessian, values-only basis forms
+    block, _ = block_point(models.CHART_ANNULUS, annulus_coords(np.random.default_rng(11), 16))
+    params = models.LogModelParams(5, 2)
+    cases = [
+        (models.gluing_map(), [models.tube_symplectic(), models.b_extension_and_h(models.SurgeryGeometry())[0]]),
+        (models.deck_action_map(params), list(models.local_model_polar())),
+        (models.quotient_map(params), list(models.log_model(params))),
+        (models.polar_overlap_map(), [models.local_model_spinor()]),
+    ]
+    for phi, forms in cases:
+        first, second = dataclasses.replace(phi, order=1).at(block), phi.at(block)
+        assert first.hess is None and first.order == 0 and second.order == 1
+        assert np.array_equal(first.jac, second.jac) and np.array_equal(first.image.array(), second.image.array())
+        for alpha in forms:
+            pulled = pullback_jet(first, alpha)
+            assert pulled.order == 0
+            assert np.array_equal(pulled.values, pullback_jet(second, alpha).values)  # bit for bit
+    with pytest.raises(ValueError, match="order 1 or 2, got 0"):
+        dataclasses.replace(models.gluing_map(), order=0)
 
 
 def test_block_expression_and_constant_fields_match_points():

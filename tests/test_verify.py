@@ -453,6 +453,7 @@ def test_quotient_check_memory_is_bounded_by_the_block():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 1.5 * 2**20
+    assert peaks[0] <= 0.6 * 2**20  # the deck map's evaluation is gone before the quotient pullbacks
     assert peaks[1] < 1.1 * peaks[0]
 
 
@@ -471,7 +472,7 @@ def test_h_and_polar_check_memory_is_bounded_by_the_block(run):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.1 * peaks[0]
-    if run is check_h_properties:  # the 16-point quadrature blocks stay within the bump check's peak
+    if run is check_h_properties:  # the 48-point quadrature blocks stay within the bump check's peak
         check_integrability("bump", samples=sizes[0])
         tracemalloc.start()
         try:
@@ -521,11 +522,12 @@ def test_h_properties_fails_when_h_leaks_outside_the_window(monkeypatch):
 
         return btilde, FormField(CHART_TUBE, 4, fn)
 
-    assert "support confined to window [1.0, 2.0]: True" in check_h_properties(samples=20).notes
+    clean = check_h_properties(samples=20)
+    assert "support confined to window [1.0, 2.0]: True" in clean.notes
     monkeypatch.setattr(verify, "b_extension_and_h", leaky)
     rep = check_h_properties(samples=20)
     assert "support confined to window [1.0, 2.0]: False" in rep.notes
-    assert rep.max_residual == 0.0 and "(sign +1)" in rep.notes[0]
+    assert rep.max_residual == clean.max_residual and "(sign +1)" in rep.notes[0]
     assert not rep.passed
 
 
@@ -583,3 +585,98 @@ def test_quotient_and_integrability_checks_ask_for_order_one_at_most(monkeypatch
         check_integrability(region, samples=20)
     check_integrability("bump", samples=20, flip_h_sign=True)
     assert asked and max(asked) <= 1
+
+
+@pytest.mark.parametrize("profile", ["flat", "poly"])
+def test_h_properties_fails_on_a_wiggled_bump_derivative(monkeypatch, profile):
+    # f' x (1 + 0.3 sin 2 pi x): H and its cross-check read the same f', and the wiggle is odd about
+    # the window's midpoint, so the slice integral stays 1; only f' against f can see it
+    from gcx.models import BumpProfile
+
+    geo = SurgeryGeometry(profile=profile)
+    assert check_h_properties(geometry=geo, samples=200).passed
+    descent = BumpProfile._descent
+
+    def wiggled(prof, x, order):
+        f, fp, fpp = descent(prof, x, order)
+        return f, fp * (1.0 + 0.3 * np.sin(2 * np.pi * x)), fpp
+
+    monkeypatch.setattr(BumpProfile, "_descent", wiggled)
+    rep = check_h_properties(geometry=geo, samples=200)
+    assert not rep.passed
+    assert rep.max_residual > 1e-2
+    assert "slice integral = 1.000000000 (sign +1)" == rep.notes[0]
+
+
+def test_symplectomorphism_fails_on_a_wrong_btilde_coefficient(monkeypatch):
+    # rt drt^dt2 -> rt^2 drt^dt2 in Btilde: closed either way, so H, its slice integral and
+    # integrability cannot see it; psi^*Btilde = B on the annulus can
+    from gcx.chart import FormField
+    from gcx.jets import Jet2
+    from gcx.models import b_extension_and_h
+
+    def squared(geometry, window=None):
+        btilde, h = b_extension_and_h(geometry, window)
+
+        def fn(coords, order):
+            jet = btilde.fn(coords, order)
+            jet[0b0101] = jet[0b0101] * Jet2.coordinate(4, 1, coords[0], order)
+            return jet
+
+        return FormField(CHART_TUBE, 4, fn), h
+
+    rep = check_symplectomorphism(samples=200)
+    assert rep.passed and rep.notes[1].startswith("psi^*Btilde = B at the ")
+    monkeypatch.setattr(verify, "b_extension_and_h", squared)
+    rep = check_symplectomorphism(samples=200)
+    assert not rep.passed
+    assert rep.max_residual > 0.5
+
+
+def test_check_all_differentiates_order_one_jets_and_builds_each_gauss_rule_once(monkeypatch, tmp_path):
+    # an order-2 d or a Gauss rule built per call is a 64-column matmul or a 128 x 128
+    # eigenproblem, the sizes at which the BLAS library goes multithreaded
+    from gcx import cli
+    from gcx.jets import FormJet
+
+    orders, built = [], []
+    d, leggauss = FormJet.d, np.polynomial.legendre.leggauss
+
+    def d_spy(jet):
+        orders.append(jet.order)
+        return d(jet)
+
+    def leggauss_spy(nodes):
+        built.append(nodes)
+        return leggauss(nodes)
+
+    monkeypatch.setattr(FormJet, "d", d_spy)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss_spy)
+    verify._gauss_rule.cache_clear()
+    try:
+        args = cli.build_parser().parse_args(["check", "all", "--samples", "20", "--output", str(tmp_path / "r.json")])
+        reports = cli.run_checks(cli.config_from_args(args))
+        assert all(rep.passed for rep in reports)
+        assert orders and max(orders) <= 1
+        check_h_properties(samples=20, seed=7)
+        assert sorted(built) == [verify.FT_NODES, verify.QUAD_NODES]
+    finally:
+        verify._gauss_rule.cache_clear()  # no rule built through the spy outlives the test
+
+
+def test_check_all_evaluates_maps_to_second_order_only_where_a_pullback_is_differentiated(monkeypatch, tmp_path):
+    # only the quotient check takes d of a pullback (its B discrepancy); every other pullback reads values
+    from gcx import chart, cli
+
+    asked = set()
+    jets = chart.ChartMap.jets
+
+    def spy(phi, coords):
+        asked.add((phi.target, phi.order))
+        return jets(phi, coords)
+
+    monkeypatch.setattr(chart.ChartMap, "jets", spy)
+    args = cli.build_parser().parse_args(["check", "all", "--samples", "20", "--output", str(tmp_path / "r.json")])
+    assert all(rep.passed for rep in cli.run_checks(cli.config_from_args(args)))
+    assert {target for target, order in asked if order == 2} == {"quotient"}
+    assert {target for target, _ in asked} == {"tube", "annulus", "quotient", "cplane"}
