@@ -6,7 +6,7 @@ The package is organised bottom-up:
   cotangent space, Clifford action, split-signature pairing.
 * ``spinor`` -- pointwise pure-spinor theory: annihilators, normal forms,
   nondegeneracy, B-transforms, the induced endomorphism of T + T*.
-* ``chart`` -- calculus on coordinate charts: jets to the order asked, exterior
+* ``chart`` -- calculus on coordinate charts: first-order jets, exterior
   derivative, Courant bracket, pullback, integrability residuals.
 * ``models`` -- closed-form geometric models: the type-changing spinor on
   C^2, its polar/torus form, Z_m quotients, the Weinstein tube, the gluing

@@ -1,15 +1,15 @@
 """Calculus on coordinate charts.
 
 Fields are callables from a ChartPoint and a derivative order to a jet
-carrying exact derivatives to the order asked (at most 2, and at most
+carrying exact derivatives to the order asked (at most 1, and at most
 what the field can carry): a FormJet for a form field, and for a
 generator field a jet of shape (2n,) whose first n components are the
 vector part and last n the covector part.  Each caller asks for the
 levels it reads, so no jet is built to a higher order than it is used.
 The operations here -- H-twisted Courant bracket, pullback along chart
 maps, and the integrability residual -- consume those jets; d(alpha) at p is
-``alpha(p, 1).d().value()``.  A map evaluated to order 1 (its
-``order`` field) gives pullbacks of values alone.  Periodic
+``alpha(p, 1).d().value()``.  A map is evaluated to first order, so a
+pullback through it carries values alone.  Periodic
 coordinates are angles of unit period and reduce modulo 1.  A
 ChartPoint with n coordinate arrays of length N is a block of N
 points, which fields, maps, pullbacks and integrability residuals
@@ -76,15 +76,11 @@ class ChartPoint:
 
 @dataclass(frozen=True)
 class ChartMap:
-    """A chart-to-chart map with exact first and second derivatives.
+    """A chart-to-chart map with exact first derivatives.
 
     ``jet_fn`` evaluates the forward map in Jet2 arithmetic on coordinate
-    jets; Jacobian and second derivative are read off the outputs.
+    jets; the Jacobian is read off the outputs.
     ``domain`` maps coordinates to a bool, elementwise over a block.
-    ``order`` is how far the map is evaluated: 2 for pullbacks with first
-    derivatives (enough for d of a pullback), 1 for pullbacks of values
-    alone, without the second derivative (``dataclasses.replace`` gives
-    the same map at the other order).
     """
 
     source: str
@@ -93,11 +89,6 @@ class ChartMap:
     jet_fn: Callable
     target_periodic: tuple = ()
     domain: Optional[Callable] = None
-    order: int = 2
-
-    def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValueError(f"a chart map is evaluated to order 1 or 2, got {self.order}")
 
     def _guard(self, coords: np.ndarray) -> None:
         inside = np.asarray(True if self.domain is None else self.domain(coords))
@@ -106,62 +97,53 @@ class ChartMap:
             raise ValueError(f"point {bad} outside the domain of map {self.source}->{self.target}")
 
     def jets(self, coords: np.ndarray):
-        """(y, J, H): image, Jacobian J[t, i], second derivative H[t, i, j] (None at order 1).
+        """(y, J): image and Jacobian J[t, i].
 
-        A block has coords and y (n, N), and one J and H per point: (N, n, n), (N, n, n, n).
+        A block has coords and y (n, N), and one J per point: (N, n, n).
         An output that is a number, or a jet without the block axis, is constant over the block.
         """
         coords = np.asarray(coords, dtype=float)
         self._guard(coords)
-        ins = [Jet2.coordinate(self.dim, i + 1, coords[i], self.order) for i in range(self.dim)]
+        ins = [Jet2.coordinate(self.dim, i + 1, coords[i]) for i in range(self.dim)]
         batch = coords.shape[1:]
-        zero = Jet2(self.dim, np.zeros(batch), order=self.order)
+        zero = Jet2(self.dim, np.zeros(batch))
         outs = [o if isinstance(o, Jet2) and np.shape(o.values) == batch else zero + o for o in self.jet_fn(ins)]
         if max(np.abs(np.imag(o.values)).max() for o in outs) > 1e-12:
             raise RuntimeError("chart map produced a non-real coordinate")
         y = np.array([o.values.real for o in outs])
         jac = np.stack([o.grads.real for o in outs], axis=-2)
-        hess = np.stack([o.hess.real for o in outs], axis=-3) if self.order > 1 else None
-        return y, jac, hess
+        return y, jac
 
     def at(self, p: ChartPoint) -> "MapJet":
         """Evaluate the map once at p, for every pullback through it."""
         if p.chart != self.source:
             raise ValueError(f"point is on chart {p.chart!r}, map expects {self.source!r}")
-        y, jac, hess = self.jets(p.array())
-        return MapJet(ChartPoint(self.target, tuple(y), self.target_periodic or p.periodic), jac, hess)
+        y, jac = self.jets(p.array())
+        return MapJet(ChartPoint(self.target, tuple(y), self.target_periodic or p.periodic), jac)
 
 
 class MapJet:
     """A chart map evaluated at one point or at a block of points.
 
-    ``image`` is the image point, ``jac[..., t, i]`` and ``hess[..., t, i, j]``
-    the first and second derivatives of the map's components there
-    (``hess`` is None for a map evaluated to first order).  The
-    pulled-back basis forms are built on first use and shared by every
-    form pulled back through this evaluation.
+    ``image`` is the image point and ``jac[..., t, i]`` the first
+    derivatives of the map's components there.  The pulled-back basis
+    forms, values alone, are built on first use and shared by every form
+    pulled back through this evaluation.
     """
 
-    def __init__(self, image: ChartPoint, jac: np.ndarray, hess: Optional[np.ndarray]):
-        self.image, self.jac, self.hess = image, jac, hess
+    def __init__(self, image: ChartPoint, jac: np.ndarray):
+        self.image, self.jac = image, jac
         n, batch = jac.shape[-1], jac.shape[:-2]
-        ones = _one_forms(n)
-        # pulled-back basis one-forms d(phi^t); their gradients are phi's second
-        # derivatives, so every pulled-back basis form has order 1, or 0 without them
-        self.order = 0 if hess is None else 1
-        self._dphi = [FormJet.zero(n, self.order, batch) for _ in range(n)]
-        for t, jet in enumerate(self._dphi):
-            jet.values[ones] = jac[..., t, :].T
-            if hess is not None:
-                jet.grads[ones] = hess[..., t, :, :].swapaxes(0, -2)
-        self._basis = {0: FormJet.constant(Multiform.scalar(n, 1.0), self.order, batch)}
-        self._basis.update((1 << t, jet) for t, jet in enumerate(self._dphi))
+        self._basis = {0: FormJet.constant(Multiform.scalar(n, 1.0), 0, batch)}
+        for t in range(n):  # the pulled-back basis one-forms d(phi^t)
+            self._basis[1 << t] = FormJet.zero(n, 0, batch)
+            self._basis[1 << t].values[_one_forms(n)] = jac[..., t, :].T
 
     def basis(self, mask: int) -> FormJet:
-        """The pullback of the basis monomial ``mask``, to the order of this evaluation's basis forms."""
+        """The values of the pullback of the basis monomial ``mask``, as an order-0 jet."""
         if mask not in self._basis:
             low = mask & -mask
-            self._basis[mask] = self._dphi[low.bit_length() - 1].wedge(self.basis(mask ^ low))
+            self._basis[mask] = self._basis[low].wedge(self.basis(mask ^ low))
         return self._basis[mask]
 
 
@@ -170,17 +152,17 @@ class _Field:
     """A field on a named chart (any chart if empty).
 
     ``fn(coords, order)`` maps coordinates to a jet of order
-    min(order, what the field can carry); jets carry at most order 2.
+    min(order, what the field can carry); jets carry at most order 1.
     """
 
     chart: str
     dim: int
     fn: Callable = field(repr=False)
 
-    def __call__(self, p: ChartPoint, order: int = 2):
+    def __call__(self, p: ChartPoint, order: int = 1):
         if self.chart and p.chart != self.chart:
             raise ValueError(f"field lives on chart {self.chart!r}, got point on {p.chart!r}")
-        return self.fn(p.array(), min(order, 2))
+        return self.fn(p.array(), min(order, 1))
 
 
 @dataclass(frozen=True)
@@ -232,27 +214,17 @@ class IntegrabilityWitness:
 
 
 def pullback_jet(at: MapJet, alpha: FormField) -> FormJet:
-    """Pullback of alpha through a map evaluation, to the order of its basis forms.
+    """Values of the pullback of alpha through a map evaluation, as an order-0 jet.
 
-    Through a map evaluated to order 2 the result has exact first
-    derivatives (enough for d of the pullback); through one evaluated to
-    order 1 it has values alone.  alpha is evaluated to that order and
-    its coefficient functions compose to it.  A coefficient that vanishes
-    at every point (with its gradient, at order 1) is skipped.
+    alpha is evaluated to values alone at the image; a coefficient that
+    vanishes at every point is skipped.  d of a pullback is the pullback
+    of d (naturality): pull back the field whose values are d(alpha).
     """
-    order = at.order
-    ajet = alpha(at.image, order)
+    ajet = alpha(at.image, 0)
     n = at.jac.shape[-1]
-    # composed coefficient jets (exact to first order)
-    grads = (ajet.grads[..., None, :] @ at.jac)[..., 0, :] if order else None
-    comp = FormJet(n, ajet.values, grads, order=order)
-    live = comp.values.reshape(1 << n, -1).any(axis=1)
-    if order:
-        live |= comp.grads.reshape(1 << n, -1).any(axis=1)
-
-    out = FormJet.zero(n, order, at.jac.shape[:-2])
-    for mask in np.flatnonzero(live).tolist():
-        out = out + at.basis(mask).scale(comp[mask])
+    out = FormJet.zero(n, 0, at.jac.shape[:-2])
+    for mask in np.flatnonzero(ajet.values.reshape(1 << n, -1).any(axis=1)).tolist():
+        out = out + at.basis(mask).scale(ajet[mask])
     return out
 
 
@@ -290,7 +262,7 @@ def courant_bracket(
 
     def lie_derivative(wv, wg, cv, cg) -> np.ndarray:
         """Covector components of L_W c = i_W d(c) + d(i_W c); d(c) needs c's first partials only."""
-        c_form = FormJet.zero(n, order=1)
+        c_form = FormJet.zero(n)
         c_form.grads[_one_forms(n)] = cg
         i_w_dc = _one_form_components(c_form.d().value().interior(wv))
         # gradient of the scalar i_W c, by the product rule
@@ -348,7 +320,7 @@ def e_b_transform(b: FormField, u: GcField) -> GcField:
 
     def fn(coords: np.ndarray, order: int) -> _Jet:
         uj = u.fn(coords, order)
-        ixb = b.fn(coords, order).interior_jet(uj.values[:n], uj.grads[:n], uj.hess[:n])
+        ixb = b.fn(coords, order).interior_jet(uj.values[:n], uj.grads[:n])
         out = _Jet(n, uj.values.copy(), order=min(uj.order, ixb.order))
         out[:n] = uj[:n]
         out[n:] = uj[n:] + ixb[one_forms]

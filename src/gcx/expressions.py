@@ -120,7 +120,7 @@ def validate(node: dict, dim: int) -> None:
         raise ValueError(f"unknown expression node kind: {kind!r}")
 
 
-def evaluate(node: dict, coords: np.ndarray, order: int = 2) -> Jet2:
+def evaluate(node: dict, coords: np.ndarray, order: int = 1) -> Jet2:
     """Evaluate an expression tree to a jet of the given order at ``coords``."""
     n = len(coords)
     kind = _node_kind(node)
@@ -152,7 +152,7 @@ def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2, terms
     return add(*nodes)
 
 
-def form_terms_to_jet(dim: int, terms: list, coords: np.ndarray, order: int = 2) -> FormJet:
+def form_terms_to_jet(dim: int, terms: list, coords: np.ndarray, order: int = 1) -> FormJet:
     """Assemble a FormJet from [{"indices": [...], "expr": node}, ...]."""
     coeffs = {}
     for term in terms:
@@ -166,7 +166,7 @@ def form_terms_to_jet(dim: int, terms: list, coords: np.ndarray, order: int = 2)
 
 
 def gc_components_to_jet(
-    dim: int, vec_exprs: list, cov_exprs: list, coords: np.ndarray, order: int = 2
+    dim: int, vec_exprs: list, cov_exprs: list, coords: np.ndarray, order: int = 1
 ) -> _Jet:
     """Assemble a generator jet of shape (2 dim,), vec then cov, from per-component expression nodes."""
     if len(vec_exprs) != dim or len(cov_exprs) != dim:

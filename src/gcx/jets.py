@@ -1,8 +1,8 @@
-"""Forward-mode jets, to second order, for chart calculus.
+"""Forward-mode jets, to first order, for chart calculus.
 
 A jet carries exact values of an array of components together with their
-exact first and second partial derivatives at a point, up to its order
-(truncated Taylor arithmetic).  One core implements the rules every jet
+exact first partial derivatives at a point, up to its order (truncated
+Taylor arithmetic).  One core implements the rules every jet
 shares: sums, scalar multiples, the product rule, and get/set of one
 component.  The component shape sets the flavour: ``Jet2`` is a single
 scalar, ``FormJet`` holds the 2^n coefficients of a mixed exterior
@@ -15,13 +15,13 @@ A jet may hold a block of N points, the sample axis after the component
 axes: a ``Jet2`` has values (N,), a ``FormJet`` values (2^n, N) and
 grads (2^n, N, n).  The per-point shapes are the N-less case.
 
-``order`` tracks how many derivative levels of a jet are still
-trustworthy: exterior differentiation consumes one level (the result's
-Hessians would need third derivatives, which are not carried).  A jet
-may also be built to a lower order than 2 when its reader needs fewer
-levels; every rule keeps the lower order of its operands.  Levels past
-``order`` are neither computed nor stored: they are read-only views of
-one shared zero, and writes into a jet skip them.
+``order`` is 1 while a jet's partials are trustworthy and 0 when it
+carries values alone: exterior differentiation consumes the partials
+(the result's would need second derivatives, which are not carried),
+and a reader of values alone builds its jets to order 0.  Every rule
+keeps the lower order of its operands.  The partials of an order-0 jet
+are neither computed nor stored: they are a read-only view of one
+shared zero, and writes into a jet skip them.
 
 ``FormJet.wedge`` and ``FormJet.d`` run as small dense matmuls over
 signed tables built once per dimension (``multilinear._tables``): the
@@ -48,15 +48,13 @@ _ZERO = np.zeros((), dtype=complex)
 
 @functools.lru_cache(maxsize=64)
 def _untrusted(shape) -> np.ndarray:
-    """Shared read-only zeros for a derivative level past a jet's order: a view of one zero, any shape."""
+    """Shared read-only zeros for the partials of an order-0 jet: a view of one zero, any shape."""
     return np.broadcast_to(_ZERO, shape)
 
 
-def _lifted(values) -> tuple:
-    """Values with one and with two trailing unit axes, to meet grads and hess."""
-    if isinstance(values, np.ndarray):
-        return values[..., None], values[..., None, None]
-    return values, values
+def _lifted(values):
+    """Values with a trailing unit axis, to meet grads."""
+    return values[..., None] if isinstance(values, np.ndarray) else values
 
 
 def _apply(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -72,25 +70,22 @@ def _wedge_matrices(coeffs: np.ndarray, pick: np.ndarray) -> np.ndarray:
 
 
 class _Jet:
-    """Components of any leading shape with their first and second partials.
+    """Components of any leading shape with their first partials.
 
-    values: shape S, grads: S + (n,) with grads[..., i] the i-th partial,
-    hess: S + (n, n), symmetric in the last two axes.  Jets of different
-    shapes combine by broadcasting, so a scalar jet acts on every
-    component of an array jet.
+    values: shape S, grads: S + (n,) with grads[..., i] the i-th partial.
+    Jets of different shapes combine by broadcasting, so a scalar jet
+    acts on every component of an array jet.
     """
 
-    __slots__ = ("dim", "values", "grads", "hess", "order")
+    __slots__ = ("dim", "values", "grads", "order")
     __array_ufunc__ = None  # numpy operands defer to the jet's reflected operators
 
-    def __init__(self, dim: int, values, grads=None, hess=None, order: int = 2):
+    def __init__(self, dim: int, values, grads=None, order: int = 1):
         self.dim, self.values, self.order = dim, values, order
-        shape = getattr(values, "shape", ())  # a complex number is a scalar Jet2's one value
         if grads is None:
-            grads = (_zeros if order > 0 else _untrusted)(shape + (dim,))
-        if hess is None:
-            hess = (_zeros if order > 1 else _untrusted)(shape + (dim, dim))
-        self.grads, self.hess = grads, hess
+            shape = getattr(values, "shape", ()) + (dim,)  # a complex number is a scalar Jet2's one value
+            grads = (_zeros if order > 0 else _untrusted)(shape)
+        self.grads = grads
 
     def _coerce(self, other) -> "_Jet":
         return other if isinstance(other, _Jet) else Jet2(self.dim, other, order=self.order)
@@ -100,14 +95,14 @@ class _Jet:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def _trusted(self, order: int) -> tuple:
-        """(values, grads, hess) cut to ``order``: the levels a result of that order is built from."""
-        return (self.values, self.grads, self.hess)[: order + 1]
+        """(values, grads) cut to ``order``: the levels a result of that order is built from."""
+        return (self.values, self.grads)[: order + 1]
 
-    def _combine(self, other: "_Jet", values, grads=None, hess=None) -> "_Jet":
+    def _combine(self, other: "_Jet", values, grads=None) -> "_Jet":
         """A result of self and other, typed after the operand that is not a scalar Jet2."""
         self._check(other)
         cls = type(other) if isinstance(self, Jet2) else type(self)
-        return cls(self.dim, values, grads, hess, min(self.order, other.order))
+        return cls(self.dim, values, grads, min(self.order, other.order))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -141,44 +136,35 @@ class _Jet:
         values = self.values * other.values
         if order < 1:
             return self._combine(other, values)
-        (sv1, sv2), (ov1, ov2) = _lifted(self.values), _lifted(other.values)
-        sg, og = self.grads, other.grads
-        grads = sv1 * og + ov1 * sg
-        if order < 2:
-            return self._combine(other, values, grads)
-        outer = sg[..., :, None] * og[..., None, :]
-        hess = sv2 * other.hess + ov2 * self.hess + outer + outer.swapaxes(-1, -2)
-        return self._combine(other, values, grads, hess)
+        grads = _lifted(self.values) * other.grads + _lifted(other.values) * self.grads
+        return self._combine(other, values, grads)
 
     def __getitem__(self, i) -> "Jet2":
-        return Jet2(self.dim, self.values[i], self.grads[i], self.hess[i], self.order)
+        return Jet2(self.dim, self.values[i], self.grads[i], self.order)
 
     def __setitem__(self, i, jet: "Jet2") -> None:
-        """Write one component's trusted levels; a lower-order jet lowers this jet's order."""
+        """Write one component's trusted levels; an order-0 jet lowers this jet's order."""
         self.order = min(self.order, jet.order)
         self.values[i] = jet.values
         if self.order > 0:
             self.grads[i] = jet.grads
-        if self.order > 1:
-            self.hess[i] = jet.hess
 
 
 class Jet2(_Jet):
-    """Scalar truncated Taylor value: f, grad f, symmetric hess f (each per point of a block)."""
+    """Scalar truncated Taylor value: f and grad f (each per point of a block)."""
 
     __slots__ = ()
 
-    def __init__(self, n: int, value, grad=None, hess=None, order: int = 2):
+    def __init__(self, n: int, value, grad=None, order: int = 1):
         if isinstance(value, np.ndarray) and value.ndim:
             value = value.astype(complex, copy=False)
         else:
             value = complex(value)
         grad = None if grad is None else np.asarray(grad, dtype=complex)
-        hess = None if hess is None else np.asarray(hess, dtype=complex)
-        super().__init__(n, value, grad, hess, order)
+        super().__init__(n, value, grad, order)
 
     @classmethod
-    def coordinate(cls, n: int, i: int, value, order: int = 2) -> "Jet2":
+    def coordinate(cls, n: int, i: int, value, order: int = 1) -> "Jet2":
         """The i-th coordinate function (1-based) evaluated at ``value`` (a number or a block)."""
         g = None
         if order > 0:
@@ -194,21 +180,15 @@ class Jet2(_Jet):
     def __rtruediv__(self, other):
         return self._coerce(other) * self._reciprocal()
 
-    def _chain(self, f0, f1, f2) -> "Jet2":
-        """Compose with a 1-d function given f, f', f'' at self.values (f'' is read at order 2 only)."""
+    def _chain(self, f0, f1) -> "Jet2":
+        """Compose with a 1-d function given f and f' at self.values (f' is read at order 1 only)."""
         if self.order < 1:
             return Jet2(self.dim, f0, order=self.order)
-        g = self.grads
-        f1g, f1h = _lifted(f1)
-        if self.order < 2:
-            return Jet2(self.dim, f0, f1g * g, order=self.order)
-        f2h = _lifted(f2)[1]
-        outer = g[..., :, None] * g[..., None, :]
-        return Jet2(self.dim, f0, f1g * g, f1h * self.hess + f2h * outer, self.order)
+        return Jet2(self.dim, f0, _lifted(f1) * self.grads, order=self.order)
 
     def _reciprocal(self) -> "Jet2":
         v = self.values
-        return self._chain(1.0 / v, -1.0 / v**2, 2.0 / v**3)
+        return self._chain(1.0 / v, -1.0 / v**2)
 
     def __pow__(self, k: int):
         if k == 0:  # the constant 1, at every point of a block
@@ -222,46 +202,43 @@ class Jet2(_Jet):
 
     def exp(self) -> "Jet2":
         e = np.exp(self.values)
-        return self._chain(e, e, e)
+        return self._chain(e, e)
 
     def log(self) -> "Jet2":
         v = self.values
-        return self._chain(np.log(v), 1.0 / v, -1.0 / v**2)
+        return self._chain(np.log(v), 1.0 / v)
 
     def sqrt(self) -> "Jet2":
         s = np.sqrt(self.values)
-        return self._chain(s, 0.5 / s, -0.25 / (s * self.values))
+        return self._chain(s, 0.5 / s)
 
     def sin(self) -> "Jet2":
         v = self.values
-        return self._chain(np.sin(v), np.cos(v), -np.sin(v))
+        return self._chain(np.sin(v), np.cos(v))
 
     def cos(self) -> "Jet2":
         v = self.values
-        return self._chain(np.cos(v), -np.sin(v), -np.cos(v))
+        return self._chain(np.cos(v), -np.sin(v))
 
 
 class FormJet(_Jet):
-    """A Multiform value with per-coefficient first and second partials.
+    """A Multiform value with per-coefficient first partials.
 
     values: (2^n,), grads: (2^n, n) with grads[s, i] the i-th partial of
-    coefficient s, hess: (2^n, n, n) symmetric in the last two axes; a
-    block of N points has (2^n, N), (2^n, N, n) and (2^n, N, n, n).
+    coefficient s; a block of N points has (2^n, N) and (2^n, N, n).
     ``jet[mask]`` is the coefficient of the basis monomial ``mask``.
-    ``wedge`` and ``d`` apply the signed tables of
-    ``multilinear._tables``; ``wedge`` and ``scale`` at order < 2 leave
-    the Hessian zero.
+    ``wedge`` and ``d`` apply the signed tables of ``multilinear._tables``.
     """
 
     __slots__ = ()
 
     @classmethod
-    def zero(cls, dim: int, order: int = 2, batch: tuple = ()) -> "FormJet":
+    def zero(cls, dim: int, order: int = 1, batch: tuple = ()) -> "FormJet":
         """The zero form at one point, or at each of a block of points (batch = (N,))."""
         return cls(dim, _zeros((1 << dim, *batch)), order=order)
 
     @classmethod
-    def constant(cls, form: Multiform, order: int = 2, batch: tuple = ()) -> "FormJet":
+    def constant(cls, form: Multiform, order: int = 1, batch: tuple = ()) -> "FormJet":
         jet = cls.zero(form.dim, order, batch)
         jet.values[:] = form.coeffs.reshape((-1,) + (1,) * len(batch))
         return jet
@@ -276,8 +253,7 @@ class FormJet(_Jet):
     def wedge(self, other: "FormJet") -> "FormJet":
         """Product rule through the signed wedge table, as 2^n x 2^n matrices per point.
 
-        With L_a = a.W and R_b = W.b: values L_a b, grads L_a db + R_b da,
-        hess L_a d2b + R_b d2a + C + C^T with C^T[u, j, i] = (R_{d_j b} d_i a)_u.
+        With L_a = a.W and R_b = W.b: values L_a b, grads L_a db + R_b da.
         At order 0 only the values are formed, from the products of
         disjoint coefficient pairs.
         """
@@ -289,17 +265,10 @@ class FormJet(_Jet):
         left, right = _wedge_matrices(self.values, t.wedge_left), _wedge_matrices(other.values, t.wedge_right)
         values = _apply(left, other.values[..., None])[..., 0]
         grads = _apply(left, other.grads) + _apply(right, self.grads)
-        if order < 2:
-            return FormJet(n, values, grads, order=order)
-        cross = _apply(_wedge_matrices(other.grads, t.wedge_right), self.grads)  # C^T
-        flat = other.grads.shape[:-1] + (n * n,)
-        hess = _apply(left, other.hess.reshape(flat)) + _apply(right, self.hess.reshape(flat))
-        hess = hess.reshape(cross.shape) + cross
-        hess += cross.swapaxes(-1, -2)
-        return FormJet(n, values, grads, hess, order)
+        return FormJet(n, values, grads, order=order)
 
     def d(self) -> "FormJet":
-        """Exterior derivative, one matmul per level; consumes one derivative level."""
+        """Exterior derivative, one matmul over the partials, which it consumes: the result has order 0."""
         if self.order < 1:
             raise ValueError(f"jet carries derivatives to order {self.order}, need 1")
         n = self.dim
@@ -307,18 +276,15 @@ class FormJet(_Jet):
         # bring the differentiated axis next to the component axis: [s, i, ...]
         rows = d_matrix.shape[1]
         values = d_matrix @ self.grads.swapaxes(1, -1).reshape((rows,) + self.values.shape[1:])
-        grads = None
-        if self.order >= 2:
-            grads = (d_matrix @ self.hess.swapaxes(1, -2).reshape(rows, -1)).reshape(self.grads.shape)
-        return FormJet(n, values, grads, order=self.order - 1)
+        return FormJet(n, values, order=0)
 
     def exp_wedge(self) -> "FormJet":
         """Terminating wedge exponential (even degrees, no scalar part)."""
         one = FormJet.constant(Multiform.scalar(self.dim, 1.0), self.order, self.values.shape[1:])
         return _exp_wedge_series(self, one, (self.values, self.grads))
 
-    def interior_jet(self, xv: np.ndarray, xg: np.ndarray, xh: np.ndarray) -> "FormJet":
-        """Contraction with a jet tangent vector (xv (n,), xg[i,j]=d_j X_i, xh)."""
+    def interior_jet(self, xv: np.ndarray, xg: np.ndarray) -> "FormJet":
+        """Contraction with a jet tangent vector (xv (n,), xg[i,j]=d_j X_i)."""
         act = _tables(self.dim).action[: self.dim]
         av = np.einsum("ius,s->iu", act, self.values)
         values = np.einsum("i,iu->u", xv, av)
@@ -326,13 +292,4 @@ class FormJet(_Jet):
             return FormJet(self.dim, values, order=self.order)
         ag = np.einsum("ius,sj->iuj", act, self.grads)
         grads = np.einsum("ij,iu->uj", xg, av) + np.einsum("i,iuj->uj", xv, ag)
-        if self.order < 2:
-            return FormJet(self.dim, values, grads, order=self.order)
-        ah = np.einsum("ius,sjk->iujk", act, self.hess)
-        hess = (
-            np.einsum("ijk,iu->ujk", xh, av)
-            + np.einsum("ij,iuk->ujk", xg, ag)
-            + np.einsum("ik,iuj->ujk", xg, ag)
-            + np.einsum("i,iujk->ujk", xv, ah)
-        )
-        return FormJet(self.dim, values, grads, hess, self.order)
+        return FormJet(self.dim, values, grads, order=self.order)

@@ -12,8 +12,9 @@ Charts (all 4-dimensional, angles of unit period):
   form sigma = rt drt^dt1 + dt2^dt3, the bump extension Btilde and its
   3-form H = d(Btilde).
 
-Every field here is a closed-form evaluator with exact jets to the
-order asked (see gcx.chart); r_min guards keep the log terms finite.
+Every field here is a closed-form evaluator with exact values and, at
+order 1, exact first partials (see gcx.chart); r_min guards keep the
+log terms finite.
 """
 
 import math
@@ -113,12 +114,12 @@ class BumpProfile:
         if not 1.0 <= self.lo < self.hi:
             raise ValueError(f"need 1 <= lo < hi, got window ({self.lo}, {self.hi})")
 
-    def evaluate(self, rtilde, order: int = 2) -> tuple:
-        """(f, f', f'') as three arrays of the shape of rtilde: 0-d at one radius.
+    def evaluate(self, rtilde, order: int = 1) -> tuple:
+        """(f, f') as two arrays of the shape of rtilde: 0-d at one radius.
 
-        The derivatives past ``order`` are not formed and read zero.  A
-        caller that needs the triple twice (H and its closed-form
-        cross-check) takes both from one call.
+        At order 0, f' is not formed and reads zero.  A caller that needs
+        the pair twice (H and its closed-form cross-check) takes both from
+        one call.
         """
         r = np.asarray(rtilde, dtype=float)
         if (r < 0).any():
@@ -129,14 +130,14 @@ class BumpProfile:
         guard = 5e-3 if self.name == "flat" else 0.0
         low = (r <= self.lo) | (x < guard)
         inside = ~(low | (r >= self.hi) | (x > 1.0 - guard))
-        out = [np.where(low, 1.0, 0.0), np.zeros(x.shape), np.zeros(x.shape)]
+        out = [np.where(low, 1.0, 0.0), np.zeros(x.shape)]
         if inside.any():
             for level, v in zip(out, self._descent(x[inside], order)):
                 level[inside] = v
         return tuple(out)
 
     def _descent(self, x, order: int) -> tuple:
-        """(f, f', f'') inside the window, at an array of x = (rtilde - lo) / (hi - lo)."""
+        """(f, f') inside the window, at an array of x = (rtilde - lo) / (hi - lo)."""
         t = Jet2.coordinate(1, 1, x, order)
         if self.name == "flat":
             # all-orders-flat descent from exp(-1/t) ratios
@@ -146,23 +147,19 @@ class BumpProfile:
         else:
             # C^2 polynomial descent 1 - (6t^5 - 15t^4 + 10t^3)
             s = 1.0 - (6.0 * t**5 - 15.0 * t**4 + 10.0 * t**3)
-        width = self.hi - self.lo
-        return s.values.real, s.grads[..., 0].real / width, s.hess[..., 0, 0].real / width**2
+        return s.values.real, s.grads[..., 0].real / (self.hi - self.lo)
 
-    def jet(self, rtilde, order: int = 2) -> Jet2:
+    def jet(self, rtilde, order: int = 1) -> Jet2:
         """The cutoff as a jet of the given order in the tube coordinates (radius is coord 1).
 
         At one radius or at a block of radii.
         """
-        f, fp, fpp = self.evaluate(rtilde, order)
-        grad = hess = None
+        f, fp = self.evaluate(rtilde, order)
+        grad = None
         if order > 0:
             grad = np.zeros(f.shape + (4,), dtype=complex)
             grad[..., 0] = fp
-        if order > 1:
-            hess = np.zeros(f.shape + (4, 4), dtype=complex)
-            hess[..., 0, 0] = fpp
-        return Jet2(4, f, grad, hess, order)
+        return Jet2(4, f, grad, order)
 
 
 def bump_profile(geometry: SurgeryGeometry, window: tuple | None = None) -> BumpProfile:
@@ -350,9 +347,8 @@ def b_extension_and_h(geometry: SurgeryGeometry, window: tuple | None = None) ->
 
     Btilde = f(rt) * (rt drt^dt2 - dt1^dt3) with f the selected bump;
     H is the assembled d(Btilde), cross-checked against the closed form
-    -f'(rt) drt^dt1^dt3 at every evaluation (to 1e-10).  H at order k
-    takes Btilde at order min(k + 1, 2), never below 1 (the cross-check
-    reads f'), so H carries at most order 1.
+    -f'(rt) drt^dt1^dt3 at every evaluation (to 1e-10).  H takes Btilde
+    at order 1 whatever order it is asked for, so H carries order 0.
     """
     profile = bump_profile(geometry, window)
 
@@ -367,7 +363,7 @@ def b_extension_and_h(geometry: SurgeryGeometry, window: tuple | None = None) ->
         return jet, bump
 
     def h_fn(coords: np.ndarray, order: int) -> FormJet:
-        b, bump = btilde(coords, min(order + 1, 2))  # one bump evaluation for d(Btilde) and its closed form
+        b, bump = btilde(coords, 1)  # one bump evaluation for d(Btilde) and its closed form
         jet = b.d()
         closed = np.zeros(jet.values.shape, dtype=complex)
         closed[_M124] = -bump.grads[..., 0]

@@ -20,7 +20,7 @@ its stream id, target, sample cap, tolerance kind and runner.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from gcx.models import (
     ANGLES,
     CHART_ANNULUS,
     CHART_CPLANE,
+    CHART_QUOTIENT,
     CHART_TUBE,
     LogModelParams,
     SurgeryGeometry,
@@ -82,8 +83,7 @@ QUAD_NODES = 128  # Gauss-Legendre nodes of the H slice integral over the window
 QUAD_NODES_PER_BLOCK = 3
 FT_NODES = 64  # Gauss-Legendre nodes of each integral of f' that h_properties compares with f
 FT_POINTS = 8  # sample points whose FT_NODES radii one bump evaluation takes, which bounds its memory
-# sample points per numpy pass; bounds a check's transient memory whatever --samples is.  Fields
-# are evaluated only to the order each check reads, so 16 points peak about where 8 did at order 2.
+# sample points per numpy pass; bounds a check's transient memory whatever --samples is
 BLOCK = 16
 SIGN_CONTROL_TOL = 1e-3  # the wrong-sign H control passes iff its residual exceeds this
 
@@ -308,7 +308,7 @@ def check_symplectomorphism(
     geometry = geometry or SurgeryGeometry()
     rng = _rng(seed, "symplectomorphism")
     r_lo = max(_R_LOW, geometry.r_min) + 1e-9
-    psi, sigma = replace(gluing_map(), order=1), tube_symplectic()  # both comparisons read values only
+    psi, sigma = gluing_map(), tube_symplectic()
     b_field, omega = local_model_polar(geometry.r_min)
     btilde = b_extension_and_h(geometry)[0]
     covered = 0
@@ -524,7 +524,9 @@ def check_quotient(
     b_field, w_field = local_model_polar(r_min)
     bq, wq = log_model(params, r_min)
     qmap = quotient_map(params)
-    deck = replace(deck_action_map(params), order=1)  # its pullbacks' values are all the check reads
+    deck = deck_action_map(params)
+    # d(q^*B' - B) = q^*(dB') - dB by naturality: pull back the values of dB'
+    d_bq = FormField(CHART_QUOTIENT, 4, lambda c, order: bq.fn(c, 1).d())
     rho_q = quotient_spinor_field(params, r_min)
 
     def deck_residual(p, b_p, w_p):
@@ -536,7 +538,7 @@ def check_quotient(
         )
 
     def block(p):
-        b_p, w_p = b_field(p, 1), w_field(p, 0)  # d(discrepancy) reads b_p's gradient
+        b_p, w_p = b_field(p, 1), w_field(p, 0)  # d(discrepancy) reads dB
         deck_res = deck_residual(p, b_p, w_p)
         at_q = qmap.at(p)
         # integrability first, before the quotient pullbacks fill at_q's basis cache
@@ -546,8 +548,8 @@ def check_quotient(
         expected = np.zeros(disc_jet.values.shape, dtype=complex)
         expected[_M13] = (m - 1) / p.coords[0]  # (m-1) dlog r ^ dtheta2
         disc_res = _max_abs(disc_jet.values - expected)
-        # the recorded discrepancy form is closed: d of the pulled-back difference
-        closed = _max_abs(disc_jet.d().values)
+        # the recorded discrepancy form is closed
+        closed = _max_abs(pullback_jet(at_q, d_bq).values - b_p.d().values)
         point = np.maximum.reduce([deck_res, omega_res, disc_res, integ_res])
         return point, deck_res, omega_res, disc_res, integ_res, closed
 
@@ -618,7 +620,7 @@ def check_polar_compatibility(
 ) -> CheckReport:
     """The cplane spinor pulled to the annulus chart reproduces the polar forms."""
     rho = local_model_spinor()
-    overlap = replace(polar_overlap_map(), order=1)
+    overlap = polar_overlap_map()
     b_field, w_field = local_model_polar(r_min)
     rng = _rng(seed, "polar_compatibility")
 

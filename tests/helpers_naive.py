@@ -3,7 +3,9 @@
 Deliberately independent of gcx.multilinear: forms are dicts mapping
 ascending 1-based index tuples to complex coefficients, and every sign
 comes from an explicit bubble sort.  Used as the oracle that pins
-expected values in the algebra tests.
+expected values in the algebra tests.  ``central_partials`` is the
+finite-difference oracle for derivatives past the first, which jets do
+not carry.
 """
 
 import numpy as np
@@ -91,3 +93,8 @@ def random_multiform(rng, n, degrees=None):
             if bin(mask).count("1") not in degrees:
                 coeffs[mask] = 0.0
     return Multiform(n, coeffs)
+
+
+def central_partials(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Partials at the point x of the array fn(x), stacked on a last axis, by central differences."""
+    return np.stack([(fn(x + step) - fn(x - step)) / (2 * h) for step in np.eye(len(x)) * h], axis=-1)

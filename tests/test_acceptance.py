@@ -212,6 +212,8 @@ def test_criterion_08_locus_suite():
 def test_criterion_09_b_transform_bracket_suite():
     from gcx import expressions as ex
     from gcx.chart import FormField, GcField, courant_bracket, e_b_transform
+    from gcx.jets import FormJet
+    from helpers_naive import central_partials
 
     rng = np.random.default_rng(SEED + 3)
     chart = "flat"
@@ -232,7 +234,15 @@ def test_criterion_09_b_transform_bracket_suite():
         )
 
     def d_field(f):
-        return FormField(chart, N, lambda c, order: f.fn(c, min(order + 1, 2)).d())
+        """d f; asked for order 1 (closed B in a bracket), it takes central differences for the partials."""
+
+        def values(c):
+            return f.fn(c, 1).d().values
+
+        def fn(c, order):
+            return FormJet(N, values(c), central_partials(values, c) if order else None, order=order)
+
+        return FormField(chart, N, fn)
 
     def apply_eb(bval, w):
         ixb = bval.interior(w.vec)
@@ -252,7 +262,7 @@ def test_criterion_09_b_transform_bracket_suite():
         # closed B: plain equivariance
         ub, vb = e_b_transform(closed_b, u), e_b_transform(closed_b, v)
         lhs = courant_bracket(ub, vb, h, p)
-        rhs = apply_eb(closed_b(p).value(), courant_bracket(u, v, h, p))
+        rhs = apply_eb(closed_b(p, 0).value(), courant_bracket(u, v, h, p))
         worst_closed = max(worst_closed, (lhs - rhs).norm())
         # non-closed B: frozen shift [E_B u, E_B v]_H = E_B([u,v]_{H+s*dB})
         ub, vb = e_b_transform(open_b, u), e_b_transform(open_b, v)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -18,6 +16,7 @@ from gcx.chart import (
 )
 from gcx.jets import FormJet, Jet2
 from gcx.multilinear import GcVector, Multiform
+from helpers_naive import central_partials
 
 N = 4
 FLAT = "flat"
@@ -62,19 +61,6 @@ def test_jet_matches_finite_differences():
             fd = (ex.evaluate(node, xp).values - ex.evaluate(node, xm).values) / (2 * h)
             scale = max(1.0, abs(jet.grads[i]))
             assert abs(fd - jet.grads[i]) <= 1e-7 * scale
-            # second partials against central differences of the exact gradient
-            gp = ex.evaluate(node, xp).grads
-            gm = ex.evaluate(node, xm).grads
-            fd2 = (gp - gm) / (2 * h)
-            assert np.abs(fd2 - jet.hess[i]).max() <= 1e-7 * max(1.0, np.abs(jet.hess[i]).max())
-
-
-def test_jet_hessian_symmetric():
-    rng = np.random.default_rng(4)
-    node = ex.random_polynomial(rng, N, degree=3, terms=5)
-    x = rng.uniform(-1, 1, N)
-    jet = ex.evaluate(node, x)
-    assert np.abs(jet.hess - jet.hess.T).max() < 1e-14
 
 
 def test_jet_division_and_log():
@@ -82,10 +68,8 @@ def test_jet_division_and_log():
     inv = 1.0 / x
     assert inv.values == pytest.approx(2.0)
     assert inv.grads[0] == pytest.approx(-4.0)
-    assert inv.hess[0, 0] == pytest.approx(16.0)
     lg = x.log()
     assert lg.grads[0] == pytest.approx(2.0)
-    assert lg.hess[0, 0] == pytest.approx(-4.0)
 
 
 # ------------------------------------------------- exterior derivative
@@ -113,7 +97,7 @@ def test_d_squared_vanishes():
         }
         alpha = form_field(terms)
         p = pt(*rng.uniform(-1, 1, N))
-        dd = alpha(p).d().d().value()
+        dd = d_field(alpha)(p).d().value()  # d of the exact d alpha, by central differences
         assert dd.max_abs() < 1e-8
 
 
@@ -154,7 +138,15 @@ def rand_gc_field(rng):
 
 
 def d_field(f: FormField) -> FormField:
-    return FormField(f.chart, f.dim, lambda coords, order: f.fn(coords, min(order + 1, 2)).d())
+    """d f; asked for order 1, it takes central differences of its values for their partials."""
+
+    def values(coords):
+        return f.fn(coords, 1).d().values
+
+    def fn(coords, order):
+        return FormJet(f.dim, values(coords), central_partials(values, coords) if order else None, order=order)
+
+    return FormField(f.chart, f.dim, fn)
 
 
 def sum_field(a: FormField, b: FormField) -> FormField:
@@ -177,7 +169,7 @@ def test_bracket_closed_b_equivariance():
     for _ in range(20):
         p = pt(*rng.uniform(-1, 1, N))
         lhs = courant_bracket(ub, vb, h, p)
-        rhs = apply_e_b(b(p).value(), courant_bracket(u, v, h, p))
+        rhs = apply_e_b(b(p, 0).value(), courant_bracket(u, v, h, p))
         assert (lhs - rhs).norm() < 1e-8
 
 
@@ -253,8 +245,11 @@ def test_pullback_naturality():
         wedge_field = FormField(FLAT, N, lambda c, order: alpha.fn(c, order).wedge(beta.fn(c, order)))
         rhs = pullback(phi, wedge_field, p)
         assert (lhs - rhs).max_abs() < 1e-9
-        # d commutes with pullback
-        d_pull = pullback_jet(phi.at(p), alpha).d().value()
+        # d commutes with pullback: d of the pulled-back values by central differences
+        def pulled(x):
+            return pullback(phi, alpha, pt(*x)).coeffs
+
+        d_pull = FormJet(N, pulled(p.array()), central_partials(pulled, p.array())).d().value()
         pull_d = pullback(phi, d_field(alpha), p)
         assert (d_pull - pull_d).max_abs() < 1e-9
 
@@ -317,8 +312,8 @@ def test_interior_jet_matches_finite_differences():
     h = 1e-5
 
     def contracted(coords):
-        uj = u.fn(coords, 2)
-        return b.fn(coords, 2).interior_jet(uj.values[:N], uj.grads[:N], uj.hess[:N])
+        uj = u.fn(coords, 1)
+        return b.fn(coords, 1).interior_jet(uj.values[:N], uj.grads[:N])
 
     x = rng.uniform(-1, 1, N)
     jet = contracted(x)
@@ -328,8 +323,6 @@ def test_interior_jet_matches_finite_differences():
         xm[i] -= h
         fd_vals = (contracted(xp).values - contracted(xm).values) / (2 * h)
         assert np.abs(fd_vals - jet.grads[:, i]).max() < 1e-7
-        fd_grads = (contracted(xp).grads - contracted(xm).grads) / (2 * h)
-        assert np.abs(fd_grads - jet.hess[:, :, i]).max() < 1e-6
 
 
 def test_gc_jet_cov_form_round_trip():
@@ -338,19 +331,18 @@ def test_gc_jet_cov_form_round_trip():
     rng = np.random.default_rng(92)
     u = rand_gc_field(rng)
     x = rng.uniform(-1, 1, N)
-    uj = u.fn(x, 2)
+    uj = u.fn(x, 1)
     cov = FormJet.zero(N)
     for i in range(N):
         cov[1 << i] = uj[N + i]
     assert np.array_equal(cov.values[[1 << i for i in range(N)]], uj.values[N:])
     assert cov.value().allclose(cov.value().degree_part(1), tol=0.0)
-    back = u.fn(x, 2)
-    back.values[N:] = back.grads[N:] = back.hess[N:] = 0.0
+    back = u.fn(x, 1)
+    back.values[N:] = back.grads[N:] = 0.0
     for i in range(N):
         back[N + i] = cov[1 << i]
     assert np.array_equal(back.values, uj.values)
     assert np.array_equal(back.grads, uj.grads)
-    assert np.array_equal(back.hess, uj.hess)
 
 
 def test_model_field_jets_match_finite_differences():
@@ -366,8 +358,6 @@ def test_model_field_jets_match_finite_differences():
         dn = b_field(p.with_coords((r - h, 0.3, 0.6, 0.1)))
         fd = (up.values - dn.values) / (2 * h)
         assert np.abs(fd - jet.grads[:, 0]).max() < 1e-7 * max(1.0, 1 / r**2)
-        fd2 = (up.grads[:, 0] - dn.grads[:, 0]) / (2 * h)
-        assert np.abs(fd2 - jet.hess[:, 0, 0]).max() < 1e-6 * max(1.0, 1 / r**3)
 
 
 # ------------------------------------------------------------ plumbing
@@ -423,7 +413,7 @@ def assert_stacked(got, refs, axis=-1):
 
 def assert_jet_block(block, points):
     axis = np.ndim(points[0].values)
-    for level in ("values", "grads", "hess"):
+    for level in ("values", "grads"):
         assert_stacked(getattr(block, level), [getattr(j, level) for j in points], axis)
 
 
@@ -461,11 +451,10 @@ def test_block_map_jets_and_pullbacks_match_points(seed, count):
         (models.polar_overlap_map(), models.local_model_spinor()),
     ]
     for phi, alpha in cases:
-        y, jac, hess = phi.jets(coords)
+        y, jac = phi.jets(coords)
         per = [phi.jets(c) for c in coords.T]
         assert_stacked(y, [p[0] for p in per])
         assert_stacked(jac, [p[1] for p in per], axis=0)
-        assert_stacked(hess, [p[2] for p in per], axis=0)
         assert_jet_block(pullback_jet(phi.at(block), alpha), [pullback_jet(phi.at(p), alpha) for p in points])
     # a block where the coefficient of dx1^dx3 vanishes at some points only
     flat = ChartMap(FLAT, FLAT, N, lambda ins: [ins[0] * ins[1], ins[1], ins[2] + ins[0], ins[3]])
@@ -479,34 +468,11 @@ def test_block_map_with_constant_outputs_matches_points():
     # outputs without the block axis (a number, a jet built from one) are constant over the block
     coords = annulus_coords(np.random.default_rng(3), 5)
     phi = ChartMap(FLAT, FLAT, N, lambda ins: [ins[0], 0.5 * Jet2(N, 1.0), 2.0, ins[1] * ins[3]])
-    y, jac, hess = phi.jets(coords)
+    y, jac = phi.jets(coords)
     per = [phi.jets(c) for c in coords.T]
     assert_stacked(y, [p[0] for p in per])
     assert_stacked(jac, [p[1] for p in per], axis=0)
-    assert_stacked(hess, [p[2] for p in per], axis=0)
     assert np.array_equal(y[1:3], [[0.5] * 5, [2.0] * 5]) and not jac[:, 1:3].any()
-
-
-def test_first_order_map_pullbacks_are_the_values_of_second_order_ones():
-    # a check that reads a pullback's values evaluates its map to order 1: no Hessian, values-only basis forms
-    block, _ = block_point(models.CHART_ANNULUS, annulus_coords(np.random.default_rng(11), 16))
-    params = models.LogModelParams(5, 2)
-    cases = [
-        (models.gluing_map(), [models.tube_symplectic(), models.b_extension_and_h(models.SurgeryGeometry())[0]]),
-        (models.deck_action_map(params), list(models.local_model_polar())),
-        (models.quotient_map(params), list(models.log_model(params))),
-        (models.polar_overlap_map(), [models.local_model_spinor()]),
-    ]
-    for phi, forms in cases:
-        first, second = dataclasses.replace(phi, order=1).at(block), phi.at(block)
-        assert first.hess is None and first.order == 0 and second.order == 1
-        assert np.array_equal(first.jac, second.jac) and np.array_equal(first.image.array(), second.image.array())
-        for alpha in forms:
-            pulled = pullback_jet(first, alpha)
-            assert pulled.order == 0
-            assert np.array_equal(pulled.values, pullback_jet(second, alpha).values)  # bit for bit
-    with pytest.raises(ValueError, match="order 1 or 2, got 0"):
-        dataclasses.replace(models.gluing_map(), order=0)
 
 
 def test_block_expression_and_constant_fields_match_points():

@@ -27,30 +27,13 @@ def complex_arrays(shape):
     return arrays(complex, shape, elements=st.sampled_from(GRID), fill=st.nothing())
 
 
-def symmetric_hessians(shape, n):
-    """u v^T + v u^T per component, from drawn factors u, v of shape (..., n).
-
-    Factors keep the draw small enough for the health check while
-    every Hessian entry still varies.
-    """
-    factor = complex_arrays(shape + (n,))
-
-    def symmetrize(uv):
-        u, v = uv[0][..., :, None], uv[1][..., :, None]
-        return u * v.swapaxes(-1, -2) + v * u.swapaxes(-1, -2)
-
-    return st.tuples(factor, factor).map(symmetrize)
-
-
 @st.composite
 def jet_parts(draw, shape):
-    """(values, grads, hess) with hess symmetric in its last two axes."""
-    values = draw(complex_arrays(shape))
-    grads = draw(complex_arrays(shape + (N,)))
-    return values, grads, draw(symmetric_hessians(shape, N))
+    """(values, grads)."""
+    return draw(complex_arrays(shape)), draw(complex_arrays(shape + (N,)))
 
 
-scalar_jets = jet_parts(()).map(lambda p: Jet2(N, complex(p[0]), p[1], p[2]))
+scalar_jets = jet_parts(()).map(lambda p: Jet2(N, complex(p[0]), p[1]))
 form_jets = jet_parts((SIZE,)).map(lambda p: FormJet(N, *p))
 
 
@@ -60,12 +43,12 @@ def homogeneous_form_jets(draw):
     degree = draw(st.integers(0, N))
     jet = draw(form_jets)
     off = DEGREE != degree
-    jet.values[off] = jet.grads[off] = jet.hess[off] = 0.0
+    jet.values[off] = jet.grads[off] = 0.0
     return degree, jet
 
 
 def assert_jets_close(a, b, tol=1e-10):
-    for x, y in ((a.values, b.values), (a.grads, b.grads), (a.hess, b.hess)):
+    for x, y in ((a.values, b.values), (a.grads, b.grads)):
         assert np.allclose(x, y, rtol=1e-12, atol=tol)
 
 
@@ -96,15 +79,14 @@ def test_scale_composes(f, a, b):
 @property_settings
 @given(form_jets, scalar_jets, st.integers(0, SIZE - 1))
 def test_component_set_then_get_round_trips(f, s, mask):
-    before = FormJet(N, f.values.copy(), f.grads.copy(), f.hess.copy())
+    before = FormJet(N, f.values.copy(), f.grads.copy())
     f[mask] = s
     got = f[mask]
     assert got.values == s.values
-    assert np.array_equal(got.grads, s.grads) and np.array_equal(got.hess, s.hess)
+    assert np.array_equal(got.grads, s.grads)
     others = np.arange(SIZE) != mask
     assert np.array_equal(f.values[others], before.values[others])
     assert np.array_equal(f.grads[others], before.grads[others])
-    assert np.array_equal(f.hess[others], before.hess[others])
 
 
 @property_settings
@@ -125,18 +107,21 @@ def test_wedge_graded_commutative(pa, pb):
 def test_exp_wedge_value_matches_multiform(f):
     # keep the even positive degrees, as exp_wedge requires
     odd_or_scalar = (DEGREE == 0) | (DEGREE % 2 == 1)
-    f.values[odd_or_scalar] = f.grads[odd_or_scalar] = f.hess[odd_or_scalar] = 0.0
+    f.values[odd_or_scalar] = f.grads[odd_or_scalar] = 0.0
     assert f.exp_wedge().value().allclose(exp_wedge(Multiform(N, f.values)), tol=1e-10)
 
 
 def test_exp_wedge_keeps_a_power_that_vanishes_to_first_order():
-    # B = x1 (dx1^dx2 + dx3^dx4) at x1 = 0: B^B / 2 = x1^2 dx1^dx2^dx3^dx4
-    # vanishes there with its gradient, but its Hessian does not
-    b = FormJet.zero(N)
-    b[0b0011] = b[0b1100] = Jet2.coordinate(N, 1, 0.0)
-    top = b.exp_wedge()[0b1111]
-    assert top.values == 0 and not top.grads.any()
-    assert top.hess[0, 0] == 2.0
+    # B = x1 (dx1^dx2 + dx3^dx4) at x1 = 0: B^B / 2 = x1^2 dx1^dx2^dx3^dx4 vanishes there
+    # with its gradient, but not its second partial (central differences of the gradient)
+    def top(x1):
+        b = FormJet.zero(N)
+        b[0b0011] = b[0b1100] = Jet2.coordinate(N, 1, x1)
+        return b.exp_wedge()[0b1111]
+
+    assert top(0.0).values == 0 and not top(0.0).grads.any()
+    h = 1e-3
+    assert (top(h).grads[0] - top(-h).grads[0]) / (2 * h) == pytest.approx(2.0, rel=1e-12)
 
 
 # -- the dense-table kernels against the brute-force wedge -----------------
@@ -160,7 +145,7 @@ def sized_form_jets(draw, n, order):
     size = 1 << n
     values = draw(complex_arrays((size,)))
     grads = draw(complex_arrays((size, n)))
-    return FormJet(n, values, grads, draw(symmetric_hessians((size,), n)), order)
+    return FormJet(n, values, grads, order)
 
 
 DIMS = st.sampled_from([2, 3, 4])
@@ -169,7 +154,7 @@ DIMS = st.sampled_from([2, 3, 4])
 @st.composite
 def wedge_operands(draw):
     n = draw(DIMS)
-    orders = st.integers(0, 2)
+    orders = st.integers(0, 1)
     return n, draw(sized_form_jets(n, draw(orders))), draw(sized_form_jets(n, draw(orders)))
 
 
@@ -178,7 +163,7 @@ def assert_close_relative(got, ref, scale):
 
 
 def magnitude(jet):
-    return max(np.abs(part).max() for part in (jet.values, jet.grads, jet.hess))
+    return max(np.abs(part).max() for part in (jet.values, jet.grads))
 
 
 @property_settings
@@ -197,50 +182,35 @@ def test_wedge_matches_naive_product_rule(operands):
     for i in range(n):
         ref = w(a.grads[:, i], b.values) + w(a.values, b.grads[:, i]) if order >= 1 else 0.0
         assert_close_relative(got.grads[:, i], ref, scale)
-        for j in range(n):
-            ref = (
-                w(a.hess[:, i, j], b.values)
-                + w(a.grads[:, i], b.grads[:, j])
-                + w(a.grads[:, j], b.grads[:, i])
-                + w(a.values, b.hess[:, i, j])
-                if order >= 2
-                else 0.0
-            )
-            assert_close_relative(got.hess[:, i, j], ref, scale)
 
 
 @property_settings
-@given(DIMS.flatmap(lambda n: sized_form_jets(n, 2)), st.integers(1, 2))
-def test_d_matches_naive_sum_of_partials(f, order):
-    # d f = sum_i dx^i ^ d_i f; its j-th partial is sum_i dx^i ^ d_j d_i f
-    f.order = order
+@given(DIMS.flatmap(lambda n: sized_form_jets(n, 1)))
+def test_d_matches_naive_sum_of_partials(f):
+    # d f = sum_i dx^i ^ d_i f, which consumes the partials: the result has values alone
     n = f.dim
     got = f.d()
-    scale = magnitude(f)
 
     def w(i, x):
         return naive_wedge_coeffs(n, naive_one_form(n, i), x)
 
-    assert got.order == order - 1
-    assert_close_relative(got.values, sum(w(i, f.grads[:, i]) for i in range(n)), scale)
-    for j in range(n):
-        ref = sum(w(i, f.hess[:, i, j]) for i in range(n)) if order >= 2 else 0.0
-        assert_close_relative(got.grads[:, j], ref, scale)
-    assert not got.hess.any()
+    assert got.order == 0
+    assert_close_relative(got.values, sum(w(i, f.grads[:, i]) for i in range(n)), magnitude(f))
+    assert not got.grads.any() and not got.grads.flags.writeable
 
 
 @property_settings
 @given(form_jets, scalar_jets)
 def test_order_one_product_keeps_values_and_grads(f, a):
-    # an operand of order 1 drops the product's Hessian and nothing else
-    f1 = FormJet(N, f.values, f.grads, f.hess, order=1)
-    a1 = Jet2(N, a.values, a.grads, a.hess, order=1)
-    pairs = ((f1.scale(a), f.scale(a)), (f.scale(a1), f.scale(a)), (a1 * f, a * f), (a * a1, a * a))
+    # the product rule at order 1; an operand of order 0 drops the product's grads and nothing else
+    product = f.scale(a)
+    assert np.allclose(product.grads, a.values * f.grads + f.values[:, None] * a.grads, rtol=1e-12, atol=1e-12)
+    f0, a0 = FormJet(N, f.values, order=0), Jet2(N, a.values, order=0)
+    pairs = ((f0.scale(a), product), (f.scale(a0), product), (a0 * f, a * f), (a * a0, a * a))
     for low, full in pairs:
-        assert low.order == 1 and full.order == 2
+        assert low.order == 0 and full.order == 1
         assert np.array_equal(low.values, full.values)
-        assert np.array_equal(low.grads, full.grads)
-        assert not low.hess.any()
+        assert not low.grads.any()
 
 
 # -- BumpProfile.evaluate at one radius --------------------------------------
@@ -255,8 +225,8 @@ PROFILES = (
 @property_settings
 @given(st.lists(st.tuples(st.integers(0, 2), st.floats(1.55, 1.95)), min_size=2, max_size=12))
 def test_bump_memo_returns_each_profiles_own_values(calls):
-    # alternating profiles at one radius must never see each other's triple;
-    # each one-radius triple is its profile's array path at that radius
+    # alternating profiles at one radius must never see each other's pair;
+    # each one-radius pair is its profile's array path at that radius
     for k, r in calls:
         for profile in (PROFILES[k], PROFILES[(k + 1) % 3]):
             assert profile.evaluate(r) == tuple(float(v[0]) for v in profile.evaluate(np.array([r])))
@@ -282,8 +252,7 @@ def random_parts(rng, shape, n=N):
     def c(*s):
         return rng.normal(size=s) + 1j * rng.normal(size=s)
 
-    u, v = c(*shape, n, 1), c(*shape, n, 1)
-    return c(*shape), c(*shape, n), u * v.swapaxes(-1, -2) + v * u.swapaxes(-1, -2)
+    return c(*shape), c(*shape, n)
 
 
 def block_of(jets):
@@ -291,20 +260,19 @@ def block_of(jets):
     first = jets[0]
     axis = np.ndim(first.values)
     parts = (np.stack([j.values for j in jets], axis), np.stack([j.grads for j in jets], axis))
-    hess = np.stack([j.hess for j in jets], axis)
-    return type(first)(first.dim, *parts, hess, first.order)
+    return type(first)(first.dim, *parts, first.order)
 
 
 def assert_block_matches(block, points):
     stacked = block_of(points)
     assert block.order == stacked.order
-    for level in ("values", "grads", "hess"):
+    for level in ("values", "grads"):
         got, ref = getattr(block, level), getattr(stacked, level)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0))
 
 
-blocks = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 2), st.integers(0, 2))
+blocks = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 1), st.integers(0, 1))
 
 
 @property_settings
@@ -323,7 +291,7 @@ def test_block_form_jet_ops_match_points(draw):
         assert_block_matches(ba.d(), [x.d() for x in a])
     even = (DEGREE % 2 == 0) & (DEGREE > 0)
     for x in a:
-        x.values[~even] = x.grads[~even] = x.hess[~even] = 0.0
+        x.values[~even] = x.grads[~even] = 0.0
     assert_block_matches(block_of(a).exp_wedge(), [x.exp_wedge() for x in a])
 
 
@@ -354,50 +322,47 @@ def test_block_bump_profile_matches_radii_one_at_a_time():
         for i, r in enumerate(radii):
             ref = profile.jet(float(r))
             assert jet.values[i] == ref.values and np.array_equal(jet.grads[i], ref.grads)
-            assert np.array_equal(jet.hess[i], ref.hess)
     with pytest.raises(ValueError, match="radius"):
         PROFILES[0].evaluate(np.array([1.5, -0.25]))
 
 
 def test_order_past_a_jet_is_shared_and_read_only():
-    # levels past ``order`` are never materialized per jet, and cannot be written into
+    # the partials of an order-0 jet are never materialized per jet, and cannot be written into
     rng = np.random.default_rng(3)
-    a = FormJet(N, *random_parts(rng, (SIZE, 4)), order=1)
+    a = FormJet(N, random_parts(rng, (SIZE, 4))[0], order=0)
     out = a.wedge(a)
-    assert out.order == 1 and not out.hess.any() and not out.hess.flags.writeable
-    assert (a + a).hess is out.hess
+    assert out.order == 0 and not out.grads.any() and not out.grads.flags.writeable
+    assert (a + a).grads is out.grads
 
 
 def test_writes_into_an_order_one_jet_keep_its_untrusted_levels():
-    # a component write fills values and grads; the shared zeros past order 1 stay untouched
+    # a component write fills values and grads while the jet has order 1
     rng = np.random.default_rng(4)
     jet = FormJet.zero(N, 1, (3,))
     src = Jet2(N, *random_parts(rng, (3,)))
     jet[0b0101] = src
-    assert jet.order == 1 and not jet.hess.flags.writeable and not jet.hess.any()
+    assert jet.order == 1
     assert np.array_equal(jet.values[0b0101], src.values)
     assert np.array_equal(jet.grads[0b0101], src.grads)
-    # a lower-order component lowers the jet's order, so no level it lacks claims to be exact
+    # an order-0 component lowers the jet's order, so no level it lacks claims to be exact
     jet[0b0011] = Jet2.coordinate(N, 2, np.ones(3), order=0)
     assert jet.order == 0 and np.array_equal(jet.values[0b0011], np.ones(3))
+    # past its order, a write fills the values alone
+    jet[0b1100] = src
+    assert np.array_equal(jet.values[0b1100], src.values) and not jet.grads[0b1100].any()
 
 
 def test_lower_order_jets_keep_values_and_grads():
-    # Jet2 functions and the constructors at order < 2 give the order-2 levels they keep
+    # Jet2 functions and the constructors at order 0 give the values of the order-1 jets
     x = np.linspace(0.3, 0.9, 5)
-    for order in (0, 1):
-        j, ref = Jet2.coordinate(N, 2, x, order), Jet2.coordinate(N, 2, x)
-        fns = (lambda t: t.exp(), lambda t: t.log(), lambda t: (2.0 * t).sin(), lambda t: 1.0 / t, lambda t: t**0)
-        for fn in fns:
-            low, full = fn(j), fn(ref)
-            assert low.order == order and np.array_equal(low.values, full.values)
-            assert not low.hess.flags.writeable
-            if order:
-                assert np.array_equal(low.grads, full.grads)
-            else:
-                assert not low.grads.flags.writeable
-        for bump in PROFILES:
-            low, full = bump.jet(x + 1.0, order), bump.jet(x + 1.0)
-            assert low.order == order and np.array_equal(low.values, full.values)
-            assert not order or np.array_equal(low.grads, full.grads)
-            assert not bump.evaluate(x + 1.0, order)[2].any()  # f'' is not formed below order 2
+    j, ref = Jet2.coordinate(N, 2, x, 0), Jet2.coordinate(N, 2, x)
+    fns = (lambda t: t.exp(), lambda t: t.log(), lambda t: (2.0 * t).sin(), lambda t: 1.0 / t, lambda t: t**0)
+    for fn in fns:
+        low, full = fn(j), fn(ref)
+        assert low.order == 0 and full.order == 1 and np.array_equal(low.values, full.values)
+        assert not low.grads.flags.writeable
+    for bump in PROFILES:
+        low, full = bump.jet(x + 1.0, 0), bump.jet(x + 1.0)
+        assert low.order == 0 and full.order == 1 and np.array_equal(low.values, full.values)
+        assert not low.grads.flags.writeable
+        assert not bump.evaluate(x + 1.0, 0)[1].any()  # f' is not formed at order 0

@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 
 from gcx.chart import ChartMap, ChartPoint, integrability_residual, pullback
+from gcx.jets import FormJet
 from gcx.models import (
     ANGLES,
     CHART_ANNULUS,
@@ -29,6 +30,7 @@ from gcx.models import (
 )
 from gcx.multilinear import GcVector, Multiform, clifford
 from gcx.spinor import check_nondegenerate, is_pure, normal_form
+from helpers_naive import central_partials
 from helpers_symbolic import sadd, sd, sevaluate, spullback
 
 R_SYMS = sp.symbols("r t1 t2 t3", positive=True)
@@ -377,7 +379,7 @@ def test_gluing_pullback_numeric():
         p = apt(rng.uniform(0.62, 1.0), *rng.uniform(0, 1, 3))
         got = pullback(psi, sigma, p)
         assert (got - w_field(p).value()).max_abs() < 1e-12
-        _, jac, _ = psi.jets(p.array())
+        _, jac = psi.jets(p.array())
         assert abs(np.linalg.det(jac)) > 1e-12
 
 
@@ -388,10 +390,10 @@ def test_gluing_pullback_numeric():
 def test_bump_basic_values(profile):
     geo = SurgeryGeometry(profile=profile)
     prof = bump_profile(geo)
-    f, fp, _ = prof.evaluate(0.5)
+    f, fp = prof.evaluate(0.5)
     assert f == 1.0 and fp == 0.0
-    f, fp, fpp = prof.evaluate(geo.r_out + 1.0)
-    assert f == 0.0 and fp == 0.0 and fpp == 0.0
+    f, fp = prof.evaluate(geo.r_out + 1.0)
+    assert f == 0.0 and fp == 0.0
     # endpoints of the descent window
     assert (prof.lo, prof.hi) == (1.0, geo.r_out)
     assert prof.evaluate(prof.lo)[0] == 1.0
@@ -413,8 +415,8 @@ def test_bump_junction_continuity_and_monotone(profile):
     # all-orders-flat profile: derivatives vanish at the seams to round-off
     if profile == "flat":
         for r in (1.0 + 1e-9, geo.r_out - 1e-9):
-            _, fp, fpp = prof.evaluate(r)
-            assert abs(fp) < 1e-10 and abs(fpp) < 1e-10
+            _, fp = prof.evaluate(r)
+            assert abs(fp) < 1e-10
 
 
 @pytest.mark.parametrize("profile", ["flat", "poly"])
@@ -437,16 +439,15 @@ def test_bump_derivative_matches_finite_differences():
     for r in (1.2, 1.5, 1.8):
         f_hi = prof.evaluate(r + h)
         f_lo = prof.evaluate(r - h)
-        f, fp, fpp = prof.evaluate(r)
+        f, fp = prof.evaluate(r)
         assert (f_hi[0] - f_lo[0]) / (2 * h) == pytest.approx(fp, abs=1e-7)
-        assert (f_hi[1] - f_lo[1]) / (2 * h) == pytest.approx(fpp, abs=1e-6)
 
 
 def test_bump_window_override():
     geo = SurgeryGeometry(r_out=4.0)
     prof = bump_profile(geo, window=(2.5, 3.5))
-    assert prof.evaluate(2.0) == (1.0, 0.0, 0.0)
-    assert prof.evaluate(3.75) == (0.0, 0.0, 0.0)
+    assert prof.evaluate(2.0) == (1.0, 0.0)
+    assert prof.evaluate(3.75) == (0.0, 0.0)
     assert 0.0 < prof.evaluate(3.0)[0] < 1.0
     with pytest.raises(ValueError):
         bump_profile(geo, window=(0.5, 2.0))
@@ -469,7 +470,7 @@ def test_b_extension_support_and_h_closed_form():
     assert h(p).value().max_abs() == 0.0
     # in the descent window: H = -f'(rt) drt^dt1^dt3 (the assembled d(Btilde))
     rt = 1.5
-    _, fp, _ = bump_profile(geo).evaluate(rt)
+    _, fp = bump_profile(geo).evaluate(rt)
     val = h(tpt(rt, 0.0, 0.0, 0.0)).value()
     expected = Multiform.from_terms(4, {(1, 2, 4): -fp})
     assert val.allclose(expected, tol=1e-12)
@@ -482,7 +483,9 @@ def test_b_extension_dh_vanishes():
     rng = np.random.default_rng(13)
     for _ in range(20):
         p = tpt(rng.uniform(0.1, geo.r_out + 0.5), *rng.uniform(0, 1, 3))
-        assert h(p).d().value().max_abs() < 1e-10
+        # dH from central differences of H's values: jets carry no second derivatives of Btilde
+        dh = FormJet(4, h(p).values, central_partials(lambda x: h.fn(x, 0).values, p.array())).d()
+        assert dh.value().max_abs() < 1e-10
 
 
 def test_glued_spinor_integrable_against_minus_db():
@@ -519,17 +522,17 @@ def _order_contract_fields():
     b, w = local_model_polar()
     bq, wq = log_model(LogModelParams(5, 2))
     return [
-        ("local", local_model_spinor(), 2, CHART_CPLANE, (-1.0, 1.0)),
-        ("polar_b", b, 2, CHART_ANNULUS, (0.06, 1.0)),
-        ("polar_omega", w, 2, CHART_ANNULUS, (0.06, 1.0)),
-        ("polar_spinor", polar_spinor_field(), 2, CHART_ANNULUS, (0.06, 1.0)),
-        ("quotient_b", bq, 2, CHART_QUOTIENT, (0.01, 1.0)),
-        ("quotient_omega", wq, 2, CHART_QUOTIENT, (0.01, 1.0)),
-        ("quotient_spinor", quotient_spinor_field(LogModelParams(5, 2)), 2, CHART_QUOTIENT, (0.01, 1.0)),
-        ("tube_symplectic", tube_symplectic(), 2, CHART_TUBE, (0.06, 3.0)),
-        ("btilde", btilde, 2, CHART_TUBE, (0.06, 3.0)),
-        ("h", h, 1, CHART_TUBE, (0.06, 3.0)),
-        ("glued_spinor", glued_spinor_field(geo), 2, CHART_TUBE, (0.06, 3.0)),
+        ("local", local_model_spinor(), 1, CHART_CPLANE, (-1.0, 1.0)),
+        ("polar_b", b, 1, CHART_ANNULUS, (0.06, 1.0)),
+        ("polar_omega", w, 1, CHART_ANNULUS, (0.06, 1.0)),
+        ("polar_spinor", polar_spinor_field(), 1, CHART_ANNULUS, (0.06, 1.0)),
+        ("quotient_b", bq, 1, CHART_QUOTIENT, (0.01, 1.0)),
+        ("quotient_omega", wq, 1, CHART_QUOTIENT, (0.01, 1.0)),
+        ("quotient_spinor", quotient_spinor_field(LogModelParams(5, 2)), 1, CHART_QUOTIENT, (0.01, 1.0)),
+        ("tube_symplectic", tube_symplectic(), 1, CHART_TUBE, (0.06, 3.0)),
+        ("btilde", btilde, 1, CHART_TUBE, (0.06, 3.0)),
+        ("h", h, 0, CHART_TUBE, (0.06, 3.0)),
+        ("glued_spinor", glued_spinor_field(geo), 1, CHART_TUBE, (0.06, 3.0)),
     ]
 
 
@@ -538,7 +541,7 @@ ORDER_CONTRACT_FIELDS = _order_contract_fields()
 
 @pytest.mark.parametrize("name, field, top, chart, radii", ORDER_CONTRACT_FIELDS, ids=[r[0] for r in ORDER_CONTRACT_FIELDS])
 def test_field_at_a_lower_order_keeps_the_levels_it_carries(name, field, top, chart, radii):
-    # a 16-point block; the lower-order jet is the order-2 jet cut short, bit for bit
+    # a 16-point block; the lower-order jet is the order-1 jet cut short, bit for bit
     rng = np.random.default_rng(17)
     coords = rng.uniform(0.0, 1.0, (4, 16))
     coords[0] = radii[0] + (radii[1] - radii[0]) * coords[0]
@@ -556,6 +559,6 @@ def test_field_at_a_lower_order_keeps_the_levels_it_carries(name, field, top, ch
 def test_h_at_order_zero_has_no_derivative_to_take():
     _, h = b_extension_and_h(SurgeryGeometry())
     p = tpt(1.5, 0.1, 0.2, 0.3)
-    assert h(p).d().order == 0
+    assert h(p).order == 0
     with pytest.raises(ValueError, match="order 0"):
-        h(p, 0).d()
+        h(p).d()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -568,23 +569,43 @@ def test_quotient_check_fails_on_a_deck_map_with_the_wrong_twist(monkeypatch):
         assert rep.notes[-1] == note.format(params.m, False)
 
 
-def test_quotient_and_integrability_checks_ask_for_order_one_at_most(monkeypatch):
-    # the batched checks read values and gradients only; an order-2 request would build Hessians unread
-    from gcx import chart
+def test_quotient_and_integrability_checks_ask_for_order_one_at_most(monkeypatch, tmp_path):
+    # no check path, these included, asks a field for more than values and first partials
+    from gcx import chart, cli
 
     asked = []
     call = chart._Field.__call__
 
-    def spy(field, p, order=2):
+    def spy(field, p, order=1):
         asked.append(order)
         return call(field, p, order)
 
     monkeypatch.setattr(chart._Field, "__call__", spy)
-    check_quotient(LogModelParams(5, 2), samples=20)
-    for region in verify.INTEGRABILITY_REGIONS:
-        check_integrability(region, samples=20)
-    check_integrability("bump", samples=20, flip_h_sign=True)
+    args = cli.build_parser().parse_args(["check", "all", "--samples", "20", "--output", str(tmp_path / "r.json")])
+    assert all(rep.passed for rep in cli.run_checks(cli.config_from_args(args)))
     assert asked and max(asked) <= 1
+
+
+def test_quotient_closedness_fails_on_a_quotient_b_that_is_not_closed(monkeypatch):
+    # B' times the theta1' coordinate is not closed: d(q^*B' - B), read as q^*(dB') - dB, must see it
+    from gcx.chart import FormField
+    from gcx.jets import Jet2
+    from gcx.models import CHART_QUOTIENT, log_model
+
+    def times_theta1(params, r_min=0.05):
+        bq, wq = log_model(params, r_min)
+
+        def fn(coords, order):
+            return bq.fn(coords, order).scale(Jet2.coordinate(4, 2, coords[1], order))
+
+        return FormField(CHART_QUOTIENT, 4, fn), wq
+
+    monkeypatch.setattr(verify, "log_model", times_theta1)
+    for m, k in ((1, 0), (2, 1), (3, 2), (5, 2)):
+        rep = check_quotient(LogModelParams(m, k), samples=64)
+        closed = float(re.search(r"d\(discrepancy\) = (\S+)$", rep.notes[2]).group(1))
+        assert not rep.passed
+        assert closed > 1.0 > rep.params["tol"]
 
 
 @pytest.mark.parametrize("profile", ["flat", "poly"])
@@ -598,8 +619,8 @@ def test_h_properties_fails_on_a_wiggled_bump_derivative(monkeypatch, profile):
     descent = BumpProfile._descent
 
     def wiggled(prof, x, order):
-        f, fp, fpp = descent(prof, x, order)
-        return f, fp * (1.0 + 0.3 * np.sin(2 * np.pi * x)), fpp
+        f, fp = descent(prof, x, order)
+        return f, fp * (1.0 + 0.3 * np.sin(2 * np.pi * x))
 
     monkeypatch.setattr(BumpProfile, "_descent", wiggled)
     rep = check_h_properties(geometry=geo, samples=200)
@@ -634,8 +655,8 @@ def test_symplectomorphism_fails_on_a_wrong_btilde_coefficient(monkeypatch):
 
 
 def test_check_all_differentiates_order_one_jets_and_builds_each_gauss_rule_once(monkeypatch, tmp_path):
-    # an order-2 d or a Gauss rule built per call is a 64-column matmul or a 128 x 128
-    # eigenproblem, the sizes at which the BLAS library goes multithreaded
+    # d reads first partials only, and a Gauss rule built per call is a 128 x 128
+    # eigenproblem, a size at which the BLAS library goes multithreaded
     from gcx import cli
     from gcx.jets import FormJet
 
@@ -662,21 +683,3 @@ def test_check_all_differentiates_order_one_jets_and_builds_each_gauss_rule_once
         assert sorted(built) == [verify.FT_NODES, verify.QUAD_NODES]
     finally:
         verify._gauss_rule.cache_clear()  # no rule built through the spy outlives the test
-
-
-def test_check_all_evaluates_maps_to_second_order_only_where_a_pullback_is_differentiated(monkeypatch, tmp_path):
-    # only the quotient check takes d of a pullback (its B discrepancy); every other pullback reads values
-    from gcx import chart, cli
-
-    asked = set()
-    jets = chart.ChartMap.jets
-
-    def spy(phi, coords):
-        asked.add((phi.target, phi.order))
-        return jets(phi, coords)
-
-    monkeypatch.setattr(chart.ChartMap, "jets", spy)
-    args = cli.build_parser().parse_args(["check", "all", "--samples", "20", "--output", str(tmp_path / "r.json")])
-    assert all(rep.passed for rep in cli.run_checks(cli.config_from_args(args)))
-    assert {target for target, order in asked if order == 2} == {"quotient"}
-    assert {target for target, _ in asked} == {"tube", "annulus", "quotient", "cplane"}
