@@ -1,16 +1,14 @@
 """Calculus on coordinate charts.
 
-Fields are callables from a ChartPoint and a derivative order to a jet
-carrying exact derivatives to the order asked (at most 1, and at most
-what the field can carry): a FormJet for a form field, and for a
-generator field a jet of shape (2n,) whose first n components are the
-vector part and last n the covector part.  Each caller asks for the
-levels it reads, so no jet is built to a higher order than it is used.
+Fields are callables from a ChartPoint to a jet of what the field
+carries: exact values and first partials, or values alone for a field
+that is a d, such as H = d(Btilde).  A form field gives a FormJet, a
+generator field a jet of shape (2n,), vector part then covector part.
 The operations here -- H-twisted Courant bracket, pullback along chart
-maps, and the integrability residual -- consume those jets; d(alpha) at p is
-``alpha(p, 1).d().value()``.  A map is evaluated to first order, so a
-pullback through it carries values alone.  Periodic
-coordinates are angles of unit period and reduce modulo 1.  A
+maps, and the integrability residual -- consume those jets; d(alpha) at
+p is ``alpha(p).d().value()``.  A map is evaluated to first order, and
+a pullback through it is a sum of coefficient arrays, values alone.
+Periodic coordinates are angles of unit period and reduce modulo 1.  A
 ChartPoint with n coordinate arrays of length N is a block of N
 points, which fields, maps, pullbacks and integrability residuals
 evaluate in one pass (see gcx.jets).
@@ -127,42 +125,49 @@ class MapJet:
 
     ``image`` is the image point and ``jac[..., t, i]`` the first
     derivatives of the map's components there.  The pulled-back basis
-    forms, values alone, are built on first use and shared by every form
-    pulled back through this evaluation.
+    forms are (2^n, *batch) coefficient arrays, built on first use and
+    shared by every form pulled back through this evaluation.
     """
 
     def __init__(self, image: ChartPoint, jac: np.ndarray):
         self.image, self.jac = image, jac
         n, batch = jac.shape[-1], jac.shape[:-2]
-        self._basis = {0: FormJet.constant(Multiform.scalar(n, 1.0), 0, batch)}
+        self._basis = {0: np.zeros((1 << n, *batch), dtype=complex)}
+        self._basis[0][0] = 1.0
         for t in range(n):  # the pulled-back basis one-forms d(phi^t)
-            self._basis[1 << t] = FormJet.zero(n, 0, batch)
-            self._basis[1 << t].values[_one_forms(n)] = jac[..., t, :].T
+            self._basis[1 << t] = np.zeros_like(self._basis[0])
+            self._basis[1 << t][_one_forms(n)] = jac[..., t, :].T
 
-    def basis(self, mask: int) -> FormJet:
-        """The values of the pullback of the basis monomial ``mask``, as an order-0 jet."""
+    def basis(self, mask: int) -> np.ndarray:
+        """The coefficients of the pullback of the basis monomial ``mask``."""
         if mask not in self._basis:
             low = mask & -mask
-            self._basis[mask] = self._basis[low].wedge(self.basis(mask ^ low))
+            self._basis[mask] = wedge_coeffs(self.jac.shape[-1], self._basis[low], self.basis(mask ^ low))
         return self._basis[mask]
+
+    def pull(self, coeffs: np.ndarray) -> np.ndarray:
+        """Pull back image coefficients (2^n, *batch): basis(mask) * coeffs[mask] summed over ascending masks."""
+        out = np.zeros_like(self._basis[0])
+        for mask in np.flatnonzero(coeffs.reshape(len(out), -1).any(axis=1)).tolist():
+            out += self.basis(mask) * coeffs[mask]
+        return out
 
 
 @dataclass(frozen=True)
 class _Field:
     """A field on a named chart (any chart if empty).
 
-    ``fn(coords, order)`` maps coordinates to a jet of order
-    min(order, what the field can carry); jets carry at most order 1.
+    ``fn(coords)`` maps coordinates to a jet of what the field carries.
     """
 
     chart: str
     dim: int
     fn: Callable = field(repr=False)
 
-    def __call__(self, p: ChartPoint, order: int = 1):
+    def __call__(self, p: ChartPoint):
         if self.chart and p.chart != self.chart:
             raise ValueError(f"field lives on chart {self.chart!r}, got point on {p.chart!r}")
-        return self.fn(p.array(), min(order, 1))
+        return self.fn(p.array())
 
 
 @dataclass(frozen=True)
@@ -171,13 +176,13 @@ class FormField(_Field):
 
     @classmethod
     def constant(cls, chart: str, form: Multiform) -> "FormField":
-        return cls(chart, form.dim, lambda coords, order: FormJet.constant(form, order, np.shape(coords)[1:]))
+        return cls(chart, form.dim, lambda coords: FormJet.constant(form, np.shape(coords)[1:]))
 
     @classmethod
     def from_expressions(cls, chart: str, dim: int, terms: list) -> "FormField":
         for term in terms:
             expressions.validate(term["expr"], dim)
-        return cls(chart, dim, lambda coords, order: expressions.form_terms_to_jet(dim, terms, coords, order))
+        return cls(chart, dim, lambda coords: expressions.form_terms_to_jet(dim, terms, coords))
 
 
 @dataclass(frozen=True)
@@ -186,8 +191,8 @@ class GcField(_Field):
 
     @classmethod
     def constant(cls, chart: str, v: GcVector) -> "GcField":
-        def fn(coords: np.ndarray, order: int) -> _Jet:
-            return _Jet(v.dim, np.multiply.outer(v.as_array(), np.ones_like(coords[0])), order=order)
+        def fn(coords: np.ndarray) -> _Jet:
+            return _Jet(v.dim, np.multiply.outer(v.as_array(), np.ones_like(coords[0])))
 
         return cls(chart, v.dim, fn)
 
@@ -198,7 +203,7 @@ class GcField(_Field):
         return cls(
             chart,
             dim,
-            lambda coords, order: expressions.gc_components_to_jet(dim, vec_exprs, cov_exprs, coords, order),
+            lambda coords: expressions.gc_components_to_jet(dim, vec_exprs, cov_exprs, coords),
         )
 
 
@@ -216,16 +221,10 @@ class IntegrabilityWitness:
 def pullback_jet(at: MapJet, alpha: FormField) -> FormJet:
     """Values of the pullback of alpha through a map evaluation, as an order-0 jet.
 
-    alpha is evaluated to values alone at the image; a coefficient that
-    vanishes at every point is skipped.  d of a pullback is the pullback
-    of d (naturality): pull back the field whose values are d(alpha).
+    d of a pullback is the pullback of d (naturality): pull back the
+    field whose values are d(alpha).
     """
-    ajet = alpha(at.image, 0)
-    n = at.jac.shape[-1]
-    out = FormJet.zero(n, 0, at.jac.shape[:-2])
-    for mask in np.flatnonzero(ajet.values.reshape(1 << n, -1).any(axis=1)).tolist():
-        out = out + at.basis(mask).scale(ajet[mask])
-    return out
+    return FormJet(at.jac.shape[-1], at.pull(alpha(at.image).values), order=0)
 
 
 def pullback(phi: ChartMap, alpha: FormField, p: ChartPoint) -> Multiform:
@@ -251,8 +250,8 @@ def courant_bracket(
                       + i_Y i_X H,
     with Lie derivatives expanded through the Cartan formula.
     """
-    uj = u(p, 1)
-    vj = v(p, 1)
+    uj = u(p)
+    vj = v(p)
     n = uj.dim
     # vector and covector slices: values (n,), grads (n, n)
     xv, xg, xi, xig = uj.values[:n], uj.grads[:n], uj.values[n:], uj.grads[n:]
@@ -277,7 +276,7 @@ def courant_bracket(
     cov = cov - 0.5 * (eta_x - xi_y)
 
     if h is not None:
-        h_val = h(p, 0).value()
+        h_val = h(p).value()
         cov = cov + _one_form_components(h_val.interior(xv).interior(yv))
 
     return GcVector(n, vec=lie_xy, cov=cov)
@@ -290,13 +289,13 @@ def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint
     the spinor line generated by rho.  The least squares is a stacked
     pseudo-inverse with numpy lstsq's default singular-value cutoff.
     """
-    jet = rho(p, 1)
+    jet = rho(p)
     val = jet.values
     if (np.abs(val).max(axis=0) <= 1e-12).any():
         raise ValueError("spinor vanishes here; evaluate off the zero locus")
     target = jet.d().values
     if h is not None:
-        target = target + wedge_coeffs(jet.dim, h(p, 0).values, val)
+        target = target + wedge_coeffs(jet.dim, h(p).values, val)
     mat = action_matrix(val)
     cutoff = np.finfo(float).eps * max(mat.shape[-2:])
     sol = (np.linalg.pinv(mat, cutoff) @ target.T[..., None])[..., 0]
@@ -318,9 +317,9 @@ def e_b_transform(b: FormField, u: GcField) -> GcField:
     n = u.dim
     one_forms = _one_forms(n)
 
-    def fn(coords: np.ndarray, order: int) -> _Jet:
-        uj = u.fn(coords, order)
-        ixb = b.fn(coords, order).interior_jet(uj.values[:n], uj.grads[:n])
+    def fn(coords: np.ndarray) -> _Jet:
+        uj = u.fn(coords)
+        ixb = b.fn(coords).interior_jet(uj.values[:n], uj.grads[:n])
         out = _Jet(n, uj.values.copy(), order=min(uj.order, ixb.order))
         out[:n] = uj[:n]
         out[n:] = uj[n:] + ixb[one_forms]

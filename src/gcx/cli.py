@@ -63,8 +63,8 @@ class RunConfig:
             raise ValueError(f"unknown check target {self.target!r}")
         lo_prev = None
         for lo, hi in self.windows:
-            if not 1.0 <= lo < hi:
-                raise ValueError(f"bump window ({lo}, {hi}) must satisfy 1 <= lo < hi")
+            if not 1.0 <= lo < hi < math.inf:
+                raise ValueError(f"bump window ({lo}, {hi}) must satisfy 1 <= lo < hi < inf")
             if lo_prev is not None and lo < lo_prev:
                 raise ValueError("bump windows must be disjoint and ascending")
             lo_prev = hi

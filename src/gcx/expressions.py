@@ -3,8 +3,8 @@
 The vocabulary is fixed so that CLI runs are reproducible bit-for-bit
 from their inputs: constants, coordinates, +, x, integer powers, exp,
 log, and sin/cos in the unit-period angle convention (sin of a
-coordinate u means sin(2*pi*u)).  Expressions evaluate to jets to the
-order asked, so fields built from them carry exact derivatives.
+coordinate u means sin(2*pi*u)).  Expressions evaluate to jets with
+first partials, so fields built from them carry exact derivatives.
 
 JSON encoding, one key per node:
 
@@ -120,24 +120,24 @@ def validate(node: dict, dim: int) -> None:
         raise ValueError(f"unknown expression node kind: {kind!r}")
 
 
-def evaluate(node: dict, coords: np.ndarray, order: int = 1) -> Jet2:
-    """Evaluate an expression tree to a jet of the given order at ``coords``."""
+def evaluate(node: dict, coords: np.ndarray) -> Jet2:
+    """Evaluate an expression tree to a jet at ``coords``."""
     n = len(coords)
     kind = _node_kind(node)
     body = node[kind]
     if kind == "const":
-        return Jet2(n, complex(float(body.get("re", 0.0)), float(body.get("im", 0.0))), order=order)
+        return Jet2(n, complex(float(body.get("re", 0.0)), float(body.get("im", 0.0))))
     if kind == "coord":
-        return Jet2.coordinate(n, int(body), coords[int(body) - 1], order)
+        return Jet2.coordinate(n, int(body), coords[int(body) - 1])
     if kind == "add":
-        return reduce(lambda a, b: a + b, (evaluate(c, coords, order) for c in body))
+        return reduce(lambda a, b: a + b, (evaluate(c, coords) for c in body))
     if kind == "mul":
-        return reduce(lambda a, b: a * b, (evaluate(c, coords, order) for c in body))
+        return reduce(lambda a, b: a * b, (evaluate(c, coords) for c in body))
     if kind == "pow":
         child, k = body
-        return evaluate(child, coords, order) ** int(k)
+        return evaluate(child, coords) ** int(k)
     if kind in _UNARY:
-        return _UNARY[kind](evaluate(body, coords, order))
+        return _UNARY[kind](evaluate(body, coords))
     raise ValueError(f"unknown expression node kind: {kind!r}")
 
 
@@ -152,26 +152,26 @@ def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2, terms
     return add(*nodes)
 
 
-def form_terms_to_jet(dim: int, terms: list, coords: np.ndarray, order: int = 1) -> FormJet:
+def form_terms_to_jet(dim: int, terms: list, coords: np.ndarray) -> FormJet:
     """Assemble a FormJet from [{"indices": [...], "expr": node}, ...]."""
     coeffs = {}
     for term in terms:
         mask = _indices_to_mask(dim, term["indices"])
-        jet = evaluate(term["expr"], coords, order)
+        jet = evaluate(term["expr"], coords)
         coeffs[mask] = coeffs[mask] + jet if mask in coeffs else jet
-    out = FormJet.zero(dim, order, np.shape(coords)[1:])
+    out = FormJet.zero(dim, np.shape(coords)[1:])
     for mask, jet in coeffs.items():
         out[mask] = jet
     return out
 
 
 def gc_components_to_jet(
-    dim: int, vec_exprs: list, cov_exprs: list, coords: np.ndarray, order: int = 1
+    dim: int, vec_exprs: list, cov_exprs: list, coords: np.ndarray
 ) -> _Jet:
     """Assemble a generator jet of shape (2 dim,), vec then cov, from per-component expression nodes."""
     if len(vec_exprs) != dim or len(cov_exprs) != dim:
         raise ValueError(f"expected {dim} vec and cov expressions")
-    out = _Jet(dim, np.zeros((2 * dim,) + np.shape(coords)[1:], dtype=complex), order=order)
+    out = _Jet(dim, np.zeros((2 * dim,) + np.shape(coords)[1:], dtype=complex))
     for c, node in enumerate([*vec_exprs, *cov_exprs]):
-        out[c] = evaluate(node, coords, order)
+        out[c] = evaluate(node, coords)
     return out

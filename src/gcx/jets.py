@@ -16,11 +16,9 @@ axes: a ``Jet2`` has values (N,), a ``FormJet`` values (2^n, N) and
 grads (2^n, N, n).  The per-point shapes are the N-less case.
 
 ``order`` is 1 while a jet's partials are trustworthy and 0 when it
-carries values alone: exterior differentiation consumes the partials
-(the result's would need second derivatives, which are not carried),
-and a reader of values alone builds its jets to order 0.  Every rule
-keeps the lower order of its operands.  The partials of an order-0 jet
-are neither computed nor stored: they are a read-only view of one
+carries values alone, as the result of d (which consumes the partials)
+and of a pullback do.  Every rule keeps the lower order of its
+operands.  The partials of an order-0 jet are a read-only view of one
 shared zero, and writes into a jet skip them.
 
 ``FormJet.wedge`` and ``FormJet.d`` run as small dense matmuls over
@@ -164,13 +162,11 @@ class Jet2(_Jet):
         super().__init__(n, value, grad, order)
 
     @classmethod
-    def coordinate(cls, n: int, i: int, value, order: int = 1) -> "Jet2":
+    def coordinate(cls, n: int, i: int, value) -> "Jet2":
         """The i-th coordinate function (1-based) evaluated at ``value`` (a number or a block)."""
-        g = None
-        if order > 0:
-            g = np.zeros(getattr(value, "shape", ()) + (n,), complex)
-            g[..., i - 1] = 1.0
-        return cls(n, value, g, order=order)
+        g = np.zeros(getattr(value, "shape", ()) + (n,), complex)
+        g[..., i - 1] = 1.0
+        return cls(n, value, g)
 
     def __truediv__(self, other):
         if isinstance(other, _Jet):
@@ -233,13 +229,13 @@ class FormJet(_Jet):
     __slots__ = ()
 
     @classmethod
-    def zero(cls, dim: int, order: int = 1, batch: tuple = ()) -> "FormJet":
+    def zero(cls, dim: int, batch: tuple = ()) -> "FormJet":
         """The zero form at one point, or at each of a block of points (batch = (N,))."""
-        return cls(dim, _zeros((1 << dim, *batch)), order=order)
+        return cls(dim, _zeros((1 << dim, *batch)))
 
     @classmethod
-    def constant(cls, form: Multiform, order: int = 1, batch: tuple = ()) -> "FormJet":
-        jet = cls.zero(form.dim, order, batch)
+    def constant(cls, form: Multiform, batch: tuple = ()) -> "FormJet":
+        jet = cls.zero(form.dim, batch)
         jet.values[:] = form.coeffs.reshape((-1,) + (1,) * len(batch))
         return jet
 
@@ -280,7 +276,7 @@ class FormJet(_Jet):
 
     def exp_wedge(self) -> "FormJet":
         """Terminating wedge exponential (even degrees, no scalar part)."""
-        one = FormJet.constant(Multiform.scalar(self.dim, 1.0), self.order, self.values.shape[1:])
+        one = FormJet.constant(Multiform.scalar(self.dim, 1.0), self.values.shape[1:])
         return _exp_wedge_series(self, one, (self.values, self.grads))
 
     def interior_jet(self, xv: np.ndarray, xg: np.ndarray) -> "FormJet":

@@ -12,9 +12,9 @@ Charts (all 4-dimensional, angles of unit period):
   form sigma = rt drt^dt1 + dt2^dt3, the bump extension Btilde and its
   3-form H = d(Btilde).
 
-Every field here is a closed-form evaluator with exact values and, at
-order 1, exact first partials (see gcx.chart); r_min guards keep the
-log terms finite.
+Every field here is a closed-form evaluator with exact values and
+exact first partials, except H, which is a d and carries values alone
+(see gcx.chart); r_min guards keep the log terms finite.
 """
 
 import math
@@ -96,8 +96,8 @@ class SurgeryGeometry:
     def __post_init__(self):
         if self.r_min <= 0:
             raise ValueError(f"r_min must be positive, got {self.r_min}")
-        if not _R_LOW < 1.0 < self.r_out:
-            raise ValueError(f"need 1/sqrt(e) < 1 < r_out, got r_out = {self.r_out}")
+        if not _R_LOW < 1.0 < self.r_out < math.inf:
+            raise ValueError(f"need 1/sqrt(e) < 1 < r_out < inf, got r_out = {self.r_out}")
         if self.profile not in ("flat", "poly"):
             raise ValueError(f"unknown bump profile {self.profile!r}")
 
@@ -114,12 +114,11 @@ class BumpProfile:
         if not 1.0 <= self.lo < self.hi:
             raise ValueError(f"need 1 <= lo < hi, got window ({self.lo}, {self.hi})")
 
-    def evaluate(self, rtilde, order: int = 1) -> tuple:
+    def evaluate(self, rtilde) -> tuple:
         """(f, f') as two arrays of the shape of rtilde: 0-d at one radius.
 
-        At order 0, f' is not formed and reads zero.  A caller that needs
-        the pair twice (H and its closed-form cross-check) takes both from
-        one call.
+        A caller that needs the pair twice (H and its closed-form
+        cross-check) takes both from one call.
         """
         r = np.asarray(rtilde, dtype=float)
         if (r < 0).any():
@@ -132,13 +131,13 @@ class BumpProfile:
         inside = ~(low | (r >= self.hi) | (x > 1.0 - guard))
         out = [np.where(low, 1.0, 0.0), np.zeros(x.shape)]
         if inside.any():
-            for level, v in zip(out, self._descent(x[inside], order)):
+            for level, v in zip(out, self._descent(x[inside])):
                 level[inside] = v
         return tuple(out)
 
-    def _descent(self, x, order: int) -> tuple:
+    def _descent(self, x) -> tuple:
         """(f, f') inside the window, at an array of x = (rtilde - lo) / (hi - lo)."""
-        t = Jet2.coordinate(1, 1, x, order)
+        t = Jet2.coordinate(1, 1, x)
         if self.name == "flat":
             # all-orders-flat descent from exp(-1/t) ratios
             phi_t = (-1.0 / t).exp()
@@ -149,17 +148,15 @@ class BumpProfile:
             s = 1.0 - (6.0 * t**5 - 15.0 * t**4 + 10.0 * t**3)
         return s.values.real, s.grads[..., 0].real / (self.hi - self.lo)
 
-    def jet(self, rtilde, order: int = 1) -> Jet2:
-        """The cutoff as a jet of the given order in the tube coordinates (radius is coord 1).
+    def jet(self, rtilde) -> Jet2:
+        """The cutoff as a jet in the tube coordinates (radius is coord 1).
 
         At one radius or at a block of radii.
         """
-        f, fp = self.evaluate(rtilde, order)
-        grad = None
-        if order > 0:
-            grad = np.zeros(f.shape + (4,), dtype=complex)
-            grad[..., 0] = fp
-        return Jet2(4, f, grad, order)
+        f, fp = self.evaluate(rtilde)
+        grad = np.zeros(f.shape + (4,), dtype=complex)
+        grad[..., 0] = fp
+        return Jet2(4, f, grad)
 
 
 def bump_profile(geometry: SurgeryGeometry, window: tuple | None = None) -> BumpProfile:
@@ -177,11 +174,10 @@ def local_model_spinor() -> FormField:
     d rho = v . rho with v = -d/dz2 and no twisting 3-form.
     """
 
-    def fn(coords: np.ndarray, order: int) -> FormJet:
-        jet = FormJet.zero(4, order, coords.shape[1:])
+    def fn(coords: np.ndarray) -> FormJet:
+        jet = FormJet.zero(4, coords.shape[1:])
         jet.values[0] = coords[0] + 1j * coords[1]
-        if order > 0:
-            jet.grads[0] = [1.0, 1j, 0.0, 0.0]
+        jet.grads[0] = [1.0, 1j, 0.0, 0.0]
         # dz1^dz2 = (dx1 + i dy1)^(dx2 + i dy2), coords (x1, y1, x2, y2)
         jet.values[_M13] += 1.0
         jet.values[_M14] += 1j
@@ -198,21 +194,21 @@ def local_model_spinor() -> FormField:
 def _log_forms(chart: str, m: int, k: int, r_floor: float, what: str) -> tuple:
     """(B', omega') of the Z_m quotient model on a chart; m = 1, k = 0 is the annulus model."""
 
-    def inv_r(coords: np.ndarray, order: int) -> Jet2:
+    def inv_r(coords: np.ndarray) -> Jet2:
         if anywhere(coords[0] < r_floor):
             raise ValueError(f"{what} requires radius >= {r_floor}, got {np.min(coords[0])}")
-        return 1.0 / Jet2.coordinate(4, 1, coords[0], order)
+        return 1.0 / Jet2.coordinate(4, 1, coords[0])
 
-    def b_fn(coords: np.ndarray, order: int) -> FormJet:
-        inv, jet = inv_r(coords, order), FormJet.zero(4, order, coords.shape[1:])
+    def b_fn(coords: np.ndarray) -> FormJet:
+        inv, jet = inv_r(coords), FormJet.zero(4, coords.shape[1:])
         for mask, scale in ((_M13, 1.0), (_M12, k / m)):
             jet[mask] = scale * inv
         jet.values[_M24] = -1.0 / m
         return jet
 
-    def w_fn(coords: np.ndarray, order: int) -> FormJet:
-        jet = FormJet.zero(4, order, coords.shape[1:])
-        jet[_M14] = inv_r(coords, order) / m
+    def w_fn(coords: np.ndarray) -> FormJet:
+        jet = FormJet.zero(4, coords.shape[1:])
+        jet[_M14] = inv_r(coords) / m
         jet.values[_M23] = 1.0 / m
         return jet
 
@@ -221,7 +217,7 @@ def _log_forms(chart: str, m: int, k: int, r_floor: float, what: str) -> tuple:
 
 def _exp_field(chart: str, b: FormField, w: FormField) -> FormField:
     """exp(b + i*w) as a field."""
-    return FormField(chart, 4, lambda c, order: (b.fn(c, order) + w.fn(c, order) * 1j).exp_wedge())
+    return FormField(chart, 4, lambda c: (b.fn(c) + w.fn(c) * 1j).exp_wedge())
 
 
 def local_model_polar(r_min: float = 0.05) -> tuple:
@@ -287,9 +283,9 @@ def quotient_map(params: LogModelParams) -> ChartMap:
 def tube_symplectic() -> FormField:
     """sigma = rt drt^dt1 + dt2^dt3 on the tube chart; closed, nondegenerate for rt > 0."""
 
-    def fn(coords: np.ndarray, order: int) -> FormJet:
-        jet = FormJet.zero(4, order, coords.shape[1:])
-        jet[_M12] = Jet2.coordinate(4, 1, coords[0], order)
+    def fn(coords: np.ndarray) -> FormJet:
+        jet = FormJet.zero(4, coords.shape[1:])
+        jet[_M12] = Jet2.coordinate(4, 1, coords[0])
         jet.values[0b1100] = 1.0
         return jet
 
@@ -347,23 +343,23 @@ def b_extension_and_h(geometry: SurgeryGeometry, window: tuple | None = None) ->
 
     Btilde = f(rt) * (rt drt^dt2 - dt1^dt3) with f the selected bump;
     H is the assembled d(Btilde), cross-checked against the closed form
-    -f'(rt) drt^dt1^dt3 at every evaluation (to 1e-10).  H takes Btilde
-    at order 1 whatever order it is asked for, so H carries order 0.
+    -f'(rt) drt^dt1^dt3 at every evaluation (to 1e-10).  H is a d, so it
+    carries values alone (order 0).
     """
     profile = bump_profile(geometry, window)
 
-    def btilde(coords: np.ndarray, order: int) -> tuple:
+    def btilde(coords: np.ndarray) -> tuple:
         """Btilde's jet and the bump jet it scales."""
         if anywhere(coords[0] < geometry.r_min):
             raise ValueError(f"tube extension requires radius >= {geometry.r_min}, got {np.min(coords[0])}")
         # f times (psi^{-1})^* B in tube coordinates: f (rt drt^dt2 - dt1^dt3)
-        bump, jet = profile.jet(coords[0], order), FormJet.zero(4, order, coords.shape[1:])
-        jet[_M13] = Jet2.coordinate(4, 1, coords[0], order) * bump
+        bump, jet = profile.jet(coords[0]), FormJet.zero(4, coords.shape[1:])
+        jet[_M13] = Jet2.coordinate(4, 1, coords[0]) * bump
         jet[_M24] = -1.0 * bump
         return jet, bump
 
-    def h_fn(coords: np.ndarray, order: int) -> FormJet:
-        b, bump = btilde(coords, 1)  # one bump evaluation for d(Btilde) and its closed form
+    def h_fn(coords: np.ndarray) -> FormJet:
+        b, bump = btilde(coords)  # one bump evaluation for d(Btilde) and its closed form
         jet = b.d()
         closed = np.zeros(jet.values.shape, dtype=complex)
         closed[_M124] = -bump.grads[..., 0]
@@ -372,7 +368,7 @@ def b_extension_and_h(geometry: SurgeryGeometry, window: tuple | None = None) ->
         return jet
 
     return (
-        FormField(CHART_TUBE, 4, lambda coords, order: btilde(coords, order)[0]),
+        FormField(CHART_TUBE, 4, lambda coords: btilde(coords)[0]),
         FormField(CHART_TUBE, 4, h_fn),
     )
 

@@ -316,15 +316,12 @@ def check_symplectomorphism(
     def block(p):
         nonlocal covered
         at = psi.at(p)
-        sigma_res = _max_abs(pullback_jet(at, sigma).values - omega(p, 0).values)
+        sigma_res = _max_abs(pullback_jet(at, sigma).values - omega(p).values)
         inside = at.image.coords[0] >= geometry.r_min
-        b_res = np.zeros(len(inside))
-        if inside.any():
-            bt = btilde(at.image.with_coords(c[inside] for c in at.image.coords), 0).values
-            masks = np.flatnonzero(bt.any(axis=1)).tolist()
-            pulled = sum(bt[mask] * at.basis(mask).values[:, inside] for mask in masks)
-            b_res[inside] = _max_abs(pulled - b_field(p, 0).values[:, inside])
-            covered += int(inside.sum())
+        bt = np.zeros_like(at.basis(0))  # Btilde's coefficients, zero where it is not defined
+        bt[:, inside] = btilde(at.image.with_coords(c[inside] for c in at.image.coords)).values
+        b_res = np.where(inside, _max_abs(at.pull(bt) - b_field(p).values), 0.0)
+        covered += int(inside.sum())
         return np.maximum(sigma_res, b_res), np.abs(np.linalg.det(at.jac)), b_res
 
     top, low, worst = _per_block(block, lambda count: _sample_annulus(rng, count, r_lo, 1.0), samples)
@@ -349,7 +346,7 @@ def _region_setup(region, geometry, window):
     if region == "bump":
         _, h = b_extension_and_h(geometry, window)
         sign = float(conventions.SPINOR_TWIST_SIGN)
-        h_used = FormField(CHART_TUBE, 4, lambda c, order: h.fn(c, order) * sign)
+        h_used = FormField(CHART_TUBE, 4, lambda c: h.fn(c) * sign)
         return rho, h_used, (CHART_TUBE, prof.lo + 1e-6, prof.hi - 1e-6), None
     if region == "outer":
         return rho, None, (CHART_TUBE, prof.hi, prof.hi + 1.0), "zero"
@@ -380,7 +377,7 @@ def check_integrability(
         if region != "bump":
             raise ValueError("the sign control only applies to the bump region")
         base = h_used
-        h_used = FormField(CHART_TUBE, 4, lambda c, order: base.fn(c, order) * (-1.0))
+        h_used = FormField(CHART_TUBE, 4, lambda c: base.fn(c) * (-1.0))
     stream = "h_sign_negative_control" if flip_h_sign else f"integrability_{region}"
     rng = _rng(seed, stream)
     v_local = GcVector(4, vec=[0, 0, -0.5, 0.5j]).as_array()  # -d/dz2 on the cplane chart
@@ -395,7 +392,7 @@ def check_integrability(
         extra = 0.0
         if witness_kind == "local_model":
             # Clifford action of the witness minus that of -d/dz2
-            action = action_matrix(rho(p, 0).values) @ (wit.v.T - v_local)[..., None]
+            action = action_matrix(rho(p).values) @ (wit.v.T - v_local)[..., None]
             extra = np.abs(action[..., 0]).max(axis=-1)
         elif witness_kind == "zero":
             extra = np.linalg.norm(wit.v, axis=0)
@@ -428,7 +425,7 @@ def _integral_of_derivative(prof, upper: np.ndarray) -> np.ndarray:
     nodes, weights = _gauss_rule(FT_NODES)
     half = 0.5 * (upper - prof.lo)
     radii = prof.lo + half[..., None] * (nodes + 1.0)
-    return half * (prof.evaluate(radii, 1)[1] * weights).sum(axis=-1)
+    return half * (prof.evaluate(radii)[1] * weights).sum(axis=-1)
 
 
 def check_h_properties(
@@ -454,7 +451,7 @@ def check_h_properties(
     def draw(r_lo, r_hi):
         return lambda count: _sample_annulus(rng, count, r_lo, r_hi, chart=CHART_TUBE)
 
-    f_lo = prof.evaluate(lo, 0)[0]
+    f_lo = prof.evaluate(lo)[0]
     whole = _integral_of_derivative(prof, np.array(hi))  # every radius past hi reads the whole window
 
     def ft_residual(p):
@@ -464,15 +461,15 @@ def check_h_properties(
         for start in range(0, len(inside), FT_POINTS):
             part = inside[start : start + FT_POINTS]
             integral[part] = _integral_of_derivative(prof, rt[part])
-        return np.abs(prof.evaluate(rt, 0)[0] - f_lo - integral)
+        return np.abs(prof.evaluate(rt)[0] - f_lo - integral)
 
     top, _, worst = _per_block(ft_residual, draw(geometry.r_min, hi + 0.5), samples)
     max_res = float(top[0])
 
     # H vanishes inside lo and outside hi, and so does Btilde outside hi: 50 points each, BLOCK at a time
-    inner, _, _ = _per_block(lambda p: _max_abs(h(p, 0).values), draw(geometry.r_min, lo), 50)
+    inner, _, _ = _per_block(lambda p: _max_abs(h(p).values), draw(geometry.r_min, lo), 50)
     outer, _, _ = _per_block(
-        lambda p: np.maximum(_max_abs(h(p, 0).values), _max_abs(btilde(p, 0).values)), draw(hi, hi + 1.0), 50
+        lambda p: np.maximum(_max_abs(h(p).values), _max_abs(btilde(p).values)), draw(hi, hi + 1.0), 50
     )
     support_ok = inner[0] == 0.0 and outer[0] == 0.0
 
@@ -488,7 +485,7 @@ def check_h_properties(
         t1, t3 = np.tile(a1, len(r)), np.tile(a3, len(r))
         grid = ChartPoint(CHART_TUBE, (np.repeat(r, len(a1)), t1, np.full(len(t1), 0.37), t3), ANGLES)
         # at each node, summed pair after pair, in the order of the points
-        sums = np.add.accumulate(h(grid, 0).values[_M124].real.reshape(len(r), len(a1)), axis=1)[:, -1]
+        sums = np.add.accumulate(h(grid).values[_M124].real.reshape(len(r), len(a1)), axis=1)[:, -1]
         for w, acc in zip(weights[start : start + QUAD_NODES_PER_BLOCK], sums):
             integral += w * acc / len(a1)
     integral *= 0.5 * (hi - lo)
@@ -526,7 +523,7 @@ def check_quotient(
     qmap = quotient_map(params)
     deck = deck_action_map(params)
     # d(q^*B' - B) = q^*(dB') - dB by naturality: pull back the values of dB'
-    d_bq = FormField(CHART_QUOTIENT, 4, lambda c, order: bq.fn(c, 1).d())
+    d_bq = FormField(CHART_QUOTIENT, 4, lambda c: bq.fn(c).d())
     rho_q = quotient_spinor_field(params, r_min)
 
     def deck_residual(p, b_p, w_p):
@@ -538,7 +535,7 @@ def check_quotient(
         )
 
     def block(p):
-        b_p, w_p = b_field(p, 1), w_field(p, 0)  # d(discrepancy) reads dB
+        b_p, w_p = b_field(p), w_field(p)
         deck_res = deck_residual(p, b_p, w_p)
         at_q = qmap.at(p)
         # integrability first, before the quotient pullbacks fill at_q's basis cache
@@ -593,7 +590,7 @@ def check_quotient(
 
 
 def check_type_jump(samples: int = 200, seed: int = 42, tol: float = 1e-9) -> CheckReport:
-    """Type is 2 exactly on x1 = y1 = 0 and 0 at sampled points off the locus."""
+    """Type is 2 exactly on x1 = y1 = 0 and 0 off it, read at normal_form's own rank cutoff; tol is recorded only."""
     rho = local_model_spinor()
     rng = _rng(seed, "type_jump")
     on_locus = [
@@ -606,7 +603,7 @@ def check_type_jump(samples: int = 200, seed: int = 42, tol: float = 1e-9) -> Ch
             off_locus.append(ChartPoint(CHART_CPLANE, tuple(c)))
 
     def misclassified(p, expected_type):
-        return float(normal_form(rho(p, 0).value(), tol).type != expected_type)
+        return float(normal_form(rho(p).value()).type != expected_type)
 
     points = on_locus + off_locus
     residuals = [misclassified(p, 2) for p in on_locus] + [misclassified(p, 0) for p in off_locus]
@@ -626,7 +623,7 @@ def check_polar_compatibility(
 
     def block(p):
         pulled = pullback_jet(overlap.at(p), rho).values
-        expected = b_field(p, 0).values + 1j * w_field(p, 0).values
+        expected = b_field(p).values + 1j * w_field(p).values
         # the normal form is per point: one Multiform per column
         found = np.transpose([normal_form(Multiform(4, c)).b_plus_i_omega().coeffs for c in pulled.T])
         return _max_abs(found - expected)
@@ -668,9 +665,9 @@ def degenerate_locus_field() -> FormField:
     """Test fixture z1^2 + dz1^dz2: its locus zeros are degenerate."""
     local = local_model_spinor()
 
-    def fn(coords: np.ndarray, order: int) -> FormJet:
-        jet = local.fn(coords, order)  # z1 + dz1^dz2, whose z1 is replaced
-        z = Jet2.coordinate(4, 1, coords[0], order) + 1j * Jet2.coordinate(4, 2, coords[1], order)
+    def fn(coords: np.ndarray) -> FormJet:
+        jet = local.fn(coords)  # z1 + dz1^dz2, whose z1 is replaced
+        z = Jet2.coordinate(4, 1, coords[0]) + 1j * Jet2.coordinate(4, 2, coords[1])
         jet[0] = z * z
         return jet
 
@@ -696,7 +693,7 @@ def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> 
     """
     out = []
     for p in seeds:
-        jet = rho_field(p, 1)
+        jet = rho_field(p)
         residuals = [abs(jet.values[0])]
         iterations = 0
         while residuals[-1] > 1e-22 and iterations < 50:
@@ -706,7 +703,7 @@ def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> 
             if not np.isfinite(step).all() or np.abs(step).max() == 0.0:
                 break
             p = p.with_coords(np.asarray(p.coords) - step)
-            jet = rho_field(p, 1)
+            jet = rho_field(p)
             iterations += 1
             residuals.append(abs(jet.values[0]))
         jac = _scalar_jacobian(jet)
@@ -757,7 +754,7 @@ def locus_complex_structure(
     """
     if not lp.nondegenerate:
         raise ValueError("locus point is degenerate; no induced complex structure")
-    jet = rho_field(lp.location, 1)
+    jet = rho_field(lp.location)
     omega2 = jet.value().degree_part(2)
     endo = j_endomorphism(omega2, tol)
     n = omega2.dim
@@ -796,14 +793,14 @@ def check_locus(
     seed: int = 42,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Newton localization, nondegeneracy, induced structure and tau = i."""
+    """Newton localization, nondegeneracy, induced structure and tau = i; tol bounds tau, dbar and tangent."""
     rho = local_model_spinor()
     rng = _rng(seed, "locus")
     seeds = [
         ChartPoint(CHART_CPLANE, (*(rng.uniform(-0.35, 0.35, 2)), *rng.uniform(0, 1, 2)))
         for _ in range(seeds_count)
     ]
-    located = locate_type_change(rho, seeds, tol)
+    located = locate_type_change(rho, seeds)
 
     all_converged = all(lp.converged for lp in located)
     all_nondeg = all(lp.nondegenerate for lp in located)
@@ -816,7 +813,7 @@ def check_locus(
     # per located point: |z1|, tau error vs i, dbar residual, tangent residual
     per_point = []
     for lp in located:
-        st = locus_complex_structure(rho, lp, FIBER_LATTICE, tol)
+        st = locus_complex_structure(rho, lp, FIBER_LATTICE)
         z1 = abs(complex(lp.location.coords[0], lp.location.coords[1]))
         per_point.append((z1, abs(st.tau - 1j), st.dbar_residual, st.tangent_residual))
     on_locus, tau_err, dbar_max, tangent_max = np.max(per_point, axis=0)
@@ -824,7 +821,6 @@ def check_locus(
     deg_located = locate_type_change(
         degenerate_locus_field(),
         [ChartPoint(CHART_CPLANE, (0.3, -0.2, 0.5, 0.5))],
-        tol,
     )[0]
     degenerate_flagged = deg_located.converged and not deg_located.nondegenerate
 
@@ -833,9 +829,9 @@ def check_locus(
         all_converged
         and all_nondeg
         and quadratic_ok
-        and tau_err <= 1e-9
-        and dbar_max <= 1e-9
-        and tangent_max <= 1e-9
+        and tau_err <= tol
+        and dbar_max <= tol
+        and tangent_max <= tol
         and degenerate_flagged
     )
     _, worst = _worst([lp.location for lp in located], np.max(per_point, axis=1))

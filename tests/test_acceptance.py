@@ -233,14 +233,14 @@ def test_criterion_09_b_transform_bracket_suite():
             [{"indices": list(mk), "expr": ex.random_polynomial(rng, N)} for mk in masks],
         )
 
-    def d_field(f):
-        """d f; asked for order 1 (closed B in a bracket), it takes central differences for the partials."""
+    def d_field(f, partials=False):
+        """d f, values alone; with partials (a closed B in a bracket), central differences of its values."""
 
         def values(c):
-            return f.fn(c, 1).d().values
+            return f.fn(c).d().values
 
-        def fn(c, order):
-            return FormJet(N, values(c), central_partials(values, c) if order else None, order=order)
+        def fn(c):
+            return FormJet(N, values(c), central_partials(values, c) if partials else None, order=int(partials))
 
         return FormField(chart, N, fn)
 
@@ -249,7 +249,7 @@ def test_criterion_09_b_transform_bracket_suite():
         return GcVector(N, w.vec, w.cov + np.array([ixb.coeffs[1 << i] for i in range(N)]))
 
     h = d_field(rand_form([(1, 2), (3, 4)]))
-    closed_b = d_field(rand_form([(1,), (2,), (3,), (4,)]))
+    closed_b = d_field(rand_form([(1,), (2,), (3,), (4,)]), partials=True)
     open_b = rand_form([(1, 2), (1, 4), (2, 3)])
     d_open_b = d_field(open_b)
 
@@ -262,12 +262,12 @@ def test_criterion_09_b_transform_bracket_suite():
         # closed B: plain equivariance
         ub, vb = e_b_transform(closed_b, u), e_b_transform(closed_b, v)
         lhs = courant_bracket(ub, vb, h, p)
-        rhs = apply_eb(closed_b(p, 0).value(), courant_bracket(u, v, h, p))
+        rhs = apply_eb(closed_b(p).value(), courant_bracket(u, v, h, p))
         worst_closed = max(worst_closed, (lhs - rhs).norm())
         # non-closed B: frozen shift [E_B u, E_B v]_H = E_B([u,v]_{H+s*dB})
         ub, vb = e_b_transform(open_b, u), e_b_transform(open_b, v)
         lhs = courant_bracket(ub, vb, h, p)
-        h_shift = FormField(chart, N, lambda c, order: h.fn(c, order) + d_open_b.fn(c, order) * shift_sign)
+        h_shift = FormField(chart, N, lambda c: h.fn(c) + d_open_b.fn(c) * shift_sign)
         rhs = apply_eb(open_b(p).value(), courant_bracket(u, v, h_shift, p))
         worst_shift = max(worst_shift, (lhs - rhs).norm())
     report(

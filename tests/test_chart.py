@@ -97,7 +97,7 @@ def test_d_squared_vanishes():
         }
         alpha = form_field(terms)
         p = pt(*rng.uniform(-1, 1, N))
-        dd = d_field(alpha)(p).d().value()  # d of the exact d alpha, by central differences
+        dd = d_field(alpha, partials=True)(p).d().value()  # d of the exact d alpha, by central differences
         assert dd.max_abs() < 1e-8
 
 
@@ -137,20 +137,21 @@ def rand_gc_field(rng):
     )
 
 
-def d_field(f: FormField) -> FormField:
-    """d f; asked for order 1, it takes central differences of its values for their partials."""
+def d_field(f: FormField, partials: bool = False) -> FormField:
+    """d f, values alone; with partials, it takes central differences of its values for their partials."""
 
     def values(coords):
-        return f.fn(coords, 1).d().values
+        return f.fn(coords).d().values
 
-    def fn(coords, order):
-        return FormJet(f.dim, values(coords), central_partials(values, coords) if order else None, order=order)
+    def fn(coords):
+        grads = central_partials(values, coords) if partials else None
+        return FormJet(f.dim, values(coords), grads, order=int(partials))
 
     return FormField(f.chart, f.dim, fn)
 
 
 def sum_field(a: FormField, b: FormField) -> FormField:
-    return FormField(a.chart, a.dim, lambda coords, order: a.fn(coords, order) + b.fn(coords, order))
+    return FormField(a.chart, a.dim, lambda coords: a.fn(coords) + b.fn(coords))
 
 
 def apply_e_b(b_val: Multiform, w: GcVector) -> GcVector:
@@ -162,14 +163,14 @@ def apply_e_b(b_val: Multiform, w: GcVector) -> GcVector:
 def test_bracket_closed_b_equivariance():
     rng = np.random.default_rng(55)
     lam = form_field({(i,): ex.random_polynomial(rng, N) for i in range(1, N + 1)})
-    b = d_field(lam)  # closed by construction
+    b = d_field(lam, partials=True)  # closed by construction; E_B reads its partials
     h = d_field(form_field({(1, 2): ex.random_polynomial(rng, N), (3, 4): ex.random_polynomial(rng, N)}))
     u, v = rand_gc_field(rng), rand_gc_field(rng)
     ub, vb = e_b_transform(b, u), e_b_transform(b, v)
     for _ in range(20):
         p = pt(*rng.uniform(-1, 1, N))
         lhs = courant_bracket(ub, vb, h, p)
-        rhs = apply_e_b(b(p, 0).value(), courant_bracket(u, v, h, p))
+        rhs = apply_e_b(b(p).value(), courant_bracket(u, v, h, p))
         assert (lhs - rhs).norm() < 1e-8
 
 
@@ -180,8 +181,8 @@ def test_bracket_nonclosed_b_shift_frozen_sign():
     h = d_field(form_field({(2, 3): ex.random_polynomial(rng, N)}))
     db = d_field(b)
     sign = float(conventions.BRACKET_SHIFT_SIGN)
-    shift = FormField(FLAT, N, lambda coords, order: db.fn(coords, order) * sign)
-    wrong_shift = FormField(FLAT, N, lambda coords, order: db.fn(coords, order) * -sign)
+    shift = FormField(FLAT, N, lambda coords: db.fn(coords) * sign)
+    wrong_shift = FormField(FLAT, N, lambda coords: db.fn(coords) * -sign)
     u, v = rand_gc_field(rng), rand_gc_field(rng)
     ub, vb = e_b_transform(b, u), e_b_transform(b, v)
     worst_good = 0.0
@@ -242,7 +243,7 @@ def test_pullback_naturality():
     for _ in range(10):
         p = pt(*rng.uniform(-0.8, 0.8, N))
         lhs = pullback(phi, alpha, p).wedge(pullback(phi, beta, p))
-        wedge_field = FormField(FLAT, N, lambda c, order: alpha.fn(c, order).wedge(beta.fn(c, order)))
+        wedge_field = FormField(FLAT, N, lambda c: alpha.fn(c).wedge(beta.fn(c)))
         rhs = pullback(phi, wedge_field, p)
         assert (lhs - rhs).max_abs() < 1e-9
         # d commutes with pullback: d of the pulled-back values by central differences
@@ -275,9 +276,9 @@ def test_integrability_constant_symplectic():
 
 def test_integrability_obstructed_example():
     # rho = exp((1 + x3) i dx1^dx2); degree-1 and degree-3 conditions clash
-    def fn(coords, order):
-        c = Jet2.coordinate(N, 3, coords[2], order)
-        jet = FormJet.zero(N, order)
+    def fn(coords):
+        c = Jet2.coordinate(N, 3, coords[2])
+        jet = FormJet.zero(N)
         jet[0b0011] = (1.0 + c) * 1j
         return jet.exp_wedge()
 
@@ -312,8 +313,8 @@ def test_interior_jet_matches_finite_differences():
     h = 1e-5
 
     def contracted(coords):
-        uj = u.fn(coords, 1)
-        return b.fn(coords, 1).interior_jet(uj.values[:N], uj.grads[:N])
+        uj = u.fn(coords)
+        return b.fn(coords).interior_jet(uj.values[:N], uj.grads[:N])
 
     x = rng.uniform(-1, 1, N)
     jet = contracted(x)
@@ -331,13 +332,13 @@ def test_gc_jet_cov_form_round_trip():
     rng = np.random.default_rng(92)
     u = rand_gc_field(rng)
     x = rng.uniform(-1, 1, N)
-    uj = u.fn(x, 1)
+    uj = u.fn(x)
     cov = FormJet.zero(N)
     for i in range(N):
         cov[1 << i] = uj[N + i]
     assert np.array_equal(cov.values[[1 << i for i in range(N)]], uj.values[N:])
     assert cov.value().allclose(cov.value().degree_part(1), tol=0.0)
-    back = u.fn(x, 1)
+    back = u.fn(x)
     back.values[N:] = back.grads[N:] = 0.0
     for i in range(N):
         back[N + i] = cov[1 << i]
@@ -424,12 +425,11 @@ def annulus_coords(rng, count, r_lo=0.65, r_hi=1.0):
 def half_plane_form():
     """x1 dx1^dx3 where x1 > 0, zero elsewhere: its coefficient vanishes on part of a block."""
 
-    def fn(coords, order):
-        jet = FormJet.zero(N, order, np.shape(coords)[1:])
+    def fn(coords):
+        jet = FormJet.zero(N, np.shape(coords)[1:])
         on = coords[0] > 0
         jet.values[0b0101] = np.where(on, coords[0], 0.0)
-        if order > 0:
-            jet.grads[0b0101, ..., 0] = np.where(on, 1.0, 0.0)
+        jet.grads[0b0101, ..., 0] = np.where(on, 1.0, 0.0)
         jet.values[0b1100] = 2.0
         return jet
 
@@ -462,6 +462,12 @@ def test_block_map_jets_and_pullbacks_match_points(seed, count):
     block, points = block_point(FLAT, coords * signs, periodic=())
     alpha = half_plane_form()
     assert_jet_block(pullback_jet(flat.at(block), alpha), [pullback_jet(flat.at(p), alpha) for p in points])
+    # a form that is zero everywhere: an empty sum, which must still be zeros of the form's shape
+    zero = FormField.constant(FLAT, Multiform(N))
+    pulled = [pullback_jet(flat.at(p), zero).values for p in points]
+    assert all(v.shape == (1 << N,) and not v.any() for v in pulled)
+    pulled = pullback_jet(flat.at(block), zero).values
+    assert pulled.shape == (1 << N, count) and not pulled.any()
 
 
 def test_block_map_with_constant_outputs_matches_points():

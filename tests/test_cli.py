@@ -123,8 +123,10 @@ def test_check_invalid_config_exit_2(tmp_path, capsys):
         ["--r-min", "2"],
         ["--output", "{tmp}/missing-dir/report.json"],
         ["--output", "{tmp}"],
+        ["--r-out", "inf"],
+        ["--windows", "1:inf"],
     ],
-    ids=["tol-nan", "tol-inf", "r-min-1", "r-min-2", "output-dir-missing", "output-is-dir"],
+    ids=["tol-nan", "tol-inf", "r-min-1", "r-min-2", "output-dir-missing", "output-is-dir", "r-out-inf", "window-inf"],
 )
 def test_check_invalid_config_exit_2_before_any_check(flags, tmp_path, monkeypatch, capsys):
     import gcx.cli
@@ -140,6 +142,17 @@ def test_check_invalid_config_exit_2_before_any_check(flags, tmp_path, monkeypat
     assert run_cli(["check", "all", *flags]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("target", ["local-model", "locus"])
+def test_check_tol_below_round_off_is_a_verdict_not_a_crash(target, tmp_path, capsys):
+    # --tol bounds residuals only: rank decisions keep their own cutoff, so a tolerance
+    # below round-off fails residuals (exit 1) and does not break a pure spinor (exit 3)
+    out = tmp_path / "report.json"
+    assert run_cli(["check", target, "--tol", "1e-16", "--samples", "20", "--output", str(out)]) == 1
+    reports = json.loads(out.read_text())
+    assert reports and not all(r["pass"] for r in reports)
+    assert "runtime failure" not in capsys.readouterr().err
 
 
 def _bracket_payload(point=(0.2, 0.3, 0.4, 0.5), u1=None):

@@ -177,14 +177,14 @@ def test_type_jump_worst_point_is_the_misclassified_point(monkeypatch):
     rho = local_model_spinor()
     seen = []
 
-    def recording(coords, order):
+    def recording(coords):
         seen.append(tuple(coords))
-        return rho.fn(coords, order)
+        return rho.fn(coords)
 
     real_normal_form = verify.normal_form
 
-    def wrong_at_fifth(form, tol):
-        return SimpleNamespace(type=1) if len(seen) == 5 else real_normal_form(form, tol)
+    def wrong_at_fifth(form):
+        return SimpleNamespace(type=1) if len(seen) == 5 else real_normal_form(form)
 
     monkeypatch.setattr(verify, "local_model_spinor", lambda: FormField(rho.chart, 4, recording))
     monkeypatch.setattr(verify, "normal_form", wrong_at_fifth)
@@ -239,8 +239,8 @@ def test_locate_nonconvergence_recorded_not_fatal():
     from gcx.chart import FormField
     from gcx.jets import FormJet
 
-    def fn(coords, order):
-        jet = FormJet.zero(4, order)
+    def fn(coords):
+        jet = FormJet.zero(4)
         jet.values[0] = 1.0
         jet.values[0b0101] = 1.0
         return jet
@@ -430,7 +430,7 @@ def test_block_runner_worst_point_is_the_per_point_argmax():
     samples = 2 * verify.BLOCK + 7
     rep = check_integrability("bump", samples=samples, seed=11, flip_h_sign=True)
     rho, h, (chart, r_lo, r_hi), _ = verify._region_setup("bump", SurgeryGeometry(), None)
-    minus_h = FormField(CHART_TUBE, 4, lambda c, order: h.fn(c, order) * (-1.0))
+    minus_h = FormField(CHART_TUBE, 4, lambda c: h.fn(c) * (-1.0))
     coords = per_point_annulus(verify._rng(11, "h_sign_negative_control"), samples, r_lo, r_hi)
     points = [ChartPoint(chart, tuple(c), ANGLES) for c in coords.T]
     residuals = [integrability_residual(rho, minus_h, p).residual for p in points]
@@ -516,8 +516,8 @@ def test_h_properties_fails_when_h_leaks_outside_the_window(monkeypatch):
     def leaky(geometry, window=None):
         btilde, h = b_extension_and_h(geometry, window)
 
-        def fn(coords, order):
-            jet = h.fn(coords, order)
+        def fn(coords):
+            jet = h.fn(coords)
             jet.values[0b1011] += 1e-3 * (coords[0] > 2.0)
             return jet
 
@@ -569,23 +569,6 @@ def test_quotient_check_fails_on_a_deck_map_with_the_wrong_twist(monkeypatch):
         assert rep.notes[-1] == note.format(params.m, False)
 
 
-def test_quotient_and_integrability_checks_ask_for_order_one_at_most(monkeypatch, tmp_path):
-    # no check path, these included, asks a field for more than values and first partials
-    from gcx import chart, cli
-
-    asked = []
-    call = chart._Field.__call__
-
-    def spy(field, p, order=1):
-        asked.append(order)
-        return call(field, p, order)
-
-    monkeypatch.setattr(chart._Field, "__call__", spy)
-    args = cli.build_parser().parse_args(["check", "all", "--samples", "20", "--output", str(tmp_path / "r.json")])
-    assert all(rep.passed for rep in cli.run_checks(cli.config_from_args(args)))
-    assert asked and max(asked) <= 1
-
-
 def test_quotient_closedness_fails_on_a_quotient_b_that_is_not_closed(monkeypatch):
     # B' times the theta1' coordinate is not closed: d(q^*B' - B), read as q^*(dB') - dB, must see it
     from gcx.chart import FormField
@@ -595,8 +578,8 @@ def test_quotient_closedness_fails_on_a_quotient_b_that_is_not_closed(monkeypatc
     def times_theta1(params, r_min=0.05):
         bq, wq = log_model(params, r_min)
 
-        def fn(coords, order):
-            return bq.fn(coords, order).scale(Jet2.coordinate(4, 2, coords[1], order))
+        def fn(coords):
+            return bq.fn(coords).scale(Jet2.coordinate(4, 2, coords[1]))
 
         return FormField(CHART_QUOTIENT, 4, fn), wq
 
@@ -618,8 +601,8 @@ def test_h_properties_fails_on_a_wiggled_bump_derivative(monkeypatch, profile):
     assert check_h_properties(geometry=geo, samples=200).passed
     descent = BumpProfile._descent
 
-    def wiggled(prof, x, order):
-        f, fp = descent(prof, x, order)
+    def wiggled(prof, x):
+        f, fp = descent(prof, x)
         return f, fp * (1.0 + 0.3 * np.sin(2 * np.pi * x))
 
     monkeypatch.setattr(BumpProfile, "_descent", wiggled)
@@ -639,9 +622,9 @@ def test_symplectomorphism_fails_on_a_wrong_btilde_coefficient(monkeypatch):
     def squared(geometry, window=None):
         btilde, h = b_extension_and_h(geometry, window)
 
-        def fn(coords, order):
-            jet = btilde.fn(coords, order)
-            jet[0b0101] = jet[0b0101] * Jet2.coordinate(4, 1, coords[0], order)
+        def fn(coords):
+            jet = btilde.fn(coords)
+            jet[0b0101] = jet[0b0101] * Jet2.coordinate(4, 1, coords[0])
             return jet
 
         return FormField(CHART_TUBE, 4, fn), h
@@ -654,31 +637,24 @@ def test_symplectomorphism_fails_on_a_wrong_btilde_coefficient(monkeypatch):
     assert rep.max_residual > 0.5
 
 
-def test_check_all_differentiates_order_one_jets_and_builds_each_gauss_rule_once(monkeypatch, tmp_path):
-    # d reads first partials only, and a Gauss rule built per call is a 128 x 128
-    # eigenproblem, a size at which the BLAS library goes multithreaded
+def test_check_all_builds_each_gauss_rule_once(monkeypatch, tmp_path):
+    # a Gauss rule built per call is a 128 x 128 eigenproblem, a size at which
+    # the BLAS library goes multithreaded
     from gcx import cli
-    from gcx.jets import FormJet
 
-    orders, built = [], []
-    d, leggauss = FormJet.d, np.polynomial.legendre.leggauss
-
-    def d_spy(jet):
-        orders.append(jet.order)
-        return d(jet)
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
 
     def leggauss_spy(nodes):
         built.append(nodes)
         return leggauss(nodes)
 
-    monkeypatch.setattr(FormJet, "d", d_spy)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss_spy)
     verify._gauss_rule.cache_clear()
     try:
         args = cli.build_parser().parse_args(["check", "all", "--samples", "20", "--output", str(tmp_path / "r.json")])
         reports = cli.run_checks(cli.config_from_args(args))
         assert all(rep.passed for rep in reports)
-        assert orders and max(orders) <= 1
         check_h_properties(samples=20, seed=7)
         assert sorted(built) == [verify.FT_NODES, verify.QUAD_NODES]
     finally:
