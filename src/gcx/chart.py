@@ -252,6 +252,8 @@ def courant_bracket(
     """
     uj = u(p)
     vj = v(p)
+    if min(uj.order, vj.order) < 1:
+        raise ValueError("courant_bracket needs the first partials of both generator fields; got values alone")
     n = uj.dim
     # vector and covector slices: values (n,), grads (n, n)
     xv, xg, xi, xig = uj.values[:n], uj.grads[:n], uj.values[n:], uj.grads[n:]

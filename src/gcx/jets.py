@@ -276,8 +276,9 @@ class FormJet(_Jet):
 
     def exp_wedge(self) -> "FormJet":
         """Terminating wedge exponential (even degrees, no scalar part)."""
-        one = FormJet.constant(Multiform.scalar(self.dim, 1.0), self.values.shape[1:])
-        return _exp_wedge_series(self, one, (self.values, self.grads))
+        one = FormJet(self.dim, _zeros(self.values.shape), order=self.order)
+        one.values[0] = 1.0
+        return _exp_wedge_series(self, one, self._trusted(self.order))
 
     def interior_jet(self, xv: np.ndarray, xg: np.ndarray) -> "FormJet":
         """Contraction with a jet tangent vector (xv (n,), xg[i,j]=d_j X_i)."""

@@ -50,6 +50,7 @@ def _shuffle_sign(s: int, t: int) -> int:
 class _Tables:
     dim: int
     degree: np.ndarray      # (2^n,) popcounts
+    odd_or_scalar: np.ndarray  # (2^n,) degree 0 or odd: where an exp_wedge exponent must vanish
     w_src1: np.ndarray      # the disjoint subset pairs (s, t) of the wedge
     w_src2: np.ndarray
     action: np.ndarray      # (2n, 2^n, 2^n); rows 0..n-1 interior, n..2n-1 wedge
@@ -99,6 +100,7 @@ def _tables(n: int) -> _Tables:
     return _Tables(
         dim=n,
         degree=degree,
+        odd_or_scalar=(degree == 0) | (degree % 2 == 1),
         w_src1=src1,
         w_src2=src2,
         action=action,
@@ -217,15 +219,6 @@ class Multiform:
         t = _tables(self.dim)
         return Multiform(self.dim, np.where(t.degree == k, self.coeffs, 0.0))
 
-    def lowest_degree(self, tol: float = 0.0) -> int:
-        """Lowest k with a degree-k coefficient exceeding tol; -1 if none."""
-        t = _tables(self.dim)
-        mags = np.abs(self.coeffs)
-        for k in range(self.dim + 1):
-            if mags[t.degree == k].max() > tol:
-                return k
-        return -1
-
     def top(self) -> complex:
         """Coefficient of the full top-degree monomial dx^1^...^dx^n."""
         return complex(self.coeffs[-1])
@@ -241,9 +234,6 @@ class Multiform:
 
     def real_part(self) -> "Multiform":
         return Multiform(self.dim, self.coeffs.real.astype(complex))
-
-    def imag_part(self) -> "Multiform":
-        return Multiform(self.dim, self.coeffs.imag.astype(complex))
 
     def allclose(self, other: "Multiform", tol: float = 1e-12) -> bool:
         self._check(other)
@@ -396,12 +386,13 @@ def pairing(u: GcVector, v: GcVector) -> complex:
     return complex(0.5 * (np.dot(v.cov, u.vec) + np.dot(u.cov, v.vec)))
 
 
+@lru_cache(maxsize=None)
 def pairing_gram(dim: int) -> np.ndarray:
-    """Gram matrix of the pairing on the 2n basis generators."""
+    """Gram matrix of the pairing on the 2n basis generators, built once per dimension (read-only)."""
     g = np.zeros((2 * dim, 2 * dim))
     g[:dim, dim:] = 0.5 * np.eye(dim)
     g[dim:, :dim] = 0.5 * np.eye(dim)
-    return g
+    return _frozen(g)
 
 
 def exp_wedge(b: Multiform) -> Multiform:
@@ -416,8 +407,7 @@ def _exp_wedge_series(b, one, parts):
     arrays (leading axis over basis monomials), which must vanish off the
     even positive degrees.  The series stops at j = n/2: b^j has degree >= 2j.
     """
-    t = _tables(b.dim)
-    bad = (t.degree == 0) | (t.degree % 2 == 1)
+    bad = _tables(b.dim).odd_or_scalar
     if any(np.abs(part[bad]).max() > 0 for part in parts):
         raise ValueError("exp_wedge requires an even-degree form with zero scalar part")
     out = one + b

@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from gcx.jets import FormJet, _wedge_matrices
 from gcx.multilinear import (
     GcVector,
     Multiform,
+    _tables,
     action_matrix,
     clifford,
     exp_wedge,
@@ -30,6 +32,7 @@ __all__ = [
     "annihilator",
     "is_pure",
     "normal_form",
+    "normal_forms",
     "check_nondegenerate",
     "b_transform",
     "from_symplectic",
@@ -122,6 +125,14 @@ class GcEndomorphism:
         raise AttributeError("GcEndomorphism is immutable")
 
 
+def _kept(svals: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the singular values (..., k) above the rank cutoff, tol times the largest.
+
+    A rank is the mask's count, 0 for a zero matrix.
+    """
+    return svals > tol * svals[..., :1]
+
+
 def annihilator(rho: Multiform, tol: float = DEFAULT_TOL) -> AnnihilatorBasis:
     """Basis of the kernel of v -> v . rho over generators v in C^{2n}.
 
@@ -132,82 +143,89 @@ def annihilator(rho: Multiform, tol: float = DEFAULT_TOL) -> AnnihilatorBasis:
         raise ValueError("annihilator of the zero form is everything; rejecting")
     mat = action_matrix(rho)
     _, svals, vh = np.linalg.svd(mat)
-    cutoff = tol * svals[0] if svals.size and svals[0] > 0 else tol
-    rank = int(np.sum(svals > cutoff))
-    kernel = vh[rank:].conj().T
+    kernel = vh[int(_kept(svals, tol).sum()) :].conj().T
     kernel.setflags(write=False)
     return AnnihilatorBasis(dim=rho.dim, matrix=kernel, tol=tol)
 
 
+def _pure(coeffs: np.ndarray, tol: float) -> np.ndarray:
+    """Whether the annihilator of each column of (2^n, N) coefficients has the maximal dimension n.
+
+    One stacked SVD of the N action matrices, rank read as in ``annihilator``
+    (a zero column has rank 0).  A maximal annihilator, the last n right
+    singular vectors, must be isotropic, or RuntimeError is raised.
+    """
+    n = len(coeffs).bit_length() - 1
+    _, svals, vh = np.linalg.svd(action_matrix(coeffs), full_matrices=False)
+    kernel = vh[:, n:]
+    pairing = np.abs(kernel @ pairing_gram(n) @ kernel.swapaxes(1, 2)).max(axis=(1, 2))
+    pure = _kept(svals, tol).sum(axis=1) == n
+    if (pure & (pairing > 1e3 * tol)).any():
+        raise RuntimeError("maximal annihilator failed the isotropy cross-check")
+    return pure
+
+
 def is_pure(rho: Multiform, tol: float = DEFAULT_TOL) -> bool:
     """True iff the annihilator of rho has the maximal dimension n."""
-    ann = annihilator(rho, tol)
-    if len(ann) != rho.dim:
-        return False
-    # cross-check: a maximal annihilator must be isotropic
-    scale = max(1.0, np.linalg.norm(ann.matrix, axis=0).max() ** 2)
-    if ann.max_pairing() > 1e3 * tol * scale:
-        raise RuntimeError("maximal annihilator failed the isotropy cross-check")
-    return True
+    return bool(_pure(rho.coeffs[:, None], tol)[0])
 
 
-def _solve_exponent(omega0: Multiform, target: Multiform, tol: float):
-    """Minimal-norm 2-form C with C ^ omega0 = target; returns (C, unique)."""
-    dim = omega0.dim
-    masks = [m for m in range(1 << dim) if bin(m).count("1") == 2]
-    # one column per basis 2-form: its wedge with omega0
-    mat = wedge_coeffs(dim, np.eye(1 << dim, dtype=complex)[:, masks], omega0.coeffs[:, None])
-    sol, _, rank, _ = np.linalg.lstsq(mat, target.coeffs, rcond=tol)
-    coeffs = np.zeros(1 << dim, dtype=complex)
-    coeffs[masks] = sol
-    return Multiform(dim, coeffs), rank == len(masks)
+def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
+    """Factor each column of (2^n, N) coefficients, a pure spinor, as exp(B + i*omega) ^ Omega.
+
+    Returns types (N,), Omega and B + i*omega (2^n, N), and gauge_unique
+    (N,).  The type is a column's lowest degree above tol times its
+    largest coefficient.  Type 0 divides out the scalar part; type k > 0
+    takes the minimal-norm C with C ^ Omega = (degree k + 2 part), one
+    stacked SVD per type, unique iff of full rank.  Raises ValueError
+    unless every column is pure, and RuntimeError on a degree-2 Omega
+    that is not decomposable or on |exp(B + i*omega) ^ Omega - rho| > 1e-10 |rho|.
+    """
+    n = len(coeffs).bit_length() - 1
+    if not _pure(coeffs, tol).all():
+        raise ValueError("normal_form requires a pure spinor")
+    degree = _tables(n).degree[:, None]
+    mags = np.abs(coeffs)
+    scale = mags.max(axis=0)
+    types = np.where(mags > tol * scale, degree, n + 1).min(axis=0)
+    omega0 = np.where(degree == types, coeffs, 0)
+    exponent = np.zeros(coeffs.shape, complex)
+    np.divide(np.where(degree == 2, coeffs, 0), coeffs[0], out=exponent, where=types == 0)
+    unique = types == 0
+    for k in set(types.tolist()) - {0}:
+        cols = types == k
+        two = np.flatnonzero(degree[:, 0] == 2)
+        factor = omega0[:, cols]
+        # column s of a matrix: (basis 2-form s) ^ Omega, gathered from the wedge table
+        u, svals, vh = np.linalg.svd(_wedge_matrices(factor, _tables(n).wedge_right)[..., two], full_matrices=False)
+        # the pseudo-inverse as rows (G, 1, pairs): target^T conj(U) / s conj(V^H) = (V S^+ U^H target)^T
+        target = np.where(degree == k + 2, coeffs[:, cols], 0).T[:, None]
+        keep = _kept(svals, tol)[:, None]
+        scaled = np.divide(target @ u.conj(), svals[:, None], out=np.zeros(keep.shape, complex), where=keep)
+        exponent[two[:, None], cols] = (scaled @ vh.conj())[:, 0].T
+        unique[cols] = keep.all(axis=(1, 2))
+        if k == 2 and (np.abs(wedge_coeffs(n, factor, factor)) > 1e3 * tol * scale[cols] ** 2).any():
+            raise RuntimeError("degree-2 factor of a pure spinor must be decomposable")
+    rebuilt = FormJet(n, exponent, order=0).exp_wedge().wedge(FormJet(n, omega0, order=0)).values
+    gap, size = np.linalg.norm([rebuilt - coeffs, coeffs], axis=1)
+    residual = (gap / size).max()
+    if residual > 1e-10:
+        raise RuntimeError(f"normal form failed to reproduce the spinor (relative residual {residual:.3e})")
+    return types, omega0, exponent, unique
 
 
 def normal_form(rho: Multiform, tol: float = DEFAULT_TOL) -> NormalForm:
-    """Factor a pure spinor as exp(B + i*omega) ^ Omega.
-
-    Type 0 divides out the scalar part, which determines B + i*omega
-    uniquely; for higher types the exponent solves an underdetermined
-    wedge equation and the least-squares minimal-norm representative is
-    returned with gauge_unique cleared.
-    """
-    if not is_pure(rho, tol):
-        raise ValueError("normal_form requires a pure spinor")
-    scale = rho.max_abs()
-    k = rho.lowest_degree(tol * scale)
-    notes = []
-    if k == 0:
-        scalar = complex(rho.coeffs[0])
-        omega0 = Multiform.scalar(rho.dim, scalar)
-        exponent = rho.degree_part(2) / scalar
-        unique = True
-    else:
-        omega0 = rho.degree_part(k)
-        if k + 2 <= rho.dim:
-            target = rho.degree_part(k + 2)
-        else:
-            target = Multiform.zero(rho.dim)
-        exponent, unique = _solve_exponent(omega0, target, tol)
-        if not unique:
-            notes.append("exponent gauge not unique; minimal-norm representative chosen")
-        if k == 2:
-            sq = omega0.wedge(omega0)
-            if sq.max_abs() > 1e3 * tol * scale**2:
-                raise RuntimeError("degree-2 factor of a pure spinor must be decomposable")
-    nf = NormalForm(
-        type=k,
-        omega0=omega0,
-        B=exponent.real_part(),
-        omega=exponent.imag_part(),
-        gauge_unique=unique,
-        notes=tuple(notes),
+    """Factor a pure spinor as exp(B + i*omega) ^ Omega: ``normal_forms`` on one column."""
+    types, omega0, exponent, unique = normal_forms(rho.coeffs[:, None], tol)
+    n, c = rho.dim, exponent[:, 0]
+    return NormalForm(
+        type=int(types[0]),
+        omega0=Multiform(n, omega0[:, 0]),
+        B=Multiform(n, c.real),
+        omega=Multiform(n, c.imag),
+        gauge_unique=bool(unique[0]),
+        notes=() if unique[0] else ("exponent gauge not unique; minimal-norm representative chosen",),
     )
-    residual = (nf.reconstruct() - rho).norm()
-    if residual > 1e-10 * rho.norm():
-        raise RuntimeError(
-            f"normal form failed to reproduce the spinor (relative residual {residual / rho.norm():.3e})"
-        )
-    return nf
 
 
 def check_nondegenerate(nf: NormalForm, tol: float = DEFAULT_TOL) -> bool:

@@ -6,12 +6,13 @@ worst (sup-norm) residual: the identities are pointwise claims, so the
 pass statistic is a max, never an average.  Sampling uses one PRNG
 stream per check (seed + fixed stream id), and points are drawn and
 evaluated in sample order, so reports are byte-identical for a given
-seed.  Every sampled check but type_jump and locus draws and evaluates
-its points BLOCK at a time, one numpy pass per block (a block is one
-ChartPoint with coordinate arrays), and keeps only running maxima, so
-its memory does not grow with the sample count; polar_compatibility
-takes its normal forms point by point inside the block, and the H
-slice quadrature takes QUAD_NODES_PER_BLOCK Gauss nodes per block.
+seed.  Every sampled check but locus evaluates its points BLOCK at a
+time, normal forms included, one numpy pass per block (a block is one
+ChartPoint with coordinate arrays).  All but type_jump, which draws its
+points one at a time first, also draw BLOCK at a time and keep only
+running maxima, so their memory does not grow with the sample count.
+The H slice quadrature takes QUAD_NODES_PER_BLOCK Gauss nodes per
+block.
 
 ``CHECKS`` is the table ``gcx check`` runs: one row per report with
 its stream id, target, sample cap, tolerance kind and runner.
@@ -52,8 +53,8 @@ from gcx.models import (
     quotient_spinor_field,
     tube_symplectic,
 )
-from gcx.multilinear import GcVector, Multiform, action_matrix
-from gcx.spinor import j_endomorphism, normal_form
+from gcx.multilinear import GcVector, action_matrix
+from gcx.spinor import j_endomorphism, normal_forms
 
 __all__ = [
     "CHECKS",
@@ -593,21 +594,21 @@ def check_type_jump(samples: int = 200, seed: int = 42, tol: float = 1e-9) -> Ch
     """Type is 2 exactly on x1 = y1 = 0 and 0 off it, read at normal_form's own rank cutoff; tol is recorded only."""
     rho = local_model_spinor()
     rng = _rng(seed, "type_jump")
-    on_locus = [
-        ChartPoint(CHART_CPLANE, (0.0, 0.0, *rng.uniform(-1, 1, 2))) for _ in range(samples // 2)
-    ]
+    on_locus = [(0.0, 0.0, *rng.uniform(-1, 1, 2)) for _ in range(samples // 2)]
     off_locus = []
     while len(off_locus) < samples - samples // 2:
         c = rng.uniform(-1, 1, 4)
         if math.hypot(c[0], c[1]) > 1e-3:
-            off_locus.append(ChartPoint(CHART_CPLANE, tuple(c)))
+            off_locus.append(c)
+    coords = np.array(on_locus + off_locus).T
+    blocks = (ChartPoint(CHART_CPLANE, tuple(coords[:, s : s + BLOCK])) for s in range(0, samples, BLOCK))
 
-    def misclassified(p, expected_type):
-        return float(normal_form(rho(p).value()).type != expected_type)
+    def misclassified(p):
+        expected = np.where((p.coords[0] == 0.0) & (p.coords[1] == 0.0), 2, 0)
+        return (normal_forms(rho(p).values)[0] != expected).astype(float)
 
-    points = on_locus + off_locus
-    residuals = [misclassified(p, 2) for p in on_locus] + [misclassified(p, 0) for p in off_locus]
-    max_res, worst = _worst(points, residuals)
+    top, _, worst = _per_block(misclassified, lambda count: next(blocks), samples)
+    max_res = float(top[0])
     notes = [f"type 2 at {len(on_locus)} locus points, type 0 at {len(off_locus)} off-locus points"]
     return _report("type_jump", seed, samples, tol, max_res, worst, max_res == 0.0, notes)
 
@@ -624,9 +625,7 @@ def check_polar_compatibility(
     def block(p):
         pulled = pullback_jet(overlap.at(p), rho).values
         expected = b_field(p).values + 1j * w_field(p).values
-        # the normal form is per point: one Multiform per column
-        found = np.transpose([normal_form(Multiform(4, c)).b_plus_i_omega().coeffs for c in pulled.T])
-        return _max_abs(found - expected)
+        return _max_abs(normal_forms(pulled)[2] - expected)
 
     top, _, worst = _per_block(block, lambda count: _sample_annulus(rng, count, max(r_min, 0.1), 1.0), samples)
     max_res = float(top[0])

@@ -174,6 +174,20 @@ def test_bracket_closed_b_equivariance():
         assert (lhs - rhs).norm() < 1e-8
 
 
+def test_bracket_rejects_generators_without_partials():
+    # E_B with a B that is a d carries values alone; the bracket of two such generators read all zeros
+    rng = np.random.default_rng(55)
+    lam = form_field({(i,): ex.random_polynomial(rng, N) for i in range(1, N + 1)})
+    b = FormField(FLAT, N, lambda x: lam.fn(x).d())
+    u, v = rand_gc_field(rng), rand_gc_field(rng)
+    ub, vb = e_b_transform(b, u), e_b_transform(b, v)
+    p = pt(0.1, 0.2, 0.3, 0.4)
+    assert ub(p).order == 0
+    for left, right in ((ub, vb), (ub, v), (u, vb)):
+        with pytest.raises(ValueError, match="first partials"):
+            courant_bracket(left, right, None, p)
+
+
 def test_bracket_nonclosed_b_shift_frozen_sign():
     # frozen: [E_B u, E_B v]_H = E_B([u, v]_{H + s*dB}) with s = BRACKET_SHIFT_SIGN
     rng = np.random.default_rng(56)

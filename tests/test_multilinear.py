@@ -246,12 +246,11 @@ def test_action_matrix_columns():
         assert np.allclose(mat[:, N + j], clifford(GcVector.cotangent(N, j + 1), rho).coeffs)
 
 
-def test_degree_part_and_lowest_degree():
+def test_degree_part():
     rho = mf({(): 2.0, (1, 3): 1.0, (1, 2, 3, 4): -1.0})
     assert rho.degree_part(2).allclose(mf({(1, 3): 1.0}))
-    assert rho.lowest_degree() == 0
-    assert (rho - rho.degree_part(0)).lowest_degree() == 2
-    assert Multiform.zero(N).lowest_degree() == -1
+    assert rho.degree_part(0).allclose(mf({(): 2.0}))
+    assert rho.degree_part(1).allclose(Multiform.zero(N))
 
 
 def test_json_round_trip():

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gcx.chart import ChartPoint
+from gcx.models import CHART_CPLANE, local_model_spinor
 from gcx.multilinear import GcVector, Multiform, clifford, exp_wedge, pairing
 from gcx.spinor import (
     AnnihilatorBasis,
@@ -12,6 +16,7 @@ from gcx.spinor import (
     is_pure,
     j_endomorphism,
     normal_form,
+    normal_forms,
 )
 from helpers_naive import naive_clifford, random_multiform, to_multiform
 
@@ -198,6 +203,80 @@ def test_normal_form_roundtrip_random_types():
 def test_normal_form_rejects_impure():
     with pytest.raises(ValueError):
         normal_form(omega0())
+
+
+def two_form(values):
+    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    return Multiform.from_terms(N, {pair: float(v) for pair, v in zip(pairs, values)})
+
+
+def mixed_block(rng):
+    """Columns of every type the surgery meets, and type 1: (2^n, N) coefficients."""
+    forms = [dz1_dz2()]
+    for _ in range(3):
+        b = two_form(rng.uniform(-0.5, 0.5, 6))
+        forms.append(b_transform(b, from_symplectic(omega0() + two_form(rng.uniform(-0.2, 0.2, 6)))))
+        forms.append(b_transform(b, from_complex(standard_I())))
+        forms.append(exp_wedge(b + 1j * omega0()).wedge(random_multiform(rng, N, degrees={1})))
+    rho = local_model_spinor()
+    off_locus = rho(ChartPoint(CHART_CPLANE, tuple(rng.uniform(-1, 1, (4, 5))))).values
+    on_locus = rho(ChartPoint(CHART_CPLANE, (np.zeros(2), np.zeros(2), *rng.uniform(-1, 1, (2, 2))))).values
+    return np.column_stack([f.coeffs for f in forms] + [off_locus, on_locus])
+
+
+def test_normal_forms_block_matches_each_column():
+    block = mixed_block(np.random.default_rng(12))
+    types, omega0s, exponents, unique = normal_forms(block)
+    assert sorted(set(types.tolist())) == [0, 1, 2]
+    for j, col in enumerate(block.T):
+        nf = normal_form(Multiform(N, col))
+        assert types[j] == nf.type
+        assert unique[j] == nf.gauge_unique == (nf.type == 0)
+        assert np.array_equal(omega0s[:, j], nf.omega0.coeffs)
+        assert np.array_equal(exponents[:, j].real, nf.B.coeffs.real)
+        assert np.array_equal(exponents[:, j].imag, nf.omega.coeffs.real)
+
+
+def test_normal_forms_rejects_a_block_with_an_impure_or_zero_column():
+    block = mixed_block(np.random.default_rng(13))
+    for bad in (omega0().coeffs, np.zeros(1 << N)):
+        spoiled = block.copy()
+        spoiled[:, 4] = bad
+        with pytest.raises(ValueError, match="requires a pure spinor"):
+            normal_forms(spoiled)
+    with pytest.raises(ValueError, match="requires a pure spinor"):
+        normal_form(Multiform.zero(N))
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(unit, min_size=6, max_size=6), st.lists(unit, min_size=6, max_size=6))
+def test_normal_form_round_trip_of_b_transformed_symplectic_spinors(b_values, w_values):
+    w = two_form(w_values)
+    assume(abs(w.wedge(w).top()) >= 0.5)  # |Pf| >= 1/4: safely nondegenerate
+    b = two_form(0.5 * np.array(b_values))
+    nf = normal_form(b_transform(b, from_symplectic(w)))
+    assert nf.type == 0 and nf.gauge_unique
+    assert nf.omega0.allclose(Multiform.scalar(N, 1.0), tol=1e-12)
+    assert nf.B.allclose(b, tol=1e-12) and nf.omega.allclose(w, tol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(unit, min_size=6, max_size=6), st.lists(unit, min_size=16, max_size=16))
+def test_normal_form_round_trip_of_b_transformed_complex_spinors(b_values, p_values):
+    p = np.eye(N) + 0.4 * np.reshape(p_values, (N, N))
+    assume(np.linalg.cond(p) <= 10.0)
+    omega = from_complex(p @ standard_I() @ np.linalg.inv(p))
+    b = two_form(0.5 * np.array(b_values))
+    rho = b_transform(b, omega)
+    nf = normal_form(rho)
+    assert nf.type == 2 and not nf.gauge_unique
+    assert nf.omega0.allclose(omega, tol=1e-12)
+    assert (nf.reconstruct() - rho).norm() <= 1e-10 * rho.norm()
+    # the exponent is B up to the gauge: forms whose wedge with omega0 vanishes
+    assert (nf.b_plus_i_omega() - b).wedge(omega).max_abs() <= 1e-10 * rho.max_abs()
 
 
 def test_check_nondegenerate():

@@ -168,26 +168,31 @@ def test_type_jump():
 
 
 def test_type_jump_worst_point_is_the_misclassified_point(monkeypatch):
-    # classify the fifth evaluated point wrongly: the report must name it
-    from types import SimpleNamespace
-
+    # classify the fifth drawn point wrongly in its block: the report must name it
     from gcx import verify
     from gcx.chart import FormField
 
     rho = local_model_spinor()
-    seen = []
+    seen = []  # the evaluated points, in draw order
+    classified = []  # how many points the block path has typed so far, per call
 
     def recording(coords):
-        seen.append(tuple(coords))
+        seen.extend(zip(*coords))
         return rho.fn(coords)
 
-    real_normal_form = verify.normal_form
+    real_normal_forms = verify.normal_forms
 
-    def wrong_at_fifth(form):
-        return SimpleNamespace(type=1) if len(seen) == 5 else real_normal_form(form)
+    def wrong_at_fifth(coeffs):
+        types, *rest = real_normal_forms(coeffs)
+        start = sum(classified)
+        classified.append(len(types))
+        if start <= 4 < start + len(types):
+            types = types.copy()
+            types[4 - start] = 1
+        return (types, *rest)
 
     monkeypatch.setattr(verify, "local_model_spinor", lambda: FormField(rho.chart, 4, recording))
-    monkeypatch.setattr(verify, "normal_form", wrong_at_fifth)
+    monkeypatch.setattr(verify, "normal_forms", wrong_at_fifth)
     rep = check_type_jump(samples=20, seed=42)
     assert not rep.passed
     assert rep.max_residual == 1.0
