@@ -288,8 +288,9 @@ def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint
     """Least-squares minimizer of |d rho + H ^ rho - v . rho| over v.
 
     A residual at round-off level certifies pointwise integrability of
-    the spinor line generated by rho.  The least squares is a stacked
-    pseudo-inverse with numpy lstsq's default singular-value cutoff.
+    the spinor line generated by rho.  The least squares is one stacked
+    thin SVD of the action rows nonzero somewhere in the block (the odd
+    rows of an even spinor), cut off as numpy lstsq would the whole matrix.
     """
     jet = rho(p)
     val = jet.values
@@ -299,8 +300,12 @@ def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint
     if h is not None:
         target = target + wedge_coeffs(jet.dim, h(p).values, val)
     mat = action_matrix(val)
-    cutoff = np.finfo(float).eps * max(mat.shape[-2:])
-    sol = (np.linalg.pinv(mat, cutoff) @ target.T[..., None])[..., 0]
+    rows = np.flatnonzero(mat.reshape(-1, *mat.shape[-2:]).any(axis=(0, 2)))
+    u, s, vh = np.linalg.svd(mat[..., rows, :], full_matrices=False)
+    large = s > np.finfo(float).eps * max(mat.shape[-2:]) * s[..., :1]
+    # as rows: target^T conj(U) / s conj(V^H) = (V S^+ U^H target)^T, the minimal-norm v
+    proj = np.where(large, (target.T[..., None, rows] @ u.conj())[..., 0, :], 0.0)
+    sol = ((proj / np.where(large, s, 1.0))[..., None, :] @ vh.conj())[..., 0, :]
     residual = np.linalg.norm((mat @ sol[..., None])[..., 0] - target.T, axis=-1)
     if val.ndim > 1:
         return IntegrabilityWitness(v=sol.T, residual=residual)

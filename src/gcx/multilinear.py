@@ -61,7 +61,8 @@ class _Tables:
     wedge_right: np.ndarray  # (4^n,)
     wedge_scatter: np.ndarray  # (2^n, pairs): the pair's sign at [s | t, pair]
     d_matrix: np.ndarray    # (2^n, 2^n n); [u, s n + i] = action[n + i, u, s]
-    action_rows: np.ndarray  # (2n 2^n, 2^n); [j 2^n + u, s] = action[j, u, s]
+    action_source: np.ndarray  # (2n 2^n,); row j 2^n + u of the action is nonzero at most at this s
+    action_sign: np.ndarray  # (2n 2^n,); its entry there: +-1, or 0 where the row is zero
 
 
 @lru_cache(maxsize=None)
@@ -96,6 +97,7 @@ def _tables(n: int) -> _Tables:
         pick[other * size + dst] = np.where(np.array(sign) > 0, 1, 1 + size) + src
     scatter = np.zeros((size, len(dst)), dtype=complex)
     scatter[dst, np.arange(len(dst))] = sign
+    rows = action.reshape(2 * n * size, size)
 
     return _Tables(
         dim=n,
@@ -108,7 +110,8 @@ def _tables(n: int) -> _Tables:
         wedge_right=picks[1],
         wedge_scatter=scatter,
         d_matrix=action[n:].transpose(1, 2, 0).reshape(size, size * n).astype(complex),
-        action_rows=action.reshape(2 * n * size, size).astype(complex),
+        action_source=np.abs(rows).argmax(axis=1),
+        action_sign=rows.sum(axis=1).astype(complex),
     )
 
 
@@ -374,9 +377,11 @@ def action_matrix(rho) -> np.ndarray:
     """
     coeffs = rho.coeffs if isinstance(rho, Multiform) else rho
     size = len(coeffs)
-    # one matmul, exact (the table holds 0 and +-1); the transposed view keeps the generator
+    t = _tables(size.bit_length() - 1)
+    # a signed gather, exact and free of BLAS whatever N is; the transposed view keeps the generator
     # axis outermost in memory, which fixes the summation order of products with the matrices
-    return (_tables(size.bit_length() - 1).action_rows @ coeffs).reshape(-1, size, *coeffs.shape[1:]).T
+    rows = (coeffs[t.action_source].T * t.action_sign).T
+    return rows.reshape(-1, size, *coeffs.shape[1:]).T
 
 
 def pairing(u: GcVector, v: GcVector) -> complex:

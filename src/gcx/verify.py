@@ -12,7 +12,9 @@ ChartPoint with coordinate arrays).  All but type_jump, which draws its
 points one at a time first, also draw BLOCK at a time and keep only
 running maxima, so their memory does not grow with the sample count.
 The H slice quadrature takes QUAD_NODES_PER_BLOCK Gauss nodes per
-block.
+block.  No product that grows with a block reaches OpenBLAS's threaded
+m*n*k = 65536: at BLOCK = 32 FormJet.d reads 32768 (49152 at the 48
+quadrature points) and wedge_coeffs 41472; the Clifford action is a gather.
 
 ``CHECKS`` is the table ``gcx check`` runs: one row per report with
 its stream id, target, sample cap, tolerance kind and runner.
@@ -79,13 +81,13 @@ __all__ = [
 
 INTEGRABILITY_REGIONS = ("cplane", "polar", "bump", "outer")
 QUAD_NODES = 128  # Gauss-Legendre nodes of the H slice integral over the window
-# nodes per H evaluation of the slice quadrature: 48 points, below the 64 columns at which
-# FormJet.d's (16 x 64) matmul can take OpenBLAS's multithreaded path
+# nodes per H evaluation of the slice quadrature: 48 points, so FormJet.d's (16 x 64) table meets
+# 48 columns, m*n*k = 49152, below the 65536 at which OpenBLAS takes its multithreaded path
 QUAD_NODES_PER_BLOCK = 3
 FT_NODES = 64  # Gauss-Legendre nodes of each integral of f' that h_properties compares with f
 FT_POINTS = 8  # sample points whose FT_NODES radii one bump evaluation takes, which bounds its memory
-# sample points per numpy pass; bounds a check's transient memory whatever --samples is
-BLOCK = 16
+# sample points per numpy pass; bounds transient memory whatever --samples is, and BLAS product sizes
+BLOCK = 32
 SIGN_CONTROL_TOL = 1e-3  # the wrong-sign H control passes iff its residual exceeds this
 
 
@@ -531,23 +533,24 @@ def check_quotient(
         """Deck invariance of B and omega; the deck map's evaluation and its basis forms die with the call."""
         at_deck = deck.at(p)
         return np.maximum(
-            _max_abs(pullback_jet(at_deck, b_field).values - b_p.values),
-            _max_abs(pullback_jet(at_deck, w_field).values - w_p.values),
+            _max_abs(pullback_jet(at_deck, b_field).values - b_p),
+            _max_abs(pullback_jet(at_deck, w_field).values - w_p),
         )
 
     def block(p):
-        b_p, w_p = b_field(p), w_field(p)
+        b_p, w_p = b_field(p), w_field(p).values
+        b_p, db_p = b_p.values, b_p.d().values  # values only: no order-1 jet lives through the block
         deck_res = deck_residual(p, b_p, w_p)
         at_q = qmap.at(p)
         # integrability first, before the quotient pullbacks fill at_q's basis cache
         integ_res = integrability_residual(rho_q, None, at_q.image).residual
-        omega_res = _max_abs(pullback_jet(at_q, wq).values - w_p.values)
-        disc_jet = pullback_jet(at_q, bq) - b_p
-        expected = np.zeros(disc_jet.values.shape, dtype=complex)
+        omega_res = _max_abs(pullback_jet(at_q, wq).values - w_p)
+        disc = pullback_jet(at_q, bq).values - b_p
+        expected = np.zeros(disc.shape, dtype=complex)
         expected[_M13] = (m - 1) / p.coords[0]  # (m-1) dlog r ^ dtheta2
-        disc_res = _max_abs(disc_jet.values - expected)
+        disc_res = _max_abs(disc - expected)
         # the recorded discrepancy form is closed
-        closed = _max_abs(pullback_jet(at_q, d_bq).values - b_p.d().values)
+        closed = _max_abs(pullback_jet(at_q, d_bq).values - db_p)
         point = np.maximum.reduce([deck_res, omega_res, disc_res, integ_res])
         return point, deck_res, omega_res, disc_res, integ_res, closed
 

@@ -313,6 +313,54 @@ def test_integrability_obstructed_example():
     assert wit.residual > 0.1
 
 
+def _lstsq_reference(values, grads):
+    """Per point numpy lstsq of the action matrix, built from the dense table, against d rho."""
+    from gcx.multilinear import _tables
+
+    jet = FormJet(N, values, grads)
+    target = jet.d().values
+    action = _tables(N).action
+    sols, residuals = [], []
+    for i in range(values.shape[1]):
+        mat = np.einsum("jus,s->uj", action, values[:, i])
+        sol, _, _, _ = np.linalg.lstsq(mat, target[:, i], rcond=None)
+        sols.append(sol)
+        residuals.append(np.linalg.norm(mat @ sol - target[:, i]))
+    return np.array(sols).T, np.array(residuals)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "even", "pure"])
+def test_integrability_least_squares_matches_lstsq(kind):
+    # mixed parity keeps all 16 action rows; an even spinor leaves the 8 even rows zero, whose
+    # target components must still count; a pure spinor's action matrix has rank 4 of 8
+    from gcx.multilinear import _tables
+
+    rng = np.random.default_rng(23)
+    count = 37
+    values = rng.normal(size=(16, count)) + 1j * rng.normal(size=(16, count))
+    if kind != "mixed":
+        values[_tables(N).degree % 2 == 1] = 0.0
+    if kind == "pure":  # exp of a random complex 2-form at each point, scaled so that
+        # a cutoff not relative to the largest singular value would keep round-off
+        two = FormJet(N, np.where(_tables(N).degree[:, None] == 2, values, 0.0), order=0)
+        values = 1e3 * two.exp_wedge().values
+    grads = rng.normal(size=(16, count, N)) + 1j * rng.normal(size=(16, count, N))
+    sols, residuals = _lstsq_reference(values, grads)
+    assert residuals.min() > 0.1  # the even target components of a pure or even spinor included
+
+    def fn(coords):  # the block's jets, or the first point's at one point
+        cols = slice(None) if np.ndim(coords) > 1 else 0
+        return FormJet(N, values[:, cols], grads[:, cols])
+
+    rho = FormField(FLAT, N, fn)
+    wit = integrability_residual(rho, None, ChartPoint(FLAT, tuple(rng.uniform(-1, 1, (N, count)))))
+    assert np.abs(wit.residual - residuals).max() <= 1e-12 * residuals.max()
+    assert np.abs(wit.v - sols).max() <= 1e-12 * np.abs(sols).max()
+    one = integrability_residual(rho, None, pt(0.1, 0.2, 0.3, 0.4))  # the N-less path, point 0
+    assert one.residual == pytest.approx(residuals[0], rel=1e-12)
+    assert np.abs(one.v.as_array() - sols[:, 0]).max() <= 1e-12 * np.abs(sols[:, 0]).max()
+
+
 def test_integrability_rejects_zero_spinor():
     rho = form_field({(): ex.coord(1)})
     with pytest.raises(ValueError, match="zero locus"):

@@ -360,3 +360,27 @@ def test_check_jobs_flag_rejected(tmp_path, capsys):
         run_cli(["check", "surgery", "--jobs", "2", "--output", str(tmp_path / "rep.json")])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+def test_check_all_runs_on_one_core(tmp_path):
+    # a product that reaches OpenBLAS's threaded kernels keeps worker threads spinning: CPU time past wall time
+    import os
+    import resource
+    import subprocess
+    import sys
+    import time
+
+    import gcx
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gcx.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "gcx.cli", "check", "all", "--seed", "42", "--output", str(tmp_path / "r.json")]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 0, proc.stderr
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert cpu <= 1.2 * wall, f"CPU {cpu:.2f} s against {wall:.2f} s wall"

@@ -246,6 +246,27 @@ def test_action_matrix_columns():
         assert np.allclose(mat[:, N + j], clifford(GcVector.cotangent(N, j + 1), rho).coeffs)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_action_matrix_gather_equals_the_dense_product(n):
+    # the oracle: the dense signed action table (2n 2^n, 2^n) times the coefficients
+    from gcx.multilinear import _tables
+
+    size = 1 << n
+    dense = _tables(n).action.reshape(2 * n * size, size).astype(complex)
+    rng = np.random.default_rng(n)
+    for k in (1, 32, 64):
+        coeffs = rng.normal(size=(size, k)) + 1j * rng.normal(size=(size, k))
+        expected = (dense @ coeffs).reshape(-1, size, k).T
+        got = action_matrix(coeffs)
+        assert got.shape == expected.shape and (got == expected).all()
+    rho = random_multiform(rng, n)
+    expected = (dense @ rho.coeffs).reshape(-1, size).T
+    got = action_matrix(rho)
+    assert got.shape == expected.shape and (got == expected).all()
+    v = GcVector.from_array(n, rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n))
+    assert (clifford(v, rho).coeffs == expected @ v.as_array()).all()
+
+
 def test_degree_part():
     rho = mf({(): 2.0, (1, 3): 1.0, (1, 2, 3, 4): -1.0})
     assert rho.degree_part(2).allclose(mf({(1, 3): 1.0}))
