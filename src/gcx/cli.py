@@ -213,8 +213,11 @@ def _cmd_normal_form(args) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a factorization cross-check failed
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return 3
 
-    nondeg = check_nondegenerate(nf, args.tol)
+    nondeg = "n/a (odd dimension)" if nf.dim % 2 else check_nondegenerate(nf, args.tol)
     print(f"type: {nf.type}")
     print(f"omega0: {nf.omega0}")
     print(f"B: {nf.B}")

@@ -21,18 +21,17 @@ and of a pullback do.  Every rule keeps the lower order of its
 operands.  The partials of an order-0 jet are a read-only view of one
 shared zero, and writes into a jet skip them.
 
-``FormJet.wedge`` and ``FormJet.d`` run as small dense matmuls over
-signed tables built once per dimension (``multilinear._tables``): the
-wedge table W[u, s, t] places one factor's coefficients in a 2^n x 2^n
-matrix per point, and d is one (2^n, 2^n n) matrix applied to the
-flattened partials.  A wedge of values alone scatters pair products.
+``FormJet.wedge`` is ``multilinear.wedge_coeffs`` on values and
+partials (the product rule), ``FormJet.exp_wedge`` is the closed form
+1 + b + Pf(b) vol evaluated in ``Jet2`` arithmetic, and ``FormJet.d``
+is one (2^n, 2^n n) signed table applied to the flattened partials.
 """
 
 import functools
 
 import numpy as np
 
-from gcx.multilinear import Multiform, _exp_wedge_series, _tables, wedge_coeffs
+from gcx.multilinear import Multiform, _check_exponent, _pfaffian, _tables, wedge_coeffs
 
 __all__ = ["Jet2", "FormJet"]
 
@@ -53,18 +52,6 @@ def _untrusted(shape) -> np.ndarray:
 def _lifted(values):
     """Values with a trailing unit axis, to meet grads."""
     return values[..., None] if isinstance(values, np.ndarray) else values
-
-
-def _apply(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrices (..., S, S), one per point, applied to the component axis of x: (S, k) or (S, N, k)."""
-    return (mats @ x.swapaxes(0, -2)).swapaxes(0, -2)
-
-
-def _wedge_matrices(coeffs: np.ndarray, pick: np.ndarray) -> np.ndarray:
-    """L_a or R_b of the wedge table per column of coeffs, (S, *rest) -> (*reversed(rest), S, S)."""
-    size = len(coeffs)
-    signed = np.concatenate((_zeros((1,) + coeffs.shape[1:]), coeffs, -coeffs))
-    return signed.take(pick, 0).reshape((size, size) + coeffs.shape[1:]).T
 
 
 class _Jet:
@@ -247,20 +234,13 @@ class FormJet(_Jet):
         return self._product(jet)
 
     def wedge(self, other: "FormJet") -> "FormJet":
-        """Product rule through the signed wedge table, as 2^n x 2^n matrices per point.
-
-        With L_a = a.W and R_b = W.b: values L_a b, grads L_a db + R_b da.
-        At order 0 only the values are formed, from the products of
-        disjoint coefficient pairs.
-        """
+        """Product rule through ``wedge_coeffs``: values a ^ b, partials a ^ db + da ^ b."""
         self._check(other)
         n, order = self.dim, min(self.order, other.order)
+        values = wedge_coeffs(n, self.values, other.values)
         if order < 1:
-            return FormJet(n, wedge_coeffs(n, self.values, other.values), order=order)
-        t = _tables(n)
-        left, right = _wedge_matrices(self.values, t.wedge_left), _wedge_matrices(other.values, t.wedge_right)
-        values = _apply(left, other.values[..., None])[..., 0]
-        grads = _apply(left, other.grads) + _apply(right, self.grads)
+            return FormJet(n, values, order=order)
+        grads = wedge_coeffs(n, _lifted(self.values), other.grads) + wedge_coeffs(n, self.grads, _lifted(other.values))
         return FormJet(n, values, grads, order=order)
 
     def d(self) -> "FormJet":
@@ -275,10 +255,14 @@ class FormJet(_Jet):
         return FormJet(n, values, order=0)
 
     def exp_wedge(self) -> "FormJet":
-        """Terminating wedge exponential (even degrees, no scalar part)."""
-        one = FormJet(self.dim, _zeros(self.values.shape), order=self.order)
-        one.values[0] = 1.0
-        return _exp_wedge_series(self, one, self._trusted(self.order))
+        """Terminating wedge exponential (even degrees, no scalar part): ``exp_wedge_coeffs`` in jet arithmetic."""
+        levels = self._trusted(self.order)
+        _check_exponent(self.dim, levels)
+        out = FormJet(self.dim, *(x.astype(complex) for x in levels), order=self.order)
+        out.values[0] = 1.0
+        if self.dim == 4:
+            out[-1] = out[-1] + _pfaffian(self)
+        return out
 
     def interior_jet(self, xv: np.ndarray, xg: np.ndarray) -> "FormJet":
         """Contraction with a jet tangent vector (xv (n,), xg[i,j]=d_j X_i)."""

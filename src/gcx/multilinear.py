@@ -51,15 +51,13 @@ class _Tables:
     dim: int
     degree: np.ndarray      # (2^n,) popcounts
     odd_or_scalar: np.ndarray  # (2^n,) degree 0 or odd: where an exp_wedge exponent must vanish
-    w_src1: np.ndarray      # the disjoint subset pairs (s, t) of the wedge
+    # the disjoint subset pairs (s, t) of the wedge, ordered by s | t, then s: the factor masks, the
+    # shuffle sign of dx^s ^ dx^t = +-dx^(s|t), and where the run of each target u = s | t starts
+    w_src1: np.ndarray
     w_src2: np.ndarray
+    w_sign: np.ndarray
+    w_starts: np.ndarray    # (2^n,)
     action: np.ndarray      # (2n, 2^n, 2^n); rows 0..n-1 interior, n..2n-1 wedge
-    # the wedge W[u, s, t], nonzero at u = s | t for the pairs above, as the
-    # entries of L_a[u, t] = sum_s a_s W[u, s, t] and R_b[u, s] = sum_t W[u, s, t] b_t:
-    # flat L_a^T and R_b^T index into [0, c, -c] for c = a and c = b
-    wedge_left: np.ndarray  # (4^n,)
-    wedge_right: np.ndarray  # (4^n,)
-    wedge_scatter: np.ndarray  # (2^n, pairs): the pair's sign at [s | t, pair]
     d_matrix: np.ndarray    # (2^n, 2^n n); [u, s n + i] = action[n + i, u, s]
     action_source: np.ndarray  # (2n 2^n,); row j 2^n + u of the action is nonzero at most at this s
     action_sign: np.ndarray  # (2n 2^n,); its entry there: +-1, or 0 where the row is zero
@@ -69,16 +67,8 @@ class _Tables:
 def _tables(n: int) -> _Tables:
     size = 1 << n
     degree = np.array([bin(s).count("1") for s in range(size)], dtype=np.int64)
-
-    src1, src2, dst, sign = [], [], [], []
-    for s in range(size):
-        for t in range(size):
-            if s & t:
-                continue
-            src1.append(s)
-            src2.append(t)
-            dst.append(s | t)
-            sign.append(_shuffle_sign(s, t))
+    pairs = sorted((s | t, s, t) for s in range(size) for t in range(size) if not s & t)
+    dst, src1, src2 = np.array(pairs, dtype=np.int64).T
 
     action = np.zeros((2 * n, size, size))
     for i in range(n):
@@ -90,13 +80,6 @@ def _tables(n: int) -> _Tables:
                 action[i, s ^ bit, s] = sgn          # interior product by d/dx^{i+1}
             else:
                 action[n + i, s | bit, s] = sgn      # wedge by dx^{i+1}
-
-    dst, src1, src2 = (np.array(v, dtype=np.int64) for v in (dst, src1, src2))
-    picks = [np.zeros(size * size, dtype=np.int64) for _ in range(2)]
-    for pick, src, other in zip(picks, (src1, src2), (src2, src1)):
-        pick[other * size + dst] = np.where(np.array(sign) > 0, 1, 1 + size) + src
-    scatter = np.zeros((size, len(dst)), dtype=complex)
-    scatter[dst, np.arange(len(dst))] = sign
     rows = action.reshape(2 * n * size, size)
 
     return _Tables(
@@ -105,10 +88,9 @@ def _tables(n: int) -> _Tables:
         odd_or_scalar=(degree == 0) | (degree % 2 == 1),
         w_src1=src1,
         w_src2=src2,
+        w_sign=np.array([float(_shuffle_sign(s, t)) for _, s, t in pairs]),
+        w_starts=np.searchsorted(dst, np.arange(size)),
         action=action,
-        wedge_left=picks[0],
-        wedge_right=picks[1],
-        wedge_scatter=scatter,
         d_matrix=action[n:].transpose(1, 2, 0).reshape(size, size * n).astype(complex),
         action_source=np.abs(rows).argmax(axis=1),
         action_sign=rows.sum(axis=1).astype(complex),
@@ -116,10 +98,12 @@ def _tables(n: int) -> _Tables:
 
 
 def wedge_coeffs(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of a ^ b from coefficient arrays (2^n,) + B: pair products, one signed scatter."""
+    """Coefficients of a ^ b from coefficient arrays (2^n, ...), broadcast past the first axis:
+    the signed pair products a_s b_t, summed over each run of equal s | t (no BLAS at any size)."""
     t = _tables(n)
     prod = a[t.w_src1] * b[t.w_src2]
-    return (t.wedge_scatter @ prod.reshape(len(prod), -1)).reshape(a.shape)
+    prod *= t.w_sign.reshape((-1,) + (1,) * (prod.ndim - 1))
+    return np.add.reduceat(prod, t.w_starts, axis=0)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -400,26 +384,30 @@ def pairing_gram(dim: int) -> np.ndarray:
     return _frozen(g)
 
 
-def exp_wedge(b: Multiform) -> Multiform:
-    """Terminating wedge exponential of an even-degree form with no scalar part."""
-    return _exp_wedge_series(b, Multiform.scalar(b.dim, 1.0), (b.coeffs,))
-
-
-def _exp_wedge_series(b, one, parts):
-    """sum_j b^j / j! for forms and form jets alike.
-
-    ``one`` is the unit of b's algebra; ``parts`` are b's coefficient
-    arrays (leading axis over basis monomials), which must vanish off the
-    even positive degrees.  The series stops at j = n/2: b^j has degree >= 2j.
-    """
-    bad = _tables(b.dim).odd_or_scalar
+def _check_exponent(n: int, parts) -> None:
+    """Reject exponents with a scalar or odd-degree part in any of the coefficient arrays ``parts``."""
+    bad = _tables(n).odd_or_scalar
     if any(np.abs(part[bad]).max() > 0 for part in parts):
         raise ValueError("exp_wedge requires an even-degree form with zero scalar part")
-    out = one + b
-    power = b
-    factorial = 1.0
-    for j in range(2, b.dim // 2 + 1):
-        power = power.wedge(b)
-        factorial *= j
-        out = out + power * (1.0 / factorial)
+
+
+def _pfaffian(c):
+    """c12 c34 - c13 c24 + c14 c23, the top coefficient of c^c/2, from rows of arrays or Jet2s of a FormJet."""
+    return c[0b0011] * c[0b1100] - c[0b0101] * c[0b1010] + c[0b1001] * c[0b0110]
+
+
+def exp_wedge_coeffs(b: np.ndarray) -> np.ndarray:
+    """Coefficients of exp(b) from b's (2^n, ...), which vanish off the even positive degrees: b^j has
+    degree >= 2j, so for n <= 4 the series stops at b^b/2 = Pf(b) vol, nonzero only when n = 4."""
+    n = len(b).bit_length() - 1
+    _check_exponent(n, (b,))
+    out = b.astype(complex)
+    out[0] = 1.0
+    if n == 4:
+        out[-1] += _pfaffian(b)
     return out
+
+
+def exp_wedge(b: Multiform) -> Multiform:
+    """Terminating wedge exponential of an even-degree form with no scalar part."""
+    return Multiform(b.dim, exp_wedge_coeffs(b.coeffs))

@@ -10,10 +10,10 @@ test, B-field transforms, and the induced complex structure on T + T*.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from gcx.jets import FormJet, _wedge_matrices
 from gcx.multilinear import (
     GcVector,
     Multiform,
@@ -21,6 +21,7 @@ from gcx.multilinear import (
     action_matrix,
     clifford,
     exp_wedge,
+    exp_wedge_coeffs,
     pairing_gram,
     wedge_coeffs,
 )
@@ -170,6 +171,14 @@ def is_pure(rho: Multiform, tol: float = DEFAULT_TOL) -> bool:
     return bool(_pure(rho.coeffs[:, None], tol)[0])
 
 
+@lru_cache(maxsize=None)
+def _two_form_pairs(n: int) -> tuple:
+    """The basis 2-forms, then over the wedge's pairs (s, t) with s one of them: s | t, the column of s, t, sign."""
+    t = _tables(n)
+    two, pick = np.flatnonzero(t.degree == 2), t.degree[t.w_src1] == 2
+    return two, t.w_src1[pick] | t.w_src2[pick], np.searchsorted(two, t.w_src1[pick]), t.w_src2[pick], t.w_sign[pick]
+
+
 def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     """Factor each column of (2^n, N) coefficients, a pure spinor, as exp(B + i*omega) ^ Omega.
 
@@ -185,6 +194,7 @@ def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     if not _pure(coeffs, tol).all():
         raise ValueError("normal_form requires a pure spinor")
     degree = _tables(n).degree[:, None]
+    two, dst, col, src, sign = _two_form_pairs(n)
     mags = np.abs(coeffs)
     scale = mags.max(axis=0)
     types = np.where(mags > tol * scale, degree, n + 1).min(axis=0)
@@ -194,10 +204,12 @@ def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     unique = types == 0
     for k in set(types.tolist()) - {0}:
         cols = types == k
-        two = np.flatnonzero(degree[:, 0] == 2)
         factor = omega0[:, cols]
-        # column s of a matrix: (basis 2-form s) ^ Omega, gathered from the wedge table
-        u, svals, vh = np.linalg.svd(_wedge_matrices(factor, _tables(n).wedge_right)[..., two], full_matrices=False)
+        # column s of a matrix: (basis 2-form s) ^ Omega, a signed gather from the wedge's pairs
+        mats = np.zeros((factor.shape[1], 1 << n, len(two)), complex)
+        mats[:, dst, col] = factor[src].T * sign
+        u, svals, vh = np.linalg.svd(mats, full_matrices=False)
+        del mats  # not held through the reconstruct check
         # the pseudo-inverse as rows (G, 1, pairs): target^T conj(U) / s conj(V^H) = (V S^+ U^H target)^T
         target = np.where(degree == k + 2, coeffs[:, cols], 0).T[:, None]
         keep = _kept(svals, tol)[:, None]
@@ -206,7 +218,7 @@ def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
         unique[cols] = keep.all(axis=(1, 2))
         if k == 2 and (np.abs(wedge_coeffs(n, factor, factor)) > 1e3 * tol * scale[cols] ** 2).any():
             raise RuntimeError("degree-2 factor of a pure spinor must be decomposable")
-    rebuilt = FormJet(n, exponent, order=0).exp_wedge().wedge(FormJet(n, omega0, order=0)).values
+    rebuilt = wedge_coeffs(n, exp_wedge_coeffs(exponent), omega0)
     gap, size = np.linalg.norm([rebuilt - coeffs, coeffs], axis=1)
     residual = (gap / size).max()
     if residual > 1e-10:

@@ -13,8 +13,8 @@ points one at a time first, also draw BLOCK at a time and keep only
 running maxima, so their memory does not grow with the sample count.
 The H slice quadrature takes QUAD_NODES_PER_BLOCK Gauss nodes per
 block.  No product that grows with a block reaches OpenBLAS's threaded
-m*n*k = 65536: at BLOCK = 32 FormJet.d reads 32768 (49152 at the 48
-quadrature points) and wedge_coeffs 41472; the Clifford action is a gather.
+m*n*k = 65536: FormJet.d, the only one (the wedge and the Clifford action
+are gathers), reads 32768 at BLOCK = 32 (49152 at the 48 quadrature points).
 
 ``CHECKS`` is the table ``gcx check`` runs: one row per report with
 its stream id, target, sample cap, tolerance kind and runner.

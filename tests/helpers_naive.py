@@ -41,6 +41,25 @@ def naive_wedge(a, b):
     return cleanup(out)
 
 
+def naive_exp_wedge(b, partials=()):
+    """sum_j b^j / j! with brute-force wedge powers, and its partials along ``partials`` (one dict per
+    partial of b) by the product rule on each power: (b^j)' = (b^(j-1))' ^ b + b^(j-1) ^ b'."""
+
+    def plus(x, y, s=1.0):
+        return {k: x.get(k, 0.0) + s * y.get(k, 0.0) for k in x.keys() | y.keys()}
+
+    out, d_out = {(): 1.0}, [{} for _ in partials]
+    power, d_power = {(): 1.0}, [{} for _ in partials]
+    factorial = 1.0
+    for j in range(1, 5):  # dimension <= 4: every power past the fourth vanishes
+        d_power = [plus(naive_wedge(dp, b), naive_wedge(power, db)) for dp, db in zip(d_power, partials)]
+        power = naive_wedge(power, b)
+        factorial *= j
+        out = plus(out, power, 1.0 / factorial)
+        d_out = [plus(do, dp, 1.0 / factorial) for do, dp in zip(d_out, d_power)]
+    return cleanup(out), [cleanup(do) for do in d_out]
+
+
 def naive_interior(j, form):
     """Interior product with the j-th coordinate tangent vector (1-based)."""
     out = {}

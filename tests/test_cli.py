@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcx.cli import main
 from gcx.multilinear import Multiform, exp_wedge
@@ -312,6 +318,71 @@ def test_normal_form_rejects_impure(tmp_path, capsys):
     src.write_text(json.dumps(omega0.to_json_dict()))
     assert run_cli(["normal-form", "--input", str(src)]) == 2
     capsys.readouterr()
+
+
+ODD_DIMENSION = {"dim": 3, "terms": [{"indices": [1], "re": 1, "im": 0}]}
+# pure at the rank cutoff, but exp(B + i omega) ^ Omega misses it by a relative 1.023e-10
+RECONSTRUCT_MISS = {
+    "dim": 2,
+    "terms": [
+        {"indices": [1, 2], "re": -0.7853865220413269, "im": 1.286833679996803},
+        {"indices": [1], "re": -14741777800.344498, "im": -2.14755029817596},
+    ],
+}
+
+
+def test_normal_form_odd_dimension_prints_the_factorization(tmp_path, capsys):
+    src = tmp_path / "odd.json"
+    src.write_text(json.dumps(ODD_DIMENSION))
+    assert run_cli(["normal-form", "--input", str(src)]) == 0
+    captured = capsys.readouterr()
+    assert "type: 1" in captured.out and "nondegenerate: n/a (odd dimension)" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_normal_form_failed_cross_check_exits_3(tmp_path, capsys):
+    src = tmp_path / "miss.json"
+    src.write_text(json.dumps(RECONSTRUCT_MISS))
+    assert run_cli(["normal-form", "--input", str(src)]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime failure: normal form failed to reproduce")
+    assert "Traceback" not in captured.err
+
+
+# flat draws, so that a failure shrinks fast: (dim, terms of (subset mask, re, im)), magnitudes 1e-200..1e200
+magnitudes = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-200, 200)).map(lambda sp: sp[0] * 10.0 ** sp[1])
+spinor_inputs = st.tuples(st.integers(2, 4), st.lists(st.tuples(st.integers(0, 15), magnitudes, magnitudes), max_size=5))
+
+
+def _spinor_json(case):
+    dim, terms = case
+    masks = {mask % (1 << dim): (re, im) for mask, re, im in terms}
+    return {
+        "dim": dim,
+        "terms": [
+            {"indices": [i + 1 for i in range(dim) if mask >> i & 1], "re": re, "im": im}
+            for mask, (re, im) in masks.items()
+        ],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@example((3, [(1, 1.0, 0.0)]))  # ODD_DIMENSION
+@example((2, [(3, -0.7853865220413269, 1.286833679996803), (1, -14741777800.344498, -2.14755029817596)]))  # RECONSTRUCT_MISS
+@given(spinor_inputs)
+def test_normal_form_keeps_the_exit_code_contract(case):
+    # in process: any exception fails the test; stdout and stderr are kept for the Traceback check
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "spinor.json")
+        with open(src, "w") as handle:
+            json.dump(_spinor_json(case), handle)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = run_cli(["normal-form", "--input", src])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue() + out.getvalue()
 
 
 def test_bracket_command(tmp_path, capsys):

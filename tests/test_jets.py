@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from gcx.jets import FormJet, Jet2
 from gcx.models import BumpProfile
 from gcx.multilinear import Multiform, exp_wedge
-from helpers_naive import from_multiform, naive_wedge, to_multiform
+from helpers_naive import from_multiform, naive_exp_wedge, naive_wedge, to_multiform
 
 N = 4
 SIZE = 1 << N
@@ -109,6 +109,48 @@ def test_exp_wedge_value_matches_multiform(f):
     odd_or_scalar = (DEGREE == 0) | (DEGREE % 2 == 1)
     f.values[odd_or_scalar] = f.grads[odd_or_scalar] = 0.0
     assert f.exp_wedge().value().allclose(exp_wedge(Multiform(N, f.values)), tol=1e-10)
+
+
+# (dim, seed, points: 0 for one point without a block axis, order); drawn flat, the arrays from the seed
+exp_cases = st.tuples(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(0, 1))
+
+
+@property_settings
+@given(exp_cases)
+def test_exp_wedge_matches_the_series(case):
+    # multilinear.exp_wedge and FormJet.exp_wedge against sum_j b^j / j! on brute-force wedges,
+    # values and, at order 1, partials by the product rule on each power
+    n, seed, points, order = case
+    rng = np.random.default_rng(seed)
+    size, block = 1 << n, (points,) if points else ()
+    degree = np.array([bin(s).count("1") for s in range(size)])
+    even = (degree % 2 == 0) & (degree > 0)
+    values, grads = (10.0 ** rng.uniform(-3, 3) * part for part in random_parts(rng, (size, *block), n))
+    values[~even] = grads[~even] = 0.0
+    jet = FormJet(n, values, grads if order else None, order).exp_wedge()
+    assert jet.order == order and (order or not jet.grads.any())
+
+    def at(x, k):  # point k of a block, or the one point
+        return x[:, k] if points else x
+
+    for k in range(max(points, 1)):
+        partials = [from_multiform(Multiform(n, g)) for g in at(grads, k).T][: n * order]
+        series, d_series = naive_exp_wedge(from_multiform(Multiform(n, at(values, k))), partials)
+        ref = to_multiform(series, n).coeffs
+        tol = 1e-12 * np.abs(ref).max()
+        assert np.abs(at(jet.values, k) - ref).max() <= tol
+        assert np.abs(exp_wedge(Multiform(n, at(values, k))).coeffs - ref).max() <= tol
+        for i, d_ref in enumerate(d_series):
+            assert np.abs(at(jet.grads, k)[..., i] - to_multiform(d_ref, n).coeffs).max() <= 1e-12 * magnitude(jet)
+    bad = rng.choice(np.flatnonzero(~even))
+    for level in (values, grads)[: order + 1]:
+        level[bad] = 1.0
+        with pytest.raises(ValueError, match="even-degree"):
+            FormJet(n, values, grads if order else None, order).exp_wedge()
+        level[bad] = 0.0
+    values[bad] = 1.0
+    with pytest.raises(ValueError, match="even-degree"):
+        exp_wedge(Multiform(n, at(values, 0)))
 
 
 def test_exp_wedge_keeps_a_power_that_vanishes_to_first_order():
