@@ -212,10 +212,12 @@ class IntegrabilityWitness:
     """Least-squares witness for d rho + H ^ rho = v . rho at a point.
 
     At a block of N points, v is the (2n, N) array of generator components and residual (N,).
+    action is rho's Clifford action matrix, u -> u . rho, (2^n, 2n) or (N, 2^n, 2n) at a block.
     """
 
     v: GcVector
     residual: float
+    action: np.ndarray
 
 
 def pullback_jet(at: MapJet, alpha: FormField) -> FormJet:
@@ -308,8 +310,8 @@ def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint
     sol = ((proj / np.where(large, s, 1.0))[..., None, :] @ vh.conj())[..., 0, :]
     residual = np.linalg.norm((mat @ sol[..., None])[..., 0] - target.T, axis=-1)
     if val.ndim > 1:
-        return IntegrabilityWitness(v=sol.T, residual=residual)
-    return IntegrabilityWitness(v=GcVector.from_array(jet.dim, sol), residual=float(residual))
+        return IntegrabilityWitness(sol.T, residual, mat)
+    return IntegrabilityWitness(GcVector.from_array(jet.dim, sol), float(residual), mat)
 
 
 def e_b_transform(b: FormField, u: GcField) -> GcField:

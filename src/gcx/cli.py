@@ -155,14 +155,16 @@ def config_from_args(args) -> RunConfig:
 
 
 def run_checks(cfg: RunConfig, reports: list | None = None) -> list:
-    """Run the rows of ``verify.CHECKS`` that cfg's target selects, in table order.
+    """Make the reports of ``verify.check_plan(cfg)`` in order, each named after its row.
 
     Completed reports are appended to ``reports`` as they finish, so a
     failure partway through still leaves the partial list behind.
     """
     reports = [] if reports is None else reports
-    for spec, suffix, extra in verify.check_plan(cfg):
-        reports.append(spec.run(cfg, suffix, **extra))
+    for name, make in verify.check_plan(cfg):
+        rep = make()
+        rep.check = name
+        reports.append(rep)
     return reports
 
 

@@ -12,7 +12,7 @@ JSON encoding, one key per node:
     {"coord": 2}                        # 1-based coordinate index
     {"add": [node, ...]}
     {"mul": [node, ...]}
-    {"pow": [node, k]}                  # integer k
+    {"pow": [node, k]}                  # integer k, |k| <= 64 (MAX_POW)
     {"exp": node} | {"log": node} | {"sin": node} | {"cos": node}
 """
 
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+MAX_POW = 64  # largest |k| of a pow node: a power k takes |k| - 1 jet products
 
 _UNARY = {
     "exp": lambda j: j.exp(),
@@ -111,8 +112,8 @@ def validate(node: dict, dim: int) -> None:
             validate(child, dim)
     elif kind == "pow":
         child, k = body
-        if float(k) != int(k):
-            raise ValueError(f"pow exponent must be an integer, got {k!r}")
+        if float(k) != int(k) or abs(int(k)) > MAX_POW:
+            raise ValueError(f"pow exponent must be an integer with |k| <= {MAX_POW}, got {k!r}")
         validate(child, dim)
     elif kind in _UNARY:
         validate(body, dim)

@@ -16,12 +16,11 @@ block.  No product that grows with a block reaches OpenBLAS's threaded
 m*n*k = 65536: FormJet.d, the only one (the wedge and the Clifford action
 are gathers), reads 32768 at BLOCK = 32 (49152 at the 48 quadrature points).
 
-``CHECKS`` is the table ``gcx check`` runs: one row per report with
-its stream id, target, sample cap, tolerance kind and runner.
+``check_plan`` lists the calls ``gcx check`` makes, one per report,
+and ``STREAMS`` the PRNG stream id of each report.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -55,13 +54,11 @@ from gcx.models import (
     quotient_spinor_field,
     tube_symplectic,
 )
-from gcx.multilinear import GcVector, action_matrix
+from gcx.multilinear import GcVector
 from gcx.spinor import j_endomorphism, normal_forms
 
 __all__ = [
-    "CHECKS",
     "CheckReport",
-    "CheckSpec",
     "LocusPoint",
     "LocusStructure",
     "check_symplectomorphism",
@@ -77,6 +74,7 @@ __all__ = [
     "degenerate_locus_field",
     "INTEGRABILITY_REGIONS",
     "check_plan",
+    "STREAMS",
 ]
 
 INTEGRABILITY_REGIONS = ("cplane", "polar", "bump", "outer")
@@ -129,123 +127,71 @@ def _geometry_params(geometry: SurgeryGeometry) -> dict:
     return {"r_min": geometry.r_min, "r_out": geometry.r_out, "profile": geometry.profile}
 
 
-# ---------------------------------------------------------- check table
+# ----------------------------------------------------------- check plan
 
-
-@dataclass(frozen=True)
-class CheckSpec:
-    """One row of the check table: a report, its PRNG stream, and how ``gcx check`` runs it."""
-
-    name: str  # report name (quotient reports add _m<m>_k<k>); runners pass it to _rng
-    stream: int  # PRNG stream id; changing it changes every report of the row
-    target: str  # the ``gcx check`` target that runs the row (``all`` runs every row)
-    runner: str  # the runner in this module, looked up when the row runs
-    cap: int | None = None  # the run takes min(--samples, cap) samples
-    tol: str | None = "tol"  # RunConfig tolerance passed as tol; None keeps the runner's default
-    repeat: str | None = None  # "window": once per bump window; "quotient": once per quotient
-    window: int | None = None  # index of the one bump window the row takes
-    args: tuple = ("samples", "geometry")  # what the runner takes from the run besides seed and tol
-    kwargs: dict = field(default_factory=dict)  # fixed keyword arguments
-
-    def run(self, cfg, suffix: str = "", **extra) -> CheckReport:
-        """The row's report under a ``cli.RunConfig``; extra is a repeat's window or quotient."""
-        samples = cfg.samples if self.cap is None else min(cfg.samples, self.cap)
-        geo = cfg.geometry
-        given = {"samples": samples, "seeds_count": samples, "geometry": geo, "r_min": geo.r_min}
-        kwargs = {name: given[name] for name in self.args}
-        if self.tol is not None:
-            kwargs["tol"] = getattr(cfg, self.tol)
-        if self.window is not None:
-            kwargs["window"] = cfg.windows[self.window]
-        rep = globals()[self.runner](seed=cfg.seed, **kwargs, **self.kwargs, **extra)
-        rep.check += suffix
-        return rep
-
-
-CHECKS = (
-    CheckSpec("integrability_cplane", 2, "local-model", "check_integrability", kwargs={"region": "cplane"}),
-    CheckSpec("integrability_polar", 3, "local-model", "check_integrability", kwargs={"region": "polar"}),
-    CheckSpec("type_jump", 10, "local-model", "check_type_jump", cap=200, args=("samples",)),
-    CheckSpec(
-        "polar_compatibility",
-        11,
-        "local-model",
-        "check_polar_compatibility",
-        cap=400,
-        args=("samples", "r_min"),
-    ),
-    CheckSpec("symplectomorphism", 1, "surgery", "check_symplectomorphism"),
-    CheckSpec("h_properties", 7, "surgery", "check_h_properties", cap=500, tol="tol_second", repeat="window"),
-    CheckSpec(
-        "integrability_bump",
-        4,
-        "surgery",
-        "check_integrability",
-        cap=500,
-        repeat="window",
-        kwargs={"region": "bump"},
-    ),
-    CheckSpec(
-        "integrability_outer",
-        5,
-        "surgery",
-        "check_integrability",
-        cap=500,
-        window=-1,
-        kwargs={"region": "outer"},
-    ),
-    CheckSpec(
-        "h_sign_negative_control",
-        12,
-        "surgery",
-        "check_integrability",
-        cap=200,
-        tol=None,
-        window=0,
-        kwargs={"region": "bump", "flip_h_sign": True},
-    ),
-    CheckSpec(
-        "quotient",
-        8,
-        "quotient",
-        "check_quotient",
-        cap=500,
-        tol="tol_second",
-        repeat="quotient",
-        args=("samples", "r_min"),
-    ),
-    CheckSpec("locus", 9, "locus", "check_locus", cap=100, args=("seeds_count",)),
-)
+# PRNG stream id of each report, which _rng reads (every quotient report draws stream 8, keyed further
+# by m); changing an id changes every report that draws it
+STREAMS = {
+    "symplectomorphism": 1,
+    "integrability_cplane": 2,
+    "integrability_polar": 3,
+    "integrability_bump": 4,
+    "integrability_outer": 5,
+    "h_properties": 7,
+    "quotient": 8,
+    "locus": 9,
+    "type_jump": 10,
+    "polar_compatibility": 11,
+    "h_sign_negative_control": 12,
+}
 
 
 def check_plan(cfg) -> list:
-    """(row, name suffix, extra arguments) of each report a ``cli.RunConfig`` asks for, in order.
+    """(report name, zero-argument call) of each report a ``cli.RunConfig`` asks for, in run order.
 
-    Consecutive rows that repeat per window run window by window:
-    h_properties_w1, integrability_bump_w1, h_properties_w2, ...  The
-    suffix is empty when there is one window.
+    A run takes min(--samples, cap) samples where a check has a cap.  The
+    per-window reports run window by window (h_properties_w1,
+    integrability_bump_w1, h_properties_w2, ...; no suffix for one window).
+    Each call looks its runner up on this module when it runs, so a patched
+    runner is the one called.
     """
-    rows = [spec for spec in CHECKS if cfg.target in (spec.target, "all")]
+    n, seed, tol, tol2, geo = cfg.samples, cfg.seed, cfg.tol, cfg.tol_second, cfg.geometry
     plan = []
-    for repeat, block in itertools.groupby(rows, key=lambda spec: spec.repeat):
-        if repeat == "window":
-            several = len(cfg.windows) > 1
-            variants = [
-                (f"_w{i + 1}" if several else "", {"window": w}) for i, w in enumerate(cfg.windows)
+    if cfg.target in ("local-model", "all"):
+        plan += [
+            ("integrability_cplane", lambda: check_integrability("cplane", n, seed, tol, geo)),
+            ("integrability_polar", lambda: check_integrability("polar", n, seed, tol, geo)),
+            ("type_jump", lambda: check_type_jump(min(n, 200), seed, tol)),
+            ("polar_compatibility", lambda: check_polar_compatibility(min(n, 400), seed, tol, geo.r_min)),
+        ]
+    if cfg.target in ("surgery", "all"):
+        plan.append(("symplectomorphism", lambda: check_symplectomorphism(geo, n, seed, tol)))
+        for i, w in enumerate(cfg.windows):
+            suffix = f"_w{i + 1}" if len(cfg.windows) > 1 else ""
+            plan += [
+                (f"h_properties{suffix}", lambda w=w: check_h_properties(geo, min(n, 500), seed, tol2, w)),
+                (f"integrability_bump{suffix}", lambda w=w: check_integrability("bump", min(n, 500), seed, tol, geo, w)),
             ]
-        elif repeat == "quotient":
-            variants = [("", {"params": LogModelParams(m, k)}) for m, k in cfg.quotients]
-        else:
-            variants = [("", {})]
-        block = list(block)
-        plan += [(spec, suffix, extra) for suffix, extra in variants for spec in block]
+        first, last = cfg.windows[0], cfg.windows[-1]
+        plan += [
+            ("integrability_outer", lambda: check_integrability("outer", min(n, 500), seed, tol, geo, last)),
+            (  # no tol: the control keeps the threshold its verdict reads
+                "h_sign_negative_control",
+                lambda: check_integrability("bump", min(n, 200), seed, geometry=geo, window=first, flip_h_sign=True),
+            ),
+        ]
+    if cfg.target in ("quotient", "all"):
+        for m, k in cfg.quotients:
+            call = lambda m=m, k=k: check_quotient(LogModelParams(m, k), min(n, 500), seed, tol2, geo.r_min)
+            plan.append((f"quotient_m{m}_k{k}", call))
+    if cfg.target in ("locus", "all"):
+        plan.append(("locus", lambda: check_locus(min(n, 100), seed, tol)))
     return plan
 
 
 def _rng(seed: int, stream: str, extra: int = 0) -> np.random.Generator:
-    stream_id = next(spec.stream for spec in CHECKS if spec.name == stream)
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(stream_id, extra))
+        np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(STREAMS[stream], extra))
     )
 
 
@@ -395,7 +341,7 @@ def check_integrability(
         extra = 0.0
         if witness_kind == "local_model":
             # Clifford action of the witness minus that of -d/dz2
-            action = action_matrix(rho(p).values) @ (wit.v.T - v_local)[..., None]
+            action = wit.action @ (wit.v.T - v_local)[..., None]
             extra = np.abs(action[..., 0]).max(axis=-1)
         elif witness_kind == "zero":
             extra = np.linalg.norm(wit.v, axis=0)

@@ -194,6 +194,8 @@ def _bracket_payload_in_dim(n):
         ("bracket", _bracket_payload(u1={"const": 1.0})),
         ("bracket", _bracket_payload([float("nan")] * 4)),
         ("bracket", _bracket_payload([2.0, 0.3, 0.4, 0.5], {"pow": [{"coord": 1}, 10**6]})),
+        ("bracket", _bracket_payload([1e6, 0.3, 0.4, 0.5], {"pow": [{"coord": 1}, 64]})),
+        ("bracket", _bracket_payload([0.5, 0.3, 0.4, 0.5], {"pow": [{"coord": 1}, 10**9]})),
         ("normal-form", {"dim": 40, "terms": []}),
         ("bracket", _bracket_payload_in_dim(40)),
     ],
@@ -204,6 +206,8 @@ def _bracket_payload_in_dim(n):
         "bracket-bare-const",
         "bracket-nan-point",
         "bracket-overflow",
+        "bracket-overflow-within-the-pow-bound",
+        "bracket-pow-past-the-bound",  # 10**9 - 1 jet products, about an hour, without the bound
         "normal-form-huge-dim",
         "bracket-huge-dim",
     ],
@@ -382,6 +386,69 @@ def test_normal_form_keeps_the_exit_code_contract(case):
             warnings.simplefilter("ignore")
             code = run_cli(["normal-form", "--input", src])
     assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue() + out.getvalue()
+
+
+# flat draws for bracket inputs: a leaf (coordinate 1..dim, or 0 for a constant), then up to three
+# operators above it; pow exponents run past the bound, and points include 0, +-1 and +-1e+-300
+KINDS = ("add", "mul", "pow", "exp", "log", "sin", "cos")
+exponents = st.one_of(st.integers(-80, 80), st.just(10**9))
+expression_draws = st.tuples(
+    st.integers(0, 4), magnitudes, st.lists(st.tuples(st.sampled_from(KINDS), exponents), max_size=3)
+)
+coordinates = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300]), st.floats(-10, 10))
+bracket_inputs = st.tuples(
+    st.integers(2, 4),
+    st.lists(coordinates, min_size=4, max_size=4),
+    st.lists(st.tuples(st.integers(0, 15), expression_draws), max_size=3),  # generator slots of u, then v
+    st.one_of(st.none(), expression_draws),  # the coefficient of H on the first three (or two) coordinates
+)
+
+
+def _expression(draw, dim):
+    leaf, value, ops = draw
+    node = {"coord": (leaf - 1) % dim + 1} if leaf else {"const": {"re": value}}
+    for kind, k in ops:
+        if kind == "pow":
+            node = {"pow": [node, k]}
+        elif kind in ("add", "mul"):
+            node = {kind: [node, {"coord": k % dim + 1}]}
+        else:
+            node = {kind: node}
+    return node
+
+
+def _bracket_json(case):
+    dim, point, slots, h = case
+    generators = [{"const": {}} for _ in range(4 * dim)]
+    for slot, draw in slots:
+        generators[slot % (4 * dim)] = _expression(draw, dim)
+    u, v = generators[: 2 * dim], generators[2 * dim :]
+    data = {
+        "dim": dim,
+        "point": point[:dim],
+        "u": {"vec": u[:dim], "cov": u[dim:]},
+        "v": {"vec": v[:dim], "cov": v[dim:]},
+    }
+    if h is not None:
+        data["H"] = {"terms": [{"indices": list(range(1, min(dim, 3) + 1)), "expr": _expression(h, dim)}]}
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@example((4, [0.5, 0.3, 0.4, 0.5], [(0, (1, 0.0, [("pow", 10**9)]))], None))  # the pow that ran for an hour
+@given(bracket_inputs)
+def test_bracket_keeps_the_exit_code_contract(case):
+    # in process, as the normal-form property: any exception fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "fields.json")
+        with open(src, "w") as handle:
+            json.dump(_bracket_json(case), handle)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = run_cli(["bracket", "--input", src])
+    assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue() + out.getvalue()
 
 

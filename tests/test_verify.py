@@ -20,7 +20,6 @@ from gcx.models import (
 )
 from gcx import verify
 from gcx.verify import (
-    CHECKS,
     FIBER_LATTICE,
     check_h_properties,
     check_integrability,
@@ -368,29 +367,77 @@ def test_report_json_schema():
     json.dumps(data)  # serializable
 
 
-# ------------------------------------------------------- check table
+# -------------------------------------------------------- check plan
+
+# the README's table of reports, in run order, at default flags (one window, the four default quotients)
+PLAN_NAMES = {
+    "local-model": ["integrability_cplane", "integrability_polar", "type_jump", "polar_compatibility"],
+    "surgery": [
+        "symplectomorphism",
+        "h_properties",
+        "integrability_bump",
+        "integrability_outer",
+        "h_sign_negative_control",
+    ],
+    "quotient": ["quotient_m1_k0", "quotient_m2_k1", "quotient_m3_k2", "quotient_m5_k2"],
+    "locus": ["locus"],
+}
 
 
-def test_check_table_names_streams_and_runners():
-    names = [spec.name for spec in CHECKS]
-    streams = [spec.stream for spec in CHECKS]
+def run_config(*flags):
+    from gcx import cli
+
+    return cli.config_from_args(cli.build_parser().parse_args(["check", *flags]))
+
+
+@pytest.mark.parametrize("target", [*PLAN_NAMES, "all"])
+def test_check_plan_names_the_readme_reports(target):
+    names = [name for name, _ in check_plan(run_config(target))]
+    expected = [n for t, rows in PLAN_NAMES.items() if target in (t, "all") for n in rows]
+    assert names == expected
+    if target == "all":
+        assert len(names) == 14
+
+
+def test_plan_names_and_stream_ids_are_distinct():
+    names = [name for name, _ in check_plan(run_config("all"))]
+    streams = list(verify.STREAMS.values())
     assert len(set(names)) == len(names) and len(set(streams)) == len(streams)
-    assert all(callable(getattr(verify, spec.runner)) for spec in CHECKS)
-    assert {spec.tol for spec in CHECKS} == {"tol", "tol_second", None}
+    # every report draws from the stream of its own name, a quotient from the quotient stream
+    assert {re.sub(r"_m\d+_k\d+$", "", n) for n in names} == set(verify.STREAMS)
 
 
 def test_check_plan_runs_window_rows_window_by_window():
-    cfg = SimpleNamespace(target="surgery", windows=[(1.0, 2.0), (2.5, 3.5)], quotients=[(2, 1)])
-    plan = [(spec.name + suffix, extra.get("window")) for spec, suffix, extra in check_plan(cfg)]
+    cfg = run_config("surgery", "--samples", "1", "--r-out", "4", "--windows", "1:2,2.5:3.5")
+    plan = [(name, make().params.get("window")) for name, make in check_plan(cfg)]
     assert plan == [
         ("symplectomorphism", None),
-        ("h_properties_w1", (1.0, 2.0)),
-        ("integrability_bump_w1", (1.0, 2.0)),
-        ("h_properties_w2", (2.5, 3.5)),
-        ("integrability_bump_w2", (2.5, 3.5)),
-        ("integrability_outer", None),
-        ("h_sign_negative_control", None),
+        ("h_properties_w1", [1.0, 2.0]),
+        ("integrability_bump_w1", [1.0, 2.0]),
+        ("h_properties_w2", [2.5, 3.5]),
+        ("integrability_bump_w2", [2.5, 3.5]),
+        ("integrability_outer", [2.5, 3.5]),  # the last window
+        ("h_sign_negative_control", [1.0, 2.0]),  # the first window
     ]
+
+
+def test_each_repeated_call_binds_its_own_window_or_quotient():
+    # a call that read its loop variable late would run the last window or quotient every time
+    cfg = run_config("all", "--samples", "1", "--r-out", "4", "--windows", "1:2,2.5:3.5")
+    cfg.quotients = [(2, 1), (3, 2)]
+    got = {}
+    for name, make in check_plan(cfg):
+        if "_w" in name or name.startswith("quotient"):
+            params = make().params
+            got[name] = params["window"] if "_w" in name else [params["m"], params["k"]]
+    assert got == {
+        "h_properties_w1": [1.0, 2.0],
+        "integrability_bump_w1": [1.0, 2.0],
+        "h_properties_w2": [2.5, 3.5],
+        "integrability_bump_w2": [2.5, 3.5],
+        "quotient_m2_k1": [2, 1],
+        "quotient_m3_k2": [3, 2],
+    }
 
 
 # ------------------------------------------------ blocks of sample points
@@ -400,13 +447,27 @@ def test_sign_control_records_the_threshold_its_verdict_reads():
     rep = check_integrability("bump", samples=20, seed=42, flip_h_sign=True)
     assert rep.params["tol"] == verify.SIGN_CONTROL_TOL == 1e-3
     assert rep.passed == (rep.max_residual > rep.params["tol"])
-    # the check table's row runs it with that threshold too
+    # the plan's call runs it with that threshold too
     cfg = SimpleNamespace(
         target="surgery", seed=42, samples=20, tol=1e-9, tol_second=1e-8,
         geometry=SurgeryGeometry(), windows=[(1.0, 2.0)], quotients=[],
     )
-    (spec, suffix, extra), = [row for row in check_plan(cfg) if row[0].name == "h_sign_negative_control"]
-    assert spec.run(cfg, suffix, **extra).params["tol"] == 1e-3
+    (make,) = [make for name, make in check_plan(cfg) if name == "h_sign_negative_control"]
+    assert make().params["tol"] == 1e-3
+
+
+def test_integrability_cplane_evaluates_its_field_once_per_block(monkeypatch):
+    from gcx.chart import FormField
+
+    model, calls = local_model_spinor(), []
+
+    def counted(coords):
+        calls.append(np.shape(coords))
+        return model.fn(coords)
+
+    monkeypatch.setattr(verify, "local_model_spinor", lambda: FormField(model.chart, model.dim, counted))
+    assert check_integrability("cplane", samples=500).passed
+    assert len(calls) == -(-500 // verify.BLOCK) == 16
 
 
 def per_point_annulus(rng, samples, r_lo, r_hi):
