@@ -212,12 +212,12 @@ class IntegrabilityWitness:
     """Least-squares witness for d rho + H ^ rho = v . rho at a point.
 
     At a block of N points, v is the (2n, N) array of generator components and residual (N,).
-    action is rho's Clifford action matrix, u -> u . rho, (2^n, 2n) or (N, 2^n, 2n) at a block.
+    action_matrix is rho's Clifford action matrix, u -> u . rho, (2^n, 2n) or (N, 2^n, 2n) at a block.
     """
 
     v: GcVector
     residual: float
-    action: np.ndarray
+    action_matrix: np.ndarray
 
 
 def pullback_jet(at: MapJet, alpha: FormField) -> FormJet:

@@ -24,14 +24,15 @@ shared zero, and writes into a jet skip them.
 ``FormJet.wedge`` is ``multilinear.wedge_coeffs`` on values and
 partials (the product rule), ``FormJet.exp_wedge`` is the closed form
 1 + b + Pf(b) vol evaluated in ``Jet2`` arithmetic, and ``FormJet.d``
-is one (2^n, 2^n n) signed table applied to the flattened partials.
+gathers the wedge rows of the Clifford action (dx^i ^) from the
+partials d_i, times their signs, and sums over i.
 """
 
 import functools
 
 import numpy as np
 
-from gcx.multilinear import Multiform, _check_exponent, _pfaffian, _tables, wedge_coeffs
+from gcx.multilinear import Multiform, _check_exponent, _pfaffian, _tables, action_matrix, wedge_coeffs
 
 __all__ = ["Jet2", "FormJet"]
 
@@ -210,7 +211,7 @@ class FormJet(_Jet):
     values: (2^n,), grads: (2^n, n) with grads[s, i] the i-th partial of
     coefficient s; a block of N points has (2^n, N) and (2^n, N, n).
     ``jet[mask]`` is the coefficient of the basis monomial ``mask``.
-    ``wedge`` and ``d`` apply the signed tables of ``multilinear._tables``.
+    ``wedge``, ``d`` and ``interior_jet`` are signed gathers through ``multilinear._tables``.
     """
 
     __slots__ = ()
@@ -244,14 +245,16 @@ class FormJet(_Jet):
         return FormJet(n, values, grads, order=order)
 
     def d(self) -> "FormJet":
-        """Exterior derivative, one matmul over the partials, which it consumes: the result has order 0."""
+        """Exterior derivative sum_i dx^i ^ d_i rho, which consumes the partials: the result has order 0."""
         if self.order < 1:
             raise ValueError(f"jet carries derivatives to order {self.order}, need 1")
         n = self.dim
-        d_matrix = _tables(n).d_matrix
-        # bring the differentiated axis next to the component axis: [s, i, ...]
-        rows = d_matrix.shape[1]
-        values = d_matrix @ self.grads.swapaxes(1, -1).reshape((rows,) + self.values.shape[1:])
+        t = _tables(n)
+        # the action's rows of dx^1..dx^n give [i, u] = +-(d_i rho) at u ^ bit i: a signed gather,
+        # summed over i (no BLAS at any block size)
+        source = t.action_source[n << n :].reshape(n, -1)
+        sign = t.action_sign[n << n :].reshape((n, -1) + (1,) * (self.values.ndim - 1))
+        values = (self.grads[source, ..., np.arange(n)[:, None]] * sign).sum(axis=0)
         return FormJet(n, values, order=0)
 
     def exp_wedge(self) -> "FormJet":
@@ -265,12 +268,11 @@ class FormJet(_Jet):
         return out
 
     def interior_jet(self, xv: np.ndarray, xg: np.ndarray) -> "FormJet":
-        """Contraction with a jet tangent vector (xv (n,), xg[i,j]=d_j X_i)."""
-        act = _tables(self.dim).action[: self.dim]
-        av = np.einsum("ius,s->iu", act, self.values)
-        values = np.einsum("i,iu->u", xv, av)
+        """Contraction with a jet tangent vector (xv (n,), xg[i,j]=d_j X_i), through ``action_matrix``."""
+        n = self.dim
+        av = action_matrix(self.values)[:, :n]  # [u, i]: i_(d/dx^i) rho at u
+        values = av @ xv
         if self.order < 1:
-            return FormJet(self.dim, values, order=self.order)
-        ag = np.einsum("ius,sj->iuj", act, self.grads)
-        grads = np.einsum("ij,iu->uj", xg, av) + np.einsum("i,iuj->uj", xv, ag)
-        return FormJet(self.dim, values, grads, order=self.order)
+            return FormJet(n, values, order=self.order)
+        ag = action_matrix(self.grads)[..., :n]  # [j, u, i]: i_(d/dx^i) d_j rho at u
+        return FormJet(n, values, av @ xg + (ag @ xv).T, order=self.order)

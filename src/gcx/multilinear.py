@@ -57,9 +57,8 @@ class _Tables:
     w_src2: np.ndarray
     w_sign: np.ndarray
     w_starts: np.ndarray    # (2^n,)
-    action: np.ndarray      # (2n, 2^n, 2^n); rows 0..n-1 interior, n..2n-1 wedge
-    d_matrix: np.ndarray    # (2^n, 2^n n); [u, s n + i] = action[n + i, u, s]
-    action_source: np.ndarray  # (2n 2^n,); row j 2^n + u of the action is nonzero at most at this s
+    # the Clifford action of generator j (d/dx^1..d/dx^n, then dx^1..dx^n) on dx^s, as rows j 2^n + u:
+    action_source: np.ndarray  # (2n 2^n,); the one s at which row j 2^n + u may be nonzero
     action_sign: np.ndarray  # (2n 2^n,); its entry there: +-1, or 0 where the row is zero
 
 
@@ -69,18 +68,17 @@ def _tables(n: int) -> _Tables:
     degree = np.array([bin(s).count("1") for s in range(size)], dtype=np.int64)
     pairs = sorted((s | t, s, t) for s in range(size) for t in range(size) if not s & t)
     dst, src1, src2 = np.array(pairs, dtype=np.int64).T
+    sign = np.array([float(_shuffle_sign(s, t)) for _, s, t in pairs])
 
-    action = np.zeros((2 * n, size, size))
-    for i in range(n):
-        bit = 1 << i
-        for s in range(size):
-            below = bin(s & (bit - 1)).count("1")
-            sgn = -1.0 if below % 2 else 1.0
-            if s & bit:
-                action[i, s ^ bit, s] = sgn          # interior product by d/dx^{i+1}
-            else:
-                action[n + i, s | bit, s] = sgn      # wedge by dx^{i+1}
-    rows = action.reshape(2 * n * size, size)
+    # the action from the wedge's degree-1 pairs (dx^i, t), u = t | bit i: dx^i ^ dx^t = sign dx^u,
+    # and the interior product by d/dx^i takes dx^u to sign dx^t, with the same sign
+    one = np.flatnonzero(degree[src1] == 1)
+    i = degree[src1[one] - 1]  # s = 2^i, and s - 1 has i bits
+    rows = np.concatenate([i * size + src2[one], (n + i) * size + dst[one]])
+    action_source = np.zeros(2 * n * size, dtype=np.int64)
+    action_source[rows] = np.concatenate([dst[one], src2[one]])
+    action_sign = np.zeros(2 * n * size, dtype=complex)
+    action_sign[rows] = np.tile(sign[one], 2)
 
     return _Tables(
         dim=n,
@@ -88,12 +86,10 @@ def _tables(n: int) -> _Tables:
         odd_or_scalar=(degree == 0) | (degree % 2 == 1),
         w_src1=src1,
         w_src2=src2,
-        w_sign=np.array([float(_shuffle_sign(s, t)) for _, s, t in pairs]),
+        w_sign=sign,
         w_starts=np.searchsorted(dst, np.arange(size)),
-        action=action,
-        d_matrix=action[n:].transpose(1, 2, 0).reshape(size, size * n).astype(complex),
-        action_source=np.abs(rows).argmax(axis=1),
-        action_sign=rows.sum(axis=1).astype(complex),
+        action_source=action_source,
+        action_sign=action_sign,
     )
 
 

@@ -188,7 +188,7 @@ def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     takes the minimal-norm C with C ^ Omega = (degree k + 2 part), one
     stacked SVD per type, unique iff of full rank.  Raises ValueError
     unless every column is pure, and RuntimeError on a degree-2 Omega
-    that is not decomposable or on |exp(B + i*omega) ^ Omega - rho| > 1e-10 |rho|.
+    that is not decomposable or unless |exp(B + i*omega) ^ Omega - rho| <= 1e-10 |rho|.
     """
     n = len(coeffs).bit_length() - 1
     if not _pure(coeffs, tol).all():
@@ -216,12 +216,15 @@ def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
         scaled = np.divide(target @ u.conj(), svals[:, None], out=np.zeros(keep.shape, complex), where=keep)
         exponent[two[:, None], cols] = (scaled @ vh.conj())[:, 0].T
         unique[cols] = keep.all(axis=(1, 2))
-        if k == 2 and (np.abs(wedge_coeffs(n, factor, factor)) > 1e3 * tol * scale[cols] ** 2).any():
-            raise RuntimeError("degree-2 factor of a pure spinor must be decomposable")
+        if k == 2:  # on columns scaled to a largest coefficient of 1, as the reconstruct check
+            unit = factor / scale[cols]
+            if not (np.abs(wedge_coeffs(n, unit, unit)) <= 1e3 * tol).all():
+                raise RuntimeError("degree-2 factor of a pure spinor must be decomposable")
     rebuilt = wedge_coeffs(n, exp_wedge_coeffs(exponent), omega0)
-    gap, size = np.linalg.norm([rebuilt - coeffs, coeffs], axis=1)
+    # scaled, no norm overflows to inf; and a NaN residual fails `<=`, where it passed `>`
+    gap, size = np.linalg.norm(np.array([rebuilt - coeffs, coeffs]) / scale, axis=1)
     residual = (gap / size).max()
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise RuntimeError(f"normal form failed to reproduce the spinor (relative residual {residual:.3e})")
     return types, omega0, exponent, unique
 
@@ -244,7 +247,9 @@ def check_nondegenerate(nf: NormalForm, tol: float = DEFAULT_TOL) -> bool:
     """Nondegeneracy of the factored spinor as a generalized complex point.
 
     Requires the top coefficient of Omega ^ conj(Omega) ^ omega^(n/2 - k)
-    to exceed tol, where n is the (even) dimension and k the type.
+    to exceed tol, where n is the (even) dimension, k the type, and Omega
+    is scaled to a largest coefficient of 1, so that the spinor's scale
+    does not move the verdict.
     """
     dim = nf.dim
     if dim % 2:
@@ -252,7 +257,8 @@ def check_nondegenerate(nf: NormalForm, tol: float = DEFAULT_TOL) -> bool:
     half = dim // 2
     if nf.type > half:
         return False
-    form = nf.omega0.wedge(nf.omega0.conjugate())
+    unit = nf.omega0 / nf.omega0.max_abs()
+    form = unit.wedge(unit.conjugate())
     for _ in range(half - nf.type):
         form = form.wedge(nf.omega)
     return abs(form.top()) > tol

@@ -12,9 +12,9 @@ ChartPoint with coordinate arrays).  All but type_jump, which draws its
 points one at a time first, also draw BLOCK at a time and keep only
 running maxima, so their memory does not grow with the sample count.
 The H slice quadrature takes QUAD_NODES_PER_BLOCK Gauss nodes per
-block.  No product that grows with a block reaches OpenBLAS's threaded
-m*n*k = 65536: FormJet.d, the only one (the wedge and the Clifford action
-are gathers), reads 32768 at BLOCK = 32 (49152 at the 48 quadrature points).
+block.  d, the wedge and the Clifford action are signed gathers and the
+Gauss rules come from an elementwise Newton iteration, so no step of a
+check hands a product that grows with the block to BLAS or LAPACK.
 
 ``check_plan`` lists the calls ``gcx check`` makes, one per report,
 and ``STREAMS`` the PRNG stream id of each report.
@@ -79,12 +79,11 @@ __all__ = [
 
 INTEGRABILITY_REGIONS = ("cplane", "polar", "bump", "outer")
 QUAD_NODES = 128  # Gauss-Legendre nodes of the H slice integral over the window
-# nodes per H evaluation of the slice quadrature: 48 points, so FormJet.d's (16 x 64) table meets
-# 48 columns, m*n*k = 49152, below the 65536 at which OpenBLAS takes its multithreaded path
+# nodes per H evaluation of the slice quadrature: 48 points, about a block, which bounds its memory
 QUAD_NODES_PER_BLOCK = 3
 FT_NODES = 64  # Gauss-Legendre nodes of each integral of f' that h_properties compares with f
 FT_POINTS = 8  # sample points whose FT_NODES radii one bump evaluation takes, which bounds its memory
-# sample points per numpy pass; bounds transient memory whatever --samples is, and BLAS product sizes
+# sample points per numpy pass; bounds transient memory whatever --samples is
 BLOCK = 32
 SIGN_CONTROL_TOL = 1e-3  # the wrong-sign H control passes iff its residual exceeds this
 
@@ -230,10 +229,31 @@ def _max_abs(values: np.ndarray) -> np.ndarray:
     return np.abs(values).max(axis=0)
 
 
+def _legendre_rule(nodes: int) -> tuple:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: Newton's method on the roots of
+    P_nodes from Chebyshev guesses, elementwise through the three-term recurrence (no LAPACK)."""
+
+    def legendre(x):  # P_nodes(x) and its derivative
+        p, p_prev = x, np.ones_like(x)
+        for k in range(2, nodes + 1):
+            p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
+        return p, nodes * (x * p - p_prev) / (x * x - 1.0)
+
+    x = -np.cos(np.pi * (np.arange(nodes) + 0.75) / (nodes + 0.5))
+    step = np.ones(nodes)
+    while np.abs(step).max() > 1e-15:  # quadratic convergence: about four steps
+        p, dp = legendre(x)
+        step = p / dp
+        x = x - step
+    x = 0.5 * (x - x[::-1])  # exactly symmetric about 0, and then so are the weights
+    dp = legendre(x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_rule(nodes: int) -> tuple:
-    """Gauss-Legendre nodes and weights on [-1, 1], built on first use (an eigenvalue problem) and kept."""
-    rule = np.polynomial.legendre.leggauss(nodes)
+    """``_legendre_rule(nodes)``, built on first use and kept (read-only)."""
+    rule = _legendre_rule(nodes)
     for arr in rule:
         arr.setflags(write=False)
     return rule
@@ -341,7 +361,7 @@ def check_integrability(
         extra = 0.0
         if witness_kind == "local_model":
             # Clifford action of the witness minus that of -d/dz2
-            action = wit.action @ (wit.v.T - v_local)[..., None]
+            action = wit.action_matrix @ (wit.v.T - v_local)[..., None]
             extra = np.abs(action[..., 0]).max(axis=-1)
         elif witness_kind == "zero":
             extra = np.linalg.norm(wit.v, axis=0)

@@ -85,6 +85,18 @@ def naive_clifford(vec, cov, form, n):
     return cleanup(out)
 
 
+def naive_action_table(n):
+    """The Clifford action as a dense (2n, 2^n, 2^n) table: [j, u, s] is the dx^u coefficient of
+    generator j (d/dx^1..d/dx^n, then dx^1..dx^n) acting on dx^s, term by term by naive_clifford."""
+    size = 1 << n
+    table = np.zeros((2 * n, size, size))
+    for j, gen in enumerate(np.eye(2 * n)):
+        for s in range(size):
+            monomial = {tuple(i + 1 for i in range(n) if s >> i & 1): 1.0}
+            table[j, :, s] = to_multiform(naive_clifford(gen[:n], gen[n:], monomial, n), n).coeffs.real
+    return table
+
+
 def to_multiform(form, n):
     out = np.zeros(1 << n, dtype=complex)
     for key, c in form.items():

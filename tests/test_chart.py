@@ -16,7 +16,7 @@ from gcx.chart import (
 )
 from gcx.jets import FormJet, Jet2
 from gcx.multilinear import GcVector, Multiform
-from helpers_naive import central_partials
+from helpers_naive import central_partials, naive_action_table
 
 N = 4
 FLAT = "flat"
@@ -314,12 +314,10 @@ def test_integrability_obstructed_example():
 
 
 def _lstsq_reference(values, grads):
-    """Per point numpy lstsq of the action matrix, built from the dense table, against d rho."""
-    from gcx.multilinear import _tables
-
+    """Per point numpy lstsq of the action matrix, built from the term-by-term dense table, against d rho."""
     jet = FormJet(N, values, grads)
     target = jet.d().values
-    action = _tables(N).action
+    action = naive_action_table(N)
     sols, residuals = [], []
     for i in range(values.shape[1]):
         mat = np.einsum("jus,s->uj", action, values[:, i])

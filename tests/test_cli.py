@@ -437,6 +437,7 @@ def _bracket_json(case):
 
 @settings(max_examples=60, deadline=None)
 @example((4, [0.5, 0.3, 0.4, 0.5], [(0, (1, 0.0, [("pow", 10**9)]))], None))  # the pow that ran for an hour
+@example((4, [1e300, 1e300, 0.5, 0.5], [(15, (1, 0.0, [("mul", 1)]))], None))  # x1 x2 dx4 overflows to NaN
 @given(bracket_inputs)
 def test_bracket_keeps_the_exit_code_contract(case):
     # in process, as the normal-form property: any exception fails the test
@@ -450,6 +451,14 @@ def test_bracket_keeps_the_exit_code_contract(case):
             code = run_cli(["bracket", "--input", src])
     assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue() + out.getvalue()
+    if code == 0:  # strict JSON: NaN and Infinity refused
+        json.loads(out.getvalue(), parse_constant=_refuse_non_finite)
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _refuse_non_finite(name):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def test_bracket_command(tmp_path, capsys):

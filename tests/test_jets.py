@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from gcx.jets import FormJet, Jet2
 from gcx.models import BumpProfile
 from gcx.multilinear import Multiform, exp_wedge
-from helpers_naive import from_multiform, naive_exp_wedge, naive_wedge, to_multiform
+from helpers_naive import from_multiform, naive_exp_wedge, naive_interior, naive_wedge, to_multiform
 
 N = 4
 SIZE = 1 << N
@@ -166,7 +166,7 @@ def test_exp_wedge_keeps_a_power_that_vanishes_to_first_order():
     assert (top(h).grads[0] - top(-h).grads[0]) / (2 * h) == pytest.approx(2.0, rel=1e-12)
 
 
-# -- the dense-table kernels against the brute-force wedge -----------------
+# -- the signed-gather kernels against the brute-force oracle ---------------
 
 
 def naive_wedge_coeffs(n, x, y):
@@ -239,6 +239,32 @@ def test_d_matches_naive_sum_of_partials(f):
     assert got.order == 0
     assert_close_relative(got.values, sum(w(i, f.grads[:, i]) for i in range(n)), magnitude(f))
     assert not got.grads.any() and not got.grads.flags.writeable
+
+
+@st.composite
+def contractions(draw):
+    """(f, X, dX): a form jet and a tangent vector jet, X (n,) and dX[i, j] = d_j X_i."""
+    n = draw(DIMS)
+    return draw(sized_form_jets(n, 1)), draw(complex_arrays((n,))), draw(complex_arrays((n, n)))
+
+
+@property_settings
+@given(contractions())
+def test_interior_jet_matches_naive_product_rule(case):
+    # i_X f, and its partials d_j (i_X f) = i_(d_j X) f + i_X d_j f
+    f, xv, xg = case
+    n = f.dim
+    got = f.interior_jet(xv, xg)
+    scale = magnitude(f) * max(1.0, np.abs(xv).max(), np.abs(xg).max())
+
+    def i(k, x):  # contraction of coefficients x by d/dx^{k+1}
+        return to_multiform(naive_interior(k + 1, from_multiform(Multiform(n, x))), n).coeffs
+
+    assert got.order == 1
+    assert_close_relative(got.values, sum(xv[k] * i(k, f.values) for k in range(n)), scale)
+    for j in range(n):
+        ref = sum(xg[k, j] * i(k, f.values) + xv[k] * i(k, f.grads[:, j]) for k in range(n))
+        assert_close_relative(got.grads[:, j], ref, scale)
 
 
 @property_settings

@@ -17,6 +17,7 @@ from gcx.multilinear import (
 )
 from helpers_naive import (
     from_multiform,
+    naive_action_table,
     naive_clifford,
     naive_exp_wedge,
     naive_wedge,
@@ -239,11 +240,9 @@ def test_action_matrix_columns():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_action_matrix_gather_equals_the_dense_product(n):
-    # the oracle: the dense signed action table (2n 2^n, 2^n) times the coefficients
-    from gcx.multilinear import _tables
-
+    # the oracle: the dense signed action table (2n 2^n, 2^n), built term by term, times the coefficients
     size = 1 << n
-    dense = _tables(n).action.reshape(2 * n * size, size).astype(complex)
+    dense = naive_action_table(n).reshape(2 * n * size, size).astype(complex)
     rng = np.random.default_rng(n)
     for k in (1, 32, 64):
         coeffs = rng.normal(size=(size, k)) + 1j * rng.normal(size=(size, k))

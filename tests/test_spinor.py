@@ -248,6 +248,28 @@ def test_normal_forms_rejects_a_block_with_an_impure_or_zero_column():
         normal_form(Multiform.zero(N))
 
 
+def test_normal_form_cross_checks_hold_at_any_magnitude(monkeypatch):
+    # at 1e200 unscaled norms and squares overflow, and a NaN or inf compared against a bound with
+    # `>` let a wrong factorization through; the cross-checks read columns scaled to a largest entry of 1
+    from gcx import spinor
+
+    rho = exp_wedge(1j * omega0())
+    for scale in (1.0, 1e200):
+        nf = normal_form(rho * scale)
+        assert nf.type == 0 and nf.omega.allclose(omega0()) and nf.B.allclose(Multiform.zero(N))
+    exp_coeffs = spinor.exp_wedge_coeffs
+    with monkeypatch.context() as patch:  # a wrong exponential: twice the true one
+        patch.setattr(spinor, "exp_wedge_coeffs", lambda b: 2 * exp_coeffs(b))
+        for scale in (1.0, 1e200):
+            with pytest.raises(RuntimeError, match="failed to reproduce the spinor"):
+                normal_form(rho * scale)
+    # past the purity check, dx1^dx2 + dx3^dx4 is a degree-2 factor that is not decomposable
+    monkeypatch.setattr(spinor, "_pure", lambda coeffs, tol: np.ones(coeffs.shape[1], bool))
+    for scale in (1.0, 1e200):
+        with pytest.raises(RuntimeError, match="must be decomposable"):
+            normal_form(omega0() * scale)
+
+
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
@@ -292,6 +314,10 @@ def test_check_nondegenerate():
     w2 = nf.omega.wedge(nf.omega)
     assert abs(w2.top()) > 1e-9
     assert check_nondegenerate(nf)
+    # the verdict is the line's: a scaled spinor, small or past overflow in Omega ^ conj(Omega), keeps it
+    for scale in (1e-6, 1e200):
+        assert check_nondegenerate(normal_form(exp_wedge(1j * omega0()) * scale))
+        assert not check_nondegenerate(normal_form(rho1 * scale))
 
 
 def test_b_transform_identity_and_additivity():

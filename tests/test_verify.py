@@ -703,19 +703,28 @@ def test_symplectomorphism_fails_on_a_wrong_btilde_coefficient(monkeypatch):
     assert rep.max_residual > 0.5
 
 
+def test_legendre_rule_matches_leggauss_and_integrates_its_top_degree():
+    # the Newton rule against numpy's eigenvalue rule, and exact on x^(2n-2), the top even degree an
+    # n-node rule integrates exactly: its integral over [-1, 1] is 2 / (2n - 1)
+    for nodes in (verify.FT_NODES, verify.QUAD_NODES):
+        x, w = verify._legendre_rule(nodes)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
+        assert np.abs(x - ref_x).max() <= 1e-14 and np.abs(w - ref_w).max() <= 1e-14
+        assert (w * x ** (2 * nodes - 2)).sum() == pytest.approx(2.0 / (2 * nodes - 1), rel=1e-13)
+
+
 def test_check_all_builds_each_gauss_rule_once(monkeypatch, tmp_path):
-    # a Gauss rule built per call is a 128 x 128 eigenproblem, a size at which
-    # the BLAS library goes multithreaded
+    # a Gauss rule built per call repeats a Newton iteration over the 128-term recurrence
     from gcx import cli
 
     built = []
-    leggauss = np.polynomial.legendre.leggauss
+    legendre_rule = verify._legendre_rule
 
-    def leggauss_spy(nodes):
+    def legendre_rule_spy(nodes):
         built.append(nodes)
-        return leggauss(nodes)
+        return legendre_rule(nodes)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss_spy)
+    monkeypatch.setattr(verify, "_legendre_rule", legendre_rule_spy)
     verify._gauss_rule.cache_clear()
     try:
         args = cli.build_parser().parse_args(["check", "all", "--samples", "20", "--output", str(tmp_path / "r.json")])
