@@ -298,9 +298,10 @@ def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint
     val = jet.values
     if (np.abs(val).max(axis=0) <= 1e-12).any():
         raise ValueError("spinor vanishes here; evaluate off the zero locus")
-    target = jet.d().values
+    n, target = jet.dim, jet.d().values
+    del jet  # the partials are not held through the stacked SVD
     if h is not None:
-        target = target + wedge_coeffs(jet.dim, h(p).values, val)
+        target = target + wedge_coeffs(n, h(p).values, val)
     mat = action_matrix(val)
     rows = np.flatnonzero(mat.reshape(-1, *mat.shape[-2:]).any(axis=(0, 2)))
     u, s, vh = np.linalg.svd(mat[..., rows, :], full_matrices=False)
@@ -311,7 +312,7 @@ def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint
     residual = np.linalg.norm((mat @ sol[..., None])[..., 0] - target.T, axis=-1)
     if val.ndim > 1:
         return IntegrabilityWitness(sol.T, residual, mat)
-    return IntegrabilityWitness(GcVector.from_array(jet.dim, sol), float(residual), mat)
+    return IntegrabilityWitness(GcVector.from_array(n, sol), float(residual), mat)
 
 
 def e_b_transform(b: FormField, u: GcField) -> GcField:

@@ -250,12 +250,12 @@ class FormJet(_Jet):
             raise ValueError(f"jet carries derivatives to order {self.order}, need 1")
         n = self.dim
         t = _tables(n)
-        # the action's rows of dx^1..dx^n give [i, u] = +-(d_i rho) at u ^ bit i: a signed gather,
-        # summed over i (no BLAS at any block size)
+        # the action's rows of dx^1..dx^n give [i, u] = +-(d_i rho) at u ^ bit i: a signed gather, signed
+        # in place and summed over i (no BLAS at any block size)
         source = t.action_source[n << n :].reshape(n, -1)
-        sign = t.action_sign[n << n :].reshape((n, -1) + (1,) * (self.values.ndim - 1))
-        values = (self.grads[source, ..., np.arange(n)[:, None]] * sign).sum(axis=0)
-        return FormJet(n, values, order=0)
+        terms = np.asarray(self.grads, dtype=complex)[source, ..., np.arange(n)[:, None]]
+        terms *= t.action_sign[n << n :].reshape((n, -1) + (1,) * (self.values.ndim - 1))
+        return FormJet(n, terms.sum(axis=0), order=0)
 
     def exp_wedge(self) -> "FormJet":
         """Terminating wedge exponential (even degrees, no scalar part): ``exp_wedge_coeffs`` in jet arithmetic."""

@@ -358,9 +358,11 @@ def action_matrix(rho) -> np.ndarray:
     coeffs = rho.coeffs if isinstance(rho, Multiform) else rho
     size = len(coeffs)
     t = _tables(size.bit_length() - 1)
-    # a signed gather, exact and free of BLAS whatever N is; the transposed view keeps the generator
-    # axis outermost in memory, which fixes the summation order of products with the matrices
-    rows = (coeffs[t.action_source].T * t.action_sign).T
+    # a signed gather, exact and free of BLAS whatever N is, signed in place on its one copy; the
+    # transposed view keeps the generator axis outermost in memory, which fixes the summation order of
+    # products with the matrices
+    rows = np.asarray(coeffs, dtype=complex)[t.action_source]
+    rows *= t.action_sign.reshape((-1,) + (1,) * (rows.ndim - 1))
     return rows.reshape(-1, size, *coeffs.shape[1:]).T
 
 

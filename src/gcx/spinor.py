@@ -39,6 +39,7 @@ __all__ = [
     "from_symplectic",
     "from_complex",
     "j_endomorphism",
+    "j_endomorphisms",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -113,17 +114,22 @@ class GcEndomorphism:
         mat = np.array(matrix, dtype=float)
         if mat.shape != (2 * dim, 2 * dim):
             raise ValueError(f"expected {2 * dim}x{2 * dim} matrix, got {mat.shape}")
-        if np.abs(mat @ mat + np.eye(2 * dim)).max() > 1e-8:
-            raise ValueError("matrix does not square to -identity")
-        g = pairing_gram(dim)
-        if np.abs(mat.T @ g @ mat - g).max() > 1e-8:
-            raise ValueError("matrix does not preserve the pairing")
+        _check_structures(dim, mat)
         mat.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", mat)
 
     def __setattr__(self, name, value):
         raise AttributeError("GcEndomorphism is immutable")
+
+
+def _check_structures(dim: int, mats: np.ndarray) -> None:
+    """Raise ValueError unless each real (2n, 2n) matrix of a stack squares to -1 and preserves the pairing."""
+    if np.abs(mats @ mats + np.eye(2 * dim)).max() > 1e-8:
+        raise ValueError("matrix does not square to -identity")
+    g = pairing_gram(dim)
+    if np.abs(mats.swapaxes(-1, -2) @ g @ mats - g).max() > 1e-8:
+        raise ValueError("matrix does not preserve the pairing")
 
 
 def _kept(svals: np.ndarray, tol: float) -> np.ndarray:
@@ -323,22 +329,41 @@ def from_complex(I: np.ndarray, tol: float = DEFAULT_TOL) -> Multiform:
     return rho
 
 
+def j_endomorphisms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Real endomorphisms (N, 2n, 2n), each +i on the annihilator L of a column of (2^n, N) coefficients
+    and -i on conj(L).
+
+    They exist iff every column is pure with L intersect conj(L) = 0.  One
+    stacked SVD of the action matrices gives the annihilators (rank read as
+    in ``annihilator``), one of [P, conj P] the L-meets-conj(L) test, and one
+    stacked inverse the matrices, which must be real, square to -1 and
+    preserve the pairing (the checks of ``GcEndomorphism``).
+    """
+    n = len(coeffs).bit_length() - 1
+    if (np.abs(coeffs).max(axis=0) == 0.0).any():
+        raise ValueError("annihilator of the zero form is everything; rejecting")
+    _, svals, vh = np.linalg.svd(action_matrix(coeffs))
+    dims = 2 * n - _kept(svals, tol).sum(axis=1)
+    if (dims != n).any():
+        raise ValueError(f"spinor is not pure (annihilator dimension {dims[dims != n][0]})")
+    p = vh[:, n:].conj().swapaxes(1, 2)  # (N, 2n, n): the kernel columns
+    s = np.concatenate([p, p.conj()], axis=2)
+    svals = np.linalg.svd(s, compute_uv=False)
+    if (svals[:, -1] <= tol * svals[:, 0]).any():
+        raise ValueError("degenerate spinor, no J exists (L meets conj(L))")
+    d = np.diag([1j] * n + [-1j] * n)
+    jc = s @ d @ np.linalg.inv(s)
+    if (np.abs(jc.imag).max(axis=(1, 2)) > 1e-9 * np.maximum(1.0, np.abs(jc.real).max(axis=(1, 2)))).any():
+        raise RuntimeError("induced endomorphism has a non-real part")
+    _check_structures(n, jc.real)
+    return jc.real
+
+
 def j_endomorphism(rho: Multiform, tol: float = DEFAULT_TOL) -> GcEndomorphism:
-    """Real endomorphism acting as +i on the annihilator of rho and -i on its conjugate.
+    """Real endomorphism acting as +i on the annihilator of rho and -i on its conjugate: ``j_endomorphisms``
+    on one column.
 
     Exists iff rho is pure and its annihilator L satisfies
     L intersect conj(L) = 0.
     """
-    ann = annihilator(rho, tol)
-    if len(ann) != rho.dim:
-        raise ValueError(f"spinor is not pure (annihilator dimension {len(ann)})")
-    p = ann.matrix
-    s = np.hstack([p, np.conj(p)])
-    svals = np.linalg.svd(s, compute_uv=False)
-    if svals[-1] <= tol * svals[0]:
-        raise ValueError("degenerate spinor, no J exists (L meets conj(L))")
-    d = np.diag([1j] * rho.dim + [-1j] * rho.dim)
-    jc = s @ d @ np.linalg.inv(s)
-    if np.abs(jc.imag).max() > 1e-9 * max(1.0, np.abs(jc.real).max()):
-        raise RuntimeError("induced endomorphism has a non-real part")
-    return GcEndomorphism(rho.dim, jc.real)
+    return GcEndomorphism(rho.dim, j_endomorphisms(rho.coeffs[:, None], tol)[0])

@@ -11,6 +11,10 @@ time, normal forms included, one numpy pass per block (a block is one
 ChartPoint with coordinate arrays).  All but type_jump, which draws its
 points one at a time first, also draw BLOCK at a time and keep only
 running maxima, so their memory does not grow with the sample count.
+A block draws the same doubles as one draw of all its points, and each
+point's figures are its own, so no report depends on BLOCK.  locus runs
+Newton's method one seed at a time, then takes the induced structures of
+all its located points as one block.
 The H slice quadrature takes QUAD_NODES_PER_BLOCK Gauss nodes per
 block.  d, the wedge and the Clifford action are signed gathers and the
 Gauss rules come from an elementwise Newton iteration, so no step of a
@@ -54,8 +58,8 @@ from gcx.models import (
     quotient_spinor_field,
     tube_symplectic,
 )
-from gcx.multilinear import GcVector
-from gcx.spinor import j_endomorphism, normal_forms
+from gcx.multilinear import GcVector, _tables
+from gcx.spinor import j_endomorphisms, normal_forms
 
 __all__ = [
     "CheckReport",
@@ -70,6 +74,7 @@ __all__ = [
     "check_locus",
     "locate_type_change",
     "locus_complex_structure",
+    "locus_complex_structures",
     "reduce_modular",
     "degenerate_locus_field",
     "INTEGRABILITY_REGIONS",
@@ -79,12 +84,12 @@ __all__ = [
 
 INTEGRABILITY_REGIONS = ("cplane", "polar", "bump", "outer")
 QUAD_NODES = 128  # Gauss-Legendre nodes of the H slice integral over the window
-# nodes per H evaluation of the slice quadrature: 48 points, about a block, which bounds its memory
+# nodes per H evaluation of the slice quadrature: 48 points, under a block, which bounds its memory
 QUAD_NODES_PER_BLOCK = 3
 FT_NODES = 64  # Gauss-Legendre nodes of each integral of f' that h_properties compares with f
 FT_POINTS = 8  # sample points whose FT_NODES radii one bump evaluation takes, which bounds its memory
 # sample points per numpy pass; bounds transient memory whatever --samples is
-BLOCK = 32
+BLOCK = 64
 SIGN_CONTROL_TOL = 1e-3  # the wrong-sign H control passes iff its residual exceeds this
 
 
@@ -710,46 +715,55 @@ def reduce_modular(tau: complex) -> complex:
     return tau
 
 
-def locus_complex_structure(
-    rho_field: FormField, lp: LocusPoint, lattice_basis, tol: float = 1e-9
-) -> LocusStructure:
-    """Complex structure induced by the degree-2 part at a locus point.
+def locus_complex_structures(rho_field: FormField, located: list, lattice_basis, tol: float = 1e-9) -> tuple:
+    """Complex structure induced by the degree-2 part at each of N nondegenerate locus points.
 
     Asserts that d(rho0) annihilates the anti-holomorphic tangent space
     and that the locus tangent is invariant, then reduces the ratio of
     the two lattice generators in the induced complex line to the
-    modular fundamental domain.
+    modular fundamental domain.  The field is evaluated once, on the block
+    of the points, and J, its eigenvectors and the tangent projections are
+    stacked numpy calls.  Returns tau, the dbar and tangent residuals (N,)
+    and the complex structures on T (N, n, n).
     """
-    if not lp.nondegenerate:
+    if not all(lp.nondegenerate for lp in located):
         raise ValueError("locus point is degenerate; no induced complex structure")
-    jet = rho_field(lp.location)
-    omega2 = jet.value().degree_part(2)
-    endo = j_endomorphism(omega2, tol)
-    n = omega2.dim
-    cplx = -endo.matrix[:n, :n]
+    jet = rho_field(located[0].location.with_coords(np.array([lp.location.coords for lp in located]).T))
+    n = jet.dim
+    omega2 = np.where(_tables(n).degree[:, None] == 2, jet.values, 0.0)
+    cplx = -j_endomorphisms(omega2, tol)[:, :n, :n]
 
     evals, evecs = np.linalg.eig(cplx)
-    anti_holo = [evecs[:, j] for j in range(n) if abs(evals[j] + 1j) < 1e-6]
-    drho0 = jet.grads[0]
-    dbar_res = max(abs(np.dot(drho0, x)) / max(1.0, np.linalg.norm(drho0)) for x in anti_holo)
+    anti_holo = np.abs(evals + 1j) < 1e-6  # (N, n): which eigenvector columns span the -i eigenspace
+    drho0 = jet.grads[0]  # (N, n)
+    dots = np.abs((drho0[:, None, :] @ evecs)[:, 0])
+    dbar_res = np.where(anti_holo, dots, 0.0).max(axis=1) / np.maximum(1.0, np.linalg.norm(drho0, axis=1))
 
     # tangent invariance: I maps the locus tangent plane to itself
-    t_basis = lp.tangent.T  # (n, 2)
-    proj = t_basis @ np.linalg.pinv(t_basis)
-    tangent_res = float(np.abs((np.eye(n) - proj) @ cplx @ t_basis).max())
+    t_basis = np.array([lp.tangent for lp in located]).swapaxes(1, 2)  # (N, n, 2)
+    off = np.eye(n) - t_basis @ np.linalg.pinv(t_basis)  # projections off the tangent planes
+    tangent_res = np.abs(off @ cplx @ t_basis).max(axis=(1, 2))
 
     l1, l2 = (np.asarray(v, dtype=float) for v in lattice_basis)
     for vec in (l1, l2):
-        if np.abs((np.eye(n) - proj) @ vec).max() > 1e-6 * max(1.0, np.linalg.norm(vec)):
+        if (np.abs(off @ vec).max(axis=1) > 1e-6 * max(1.0, np.linalg.norm(vec))).any():
             raise ValueError("lattice vector does not lie in the locus tangent plane")
-    basis = np.column_stack([l1, cplx @ l1])
-    ab, _, _, _ = np.linalg.lstsq(basis, l2, rcond=None)
-    tau = reduce_modular(complex(ab[0], ab[1]))
+    basis = np.stack([np.broadcast_to(l1, (len(located), n)), cplx @ l1], axis=-1)  # (N, n, 2)
+    ab = np.linalg.pinv(basis) @ l2
+    tau = np.array([reduce_modular(complex(a, b)) for a, b in ab])
+    return tau, dbar_res, tangent_res, cplx
+
+
+def locus_complex_structure(
+    rho_field: FormField, lp: LocusPoint, lattice_basis, tol: float = 1e-9
+) -> LocusStructure:
+    """Complex structure induced by the degree-2 part at a locus point: ``locus_complex_structures`` on one."""
+    tau, dbar_res, tangent_res, cplx = locus_complex_structures(rho_field, [lp], lattice_basis, tol)
     return LocusStructure(
-        tau=tau,
-        dbar_residual=float(dbar_res),
-        tangent_residual=tangent_res,
-        complex_structure=cplx,
+        tau=complex(tau[0]),
+        dbar_residual=float(dbar_res[0]),
+        tangent_residual=float(tangent_res[0]),
+        complex_structure=cplx[0],
     )
 
 
@@ -779,11 +793,9 @@ def check_locus(
             quadratic_ok &= nxt <= 10.0 * prev**2 + 1e-12
 
     # per located point: |z1|, tau error vs i, dbar residual, tangent residual
-    per_point = []
-    for lp in located:
-        st = locus_complex_structure(rho, lp, FIBER_LATTICE)
-        z1 = abs(complex(lp.location.coords[0], lp.location.coords[1]))
-        per_point.append((z1, abs(st.tau - 1j), st.dbar_residual, st.tangent_residual))
+    tau, dbar_res, tangent_res, _ = locus_complex_structures(rho, located, FIBER_LATTICE)
+    z1 = [abs(complex(lp.location.coords[0], lp.location.coords[1])) for lp in located]
+    per_point = np.column_stack([z1, np.abs(tau - 1j), dbar_res, tangent_res])
     on_locus, tau_err, dbar_max, tangent_max = np.max(per_point, axis=0)
 
     deg_located = locate_type_change(

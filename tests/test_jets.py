@@ -429,3 +429,22 @@ def test_lower_order_jets_keep_values_and_grads():
         low, full = fn(j), fn(ref)
         assert low.order == 0 and full.order == 1 and np.array_equal(low.values, full.values)
         assert not low.grads.flags.writeable
+
+
+def test_d_signs_its_one_gather_in_place():
+    # a 64-point order-1 jet: d holds one (n, 2^n, N) gather of the partials, numpy's buffer for the
+    # broadcast sign product (up to np.getbufsize() elements) and the result, and no signed copy
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    jet = FormJet(N, *random_parts(rng, (16, 64)))
+    jet.d()  # tables built outside the measurement
+    tracemalloc.start()
+    try:
+        got = jet.d()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gather = N * jet.values.size
+    bound = (gather + min(gather, np.getbufsize())) * jet.values.itemsize + got.values.nbytes
+    assert peak <= 1.1 * bound, (peak, bound)

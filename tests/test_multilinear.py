@@ -257,6 +257,23 @@ def test_action_matrix_gather_equals_the_dense_product(n):
     assert (clifford(v, rho).coeffs == expected @ v.as_array()).all()
 
 
+def test_action_matrix_signs_its_one_gather_in_place():
+    # a 64-point block holds the gathered rows and numpy's buffer for the broadcast sign product
+    # (up to np.getbufsize() elements), and no second copy of the rows
+    import tracemalloc
+
+    coeffs = np.random.default_rng(5).normal(size=(16, 64)) + 0.5j
+    action_matrix(coeffs)  # tables built outside the measurement
+    tracemalloc.start()
+    try:
+        got = action_matrix(coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = min(got.size, np.getbufsize()) * got.itemsize
+    assert peak <= 1.1 * (got.nbytes + buffer), (peak, got.nbytes, buffer)
+
+
 def test_degree_part():
     rho = mf({(): 2.0, (1, 3): 1.0, (1, 2, 3, 4): -1.0})
     assert rho.degree_part(2).allclose(mf({(1, 3): 1.0}))

@@ -8,6 +8,7 @@ from gcx.models import CHART_CPLANE, local_model_spinor
 from gcx.multilinear import GcVector, Multiform, clifford, exp_wedge, pairing
 from gcx.spinor import (
     AnnihilatorBasis,
+    GcEndomorphism,
     annihilator,
     b_transform,
     check_nondegenerate,
@@ -15,6 +16,7 @@ from gcx.spinor import (
     from_symplectic,
     is_pure,
     j_endomorphism,
+    j_endomorphisms,
     normal_form,
     normal_forms,
 )
@@ -397,6 +399,38 @@ def test_j_endomorphism_rejects_degenerate():
     # dx1 is pure but L = conj(L); no J exists
     with pytest.raises(ValueError, match="degenerate"):
         j_endomorphism(Multiform.basis(N, (1,)))
+
+
+def test_j_endomorphisms_block_equals_each_column():
+    # the stacked SVDs and inverse give each column's J, bit for bit
+    rng = np.random.default_rng(12)
+    rhos = [dz1_dz2(), from_complex(standard_I())]
+    rhos += [b_transform(random_multiform(rng, N, degrees={2}).real_part(), exp_wedge(1j * omega0())) for _ in range(6)]
+    block = j_endomorphisms(np.stack([rho.coeffs for rho in rhos], axis=1))
+    assert block.shape == (len(rhos), 8, 8)
+    for rho, mat in zip(rhos, block):
+        assert np.array_equal(j_endomorphism(rho).matrix, mat)
+
+
+def test_j_endomorphisms_reject_a_block_with_one_bad_column():
+    good = exp_wedge(1j * omega0()).coeffs
+    for bad, kind, match in [
+        (Multiform.basis(N, (1,)).coeffs, ValueError, "degenerate"),  # pure, but L = conj(L)
+        (np.zeros(1 << N), ValueError, "zero form"),
+        ((Multiform.scalar(N, 1.0) + Multiform.basis(N, (1,))).coeffs, ValueError, "not pure"),
+    ]:
+        with pytest.raises(kind, match=match):
+            j_endomorphisms(np.stack([good, bad, good], axis=1))
+
+
+def test_gc_endomorphism_rejects_a_matrix_that_fails_either_check():
+    with pytest.raises(ValueError, match="square to -identity"):
+        GcEndomorphism(N, np.eye(8))
+    stretched = np.zeros((8, 8))  # squares to -1 but scales the pairing by 4
+    stretched[:4, 4:] = -0.5 * np.eye(4)
+    stretched[4:, :4] = 2.0 * np.eye(4)
+    with pytest.raises(ValueError, match="preserve the pairing"):
+        GcEndomorphism(N, stretched)
 
 
 def e_b_matrix(B):

@@ -32,6 +32,7 @@ from gcx.verify import (
     degenerate_locus_field,
     locate_type_change,
     locus_complex_structure,
+    locus_complex_structures,
     reduce_modular,
 )
 
@@ -317,28 +318,59 @@ def test_check_locus_report():
 def test_check_locus_worst_point_is_the_largest_residual(monkeypatch):
     # inflate the dbar residual of the fourth located point, then recompute
     # the per-point residual max(|z1|, |tau - i|, dbar, tangent) and its argmax
-    from dataclasses import replace
-
-    from gcx import verify
-
-    real_structure = verify.locus_complex_structure
+    real_structures = verify.locus_complex_structures
     located = []
 
-    def inflated_at_fourth(rho, lp, lattice_basis, tol=1e-9):
-        st = real_structure(rho, lp, lattice_basis, tol)
-        if len(located) == 3:
-            st = replace(st, dbar_residual=1e-3)
-        z1 = abs(complex(*lp.location.coords[:2]))
-        located.append((lp.location.coords, max(z1, abs(st.tau - 1j), st.dbar_residual, st.tangent_residual)))
-        return st
+    def inflated_at_fourth(rho, points, lattice_basis, tol=1e-9):
+        tau, dbar, tangent, cplx = real_structures(rho, points, lattice_basis, tol)
+        dbar = dbar.copy()
+        dbar[3] = 1e-3
+        for lp, t, d, g in zip(points, tau, dbar, tangent):
+            z1 = abs(complex(*lp.location.coords[:2]))
+            located.append((lp.location.coords, max(z1, abs(t - 1j), d, g)))
+        return tau, dbar, tangent, cplx
 
-    monkeypatch.setattr(verify, "locus_complex_structure", inflated_at_fourth)
+    monkeypatch.setattr(verify, "locus_complex_structures", inflated_at_fourth)
     rep = check_locus(seeds_count=10, seed=42)
     residuals = [r for _, r in located]
     assert int(np.argmax(residuals)) == 3
     assert rep.worst_point == list(located[3][0])
     assert rep.max_residual == 1e-3
     assert not rep.passed
+
+
+def test_locus_block_core_equals_the_one_point_wrapper():
+    # one field evaluation and stacked J, eig and pinv over 25 located points give each point's structure
+    rho = local_model_spinor()
+    rng = np.random.default_rng(8)
+    seeds = [ChartPoint(CHART_CPLANE, (*rng.uniform(-0.35, 0.35, 2), *rng.uniform(0, 1, 2))) for _ in range(25)]
+    located = locate_type_change(rho, seeds)
+    tau, dbar, tangent, cplx = locus_complex_structures(rho, located, FIBER_LATTICE)
+    assert tau.shape == dbar.shape == tangent.shape == (25,) and cplx.shape == (25, 4, 4)
+    for i, lp in enumerate(located):
+        st = locus_complex_structure(rho, lp, FIBER_LATTICE)
+        assert st.tau == tau[i]
+        assert st.dbar_residual == dbar[i]
+        assert st.tangent_residual == tangent[i]
+        assert np.array_equal(st.complex_structure, cplx[i])
+
+
+def test_locus_block_core_rejects_a_degenerate_point_among_nondegenerate_ones():
+    rho = local_model_spinor()
+    good = locate_type_change(rho, [ChartPoint(CHART_CPLANE, (0.2, 0.1, 0.3, 0.6))])[0]
+    bad = locate_type_change(degenerate_locus_field(), [ChartPoint(CHART_CPLANE, (0.3, -0.2, 0.5, 0.5))])[0]
+    with pytest.raises(ValueError, match="degenerate"):
+        locus_complex_structures(rho, [good, bad, good], FIBER_LATTICE)
+
+
+def test_locus_structure_rejects_a_lattice_off_the_tangent_plane():
+    rho = local_model_spinor()
+    lp = locate_type_change(rho, [ChartPoint(CHART_CPLANE, (0.2, 0.1, 0.3, 0.6))])[0]
+    off_plane = (np.array([1.0, 0.0, 0.0, 0.0]), FIBER_LATTICE[1])
+    with pytest.raises(ValueError, match="tangent plane"):
+        locus_complex_structure(rho, lp, off_plane)
+    with pytest.raises(ValueError, match="tangent plane"):
+        locus_complex_structures(rho, [lp, lp], (FIBER_LATTICE[0], off_plane[0]))
 
 
 # ------------------------------------------------------- determinism
@@ -467,7 +499,7 @@ def test_integrability_cplane_evaluates_its_field_once_per_block(monkeypatch):
 
     monkeypatch.setattr(verify, "local_model_spinor", lambda: FormField(model.chart, model.dim, counted))
     assert check_integrability("cplane", samples=500).passed
-    assert len(calls) == -(-500 // verify.BLOCK) == 16
+    assert len(calls) == -(-500 // verify.BLOCK) == 8
 
 
 def per_point_annulus(rng, samples, r_lo, r_hi):
@@ -503,6 +535,27 @@ def test_block_runner_worst_point_is_the_per_point_argmax():
     assert rep.max_residual == pytest.approx(max(residuals), rel=1e-12)
     assert rep.worst_point == list(points[int(np.argmax(residuals))].coords)
     assert len(set(np.round(residuals, 6))) > samples // 2  # no ties to hide a wrong index
+
+
+def test_reports_do_not_depend_on_the_block_size(monkeypatch):
+    # a block draws the same doubles as one draw of all its points and each point's figures are its own,
+    # so BLOCK sets the memory and speed of a check and nothing in its report
+    samples = 2 * 64 + 7
+    runs = {
+        "quotient": lambda: check_quotient(LogModelParams(5, 2), samples=samples),
+        "cplane": lambda: check_integrability("cplane", samples=samples),
+        "bump": lambda: check_integrability("bump", samples=samples),
+        "sign control": lambda: check_integrability("bump", samples=samples, flip_h_sign=True),
+        "type_jump": lambda: check_type_jump(samples=samples),
+        "polar_compatibility": lambda: check_polar_compatibility(samples=samples),
+        "h_properties": lambda: check_h_properties(samples=samples),
+        "symplectomorphism": lambda: check_symplectomorphism(samples=samples),
+    }
+    reports = {}
+    for block in (17, 32, 64):
+        monkeypatch.setattr(verify, "BLOCK", block)
+        reports[block] = {name: run().to_json_dict() for name, run in runs.items()}
+    assert reports[17] == reports[32] == reports[64]
 
 
 def test_quotient_check_memory_is_bounded_by_the_block():
