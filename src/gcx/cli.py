@@ -29,6 +29,9 @@ from gcx.spinor import check_nondegenerate, normal_form
 from gcx import verify
 
 DEFAULT_QUOTIENTS = ((1, 0), (2, 1), (3, 2), (5, 2))
+# the largest quotient model that is certified: the orbit check takes m^2 jet products, and B''s
+# pullback cancels terms of size k m / r, which at m = 153, k = 100, r = 0.1 leaves 3e-11 of its 1e-10 bound
+MAX_M, MAX_K = 200, 100
 CHECK_TARGETS = ("local-model", "surgery", "quotient", "locus", "all")
 
 # what malformed JSON input raises: wrong types, missing keys, and
@@ -57,6 +60,13 @@ class RunConfig:
             raise ValueError("tolerances must be positive and finite")
         if not self.geometry.r_min < 1:  # the samplers draw r from [r_min, 1]
             raise ValueError(f"--r-min must be < 1, got {self.geometry.r_min}")
+        # 1/r'^2 = r^(-2m) is finite while r^(2m) is a normal double at the innermost sampled radius
+        r_lo = max(self.geometry.r_min, verify.QUOTIENT_R_LO)
+        m_max = min(MAX_M, int(math.log(sys.float_info.min) / (2.0 * math.log(r_lo))))
+        for m, k in self.quotients:
+            if not (1 <= m <= m_max and abs(k) <= MAX_K):
+                raise ValueError(f"--m {m} --k {k}: need 1 <= m <= {m_max} at this --r-min and |k| <= {MAX_K}")
+            LogModelParams(m, k)  # k coprime with m
         if os.path.isdir(self.output) or not os.path.isdir(os.path.dirname(self.output) or "."):
             raise ValueError(f"--output {self.output!r} is not a file in an existing directory")
         if self.target not in CHECK_TARGETS:
@@ -149,8 +159,6 @@ def config_from_args(args) -> RunConfig:
         output=args.output,
     )
     cfg.validate()
-    for m, k in cfg.quotients:
-        LogModelParams(m, k)  # validates coprimality
     return cfg
 
 

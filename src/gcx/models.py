@@ -136,17 +136,14 @@ class BumpProfile:
         return tuple(out)
 
     def _descent(self, x) -> tuple:
-        """(f, f') inside the window, at an array of x = (rtilde - lo) / (hi - lo)."""
-        t = Jet2.coordinate(1, 1, x)
+        """(f, f') inside the window, at an array of x = (rtilde - lo) / (hi - lo), in closed real form."""
         if self.name == "flat":
-            # all-orders-flat descent from exp(-1/t) ratios
-            phi_t = (-1.0 / t).exp()
-            phi_1mt = (-1.0 / (1.0 - t)).exp()
-            s = phi_1mt / (phi_t + phi_1mt)
-        else:
-            # C^2 polynomial descent 1 - (6t^5 - 15t^4 + 10t^3)
-            s = 1.0 - (6.0 * t**5 - 15.0 * t**4 + 10.0 * t**3)
-        return s.values.real, s.grads[..., 0].real / (self.hi - self.lo)
+            # all-orders-flat descent b / (a + b), a = exp(-1/x), b = exp(-1/(1-x))
+            a, b = np.exp(-1.0 / x), np.exp(-1.0 / (1.0 - x))
+            f = b / (a + b)
+            return f, -f * a / (a + b) * (1.0 / x**2 + 1.0 / (1.0 - x) ** 2) / (self.hi - self.lo)
+        # C^2 polynomial descent 1 - (6x^5 - 15x^4 + 10x^3)
+        return 1.0 - (6.0 * x**5 - 15.0 * x**4 + 10.0 * x**3), -30.0 * x**2 * (1.0 - x) ** 2 / (self.hi - self.lo)
 
     def jet(self, rtilde) -> Jet2:
         """The cutoff as a jet in the tube coordinates (radius is coord 1).

@@ -15,10 +15,11 @@ A block draws the same doubles as one draw of all its points, and each
 point's figures are its own, so no report depends on BLOCK.  locus runs
 Newton's method one seed at a time, then takes the induced structures of
 all its located points as one block.
-The H slice quadrature takes QUAD_NODES_PER_BLOCK Gauss nodes per
-block.  d, the wedge and the Clifford action are signed gathers and the
-Gauss rules come from an elementwise Newton iteration, so no step of a
-check hands a product that grows with the block to BLAS or LAPACK.
+The H slice quadrature takes BLOCK // 16 Gauss nodes of 16 angle pairs
+per H evaluation, and the bump is a real closed form, so BLOCK is the one
+chunk size.  d, the wedge and the Clifford action are signed gathers and
+the Gauss rules come from an elementwise Newton iteration, so no step of
+a check hands a product that grows with the block to BLAS or LAPACK.
 
 ``check_plan`` lists the calls ``gcx check`` makes, one per report,
 and ``STREAMS`` the PRNG stream id of each report.
@@ -84,13 +85,11 @@ __all__ = [
 
 INTEGRABILITY_REGIONS = ("cplane", "polar", "bump", "outer")
 QUAD_NODES = 128  # Gauss-Legendre nodes of the H slice integral over the window
-# nodes per H evaluation of the slice quadrature: 48 points, under a block, which bounds its memory
-QUAD_NODES_PER_BLOCK = 3
 FT_NODES = 64  # Gauss-Legendre nodes of each integral of f' that h_properties compares with f
-FT_POINTS = 8  # sample points whose FT_NODES radii one bump evaluation takes, which bounds its memory
 # sample points per numpy pass; bounds transient memory whatever --samples is
 BLOCK = 64
 SIGN_CONTROL_TOL = 1e-3  # the wrong-sign H control passes iff its residual exceeds this
+QUOTIENT_R_LO = 0.1  # check_quotient samples r from [max(r_min, QUOTIENT_R_LO), 1]
 
 
 @dataclass
@@ -431,10 +430,8 @@ def check_h_properties(
     def ft_residual(p):
         rt = p.coords[0]
         integral = np.where(rt >= hi, whole, 0.0)  # empty at rt <= lo
-        inside = np.flatnonzero((lo < rt) & (rt < hi))
-        for start in range(0, len(inside), FT_POINTS):
-            part = inside[start : start + FT_POINTS]
-            integral[part] = _integral_of_derivative(prof, rt[part])
+        inside = (lo < rt) & (rt < hi)
+        integral[inside] = _integral_of_derivative(prof, rt[inside])
         return np.abs(prof.evaluate(rt)[0] - f_lo - integral)
 
     top, _, worst = _per_block(ft_residual, draw(geometry.r_min, hi + 0.5), samples)
@@ -448,21 +445,18 @@ def check_h_properties(
     support_ok = inner[0] == 0.0 and outer[0] == 0.0
 
     # product quadrature over the 3-cycle {t2 = const}, orientation dr^dt1^dt3:
-    # the 16 angle pairs at each Gauss node, QUAD_NODES_PER_BLOCK nodes per block
+    # the 16 angle pairs at each Gauss node, BLOCK // 16 nodes (a block of points) per H evaluation
     nodes, weights = _gauss_rule(QUAD_NODES)
     radii = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     ang = (np.arange(4) + 0.5) / 4.0
     a1, a3 = np.repeat(ang, len(ang)), np.tile(ang, len(ang))
-    integral = 0.0
-    for start in range(0, QUAD_NODES, QUAD_NODES_PER_BLOCK):
-        r = radii[start : start + QUAD_NODES_PER_BLOCK]
+    step, node_sums = max(1, BLOCK // 16), []
+    for r in np.split(radii, range(step, QUAD_NODES, step)):
         t1, t3 = np.tile(a1, len(r)), np.tile(a3, len(r))
         grid = ChartPoint(CHART_TUBE, (np.repeat(r, len(a1)), t1, np.full(len(t1), 0.37), t3), ANGLES)
         # at each node, summed pair after pair, in the order of the points
-        sums = np.add.accumulate(h(grid).values[_M124].real.reshape(len(r), len(a1)), axis=1)[:, -1]
-        for w, acc in zip(weights[start : start + QUAD_NODES_PER_BLOCK], sums):
-            integral += w * acc / len(a1)
-    integral *= 0.5 * (hi - lo)
+        node_sums.extend(np.add.accumulate(h(grid).values[_M124].real.reshape(len(r), len(a1)), axis=1)[:, -1])
+    integral = 0.5 * (hi - lo) * sum(w * acc / len(a1) for w, acc in zip(weights, node_sums))
     sign = int(np.sign(integral))
     integral_ok = abs(integral - conventions.H_SLICE_SIGN) <= 1e-6
 
@@ -525,7 +519,7 @@ def check_quotient(
         point = np.maximum.reduce([deck_res, omega_res, disc_res, integ_res])
         return point, deck_res, omega_res, disc_res, integ_res, closed
 
-    r_lo = max(r_min, 0.1)
+    r_lo = max(r_min, QUOTIENT_R_LO)
     top, _, worst = _per_block(block, lambda count: _sample_annulus(rng, count, r_lo, 1.0), samples)
     deck_max, omega_max, disc_max, integ_max, closed_res = top[1:]
 
@@ -546,7 +540,7 @@ def check_quotient(
             orbit.add(tuple(round(c, 9) for c in q.coords))
         orbit_ok &= len(orbit) == m
 
-    all_res = max(deck_max, omega_max, disc_max, integ_max, closed_res)
+    all_res = np.max([deck_max, omega_max, disc_max, integ_max, closed_res])  # a NaN residual stays NaN
     passed = orbit_ok and max(deck_max, omega_max) <= 1e-12 and disc_max <= 1e-10
     passed = passed and max(closed_res, integ_max) <= tol
     notes = [

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -100,6 +101,48 @@ def test_check_quotient_defaults_to_suite(tmp_path):
         "quotient_m3_k2",
         "quotient_m5_k2",
     ]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--m", "153", "--k", "100"], ["--m", "200", "--k", "-99", "--r-min", "0.9"]],
+    ids=["largest-m-at-default-r-min-and-largest-k", "fixed-m-cap"],
+)
+def test_check_quotient_certifies_at_the_largest_accepted_m_and_k(flags, tmp_path, capsys):
+    # 0.1^(2 * 153) is a normal double and 0.1^(2 * 154) is not; past r_min = 0.17 the fixed cap binds
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, underflow to 0 or invalid value on the way
+        assert run_cli(["check", "quotient", *flags, "--output", str(out)]) == 0
+    (rep,) = json.loads(out.read_text())
+    assert rep["pass"] and math.isfinite(rep["max_residual"])
+    assert not any("nan" in note for note in rep["notes"])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--m", "154", "--k", "1"],
+        ["--m", "201", "--k", "1", "--r-min", "0.9"],
+        ["--m", "100000", "--k", "1"],
+        ["--m", "2", "--k", "101"],
+        ["--m", "3", "--k", "-101"],
+        ["--m", "1", "--k", str(10**400)],
+    ],
+    ids=["m-past-the-r-min-bound", "m-past-the-fixed-cap", "m-1e5", "k-101", "k-minus-101", "k-1e400"],
+)
+def test_check_quotient_refuses_an_m_or_k_it_cannot_certify(flags, tmp_path, monkeypatch, capsys):
+    import gcx.cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a refused quotient model must not reach the checks or the writer")
+
+    monkeypatch.setattr(gcx.cli, "run_checks", must_not_run)
+    monkeypatch.setattr(gcx.cli, "_write_reports", must_not_run)
+    assert run_cli(["check", "quotient", *flags, "--output", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: --m {flags[1]} --k {flags[3]}: need 1 <= m <= ")
 
 
 def test_check_all_one_sample(tmp_path):

@@ -433,13 +433,27 @@ def test_bump_fundamental_theorem_by_quadrature(profile):
     assert integral == pytest.approx(-1.0, abs=1e-8)
 
 
-def test_bump_derivative_matches_finite_differences():
-    prof = bump_profile(SurgeryGeometry())
+@pytest.mark.parametrize("profile", ["flat", "poly"])
+def test_bump_derivative_matches_finite_differences(profile):
+    # the hand-written f and f' against sympy's exact derivative of the same formula, at the x the code
+    # forms, inside both seams (past the flat profile's 5e-3 guards) and in the middle of the window
+    prof = bump_profile(SurgeryGeometry(profile=profile))
+    x = sp.Symbol("x")
+    if profile == "flat":
+        a, b = sp.exp(-1 / x), sp.exp(-1 / (1 - x))
+        f_exact = b / (a + b)
+    else:
+        f_exact = 1 - (6 * x**5 - 15 * x**4 + 10 * x**3)
+    fp_exact = sp.diff(f_exact, x) / sp.Rational(prof.hi - prof.lo)
     h = 1e-5
-    for r in (1.2, 1.5, 1.8):
+    for r in (1.006, 1.01, 1.2, 1.5, 1.8, 1.99, 1.994):
+        f, fp = prof.evaluate(r)
+        at = {x: sp.Rational((r - prof.lo) / (prof.hi - prof.lo))}
+        # f lies in [0, 1] and the poly form 1 - (...) cancels near hi, so f may also miss by ulps of 1
+        assert f == pytest.approx(float(f_exact.evalf(40, subs=at)), rel=1e-12, abs=1e-15)
+        assert fp == pytest.approx(float(fp_exact.evalf(40, subs=at)), rel=1e-12, abs=0.0)
         f_hi = prof.evaluate(r + h)
         f_lo = prof.evaluate(r - h)
-        f, fp = prof.evaluate(r)
         assert (f_hi[0] - f_lo[0]) / (2 * h) == pytest.approx(fp, abs=1e-7)
 
 

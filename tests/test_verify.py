@@ -592,7 +592,7 @@ def test_h_and_polar_check_memory_is_bounded_by_the_block(run):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.1 * peaks[0]
-    if run is check_h_properties:  # the 48-point quadrature blocks stay within the bump check's peak
+    if run is check_h_properties:  # BLOCK // 16 nodes and a block's f' integrals stay within the bump check's peak
         check_integrability("bump", samples=sizes[0])
         tracemalloc.start()
         try:
