@@ -10,7 +10,7 @@ p is ``alpha(p).d().value()``.  A map is evaluated to first order, and
 a pullback through it is a sum of coefficient arrays, values alone.
 Periodic coordinates are angles of unit period and reduce modulo 1.  A
 ChartPoint with n coordinate arrays of length N is a block of N
-points, which fields, maps, pullbacks and integrability residuals
+points, which fields, maps, pullbacks, brackets and integrability residuals
 evaluate in one pass (see gcx.jets).
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from gcx import expressions
 from gcx.jets import FormJet, Jet2, _Jet
-from gcx.multilinear import GcVector, Multiform, action_matrix, wedge_coeffs
+from gcx.multilinear import GcVector, Multiform, action_matrix, interior_coeffs, wedge_coeffs
 
 __all__ = [
     "ChartPoint",
@@ -239,51 +239,38 @@ def _one_forms(n: int) -> list:
     return [1 << i for i in range(n)]
 
 
-def _one_form_components(form: Multiform) -> np.ndarray:
-    return form.coeffs[_one_forms(form.dim)]
+def courant_bracket(u: GcField, v: GcField, h: Optional[FormField], p: ChartPoint):
+    """H-twisted Courant bracket of two generator fields at a point, or at a block of points.
 
-
-def courant_bracket(
-    u: GcField, v: GcField, h: Optional[FormField], p: ChartPoint
-) -> GcVector:
-    """H-twisted Courant bracket of two generator fields at a point.
-
-    [X+xi, Y+eta]_H = [X,Y] + L_X eta - L_Y xi - d(eta(X) - xi(Y))/2
-                      + i_Y i_X H,
-    with Lie derivatives expanded through the Cartan formula.
+    [X+xi, Y+eta]_H = [X,Y] + L_X eta - L_Y xi - d(eta(X) - xi(Y))/2 + i_Y i_X H
+                    = [X,Y] + i_X d eta - i_Y d xi + d(eta(X) - xi(Y))/2 + i_Y i_X H,
+    the Lie derivatives expanded through the Cartan formula.  A point
+    gives a GcVector; a block of N points gives its (2n, N) components,
+    vec then cov, as ``integrability_residual`` does.
     """
-    uj = u(p)
-    vj = v(p)
+    uj, vj = u(p), v(p)
     if min(uj.order, vj.order) < 1:
         raise ValueError("courant_bracket needs the first partials of both generator fields; got values alone")
-    n = uj.dim
-    # vector and covector slices: values (n,), grads (n, n)
+    n, one_forms = uj.dim, _one_forms(uj.dim)
+    # vector and covector slices: values (n, *batch), grads (n, *batch, n)
     xv, xg, xi, xig = uj.values[:n], uj.grads[:n], uj.values[n:], uj.grads[n:]
     yv, yg, eta, etag = vj.values[:n], vj.grads[:n], vj.values[n:], vj.grads[n:]
 
-    lie_xy = np.einsum("i,ji->j", xv, yg) - np.einsum("i,ji->j", yv, xg)
+    def i_d(wv, cg) -> np.ndarray:
+        """i_W d(c), where d(c) needs c's first partials only."""
+        c_form = FormJet.zero(n, np.shape(wv)[1:])
+        c_form.grads[one_forms] = cg
+        return interior_coeffs(c_form.d().values, wv)[one_forms]
 
-    def lie_derivative(wv, wg, cv, cg) -> np.ndarray:
-        """Covector components of L_W c = i_W d(c) + d(i_W c); d(c) needs c's first partials only."""
-        c_form = FormJet.zero(n)
-        c_form.grads[_one_forms(n)] = cg
-        i_w_dc = _one_form_components(c_form.d().value().interior(wv))
-        # gradient of the scalar i_W c, by the product rule
-        d_i_w_c = np.einsum("ij,i->j", wg, cv) + np.einsum("i,ij->j", wv, cg)
-        return i_w_dc + d_i_w_c
+    def d_pair(wv, wg, cv, cg) -> np.ndarray:
+        """d(c(W)) by the product rule."""
+        return np.einsum("i...j,i...->j...", wg, cv) + np.einsum("i...,i...j->j...", wv, cg)
 
-    cov = lie_derivative(xv, xg, eta, etag) - lie_derivative(yv, yg, xi, xig)
-
-    # d(eta(X) - xi(Y)) / 2
-    eta_x = np.einsum("ij,i->j", xg, eta) + np.einsum("i,ij->j", xv, etag)
-    xi_y = np.einsum("ij,i->j", yg, xi) + np.einsum("i,ij->j", yv, xig)
-    cov = cov - 0.5 * (eta_x - xi_y)
-
+    vec = np.einsum("i...,j...i->j...", xv, yg) - np.einsum("i...,j...i->j...", yv, xg)
+    cov = i_d(xv, etag) - i_d(yv, xig) + 0.5 * (d_pair(xv, xg, eta, etag) - d_pair(yv, yg, xi, xig))
     if h is not None:
-        h_val = h(p).value()
-        cov = cov + _one_form_components(h_val.interior(xv).interior(yv))
-
-    return GcVector(n, vec=lie_xy, cov=cov)
+        cov = cov + interior_coeffs(interior_coeffs(h(p).values, xv), yv)[one_forms]
+    return np.concatenate([vec, cov]) if uj.values.ndim > 1 else GcVector(n, vec=vec, cov=cov)
 
 
 def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint) -> IntegrabilityWitness:

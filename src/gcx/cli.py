@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 check failure, 2 usage/config error,
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -29,8 +30,8 @@ from gcx.spinor import check_nondegenerate, normal_form
 from gcx import verify
 
 DEFAULT_QUOTIENTS = ((1, 0), (2, 1), (3, 2), (5, 2))
-# the largest quotient model that is certified: the orbit check takes m^2 jet products, and B''s
-# pullback cancels terms of size k m / r, which at m = 153, k = 100, r = 0.1 leaves 3e-11 of its 1e-10 bound
+# the largest certified quotient model: the orbit check walks m deck steps, and B''s pullback cancels
+# terms of size k m / r, which at m = 153, k = 100, r = 0.1 leaves 3e-11 of its 1e-10 bound
 MAX_M, MAX_K = 200, 100
 CHECK_TARGETS = ("local-model", "surgery", "quotient", "locus", "all")
 
@@ -208,10 +209,31 @@ def _cmd_check(args) -> int:
         return 3
 
     _write_reports(cfg.output, reports)
-    for rep in reports:
-        print(rep.summary_line())
-    print(f"report written to {cfg.output}")
-    return 0 if all(r.passed for r in reports) else 1
+    lines = [rep.summary_line() for rep in reports] + [f"report written to {cfg.output}"]
+    return _emit(lines) or (0 if all(r.passed for r in reports) else 1)
+
+
+def _emit(lines: list, path: str | None = None, text: str = "") -> int:
+    """Write text to path, if given, then print lines: 0, or 2 with one error line if either fails.
+
+    A stdout that failed keeps its buffer and flushes it again at exit, so its descriptor goes to the null device."""
+    try:
+        if path:
+            with open(path, "w") as handle:
+                handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        print("\n".join(lines), flush=True)
+    except OSError as exc:
+        with contextlib.suppress(OSError, ValueError):  # a stream with no file descriptor, as in a test
+            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_normal_form(args) -> int:
@@ -228,16 +250,9 @@ def _cmd_normal_form(args) -> int:
         return 3
 
     nondeg = "n/a (odd dimension)" if nf.dim % 2 else check_nondegenerate(nf, args.tol)
-    print(f"type: {nf.type}")
-    print(f"omega0: {nf.omega0}")
-    print(f"B: {nf.B}")
-    print(f"omega: {nf.omega}")
-    print(f"gauge unique: {nf.gauge_unique}")
-    print(f"nondegenerate: {nondeg}")
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(json.dumps(nf.to_json_dict(), indent=2) + "\n")
-    return 0
+    lines = [f"type: {nf.type}", f"omega0: {nf.omega0}", f"B: {nf.B}", f"omega: {nf.omega}"]
+    lines += [f"gauge unique: {nf.gauge_unique}", f"nondegenerate: {nondeg}"]
+    return _emit(lines, args.output, json.dumps(nf.to_json_dict(), indent=2) + "\n")
 
 
 def _cmd_bracket(args) -> int:
@@ -271,11 +286,8 @@ def _cmd_bracket(args) -> int:
         "vec": [{"re": float(c.real), "im": float(c.imag)} for c in out.vec],
         "cov": [{"re": float(c.real), "im": float(c.imag)} for c in out.cov],
     }
-    print(json.dumps(payload, indent=2))
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(json.dumps(payload, indent=2) + "\n")
-    return 0
+    text = json.dumps(payload, indent=2)
+    return _emit([text], args.output, text + "\n")
 
 
 def main(argv=None) -> int:

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-MAX_POW = 64  # largest |k| of a pow node: a power k takes |k| - 1 jet products
+MAX_POW = 64  # largest |k| of a pow node: x^k and k x^(k-1) are then taken by repeated squaring
 
 _UNARY = {
     "exp": lambda j: j.exp(),

@@ -32,7 +32,7 @@ import functools
 
 import numpy as np
 
-from gcx.multilinear import Multiform, _check_exponent, _pfaffian, _tables, action_matrix, wedge_coeffs
+from gcx.multilinear import Multiform, _check_exponent, _pfaffian, _tables, interior_coeffs, wedge_coeffs
 
 __all__ = ["Jet2", "FormJet"]
 
@@ -114,6 +114,8 @@ class _Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, _Jet):  # a scalar jet: times its power -1
+            return self * other**-1
         return type(self)(self.dim, *(x / other for x in self._trusted(self.order)), order=self.order)
 
     def _product(self, other: "_Jet") -> "_Jet":
@@ -156,13 +158,8 @@ class Jet2(_Jet):
         g[..., i - 1] = 1.0
         return cls(n, value, g)
 
-    def __truediv__(self, other):
-        if isinstance(other, _Jet):
-            return self * other._reciprocal()
-        return super().__truediv__(other)
-
     def __rtruediv__(self, other):
-        return self._coerce(other) * self._reciprocal()
+        return self._coerce(other) * self**-1
 
     def _chain(self, f0, f1) -> "Jet2":
         """Compose with a 1-d function given f and f' at self.values (f' is read at order 1 only)."""
@@ -170,19 +167,11 @@ class Jet2(_Jet):
             return Jet2(self.dim, f0, order=self.order)
         return Jet2(self.dim, f0, _lifted(f1) * self.grads, order=self.order)
 
-    def _reciprocal(self) -> "Jet2":
-        v = self.values
-        return self._chain(1.0 / v, -1.0 / v**2)
-
     def __pow__(self, k: int):
         if k == 0:  # the constant 1, at every point of a block
             return Jet2(self.dim, np.ones(np.shape(self.values)), order=self.order)
-        if k < 0:
-            return (self.__pow__(-k))._reciprocal()
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        v = self.values
+        return self._chain(v**k, k * v ** (k - 1))
 
     def exp(self) -> "Jet2":
         e = np.exp(self.values)
@@ -268,11 +257,9 @@ class FormJet(_Jet):
         return out
 
     def interior_jet(self, xv: np.ndarray, xg: np.ndarray) -> "FormJet":
-        """Contraction with a jet tangent vector (xv (n,), xg[i,j]=d_j X_i), through ``action_matrix``."""
-        n = self.dim
-        av = action_matrix(self.values)[:, :n]  # [u, i]: i_(d/dx^i) rho at u
-        values = av @ xv
+        """Contraction with a jet tangent vector, xv (n, *batch) and xg[i, ..., j] = d_j X_i (product rule)."""
+        values = interior_coeffs(self.values, xv)
         if self.order < 1:
-            return FormJet(n, values, order=self.order)
-        ag = action_matrix(self.grads)[..., :n]  # [j, u, i]: i_(d/dx^i) d_j rho at u
-        return FormJet(n, values, av @ xg + (ag @ xv).T, order=self.order)
+            return FormJet(self.dim, values, order=self.order)
+        grads = interior_coeffs(_lifted(self.values), xg) + interior_coeffs(self.grads, _lifted(xv))
+        return FormJet(self.dim, values, grads, order=self.order)

@@ -22,6 +22,7 @@ __all__ = [
     "pairing_gram",
     "exp_wedge",
     "action_matrix",
+    "interior_coeffs",
 ]
 
 
@@ -191,7 +192,7 @@ class Multiform:
         v = np.asarray(vec, dtype=complex)
         if v.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} vector components, got {v.shape}")
-        return Multiform(self.dim, action_matrix(self)[:, : self.dim] @ v)
+        return Multiform(self.dim, interior_coeffs(self.coeffs, v))
 
     def conjugate(self) -> "Multiform":
         return Multiform(self.dim, np.conj(self.coeffs))
@@ -364,6 +365,18 @@ def action_matrix(rho) -> np.ndarray:
     rows = np.asarray(coeffs, dtype=complex)[t.action_source]
     rows *= t.action_sign.reshape((-1,) + (1,) * (rows.ndim - 1))
     return rows.reshape(-1, size, *coeffs.shape[1:]).T
+
+
+def interior_coeffs(coeffs: np.ndarray, vec) -> np.ndarray:
+    """i_X of forms (2^n, *batch) by vector components (n, *batch), broadcast past the first axis.
+
+    The rows of d/dx^1..d/dx^n in ``action_matrix``, gathered and signed, times X^i and summed over i
+    in turn, so that a block gives its per-point values bit for bit."""
+    n = len(vec)
+    t = _tables(n)
+    rows = np.asarray(coeffs, dtype=complex)[t.action_source[: n << n].reshape(n, -1)]
+    rows *= t.action_sign[: n << n].reshape((n, -1) + (1,) * (rows.ndim - 2))
+    return (rows * np.asarray(vec)[:, None]).sum(axis=0)
 
 
 def pairing(u: GcVector, v: GcVector) -> complex:

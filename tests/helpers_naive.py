@@ -127,5 +127,7 @@ def random_multiform(rng, n, degrees=None):
 
 
 def central_partials(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Partials at the point x of the array fn(x), stacked on a last axis, by central differences."""
-    return np.stack([(fn(x + step) - fn(x - step)) / (2 * h) for step in np.eye(len(x)) * h], axis=-1)
+    """Partials of the array fn(x) at the point x (n,), or at each point of a block x (n, N), stacked on
+    a last axis, by central differences."""
+    steps = np.eye(len(x)).reshape((len(x), len(x)) + (1,) * (x.ndim - 1)) * h
+    return np.stack([(fn(x + step) - fn(x - step)) / (2 * h) for step in steps], axis=-1)

@@ -154,10 +154,15 @@ def sum_field(a: FormField, b: FormField) -> FormField:
     return FormField(a.chart, a.dim, lambda coords: a.fn(coords) + b.fn(coords))
 
 
-def apply_e_b(b_val: Multiform, w: GcVector) -> GcVector:
-    ixb = b_val.interior(w.vec)
-    cov = np.array([ixb.coeffs[1 << i] for i in range(w.dim)])
-    return GcVector(w.dim, w.vec, w.cov + cov)
+def apply_e_b(b_vals: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """E_B on generator components (2n, N) at a block, with B's coefficients (2^n, N) there."""
+    ixb = np.stack([Multiform(N, b).interior(x).coeffs for b, x in zip(b_vals.T, w[:N].T)], axis=-1)
+    return w + np.concatenate([np.zeros_like(w[:N]), ixb[[1 << i for i in range(N)]]])
+
+
+def block(rng, count):
+    """count points drawn as count successive uniform draws of N coordinates, as one block."""
+    return pt(*rng.uniform(-1, 1, (count, N)).T)
 
 
 def test_bracket_closed_b_equivariance():
@@ -167,11 +172,25 @@ def test_bracket_closed_b_equivariance():
     h = d_field(form_field({(1, 2): ex.random_polynomial(rng, N), (3, 4): ex.random_polynomial(rng, N)}))
     u, v = rand_gc_field(rng), rand_gc_field(rng)
     ub, vb = e_b_transform(b, u), e_b_transform(b, v)
-    for _ in range(20):
-        p = pt(*rng.uniform(-1, 1, N))
-        lhs = courant_bracket(ub, vb, h, p)
-        rhs = apply_e_b(b(p).value(), courant_bracket(u, v, h, p))
-        assert (lhs - rhs).norm() < 1e-8
+    p = block(rng, 20)
+    lhs = courant_bracket(ub, vb, h, p)
+    rhs = apply_e_b(b(p).values, courant_bracket(u, v, h, p))
+    assert np.linalg.norm(lhs - rhs, axis=0).max() < 1e-8
+
+
+@pytest.mark.parametrize("count", [1, 17, 64])
+@pytest.mark.parametrize("twisted", [False, True], ids=["H=0", "H"])
+def test_block_bracket_equals_the_per_point_bracket(twisted, count):
+    rng = np.random.default_rng(57)
+    h = d_field(form_field({(1, 2): ex.random_polynomial(rng, N), (2, 3): ex.random_polynomial(rng, N)}))
+    b = form_field({(1, 2): ex.random_polynomial(rng, N), (1, 4): ex.random_polynomial(rng, N)})
+    u, v = rand_gc_field(rng), e_b_transform(b, rand_gc_field(rng))
+    h = h if twisted else None
+    p = block(rng, count)
+    got = courant_bracket(u, v, h, p)
+    want = np.stack([courant_bracket(u, v, h, pt(*c)).as_array() for c in p.array().T], axis=-1)
+    assert got.shape == (2 * N, count)
+    assert np.array_equal(got, want)
 
 
 def test_bracket_rejects_generators_without_partials():
@@ -199,15 +218,12 @@ def test_bracket_nonclosed_b_shift_frozen_sign():
     wrong_shift = FormField(FLAT, N, lambda coords: db.fn(coords) * -sign)
     u, v = rand_gc_field(rng), rand_gc_field(rng)
     ub, vb = e_b_transform(b, u), e_b_transform(b, v)
-    worst_good = 0.0
-    worst_bad = 0.0
-    for _ in range(20):
-        p = pt(*rng.uniform(-1, 1, N))
-        lhs = courant_bracket(ub, vb, h, p)
-        rhs_frozen = apply_e_b(b(p).value(), courant_bracket(u, v, sum_field(h, shift), p))
-        rhs_wrong = apply_e_b(b(p).value(), courant_bracket(u, v, sum_field(h, wrong_shift), p))
-        worst_good = max(worst_good, (lhs - rhs_frozen).norm())
-        worst_bad = max(worst_bad, (lhs - rhs_wrong).norm())
+    p = block(rng, 20)
+    lhs = courant_bracket(ub, vb, h, p)
+    rhs_frozen = apply_e_b(b(p).values, courant_bracket(u, v, sum_field(h, shift), p))
+    rhs_wrong = apply_e_b(b(p).values, courant_bracket(u, v, sum_field(h, wrong_shift), p))
+    worst_good = np.linalg.norm(lhs - rhs_frozen, axis=0).max()
+    worst_bad = np.linalg.norm(lhs - rhs_wrong, axis=0).max()
     assert worst_good < 1e-8
     assert worst_bad > 1e-3  # the opposite sign convention fails
 
@@ -384,6 +400,21 @@ def test_interior_jet_matches_finite_differences():
         xm[i] -= h
         fd_vals = (contracted(xp).values - contracted(xm).values) / (2 * h)
         assert np.abs(fd_vals - jet.grads[:, i]).max() < 1e-7
+
+
+def test_interior_jet_on_a_block_equals_its_columns():
+    rng = np.random.default_rng(93)
+    b = form_field({mask: ex.random_polynomial(rng, N) for mask in ((1, 2), (2, 4), (1, 3, 4))})
+    u = rand_gc_field(rng)
+    coords = rng.uniform(-1, 1, (N, 17))
+    uj = u.fn(coords)
+    got = b.fn(coords).interior_jet(uj.values[:N], uj.grads[:N])
+    assert got.values.shape == (1 << N, 17) and got.grads.shape == (1 << N, 17, N)
+    for c, x in enumerate(coords.T):
+        one = u.fn(x)
+        col = b.fn(x).interior_jet(one.values[:N], one.grads[:N])
+        assert np.array_equal(got.values[:, c], col.values)
+        assert np.array_equal(got.grads[:, c], col.grads)
 
 
 def test_gc_jet_cov_form_round_trip():

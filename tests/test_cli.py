@@ -339,6 +339,79 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+class UnwritableStdout(io.TextIOBase):
+    """A standard output that raises on every write, as a closed pipe or a full device does."""
+
+    def __init__(self, error: OSError):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+def _command_args(command, tmp_path):
+    """Arguments of a passing run of command whose file output goes to tmp_path / out.json."""
+    out = str(tmp_path / "out.json")
+    if command == "check":
+        return ["check", "quotient", "--m", "3", "--k", "2", "--samples", "10", "--output", out]
+    src = tmp_path / "input.json"
+    if command == "normal-form":
+        rho = exp_wedge(1j * Multiform.from_terms(4, {(1, 2): 1.0, (3, 4): 1.0}))
+        src.write_text(json.dumps(rho.to_json_dict()))
+    else:
+        src.write_text(json.dumps(_bracket_payload()))
+    return [command, "--input", str(src), "--output", out]
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"), OSError(28, "No space left on device")],
+                         ids=["closed", "full"])
+@pytest.mark.parametrize("command", ["check", "normal-form", "bracket"])
+def test_unwritable_stdout_exits_2_with_one_error_line(command, error, tmp_path, monkeypatch, capsys):
+    # the file output is written before stdout and stays whole
+    args = _command_args(command, tmp_path)
+    monkeypatch.setattr("sys.stdout", UnwritableStdout(error))
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot write standard output: {error}"]
+    written = json.loads((tmp_path / "out.json").read_text())
+    if command == "check":
+        assert [r["pass"] for r in written] == [True]
+
+
+@pytest.mark.parametrize("command", ["normal-form", "bracket"])
+def test_unwritable_output_file_exits_2_before_printing(command, tmp_path, capsys):
+    args = _command_args(command, tmp_path)
+    args[-1] = str(tmp_path / "missing-dir" / "out.json")
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {args[-1]}: ")
+
+
+def test_check_on_a_closed_pipe_exits_2_without_a_traceback(tmp_path):
+    # a subprocess with a buffered stdout, as from a shell: what the failed flush left is flushed again at
+    # exit, which without the null device prints "Exception ignored" and exits 120
+    import subprocess
+    import sys
+
+    import gcx
+
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = os.path.dirname(os.path.dirname(gcx.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        cmd = [sys.executable, "-m", "gcx.cli", *_command_args("check", tmp_path)]
+        proc = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot write standard output: [Errno 32] Broken pipe"]
+    assert [r["pass"] for r in json.loads((tmp_path / "out.json").read_text())] == [True]
+
+
 def test_normal_form_command(tmp_path, capsys):
     omega0 = Multiform.from_terms(4, {(1, 2): 1.0, (3, 4): 1.0})
     rho = exp_wedge(1j * omega0)

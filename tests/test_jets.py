@@ -372,6 +372,34 @@ def test_block_jet2_functions_match_points():
         assert_block_matches(fn(block), [fn(j) for j in points])
 
 
+def _power_by_products(x: Jet2, k: int) -> Jet2:
+    """x^k as |k| - 1 jet products, then for k < 0 the quotient rule by hand: 1/p and -p'/p^2."""
+    out = x
+    for _ in range(abs(k) - 1):
+        out = out * x
+    if k > 0:
+        return out
+    grads = -out.grads / np.asarray(out.values**2)[..., None] if out.order else None
+    return Jet2(N, 1.0 / out.values, grads, order=out.order)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("batch", [(), (5,)], ids=["scalar", "block"])
+def test_power_matches_repeated_products(batch, order):
+    # the closed form (x^k, k x^(k-1) x') against k - 1 products of the product rule, to round-off
+    rng = np.random.default_rng(12)
+    values = rng.uniform(0.5, 1.5, batch) * np.exp(2j * np.pi * rng.uniform(0, 1, batch))
+    grads = rng.standard_normal(batch + (N,)) + 1j * rng.standard_normal(batch + (N,))
+    x = Jet2(N, values if batch else complex(values), grads if order else None, order=order)
+    one = x**0
+    assert np.array_equal(one.values, np.ones(batch)) and not np.any(one.grads) and one.order == order
+    for k in [k for k in range(-64, 65) if k]:
+        got, want = x**k, _power_by_products(x, k)
+        assert got.order == order
+        assert np.all(np.abs(got.values - want.values) <= 1e-13 * np.abs(want.values)), k
+        assert np.all(np.abs(got.grads - want.grads) <= 1e-13 * np.abs(want.grads)), k
+
+
 def test_block_bump_profile_matches_radii_one_at_a_time():
     # radii on and beside lo, hi and both 5e-3 guards of the flat profile
     for profile in PROFILES:
