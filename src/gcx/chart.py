@@ -11,7 +11,9 @@ a pullback through it is a sum of coefficient arrays, values alone.
 Periodic coordinates are angles of unit period and reduce modulo 1.  A
 ChartPoint with n coordinate arrays of length N is a block of N
 points, which fields, maps, pullbacks, brackets and integrability residuals
-evaluate in one pass (see gcx.jets).
+evaluate in one pass (see gcx.jets).  Fields from JSON expressions compile
+their trees at construction, validation included, with constants folded
+(see gcx.expressions).
 """
 
 from dataclasses import dataclass, field
@@ -102,7 +104,7 @@ class ChartMap:
         """
         coords = np.asarray(coords, dtype=float)
         self._guard(coords)
-        ins = [Jet2.coordinate(self.dim, i + 1, coords[i]) for i in range(self.dim)]
+        ins = expressions.coordinate_jets(self.dim, coords)
         batch = coords.shape[1:]
         zero = Jet2(self.dim, np.zeros(batch))
         outs = [o if isinstance(o, Jet2) and np.shape(o.values) == batch else zero + o for o in self.jet_fn(ins)]
@@ -180,9 +182,7 @@ class FormField(_Field):
 
     @classmethod
     def from_expressions(cls, chart: str, dim: int, terms: list) -> "FormField":
-        for term in terms:
-            expressions.validate(term["expr"], dim)
-        return cls(chart, dim, lambda coords: expressions.form_terms_to_jet(dim, terms, coords))
+        return cls(chart, dim, expressions.compile_form(dim, terms))
 
 
 @dataclass(frozen=True)
@@ -198,13 +198,7 @@ class GcField(_Field):
 
     @classmethod
     def from_expressions(cls, chart: str, dim: int, vec_exprs: list, cov_exprs: list) -> "GcField":
-        for e in list(vec_exprs) + list(cov_exprs):
-            expressions.validate(e, dim)
-        return cls(
-            chart,
-            dim,
-            lambda coords: expressions.gc_components_to_jet(dim, vec_exprs, cov_exprs, coords),
-        )
+        return cls(chart, dim, expressions.compile_generator(dim, vec_exprs, cov_exprs))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ Subcommands:
 * ``gcx bracket --input fields.json`` -- evaluate a Courant bracket at
   a point from JSON expression fields.
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error,
-3 runtime assertion failure (a partial report is still written).
+Exit codes: 0 success, 1 check failure, 2 usage/config error or an
+unwritable report, 3 runtime assertion failure (partial report written).
 """
 
 import argparse
@@ -199,16 +199,19 @@ def _cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    reports = []
+    reports, failure = [], ""
     try:
         run_checks(cfg, reports)
     except Exception as exc:  # runtime assertion failure: partial report, exit 3
+        failure = f"runtime failure: {exc}"
+    try:
         _write_reports(cfg.output, reports)
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        print(f"partial report written to {cfg.output}", file=sys.stderr)
+    except OSError as exc:  # an unwritable report: exit 2, or 3 after a runtime failure
+        print(*filter(None, [failure, f"error: cannot write {cfg.output}: {exc}"]), sep="\n", file=sys.stderr)
+        return 3 if failure else 2
+    if failure:
+        print(failure, f"partial report written to {cfg.output}", sep="\n", file=sys.stderr)
         return 3
-
-    _write_reports(cfg.output, reports)
     lines = [rep.summary_line() for rep in reports] + [f"report written to {cfg.output}"]
     return _emit(lines) or (0 if all(r.passed for r in reports) else 1)
 

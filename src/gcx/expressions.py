@@ -5,6 +5,9 @@ from their inputs: constants, coordinates, +, x, integer powers, exp,
 log, and sin/cos in the unit-period angle convention (sin of a
 coordinate u means sin(2*pi*u)).  Expressions evaluate to jets with
 first partials, so fields built from them carry exact derivatives.
+A field compiles its trees once, at construction (``compile``, which
+validates too): constants stay numbers, folded into constant jets, and
+every evaluation shares one set of coordinate jets among the trees.
 
 JSON encoding, one key per node:
 
@@ -17,6 +20,7 @@ JSON encoding, one key per node:
 """
 
 import math
+import operator
 from functools import reduce
 
 import numpy as np
@@ -25,6 +29,7 @@ from gcx.jets import FormJet, Jet2, _Jet
 from gcx.multilinear import _indices_to_mask
 
 __all__ = [
+    "compile",
     "evaluate",
     "validate",
     "const",
@@ -87,59 +92,63 @@ def cos(node) -> dict:
     return {"cos": node}
 
 
-def _node_kind(node: dict) -> str:
+def _run(f, xs: list) -> Jet2:
+    """A compiled tree's jet at the coordinate jets xs: a folded constant is its own jet."""
+    return f if isinstance(f, Jet2) else f(xs)
+
+
+def compile(node: dict, dim: int):
+    """Validate a tree in one walk (ValueError outside the vocabulary) and return its evaluator.
+
+    The evaluator maps the ``coordinate_jets`` to the tree's Jet2.  A const, and an add or mul of
+    constants, folds here into one constant jet, built once and never written, that keeps its operand
+    position: sums and products run in the tree's order and arithmetic.  A tree without coordinates
+    compiles to its jet; pow and the unary nodes act on a constant when evaluated, so 0 ** -1 raises there.
+    """
     if not isinstance(node, dict) or len(node) != 1:
         raise ValueError(f"malformed expression node: {node!r}")
-    return next(iter(node))
+    ((kind, body),) = node.items()
+    if kind == "const":
+        if not isinstance(body, dict):
+            raise ValueError(f"const body must be a {{re, im}} object, got {body!r}")
+        return Jet2(dim, complex(float(body.get("re", 0.0)), float(body.get("im", 0.0))))
+    if kind == "coord":
+        if not 1 <= int(body) <= dim:
+            raise ValueError(f"coordinate index {body} out of range 1..{dim}")
+        return operator.itemgetter(int(body) - 1)
+    if kind in ("add", "mul"):
+        if not body:
+            raise ValueError(f"empty {kind} node")
+        op = operator.add if kind == "add" else operator.mul
+        head, *rest = [compile(child, dim) for child in body]
+        while rest and isinstance(head, Jet2) and isinstance(rest[0], Jet2):  # the leading constants
+            head = op(head, rest.pop(0))
+        return head if not rest else lambda xs: reduce(lambda a, f: op(a, _run(f, xs)), rest, _run(head, xs))
+    if kind == "pow":
+        child, k = body
+        if float(k) != int(k) or abs(int(k)) > MAX_POW:
+            raise ValueError(f"pow exponent must be an integer with |k| <= {MAX_POW}, got {k!r}")
+        inner, k = compile(child, dim), int(k)
+        return lambda xs: _run(inner, xs) ** k
+    if kind in _UNARY:
+        inner, fn = compile(body, dim), _UNARY[kind]
+        return lambda xs: fn(_run(inner, xs))
+    raise ValueError(f"unknown expression node kind: {kind!r}")
+
+
+def coordinate_jets(dim: int, coords: np.ndarray) -> list:
+    """The coordinate functions at coords (a point, or a block), shared by every tree of a field."""
+    return [Jet2.coordinate(dim, i + 1, coords[i]) for i in range(dim)]
 
 
 def validate(node: dict, dim: int) -> None:
     """Raise ValueError on anything outside the fixed vocabulary."""
-    kind = _node_kind(node)
-    body = node[kind]
-    if kind == "const":
-        if not isinstance(body, dict):
-            raise ValueError(f"const body must be a {{re, im}} object, got {body!r}")
-        float(body.get("re", 0.0))
-        float(body.get("im", 0.0))
-    elif kind == "coord":
-        if not 1 <= int(body) <= dim:
-            raise ValueError(f"coordinate index {body} out of range 1..{dim}")
-    elif kind in ("add", "mul"):
-        if not body:
-            raise ValueError(f"empty {kind} node")
-        for child in body:
-            validate(child, dim)
-    elif kind == "pow":
-        child, k = body
-        if float(k) != int(k) or abs(int(k)) > MAX_POW:
-            raise ValueError(f"pow exponent must be an integer with |k| <= {MAX_POW}, got {k!r}")
-        validate(child, dim)
-    elif kind in _UNARY:
-        validate(body, dim)
-    else:
-        raise ValueError(f"unknown expression node kind: {kind!r}")
+    compile(node, dim)
 
 
 def evaluate(node: dict, coords: np.ndarray) -> Jet2:
     """Evaluate an expression tree to a jet at ``coords``."""
-    n = len(coords)
-    kind = _node_kind(node)
-    body = node[kind]
-    if kind == "const":
-        return Jet2(n, complex(float(body.get("re", 0.0)), float(body.get("im", 0.0))))
-    if kind == "coord":
-        return Jet2.coordinate(n, int(body), coords[int(body) - 1])
-    if kind == "add":
-        return reduce(lambda a, b: a + b, (evaluate(c, coords) for c in body))
-    if kind == "mul":
-        return reduce(lambda a, b: a * b, (evaluate(c, coords) for c in body))
-    if kind == "pow":
-        child, k = body
-        return evaluate(child, coords) ** int(k)
-    if kind in _UNARY:
-        return _UNARY[kind](evaluate(body, coords))
-    raise ValueError(f"unknown expression node kind: {kind!r}")
+    return _run(compile(node, len(coords)), coordinate_jets(len(coords), coords))
 
 
 def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2, terms: int = 3) -> dict:
@@ -153,26 +162,31 @@ def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2, terms
     return add(*nodes)
 
 
-def form_terms_to_jet(dim: int, terms: list, coords: np.ndarray) -> FormJet:
-    """Assemble a FormJet from [{"indices": [...], "expr": node}, ...]."""
-    coeffs = {}
-    for term in terms:
-        mask = _indices_to_mask(dim, term["indices"])
-        jet = evaluate(term["expr"], coords)
-        coeffs[mask] = coeffs[mask] + jet if mask in coeffs else jet
-    out = FormJet.zero(dim, np.shape(coords)[1:])
-    for mask, jet in coeffs.items():
-        out[mask] = jet
-    return out
+def _assemble(jet_type, size: int, dim: int, slots: list, evaluators: list):
+    """coords -> a jet of ``size`` components, each slot's evaluated trees summed into it in order."""
+
+    def fn(coords: np.ndarray):
+        xs, parts = coordinate_jets(dim, coords), {}
+        for slot, evaluator in zip(slots, evaluators):
+            jet = _run(evaluator, xs)
+            parts[slot] = parts[slot] + jet if slot in parts else jet
+        out = jet_type(dim, np.zeros((size,) + np.shape(coords)[1:], dtype=complex))
+        for slot, jet in parts.items():
+            out[slot] = jet
+        return out
+
+    return fn
 
 
-def gc_components_to_jet(
-    dim: int, vec_exprs: list, cov_exprs: list, coords: np.ndarray
-) -> _Jet:
-    """Assemble a generator jet of shape (2 dim,), vec then cov, from per-component expression nodes."""
+def compile_form(dim: int, terms: list):
+    """Compile [{"indices": [...], "expr": node}, ...] once: coords -> FormJet."""
+    evaluators = [compile(term["expr"], dim) for term in terms]
+    return _assemble(FormJet, 1 << dim, dim, [_indices_to_mask(dim, term["indices"]) for term in terms], evaluators)
+
+
+def compile_generator(dim: int, vec_exprs: list, cov_exprs: list):
+    """Compile per-component expression nodes once: coords -> generator jet of shape (2 dim,), vec then cov."""
+    evaluators = [compile(node, dim) for node in [*vec_exprs, *cov_exprs]]
     if len(vec_exprs) != dim or len(cov_exprs) != dim:
         raise ValueError(f"expected {dim} vec and cov expressions")
-    out = _Jet(dim, np.zeros((2 * dim,) + np.shape(coords)[1:], dtype=complex))
-    for c, node in enumerate([*vec_exprs, *cov_exprs]):
-        out[c] = evaluate(node, coords)
-    return out
+    return _assemble(_Jet, 2 * dim, dim, range(2 * dim), evaluators)

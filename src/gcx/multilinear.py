@@ -98,7 +98,12 @@ def wedge_coeffs(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficients of a ^ b from coefficient arrays (2^n, ...), broadcast past the first axis:
     the signed pair products a_s b_t, summed over each run of equal s | t (no BLAS at any size)."""
     t = _tables(n)
-    prod = a[t.w_src1] * b[t.w_src2]
+    x, y = a[t.w_src1], b[t.w_src2]
+    # the product goes into the larger gather if it fits, the other is let go: the pairs are held twice, not thrice
+    big = x if x.size >= y.size else y
+    fits = x.dtype == y.dtype and (x.shape == y.shape or big.shape == np.broadcast(x, y).shape)
+    prod = np.multiply(x, y, out=big if fits else None)
+    del x, y, big
     prod *= t.w_sign.reshape((-1,) + (1,) * (prod.ndim - 1))
     return np.add.reduceat(prod, t.w_starts, axis=0)
 

@@ -642,9 +642,8 @@ def degenerate_locus_field() -> FormField:
 
 
 def _scalar_jacobian(jet: FormJet) -> np.ndarray:
-    """Real 2 x n Jacobian of (Re rho0, Im rho0)."""
-    g = jet.grads[0]
-    return np.vstack([g.real, g.imag])
+    """Real 2 x n Jacobian of (Re rho0, Im rho0): a view of rho0's partials."""
+    return jet.grads[0].view(float).reshape(-1, 2).T
 
 
 def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> list:
@@ -666,10 +665,10 @@ def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> 
         while residuals[-1] > 1e-22 and iterations < 50:
             jac = _scalar_jacobian(jet)
             f = np.array([jet.values[0].real, jet.values[0].imag])
-            step, _, _, _ = np.linalg.lstsq(jac, f, rcond=None)
-            if not np.isfinite(step).all() or np.abs(step).max() == 0.0:
+            step = np.linalg.lstsq(jac, f, rcond=None)[0].tolist()
+            if not all(map(math.isfinite, step)) or not any(step):
                 break
-            p = p.with_coords(np.asarray(p.coords) - step)
+            p = p.with_coords([c - s for c, s in zip(p.coords, step)])
             jet = rho_field(p)
             iterations += 1
             residuals.append(abs(jet.values[0]))
@@ -685,7 +684,7 @@ def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> 
                 residuals=tuple(residuals),
                 nondegenerate=bool(nondeg),
                 tangent=vt[2:],
-                jacobian_svals=tuple(float(s) for s in svals),
+                jacobian_svals=tuple(svals.tolist()),
             )
         )
     return out

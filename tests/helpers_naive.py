@@ -5,11 +5,16 @@ ascending 1-based index tuples to complex coefficients, and every sign
 comes from an explicit bubble sort.  Used as the oracle that pins
 expected values in the algebra tests.  ``central_partials`` is the
 finite-difference oracle for derivatives past the first, which jets do
-not carry.
+not carry.  ``naive_evaluate`` walks an expression tree one Jet2 per node,
+constants included: the oracle for ``expressions.compile``.
 """
+
+import math
+from functools import reduce
 
 import numpy as np
 
+from gcx.jets import Jet2
 from gcx.multilinear import Multiform
 
 
@@ -131,3 +136,26 @@ def central_partials(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     a last axis, by central differences."""
     steps = np.eye(len(x)).reshape((len(x), len(x)) + (1,) * (x.ndim - 1)) * h
     return np.stack([(fn(x + step) - fn(x - step)) / (2 * h) for step in steps], axis=-1)
+
+
+def naive_evaluate(node: dict, coords: np.ndarray) -> Jet2:
+    """An expression tree's jet at coords (n,) or (n, N): a new Jet2 per node, reduced left to right."""
+    n = len(coords)
+    ((kind, body),) = node.items()
+    if kind == "const":
+        return Jet2(n, complex(float(body.get("re", 0.0)), float(body.get("im", 0.0))))
+    if kind == "coord":
+        return Jet2.coordinate(n, int(body), coords[int(body) - 1])
+    if kind == "add":
+        return reduce(lambda a, b: a + b, (naive_evaluate(c, coords) for c in body))
+    if kind == "mul":
+        return reduce(lambda a, b: a * b, (naive_evaluate(c, coords) for c in body))
+    if kind == "pow":
+        return naive_evaluate(body[0], coords) ** int(body[1])
+    jet = naive_evaluate(body, coords)
+    if kind == "exp":
+        return jet.exp()
+    if kind == "log":
+        return jet.log()
+    turns = 2.0 * math.pi * jet  # sin and cos of unit-period angles
+    return turns.sin() if kind == "sin" else turns.cos()

@@ -482,7 +482,7 @@ def test_expression_json_vocabulary():
 
 # ------------------------------------------- blocks of points in one pass
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gcx import models  # noqa: E402
@@ -619,3 +619,102 @@ def test_block_with_one_point_outside_the_domain_raises():
     block, _ = block_point(models.CHART_ANNULUS, coords)
     with pytest.raises(ValueError, match="annulus model requires radius >= 0.05, got 0.01"):
         models.polar_spinor_field()(block)
+
+
+# ------------------------------------------ compiled expression trees
+
+from helpers_naive import naive_evaluate  # noqa: E402
+
+# constants drawn from exact zeros, signed units and general complex numbers, so that folded
+# products and sums meet every sign of zero
+constants = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -0.5, 2.0, 1j, -1j]),
+    st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+).map(ex.const)
+
+
+def extend_tree(children):
+    nodes = st.lists(children, min_size=1, max_size=4)
+    return st.one_of(
+        nodes.map(lambda c: ex.add(*c)),
+        nodes.map(lambda c: ex.mul(*c)),
+        st.tuples(children, st.integers(-3, 3)).map(lambda t: ex.power(*t)),
+        st.tuples(st.sampled_from([ex.exp, ex.log, ex.sin, ex.cos]), children).map(lambda t: t[0](t[1])),
+    )
+
+
+constant_trees = st.recursive(constants, extend_tree, max_leaves=6)
+trees = st.recursive(
+    st.one_of(st.integers(1, N).map(ex.coord), constants, constant_trees), extend_tree, max_leaves=12
+)
+
+
+def outcome(fn):
+    """(values bytes, partials bytes, shapes), or the type of the exception raised."""
+    try:
+        with np.errstate(all="ignore"):
+            jet = fn()
+    except ArithmeticError as exc:
+        return type(exc)
+    values, grads = np.asarray(jet.values), np.asarray(jet.grads)
+    return values.tobytes(), grads.tobytes(), values.shape, grads.shape
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees, st.lists(st.floats(-1.5, 1.5), min_size=4 * 17, max_size=4 * 17))
+# -0.5 times a zero partial of x1 is -0, to which the tree walk adds x1 times the constant's +0 partial
+@example(ex.mul(ex.const(-0.5), ex.coord(1)), [0.25] * (4 * 17))
+# the partials of a product of two negative constants are -0, and the power keeps that sign
+@example(ex.power(ex.mul(ex.const(-1.0), ex.const(-1.0)), 2), [0.25] * (4 * 17))
+def test_compiled_tree_matches_the_tree_walk_bit_for_bit(node, raw):
+    # values and partials, signed zeros included, at one point and on a 17-point block
+    block = np.array(raw).reshape(N, 17)
+    for coords in (block[:, 0], block):
+        assert outcome(lambda: ex.evaluate(node, coords)) == outcome(lambda: naive_evaluate(node, coords))
+
+
+def test_generator_field_shares_its_coordinate_jets_and_builds_no_jet_for_a_constant(monkeypatch):
+    vec = [
+        ex.mul(ex.const(0.37), ex.coord(1), ex.coord(2)),
+        ex.mul(ex.coord(3), ex.const(-1.5)),
+        ex.add(ex.const(2.0), ex.mul(ex.const(-3.0), ex.const(-4.0)), ex.coord(4)),
+        ex.coord(2),
+    ]
+    cov = [ex.mul(ex.const(-0.25), ex.power(ex.coord(1), 2)), ex.const(0.5), ex.const(0.0), ex.sin(ex.coord(3))]
+    field = GcField.from_expressions(FLAT, N, vec, cov)
+    x = np.array([0.3, -0.4, 0.5, 0.6])
+    expected = [outcome(lambda node=node: naive_evaluate(node, x)) for node in vec + cov]
+
+    coordinates, constant_jets = [], []
+    coordinate, init = Jet2.coordinate.__func__, Jet2.__init__
+
+    def spy_coordinate(cls, n, i, value):
+        coordinates.append(i)
+        return coordinate(cls, n, i, value)
+
+    def spy_init(self, n, value, grad=None, order=1):
+        if grad is None:  # a jet of a number, as a const leaf evaluated anew would be
+            constant_jets.append(value)
+        init(self, n, value, grad, order)
+
+    monkeypatch.setattr(Jet2, "coordinate", classmethod(spy_coordinate))
+    monkeypatch.setattr(Jet2, "__init__", spy_init)
+    for _ in range(2):
+        jet = field(pt(*x))
+        assert [outcome(lambda c=c: jet[c]) for c in range(2 * N)] == expected
+    assert coordinates == [1, 2, 3, 4] * 2
+    assert constant_jets == []
+
+
+def test_expression_fields_reject_bad_trees_at_construction():
+    zero = ex.const(0.0)
+    with pytest.raises(ValueError, match="out of range"):
+        GcField.from_expressions(FLAT, N, [ex.coord(5), zero, zero, zero], [zero] * N)
+    with pytest.raises(ValueError, match="pow exponent"):
+        FormField.from_expressions(FLAT, N, [{"indices": [1], "expr": ex.power(ex.coord(1), 65)}])
+    with pytest.raises(ValueError, match="unknown expression node kind"):
+        FormField.from_expressions(FLAT, N, [{"indices": [1, 2], "expr": {"tan": ex.coord(1)}}])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        FormField.from_expressions(FLAT, N, [{"indices": [2, 1], "expr": ex.coord(1)}])
+    with pytest.raises(ValueError, match="expected 4 vec and cov"):
+        GcField.from_expressions(FLAT, N, [zero] * 3, [zero] * N)

@@ -290,9 +290,31 @@ def test_runtime_failure_exit_3_with_partial_report(tmp_path, monkeypatch, capsy
     assert "runtime failure" in capsys.readouterr().err
 
 
+def test_runtime_failure_with_an_unwritable_report_exits_3(tmp_path, monkeypatch, capsys):
+    import gcx.cli
+    import gcx.verify
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("induced endomorphism has a non-real part")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(gcx.verify, "check_h_properties", boom)
+    monkeypatch.setattr(gcx.cli.os, "replace", failing_replace)
+    out = tmp_path / "partial.json"
+    assert run_cli(["check", "surgery", "--samples", "30", "--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "runtime failure: induced endomorphism has a non-real part",
+        f"error: cannot write {out}: rename failed",
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("fail_at", ["write", "replace"])
-def test_report_write_is_atomic(fail_at, tmp_path, monkeypatch):
-    # a write that fails partway leaves the old report byte-identical and no temporary file
+def test_report_write_is_atomic(fail_at, tmp_path, monkeypatch, capsys):
+    # a write that fails partway leaves the old report byte-identical and no temporary file, and exits 2
     import gcx.cli
 
     out = tmp_path / "report.json"
@@ -323,8 +345,10 @@ def test_report_write_is_atomic(fail_at, tmp_path, monkeypatch):
         monkeypatch.setattr(gcx.cli, "open", half_open, raising=False)
     else:
         monkeypatch.setattr(gcx.cli.os, "replace", failing_replace)
-    with pytest.raises(OSError):
-        run_cli(["check", "locus", "--samples", "5", "--seed", "7", "--output", str(out)])
+    capsys.readouterr()
+    assert run_cli(["check", "locus", "--samples", "5", "--seed", "7", "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 

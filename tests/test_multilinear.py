@@ -14,6 +14,7 @@ from gcx.multilinear import (
     exp_wedge,
     pairing,
     pairing_gram,
+    wedge_coeffs,
 )
 from helpers_naive import (
     from_multiform,
@@ -272,6 +273,24 @@ def test_action_matrix_signs_its_one_gather_in_place():
         tracemalloc.stop()
     buffer = min(got.size, np.getbufsize()) * got.itemsize
     assert peak <= 1.1 * (got.nbytes + buffer), (peak, got.nbytes, buffer)
+
+
+def test_wedge_holds_its_pairs_at_most_twice():
+    # at 64 points a pair array (81 pairs) is 81 KiB against a 16 KiB result: the product goes into a gather,
+    # and the other gather is let go before the signed product and its buffer
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    a, b = (rng.normal(size=(16, 64)) + 1j * rng.normal(size=(16, 64)) for _ in "ab")
+    got = wedge_coeffs(N, a, b)  # tables built outside the measurement
+    tracemalloc.start()
+    try:
+        assert (wedge_coeffs(N, a, b) == got).all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = 81 * a[0].nbytes
+    assert peak <= 2 * pairs + got.nbytes, (peak, pairs, got.nbytes)
 
 
 def test_degree_part():

@@ -222,6 +222,16 @@ def test_locate_type_change_from_seed():
     assert np.abs(lp.tangent[:, :2]).max() < 1e-9
 
 
+def test_scalar_jacobian_is_a_view_of_the_partials():
+    # the Newton loop reads (Re, Im) of rho0's partials in place, with the values np.vstack would copy
+    for field in (local_model_spinor(), degenerate_locus_field()):
+        jet = field(ChartPoint(CHART_CPLANE, (0.3, -0.2, 0.45, 0.81)))
+        jac = verify._scalar_jacobian(jet)
+        assert np.shares_memory(jac, jet.grads)
+        expected = np.vstack([jet.grads[0].real, jet.grads[0].imag])
+        assert jac.shape == expected.shape and np.ascontiguousarray(jac).tobytes() == expected.tobytes()
+
+
 def test_locate_on_locus_returns_immediately():
     rho = local_model_spinor()
     lp = locate_type_change(rho, [ChartPoint(CHART_CPLANE, (0.0, 0.0, 0.2, 0.9))])[0]
