@@ -24,6 +24,7 @@ import numpy as np
 from gcx import expressions
 from gcx.jets import FormJet, Jet2, _Jet
 from gcx.multilinear import GcVector, Multiform, action_matrix, interior_coeffs, wedge_coeffs
+from gcx.spinor import min_norm_solve
 
 __all__ = [
     "ChartPoint",
@@ -271,9 +272,10 @@ def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint
     """Least-squares minimizer of |d rho + H ^ rho - v . rho| over v.
 
     A residual at round-off level certifies pointwise integrability of
-    the spinor line generated by rho.  The least squares is one stacked
-    thin SVD of the action rows nonzero somewhere in the block (the odd
-    rows of an even spinor), cut off as numpy lstsq would the whole matrix.
+    the spinor line generated by rho.  The least squares is one
+    ``spinor.min_norm_solve`` on the action rows nonzero somewhere in the
+    block (the odd rows of an even spinor), cut off as numpy lstsq would
+    the whole matrix.
     """
     jet = rho(p)
     val = jet.values
@@ -285,11 +287,7 @@ def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint
         target = target + wedge_coeffs(n, h(p).values, val)
     mat = action_matrix(val)
     rows = np.flatnonzero(mat.reshape(-1, *mat.shape[-2:]).any(axis=(0, 2)))
-    u, s, vh = np.linalg.svd(mat[..., rows, :], full_matrices=False)
-    large = s > np.finfo(float).eps * max(mat.shape[-2:]) * s[..., :1]
-    # as rows: target^T conj(U) / s conj(V^H) = (V S^+ U^H target)^T, the minimal-norm v
-    proj = np.where(large, (target.T[..., None, rows] @ u.conj())[..., 0, :], 0.0)
-    sol = ((proj / np.where(large, s, 1.0))[..., None, :] @ vh.conj())[..., 0, :]
+    sol, _ = min_norm_solve(mat[..., rows, :], target.T[..., rows], np.finfo(float).eps * max(mat.shape[-2:]))
     residual = np.linalg.norm((mat @ sol[..., None])[..., 0] - target.T, axis=-1)
     if val.ndim > 1:
         return IntegrabilityWitness(sol.T, residual, mat)

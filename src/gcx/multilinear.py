@@ -9,6 +9,7 @@ commutative.  Values are immutable after construction and all operations
 are pure functions.
 """
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -250,7 +251,11 @@ class Multiform:
         form = np.array(cls(dim).coeffs)  # the constructor rejects dim outside 2..4 before allocating
         for term in data.get("terms", []):
             mask = _indices_to_mask(dim, term["indices"])
-            form[mask] += complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
+            # summed in Python complex, which overflows to inf without a numpy warning
+            value = complex(form[mask]) + complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
+            if not cmath.isfinite(value):
+                raise ValueError(f"coefficient of {list(term['indices'])} must be finite, got {value}")
+            form[mask] = value
         return cls(dim, form)
 
     def __repr__(self) -> str:

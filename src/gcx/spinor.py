@@ -34,6 +34,7 @@ __all__ = [
     "is_pure",
     "normal_form",
     "normal_forms",
+    "min_norm_solve",
     "check_nondegenerate",
     "b_transform",
     "from_symplectic",
@@ -140,6 +141,29 @@ def _kept(svals: np.ndarray, tol: float) -> np.ndarray:
     return svals > tol * svals[..., :1]
 
 
+def _kernels(coeffs: np.ndarray, tol: float) -> tuple:
+    """Annihilator dimensions (N,) of the columns of (2^n, N) coefficients, and V^H (N, 2n, 2n).
+
+    One stacked thin SVD of the action matrices, rank by ``_kept``; the
+    conjugated last ``dims`` rows of V^H span a column's annihilator.
+    """
+    _, svals, vh = np.linalg.svd(action_matrix(coeffs), full_matrices=False)
+    return vh.shape[-1] - _kept(svals, tol).sum(axis=-1), vh
+
+
+def min_norm_solve(mats: np.ndarray, targets: np.ndarray, tol: float) -> tuple:
+    """Minimal-norm least-squares x (..., k) of mats (..., m, k) @ x = targets (..., m), and the kept mask.
+
+    One stacked thin SVD, cut off by ``_kept``; a mask's count is that
+    matrix's rank.
+    """
+    u, svals, vh = np.linalg.svd(mats, full_matrices=False)
+    keep, proj = _kept(svals, tol)[..., None, :], targets[..., None, :] @ u.conj()
+    # as rows: target^T conj(U) / s conj(V^H) = (V S^+ U^H target)^T
+    scaled = np.divide(proj, svals[..., None, :], out=np.zeros(keep.shape, complex), where=keep)
+    return (scaled @ vh.conj())[..., 0, :], keep[..., 0, :]
+
+
 def annihilator(rho: Multiform, tol: float = DEFAULT_TOL) -> AnnihilatorBasis:
     """Basis of the kernel of v -> v . rho over generators v in C^{2n}.
 
@@ -148,9 +172,8 @@ def annihilator(rho: Multiform, tol: float = DEFAULT_TOL) -> AnnihilatorBasis:
     """
     if rho.max_abs() == 0.0:
         raise ValueError("annihilator of the zero form is everything; rejecting")
-    mat = action_matrix(rho)
-    _, svals, vh = np.linalg.svd(mat)
-    kernel = vh[int(_kept(svals, tol).sum()) :].conj().T
+    dims, vh = _kernels(rho.coeffs[:, None], tol)
+    kernel = vh[0, 2 * rho.dim - dims[0] :].conj().T
     kernel.setflags(write=False)
     return AnnihilatorBasis(dim=rho.dim, matrix=kernel, tol=tol)
 
@@ -158,15 +181,15 @@ def annihilator(rho: Multiform, tol: float = DEFAULT_TOL) -> AnnihilatorBasis:
 def _pure(coeffs: np.ndarray, tol: float) -> np.ndarray:
     """Whether the annihilator of each column of (2^n, N) coefficients has the maximal dimension n.
 
-    One stacked SVD of the N action matrices, rank read as in ``annihilator``
-    (a zero column has rank 0).  A maximal annihilator, the last n right
-    singular vectors, must be isotropic, or RuntimeError is raised.
+    Read from ``_kernels`` (a zero column has rank 0).  A maximal
+    annihilator, the last n right singular vectors, must be isotropic, or
+    RuntimeError is raised.
     """
     n = len(coeffs).bit_length() - 1
-    _, svals, vh = np.linalg.svd(action_matrix(coeffs), full_matrices=False)
+    dims, vh = _kernels(coeffs, tol)
     kernel = vh[:, n:]
     pairing = np.abs(kernel @ pairing_gram(n) @ kernel.swapaxes(1, 2)).max(axis=(1, 2))
-    pure = _kept(svals, tol).sum(axis=1) == n
+    pure = dims == n
     if (pure & (pairing > 1e3 * tol)).any():
         raise RuntimeError("maximal annihilator failed the isotropy cross-check")
     return pure
@@ -192,7 +215,7 @@ def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     (N,).  The type is a column's lowest degree above tol times its
     largest coefficient.  Type 0 divides out the scalar part; type k > 0
     takes the minimal-norm C with C ^ Omega = (degree k + 2 part), one
-    stacked SVD per type, unique iff of full rank.  Raises ValueError
+    ``min_norm_solve`` per type, unique iff of full rank.  Raises ValueError
     unless every column is pure, and RuntimeError on a degree-2 Omega
     that is not decomposable or unless |exp(B + i*omega) ^ Omega - rho| <= 1e-10 |rho|.
     """
@@ -214,14 +237,10 @@ def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
         # column s of a matrix: (basis 2-form s) ^ Omega, a signed gather from the wedge's pairs
         mats = np.zeros((factor.shape[1], 1 << n, len(two)), complex)
         mats[:, dst, col] = factor[src].T * sign
-        u, svals, vh = np.linalg.svd(mats, full_matrices=False)
+        rows, keep = min_norm_solve(mats, np.where(degree == k + 2, coeffs[:, cols], 0).T, tol)
         del mats  # not held through the reconstruct check
-        # the pseudo-inverse as rows (G, 1, pairs): target^T conj(U) / s conj(V^H) = (V S^+ U^H target)^T
-        target = np.where(degree == k + 2, coeffs[:, cols], 0).T[:, None]
-        keep = _kept(svals, tol)[:, None]
-        scaled = np.divide(target @ u.conj(), svals[:, None], out=np.zeros(keep.shape, complex), where=keep)
-        exponent[two[:, None], cols] = (scaled @ vh.conj())[:, 0].T
-        unique[cols] = keep.all(axis=(1, 2))
+        exponent[two[:, None], cols] = rows.T
+        unique[cols] = keep.all(axis=1)
         if k == 2:  # on columns scaled to a largest coefficient of 1, as the reconstruct check
             unit = factor / scale[cols]
             if not (np.abs(wedge_coeffs(n, unit, unit)) <= 1e3 * tol).all():
@@ -333,23 +352,22 @@ def j_endomorphisms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real endomorphisms (N, 2n, 2n), each +i on the annihilator L of a column of (2^n, N) coefficients
     and -i on conj(L).
 
-    They exist iff every column is pure with L intersect conj(L) = 0.  One
-    stacked SVD of the action matrices gives the annihilators (rank read as
-    in ``annihilator``), one of [P, conj P] the L-meets-conj(L) test, and one
-    stacked inverse the matrices, which must be real, square to -1 and
-    preserve the pairing (the checks of ``GcEndomorphism``).
+    They exist iff every column is pure with L intersect conj(L) = 0.
+    ``_kernels`` gives the annihilators, a stacked SVD of [P, conj P] the
+    L-meets-conj(L) test (both ranks by ``_kept``), and one stacked inverse
+    the matrices, which must be real, square to -1 and preserve the
+    pairing (the checks of ``GcEndomorphism``).
     """
     n = len(coeffs).bit_length() - 1
     if (np.abs(coeffs).max(axis=0) == 0.0).any():
         raise ValueError("annihilator of the zero form is everything; rejecting")
-    _, svals, vh = np.linalg.svd(action_matrix(coeffs))
-    dims = 2 * n - _kept(svals, tol).sum(axis=1)
+    dims, vh = _kernels(coeffs, tol)
     if (dims != n).any():
         raise ValueError(f"spinor is not pure (annihilator dimension {dims[dims != n][0]})")
     p = vh[:, n:].conj().swapaxes(1, 2)  # (N, 2n, n): the kernel columns
     s = np.concatenate([p, p.conj()], axis=2)
     svals = np.linalg.svd(s, compute_uv=False)
-    if (svals[:, -1] <= tol * svals[:, 0]).any():
+    if not _kept(svals, tol)[:, -1].all():
         raise ValueError("degenerate spinor, no J exists (L meets conj(L))")
     d = np.diag([1j] * n + [-1j] * n)
     jc = s @ d @ np.linalg.inv(s)

@@ -65,7 +65,6 @@ from gcx.spinor import j_endomorphisms, normal_forms
 __all__ = [
     "CheckReport",
     "LocusPoint",
-    "LocusStructure",
     "check_symplectomorphism",
     "check_integrability",
     "check_h_properties",
@@ -74,7 +73,6 @@ __all__ = [
     "check_polar_compatibility",
     "check_locus",
     "locate_type_change",
-    "locus_complex_structure",
     "locus_complex_structures",
     "reduce_modular",
     "degenerate_locus_field",
@@ -618,16 +616,6 @@ class LocusPoint:
     jacobian_svals: tuple
 
 
-@dataclass(frozen=True)
-class LocusStructure:
-    """Induced complex structure data at a nondegenerate locus point."""
-
-    tau: complex
-    dbar_residual: float
-    tangent_residual: float
-    complex_structure: np.ndarray  # n x n matrix on T
-
-
 def degenerate_locus_field() -> FormField:
     """Test fixture z1^2 + dz1^dz2: its locus zeros are degenerate."""
     local = local_model_spinor()
@@ -734,7 +722,7 @@ def locus_complex_structures(rho_field: FormField, located: list, lattice_basis,
 
     # tangent invariance: I maps the locus tangent plane to itself
     t_basis = np.array([lp.tangent for lp in located]).swapaxes(1, 2)  # (N, n, 2)
-    off = np.eye(n) - t_basis @ np.linalg.pinv(t_basis)  # projections off the tangent planes
+    off = np.eye(n) - t_basis @ t_basis.swapaxes(1, 2)  # projections off the tangent planes, orthonormal bases
     tangent_res = np.abs(off @ cplx @ t_basis).max(axis=(1, 2))
 
     l1, l2 = (np.asarray(v, dtype=float) for v in lattice_basis)
@@ -745,19 +733,6 @@ def locus_complex_structures(rho_field: FormField, located: list, lattice_basis,
     ab = np.linalg.pinv(basis) @ l2
     tau = np.array([reduce_modular(complex(a, b)) for a, b in ab])
     return tau, dbar_res, tangent_res, cplx
-
-
-def locus_complex_structure(
-    rho_field: FormField, lp: LocusPoint, lattice_basis, tol: float = 1e-9
-) -> LocusStructure:
-    """Complex structure induced by the degree-2 part at a locus point: ``locus_complex_structures`` on one."""
-    tau, dbar_res, tangent_res, cplx = locus_complex_structures(rho_field, [lp], lattice_basis, tol)
-    return LocusStructure(
-        tau=complex(tau[0]),
-        dbar_residual=float(dbar_res[0]),
-        tangent_residual=float(tangent_res[0]),
-        complex_structure=cplx[0],
-    )
 
 
 FIBER_LATTICE = (np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0]))

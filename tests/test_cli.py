@@ -494,6 +494,30 @@ def test_normal_form_failed_cross_check_exits_3(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_normal_form_refuses_a_coefficient_that_is_not_finite(part, value, tmp_path, capsys):
+    # json reads NaN, Infinity and -Infinity: one error line, and no numpy warning before it
+    src = tmp_path / "spinor.json"
+    src.write_text(json.dumps({"dim": 4, "terms": [{"indices": [], "re": 1.0}, {"indices": [1, 2], part: value}]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["normal-form", "--input", str(src)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [str(w.message) for w in caught] == []
+    assert len(err) == 1 and err[0].startswith("error: coefficient of [1, 2] must be finite"), err
+
+
+def test_normal_form_refuses_finite_terms_that_sum_past_double_range(tmp_path, capsys):
+    src = tmp_path / "spinor.json"
+    src.write_text(json.dumps({"dim": 4, "terms": [{"indices": [1], "re": 1e308}, {"indices": [1], "re": 1e308}]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["normal-form", "--input", str(src)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == ["error: coefficient of [1] must be finite, got (inf+0j)"]
+
+
 # flat draws, so that a failure shrinks fast: (dim, terms of (subset mask, re, im)), magnitudes 1e-200..1e200
 magnitudes = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-200, 200)).map(lambda sp: sp[0] * 10.0 ** sp[1])
 spinor_inputs = st.tuples(st.integers(2, 4), st.lists(st.tuples(st.integers(0, 15), magnitudes, magnitudes), max_size=5))

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from gcx.chart import ChartPoint
 from gcx.models import CHART_CPLANE, local_model_spinor
-from gcx.multilinear import GcVector, Multiform, clifford, exp_wedge, pairing
+from gcx.multilinear import GcVector, Multiform, action_matrix, clifford, exp_wedge, pairing
 from gcx.spinor import (
     AnnihilatorBasis,
+    _kernels,
     GcEndomorphism,
     annihilator,
     b_transform,
@@ -17,6 +18,7 @@ from gcx.spinor import (
     is_pure,
     j_endomorphism,
     j_endomorphisms,
+    min_norm_solve,
     normal_form,
     normal_forms,
 )
@@ -478,3 +480,71 @@ def test_type_parity_of_constructed_spinors():
             nf = normal_form(exp_wedge(b).wedge(om))
             assert nf.type == k
             assert nf.type % 2 == k % 2
+
+
+# ------------------------------------------------- the shared SVD core
+
+
+def _unitary(rng, size):
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+    return q
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.lists(st.integers(0, 8), min_size=1, max_size=5))
+def test_min_norm_solve_equals_lstsq_on_stacked_rank_deficient_matrices(n, seed, ranks):
+    # U diag(s) V^H with s in [0.1, 1] on the first r, zero after: exact ranks, condition at most 10
+    rng, (m, k), tol = np.random.default_rng(seed), (1 << n, 2 * n), 1e-9
+    ranks = [min(r, k) for r in ranks]
+    mats = np.array([
+        _unitary(rng, m)[:, :k] * np.where(np.arange(k) < r, rng.uniform(0.1, 1.0, k), 0.0) @ _unitary(rng, k)
+        for r in ranks
+    ])
+    targets = rng.standard_normal((len(ranks), m)) + 1j * rng.standard_normal((len(ranks), m))
+    rows, keep = min_norm_solve(mats, targets, tol)
+    assert rows.shape == (len(ranks), k) and keep.shape == (len(ranks), k)
+    for a, b, x, kept, r in zip(mats, targets, rows, keep, ranks):
+        ref = np.linalg.lstsq(a, b, rcond=tol)[0]
+        assert np.abs(x - ref).max() <= 1e-12 * max(np.abs(ref).max(), np.abs(b).max())
+        assert kept.sum() == r == np.linalg.matrix_rank(a)
+
+
+def _random_spinor(rng, n, kind):
+    """A spinor built pure by from_symplectic, from_complex or b_transform, or for "random" an impure one."""
+    if kind == "random":
+        return random_multiform(rng, n)  # every degree, so of mixed parity
+    b, w = (Multiform(n, rng.standard_normal(1 << n)).degree_part(2) for _ in range(2))
+    if kind == "symplectic" and n % 2 == 0:
+        assume(abs(exp_wedge(w).top()) >= 0.1)  # the Pfaffian
+        return b_transform(b, from_symplectic(w))
+    if kind == "complex" and n % 2 == 0:
+        p = np.eye(n) + 0.4 * rng.standard_normal((n, n))
+        assume(np.linalg.cond(p) <= 10.0)
+        return b_transform(b, from_complex(p @ np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]]) @ np.linalg.inv(p)))
+    # exp(B + i w) ^ (k random complex 1-forms), for any n
+    omega = Multiform.scalar(n, 1.0)
+    for _ in range(rng.integers(0, n + 1)):
+        one = np.zeros(1 << n, complex)
+        one[1 << np.arange(n)] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        omega = omega.wedge(Multiform(n, one))
+    assume(omega.max_abs() >= 1e-2)
+    return b_transform(b, exp_wedge(1j * w).wedge(omega))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(["symplectic", "complex", "decomposable", "random"]), min_size=1, max_size=5),
+)
+def test_kernels_agree_with_annihilator_and_is_pure(n, seed, kinds):
+    rng = np.random.default_rng(seed)
+    forms = [_random_spinor(rng, n, kind) for kind in kinds]
+    coeffs = np.array([rho.coeffs for rho in forms]).T
+    dims, vh = _kernels(coeffs, 1e-9)
+    assert vh.shape == (len(forms), 2 * n, 2 * n)
+    for rho, kind, dim, rows, mat in zip(forms, kinds, dims, vh, action_matrix(coeffs)):
+        assert dim == len(annihilator(rho))
+        assert (dim == n) == is_pure(rho) == (kind != "random")
+        kernel = rows[2 * n - dim :].conj().T
+        assert np.abs(mat @ kernel).max(initial=0.0) <= 1e-12 * rho.max_abs()

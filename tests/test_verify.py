@@ -31,7 +31,6 @@ from gcx.verify import (
     check_type_jump,
     degenerate_locus_field,
     locate_type_change,
-    locus_complex_structure,
     locus_complex_structures,
     reduce_modular,
 )
@@ -269,10 +268,10 @@ def test_locate_nonconvergence_recorded_not_fatal():
 def test_locus_complex_structure_tau():
     rho = local_model_spinor()
     lp = locate_type_change(rho, [ChartPoint(CHART_CPLANE, (0.2, 0.1, 0.3, 0.6))])[0]
-    st = locus_complex_structure(rho, lp, FIBER_LATTICE)
-    assert abs(st.tau - 1j) < 1e-9
-    assert st.dbar_residual < 1e-9
-    assert st.tangent_residual < 1e-9
+    tau, dbar, tangent, _ = locus_complex_structures(rho, [lp], FIBER_LATTICE)
+    assert abs(tau[0] - 1j) < 1e-9
+    assert dbar[0] < 1e-9
+    assert tangent[0] < 1e-9
 
 
 def test_locus_tau_unimodular_invariance():
@@ -285,8 +284,8 @@ def test_locus_tau_unimodular_invariance():
         assert a * d - b * c in (1, -1)
         m1 = a * l1 + b * l2
         m2 = c * l1 + d * l2
-        st = locus_complex_structure(rho, lp, (m1, m2))
-        assert abs(st.tau - 1j) < 1e-9
+        tau = locus_complex_structures(rho, [lp], (m1, m2))[0]
+        assert abs(tau[0] - 1j) < 1e-9
 
 
 def test_locus_tau_quotient_lattice():
@@ -296,8 +295,8 @@ def test_locus_tau_quotient_lattice():
     for m in (2, 5):
         l1 = np.array([0.0, 0.0, 1.0 / m, 0.0])
         l2 = np.array([0.0, 0.0, 0.0, 1.0])
-        st = locus_complex_structure(rho, lp, (l1, l2))
-        assert abs(st.tau - m * 1j) < 1e-9
+        tau = locus_complex_structures(rho, [lp], (l1, l2))[0]
+        assert abs(tau[0] - m * 1j) < 1e-9
 
 
 def test_locus_structure_rejects_degenerate():
@@ -305,7 +304,7 @@ def test_locus_structure_rejects_degenerate():
         degenerate_locus_field(), [ChartPoint(CHART_CPLANE, (0.3, -0.2, 0.5, 0.5))]
     )[0]
     with pytest.raises(ValueError, match="degenerate"):
-        locus_complex_structure(degenerate_locus_field(), lp, FIBER_LATTICE)
+        locus_complex_structures(degenerate_locus_field(), [lp], FIBER_LATTICE)
 
 
 def test_reduce_modular():
@@ -350,7 +349,8 @@ def test_check_locus_worst_point_is_the_largest_residual(monkeypatch):
 
 
 def test_locus_block_core_equals_the_one_point_wrapper():
-    # one field evaluation and stacked J, eig and pinv over 25 located points give each point's structure
+    # one field evaluation and stacked J, eig and projections over 25 located points: each point's structure
+    # equals that of its one-point block
     rho = local_model_spinor()
     rng = np.random.default_rng(8)
     seeds = [ChartPoint(CHART_CPLANE, (*rng.uniform(-0.35, 0.35, 2), *rng.uniform(0, 1, 2))) for _ in range(25)]
@@ -358,11 +358,11 @@ def test_locus_block_core_equals_the_one_point_wrapper():
     tau, dbar, tangent, cplx = locus_complex_structures(rho, located, FIBER_LATTICE)
     assert tau.shape == dbar.shape == tangent.shape == (25,) and cplx.shape == (25, 4, 4)
     for i, lp in enumerate(located):
-        st = locus_complex_structure(rho, lp, FIBER_LATTICE)
-        assert st.tau == tau[i]
-        assert st.dbar_residual == dbar[i]
-        assert st.tangent_residual == tangent[i]
-        assert np.array_equal(st.complex_structure, cplx[i])
+        one_tau, one_dbar, one_tangent, one_cplx = locus_complex_structures(rho, [lp], FIBER_LATTICE)
+        assert one_tau[0] == tau[i]
+        assert one_dbar[0] == dbar[i]
+        assert one_tangent[0] == tangent[i]
+        assert np.array_equal(one_cplx[0], cplx[i])
 
 
 def test_locus_block_core_rejects_a_degenerate_point_among_nondegenerate_ones():
@@ -378,7 +378,7 @@ def test_locus_structure_rejects_a_lattice_off_the_tangent_plane():
     lp = locate_type_change(rho, [ChartPoint(CHART_CPLANE, (0.2, 0.1, 0.3, 0.6))])[0]
     off_plane = (np.array([1.0, 0.0, 0.0, 0.0]), FIBER_LATTICE[1])
     with pytest.raises(ValueError, match="tangent plane"):
-        locus_complex_structure(rho, lp, off_plane)
+        locus_complex_structures(rho, [lp], off_plane)
     with pytest.raises(ValueError, match="tangent plane"):
         locus_complex_structures(rho, [lp, lp], (FIBER_LATTICE[0], off_plane[0]))
 
