@@ -47,11 +47,6 @@ def _coordinate(c, periodic: bool):
     return c % 1.0 if periodic else c
 
 
-def anywhere(mask) -> bool:
-    """Whether a condition holds at a point, or at any point of a block."""
-    return bool(mask.any() if getattr(mask, "ndim", 0) else mask)
-
-
 @dataclass(frozen=True)
 class ChartPoint:
     """A point of a named chart, or a block of points; periodic coordinates are reduced to [0, 1)."""
@@ -93,7 +88,7 @@ class ChartMap:
 
     def _guard(self, coords: np.ndarray) -> None:
         inside = np.asarray(True if self.domain is None else self.domain(coords))
-        if anywhere(~inside):
+        if not inside.all():
             bad = tuple((coords if coords.ndim == 1 else coords[:, np.argmin(inside)]).tolist())
             raise ValueError(f"point {bad} outside the domain of map {self.source}->{self.target}")
 

@@ -9,8 +9,8 @@ Subcommands:
 * ``gcx bracket --input fields.json`` -- evaluate a Courant bracket at
   a point from JSON expression fields.
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error or an
-unwritable report, 3 runtime assertion failure (partial report written).
+Exit codes: 0 success, 1 check failure, 2 usage, config or input error or
+an unwritable output, 3 runtime assertion failure (partial report written).
 """
 
 import argparse
@@ -35,9 +35,9 @@ DEFAULT_QUOTIENTS = ((1, 0), (2, 1), (3, 2), (5, 2))
 MAX_M, MAX_K = 200, 100
 CHECK_TARGETS = ("local-model", "surgery", "quotient", "locus", "all")
 
-# what malformed JSON input raises: wrong types, missing keys, and
-# floating-point faults such as a log of 0
-INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ArithmeticError)
+# what malformed input raises: wrong types, missing keys, floating-point faults such as a log of 0,
+# and nesting too deep to decode or compile
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ArithmeticError, RecursionError)
 
 
 @dataclass
@@ -68,7 +68,9 @@ class RunConfig:
             if not (1 <= m <= m_max and abs(k) <= MAX_K):
                 raise ValueError(f"--m {m} --k {k}: need 1 <= m <= {m_max} at this --r-min and |k| <= {MAX_K}")
             LogModelParams(m, k)  # k coprime with m
-        if os.path.isdir(self.output) or not os.path.isdir(os.path.dirname(self.output) or "."):
+        # the report is renamed over --output, which would replace a FIFO or a device node there
+        irregular = os.path.exists(self.output) and not os.path.isfile(self.output)
+        if irregular or not os.path.isdir(os.path.dirname(self.output) or "."):
             raise ValueError(f"--output {self.output!r} is not a file in an existing directory")
         if self.target not in CHECK_TARGETS:
             raise ValueError(f"unknown check target {self.target!r}")
@@ -193,12 +195,7 @@ def _write_reports(path: str, reports: list) -> None:
 
 
 def _cmd_check(args) -> int:
-    try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    cfg = config_from_args(args)
     reports, failure = [], ""
     try:
         run_checks(cfg, reports)
@@ -239,19 +236,13 @@ def _emit(lines: list, path: str | None = None, text: str = "") -> int:
     return 0
 
 
-def _cmd_normal_form(args) -> int:
-    try:
-        with open(args.input) as handle:
-            data = json.load(handle)
-        rho = Multiform.from_json_dict(data)
-        nf = normal_form(rho, args.tol)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:  # a factorization cross-check failed
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 3
+def _read_json(path: str):
+    with open(path) as handle:
+        return json.load(handle)
 
+
+def _cmd_normal_form(args) -> int:
+    nf = normal_form(Multiform.from_json_dict(_read_json(args.input)), args.tol)
     nondeg = "n/a (odd dimension)" if nf.dim % 2 else check_nondegenerate(nf, args.tol)
     lines = [f"type: {nf.type}", f"omega0: {nf.omega0}", f"B: {nf.B}", f"omega: {nf.omega}"]
     lines += [f"gauge unique: {nf.gauge_unique}", f"nondegenerate: {nondeg}"]
@@ -259,31 +250,26 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
-    try:
-        with open(args.input) as handle:
-            data = json.load(handle)
-        dim = int(data.get("dim", 4))
-        if not 2 <= dim <= 4:  # the kernel's tables grow as 8^dim
-            raise ValueError(f"dim must be 2..4, got {dim}")
-        chart = data.get("chart", "cli")
-        periodic = tuple(bool(b) for b in data.get("periodic", [False] * dim))
-        coords = tuple(float(c) for c in data["point"])
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"point coordinates must be finite, got {coords}")
-        point = ChartPoint(chart, coords, periodic)
-        u = GcField.from_expressions(chart, dim, data["u"]["vec"], data["u"]["cov"])
-        v = GcField.from_expressions(chart, dim, data["v"]["vec"], data["v"]["cov"])
-        h = None
-        if data.get("H") is not None:
-            h = FormField.from_expressions(chart, dim, data["H"]["terms"])
-        with np.errstate(all="raise", under="ignore"):
-            out = courant_bracket(u, v, h, point)
-        # scalar jets hold Python complex numbers, which overflow to inf and NaN past the errstate
-        if not np.isfinite(out.as_array()).all():
-            raise ValueError("the bracket is not finite at this point")
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    data = _read_json(args.input)
+    dim = int(data.get("dim", 4))
+    if not 2 <= dim <= 4:  # the kernel's tables grow as 8^dim
+        raise ValueError(f"dim must be 2..4, got {dim}")
+    chart = data.get("chart", "cli")
+    periodic = tuple(bool(b) for b in data.get("periodic", [False] * dim))
+    coords = tuple(float(c) for c in data["point"])
+    if not all(math.isfinite(c) for c in coords):
+        raise ValueError(f"point coordinates must be finite, got {coords}")
+    point = ChartPoint(chart, coords, periodic)
+    u = GcField.from_expressions(chart, dim, data["u"]["vec"], data["u"]["cov"])
+    v = GcField.from_expressions(chart, dim, data["v"]["vec"], data["v"]["cov"])
+    h = None
+    if data.get("H") is not None:
+        h = FormField.from_expressions(chart, dim, data["H"]["terms"])
+    with np.errstate(all="raise", under="ignore"):
+        out = courant_bracket(u, v, h, point)
+    # scalar jets hold Python complex numbers, which overflow to inf and NaN past the errstate
+    if not np.isfinite(out.as_array()).all():
+        raise ValueError("the bracket is not finite at this point")
 
     payload = {
         "vec": [{"re": float(c.real), "im": float(c.imag)} for c in out.vec],
@@ -293,14 +279,20 @@ def _cmd_bracket(args) -> int:
     return _emit([text], args.output, text + "\n")
 
 
+COMMANDS = {"check": _cmd_check, "normal-form": _cmd_normal_form, "bracket": _cmd_bracket}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "normal-form":
-        return _cmd_normal_form(args)
-    return _cmd_bracket(args)
+    """Run one subcommand: bad input is one ``error:`` line and exit 2, a failed cross-check exit 3."""
+    args = build_parser().parse_args(argv)
+    try:
+        return COMMANDS[args.command](args)
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:  # a cross-check failed
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ JSON encoding, one key per node:
     {"exp": node} | {"log": node} | {"sin": node} | {"cos": node}
 """
 
+import cmath
 import math
 import operator
 from functools import reduce
@@ -111,7 +112,10 @@ def compile(node: dict, dim: int):
     if kind == "const":
         if not isinstance(body, dict):
             raise ValueError(f"const body must be a {{re, im}} object, got {body!r}")
-        return Jet2(dim, complex(float(body.get("re", 0.0)), float(body.get("im", 0.0))))
+        value = complex(float(body.get("re", 0.0)), float(body.get("im", 0.0)))
+        if not cmath.isfinite(value):
+            raise ValueError(f"const must be finite, got {value}")
+        return Jet2(dim, value)
     if kind == "coord":
         if not 1 <= int(body) <= dim:
             raise ValueError(f"coordinate index {body} out of range 1..{dim}")

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import tempfile
 import warnings
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcx.cli import main
+from gcx.cli import CHECK_TARGETS, main
 from gcx.multilinear import Multiform, exp_wedge
 
 
@@ -172,10 +173,12 @@ def test_check_invalid_config_exit_2(tmp_path, capsys):
         ["--r-min", "2"],
         ["--output", "{tmp}/missing-dir/report.json"],
         ["--output", "{tmp}"],
+        ["--output", "{tmp}/fifo"],  # the report's rename would put a regular file in its place
         ["--r-out", "inf"],
         ["--windows", "1:inf"],
     ],
-    ids=["tol-nan", "tol-inf", "r-min-1", "r-min-2", "output-dir-missing", "output-is-dir", "r-out-inf", "window-inf"],
+    ids=["tol-nan", "tol-inf", "r-min-1", "r-min-2", "output-dir-missing", "output-is-dir", "output-is-fifo", "r-out-inf",
+         "window-inf"],
 )
 def test_check_invalid_config_exit_2_before_any_check(flags, tmp_path, monkeypatch, capsys):
     import gcx.cli
@@ -185,12 +188,14 @@ def test_check_invalid_config_exit_2_before_any_check(flags, tmp_path, monkeypat
 
     monkeypatch.setattr(gcx.cli, "run_checks", must_not_run)
     monkeypatch.setattr(gcx.cli, "_write_reports", must_not_run)
+    os.mkfifo(tmp_path / "fifo")
     flags = [f.format(tmp=tmp_path) for f in flags]
     if "--output" not in flags:
         flags += ["--output", str(tmp_path / "report.json")]
     assert run_cli(["check", "all", *flags]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert stat.S_ISFIFO(os.stat(tmp_path / "fifo").st_mode)
 
 
 @pytest.mark.parametrize("target", ["local-model", "locus"])
@@ -266,6 +271,41 @@ def test_malformed_input_exit_2_without_traceback(command, payload, tmp_path, ca
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in captured.err + captured.out
+
+
+# nesting past the interpreter's recursion limit: in evaluation (sin), in json.load (add, terms)
+DEEP_INPUTS = {
+    "bracket-600-sin": ("bracket", '{"sin": ' * 600 + '{"coord": 1}' + "}" * 600),
+    "bracket-2000-add": ("bracket", '{"add": [' * 2000 + '{"coord": 1}' + "]}" * 2000),
+    "normal-form-5000-terms": ("normal-form", '{"dim": 4, "terms": ' + "[" * 5000 + "]" * 5000 + "}"),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_INPUTS)
+def test_deep_nesting_is_malformed_input(case, tmp_path, capsys):
+    command, text = DEEP_INPUTS[case]
+    if command == "bracket":  # the nested tree is u's first vector component
+        text = json.dumps(_bracket_payload(u1="NODE")).replace('"NODE"', text)
+    src = tmp_path / "input.json"
+    src.write_text(text)
+    assert run_cli([command, "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err[-3:]
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bracket_refuses_a_const_that_is_not_finite(part, value, tmp_path, capsys):
+    src = tmp_path / "fields.json"
+    src.write_text(json.dumps(_bracket_payload(u1={"const": {part: value}})))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["bracket", "--input", str(src)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: const must be finite, got "), err
 
 
 def test_usage_error_exit_2():
@@ -623,6 +663,69 @@ def test_bracket_keeps_the_exit_code_contract(case):
 
 def _refuse_non_finite(name):
     raise ValueError(f"{name} is not a JSON number")
+
+
+# gcx check argv: flags in bounds (or left out, None), then at most one flag out of bounds, which argparse reads
+# last and so overrides; --samples stays small, so that no example runs long
+BAD_CHECK_FLAGS = [
+    *[(f"--tol={t}",) for t in ("0", "-1", "nan", "inf")],
+    *[(f"--windows={w}",) for w in ("2:1", "1:2,1.5:3", "2:3,1:1.5", "1:inf", "1:nan", "a:b", "1", ",")],
+    *[(f"--r-min={r}",) for r in ("-0.5", "0", "1", "2", "nan")],
+    *[(f"--r-out={r}",) for r in ("0.5", "1", "inf", "nan")],
+    # just past MAX_M and MAX_K, k not coprime with m, m < 1
+    ("--m=201", "--k=1"), ("--m=2", "--k=101"), ("--m=3", "--k=-101"), ("--m=4", "--k=2"), ("--m=0", "--k=1"),
+    ("--m=6",),  # alone, or with a drawn k: 0, 100 and -99 all share a factor with 6
+    *[(f"--output={o}",) for o in ("{tmp}", "{tmp}/missing-dir/r.json", "{tmp}/fifo")],
+]
+check_argv = st.tuples(
+    st.sampled_from(CHECK_TARGETS),
+    st.one_of(st.none(), st.integers(-(2**31), 2**64)),  # --seed
+    st.integers(1, 8),  # --samples
+    st.sampled_from([None, "1e-300", "1e300"]),  # --tol
+    st.sampled_from([None, "1:1.6,2:2.6", "1:1.0000001"]),  # --windows
+    st.sampled_from([None, "1e-300", "0.9"]),  # --r-min
+    st.sampled_from([None, "1.0000001", "1e300"]),  # --r-out
+    # --m/--k: the largest accepted at the default --r-min, and MAX_M, which is past the bound of that --r-min and
+    # accepted from --r-min 0.17 on
+    st.sampled_from([None, (1, 0), (153, 100), (200, -99)]),
+    st.sampled_from([None, "flat", "poly"]),  # --profile
+    st.one_of(st.none(), st.sampled_from(BAD_CHECK_FLAGS)),
+)
+
+
+def _check_argv(case, tmp):
+    target, seed, samples, tol, windows, r_min, r_out, mk, profile, bad = case
+    flags = [("--seed", seed), ("--tol", tol), ("--windows", windows), ("--r-min", r_min), ("--r-out", r_out)]
+    flags += [("--profile", profile), *zip(("--m", "--k"), mk or ())]
+    argv = ["check", target, f"--samples={samples}", f"--output={tmp}/r.json"]
+    argv += [f"{flag}={value}" for flag, value in flags if value is not None]  # = keeps a negative value a value
+    return argv + [arg.format(tmp=tmp) for arg in bad or ()]
+
+
+@settings(max_examples=50, deadline=None)
+@example(("locus", None, 1, None, None, None, None, None, None, ("--output={tmp}/fifo",)))  # renamed over
+@example(("all", 42, 3, "1e-300", None, None, None, None, None, None))  # every residual fails: exit 1
+@given(check_argv)
+def test_check_keeps_the_exit_code_contract(case):
+    # in process, as the normal-form property: any exception fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        fifo = os.path.join(tmp, "fifo")
+        os.mkfifo(fifo)
+        argv = _check_argv(case, tmp)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = run_cli(argv)
+        assert code in (0, 1, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue() + out.getvalue()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert code == 2 or case[-1] is None, (argv, code)  # every flag out of bounds is refused
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+        if code in (0, 1):  # a verdict: the report is written, and exit 1 only when it holds a failed check
+            with open(os.path.join(tmp, "r.json")) as handle:
+                passed = [r["pass"] for r in json.load(handle)]
+            assert passed and all(passed) == (code == 0), (argv, passed)
 
 
 def test_bracket_command(tmp_path, capsys):
