@@ -173,10 +173,6 @@ class FormField(_Field):
     """A Multiform-valued field: point -> FormJet."""
 
     @classmethod
-    def constant(cls, chart: str, form: Multiform) -> "FormField":
-        return cls(chart, form.dim, lambda coords: FormJet.constant(form, np.shape(coords)[1:]))
-
-    @classmethod
     def from_expressions(cls, chart: str, dim: int, terms: list) -> "FormField":
         return cls(chart, dim, expressions.compile_form(dim, terms))
 
@@ -184,13 +180,6 @@ class FormField(_Field):
 @dataclass(frozen=True)
 class GcField(_Field):
     """A generator field of T + T*: point -> jet of shape (2n,), vec then cov."""
-
-    @classmethod
-    def constant(cls, chart: str, v: GcVector) -> "GcField":
-        def fn(coords: np.ndarray) -> _Jet:
-            return _Jet(v.dim, np.multiply.outer(v.as_array(), np.ones_like(coords[0])))
-
-        return cls(chart, v.dim, fn)
 
     @classmethod
     def from_expressions(cls, chart: str, dim: int, vec_exprs: list, cov_exprs: list) -> "GcField":

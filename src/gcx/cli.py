@@ -11,6 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 check failure, 2 usage, config or input error or
 an unwritable output, 3 runtime assertion failure (partial report written).
+Every ``--output`` must be a regular file in an existing directory, checked
+before any work, and is written whole or not at all.
 """
 
 import argparse
@@ -35,9 +37,8 @@ DEFAULT_QUOTIENTS = ((1, 0), (2, 1), (3, 2), (5, 2))
 MAX_M, MAX_K = 200, 100
 CHECK_TARGETS = ("local-model", "surgery", "quotient", "locus", "all")
 
-# what malformed input raises: wrong types, missing keys, floating-point faults such as a log of 0,
-# and nesting too deep to decode or compile
-INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ArithmeticError, RecursionError)
+# what malformed input raises: wrong types, missing keys and floating-point faults such as a log of 0
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ArithmeticError)
 
 
 @dataclass
@@ -68,10 +69,6 @@ class RunConfig:
             if not (1 <= m <= m_max and abs(k) <= MAX_K):
                 raise ValueError(f"--m {m} --k {k}: need 1 <= m <= {m_max} at this --r-min and |k| <= {MAX_K}")
             LogModelParams(m, k)  # k coprime with m
-        # the report is renamed over --output, which would replace a FIFO or a device node there
-        irregular = os.path.exists(self.output) and not os.path.isfile(self.output)
-        if irregular or not os.path.isdir(os.path.dirname(self.output) or "."):
-            raise ValueError(f"--output {self.output!r} is not a file in an existing directory")
         if self.target not in CHECK_TARGETS:
             raise ValueError(f"unknown check target {self.target!r}")
         lo_prev = None
@@ -179,19 +176,32 @@ def run_checks(cfg: RunConfig, reports: list | None = None) -> list:
     return reports
 
 
-def _write_reports(path: str, reports: list) -> None:
-    """Write the reports whole or not at all: a temporary file beside path, then a rename."""
-    payload = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
+def _check_output(path: str) -> None:
+    """Refuse an --output that is not a regular file in an existing directory.
+
+    The output is renamed over the path, which would replace a FIFO or a device node there."""
+    irregular = os.path.exists(path) and not os.path.isfile(path)
+    if irregular or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"--output {path!r} is not a file in an existing directory")
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write text whole or not at all: a temporary file beside path, then a rename."""
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as handle:
-            handle.write(payload)
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _write_reports(path: str, reports: list) -> None:
+    """Write the reports as one JSON array, whole or not at all."""
+    _write_text(path, json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
 
 
 def _cmd_check(args) -> int:
@@ -219,8 +229,7 @@ def _emit(lines: list, path: str | None = None, text: str = "") -> int:
     A stdout that failed keeps its buffer and flushes it again at exit, so its descriptor goes to the null device."""
     try:
         if path:
-            with open(path, "w") as handle:
-                handle.write(text)
+            _write_text(path, text)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 2
@@ -286,9 +295,14 @@ def main(argv=None) -> int:
     """Run one subcommand: bad input is one ``error:`` line and exit 2, a failed cross-check exit 3."""
     args = build_parser().parse_args(argv)
     try:
+        if args.output is not None:
+            _check_output(args.output)
         return COMMANDS[args.command](args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # --input nested past the stack, met by json.load, compile or evaluation
+        print(f"error: --input {args.input!r} is nested too deep", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # a cross-check failed
         print(f"runtime failure: {exc}", file=sys.stderr)

@@ -29,21 +29,7 @@ import numpy as np
 from gcx.jets import FormJet, Jet2, _Jet
 from gcx.multilinear import _indices_to_mask
 
-__all__ = [
-    "compile",
-    "evaluate",
-    "validate",
-    "const",
-    "coord",
-    "add",
-    "mul",
-    "power",
-    "exp",
-    "log",
-    "sin",
-    "cos",
-    "random_polynomial",
-]
+__all__ = ["compile", "evaluate"]
 
 TWO_PI = 2.0 * math.pi
 MAX_POW = 64  # largest |k| of a pow node: x^k and k x^(k-1) are then taken by repeated squaring
@@ -54,43 +40,6 @@ _UNARY = {
     "sin": lambda j: (TWO_PI * j).sin(),
     "cos": lambda j: (TWO_PI * j).cos(),
 }
-
-
-def const(value) -> dict:
-    c = complex(value)
-    return {"const": {"re": c.real, "im": c.imag}}
-
-
-def coord(i: int) -> dict:
-    return {"coord": int(i)}
-
-
-def add(*nodes) -> dict:
-    return {"add": list(nodes)}
-
-
-def mul(*nodes) -> dict:
-    return {"mul": list(nodes)}
-
-
-def power(node, k: int) -> dict:
-    return {"pow": [node, int(k)]}
-
-
-def exp(node) -> dict:
-    return {"exp": node}
-
-
-def log(node) -> dict:
-    return {"log": node}
-
-
-def sin(node) -> dict:
-    return {"sin": node}
-
-
-def cos(node) -> dict:
-    return {"cos": node}
 
 
 def _run(f, xs: list) -> Jet2:
@@ -145,25 +94,9 @@ def coordinate_jets(dim: int, coords: np.ndarray) -> list:
     return [Jet2.coordinate(dim, i + 1, coords[i]) for i in range(dim)]
 
 
-def validate(node: dict, dim: int) -> None:
-    """Raise ValueError on anything outside the fixed vocabulary."""
-    compile(node, dim)
-
-
 def evaluate(node: dict, coords: np.ndarray) -> Jet2:
     """Evaluate an expression tree to a jet at ``coords``."""
     return _run(compile(node, len(coords)), coordinate_jets(len(coords), coords))
-
-
-def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2, terms: int = 3) -> dict:
-    """Seeded random low-degree real polynomial in the chart coordinates."""
-    nodes = [const(round(float(rng.uniform(-1, 1)), 6))]
-    for _ in range(terms):
-        factors = [const(round(float(rng.uniform(-1, 1)), 6))]
-        for _ in range(int(rng.integers(1, degree + 1))):
-            factors.append(coord(int(rng.integers(1, dim + 1))))
-        nodes.append(mul(*factors))
-    return add(*nodes)
 
 
 def _assemble(jet_type, size: int, dim: int, slots: list, evaluators: list):

@@ -210,12 +210,6 @@ class FormJet(_Jet):
         """The zero form at one point, or at each of a block of points (batch = (N,))."""
         return cls(dim, _zeros((1 << dim, *batch)))
 
-    @classmethod
-    def constant(cls, form: Multiform, batch: tuple = ()) -> "FormJet":
-        jet = cls.zero(form.dim, batch)
-        jet.values[:] = form.coeffs.reshape((-1,) + (1,) * len(batch))
-        return jet
-
     def value(self) -> Multiform:
         return Multiform(self.dim, self.values)
 

@@ -193,13 +193,6 @@ class Multiform:
         self._check(other)
         return Multiform(self.dim, wedge_coeffs(self.dim, self.coeffs, other.coeffs))
 
-    def interior(self, vec) -> "Multiform":
-        """Contraction with a tangent vector given as n complex components: the Clifford action of X + 0."""
-        v = np.asarray(vec, dtype=complex)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} vector components, got {v.shape}")
-        return Multiform(self.dim, interior_coeffs(self.coeffs, v))
-
     def conjugate(self) -> "Multiform":
         return Multiform(self.dim, np.conj(self.coeffs))
 
@@ -213,17 +206,11 @@ class Multiform:
         """Coefficient of the full top-degree monomial dx^1^...^dx^n."""
         return complex(self.coeffs[-1])
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def max_abs(self) -> float:
         return float(np.abs(self.coeffs).max())
 
     def is_real(self, tol: float = 1e-12) -> bool:
         return float(np.abs(self.coeffs.imag).max()) <= tol
-
-    def real_part(self) -> "Multiform":
-        return Multiform(self.dim, self.coeffs.real.astype(complex))
 
     def allclose(self, other: "Multiform", tol: float = 1e-12) -> bool:
         self._check(other)
@@ -308,20 +295,6 @@ class GcVector:
         raise AttributeError("GcVector is immutable")
 
     @classmethod
-    def tangent(cls, dim: int, i: int, coeff: complex = 1.0) -> "GcVector":
-        """coeff * d/dx^i (1-based i)."""
-        v = np.zeros(dim, dtype=complex)
-        v[i - 1] = coeff
-        return cls(dim, vec=v)
-
-    @classmethod
-    def cotangent(cls, dim: int, i: int, coeff: complex = 1.0) -> "GcVector":
-        """coeff * dx^i (1-based i)."""
-        c = np.zeros(dim, dtype=complex)
-        c[i - 1] = coeff
-        return cls(dim, cov=c)
-
-    @classmethod
     def from_array(cls, dim: int, arr) -> "GcVector":
         a = np.asarray(arr, dtype=complex)
         if a.shape != (2 * dim,):
@@ -330,23 +303,6 @@ class GcVector:
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.vec, self.cov])
-
-    def conjugate(self) -> "GcVector":
-        return GcVector(self.dim, np.conj(self.vec), np.conj(self.cov))
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return (
-            float(np.abs(self.vec.imag).max(initial=0.0)) <= tol
-            and float(np.abs(self.cov.imag).max(initial=0.0)) <= tol
-        )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-    def __sub__(self, other: "GcVector") -> "GcVector":
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return GcVector(self.dim, self.vec - other.vec, self.cov - other.cov)
 
     def __repr__(self) -> str:
         return f"GcVector<vec={self.vec}, cov={self.cov}>"

@@ -90,9 +90,6 @@ class NormalForm:
     def b_plus_i_omega(self) -> Multiform:
         return self.B + 1j * self.omega
 
-    def reconstruct(self) -> Multiform:
-        return exp_wedge(self.b_plus_i_omega()).wedge(self.omega0)
-
     def to_json_dict(self) -> dict:
         return {
             "type": self.type,

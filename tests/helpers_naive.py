@@ -7,6 +7,7 @@ expected values in the algebra tests.  ``central_partials`` is the
 finite-difference oracle for derivatives past the first, which jets do
 not carry.  ``naive_evaluate`` walks an expression tree one Jet2 per node,
 constants included: the oracle for ``expressions.compile``.
+``random_polynomial`` is the seeded expression-tree fixture of the chart tests.
 """
 
 import math
@@ -159,3 +160,17 @@ def naive_evaluate(node: dict, coords: np.ndarray) -> Jet2:
         return jet.log()
     turns = 2.0 * math.pi * jet  # sin and cos of unit-period angles
     return turns.sin() if kind == "sin" else turns.cos()
+
+
+def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2, terms: int = 3) -> dict:
+    """A seeded random low-degree real polynomial in the chart coordinates, as a JSON expression tree."""
+
+    def const():
+        return {"const": {"re": round(float(rng.uniform(-1, 1)), 6), "im": 0.0}}
+
+    nodes = [const()]
+    for _ in range(terms):
+        factors = [const()]  # drawn before the count of its coordinates
+        factors += [{"coord": int(rng.integers(1, dim + 1))} for _ in range(int(rng.integers(1, degree + 1)))]
+        nodes.append({"mul": factors})
+    return {"add": nodes}

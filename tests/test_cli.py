@@ -4,6 +4,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -12,12 +14,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gcx
 from gcx.cli import CHECK_TARGETS, main
 from gcx.multilinear import Multiform, exp_wedge
 
 
 def run_cli(args):
     return main(args)
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this gcx."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gcx.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_check_local_model(tmp_path, capsys):
@@ -292,6 +303,7 @@ def test_deep_nesting_is_malformed_input(case, tmp_path, capsys):
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err[-3:]
+    assert str(src) in err[0] and "nested too deep" in err[0], err[0]
     assert "Traceback" not in captured.err + captured.out
 
 
@@ -443,8 +455,9 @@ def test_unwritable_stdout_exits_2_with_one_error_line(command, error, tmp_path,
 
 @pytest.mark.parametrize("command", ["normal-form", "bracket"])
 def test_unwritable_output_file_exits_2_before_printing(command, tmp_path, capsys):
+    # a name too long for the file system passes the --output rule and fails at the write
     args = _command_args(command, tmp_path)
-    args[-1] = str(tmp_path / "missing-dir" / "out.json")
+    args[-1] = str(tmp_path / ("x" * 300 + ".json"))
     assert run_cli(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -452,18 +465,37 @@ def test_unwritable_output_file_exits_2_before_printing(command, tmp_path, capsy
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {args[-1]}: ")
 
 
+@pytest.mark.parametrize("command", ["normal-form", "bracket"])
+@pytest.mark.parametrize("output", ["{tmp}/fifo", "{tmp}/missing-dir/out.json", "{tmp}"],
+                         ids=["fifo", "missing-dir", "dir"])
+def test_output_rule_is_checked_before_the_input_is_read(command, output, tmp_path, capsys):
+    os.mkfifo(tmp_path / "fifo")
+    output = output.format(tmp=tmp_path)
+    assert run_cli([command, "--input", str(tmp_path / "missing.json"), "--output", output]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --output {output!r} is not a file in an existing directory"]
+    assert stat.S_ISFIFO(os.stat(tmp_path / "fifo").st_mode)
+
+
+@pytest.mark.parametrize("command", ["normal-form", "bracket"])
+def test_fifo_output_exits_2_and_stays_a_fifo(command, tmp_path):
+    # opened for writing, a FIFO with no reader blocks forever; a subprocess with a timeout fails instead of hanging
+    args = _command_args(command, tmp_path)
+    args[-1] = str(tmp_path / "fifo")
+    os.mkfifo(args[-1])
+    cmd = [sys.executable, "-m", "gcx.cli", *args]
+    proc = subprocess.run(cmd, env=_child_env(), capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert stat.S_ISFIFO(os.stat(args[-1]).st_mode)
+
+
 def test_check_on_a_closed_pipe_exits_2_without_a_traceback(tmp_path):
     # a subprocess with a buffered stdout, as from a shell: what the failed flush left is flushed again at
     # exit, which without the null device prints "Exception ignored" and exits 120
-    import subprocess
-    import sys
-
-    import gcx
-
-    env = dict(os.environ)
+    env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
-    src = os.path.dirname(os.path.dirname(gcx.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     read, write = os.pipe()
     os.close(read)
     try:
@@ -780,15 +812,7 @@ def test_check_all_runs_on_one_core(tmp_path):
     # a product that reaches OpenBLAS's threaded kernels keeps worker threads spinning: CPU time past wall
     # time.  The child times itself from after its imports, so the spin of OpenBLAS's start-up threads
     # during `import numpy` is not counted against the checks.
-    import os
-    import subprocess
-    import sys
-
-    import gcx
-
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(gcx.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _child_env()
     child = (
         "import sys, time\n"
         "import gcx.cli\n"

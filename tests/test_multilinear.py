@@ -12,6 +12,7 @@ from gcx.multilinear import (
     action_matrix,
     clifford,
     exp_wedge,
+    interior_coeffs,
     pairing,
     pairing_gram,
     wedge_coeffs,
@@ -69,13 +70,13 @@ def generator_and_form(draw):
 
 def test_clifford_interior_on_dual_covector():
     # i_{d/dx1} dx1 = 1
-    v = GcVector.tangent(N, 1)
+    v = GcVector(N, vec=np.eye(N)[0])
     out = clifford(v, Multiform.basis(N, (1,)))
     assert out.allclose(Multiform.scalar(N, 1.0))
 
 
 def test_clifford_wedge_with_empty_form():
-    v = GcVector.cotangent(N, 1)
+    v = GcVector(N, cov=np.eye(N)[0])
     out = clifford(v, Multiform.scalar(N, 1.0))
     assert out.allclose(Multiform.basis(N, (1,)))
 
@@ -102,13 +103,13 @@ def test_clifford_agrees_with_bruteforce_randomized():
 
 def test_clifford_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        clifford(GcVector.tangent(3, 1), Multiform.scalar(4, 1.0))
+        clifford(GcVector(3, vec=np.eye(3)[0]), Multiform.scalar(4, 1.0))
 
 
 def test_pairing_values():
     e1 = GcVector(N, vec=[1, 0, 0, 0], cov=[1, 0, 0, 0])
     assert pairing(e1, e1) == pytest.approx(1.0)
-    assert pairing(GcVector.tangent(N, 1), GcVector.tangent(N, 2)) == 0.0
+    assert pairing(GcVector(N, vec=np.eye(N)[0]), GcVector(N, vec=np.eye(N)[1])) == 0.0
     u = GcVector(N, vec=[1, 0, 0, 0], cov=[0, 2, 0, 0])
     v = GcVector(N, vec=[0, 1, 0, 0], cov=[3, 0, 0, 0])
     # direct evaluation: (eta(X) + xi(Y)) / 2 = (3*1 + 2*1) / 2
@@ -134,7 +135,7 @@ def test_clifford_relation_randomized():
         )
         lhs = clifford(v, clifford(v, rho))
         rhs = pairing(v, v) * rho
-        assert (lhs - rhs).max_abs() <= 1e-12 * max(1.0, rho.max_abs() * v.norm() ** 2)
+        assert (lhs - rhs).max_abs() <= 1e-12 * max(1.0, rho.max_abs() * np.linalg.norm(v.as_array()) ** 2)
 
 
 @property_settings
@@ -160,7 +161,7 @@ def test_clifford_relation_property(v_rho):
     v, rho = v_rho
     lhs = clifford(v, clifford(v, rho))
     rhs = pairing(v, v) * rho
-    assert lhs.allclose(rhs, tol=1e-12 * max(1.0, rho.max_abs() * v.norm() ** 2))
+    assert lhs.allclose(rhs, tol=1e-12 * max(1.0, rho.max_abs() * np.linalg.norm(v.as_array()) ** 2))
 
 
 @property_settings
@@ -169,7 +170,8 @@ def test_interior_is_the_vector_part_of_clifford_property(vec_rho):
     # i_X rho = (X + 0) . rho
     vec, rho = vec_rho
     expected = clifford(GcVector(rho.dim, vec=vec), rho)
-    assert rho.interior(vec).allclose(expected, tol=1e-14 * rho.max_abs() * np.abs(vec).sum())
+    got = Multiform(rho.dim, interior_coeffs(rho.coeffs, vec))
+    assert got.allclose(expected, tol=1e-14 * rho.max_abs() * np.abs(vec).sum())
 
 
 def test_graded_commutativity():
@@ -235,8 +237,8 @@ def test_action_matrix_columns():
     rho = random_multiform(rng, N)
     mat = action_matrix(rho)
     for j in range(N):
-        assert np.allclose(mat[:, j], clifford(GcVector.tangent(N, j + 1), rho).coeffs)
-        assert np.allclose(mat[:, N + j], clifford(GcVector.cotangent(N, j + 1), rho).coeffs)
+        assert np.allclose(mat[:, j], clifford(GcVector(N, vec=np.eye(N)[j]), rho).coeffs)
+        assert np.allclose(mat[:, N + j], clifford(GcVector(N, cov=np.eye(N)[j]), rho).coeffs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -326,19 +328,9 @@ def test_values_immutable():
         rho.coeffs[0] = 5.0
     with pytest.raises(AttributeError):
         rho.dim = 3
-    v = GcVector.tangent(N, 1)
+    v = GcVector(N, vec=np.eye(N)[0])
     with pytest.raises((ValueError, AttributeError)):
         v.vec[0] = 2.0
-
-
-def test_gc_vector_conjugation():
-    v = GcVector(N, vec=[1 + 2j, 0, 0, 0], cov=[0, -1j, 0, 3])
-    w = v.conjugate()
-    assert np.allclose(w.vec, np.conj(v.vec))
-    assert np.allclose(w.cov, np.conj(v.cov))
-    real = GcVector(N, vec=[1.0, 2.0, 0, 0], cov=[0, 0, -1.0, 0])
-    assert real.is_real()
-    assert np.allclose(real.conjugate().as_array(), real.as_array())
 
 
 def test_mixed_dim_rejected_everywhere():
@@ -349,4 +341,4 @@ def test_mixed_dim_rejected_everywhere():
     with pytest.raises(ValueError):
         _ = a3 + a4
     with pytest.raises(ValueError):
-        pairing(GcVector.tangent(3, 1), GcVector.tangent(4, 1))
+        pairing(GcVector(3, vec=np.eye(3)[0]), GcVector(4, vec=np.eye(4)[0]))
