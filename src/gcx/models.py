@@ -192,7 +192,7 @@ def _log_forms(chart: str, m: int, k: int, r_floor: float, what: str) -> tuple:
     """(B', omega') of the Z_m quotient model on a chart; m = 1, k = 0 is the annulus model."""
 
     def inv_r(coords: np.ndarray) -> Jet2:
-        if np.any(coords[0] < r_floor):
+        if (coords[0] < r_floor).any():
             raise ValueError(f"{what} requires radius >= {r_floor}, got {np.min(coords[0])}")
         return 1.0 / Jet2.coordinate(4, 1, coords[0])
 
@@ -347,7 +347,7 @@ def b_extension_and_h(geometry: SurgeryGeometry, window: tuple | None = None) ->
 
     def btilde(coords: np.ndarray) -> tuple:
         """Btilde's jet and the bump jet it scales."""
-        if np.any(coords[0] < geometry.r_min):
+        if (coords[0] < geometry.r_min).any():
             raise ValueError(f"tube extension requires radius >= {geometry.r_min}, got {np.min(coords[0])}")
         # f times (psi^{-1})^* B in tube coordinates: f (rt drt^dt2 - dt1^dt3)
         bump, jet = profile.jet(coords[0]), FormJet.zero(4, coords.shape[1:])

@@ -1,11 +1,12 @@
 """Deterministic check runners for the model identities.
 
 Each runner draws seeded sample points, evaluates exact identities of
-the closed-form models through the chart calculus, and reports the
-worst (sup-norm) residual: the identities are pointwise claims, so the
-pass statistic is a max, never an average.  Sampling uses one PRNG
-stream per check (seed + fixed stream id), and points are drawn and
-evaluated in sample order, so reports are byte-identical for a given
+the closed-form models through the chart calculus, and judges each
+sub-identity as a ``Component`` against its bound; a residual is the worst
+(sup-norm) one, since the identities are pointwise claims.  ``_report``
+alone turns components into a verdict: pass is their AND.  Sampling uses
+one PRNG stream per check (seed + fixed stream id), and points are drawn
+and evaluated in sample order, so reports are byte-identical for a given
 seed.  Every sampled check but locus evaluates its points BLOCK at a
 time, normal forms included, one numpy pass per block (a block is one
 ChartPoint with coordinate arrays).  All but type_jump, which draws its
@@ -90,9 +91,33 @@ SIGN_CONTROL_TOL = 1e-3  # the wrong-sign H control passes iff its residual exce
 QUOTIENT_R_LO = 0.1  # check_quotient samples r from [max(r_min, QUOTIENT_R_LO), 1]
 
 
+@dataclass(frozen=True)
+class Component:
+    """One sub-identity of a report: its figure, its verdict, and its note line or None.
+
+    Only a residual's figure counts toward max_residual; others are a determinant, an integral, or None.
+    """
+
+    name: str
+    figure: float | None
+    passed: bool
+    note: str | None = None
+    residual: bool = True
+
+
+def _at_most(name, figure, bound, note=None, **fields) -> Component:
+    """A residual that passes iff figure <= bound (a NaN fails); note formats figure, bound and fields."""
+    return Component(name, figure, figure <= bound, note and note.format(figure=figure, bound=bound, **fields))
+
+
+def _holds(name, ok, label=None, figure=None) -> Component:
+    """A yes/no test, whose figure is no residual; its note, if labelled, reads 'label: ok'."""
+    return Component(name, figure, bool(ok), label and f"{label}: {bool(ok)}", residual=False)
+
+
 @dataclass
 class CheckReport:
-    """Outcome of one verification run; deterministic given its params."""
+    """Outcome of one verification run; deterministic given its params.  components stay out of the JSON."""
 
     check: str
     params: dict
@@ -101,6 +126,7 @@ class CheckReport:
     worst_point: list
     passed: bool
     notes: list = field(default_factory=list)
+    components: dict = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,10 +144,18 @@ class CheckReport:
         return f"{flag}  {self.check:<28} max_residual={self.max_residual:.3e} samples={self.samples}"
 
 
-def _report(check, seed, samples, tol, max_residual, worst_point, passed, notes, **params):
-    """A CheckReport whose params are seed, samples and tol, then the runner's own in order."""
+def _report(check, seed, samples, tol, worst_point, parts, **params):
+    """The one verdict rule: a CheckReport from components and fixed note lines, in note order.
+
+    pass is the AND of the components, and max_residual the max of the residual figures (a NaN stays
+    NaN).  params are seed, samples and tol, then the runner's own in order.
+    """
+    components = {p.name: p for p in parts if isinstance(p, Component)}
+    passed = all(c.passed for c in components.values())
+    max_residual = float(np.max([c.figure for c in components.values() if c.residual]))
+    notes = [n for n in (p.note if isinstance(p, Component) else p for p in parts) if n is not None]
     params = {"seed": seed, "samples": samples, "tol": tol, **params}
-    return CheckReport(check, params, samples, max_residual, worst_point, passed, notes)
+    return CheckReport(check, params, samples, max_residual, worst_point, passed, notes, components)
 
 
 def _geometry_params(geometry: SurgeryGeometry) -> dict:
@@ -194,12 +228,6 @@ def _rng(seed: int, stream: str, extra: int = 0) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(STREAMS[stream], extra))
     )
-
-
-def _worst(points, residuals) -> tuple:
-    arr = np.asarray(residuals, dtype=float)
-    idx = int(np.argmax(arr))
-    return float(arr[idx]), list(points[idx].coords)
 
 
 def _sample_annulus(rng, samples, r_lo, r_hi, chart=CHART_ANNULUS) -> ChartPoint:
@@ -293,34 +321,34 @@ def check_symplectomorphism(
         bt[:, inside] = btilde(at.image.with_coords(c[inside] for c in at.image.coords)).values
         b_res = np.where(inside, _max_abs(at.pull(bt) - b_field(p).values), 0.0)
         covered += int(inside.sum())
-        return np.maximum(sigma_res, b_res), np.abs(np.linalg.det(at.jac)), b_res
+        return np.maximum(sigma_res, b_res), sigma_res, b_res, np.abs(np.linalg.det(at.jac))
 
     top, low, worst = _per_block(block, lambda count: _sample_annulus(rng, count, r_lo, 1.0), samples)
-    max_res, min_det = float(top[0]), float(low[1])
-    passed = max_res <= tol and min_det > 1e-12
-    notes = [
-        f"min |det Dpsi| = {min_det:.6e}",
-        f"psi^*Btilde = B at the {covered} points with image rt >= r_min: residual = {top[2]:.3e}",
+    min_det = float(low[3])
+    btilde_note = "psi^*Btilde = B at the {covered} points with image rt >= r_min: residual = {figure:.3e}"
+    parts = [
+        _at_most("sigma_pullback", top[1], tol),
+        Component("det_dpsi", min_det, min_det > 1e-12, f"min |det Dpsi| = {min_det:.6e}", residual=False),
+        _at_most("btilde_pullback", top[2], tol, btilde_note, covered=covered),
     ]
-    params = _geometry_params(geometry)
-    return _report("symplectomorphism", seed, samples, tol, max_res, worst, passed, notes, **params)
+    return _report("symplectomorphism", seed, samples, tol, worst, parts, **_geometry_params(geometry))
 
 
-def _region_setup(region, geometry, window):
-    """(field, h_field, sampling box (chart, r_lo, r_hi), or None for the cplane cube, witness_kind)."""
+def _region_setup(region, geometry, window, flip_h_sign=False):
+    """(field, h_field, sampling box (chart, r_lo, r_hi), or None for the cplane cube, witness note)."""
     if region == "cplane":
-        return local_model_spinor(), None, None, "local_model"
+        return local_model_spinor(), None, None, "witness compared against v = -d/dz2 through its Clifford action"
     if region == "polar":
         return polar_spinor_field(geometry.r_min), None, (CHART_ANNULUS, geometry.r_min, 1.0), None
     prof = bump_profile(geometry, window)
     rho = glued_spinor_field(geometry, window)
     if region == "bump":
         _, h = b_extension_and_h(geometry, window)
-        sign = float(conventions.SPINOR_TWIST_SIGN)
+        sign = float(conventions.SPINOR_TWIST_SIGN) * (-1.0 if flip_h_sign else 1.0)
         h_used = FormField(CHART_TUBE, 4, lambda c: h.fn(c) * sign)
         return rho, h_used, (CHART_TUBE, prof.lo + 1e-6, prof.hi - 1e-6), None
     if region == "outer":
-        return rho, None, (CHART_TUBE, prof.hi, prof.hi + 1.0), "zero"
+        return rho, None, (CHART_TUBE, prof.hi, prof.hi + 1.0), "witness must vanish: constant symplectic spinor"
     raise ValueError(f"unknown integrability region {region!r}; expected one of {INTEGRABILITY_REGIONS}")
 
 
@@ -338,17 +366,15 @@ def check_integrability(
     In the bump region the twisting 3-form is the frozen-sign multiple
     of d(Btilde); flip_h_sign runs the negative control with the wrong
     sign, whose report passes iff the residual exceeds tol (default
-    SIGN_CONTROL_TOL).
+    SIGN_CONTROL_TOL).  The cplane witness must act as -d/dz2 does, and
+    the outer one must vanish, each to tol.
     """
     geometry = geometry or SurgeryGeometry()
     if tol is None:
         tol = SIGN_CONTROL_TOL if flip_h_sign else 1e-8
-    rho, h_used, box, witness_kind = _region_setup(region, geometry, window)
-    if flip_h_sign:
-        if region != "bump":
-            raise ValueError("the sign control only applies to the bump region")
-        base = h_used
-        h_used = FormField(CHART_TUBE, 4, lambda c: base.fn(c) * (-1.0))
+    rho, h_used, box, witness_note = _region_setup(region, geometry, window, flip_h_sign)
+    if flip_h_sign and region != "bump":
+        raise ValueError("the sign control only applies to the bump region")
     stream = "h_sign_negative_control" if flip_h_sign else f"integrability_{region}"
     rng = _rng(seed, stream)
     v_local = GcVector(4, vec=[0, 0, -0.5, 0.5j]).as_array()  # -d/dz2 on the cplane chart
@@ -360,35 +386,28 @@ def check_integrability(
 
     def block(p):
         wit = integrability_residual(rho, h_used, p)
-        extra = 0.0
-        if witness_kind == "local_model":
+        witness = np.zeros_like(wit.residual)
+        if region == "cplane":
             # Clifford action of the witness minus that of -d/dz2
             action = wit.action_matrix @ (wit.v.T - v_local)[..., None]
-            extra = np.abs(action[..., 0]).max(axis=-1)
-        elif witness_kind == "zero":
-            extra = np.linalg.norm(wit.v, axis=0)
-        return np.maximum(wit.residual, extra)
+            witness = np.abs(action[..., 0]).max(axis=-1)
+        elif region == "outer":
+            witness = np.linalg.norm(wit.v, axis=0)
+        return np.maximum(wit.residual, witness), wit.residual, witness
 
     top, _, worst = _per_block(block, draw, samples)
-    max_res = float(top[0])
-
-    notes = []
-    if region == "bump":
-        notes.append(conventions.NOTE_SPINOR_TWIST)
-    if witness_kind == "local_model":
-        notes.append("witness compared against v = -d/dz2 through its Clifford action")
-    if witness_kind == "zero":
-        notes.append("witness must vanish: constant symplectic spinor")
-
+    parts = [conventions.NOTE_SPINOR_TWIST] if region == "bump" else []
+    if witness_note:
+        parts.append(_at_most("witness", top[2], tol, witness_note))
     if flip_h_sign:
-        passed = max_res > tol
-        notes.append(f"negative control: wrong twist sign must fail; pass means residual > tol = {tol:g}")
+        note = f"negative control: wrong twist sign must fail; pass means residual > tol = {tol:g}"
+        parts.append(Component("wrong_sign", top[1], top[1] > tol, note))
     else:
-        passed = max_res <= tol
+        parts.append(_at_most("integrability", top[1], tol))
     params = {"region": region, **_geometry_params(geometry)}
     if window is not None:
         params["window"] = list(window)
-    return _report(stream, seed, samples, tol, max_res, worst, passed, notes, **params)
+    return _report(stream, seed, samples, tol, worst, parts, **params)
 
 
 def _integral_of_derivative(prof, upper: np.ndarray) -> np.ndarray:
@@ -433,14 +452,13 @@ def check_h_properties(
         return np.abs(prof.evaluate(rt)[0] - f_lo - integral)
 
     top, _, worst = _per_block(ft_residual, draw(geometry.r_min, hi + 0.5), samples)
-    max_res = float(top[0])
 
     # H vanishes inside lo and outside hi, and so does Btilde outside hi: 50 points each, BLOCK at a time
     inner, _, _ = _per_block(lambda p: _max_abs(h(p).values), draw(geometry.r_min, lo), 50)
     outer, _, _ = _per_block(
         lambda p: np.maximum(_max_abs(h(p).values), _max_abs(btilde(p).values)), draw(hi, hi + 1.0), 50
     )
-    support_ok = inner[0] == 0.0 and outer[0] == 0.0
+    support = np.maximum(inner[0], outer[0])
 
     # product quadrature over the 3-cycle {t2 = const}, orientation dr^dt1^dt3:
     # the 16 angle pairs at each Gauss node, BLOCK // 16 nodes (a block of points) per H evaluation
@@ -455,20 +473,19 @@ def check_h_properties(
         # at each node, summed pair after pair, in the order of the points
         node_sums.extend(np.add.accumulate(h(grid).values[_M124].real.reshape(len(r), len(a1)), axis=1)[:, -1])
     integral = 0.5 * (hi - lo) * sum(w * acc / len(a1) for w, acc in zip(weights, node_sums))
-    sign = int(np.sign(integral))
-    integral_ok = abs(integral - conventions.H_SLICE_SIGN) <= 1e-6
-
-    passed = max_res <= tol and support_ok and integral_ok
-    notes = [
-        f"slice integral = {integral:.9f} (sign {sign:+d})",
+    slice_ok = abs(integral - conventions.H_SLICE_SIGN) <= 1e-6
+    slice_note = f"slice integral = {integral:.9f} (sign {int(np.sign(integral)):+d})"
+    parts = [
+        Component("slice_integral", integral, slice_ok, slice_note, residual=False),
         conventions.NOTE_H_SLICE,
-        f"support confined to window [{lo}, {hi}]: {bool(support_ok)}",
+        _holds("support", support == 0.0, f"support confined to window [{lo}, {hi}]", figure=support),
+        _at_most("fundamental_theorem", top[0], tol),
         f"residual = |f(rt) - f(lo) - integral of f' from lo to min(rt, hi)|, {FT_NODES}-node Gauss-Legendre",
         "dH = 0: H = -f'(rt) drt^dt1^dt3 has a coefficient in rt alone, cross-checked against d(Btilde) "
         "at every evaluation",
     ]
     params = {"quad_nodes": QUAD_NODES, **_geometry_params(geometry), "window": [lo, hi]}
-    return _report("h_properties", seed, samples, tol, max_res, worst, passed, notes, **params)
+    return _report("h_properties", seed, samples, tol, worst, parts, **params)
 
 
 # ------------------------------------------------------------ quotient
@@ -538,19 +555,20 @@ def check_quotient(
             orbit.add(tuple(round(c, 9) for c in q.coords))
         orbit_ok &= len(orbit) == m
 
-    all_res = np.max([deck_max, omega_max, disc_max, integ_max, closed_res])  # a NaN residual stays NaN
-    passed = orbit_ok and max(deck_max, omega_max) <= 1e-12 and disc_max <= 1e-10
-    passed = passed and max(closed_res, integ_max) <= tol
-    notes = [
-        f"deck invariance residual = {deck_max:.3e} (<= 1e-12)",
-        f"omega pullback residual = {omega_max:.3e} (<= 1e-12)",
-        f"B pullback discrepancy = (m-1) dlog r ^ dtheta2, m-1 = {m - 1}; "
-        f"residual vs formula = {disc_max:.3e} (<= 1e-10), d(discrepancy) = {closed_res:.3e}",
-        f"quotient integrability residual = {integ_max:.3e}",
-        f"orbit size {m} and q(deck(p)) = q(p) at r = 0 and r = 0.5: {bool(orbit_ok)}",
+    disc_note = (
+        "B pullback discrepancy = (m-1) dlog r ^ dtheta2, m-1 = {m1}; "
+        "residual vs formula = {figure:.3e} (<= {bound:g}), d(discrepancy) = {closed:.3e}"
+    )
+    parts = [
+        _at_most("deck", deck_max, 1e-12, "deck invariance residual = {figure:.3e} (<= {bound:g})"),
+        _at_most("omega", omega_max, 1e-12, "omega pullback residual = {figure:.3e} (<= {bound:g})"),
+        _at_most("b_discrepancy", disc_max, 1e-10, disc_note, m1=m - 1, closed=closed_res),
+        _at_most("d_discrepancy", closed_res, tol),
+        _at_most("integrability", integ_max, tol, "quotient integrability residual = {figure:.3e}"),
+        _holds("orbit", orbit_ok, f"orbit size {m} and q(deck(p)) = q(p) at r = 0 and r = 0.5"),
     ]
     name = f"quotient_m{m}_k{params.k}"
-    return _report(name, seed, samples, tol, all_res, worst, passed, notes, m=m, k=params.k, r_min=r_min)
+    return _report(name, seed, samples, tol, worst, parts, m=m, k=params.k, r_min=r_min)
 
 
 # ------------------------------------------------------- local model
@@ -574,9 +592,8 @@ def check_type_jump(samples: int = 200, seed: int = 42, tol: float = 1e-9) -> Ch
         return (normal_forms(rho(p).values)[0] != expected).astype(float)
 
     top, _, worst = _per_block(misclassified, lambda count: next(blocks), samples)
-    max_res = float(top[0])
-    notes = [f"type 2 at {len(on_locus)} locus points, type 0 at {len(off_locus)} off-locus points"]
-    return _report("type_jump", seed, samples, tol, max_res, worst, max_res == 0.0, notes)
+    note = f"type 2 at {len(on_locus)} locus points, type 0 at {len(off_locus)} off-locus points"
+    return _report("type_jump", seed, samples, tol, worst, [_at_most("misclassified", top[0], 0.0, note)])
 
 
 def check_polar_compatibility(
@@ -594,10 +611,8 @@ def check_polar_compatibility(
         return _max_abs(normal_forms(pulled)[2] - expected)
 
     top, _, worst = _per_block(block, lambda count: _sample_annulus(rng, count, max(r_min, 0.1), 1.0), samples)
-    max_res = float(top[0])
-    notes = [conventions.NOTE_POLAR_OVERLAP]
-    passed = max_res <= tol
-    return _report("polar_compatibility", seed, samples, tol, max_res, worst, passed, notes, r_min=r_min)
+    parts = [conventions.NOTE_POLAR_OVERLAP, _at_most("polar_forms", top[0], tol)]
+    return _report("polar_compatibility", seed, samples, tol, worst, parts, r_min=r_min)
 
 
 # ---------------------------------------------------------------- locus
@@ -609,11 +624,9 @@ class LocusPoint:
 
     location: ChartPoint
     converged: bool
-    iterations: int
-    residuals: tuple
+    residuals: tuple  # |rho0| at the seed and after each Newton step
     nondegenerate: bool
     tangent: np.ndarray  # (2, n) kernel rows of the Jacobian
-    jacobian_svals: tuple
 
 
 def degenerate_locus_field() -> FormField:
@@ -649,8 +662,7 @@ def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> 
     for p in seeds:
         jet = rho_field(p)
         residuals = [abs(jet.values[0])]
-        iterations = 0
-        while residuals[-1] > 1e-22 and iterations < 50:
+        while residuals[-1] > 1e-22 and len(residuals) <= 50:
             jac = _scalar_jacobian(jet)
             f = np.array([jet.values[0].real, jet.values[0].imag])
             step = np.linalg.lstsq(jac, f, rcond=None)[0].tolist()
@@ -658,7 +670,6 @@ def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> 
                 break
             p = p.with_coords([c - s for c, s in zip(p.coords, step)])
             jet = rho_field(p)
-            iterations += 1
             residuals.append(abs(jet.values[0]))
         jac = _scalar_jacobian(jet)
         _, svals, vt = np.linalg.svd(jac)
@@ -666,13 +677,7 @@ def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> 
         nondeg = converged and len(svals) == 2 and svals[-1] >= tol
         out.append(
             LocusPoint(
-                location=p,
-                converged=converged,
-                iterations=iterations,
-                residuals=tuple(residuals),
-                nondegenerate=bool(nondeg),
-                tangent=vt[2:],
-                jacobian_svals=tuple(svals.tolist()),
+                location=p, converged=converged, residuals=tuple(residuals), nondegenerate=bool(nondeg), tangent=vt[2:]
             )
         )
     return out
@@ -752,13 +757,9 @@ def check_locus(
     ]
     located = locate_type_change(rho, seeds)
 
-    all_converged = all(lp.converged for lp in located)
-    all_nondeg = all(lp.nondegenerate for lp in located)
-
-    quadratic_ok = True
-    for lp in located:
-        for prev, nxt in zip(lp.residuals, lp.residuals[1:]):
-            quadratic_ok &= nxt <= 10.0 * prev**2 + 1e-12
+    quadratic_ok = all(
+        nxt <= 10.0 * prev**2 + 1e-12 for lp in located for prev, nxt in zip(lp.residuals, lp.residuals[1:])
+    )
 
     # per located point: |z1|, tau error vs i, dbar residual, tangent residual
     tau, dbar_res, tangent_res, _ = locus_complex_structures(rho, located, FIBER_LATTICE)
@@ -766,27 +767,16 @@ def check_locus(
     per_point = np.column_stack([z1, np.abs(tau - 1j), dbar_res, tangent_res])
     on_locus, tau_err, dbar_max, tangent_max = np.max(per_point, axis=0)
 
-    deg_located = locate_type_change(
-        degenerate_locus_field(),
-        [ChartPoint(CHART_CPLANE, (0.3, -0.2, 0.5, 0.5))],
-    )[0]
-    degenerate_flagged = deg_located.converged and not deg_located.nondegenerate
-
-    max_res = max(on_locus, tau_err, dbar_max, tangent_max)
-    passed = (
-        all_converged
-        and all_nondeg
-        and quadratic_ok
-        and tau_err <= tol
-        and dbar_max <= tol
-        and tangent_max <= tol
-        and degenerate_flagged
-    )
-    _, worst = _worst([lp.location for lp in located], np.max(per_point, axis=1))
-    notes = [
-        f"max |z1| at located points = {on_locus:.3e}",
-        f"quadratic residual decay: {bool(quadratic_ok)}",
-        f"tau error vs i = {tau_err:.3e}; dbar residual = {dbar_max:.3e}",
-        f"degenerate fixture (z1^2) flagged: {bool(degenerate_flagged)}",
+    deg = locate_type_change(degenerate_locus_field(), [ChartPoint(CHART_CPLANE, (0.3, -0.2, 0.5, 0.5))])[0]
+    z1_note = f"max |z1| at located points = {on_locus:.3e}"
+    parts = [
+        Component("converged", on_locus, all(lp.converged for lp in located), z1_note),
+        _holds("nondegenerate", all(lp.nondegenerate for lp in located)),
+        _holds("quadratic_decay", quadratic_ok, "quadratic residual decay"),
+        _at_most("tau", tau_err, tol, "tau error vs i = {figure:.3e}; dbar residual = {dbar:.3e}", dbar=dbar_max),
+        _at_most("dbar", dbar_max, tol),
+        _at_most("tangent", tangent_max, tol),
+        _holds("degenerate_fixture", deg.converged and not deg.nondegenerate, "degenerate fixture (z1^2) flagged"),
     ]
-    return _report("locus", seed, seeds_count, tol, max_res, worst, passed, notes)
+    worst = list(located[int(np.argmax(per_point.max(axis=1)))].location.coords)
+    return _report("locus", seed, seeds_count, tol, worst, parts)
