@@ -75,7 +75,8 @@ class ChartMap:
     """A chart-to-chart map with exact first derivatives.
 
     ``jet_fn`` evaluates the forward map in Jet2 arithmetic on coordinate
-    jets; the Jacobian is read off the outputs.
+    jets; the Jacobian is read off the outputs.  ``target_periodic`` is the
+    image's periodic mask; an empty one means no coordinate is periodic.
     ``domain`` maps coordinates to a bool, elementwise over a block.
     """
 
@@ -115,7 +116,7 @@ class ChartMap:
         if p.chart != self.source:
             raise ValueError(f"point is on chart {p.chart!r}, map expects {self.source!r}")
         y, jac = self.jets(p.array())
-        return MapJet(ChartPoint(self.target, tuple(y), self.target_periodic or p.periodic), jac)
+        return MapJet(ChartPoint(self.target, tuple(y), self.target_periodic), jac)
 
 
 class MapJet:

@@ -276,7 +276,7 @@ def _cmd_bracket(args) -> int:
         h = FormField.from_expressions(chart, dim, data["H"]["terms"])
     with np.errstate(all="raise", under="ignore"):
         out = courant_bracket(u, v, h, point)
-    # scalar jets hold Python complex numbers, which overflow to inf and NaN past the errstate
+    # input safety: a bracket that is not finite is refused, whatever arithmetic produced it
     if not np.isfinite(out.as_array()).all():
         raise ValueError("the bracket is not finite at this point")
 

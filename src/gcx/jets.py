@@ -147,7 +147,7 @@ class Jet2(_Jet):
         if isinstance(value, np.ndarray) and value.ndim:
             value = value.astype(complex, copy=False)
         else:
-            value = complex(value)
+            value = np.complex128(value)
         grad = None if grad is None else np.asarray(grad, dtype=complex)
         super().__init__(n, value, grad, order)
 

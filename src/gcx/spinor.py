@@ -9,7 +9,7 @@ annihilators (the (2n, k) kernel matrix of the Clifford action, kept as
 test, B-field transforms, and the induced complex structure on T + T*.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +52,6 @@ class AnnihilatorBasis:
 
     dim: int
     matrix: np.ndarray
-    tol: float
 
     def __len__(self) -> int:
         return self.matrix.shape[1]
@@ -81,7 +80,6 @@ class NormalForm:
     B: Multiform
     omega: Multiform
     gauge_unique: bool
-    notes: tuple = field(default=())
 
     @property
     def dim(self) -> int:
@@ -172,7 +170,7 @@ def annihilator(rho: Multiform, tol: float = DEFAULT_TOL) -> AnnihilatorBasis:
     dims, vh = _kernels(rho.coeffs[:, None], tol)
     kernel = vh[0, 2 * rho.dim - dims[0] :].conj().T
     kernel.setflags(write=False)
-    return AnnihilatorBasis(dim=rho.dim, matrix=kernel, tol=tol)
+    return AnnihilatorBasis(dim=rho.dim, matrix=kernel)
 
 
 def _pure(coeffs: np.ndarray, tol: float) -> np.ndarray:
@@ -261,7 +259,6 @@ def normal_form(rho: Multiform, tol: float = DEFAULT_TOL) -> NormalForm:
         B=Multiform(n, c.real),
         omega=Multiform(n, c.imag),
         gauge_unique=bool(unique[0]),
-        notes=() if unique[0] else ("exponent gauge not unique; minimal-norm representative chosen",),
     )
 
 

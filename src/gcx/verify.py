@@ -3,8 +3,10 @@
 Each runner draws seeded sample points, evaluates exact identities of
 the closed-form models through the chart calculus, and judges each
 sub-identity as a ``Component`` against its bound; a residual is the worst
-(sup-norm) one, since the identities are pointwise claims.  ``_report``
-alone turns components into a verdict: pass is their AND.  Sampling uses
+(sup-norm) one, since the identities are pointwise claims, and its worst
+point the first point that reaches it.  ``_report`` alone turns components
+into a verdict: pass is their AND, and max_residual and worst_point are the
+largest residual's (the first in note order on a tie; a NaN wins).  Sampling uses
 one PRNG stream per check (seed + fixed stream id), and points are drawn
 and evaluated in sample order, so reports are byte-identical for a given
 seed.  Every sampled check but locus evaluates its points BLOCK at a
@@ -93,26 +95,28 @@ QUOTIENT_R_LO = 0.1  # check_quotient samples r from [max(r_min, QUOTIENT_R_LO),
 
 @dataclass(frozen=True)
 class Component:
-    """One sub-identity of a report: its figure, its verdict, and its note line or None.
+    """One sub-identity of a report: its figure, its verdict, its note line or None, and its worst point.
 
-    Only a residual's figure counts toward max_residual; others are a determinant, an integral, or None.
+    A residual is a component with a worst point, the first sampled point where its figure is reached;
+    only residuals count toward max_residual.  Other figures are a determinant, an integral, or None.
     """
 
     name: str
     figure: float | None
     passed: bool
     note: str | None = None
-    residual: bool = True
+    worst_point: list | None = None
 
 
-def _at_most(name, figure, bound, note=None, **fields) -> Component:
-    """A residual that passes iff figure <= bound (a NaN fails); note formats figure, bound and fields."""
-    return Component(name, figure, figure <= bound, note and note.format(figure=figure, bound=bound, **fields))
+def _at_most(name, top, bound, note=None, **fields) -> Component:
+    """The residual (figure, worst point) = top[name]: passes iff figure <= bound (a NaN fails); note formats them."""
+    figure, worst = top[name]
+    return Component(name, figure, figure <= bound, note and note.format(figure=figure, bound=bound, **fields), worst)
 
 
 def _holds(name, ok, label=None, figure=None) -> Component:
     """A yes/no test, whose figure is no residual; its note, if labelled, reads 'label: ok'."""
-    return Component(name, figure, bool(ok), label and f"{label}: {bool(ok)}", residual=False)
+    return Component(name, figure, bool(ok), label and f"{label}: {bool(ok)}")
 
 
 @dataclass
@@ -144,18 +148,19 @@ class CheckReport:
         return f"{flag}  {self.check:<28} max_residual={self.max_residual:.3e} samples={self.samples}"
 
 
-def _report(check, seed, samples, tol, worst_point, parts, **params):
+def _report(check, seed, samples, tol, parts, **params):
     """The one verdict rule: a CheckReport from components and fixed note lines, in note order.
 
-    pass is the AND of the components, and max_residual the max of the residual figures (a NaN stays
-    NaN).  params are seed, samples and tol, then the runner's own in order.
+    pass is the AND of the components; max_residual and worst_point are the largest residual's (the first
+    in note order on a tie; a NaN wins, as in np.argmax).  params are seed, samples and tol, then the runner's.
     """
     components = {p.name: p for p in parts if isinstance(p, Component)}
     passed = all(c.passed for c in components.values())
-    max_residual = float(np.max([c.figure for c in components.values() if c.residual]))
+    residuals = [c for c in components.values() if c.worst_point is not None]
+    worst = residuals[int(np.argmax([c.figure for c in residuals]))]
     notes = [n for n in (p.note if isinstance(p, Component) else p for p in parts) if n is not None]
     params = {"seed": seed, "samples": samples, "tol": tol, **params}
-    return CheckReport(check, params, samples, max_residual, worst_point, passed, notes, components)
+    return CheckReport(check, params, samples, float(worst.figure), worst.worst_point, passed, notes, components)
 
 
 def _geometry_params(geometry: SurgeryGeometry) -> dict:
@@ -237,21 +242,22 @@ def _sample_annulus(rng, samples, r_lo, r_hi, chart=CHART_ANNULUS) -> ChartPoint
     return ChartPoint(chart, tuple(coords), ANGLES)
 
 
-def _per_block(fn, draw, samples: int) -> tuple:
-    """Each row's max and min over the samples, and the first point where row 0 is largest.
+def _largest(figures: dict, coords) -> dict:
+    """{name: (max of its per-point figures, the first point where it is reached)}; a NaN is the max."""
+    first = {name: int(np.argmax(row)) for name, row in figures.items()}
+    return {name: (figures[name][i], [float(c[i]) for c in coords]) for name, i in first.items()}
 
-    draw(count) gives the next count points as a block (in blocks, the same
-    doubles as one draw of them all); fn(block) gives rows (k, count) of figures.
-    """
-    top, low, worst = -np.inf, np.inf, None
+
+def _per_block(fn, draw, samples: int) -> dict:
+    """``_largest`` over the samples, a NaN kept: fn(block) gives {name: per-point figures}, and draw(count)
+    the next count points as a block (in blocks, the same doubles as one draw of them all)."""
+    top = {}
     for start in range(0, samples, BLOCK):
         p = draw(min(BLOCK, samples - start))
-        rows = np.atleast_2d(fn(p))
-        i = int(np.argmax(rows[0]))
-        if worst is None or rows[0, i] > top[0]:
-            worst = [float(c[i]) for c in p.coords]
-        top, low = np.maximum(top, rows.max(axis=1)), np.minimum(low, rows.min(axis=1))
-    return top, low, worst
+        for name, best in _largest(fn(p), p.coords).items():
+            if name not in top or np.argmax([top[name][0], best[0]]) == 1:
+                top[name] = best
+    return top
 
 
 def _max_abs(values: np.ndarray) -> np.ndarray:
@@ -310,10 +316,10 @@ def check_symplectomorphism(
     psi, sigma = gluing_map(), tube_symplectic()
     b_field, omega = local_model_polar(geometry.r_min)
     btilde = b_extension_and_h(geometry)[0]
-    covered = 0
+    covered, min_det = 0, np.inf
 
     def block(p):
-        nonlocal covered
+        nonlocal covered, min_det
         at = psi.at(p)
         sigma_res = _max_abs(pullback_jet(at, sigma).values - omega(p).values)
         inside = at.image.coords[0] >= geometry.r_min
@@ -321,17 +327,17 @@ def check_symplectomorphism(
         bt[:, inside] = btilde(at.image.with_coords(c[inside] for c in at.image.coords)).values
         b_res = np.where(inside, _max_abs(at.pull(bt) - b_field(p).values), 0.0)
         covered += int(inside.sum())
-        return np.maximum(sigma_res, b_res), sigma_res, b_res, np.abs(np.linalg.det(at.jac))
+        min_det = np.minimum(min_det, np.abs(np.linalg.det(at.jac)).min())
+        return {"sigma_pullback": sigma_res, "btilde_pullback": b_res}
 
-    top, low, worst = _per_block(block, lambda count: _sample_annulus(rng, count, r_lo, 1.0), samples)
-    min_det = float(low[3])
+    top = _per_block(block, lambda count: _sample_annulus(rng, count, r_lo, 1.0), samples)
     btilde_note = "psi^*Btilde = B at the {covered} points with image rt >= r_min: residual = {figure:.3e}"
     parts = [
-        _at_most("sigma_pullback", top[1], tol),
-        Component("det_dpsi", min_det, min_det > 1e-12, f"min |det Dpsi| = {min_det:.6e}", residual=False),
-        _at_most("btilde_pullback", top[2], tol, btilde_note, covered=covered),
+        _at_most("sigma_pullback", top, tol),
+        Component("det_dpsi", min_det, min_det > 1e-12, f"min |det Dpsi| = {min_det:.6e}"),
+        _at_most("btilde_pullback", top, tol, btilde_note, covered=covered),
     ]
-    return _report("symplectomorphism", seed, samples, tol, worst, parts, **_geometry_params(geometry))
+    return _report("symplectomorphism", seed, samples, tol, parts, **_geometry_params(geometry))
 
 
 def _region_setup(region, geometry, window, flip_h_sign=False):
@@ -384,30 +390,33 @@ def check_integrability(
             return ChartPoint(CHART_CPLANE, tuple(rng.uniform(-1, 1, (count, 4)).T))
         return _sample_annulus(rng, count, box[1], box[2], box[0])
 
+    name = "wrong_sign" if flip_h_sign else "integrability"
+
     def block(p):
         wit = integrability_residual(rho, h_used, p)
-        witness = np.zeros_like(wit.residual)
+        figures = {name: wit.residual}
         if region == "cplane":
             # Clifford action of the witness minus that of -d/dz2
             action = wit.action_matrix @ (wit.v.T - v_local)[..., None]
-            witness = np.abs(action[..., 0]).max(axis=-1)
+            figures["witness"] = np.abs(action[..., 0]).max(axis=-1)
         elif region == "outer":
-            witness = np.linalg.norm(wit.v, axis=0)
-        return np.maximum(wit.residual, witness), wit.residual, witness
+            figures["witness"] = np.linalg.norm(wit.v, axis=0)
+        return figures
 
-    top, _, worst = _per_block(block, draw, samples)
+    top = _per_block(block, draw, samples)
     parts = [conventions.NOTE_SPINOR_TWIST] if region == "bump" else []
     if witness_note:
-        parts.append(_at_most("witness", top[2], tol, witness_note))
+        parts.append(_at_most("witness", top, tol, witness_note))
     if flip_h_sign:
         note = f"negative control: wrong twist sign must fail; pass means residual > tol = {tol:g}"
-        parts.append(Component("wrong_sign", top[1], top[1] > tol, note))
+        figure, worst = top[name]
+        parts.append(Component(name, figure, figure > tol, note, worst))
     else:
-        parts.append(_at_most("integrability", top[1], tol))
+        parts.append(_at_most(name, top, tol))
     params = {"region": region, **_geometry_params(geometry)}
     if window is not None:
         params["window"] = list(window)
-    return _report(stream, seed, samples, tol, worst, parts, **params)
+    return _report(stream, seed, samples, tol, parts, **params)
 
 
 def _integral_of_derivative(prof, upper: np.ndarray) -> np.ndarray:
@@ -449,16 +458,14 @@ def check_h_properties(
         integral = np.where(rt >= hi, whole, 0.0)  # empty at rt <= lo
         inside = (lo < rt) & (rt < hi)
         integral[inside] = _integral_of_derivative(prof, rt[inside])
-        return np.abs(prof.evaluate(rt)[0] - f_lo - integral)
+        return {"fundamental_theorem": np.abs(prof.evaluate(rt)[0] - f_lo - integral)}
 
-    top, _, worst = _per_block(ft_residual, draw(geometry.r_min, hi + 0.5), samples)
+    top = _per_block(ft_residual, draw(geometry.r_min, hi + 0.5), samples)
 
     # H vanishes inside lo and outside hi, and so does Btilde outside hi: 50 points each, BLOCK at a time
-    inner, _, _ = _per_block(lambda p: _max_abs(h(p).values), draw(geometry.r_min, lo), 50)
-    outer, _, _ = _per_block(
-        lambda p: np.maximum(_max_abs(h(p).values), _max_abs(btilde(p).values)), draw(hi, hi + 1.0), 50
-    )
-    support = np.maximum(inner[0], outer[0])
+    inner = _per_block(lambda p: {"h": _max_abs(h(p).values)}, draw(geometry.r_min, lo), 50)
+    outer = _per_block(lambda p: {"h": _max_abs(h(p).values), "b": _max_abs(btilde(p).values)}, draw(hi, hi + 1.0), 50)
+    support = np.max([inner["h"][0], outer["h"][0], outer["b"][0]])  # a NaN stays NaN
 
     # product quadrature over the 3-cycle {t2 = const}, orientation dr^dt1^dt3:
     # the 16 angle pairs at each Gauss node, BLOCK // 16 nodes (a block of points) per H evaluation
@@ -476,16 +483,16 @@ def check_h_properties(
     slice_ok = abs(integral - conventions.H_SLICE_SIGN) <= 1e-6
     slice_note = f"slice integral = {integral:.9f} (sign {int(np.sign(integral)):+d})"
     parts = [
-        Component("slice_integral", integral, slice_ok, slice_note, residual=False),
+        Component("slice_integral", integral, slice_ok, slice_note),
         conventions.NOTE_H_SLICE,
         _holds("support", support == 0.0, f"support confined to window [{lo}, {hi}]", figure=support),
-        _at_most("fundamental_theorem", top[0], tol),
+        _at_most("fundamental_theorem", top, tol),
         f"residual = |f(rt) - f(lo) - integral of f' from lo to min(rt, hi)|, {FT_NODES}-node Gauss-Legendre",
         "dH = 0: H = -f'(rt) drt^dt1^dt3 has a coefficient in rt alone, cross-checked against d(Btilde) "
         "at every evaluation",
     ]
     params = {"quad_nodes": QUAD_NODES, **_geometry_params(geometry), "window": [lo, hi]}
-    return _report("h_properties", seed, samples, tol, worst, parts, **params)
+    return _report("h_properties", seed, samples, tol, parts, **params)
 
 
 # ------------------------------------------------------------ quotient
@@ -520,23 +527,21 @@ def check_quotient(
     def block(p):
         b_p, w_p = b_field(p), w_field(p).values
         b_p, db_p = b_p.values, b_p.d().values  # values only: no order-1 jet lives through the block
-        deck_res = deck_residual(p, b_p, w_p)
+        figures = {"deck": deck_residual(p, b_p, w_p)}
         at_q = qmap.at(p)
         # integrability first, before the quotient pullbacks fill at_q's basis cache
-        integ_res = integrability_residual(rho_q, None, at_q.image).residual
-        omega_res = _max_abs(pullback_jet(at_q, wq).values - w_p)
+        figures["integrability"] = integrability_residual(rho_q, None, at_q.image).residual
+        figures["omega"] = _max_abs(pullback_jet(at_q, wq).values - w_p)
         disc = pullback_jet(at_q, bq).values - b_p
         expected = np.zeros(disc.shape, dtype=complex)
         expected[_M13] = (m - 1) / p.coords[0]  # (m-1) dlog r ^ dtheta2
-        disc_res = _max_abs(disc - expected)
+        figures["b_discrepancy"] = _max_abs(disc - expected)
         # the recorded discrepancy form is closed
-        closed = _max_abs(pullback_jet(at_q, d_bq).values - db_p)
-        point = np.maximum.reduce([deck_res, omega_res, disc_res, integ_res])
-        return point, deck_res, omega_res, disc_res, integ_res, closed
+        figures["d_discrepancy"] = _max_abs(pullback_jet(at_q, d_bq).values - db_p)
+        return figures
 
     r_lo = max(r_min, QUOTIENT_R_LO)
-    top, _, worst = _per_block(block, lambda count: _sample_annulus(rng, count, r_lo, 1.0), samples)
-    deck_max, omega_max, disc_max, integ_max, closed_res = top[1:]
+    top = _per_block(block, lambda count: _sample_annulus(rng, count, r_lo, 1.0), samples)
 
     def same_image(a: ChartPoint, b: ChartPoint) -> bool:
         """q(a) = q(b): the radius exactly, the angles modulo 1 to 1e-12."""
@@ -560,15 +565,15 @@ def check_quotient(
         "residual vs formula = {figure:.3e} (<= {bound:g}), d(discrepancy) = {closed:.3e}"
     )
     parts = [
-        _at_most("deck", deck_max, 1e-12, "deck invariance residual = {figure:.3e} (<= {bound:g})"),
-        _at_most("omega", omega_max, 1e-12, "omega pullback residual = {figure:.3e} (<= {bound:g})"),
-        _at_most("b_discrepancy", disc_max, 1e-10, disc_note, m1=m - 1, closed=closed_res),
-        _at_most("d_discrepancy", closed_res, tol),
-        _at_most("integrability", integ_max, tol, "quotient integrability residual = {figure:.3e}"),
+        _at_most("deck", top, 1e-12, "deck invariance residual = {figure:.3e} (<= {bound:g})"),
+        _at_most("omega", top, 1e-12, "omega pullback residual = {figure:.3e} (<= {bound:g})"),
+        _at_most("b_discrepancy", top, 1e-10, disc_note, m1=m - 1, closed=top["d_discrepancy"][0]),
+        _at_most("d_discrepancy", top, tol),
+        _at_most("integrability", top, tol, "quotient integrability residual = {figure:.3e}"),
         _holds("orbit", orbit_ok, f"orbit size {m} and q(deck(p)) = q(p) at r = 0 and r = 0.5"),
     ]
     name = f"quotient_m{m}_k{params.k}"
-    return _report(name, seed, samples, tol, worst, parts, m=m, k=params.k, r_min=r_min)
+    return _report(name, seed, samples, tol, parts, m=m, k=params.k, r_min=r_min)
 
 
 # ------------------------------------------------------- local model
@@ -589,11 +594,11 @@ def check_type_jump(samples: int = 200, seed: int = 42, tol: float = 1e-9) -> Ch
 
     def misclassified(p):
         expected = np.where((p.coords[0] == 0.0) & (p.coords[1] == 0.0), 2, 0)
-        return (normal_forms(rho(p).values)[0] != expected).astype(float)
+        return {"misclassified": (normal_forms(rho(p).values)[0] != expected).astype(float)}
 
-    top, _, worst = _per_block(misclassified, lambda count: next(blocks), samples)
+    top = _per_block(misclassified, lambda count: next(blocks), samples)
     note = f"type 2 at {len(on_locus)} locus points, type 0 at {len(off_locus)} off-locus points"
-    return _report("type_jump", seed, samples, tol, worst, [_at_most("misclassified", top[0], 0.0, note)])
+    return _report("type_jump", seed, samples, tol, [_at_most("misclassified", top, 0.0, note)])
 
 
 def check_polar_compatibility(
@@ -608,11 +613,11 @@ def check_polar_compatibility(
     def block(p):
         pulled = pullback_jet(overlap.at(p), rho).values
         expected = b_field(p).values + 1j * w_field(p).values
-        return _max_abs(normal_forms(pulled)[2] - expected)
+        return {"polar_forms": _max_abs(normal_forms(pulled)[2] - expected)}
 
-    top, _, worst = _per_block(block, lambda count: _sample_annulus(rng, count, max(r_min, 0.1), 1.0), samples)
-    parts = [conventions.NOTE_POLAR_OVERLAP, _at_most("polar_forms", top[0], tol)]
-    return _report("polar_compatibility", seed, samples, tol, worst, parts, r_min=r_min)
+    top = _per_block(block, lambda count: _sample_annulus(rng, count, max(r_min, 0.1), 1.0), samples)
+    parts = [conventions.NOTE_POLAR_OVERLAP, _at_most("polar_forms", top, tol)]
+    return _report("polar_compatibility", seed, samples, tol, parts, r_min=r_min)
 
 
 # ---------------------------------------------------------------- locus
@@ -647,16 +652,16 @@ def _scalar_jacobian(jet: FormJet) -> np.ndarray:
     return jet.grads[0].view(float).reshape(-1, 2).T
 
 
-def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> list:
+def locate_type_change(rho_field: FormField, seeds: list) -> list:
     """Newton iteration on the degree-0 component with a pseudo-inverse step.
 
     Converged points are classified nondegenerate iff the 2 x n Jacobian
-    of (Re rho0, Im rho0) has rank 2 with smallest singular value >= tol;
+    of (Re rho0, Im rho0) has rank 2 with smallest singular value >= 1e-9;
     the locus tangent space is the Jacobian kernel.  Non-convergence is
     recorded, not fatal.  The deep target (|rho0| <= 1e-22, at most 50
     steps) lets linearly converging degenerate zeros (Jacobian singular
     values shrinking with the iterate) expose themselves: their singular
-    values end up below tol.
+    values end up below 1e-9.
     """
     out = []
     for p in seeds:
@@ -674,12 +679,8 @@ def locate_type_change(rho_field: FormField, seeds: list, tol: float = 1e-9) -> 
         jac = _scalar_jacobian(jet)
         _, svals, vt = np.linalg.svd(jac)
         converged = residuals[-1] <= 1e-10
-        nondeg = converged and len(svals) == 2 and svals[-1] >= tol
-        out.append(
-            LocusPoint(
-                location=p, converged=converged, residuals=tuple(residuals), nondegenerate=bool(nondeg), tangent=vt[2:]
-            )
-        )
+        nondeg = converged and len(svals) == 2 and svals[-1] >= 1e-9
+        out.append(LocusPoint(p, converged, tuple(residuals), bool(nondeg), tangent=vt[2:]))
     return out
 
 
@@ -701,7 +702,7 @@ def reduce_modular(tau: complex) -> complex:
     return tau
 
 
-def locus_complex_structures(rho_field: FormField, located: list, lattice_basis, tol: float = 1e-9) -> tuple:
+def locus_complex_structures(rho_field: FormField, located: list, lattice_basis) -> tuple:
     """Complex structure induced by the degree-2 part at each of N nondegenerate locus points.
 
     Asserts that d(rho0) annihilates the anti-holomorphic tangent space
@@ -717,7 +718,7 @@ def locus_complex_structures(rho_field: FormField, located: list, lattice_basis,
     jet = rho_field(located[0].location.with_coords(np.array([lp.location.coords for lp in located]).T))
     n = jet.dim
     omega2 = np.where(_tables(n).degree[:, None] == 2, jet.values, 0.0)
-    cplx = -j_endomorphisms(omega2, tol)[:, :n, :n]
+    cplx = -j_endomorphisms(omega2)[:, :n, :n]
 
     evals, evecs = np.linalg.eig(cplx)
     anti_holo = np.abs(evals + 1j) < 1e-6  # (N, n): which eigenvector columns span the -i eigenspace
@@ -743,11 +744,7 @@ def locus_complex_structures(rho_field: FormField, located: list, lattice_basis,
 FIBER_LATTICE = (np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0]))
 
 
-def check_locus(
-    seeds_count: int = 100,
-    seed: int = 42,
-    tol: float = 1e-9,
-) -> CheckReport:
+def check_locus(seeds_count: int = 100, seed: int = 42, tol: float = 1e-9) -> CheckReport:
     """Newton localization, nondegeneracy, induced structure and tau = i; tol bounds tau, dbar and tangent."""
     rho = local_model_spinor()
     rng = _rng(seed, "locus")
@@ -763,20 +760,21 @@ def check_locus(
 
     # per located point: |z1|, tau error vs i, dbar residual, tangent residual
     tau, dbar_res, tangent_res, _ = locus_complex_structures(rho, located, FIBER_LATTICE)
-    z1 = [abs(complex(lp.location.coords[0], lp.location.coords[1])) for lp in located]
-    per_point = np.column_stack([z1, np.abs(tau - 1j), dbar_res, tangent_res])
-    on_locus, tau_err, dbar_max, tangent_max = np.max(per_point, axis=0)
+    coords = np.array([lp.location.coords for lp in located]).T
+    z1 = np.hypot(coords[0], coords[1])
+    top = _largest({"converged": z1, "tau": np.abs(tau - 1j), "dbar": dbar_res, "tangent": tangent_res}, coords)
 
     deg = locate_type_change(degenerate_locus_field(), [ChartPoint(CHART_CPLANE, (0.3, -0.2, 0.5, 0.5))])[0]
+    on_locus, worst = top["converged"]
     z1_note = f"max |z1| at located points = {on_locus:.3e}"
+    tau_note = "tau error vs i = {figure:.3e}; dbar residual = {dbar:.3e}"
     parts = [
-        Component("converged", on_locus, all(lp.converged for lp in located), z1_note),
+        Component("converged", on_locus, all(lp.converged for lp in located), z1_note, worst),
         _holds("nondegenerate", all(lp.nondegenerate for lp in located)),
         _holds("quadratic_decay", quadratic_ok, "quadratic residual decay"),
-        _at_most("tau", tau_err, tol, "tau error vs i = {figure:.3e}; dbar residual = {dbar:.3e}", dbar=dbar_max),
-        _at_most("dbar", dbar_max, tol),
-        _at_most("tangent", tangent_max, tol),
+        _at_most("tau", top, tol, tau_note, dbar=top["dbar"][0]),
+        _at_most("dbar", top, tol),
+        _at_most("tangent", top, tol),
         _holds("degenerate_fixture", deg.converged and not deg.nondegenerate, "degenerate fixture (z1^2) flagged"),
     ]
-    worst = list(located[int(np.argmax(per_point.max(axis=1)))].location.coords)
-    return _report("locus", seed, seeds_count, tol, worst, parts)
+    return _report("locus", seed, seeds_count, tol, parts)

@@ -372,6 +372,19 @@ def test_block_jet2_functions_match_points():
         assert_block_matches(fn(block), [fn(j) for j in points])
 
 
+@pytest.mark.parametrize("value, k", [(1e6, 64), (0.0, -1)], ids=["overflow", "zero-division"])
+def test_a_point_fails_as_a_one_point_block_does(value, k):
+    # a scalar jet holds np.complex128, so a point follows numpy's errstate exactly as a block does
+    with np.errstate(all="ignore"):
+        point, block = Jet2.coordinate(N, 1, value) ** k, Jet2.coordinate(N, 1, np.array([value])) ** k
+    np.testing.assert_array_equal(np.asarray(point.values)[None], block.values)
+    np.testing.assert_array_equal(point.grads[None], block.grads)
+    with np.errstate(all="raise"):
+        for at in (value, np.array([value])):
+            with pytest.raises(FloatingPointError):
+                Jet2.coordinate(N, 1, at) ** k
+
+
 def _power_by_products(x: Jet2, k: int) -> Jet2:
     """x^k as |k| - 1 jet products, then for k < 0 the quotient rule by hand: 1/p and -p'/p^2."""
     out = x

@@ -175,20 +175,23 @@ def test_polar_overlap_compatibility():
 
 def test_polar_overlap_turn_angle_scales_theta1_terms():
     # with the geometric torus angle z1 = r e^{2 pi i t1} the dtheta1
-    # coefficients pick up the factor 2*pi
+    # coefficients pick up the factor 2*pi; at t1 = 0.6, y1 = r sin(2 pi t1) < 0,
+    # which the cplane image, whose chart has no periodic coordinate, keeps
     rho = local_model_spinor()
     overlap = polar_overlap_map(angle_scale=2 * math.pi)
     b_field, w_field = local_model_polar()
-    p = apt(0.4, 0.13, 0.5, 0.21)
-    nf = normal_form(pullback(overlap, rho, p))
-    got = nf.b_plus_i_omega()
-    b = b_field(p).value().coeffs
-    w = w_field(p).value().coeffs
-    expected = np.array(b + 1j * w)
-    for mask in (0b0101, 0b1001):  # dr terms unscaled
-        assert abs(got.coeffs[mask] - expected[mask]) < 1e-12
-    for mask in (0b0110, 0b1010):  # dtheta1 terms scaled by 2*pi
-        assert abs(got.coeffs[mask] - 2 * math.pi * expected[mask]) < 1e-11
+    for p in (apt(0.4, 0.13, 0.5, 0.21), apt(0.5, 0.6, 0.5, 0.21)):
+        r, t1 = p.coords[:2]
+        assert overlap.at(p).image.coords[1] == pytest.approx(r * math.sin(2 * math.pi * t1), abs=1e-15)
+        nf = normal_form(pullback(overlap, rho, p))
+        got = nf.b_plus_i_omega()
+        b = b_field(p).value().coeffs
+        w = w_field(p).value().coeffs
+        expected = np.array(b + 1j * w)
+        for mask in (0b0101, 0b1001):  # dr terms unscaled
+            assert abs(got.coeffs[mask] - expected[mask]) < 1e-12
+        for mask in (0b0110, 0b1010):  # dtheta1 terms scaled by 2*pi
+            assert abs(got.coeffs[mask] - 2 * math.pi * expected[mask]) < 1e-11
 
 
 # ------------------------------------------------------ quotient model

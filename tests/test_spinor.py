@@ -161,7 +161,7 @@ def test_max_pairing_is_the_largest_pairwise_pairing():
         assert len(ann) == 4
         assert ann.max_pairing() == pytest.approx(reference(ann), rel=1e-12, abs=1e-15)
     # a basis that is not isotropic: its largest pairing is far from 0
-    basis = AnnihilatorBasis(N, rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)), 1e-9)
+    basis = AnnihilatorBasis(N, rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))
     assert basis.max_pairing() == pytest.approx(reference(basis), rel=1e-13)
     assert basis.max_pairing() > 0.1
 

@@ -91,7 +91,7 @@ def test_h_properties_default_geometry():
     assert rep.passed
     assert rep.max_residual <= 1e-8
     integral = rep.components["slice_integral"]
-    assert integral.passed and abs(integral.figure - 1.0) <= 1e-6 and not integral.residual
+    assert integral.passed and abs(integral.figure - 1.0) <= 1e-6 and integral.worst_point is None
     assert rep.notes[0] == f"slice integral = {integral.figure:.9f} (sign +1)"
 
 
@@ -333,8 +333,8 @@ def test_check_locus_worst_point_is_the_largest_residual(monkeypatch):
     real_structures = verify.locus_complex_structures
     located = []
 
-    def inflated_at_fourth(rho, points, lattice_basis, tol=1e-9):
-        tau, dbar, tangent, cplx = real_structures(rho, points, lattice_basis, tol)
+    def inflated_at_fourth(rho, points, lattice_basis):
+        tau, dbar, tangent, cplx = real_structures(rho, points, lattice_basis)
         dbar = dbar.copy()
         dbar[3] = 1e-3
         for lp, t, d, g in zip(points, tau, dbar, tangent):
@@ -355,8 +355,8 @@ def test_check_locus_fails_on_a_nan_tau(monkeypatch):
     # one rule for every report: a NaN residual fails its component and stays NaN in max_residual
     real_structures = verify.locus_complex_structures
 
-    def nan_at_second(rho, points, lattice_basis, tol=1e-9):
-        tau, dbar, tangent, cplx = real_structures(rho, points, lattice_basis, tol)
+    def nan_at_second(rho, points, lattice_basis):
+        tau, dbar, tangent, cplx = real_structures(rho, points, lattice_basis)
         tau = tau.copy()
         tau[1] = complex(math.nan, 1.0)
         return tau, dbar, tangent, cplx
@@ -634,19 +634,22 @@ def test_h_and_polar_check_memory_is_bounded_by_the_block(run):
 
 
 def test_polar_compatibility_worst_point_is_the_per_point_argmax(monkeypatch):
-    # the turn-angle overlap gives O(1) residuals, many of them 2 pi - 1 up to round-off
-    from gcx.models import polar_overlap_map
+    # the overlap z1 = r^2 e^{i theta1} doubles the dr/r terms: an error of 1/r, which varies by point
     from gcx.spinor import normal_form
 
-    turn = polar_overlap_map(angle_scale=2 * math.pi)
-    monkeypatch.setattr(verify, "polar_overlap_map", lambda: turn)
+    def squared(ins):
+        r, t1, t2, t3 = ins
+        return [r * r * t1.cos(), r * r * t1.sin(), t2, t3]
+
+    overlap = ChartMap(CHART_ANNULUS, CHART_CPLANE, 4, squared)
+    monkeypatch.setattr(verify, "polar_overlap_map", lambda: overlap)
     samples = 2 * verify.BLOCK + 7
     rep = check_polar_compatibility(samples=samples, seed=11)
     rho, (b_field, w_field) = local_model_spinor(), local_model_polar()
     coords = per_point_annulus(verify._rng(11, "polar_compatibility"), samples, 0.1, 1.0)
     points = [ChartPoint(CHART_ANNULUS, tuple(c), ANGLES) for c in coords.T]
     residuals = [
-        (normal_form(pullback(turn, rho, p)).b_plus_i_omega() - (b_field(p).value() + 1j * w_field(p).value()))
+        (normal_form(pullback(overlap, rho, p)).b_plus_i_omega() - (b_field(p).value() + 1j * w_field(p).value()))
         .max_abs()
         for p in points
     ]
@@ -724,21 +727,38 @@ def test_quotient_check_fails_on_a_deck_map_with_the_wrong_twist(monkeypatch):
         assert [name for name, c in rep.components.items() if not c.passed] == ["orbit"]
 
 
-def test_quotient_closedness_fails_on_a_quotient_b_that_is_not_closed(monkeypatch):
-    # B' times the theta1' coordinate is not closed: d(q^*B' - B), read as q^*(dB') - dB, must see it
+def log_model_times_theta1(params, r_min=0.05):
+    """The quotient model with B' times the theta1' coordinate, which is not closed."""
     from gcx.chart import FormField
     from gcx.jets import Jet2
     from gcx.models import CHART_QUOTIENT, log_model
 
-    def times_theta1(params, r_min=0.05):
-        bq, wq = log_model(params, r_min)
+    bq, wq = log_model(params, r_min)
 
-        def fn(coords):
-            return bq.fn(coords).scale(Jet2.coordinate(4, 2, coords[1]))
+    def fn(coords):
+        return bq.fn(coords).scale(Jet2.coordinate(4, 2, coords[1]))
 
-        return FormField(CHART_QUOTIENT, 4, fn), wq
+    return FormField(CHART_QUOTIENT, 4, fn), wq
 
-    monkeypatch.setattr(verify, "log_model", times_theta1)
+
+def spy_on_figures(monkeypatch) -> dict:
+    """{name: (per-point figures, their points)} of every block a runner reduces from now on, in draw order."""
+    real_largest, seen = verify._largest, {}
+
+    def recording(figures, coords):
+        for name, row in figures.items():
+            rows, points = seen.setdefault(name, ([], []))
+            rows.extend(np.asarray(row, dtype=float))
+            points.extend(map(list, zip(*(np.asarray(c, dtype=float) for c in coords))))
+        return real_largest(figures, coords)
+
+    monkeypatch.setattr(verify, "_largest", recording)
+    return seen
+
+
+def test_quotient_closedness_fails_on_a_quotient_b_that_is_not_closed(monkeypatch):
+    # B' times the theta1' coordinate is not closed: d(q^*B' - B), read as q^*(dB') - dB, must see it
+    monkeypatch.setattr(verify, "log_model", log_model_times_theta1)
     for m, k in ((1, 0), (2, 1), (3, 2), (5, 2)):
         rep = check_quotient(LogModelParams(m, k), samples=64)
         closed = rep.components["d_discrepancy"]
@@ -747,6 +767,64 @@ def test_quotient_closedness_fails_on_a_quotient_b_that_is_not_closed(monkeypatc
         assert [name for name, c in rep.components.items() if not c.passed] == ["b_discrepancy", "d_discrepancy"]
         assert closed.figure > 1.0 > rep.params["tol"]
         assert rep.notes[2].endswith(f"d(discrepancy) = {closed.figure:.3e}")
+
+
+def test_quotient_worst_point_is_where_its_max_residual_is(monkeypatch):
+    # the not-closed control's largest residual is d(discrepancy): the report's worst point is that
+    # component's, the first argmax of its per-point figures
+    monkeypatch.setattr(verify, "log_model", log_model_times_theta1)
+    seen = spy_on_figures(monkeypatch)
+    rep = check_quotient(LogModelParams(5, 2), samples=64)
+    closed = rep.components["d_discrepancy"]
+    assert rep.max_residual == closed.figure
+    assert rep.worst_point == closed.worst_point
+    rows, points = seen["d_discrepancy"]
+    assert len(rows) == 64 and rep.worst_point == points[int(np.argmax(rows))]
+
+
+def test_each_residual_carries_the_argmax_of_its_own_figures(monkeypatch):
+    # three blocks of the not-closed control: every residual's worst point is the first argmax of its
+    # own per-point figures, and the non-residual orbit test carries none
+    monkeypatch.setattr(verify, "log_model", log_model_times_theta1)
+    seen = spy_on_figures(monkeypatch)
+    samples = 2 * verify.BLOCK + 7
+    rep = check_quotient(LogModelParams(3, 2), samples=samples)
+    residuals = {name: c for name, c in rep.components.items() if c.worst_point is not None}
+    assert list(residuals) == ["deck", "omega", "b_discrepancy", "d_discrepancy", "integrability"]
+    assert rep.components["orbit"].worst_point is None
+    for name, c in residuals.items():
+        rows, points = seen[name]
+        assert len(rows) == samples
+        assert c.figure == max(rows) and c.worst_point == points[int(np.argmax(rows))], name
+    assert len({tuple(c.worst_point) for c in residuals.values()}) > 1  # not one shared point
+
+
+def test_report_takes_the_worst_point_of_its_largest_residual():
+    # a tie goes to the first residual in note order, a NaN wins, and a figure with no worst point never counts
+    small = verify.Component("a", 1.0, True, None, [0.1, 0.1])
+    first = verify.Component("b", 2.0, True, None, [0.2, 0.2])
+    second = verify.Component("c", 2.0, True, None, [0.3, 0.3])
+    det = verify.Component("det", 9.0, True)
+    rep = verify._report("x", 1, 1, 1e-9, [small, det, first, second])
+    assert (rep.max_residual, rep.worst_point) == (2.0, [0.2, 0.2])
+    nan = verify.Component("nan", math.nan, False, None, [0.5, 0.5])
+    rep = verify._report("x", 1, 1, 1e-9, [small, first, nan, second])
+    assert math.isnan(rep.max_residual) and rep.worst_point == [0.5, 0.5] and not rep.passed
+
+
+def test_per_block_keeps_the_first_largest_point_and_a_nan():
+    xs = np.arange(3 * verify.BLOCK, dtype=float)
+    rows = {"rising": xs, "flat": np.zeros_like(xs), "nan": np.where(xs == verify.BLOCK + 5, math.nan, xs)}
+    starts = iter(range(0, len(xs), verify.BLOCK))
+
+    def draw(count):
+        start = next(starts)
+        return ChartPoint("line", (xs[start : start + count],))
+
+    top = verify._per_block(lambda p: {n: r[p.coords[0].astype(int)] for n, r in rows.items()}, draw, len(xs))
+    assert top["rising"] == (xs[-1], [xs[-1]])
+    assert top["flat"] == (0.0, [0.0])
+    assert math.isnan(top["nan"][0]) and top["nan"][1] == [verify.BLOCK + 5.0]  # later, larger blocks keep it
 
 
 @pytest.mark.parametrize("profile", ["flat", "poly"])
