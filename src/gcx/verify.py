@@ -625,13 +625,12 @@ def check_polar_compatibility(
 
 @dataclass(frozen=True)
 class LocusPoint:
-    """A located zero of the degree-0 spinor component."""
+    """A located zero of the degree-0 spinor component (``locus_complex_structures`` takes its tangent plane)."""
 
     location: ChartPoint
     converged: bool
     residuals: tuple  # |rho0| at the seed and after each Newton step
     nondegenerate: bool
-    tangent: np.ndarray  # (2, n) kernel rows of the Jacobian
 
 
 def degenerate_locus_field() -> FormField:
@@ -648,39 +647,56 @@ def degenerate_locus_field() -> FormField:
 
 
 def _scalar_jacobian(jet: FormJet) -> np.ndarray:
-    """Real 2 x n Jacobian of (Re rho0, Im rho0): a view of rho0's partials."""
-    return jet.grads[0].view(float).reshape(-1, 2).T
+    """Real 2 x n Jacobian of (Re rho0, Im rho0), (N, 2, n) on a block: a view of rho0's partials."""
+    return jet.grads[0].view(float).reshape(*jet.grads[0].shape, 2).swapaxes(-1, -2)
+
+
+def _newton_frame(jac: np.ndarray, value: complex) -> tuple:
+    """lstsq's step J^+ f and the singular values of a 2 x n Jacobian J, from a row-pivoted LQ in floats:
+    J = [[r11, 0], [r12, r22]] Q, so sigma1 sigma2 = r11 r22 and sigma1^2 + sigma2^2 = |J|_F^2.  Rank 2 is
+    lstsq's sigma2 > eps max(2, n) sigma1; rank 1 steps J^T f / |J|_F^2; a zero, non-finite or overflowing
+    J steps nothing and reads as rank 0."""
+    (a, b), f = jac.tolist(), (value.real, value.imag)
+    r11, rb = math.hypot(*a), math.hypot(*b)
+    if not 0.0 < r11 + rb < math.inf:
+        return [0.0] * len(a), 0.0, 0.0
+    if rb > r11:  # the longer row first
+        (b, a), f, r11 = (a, b), f[::-1], rb
+    q1 = [x / r11 for x in a]
+    r12 = sum(q * y for q, y in zip(q1, b))
+    w = [y - r12 * q for q, y in zip(q1, b)]
+    r22 = math.hypot(*w)
+    ratio = (math.hypot(1.0 + r22 / r11, r12 / r11) + math.hypot(1.0 - r22 / r11, r12 / r11)) / 2.0  # sigma1 / r11
+    sigma1, sigma2 = r11 * ratio, r22 / ratio  # sigma2 = r11 r22 / sigma1 keeps an SVD's absolute accuracy
+    if sigma2 > math.ulp(1.0) * max(2, len(a)) * sigma1:  # solve L y = f
+        y1, y2 = f[0] / r11, (f[1] - r12 * (f[0] / r11)) / r22
+        return [y1 * q + y2 * (x / r22) for q, x in zip(q1, w)], sigma1, sigma2
+    norm = math.hypot(r11, r12, r22)
+    return [(f[0] * (x / norm) + f[1] * (y / norm)) / norm for x, y in zip(a, b)], sigma1, sigma2
 
 
 def locate_type_change(rho_field: FormField, seeds: list) -> list:
-    """Newton iteration on the degree-0 component with a pseudo-inverse step.
+    """Newton iteration on the degree-0 component, each pseudo-inverse step ``_newton_frame``'s closed form.
 
-    Converged points are classified nondegenerate iff the 2 x n Jacobian
-    of (Re rho0, Im rho0) has rank 2 with smallest singular value >= 1e-9;
-    the locus tangent space is the Jacobian kernel.  Non-convergence is
-    recorded, not fatal.  The deep target (|rho0| <= 1e-22, at most 50
-    steps) lets linearly converging degenerate zeros (Jacobian singular
-    values shrinking with the iterate) expose themselves: their singular
-    values end up below 1e-9.
+    No seed makes a LAPACK call.  Converged points are nondegenerate iff the 2 x n Jacobian of
+    (Re rho0, Im rho0) at the last iterate has smallest singular value >= 1e-9; its kernel, the locus
+    tangent space, is left to ``locus_complex_structures``.  Non-convergence is recorded, not fatal.
+    The deep target (|rho0| <= 1e-22, at most 50 steps) lets linearly converging degenerate zeros
+    expose themselves: their Jacobian singular values shrink with the iterate, to below 1e-9.
     """
     out = []
     for p in seeds:
         jet = rho_field(p)
         residuals = [abs(jet.values[0])]
-        while residuals[-1] > 1e-22 and len(residuals) <= 50:
-            jac = _scalar_jacobian(jet)
-            f = np.array([jet.values[0].real, jet.values[0].imag])
-            step = np.linalg.lstsq(jac, f, rcond=None)[0].tolist()
-            if not all(map(math.isfinite, step)) or not any(step):
+        while True:
+            step, _, sigma2 = _newton_frame(_scalar_jacobian(jet), complex(jet.values[0]))
+            if not (residuals[-1] > 1e-22 and len(residuals) <= 50 and all(map(math.isfinite, step)) and any(step)):
                 break
             p = p.with_coords([c - s for c, s in zip(p.coords, step)])
             jet = rho_field(p)
             residuals.append(abs(jet.values[0]))
-        jac = _scalar_jacobian(jet)
-        _, svals, vt = np.linalg.svd(jac)
         converged = residuals[-1] <= 1e-10
-        nondeg = converged and len(svals) == 2 and svals[-1] >= 1e-9
-        out.append(LocusPoint(p, converged, tuple(residuals), bool(nondeg), tangent=vt[2:]))
+        out.append(LocusPoint(p, converged, tuple(residuals), bool(converged and sigma2 >= 1e-9)))
     return out
 
 
@@ -705,13 +721,12 @@ def reduce_modular(tau: complex) -> complex:
 def locus_complex_structures(rho_field: FormField, located: list, lattice_basis) -> tuple:
     """Complex structure induced by the degree-2 part at each of N nondegenerate locus points.
 
-    Asserts that d(rho0) annihilates the anti-holomorphic tangent space
-    and that the locus tangent is invariant, then reduces the ratio of
-    the two lattice generators in the induced complex line to the
-    modular fundamental domain.  The field is evaluated once, on the block
-    of the points, and J, its eigenvectors and the tangent projections are
-    stacked numpy calls.  Returns tau, the dbar and tangent residuals (N,)
-    and the complex structures on T (N, n, n).
+    Asserts that d(rho0) annihilates the anti-holomorphic tangent space and that the locus tangent
+    is invariant, then reduces the ratio of the two lattice generators in the induced complex line
+    to the modular fundamental domain.  The field is evaluated once, on the block of the points; J,
+    its eigenvectors, the tangent planes (kernels of one SVD of the stacked Jacobians) and their
+    projections are stacked numpy calls.  Returns tau, the dbar and tangent residuals (N,) and the
+    complex structures on T (N, n, n).
     """
     if not all(lp.nondegenerate for lp in located):
         raise ValueError("locus point is degenerate; no induced complex structure")
@@ -726,8 +741,8 @@ def locus_complex_structures(rho_field: FormField, located: list, lattice_basis)
     dots = np.abs((drho0[:, None, :] @ evecs)[:, 0])
     dbar_res = np.where(anti_holo, dots, 0.0).max(axis=1) / np.maximum(1.0, np.linalg.norm(drho0, axis=1))
 
-    # tangent invariance: I maps the locus tangent plane to itself
-    t_basis = np.array([lp.tangent for lp in located]).swapaxes(1, 2)  # (N, n, 2)
+    # tangent invariance: I maps the locus tangent plane, the Jacobian's kernel, to itself
+    t_basis = np.linalg.svd(_scalar_jacobian(jet))[2][:, 2:].swapaxes(1, 2)  # (N, n, 2)
     off = np.eye(n) - t_basis @ t_basis.swapaxes(1, 2)  # projections off the tangent planes, orthonormal bases
     tangent_res = np.abs(off @ cplx @ t_basis).max(axis=(1, 2))
 

@@ -1,10 +1,13 @@
 import json
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcx.chart import ChartMap, ChartPoint, pullback
 from gcx.models import (
@@ -218,18 +221,26 @@ def test_locate_type_change_from_seed():
     assert abs(complex(lp.location.coords[0], lp.location.coords[1])) < 1e-10
     # fibre coordinates are untouched by the Newton step on this model
     assert lp.location.coords[2] == pytest.approx(0.45)
-    # tangent plane is the fibre plane
-    assert np.abs(lp.tangent[:, :2]).max() < 1e-9
+    # tangent plane, the Jacobian's kernel as locus_complex_structures reads it, is the fibre plane
+    tangent = np.linalg.svd(verify._scalar_jacobian(rho(lp.location)))[2][2:]
+    assert np.abs(tangent[:, :2]).max() < 1e-9
 
 
 def test_scalar_jacobian_is_a_view_of_the_partials():
-    # the Newton loop reads (Re, Im) of rho0's partials in place, with the values np.vstack would copy
+    # the Newton loop reads (Re, Im) of rho0's partials in place, with the values np.vstack would copy;
+    # on a block of 5 points, each (2, n) slice is that point's Jacobian
+    block = ChartPoint(CHART_CPLANE, tuple(np.random.default_rng(3).uniform(-0.4, 0.9, (4, 5))))
     for field in (local_model_spinor(), degenerate_locus_field()):
         jet = field(ChartPoint(CHART_CPLANE, (0.3, -0.2, 0.45, 0.81)))
         jac = verify._scalar_jacobian(jet)
         assert np.shares_memory(jac, jet.grads)
         expected = np.vstack([jet.grads[0].real, jet.grads[0].imag])
         assert jac.shape == expected.shape and np.ascontiguousarray(jac).tobytes() == expected.tobytes()
+        jet = field(block)
+        jac = verify._scalar_jacobian(jet)
+        assert np.shares_memory(jac, jet.grads) and jac.shape == (5, 2, 4)
+        expected = np.stack([jet.grads[0].real, jet.grads[0].imag], axis=1)
+        assert np.ascontiguousarray(jac).tobytes() == expected.tobytes()
 
 
 def test_locate_on_locus_returns_immediately():
@@ -245,24 +256,93 @@ def test_locate_degenerate_fixture():
     )[0]
     assert lp.converged
     assert not lp.nondegenerate
+    assert len(lp.residuals) == 37  # |z| halves each step: 36 steps to |z^2| <= 1e-22
     # Jacobian oracle: d(z^2) = 2 z dz vanishes on the locus
     svals = np.linalg.svd(verify._scalar_jacobian(degenerate_locus_field()(lp.location)), compute_uv=False)
     assert svals[-1] < 1e-9
 
 
-def test_locate_nonconvergence_recorded_not_fatal():
-    # a field whose scalar part never vanishes: Newton stalls, flag recorded
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.sampled_from(["full", "rank1", "near", "zero"]),
+    st.integers(-150, 150),
+    st.integers(4, 14),
+    st.integers(0, 2**32 - 1),
+)
+def test_newton_frame_matches_lstsq_and_svd(n, kind, scale, noise, seed):
+    # oracle: numpy's SVD and lstsq(rcond=None) on the same 2 x n Jacobian, at any scale; rank-1 inputs
+    # g = c r (r real), near rank 1 (plus 1e-4 to 1e-14 noise), full rank and zero
+    rng = np.random.default_rng(seed)
+    cplx = lambda size=None: rng.normal(size=size) + 1j * rng.normal(size=size)  # noqa: E731
+    g = {"full": cplx(n), "rank1": cplx() * rng.normal(size=n), "zero": np.zeros(n, complex)}.get(kind)
+    if kind == "near":
+        g = cplx() * rng.normal(size=n) + 10.0**-noise * cplx(n)
+    g, f = g * 10.0**scale, cplx() * 10.0 ** (scale + rng.integers(-3, 4))
+    jac = np.array([g.real, g.imag])
+    step, sigma1, sigma2 = verify._newton_frame(jac, f)
+    svals = np.linalg.svd(jac, compute_uv=False)
+    # numpy's own sigma1 is off by up to about 4.4 eps sigma1 (against a 50-digit reference), the frame's by 2
+    assert abs(sigma1 - svals[0]) <= 8 * _EPS * svals[0] and abs(sigma2 - svals[1]) <= 8 * _EPS * svals[0]
+    expected = np.linalg.lstsq(jac, [f.real, f.imag], rcond=None)[0]
+    cutoff = _EPS * max(2, n) * svals[0]
+    if not svals[0]:  # rank 0: no step
+        assert not any(step) and not expected.any()
+    elif svals[1] <= cutoff / 10:  # rank 1 for both: the truncated step, to round-off of |f| / sigma1
+        assert np.linalg.norm(step - expected) <= 1e3 * _EPS * abs(f) / svals[0]
+    elif svals[1] >= 10 * cutoff:  # rank 2 for both: within 1e3 eps kappa, relative
+        assert np.linalg.norm(step - expected) <= 1e3 * _EPS * svals[0] / svals[1] * np.linalg.norm(expected)
+
+
+def _constant_rho0_field(value, grad):
+    """A field whose degree-0 component has a fixed value and fixed partials, whatever the point."""
     from gcx.chart import FormField
     from gcx.jets import FormJet
 
     def fn(coords):
         jet = FormJet.zero(4)
-        jet.values[0] = 1.0
+        jet.values[0] = value
+        jet.grads[0] = grad
         jet.values[0b0101] = 1.0
         return jet
 
-    field = FormField(CHART_CPLANE, 4, fn)
-    lp = locate_type_change(field, [ChartPoint(CHART_CPLANE, (0.1, 0.2, 0.3, 0.4))])[0]
+    return FormField(CHART_CPLANE, 4, fn)
+
+
+@pytest.mark.parametrize("grad", [(math.inf, 1.0, 0.0, 0.0), (0.5, 0.0, math.nan * 1j, 0.0), (1e200, 1e200j, 1e200, 0.0)])
+def test_locate_on_a_non_finite_jacobian_is_not_converged_and_quiet(grad, capfd):
+    # an inf or NaN partial ends the run; 1e200 partials, whose squares overflow, take tiny steps: no
+    # exception, no warning, and nothing printed (LAPACK's error lines go to stdout)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lp = locate_type_change(_constant_rho0_field(1.0, grad), [ChartPoint(CHART_CPLANE, (0.1, 0.2, 0.3, 0.4))])[0]
+    assert not lp.converged and not lp.nondegenerate
+    assert capfd.readouterr() == ("", "")
+
+
+def test_locate_on_a_rank_one_jacobian_pins_the_truncated_step():
+    # rho0 = x1 + x2^2 is real: its Jacobian has rank 1, the step is the minimal-norm one, and the zero
+    # it reaches is degenerate
+    from gcx.chart import FormField
+    from gcx.jets import Jet2
+
+    def fn(coords):
+        jet = local_model_spinor().fn(coords)
+        jet[0] = Jet2.coordinate(4, 1, coords[0]) + Jet2.coordinate(4, 2, coords[1]) ** 2
+        return jet
+
+    lp = locate_type_change(FormField(CHART_CPLANE, 4, fn), [ChartPoint(CHART_CPLANE, (0.3, 0.4, 0.5, 0.6))])[0]
+    assert len(lp.residuals) == 5 and lp.converged and not lp.nondegenerate
+    # the location, not its residuals, is pinned: a step's round-off moves the residuals
+    assert np.allclose(lp.location.coords, (-0.025534607884091017, 0.15979551897375288, 0.5, 0.6), rtol=0, atol=1e-12)
+
+
+def test_locate_nonconvergence_recorded_not_fatal():
+    # a field whose scalar part never vanishes: Newton stalls, flag recorded
+    lp = locate_type_change(_constant_rho0_field(1.0, 0.0), [ChartPoint(CHART_CPLANE, (0.1, 0.2, 0.3, 0.4))])[0]
     assert not lp.converged
     assert lp.residuals[-1] == pytest.approx(1.0)
 
@@ -384,6 +464,49 @@ def test_locus_block_core_equals_the_one_point_wrapper():
         assert one_dbar[0] == dbar[i]
         assert one_tangent[0] == tangent[i]
         assert np.array_equal(one_cplx[0], cplx[i])
+
+
+def _spy_linalg(monkeypatch, calls, names=("lstsq", "svd")):
+    """Record (name, input shape, result) of each call of these numpy.linalg functions made through np.linalg."""
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _real=real, _name=name, **kw):
+            out = _real(a, *args, **kw)
+            calls.append((_name, np.shape(a), out))
+            return out
+
+        monkeypatch.setattr(np.linalg, name, spy)
+
+
+def test_locus_tangent_planes_are_the_per_point_jacobian_kernels_bit_for_bit(monkeypatch):
+    # the one stacked SVD in locus_complex_structures gives each located point the V^H rows that an SVD
+    # of its own Jacobian gives, as locate_type_change used to keep per seed
+    rho = local_model_spinor()
+    rng = np.random.default_rng(12)
+    seeds = [ChartPoint(CHART_CPLANE, (*rng.uniform(-0.35, 0.35, 2), *rng.uniform(0, 1, 2))) for _ in range(25)]
+    located = locate_type_change(rho, seeds)
+    calls = []
+    _spy_linalg(monkeypatch, calls, ("svd",))
+    locus_complex_structures(rho, located, FIBER_LATTICE)
+    monkeypatch.undo()
+    (vt,) = [out[2] for _, shape, out in calls if shape == (25, 2, 4)]
+    for i, lp in enumerate(located):
+        one = np.linalg.svd(verify._scalar_jacobian(rho(lp.location)))[2][2:]
+        assert one.tobytes() == vt[i, 2:].tobytes()
+
+
+def test_locate_makes_no_linalg_call_and_check_locus_one_stacked_svd(monkeypatch):
+    calls = []
+    _spy_linalg(monkeypatch, calls)
+    rng = np.random.default_rng(4)
+    fields = [local_model_spinor(), degenerate_locus_field()]
+    for i in range(28):
+        seed = ChartPoint(CHART_CPLANE, (*rng.uniform(-0.5, 0.5, 2), *rng.uniform(0, 1, 2)))
+        assert locate_type_change(fields[i % 2], [seed])[0].converged
+    assert calls == []
+    check_locus(seeds_count=100, seed=42)
+    assert [(name, shape) for name, shape, _ in calls if shape[-2:] == (2, 4)] == [("svd", (100, 2, 4))]
 
 
 def test_locus_block_core_rejects_a_degenerate_point_among_nondegenerate_ones():
