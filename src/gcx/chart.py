@@ -103,7 +103,7 @@ class ChartMap:
         self._guard(coords)
         ins = expressions.coordinate_jets(self.dim, coords)
         batch = coords.shape[1:]
-        zero = Jet2(self.dim, np.zeros(batch))
+        zero = Jet2.constant(self.dim, np.zeros(batch))
         outs = [o if isinstance(o, Jet2) and np.shape(o.values) == batch else zero + o for o in self.jet_fn(ins)]
         if max(np.abs(np.imag(o.values)).max() for o in outs) > 1e-12:
             raise RuntimeError("chart map produced a non-real coordinate")
@@ -201,12 +201,12 @@ class IntegrabilityWitness:
 
 
 def pullback_jet(at: MapJet, alpha: FormField) -> FormJet:
-    """Values of the pullback of alpha through a map evaluation, as an order-0 jet.
+    """Values of the pullback of alpha through a map evaluation, as a jet of values alone.
 
     d of a pullback is the pullback of d (naturality): pull back the
     field whose values are d(alpha).
     """
-    return FormJet(at.jac.shape[-1], at.pull(alpha(at.image).values), order=0)
+    return FormJet(at.jac.shape[-1], at.pull(alpha(at.image).values))
 
 
 def pullback(phi: ChartMap, alpha: FormField, p: ChartPoint) -> Multiform:
@@ -229,7 +229,7 @@ def courant_bracket(u: GcField, v: GcField, h: Optional[FormField], p: ChartPoin
     vec then cov, as ``integrability_residual`` does.
     """
     uj, vj = u(p), v(p)
-    if min(uj.order, vj.order) < 1:
+    if uj.grads is None or vj.grads is None:
         raise ValueError("courant_bracket needs the first partials of both generator fields; got values alone")
     n, one_forms = uj.dim, _one_forms(uj.dim)
     # vector and covector slices: values (n, *batch), grads (n, *batch, n)
@@ -293,10 +293,7 @@ def e_b_transform(b: FormField, u: GcField) -> GcField:
 
     def fn(coords: np.ndarray) -> _Jet:
         uj = u.fn(coords)
-        ixb = b.fn(coords).interior_jet(uj.values[:n], uj.grads[:n])
-        out = _Jet(n, uj.values.copy(), order=min(uj.order, ixb.order))
-        out[:n] = uj[:n]
-        out[n:] = uj[n:] + ixb[one_forms]
-        return out
+        cov = uj[n:] + b.fn(coords).interior_jet(uj.values[:n], uj.grads[:n])[one_forms]
+        return _Jet(n, np.concatenate([uj.values[:n], cov.values]), np.concatenate([uj.grads[:n], cov.grads]))
 
     return GcField(u.chart, u.dim, fn)

@@ -251,6 +251,8 @@ def _read_json(path: str):
 
 
 def _cmd_normal_form(args) -> int:
+    if not 0 < args.tol < 1:  # NaN fails too; a tol >= 1 keeps no singular value, so no spinor is pure
+        raise ValueError(f"--tol must be finite and in (0, 1), got {args.tol}")
     nf = normal_form(Multiform.from_json_dict(_read_json(args.input)), args.tol)
     nondeg = "n/a (odd dimension)" if nf.dim % 2 else check_nondegenerate(nf, args.tol)
     lines = [f"type: {nf.type}", f"omega0: {nf.omega0}", f"B: {nf.B}", f"omega: {nf.omega}"]
@@ -260,14 +262,14 @@ def _cmd_normal_form(args) -> int:
 
 def _cmd_bracket(args) -> int:
     data = _read_json(args.input)
-    dim = int(data.get("dim", 4))
-    if not 2 <= dim <= 4:  # the kernel's tables grow as 8^dim
-        raise ValueError(f"dim must be 2..4, got {dim}")
-    chart = data.get("chart", "cli")
+    dim = data.get("dim", 4)
+    if dim not in (2, 3, 4):  # the kernel's tables grow as 8^dim; int() would truncate 3.5
+        raise ValueError(f"dim must be 2, 3 or 4, got {dim!r}")
+    dim, chart = int(dim), data.get("chart", "cli")
     periodic = tuple(bool(b) for b in data.get("periodic", [False] * dim))
     coords = tuple(float(c) for c in data["point"])
-    if not all(math.isfinite(c) for c in coords):
-        raise ValueError(f"point coordinates must be finite, got {coords}")
+    if len(coords) != dim or not all(math.isfinite(c) for c in coords):
+        raise ValueError(f"point must have {dim} finite coordinates, got {coords}")
     point = ChartPoint(chart, coords, periodic)
     u = GcField.from_expressions(chart, dim, data["u"]["vec"], data["u"]["cov"])
     v = GcField.from_expressions(chart, dim, data["v"]["vec"], data["v"]["cov"])

@@ -64,7 +64,7 @@ def compile(node: dict, dim: int):
         value = complex(float(body.get("re", 0.0)), float(body.get("im", 0.0)))
         if not cmath.isfinite(value):
             raise ValueError(f"const must be finite, got {value}")
-        return Jet2(dim, value)
+        return Jet2.constant(dim, value)
     if kind == "coord":
         if not 1 <= int(body) <= dim:
             raise ValueError(f"coordinate index {body} out of range 1..{dim}")
@@ -107,7 +107,7 @@ def _assemble(jet_type, size: int, dim: int, slots: list, evaluators: list):
         for slot, evaluator in zip(slots, evaluators):
             jet = _run(evaluator, xs)
             parts[slot] = parts[slot] + jet if slot in parts else jet
-        out = jet_type(dim, np.zeros((size,) + np.shape(coords)[1:], dtype=complex))
+        out = jet_type.constant(dim, np.zeros((size,) + np.shape(coords)[1:], dtype=complex))
         for slot, jet in parts.items():
             out[slot] = jet
         return out

@@ -1,8 +1,8 @@
 """Forward-mode jets, to first order, for chart calculus.
 
 A jet carries exact values of an array of components together with their
-exact first partial derivatives at a point, up to its order (truncated
-Taylor arithmetic).  One core implements the rules every jet
+exact first partial derivatives at a point (truncated Taylor
+arithmetic).  One core implements the rules every jet
 shares: sums, scalar multiples, the product rule, and get/set of one
 component.  The component shape sets the flavour: ``Jet2`` is a single
 scalar, ``FormJet`` holds the 2^n coefficients of a mixed exterior
@@ -15,11 +15,11 @@ A jet may hold a block of N points, the sample axis after the component
 axes: a ``Jet2`` has values (N,), a ``FormJet`` values (2^n, N) and
 grads (2^n, N, n).  The per-point shapes are the N-less case.
 
-``order`` is 1 while a jet's partials are trustworthy and 0 when it
-carries values alone, as the result of d (which consumes the partials)
-and of a pullback do.  Every rule keeps the lower order of its
-operands.  The partials of an order-0 jet are a read-only view of one
-shared zero, and writes into a jet skip them.
+A jet whose ``grads`` is None carries values alone, as the result of d
+(which consumes the partials) and of a pullback do.  No rule propagates
+one: ``d``, ``interior_jet`` and component writes refuse it with a
+ValueError, and the other rules fail on the absent partials.  A
+constant is a jet with zero partials (``constant``).
 
 ``FormJet.wedge`` is ``multilinear.wedge_coeffs`` on values and
 partials (the product rule), ``FormJet.exp_wedge`` is the closed form
@@ -28,26 +28,11 @@ gathers the wedge rows of the Clifford action (dx^i ^) from the
 partials d_i, times their signs, and sums over i.
 """
 
-import functools
-
 import numpy as np
 
 from gcx.multilinear import Multiform, _check_exponent, _pfaffian, _tables, interior_coeffs, wedge_coeffs
 
 __all__ = ["Jet2", "FormJet"]
-
-
-def _zeros(shape) -> np.ndarray:
-    return np.zeros(shape, dtype=complex)
-
-
-_ZERO = np.zeros((), dtype=complex)
-
-
-@functools.lru_cache(maxsize=64)
-def _untrusted(shape) -> np.ndarray:
-    """Shared read-only zeros for the partials of an order-0 jet: a view of one zero, any shape."""
-    return np.broadcast_to(_ZERO, shape)
 
 
 def _lifted(values):
@@ -58,49 +43,44 @@ def _lifted(values):
 class _Jet:
     """Components of any leading shape with their first partials.
 
-    values: shape S, grads: S + (n,) with grads[..., i] the i-th partial.
+    values: shape S, grads: S + (n,) with grads[..., i] the i-th partial (None: values alone).
     Jets of different shapes combine by broadcasting, so a scalar jet
     acts on every component of an array jet.
     """
 
-    __slots__ = ("dim", "values", "grads", "order")
+    __slots__ = ("dim", "values", "grads")
     __array_ufunc__ = None  # numpy operands defer to the jet's reflected operators
 
-    def __init__(self, dim: int, values, grads=None, order: int = 1):
-        self.dim, self.values, self.order = dim, values, order
-        if grads is None:
-            shape = getattr(values, "shape", ()) + (dim,)  # a complex number is a scalar Jet2's one value
-            grads = (_zeros if order > 0 else _untrusted)(shape)
-        self.grads = grads
+    def __init__(self, dim: int, values, grads=None):
+        self.dim, self.values, self.grads = dim, values, grads
+
+    @classmethod
+    def constant(cls, dim: int, values) -> "_Jet":
+        """Components that do not vary: the values with zero partials."""
+        return cls(dim, values, np.zeros(np.shape(values) + (dim,), dtype=complex))
 
     def _coerce(self, other) -> "_Jet":
-        return other if isinstance(other, _Jet) else Jet2(self.dim, other, order=self.order)
+        return other if isinstance(other, _Jet) else Jet2.constant(self.dim, other)
 
     def _check(self, other: "_Jet") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def _trusted(self, order: int) -> tuple:
-        """(values, grads) cut to ``order``: the levels a result of that order is built from."""
-        return (self.values, self.grads)[: order + 1]
-
-    def _combine(self, other: "_Jet", values, grads=None) -> "_Jet":
+    def _combine(self, other: "_Jet", values, grads) -> "_Jet":
         """A result of self and other, typed after the operand that is not a scalar Jet2."""
         self._check(other)
         cls = type(other) if isinstance(self, Jet2) else type(self)
-        return cls(self.dim, values, grads, min(self.order, other.order))
+        return cls(self.dim, values, grads)
 
     def __add__(self, other):
         o = self._coerce(other)
-        order = min(self.order, o.order)
-        return self._combine(o, *(a + b for a, b in zip(self._trusted(order), o._trusted(order))))
+        return self._combine(o, self.values + o.values, self.grads + o.grads)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        order = min(self.order, o.order)
-        return self._combine(o, *(a - b for a, b in zip(self._trusted(order), o._trusted(order))))
+        return self._combine(o, self.values - o.values, self.grads - o.grads)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -109,33 +89,30 @@ class _Jet:
         if isinstance(other, _Jet):
             return self._product(other)
         s = complex(other)
-        return type(self)(self.dim, *(x * s for x in self._trusted(self.order)), order=self.order)
+        return type(self)(self.dim, self.values * s, self.grads * s)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, _Jet):  # a scalar jet: times its power -1
             return self * other**-1
-        return type(self)(self.dim, *(x / other for x in self._trusted(self.order)), order=self.order)
+        return type(self)(self.dim, self.values / other, self.grads / other)
 
     def _product(self, other: "_Jet") -> "_Jet":
-        """Leibniz rule to the lower order of the operands, broadcasting components."""
-        order = min(self.order, other.order)
+        """Leibniz rule, broadcasting components."""
         values = self.values * other.values
-        if order < 1:
-            return self._combine(other, values)
         grads = _lifted(self.values) * other.grads + _lifted(other.values) * self.grads
         return self._combine(other, values, grads)
 
     def __getitem__(self, i) -> "Jet2":
-        return Jet2(self.dim, self.values[i], self.grads[i], self.order)
+        return Jet2(self.dim, self.values[i], self.grads[i])
 
     def __setitem__(self, i, jet: "Jet2") -> None:
-        """Write one component's trusted levels; an order-0 jet lowers this jet's order."""
-        self.order = min(self.order, jet.order)
+        """Write one component's values and partials."""
+        if jet.grads is None:  # numpy would store the None as NaN partials
+            raise ValueError("a component write needs the first partials; the jet carries values alone")
         self.values[i] = jet.values
-        if self.order > 0:
-            self.grads[i] = jet.grads
+        self.grads[i] = jet.grads
 
 
 class Jet2(_Jet):
@@ -143,13 +120,13 @@ class Jet2(_Jet):
 
     __slots__ = ()
 
-    def __init__(self, n: int, value, grad=None, order: int = 1):
+    def __init__(self, n: int, value, grad=None):
         if isinstance(value, np.ndarray) and value.ndim:
             value = value.astype(complex, copy=False)
         else:
             value = np.complex128(value)
         grad = None if grad is None else np.asarray(grad, dtype=complex)
-        super().__init__(n, value, grad, order)
+        super().__init__(n, value, grad)
 
     @classmethod
     def coordinate(cls, n: int, i: int, value) -> "Jet2":
@@ -162,14 +139,12 @@ class Jet2(_Jet):
         return self._coerce(other) * self**-1
 
     def _chain(self, f0, f1) -> "Jet2":
-        """Compose with a 1-d function given f and f' at self.values (f' is read at order 1 only)."""
-        if self.order < 1:
-            return Jet2(self.dim, f0, order=self.order)
-        return Jet2(self.dim, f0, _lifted(f1) * self.grads, order=self.order)
+        """Compose with a 1-d function given f and f' at self.values."""
+        return Jet2(self.dim, f0, _lifted(f1) * self.grads)
 
     def __pow__(self, k: int):
         if k == 0:  # the constant 1, at every point of a block
-            return Jet2(self.dim, np.ones(np.shape(self.values)), order=self.order)
+            return Jet2.constant(self.dim, np.ones(np.shape(self.values)))
         v = self.values
         return self._chain(v**k, k * v ** (k - 1))
 
@@ -208,7 +183,7 @@ class FormJet(_Jet):
     @classmethod
     def zero(cls, dim: int, batch: tuple = ()) -> "FormJet":
         """The zero form at one point, or at each of a block of points (batch = (N,))."""
-        return cls(dim, _zeros((1 << dim, *batch)))
+        return cls.constant(dim, np.zeros((1 << dim, *batch), dtype=complex))
 
     def value(self) -> Multiform:
         return Multiform(self.dim, self.values)
@@ -220,17 +195,15 @@ class FormJet(_Jet):
     def wedge(self, other: "FormJet") -> "FormJet":
         """Product rule through ``wedge_coeffs``: values a ^ b, partials a ^ db + da ^ b."""
         self._check(other)
-        n, order = self.dim, min(self.order, other.order)
+        n = self.dim
         values = wedge_coeffs(n, self.values, other.values)
-        if order < 1:
-            return FormJet(n, values, order=order)
         grads = wedge_coeffs(n, _lifted(self.values), other.grads) + wedge_coeffs(n, self.grads, _lifted(other.values))
-        return FormJet(n, values, grads, order=order)
+        return FormJet(n, values, grads)
 
     def d(self) -> "FormJet":
-        """Exterior derivative sum_i dx^i ^ d_i rho, which consumes the partials: the result has order 0."""
-        if self.order < 1:
-            raise ValueError(f"jet carries derivatives to order {self.order}, need 1")
+        """Exterior derivative sum_i dx^i ^ d_i rho, which consumes the partials: the result has values alone."""
+        if self.grads is None:
+            raise ValueError("d needs the first partials; the jet carries values alone")
         n = self.dim
         t = _tables(n)
         # the action's rows of dx^1..dx^n give [i, u] = +-(d_i rho) at u ^ bit i: a signed gather, signed
@@ -238,13 +211,12 @@ class FormJet(_Jet):
         source = t.action_source[n << n :].reshape(n, -1)
         terms = np.asarray(self.grads, dtype=complex)[source, ..., np.arange(n)[:, None]]
         terms *= t.action_sign[n << n :].reshape((n, -1) + (1,) * (self.values.ndim - 1))
-        return FormJet(n, terms.sum(axis=0), order=0)
+        return FormJet(n, terms.sum(axis=0))
 
     def exp_wedge(self) -> "FormJet":
         """Terminating wedge exponential (even degrees, no scalar part): ``exp_wedge_coeffs`` in jet arithmetic."""
-        levels = self._trusted(self.order)
-        _check_exponent(self.dim, levels)
-        out = FormJet(self.dim, *(x.astype(complex) for x in levels), order=self.order)
+        _check_exponent(self.dim, (self.values, self.grads))
+        out = FormJet(self.dim, self.values.astype(complex), self.grads.astype(complex))
         out.values[0] = 1.0
         if self.dim == 4:
             out[-1] = out[-1] + _pfaffian(self)
@@ -252,8 +224,8 @@ class FormJet(_Jet):
 
     def interior_jet(self, xv: np.ndarray, xg: np.ndarray) -> "FormJet":
         """Contraction with a jet tangent vector, xv (n, *batch) and xg[i, ..., j] = d_j X_i (product rule)."""
+        if self.grads is None:
+            raise ValueError("interior_jet needs the first partials; the jet carries values alone")
         values = interior_coeffs(self.values, xv)
-        if self.order < 1:
-            return FormJet(self.dim, values, order=self.order)
         grads = interior_coeffs(_lifted(self.values), xg) + interior_coeffs(self.grads, _lifted(xv))
-        return FormJet(self.dim, values, grads, order=self.order)
+        return FormJet(self.dim, values, grads)

@@ -341,7 +341,7 @@ def b_extension_and_h(geometry: SurgeryGeometry, window: tuple | None = None) ->
     Btilde = f(rt) * (rt drt^dt2 - dt1^dt3) with f the selected bump;
     H is the assembled d(Btilde), cross-checked against the closed form
     -f'(rt) drt^dt1^dt3 at every evaluation (to 1e-10).  H is a d, so it
-    carries values alone (order 0).
+    carries values alone (its grads are None).
     """
     profile = bump_profile(geometry, window)
 

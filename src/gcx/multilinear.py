@@ -234,8 +234,10 @@ class Multiform:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Multiform":
+        if data["dim"] not in (2, 3, 4):  # refused before allocating, and never truncated as int(4.9) would be
+            raise ValueError(f"dim must be 2, 3 or 4, got {data['dim']!r}")
         dim = int(data["dim"])
-        form = np.array(cls(dim).coeffs)  # the constructor rejects dim outside 2..4 before allocating
+        form = np.zeros(1 << dim, dtype=complex)
         for term in data.get("terms", []):
             mask = _indices_to_mask(dim, term["indices"])
             # summed in Python complex, which overflows to inf without a numpy warning

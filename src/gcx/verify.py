@@ -351,7 +351,7 @@ def _region_setup(region, geometry, window, flip_h_sign=False):
     if region == "bump":
         _, h = b_extension_and_h(geometry, window)
         sign = float(conventions.SPINOR_TWIST_SIGN) * (-1.0 if flip_h_sign else 1.0)
-        h_used = FormField(CHART_TUBE, 4, lambda c: h.fn(c) * sign)
+        h_used = FormField(CHART_TUBE, 4, lambda c: FormJet(4, h.fn(c).values * sign))
         return rho, h_used, (CHART_TUBE, prof.lo + 1e-6, prof.hi - 1e-6), None
     if region == "outer":
         return rho, None, (CHART_TUBE, prof.hi, prof.hi + 1.0), "witness must vanish: constant symplectic spinor"
@@ -526,7 +526,7 @@ def check_quotient(
 
     def block(p):
         b_p, w_p = b_field(p), w_field(p).values
-        b_p, db_p = b_p.values, b_p.d().values  # values only: no order-1 jet lives through the block
+        b_p, db_p = b_p.values, b_p.d().values  # values only: no jet with partials lives through the block
         figures = {"deck": deck_residual(p, b_p, w_p)}
         at_q = qmap.at(p)
         # integrability first, before the quotient pullbacks fill at_q's basis cache

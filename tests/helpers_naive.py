@@ -144,7 +144,7 @@ def naive_evaluate(node: dict, coords: np.ndarray) -> Jet2:
     n = len(coords)
     ((kind, body),) = node.items()
     if kind == "const":
-        return Jet2(n, complex(float(body.get("re", 0.0)), float(body.get("im", 0.0))))
+        return Jet2.constant(n, complex(float(body.get("re", 0.0)), float(body.get("im", 0.0))))
     if kind == "coord":
         return Jet2.coordinate(n, int(body), coords[int(body) - 1])
     if kind == "add":

@@ -14,7 +14,7 @@ from gcx.chart import (
     pullback,
     pullback_jet,
 )
-from gcx.jets import FormJet, Jet2
+from gcx.jets import FormJet, Jet2, _Jet
 from gcx.multilinear import Multiform, exp_wedge, interior_coeffs
 from helpers_naive import central_partials, naive_action_table, random_polynomial
 
@@ -153,13 +153,14 @@ def d_field(f: FormField, partials: bool = False) -> FormField:
 
     def fn(coords):
         grads = central_partials(values, coords) if partials else None
-        return FormJet(f.dim, values(coords), grads, order=int(partials))
+        return FormJet(f.dim, values(coords), grads)
 
     return FormField(f.chart, f.dim, fn)
 
 
 def sum_field(a: FormField, b: FormField) -> FormField:
-    return FormField(a.chart, a.dim, lambda coords: a.fn(coords) + b.fn(coords))
+    """a + b, values alone, as H fields are."""
+    return FormField(a.chart, a.dim, lambda coords: FormJet(a.dim, a.fn(coords).values + b.fn(coords).values))
 
 
 def apply_e_b(b_vals: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -202,15 +203,17 @@ def test_block_bracket_equals_the_per_point_bracket(twisted, count):
 
 
 def test_bracket_rejects_generators_without_partials():
-    # E_B with a B that is a d carries values alone; the bracket of two such generators read all zeros
+    # E_B with a B that is a d has no partials of i_X B to give, and a generator of values alone none at all;
+    # a bracket of either would read zeros for the missing partials
     rng = np.random.default_rng(55)
     lam = form_field({(i,): random_polynomial(rng, N) for i in range(1, N + 1)})
     b = FormField(FLAT, N, lambda x: lam.fn(x).d())
     u, v = rand_gc_field(rng), rand_gc_field(rng)
     ub, vb = e_b_transform(b, u), e_b_transform(b, v)
+    bare = GcField(FLAT, N, lambda x: _Jet(N, u.fn(x).values))
     p = pt(0.1, 0.2, 0.3, 0.4)
-    assert ub(p).order == 0
-    for left, right in ((ub, vb), (ub, v), (u, vb)):
+    assert bare(p).grads is None
+    for left, right in ((ub, vb), (ub, v), (u, vb), (bare, v), (u, bare)):
         with pytest.raises(ValueError, match="first partials"):
             courant_bracket(left, right, None, p)
 
@@ -222,8 +225,8 @@ def test_bracket_nonclosed_b_shift_frozen_sign():
     h = d_field(form_field({(2, 3): random_polynomial(rng, N)}))
     db = d_field(b)
     sign = float(conventions.BRACKET_SHIFT_SIGN)
-    shift = FormField(FLAT, N, lambda coords: db.fn(coords) * sign)
-    wrong_shift = FormField(FLAT, N, lambda coords: db.fn(coords) * -sign)
+    shift = FormField(FLAT, N, lambda coords: FormJet(N, db.fn(coords).values * sign))
+    wrong_shift = FormField(FLAT, N, lambda coords: FormJet(N, db.fn(coords).values * -sign))
     u, v = rand_gc_field(rng), rand_gc_field(rng)
     ub, vb = e_b_transform(b, u), e_b_transform(b, v)
     p = block(rng, 20)
@@ -362,7 +365,7 @@ def test_integrability_least_squares_matches_lstsq(kind):
         values[_tables(N).degree % 2 == 1] = 0.0
     if kind == "pure":  # exp of a random complex 2-form at each point, scaled so that
         # a cutoff not relative to the largest singular value would keep round-off
-        two = FormJet(N, np.where(_tables(N).degree[:, None] == 2, values, 0.0), order=0)
+        two = FormJet.constant(N, np.where(_tables(N).degree[:, None] == 2, values, 0.0))
         values = 1e3 * two.exp_wedge().values
     grads = rng.normal(size=(16, count, N)) + 1j * rng.normal(size=(16, count, N))
     sols, residuals = _lstsq_reference(values, grads)
@@ -511,8 +514,11 @@ def assert_stacked(got, refs, axis=-1):
 
 def assert_jet_block(block, points):
     axis = np.ndim(points[0].values)
-    for level in ("values", "grads"):
-        assert_stacked(getattr(block, level), [getattr(j, level) for j in points], axis)
+    assert_stacked(block.values, [j.values for j in points], axis)
+    if block.grads is None:  # values alone, as a pullback is
+        assert all(j.grads is None for j in points)
+    else:
+        assert_stacked(block.grads, [j.grads for j in points], axis)
 
 
 def annulus_coords(rng, count, r_lo=0.65, r_hi=1.0):
@@ -570,7 +576,7 @@ def test_block_map_jets_and_pullbacks_match_points(seed, count):
 def test_block_map_with_constant_outputs_matches_points():
     # outputs without the block axis (a number, a jet built from one) are constant over the block
     coords = annulus_coords(np.random.default_rng(3), 5)
-    phi = ChartMap(FLAT, FLAT, N, lambda ins: [ins[0], 0.5 * Jet2(N, 1.0), 2.0, ins[1] * ins[3]])
+    phi = ChartMap(FLAT, FLAT, N, lambda ins: [ins[0], 0.5 * Jet2.constant(N, 1.0), 2.0, ins[1] * ins[3]])
     y, jac = phi.jets(coords)
     per = [phi.jets(c) for c in coords.T]
     assert_stacked(y, [p[0] for p in per])
@@ -697,19 +703,18 @@ def test_generator_field_shares_its_coordinate_jets_and_builds_no_jet_for_a_cons
     expected = [outcome(lambda node=node: naive_evaluate(node, x)) for node in vec + cov]
 
     coordinates, constant_jets = [], []
-    coordinate, init = Jet2.coordinate.__func__, Jet2.__init__
+    coordinate, constant = Jet2.coordinate.__func__, Jet2.constant.__func__
 
     def spy_coordinate(cls, n, i, value):
         coordinates.append(i)
         return coordinate(cls, n, i, value)
 
-    def spy_init(self, n, value, grad=None, order=1):
-        if grad is None:  # a jet of a number, as a const leaf evaluated anew would be
-            constant_jets.append(value)
-        init(self, n, value, grad, order)
+    def spy_constant(cls, n, value):  # a jet of a number, as a const leaf evaluated anew would be
+        constant_jets.append(value)
+        return constant(cls, n, value)
 
     monkeypatch.setattr(Jet2, "coordinate", classmethod(spy_coordinate))
-    monkeypatch.setattr(Jet2, "__init__", spy_init)
+    monkeypatch.setattr(Jet2, "constant", classmethod(spy_constant))
     for _ in range(2):
         jet = field(pt(*x))
         assert [outcome(lambda c=c: jet[c]) for c in range(2 * N)] == expected

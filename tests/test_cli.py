@@ -320,6 +320,43 @@ def test_bracket_refuses_a_const_that_is_not_finite(part, value, tmp_path, capsy
     assert len(err) == 1 and err[0].startswith("error: const must be finite, got "), err
 
 
+# the CI's pure dz1^dz2 input
+DZ1_DZ2 = {
+    "dim": 4,
+    "terms": [
+        {"indices": [1, 3], "re": 1, "im": 0},
+        {"indices": [1, 4], "re": 0, "im": 1},
+        {"indices": [2, 3], "re": 0, "im": 1},
+        {"indices": [2, 4], "re": -1, "im": 0},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [("bracket", {**_bracket_payload(), "dim": 3.5}), ("normal-form", {**DZ1_DZ2, "dim": 4.9})],
+    ids=["bracket", "normal-form"],
+)
+def test_a_dim_that_is_not_an_integer_is_refused(command, payload, tmp_path, capsys):
+    # int() would truncate it to a dimension the command accepts, and the command would exit 0
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(payload))
+    assert run_cli([command, "--input", str(src)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: dim must be 2, 3 or 4"), err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1", "2"])
+def test_normal_form_refuses_a_tol_outside_0_1(tol, tmp_path, capsys):
+    # a tol >= 1 keeps no singular value, so even the pure dz1^dz2 read as impure; refused before the input is read
+    src, missing = tmp_path / "dz.json", tmp_path / "missing.json"
+    src.write_text(json.dumps(DZ1_DZ2))
+    for path in (src, missing):
+        assert run_cli(["normal-form", "--input", str(path), f"--tol={tol}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --tol must be finite and in (0, 1)"), err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["check", "bogus-target"])
@@ -635,9 +672,11 @@ expression_draws = st.tuples(
 coordinates = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300]), st.floats(-10, 10))
 bracket_inputs = st.tuples(
     st.integers(2, 4),
-    st.lists(coordinates, min_size=4, max_size=4),
+    st.lists(coordinates, min_size=5, max_size=5),
     st.lists(st.tuples(st.integers(0, 15), expression_draws), max_size=3),  # generator slots of u, then v
     st.one_of(st.none(), expression_draws),  # the coefficient of H on the first three (or two) coordinates
+    st.integers(-1, 1),  # the point has dim - 1, dim or dim + 1 of the coordinates
+    st.one_of(st.none(), st.lists(st.booleans(), min_size=5, max_size=5)),  # a periodic mask of the point's length
 )
 
 
@@ -655,32 +694,37 @@ def _expression(draw, dim):
 
 
 def _bracket_json(case):
-    dim, point, slots, h = case
+    dim, point, slots, h, extra, periodic = case
     generators = [{"const": {}} for _ in range(4 * dim)]
     for slot, draw in slots:
         generators[slot % (4 * dim)] = _expression(draw, dim)
     u, v = generators[: 2 * dim], generators[2 * dim :]
     data = {
         "dim": dim,
-        "point": point[:dim],
+        "point": point[: dim + extra],
         "u": {"vec": u[:dim], "cov": u[dim:]},
         "v": {"vec": v[:dim], "cov": v[dim:]},
     }
+    if periodic is not None:
+        data["periodic"] = periodic[: dim + extra]
     if h is not None:
         data["H"] = {"terms": [{"indices": list(range(1, min(dim, 3) + 1)), "expr": _expression(h, dim)}]}
     return data
 
 
 @settings(max_examples=60, deadline=None)
-@example((4, [0.5, 0.3, 0.4, 0.5], [(0, (1, 0.0, [("pow", 10**9)]))], None))  # the pow that ran for an hour
-@example((4, [1e300, 1e300, 0.5, 0.5], [(15, (1, 0.0, [("mul", 1)]))], None))  # x1 x2 dx4 overflows to NaN
+@example((4, [0.5, 0.3, 0.4, 0.5, 0.0], [(0, (1, 0.0, [("pow", 10**9)]))], None, 0, None))  # ran for an hour
+@example((4, [1e300, 1e300, 0.5, 0.5, 0.0], [(15, (1, 0.0, [("mul", 1)]))], None, 0, None))  # x1 x2 dx4 is NaN
+@example((4, [0.6, -0.1, 0.4, 0.9, 0.2], [], None, -1, [False] * 5))  # 3 coordinates: an IndexError traceback
+@example((4, [0.6, -0.1, 0.4, 0.9, 0.2], [], None, 1, [False] * 5))  # 5 coordinates: the fifth was dropped
 @given(bracket_inputs)
 def test_bracket_keeps_the_exit_code_contract(case):
     # in process, as the normal-form property: any exception fails the test
+    data = _bracket_json(case)
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "fields.json")
         with open(src, "w") as handle:
-            json.dump(_bracket_json(case), handle)
+            json.dump(data, handle)
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("ignore")
@@ -691,6 +735,8 @@ def test_bracket_keeps_the_exit_code_contract(case):
         json.loads(out.getvalue(), parse_constant=_refuse_non_finite)
     else:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    if len(data["point"]) != data["dim"]:
+        assert code == 2 and err.getvalue().startswith("error: point "), err.getvalue()
 
 
 def _refuse_non_finite(name):

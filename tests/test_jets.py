@@ -1,5 +1,7 @@
 """Property tests for the shared jet core: product rule, component access, wedge, d."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,30 +113,29 @@ def test_exp_wedge_value_matches_multiform(f):
     assert f.exp_wedge().value().allclose(exp_wedge(Multiform(N, f.values)), tol=1e-10)
 
 
-# (dim, seed, points: 0 for one point without a block axis, order); drawn flat, the arrays from the seed
-exp_cases = st.tuples(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(0, 1))
+# (dim, seed, points: 0 for one point without a block axis); drawn flat, the arrays from the seed
+exp_cases = st.tuples(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1), st.integers(0, 5))
 
 
 @property_settings
 @given(exp_cases)
 def test_exp_wedge_matches_the_series(case):
     # multilinear.exp_wedge and FormJet.exp_wedge against sum_j b^j / j! on brute-force wedges,
-    # values and, at order 1, partials by the product rule on each power
-    n, seed, points, order = case
+    # values and partials, by the product rule on each power
+    n, seed, points = case
     rng = np.random.default_rng(seed)
     size, block = 1 << n, (points,) if points else ()
     degree = np.array([bin(s).count("1") for s in range(size)])
     even = (degree % 2 == 0) & (degree > 0)
     values, grads = (10.0 ** rng.uniform(-3, 3) * part for part in random_parts(rng, (size, *block), n))
     values[~even] = grads[~even] = 0.0
-    jet = FormJet(n, values, grads if order else None, order).exp_wedge()
-    assert jet.order == order and (order or not jet.grads.any())
+    jet = FormJet(n, values, grads).exp_wedge()
 
     def at(x, k):  # point k of a block, or the one point
         return x[:, k] if points else x
 
     for k in range(max(points, 1)):
-        partials = [from_multiform(Multiform(n, g)) for g in at(grads, k).T][: n * order]
+        partials = [from_multiform(Multiform(n, g)) for g in at(grads, k).T]
         series, d_series = naive_exp_wedge(from_multiform(Multiform(n, at(values, k))), partials)
         ref = to_multiform(series, n).coeffs
         tol = 1e-12 * np.abs(ref).max()
@@ -143,10 +144,10 @@ def test_exp_wedge_matches_the_series(case):
         for i, d_ref in enumerate(d_series):
             assert np.abs(at(jet.grads, k)[..., i] - to_multiform(d_ref, n).coeffs).max() <= 1e-12 * magnitude(jet)
     bad = rng.choice(np.flatnonzero(~even))
-    for level in (values, grads)[: order + 1]:
+    for level in (values, grads):
         level[bad] = 1.0
         with pytest.raises(ValueError, match="even-degree"):
-            FormJet(n, values, grads if order else None, order).exp_wedge()
+            FormJet(n, values, grads).exp_wedge()
         level[bad] = 0.0
     values[bad] = 1.0
     with pytest.raises(ValueError, match="even-degree"):
@@ -183,11 +184,11 @@ def naive_one_form(n, i):
 
 
 @st.composite
-def sized_form_jets(draw, n, order):
+def sized_form_jets(draw, n):
     size = 1 << n
     values = draw(complex_arrays((size,)))
     grads = draw(complex_arrays((size, n)))
-    return FormJet(n, values, grads, order)
+    return FormJet(n, values, grads)
 
 
 DIMS = st.sampled_from([2, 3, 4])
@@ -196,8 +197,7 @@ DIMS = st.sampled_from([2, 3, 4])
 @st.composite
 def wedge_operands(draw):
     n = draw(DIMS)
-    orders = st.integers(0, 1)
-    return n, draw(sized_form_jets(n, draw(orders))), draw(sized_form_jets(n, draw(orders)))
+    return n, draw(sized_form_jets(n)), draw(sized_form_jets(n))
 
 
 def assert_close_relative(got, ref, scale):
@@ -212,22 +212,20 @@ def magnitude(jet):
 @given(wedge_operands())
 def test_wedge_matches_naive_product_rule(operands):
     n, a, b = operands
-    order = min(a.order, b.order)
     got = a.wedge(b)
     scale = magnitude(a) * magnitude(b)
 
     def w(x, y):
         return naive_wedge_coeffs(n, x, y)
 
-    assert got.order == order
     assert_close_relative(got.values, w(a.values, b.values), scale)
     for i in range(n):
-        ref = w(a.grads[:, i], b.values) + w(a.values, b.grads[:, i]) if order >= 1 else 0.0
+        ref = w(a.grads[:, i], b.values) + w(a.values, b.grads[:, i])
         assert_close_relative(got.grads[:, i], ref, scale)
 
 
 @property_settings
-@given(DIMS.flatmap(lambda n: sized_form_jets(n, 1)))
+@given(DIMS.flatmap(sized_form_jets))
 def test_d_matches_naive_sum_of_partials(f):
     # d f = sum_i dx^i ^ d_i f, which consumes the partials: the result has values alone
     n = f.dim
@@ -236,16 +234,15 @@ def test_d_matches_naive_sum_of_partials(f):
     def w(i, x):
         return naive_wedge_coeffs(n, naive_one_form(n, i), x)
 
-    assert got.order == 0
+    assert got.grads is None
     assert_close_relative(got.values, sum(w(i, f.grads[:, i]) for i in range(n)), magnitude(f))
-    assert not got.grads.any() and not got.grads.flags.writeable
 
 
 @st.composite
 def contractions(draw):
     """(f, X, dX): a form jet and a tangent vector jet, X (n,) and dX[i, j] = d_j X_i."""
     n = draw(DIMS)
-    return draw(sized_form_jets(n, 1)), draw(complex_arrays((n,))), draw(complex_arrays((n, n)))
+    return draw(sized_form_jets(n)), draw(complex_arrays((n,))), draw(complex_arrays((n, n)))
 
 
 @property_settings
@@ -260,7 +257,6 @@ def test_interior_jet_matches_naive_product_rule(case):
     def i(k, x):  # contraction of coefficients x by d/dx^{k+1}
         return to_multiform(naive_interior(k + 1, from_multiform(Multiform(n, x))), n).coeffs
 
-    assert got.order == 1
     assert_close_relative(got.values, sum(xv[k] * i(k, f.values) for k in range(n)), scale)
     for j in range(n):
         ref = sum(xg[k, j] * i(k, f.values) + xv[k] * i(k, f.grads[:, j]) for k in range(n))
@@ -270,15 +266,10 @@ def test_interior_jet_matches_naive_product_rule(case):
 @property_settings
 @given(form_jets, scalar_jets)
 def test_order_one_product_keeps_values_and_grads(f, a):
-    # the product rule at order 1; an operand of order 0 drops the product's grads and nothing else
+    # the product rule on values and first partials
     product = f.scale(a)
+    assert np.array_equal(product.values, f.values * a.values)
     assert np.allclose(product.grads, a.values * f.grads + f.values[:, None] * a.grads, rtol=1e-12, atol=1e-12)
-    f0, a0 = FormJet(N, f.values, order=0), Jet2(N, a.values, order=0)
-    pairs = ((f0.scale(a), product), (f.scale(a0), product), (a0 * f, a * f), (a * a0, a * a))
-    for low, full in pairs:
-        assert low.order == 0 and full.order == 1
-        assert np.array_equal(low.values, full.values)
-        assert not low.grads.any()
 
 
 # -- BumpProfile.evaluate at one radius --------------------------------------
@@ -327,36 +318,37 @@ def block_of(jets):
     """Stack per-point jets of one type into a jet of the block (sample axis after the components)."""
     first = jets[0]
     axis = np.ndim(first.values)
-    parts = (np.stack([j.values for j in jets], axis), np.stack([j.grads for j in jets], axis))
-    return type(first)(first.dim, *parts, first.order)
+    grads = None if first.grads is None else np.stack([j.grads for j in jets], axis)
+    return type(first)(first.dim, np.stack([j.values for j in jets], axis), grads)
 
 
 def assert_block_matches(block, points):
     stacked = block_of(points)
-    assert block.order == stacked.order
     for level in ("values", "grads"):
         got, ref = getattr(block, level), getattr(stacked, level)
+        if ref is None:  # values alone, as a d is
+            assert got is None
+            continue
         assert got.shape == ref.shape
         assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0))
 
 
-blocks = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 1), st.integers(0, 1))
+blocks = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 5))
 
 
 @property_settings
 @given(blocks)
 def test_block_form_jet_ops_match_points(draw):
-    seed, count, order_a, order_b = draw
+    seed, count = draw
     rng = np.random.default_rng(seed)
-    a = [FormJet(N, *random_parts(rng, (SIZE,)), order_a) for _ in range(count)]
-    b = [FormJet(N, *random_parts(rng, (SIZE,)), order_b) for _ in range(count)]
-    s = [Jet2(N, *random_parts(rng, ()), order_b) for _ in range(count)]
+    a = [FormJet(N, *random_parts(rng, (SIZE,))) for _ in range(count)]
+    b = [FormJet(N, *random_parts(rng, (SIZE,))) for _ in range(count)]
+    s = [Jet2(N, *random_parts(rng, ())) for _ in range(count)]
     ba, bb, bs = block_of(a), block_of(b), block_of(s)
     assert_block_matches(ba.wedge(bb), [x.wedge(y) for x, y in zip(a, b)])
     assert_block_matches(ba.scale(bs), [x.scale(y) for x, y in zip(a, s)])
     assert_block_matches(bs * ba + bb, [y * x + z for x, y, z in zip(a, s, b)])
-    if order_a:
-        assert_block_matches(ba.d(), [x.d() for x in a])
+    assert_block_matches(ba.d(), [x.d() for x in a])
     even = (DEGREE % 2 == 0) & (DEGREE > 0)
     for x in a:
         x.values[~even] = x.grads[~even] = 0.0
@@ -392,23 +384,27 @@ def _power_by_products(x: Jet2, k: int) -> Jet2:
         out = out * x
     if k > 0:
         return out
-    grads = -out.grads / np.asarray(out.values**2)[..., None] if out.order else None
-    return Jet2(N, 1.0 / out.values, grads, order=out.order)
+    return Jet2(N, 1.0 / out.values, -out.grads / np.asarray(out.values**2)[..., None])
 
 
-@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("partials", [0, 1])
 @pytest.mark.parametrize("batch", [(), (5,)], ids=["scalar", "block"])
-def test_power_matches_repeated_products(batch, order):
+def test_power_matches_repeated_products(batch, partials):
     # the closed form (x^k, k x^(k-1) x') against k - 1 products of the product rule, to round-off
     rng = np.random.default_rng(12)
     values = rng.uniform(0.5, 1.5, batch) * np.exp(2j * np.pi * rng.uniform(0, 1, batch))
     grads = rng.standard_normal(batch + (N,)) + 1j * rng.standard_normal(batch + (N,))
-    x = Jet2(N, values if batch else complex(values), grads if order else None, order=order)
+    x = Jet2(N, values if batch else complex(values), grads if partials else None)
     one = x**0
-    assert np.array_equal(one.values, np.ones(batch)) and not np.any(one.grads) and one.order == order
-    for k in [k for k in range(-64, 65) if k]:
+    assert np.array_equal(one.values, np.ones(batch)) and np.array_equal(one.grads, np.zeros(batch + (N,)))
+    powers = [k for k in range(-64, 65) if k]
+    if not partials:  # values alone: x^0 is still the constant 1, and every other power is refused, as x * x is
+        for operation in [lambda k=k: x**k for k in powers] + [lambda: x * x]:
+            with pytest.raises(TypeError):
+                operation()
+        return
+    for k in powers:
         got, want = x**k, _power_by_products(x, k)
-        assert got.order == order
         assert np.all(np.abs(got.values - want.values) <= 1e-13 * np.abs(want.values)), k
         assert np.all(np.abs(got.grads - want.grads) <= 1e-13 * np.abs(want.grads)), k
 
@@ -435,45 +431,8 @@ def test_block_bump_profile_matches_radii_one_at_a_time():
         PROFILES[0].evaluate(np.array([1.5, -0.25]))
 
 
-def test_order_past_a_jet_is_shared_and_read_only():
-    # the partials of an order-0 jet are never materialized per jet, and cannot be written into
-    rng = np.random.default_rng(3)
-    a = FormJet(N, random_parts(rng, (SIZE, 4))[0], order=0)
-    out = a.wedge(a)
-    assert out.order == 0 and not out.grads.any() and not out.grads.flags.writeable
-    assert (a + a).grads is out.grads
-
-
-def test_writes_into_an_order_one_jet_keep_its_untrusted_levels():
-    # a component write fills values and grads while the jet has order 1
-    rng = np.random.default_rng(4)
-    jet = FormJet.zero(N, (3,))
-    src = Jet2(N, *random_parts(rng, (3,)))
-    jet[0b0101] = src
-    assert jet.order == 1
-    assert np.array_equal(jet.values[0b0101], src.values)
-    assert np.array_equal(jet.grads[0b0101], src.grads)
-    # an order-0 component lowers the jet's order, so no level it lacks claims to be exact
-    jet[0b0011] = Jet2(N, np.ones(3), order=0)
-    assert jet.order == 0 and np.array_equal(jet.values[0b0011], np.ones(3))
-    # past its order, a write fills the values alone
-    jet[0b1100] = src
-    assert np.array_equal(jet.values[0b1100], src.values) and not jet.grads[0b1100].any()
-
-
-def test_lower_order_jets_keep_values_and_grads():
-    # Jet2 functions of an order-0 jet give the values of those of the order-1 jet
-    x = np.linspace(0.3, 0.9, 5)
-    j, ref = Jet2(N, x, order=0), Jet2.coordinate(N, 2, x)
-    fns = (lambda t: t.exp(), lambda t: t.log(), lambda t: (2.0 * t).sin(), lambda t: 1.0 / t, lambda t: t**0)
-    for fn in fns:
-        low, full = fn(j), fn(ref)
-        assert low.order == 0 and full.order == 1 and np.array_equal(low.values, full.values)
-        assert not low.grads.flags.writeable
-
-
 def test_d_signs_its_one_gather_in_place():
-    # a 64-point order-1 jet: d holds one (n, 2^n, N) gather of the partials, numpy's buffer for the
+    # a 64-point jet: d holds one (n, 2^n, N) gather of the partials, numpy's buffer for the
     # broadcast sign product (up to np.getbufsize() elements) and the result, and no signed copy
     import tracemalloc
 
@@ -489,3 +448,56 @@ def test_d_signs_its_one_gather_in_place():
     gather = N * jet.values.size
     bound = (gather + min(gather, np.getbufsize())) * jet.values.itemsize + got.values.nbytes
     assert peak <= 1.1 * bound, (peak, bound)
+
+
+# -- a jet of values alone (grads None) ----------------------------------------
+#
+# d, interior_jet and a component write refuse one with a ValueError; every other rule fails on the
+# absent partials.  None returns a result, and none changes an operand.
+
+VALUES_ALONE_RULES = {
+    "sum": (TypeError, lambda j: j.f0 + j.f),
+    "sum_reflected": (TypeError, lambda j: j.f + j.f0),
+    "number_plus": (TypeError, lambda j: 1.0 + j.a0),
+    "difference": (TypeError, lambda j: j.f0 - j.f),
+    "number_minus": (TypeError, lambda j: 1.0 - j.a0),
+    "number_times": (TypeError, lambda j: 2.0 * j.f0),
+    "over_number": (TypeError, lambda j: j.f0 / 2.0),
+    "number_over": (TypeError, lambda j: 1.0 / j.a0),
+    "product": (TypeError, lambda j: j.a0 * j.f),
+    "scale": (TypeError, lambda j: j.f0.scale(j.a)),
+    "scale_by": (TypeError, lambda j: j.f.scale(j.a0)),
+    "scalar_product": (TypeError, lambda j: j.a * j.a0),
+    "power_3": (TypeError, lambda j: j.a0**3),
+    "power_-2": (TypeError, lambda j: j.a0**-2),
+    "exp": (TypeError, lambda j: j.a0.exp()),
+    "log": (TypeError, lambda j: j.a0.log()),
+    "sqrt": (TypeError, lambda j: j.a0.sqrt()),
+    "sin": (TypeError, lambda j: j.a0.sin()),
+    "cos": (TypeError, lambda j: j.a0.cos()),
+    "component_read": (TypeError, lambda j: j.f0[0b0011]),
+    "wedge_left": (TypeError, lambda j: j.f0.wedge(j.f)),
+    "wedge_right": (TypeError, lambda j: j.f.wedge(j.f0)),
+    "exp_wedge": (TypeError, lambda j: j.f0.exp_wedge()),
+    "interior_jet": (ValueError, lambda j: j.f0.interior_jet(j.xv, j.xg)),
+    "d": (ValueError, lambda j: j.f0.d()),
+    "component_write": (ValueError, lambda j: j.f.__setitem__(0b0011, j.a0)),
+}
+
+
+@pytest.mark.parametrize("rule", VALUES_ALONE_RULES)
+def test_values_alone_is_refused_by_every_rule(rule):
+    error, apply = VALUES_ALONE_RULES[rule]
+    rng = np.random.default_rng(8)
+    even = (DEGREE % 2 == 0) & (DEGREE > 0)
+    f, a = FormJet(N, *random_parts(rng, (SIZE, 3))), Jet2(N, *random_parts(rng, (3,)))
+    f.values[~even] = f.grads[~even] = 0.0  # an exponent exp_wedge accepts
+    xv, xg = random_parts(rng, (N, 3))
+    jets = SimpleNamespace(f=f, a=a, f0=FormJet(N, f.values.copy()), a0=Jet2(N, a.values.copy()), xv=xv, xg=xg)
+    before = {name: (jet.values.copy(), None if jet.grads is None else jet.grads.copy()) for name, jet in
+              vars(jets).items() if name in ("f", "a", "f0", "a0")}
+    with pytest.raises(error, match="first partials" if error is ValueError else None):
+        apply(jets)
+    for name, (values, grads) in before.items():
+        jet = getattr(jets, name)
+        assert np.array_equal(jet.values, values) and (jet.grads is grads is None or np.array_equal(jet.grads, grads))

@@ -511,7 +511,7 @@ def test_glued_spinor_integrable_against_minus_db():
     _, h = b_extension_and_h(geo)
     from gcx.chart import FormField
 
-    minus_h = FormField(CHART_TUBE, 4, lambda c: h.fn(c) * (-1.0))
+    minus_h = FormField(CHART_TUBE, 4, lambda c: FormJet(4, h.fn(c).values * -1.0))
     rng = np.random.default_rng(14)
     worst_right = 0.0
     worst_wrong = 0.0
@@ -533,48 +533,49 @@ def test_glued_spinor_type_zero():
 
 
 def _order_contract_fields():
-    """(name, field, the highest order it carries, chart, radius range) for every model field."""
+    """(name, field, whether it carries first partials, chart, radius range) for every model field."""
     geo = SurgeryGeometry()
     btilde, h = b_extension_and_h(geo)
     b, w = local_model_polar()
     bq, wq = log_model(LogModelParams(5, 2))
     return [
-        ("local", local_model_spinor(), 1, CHART_CPLANE, (-1.0, 1.0)),
-        ("polar_b", b, 1, CHART_ANNULUS, (0.06, 1.0)),
-        ("polar_omega", w, 1, CHART_ANNULUS, (0.06, 1.0)),
-        ("polar_spinor", polar_spinor_field(), 1, CHART_ANNULUS, (0.06, 1.0)),
-        ("quotient_b", bq, 1, CHART_QUOTIENT, (0.01, 1.0)),
-        ("quotient_omega", wq, 1, CHART_QUOTIENT, (0.01, 1.0)),
-        ("quotient_spinor", quotient_spinor_field(LogModelParams(5, 2)), 1, CHART_QUOTIENT, (0.01, 1.0)),
-        ("tube_symplectic", tube_symplectic(), 1, CHART_TUBE, (0.06, 3.0)),
-        ("btilde", btilde, 1, CHART_TUBE, (0.06, 3.0)),
-        ("h", h, 0, CHART_TUBE, (0.06, 3.0)),
-        ("glued_spinor", glued_spinor_field(geo), 1, CHART_TUBE, (0.06, 3.0)),
+        ("local", local_model_spinor(), True, CHART_CPLANE, (-1.0, 1.0)),
+        ("polar_b", b, True, CHART_ANNULUS, (0.06, 1.0)),
+        ("polar_omega", w, True, CHART_ANNULUS, (0.06, 1.0)),
+        ("polar_spinor", polar_spinor_field(), True, CHART_ANNULUS, (0.06, 1.0)),
+        ("quotient_b", bq, True, CHART_QUOTIENT, (0.01, 1.0)),
+        ("quotient_omega", wq, True, CHART_QUOTIENT, (0.01, 1.0)),
+        ("quotient_spinor", quotient_spinor_field(LogModelParams(5, 2)), True, CHART_QUOTIENT, (0.01, 1.0)),
+        ("tube_symplectic", tube_symplectic(), True, CHART_TUBE, (0.06, 3.0)),
+        ("btilde", btilde, True, CHART_TUBE, (0.06, 3.0)),
+        ("h", h, False, CHART_TUBE, (0.06, 3.0)),
+        ("glued_spinor", glued_spinor_field(geo), True, CHART_TUBE, (0.06, 3.0)),
     ]
 
 
 ORDER_CONTRACT_FIELDS = _order_contract_fields()
 
 
-@pytest.mark.parametrize("name, field, top, chart, radii", ORDER_CONTRACT_FIELDS, ids=[r[0] for r in ORDER_CONTRACT_FIELDS])
-def test_field_at_a_lower_order_keeps_the_levels_it_carries(name, field, top, chart, radii):
-    # a 16-point block: the field returns the levels it carries (H, a d, has values alone, whose
-    # partials are the shared read-only zero), and its pullback through the identity map, an
-    # order-0 jet, keeps its values bit for bit
+@pytest.mark.parametrize("name, field, partials, chart, radii", ORDER_CONTRACT_FIELDS, ids=[r[0] for r in ORDER_CONTRACT_FIELDS])
+def test_field_at_a_lower_order_keeps_the_levels_it_carries(name, field, partials, chart, radii):
+    # a 16-point block: the field returns what it carries (H, a d, has values alone: grads None), and
+    # its pullback through the identity map, a jet of values alone, keeps its values bit for bit
     rng = np.random.default_rng(17)
     coords = rng.uniform(0.0, 1.0, (4, 16))
     coords[0] = radii[0] + (radii[1] - radii[0]) * coords[0]
     p = ChartPoint(chart, tuple(coords), () if chart == CHART_CPLANE else ANGLES)
     full = field(p)
-    assert full.order == top and full.grads.flags.writeable == (top == 1)
+    assert (full.grads is not None) == partials
+    if partials:
+        assert full.grads.shape == full.values.shape + (4,) and np.isfinite(full.grads).all()
     low = pullback_jet(ChartMap(chart, chart, 4, lambda ins: list(ins)).at(p), field)
-    assert low.order == 0
+    assert low.grads is None
     assert np.array_equal(low.values, full.values)
 
 
 def test_h_at_order_zero_has_no_derivative_to_take():
     _, h = b_extension_and_h(SurgeryGeometry())
     p = tpt(1.5, 0.1, 0.2, 0.3)
-    assert h(p).order == 0
-    with pytest.raises(ValueError, match="order 0"):
+    assert h(p).grads is None
+    with pytest.raises(ValueError, match="first partials"):
         h(p).d()

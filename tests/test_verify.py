@@ -678,11 +678,12 @@ def test_block_samplers_draw_the_points_one_at_a_time_gives():
 def test_block_runner_worst_point_is_the_per_point_argmax():
     # the wrong-sign control has O(1) residuals that vary from point to point
     from gcx.chart import FormField, integrability_residual
+    from gcx.jets import FormJet
 
     samples = 2 * verify.BLOCK + 7
     rep = check_integrability("bump", samples=samples, seed=11, flip_h_sign=True)
     rho, h, (chart, r_lo, r_hi), _ = verify._region_setup("bump", SurgeryGeometry(), None)
-    minus_h = FormField(CHART_TUBE, 4, lambda c: h.fn(c) * (-1.0))
+    minus_h = FormField(CHART_TUBE, 4, lambda c: FormJet(4, h.fn(c).values * -1.0))
     coords = per_point_annulus(verify._rng(11, "h_sign_negative_control"), samples, r_lo, r_hi)
     points = [ChartPoint(chart, tuple(c), ANGLES) for c in coords.T]
     residuals = [integrability_residual(rho, minus_h, p).residual for p in points]
