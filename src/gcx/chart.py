@@ -56,10 +56,10 @@ class ChartPoint:
     periodic: tuple = ()
 
     def __post_init__(self):
-        per = tuple(bool(b) for b in self.periodic) or (False,) * len(self.coords)
+        per = tuple(map(bool, self.periodic)) or (False,) * len(self.coords)
         if len(per) != len(self.coords):
             raise ValueError("periodic mask length must match coordinate count")
-        reduced = tuple(_coordinate(c, p) for c, p in zip(self.coords, per))
+        reduced = tuple(map(_coordinate, self.coords, per))
         object.__setattr__(self, "coords", reduced)
         object.__setattr__(self, "periodic", per)
 

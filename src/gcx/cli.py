@@ -266,7 +266,9 @@ def _cmd_bracket(args) -> int:
     if dim not in (2, 3, 4):  # the kernel's tables grow as 8^dim; int() would truncate 3.5
         raise ValueError(f"dim must be 2, 3 or 4, got {dim!r}")
     dim, chart = int(dim), data.get("chart", "cli")
-    periodic = tuple(bool(b) for b in data.get("periodic", [False] * dim))
+    periodic = data.get("periodic", [False] * dim)
+    if not isinstance(periodic, list) or not all(isinstance(b, bool) for b in periodic):
+        raise ValueError(f"periodic must be a list of JSON booleans, got {periodic!r}")
     coords = tuple(float(c) for c in data["point"])
     if len(coords) != dim or not all(math.isfinite(c) for c in coords):
         raise ValueError(f"point must have {dim} finite coordinates, got {coords}")

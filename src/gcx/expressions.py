@@ -22,7 +22,6 @@ JSON encoding, one key per node:
 import cmath
 import math
 import operator
-from functools import reduce
 
 import numpy as np
 
@@ -76,7 +75,14 @@ def compile(node: dict, dim: int):
         head, *rest = [compile(child, dim) for child in body]
         while rest and isinstance(head, Jet2) and isinstance(rest[0], Jet2):  # the leading constants
             head = op(head, rest.pop(0))
-        return head if not rest else lambda xs: reduce(lambda a, f: op(a, _run(f, xs)), rest, _run(head, xs))
+
+        def run(xs: list) -> Jet2:
+            out = _run(head, xs)
+            for f in rest:
+                out = op(out, _run(f, xs))
+            return out
+
+        return run if rest else head
     if kind == "pow":
         child, k = body
         if float(k) != int(k) or abs(int(k)) > MAX_POW:

@@ -19,7 +19,10 @@ A jet whose ``grads`` is None carries values alone, as the result of d
 (which consumes the partials) and of a pullback do.  No rule propagates
 one: ``d``, ``interior_jet`` and component writes refuse it with a
 ValueError, and the other rules fail on the absent partials.  A
-constant is a jet with zero partials (``constant``).
+constant is a jet with zero partials (``constant``, which reads a
+number's shape as () without making an array of it).  Rule results
+enter ``Jet2`` without a second cast: complex128 values and partials
+are kept as they are, and anything else is cast to complex.
 
 ``FormJet.wedge`` is ``multilinear.wedge_coeffs`` on values and
 partials (the product rule), ``FormJet.exp_wedge`` is the closed form
@@ -57,7 +60,8 @@ class _Jet:
     @classmethod
     def constant(cls, dim: int, values) -> "_Jet":
         """Components that do not vary: the values with zero partials."""
-        return cls(dim, values, np.zeros(np.shape(values) + (dim,), dtype=complex))
+        shape = values.shape if isinstance(values, np.ndarray) else ()  # np.shape would make an array of a number
+        return cls(dim, values, np.zeros(shape + (dim,), dtype=complex))
 
     def _coerce(self, other) -> "_Jet":
         return other if isinstance(other, _Jet) else Jet2.constant(self.dim, other)
@@ -68,9 +72,9 @@ class _Jet:
 
     def _combine(self, other: "_Jet", values, grads) -> "_Jet":
         """A result of self and other, typed after the operand that is not a scalar Jet2."""
-        self._check(other)
-        cls = type(other) if isinstance(self, Jet2) else type(self)
-        return cls(self.dim, values, grads)
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return (type(other) if type(self) is Jet2 else type(self))(self.dim, values, grads)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -122,11 +126,13 @@ class Jet2(_Jet):
 
     def __init__(self, n: int, value, grad=None):
         if isinstance(value, np.ndarray) and value.ndim:
-            value = value.astype(complex, copy=False)
-        else:
+            if value.dtype.type is not np.complex128:
+                value = value.astype(complex, copy=False)
+        elif type(value) is not np.complex128:
             value = np.complex128(value)
-        grad = None if grad is None else np.asarray(grad, dtype=complex)
-        super().__init__(n, value, grad)
+        if grad is not None and not (type(grad) is np.ndarray and grad.dtype.type is np.complex128):
+            grad = np.asarray(grad, dtype=complex)
+        self.dim, self.values, self.grads = n, value, grad
 
     @classmethod
     def coordinate(cls, n: int, i: int, value) -> "Jet2":

@@ -678,6 +678,10 @@ def outcome(fn):
 @example({"mul": [{"const": {"re": -0.5}}, {"coord": 1}]}, [0.25] * (4 * 17))
 # the partials of a product of two negative constants are -0, and the power keeps that sign
 @example({"pow": [{"mul": [{"const": {"re": -1.0}}, {"const": {"re": -1.0}}]}, 2]}, [0.25] * (4 * 17))
+# a constant that is not leading keeps its place in the fold: (x1 c) x2 and (x1 x2) c differ in the signs of
+# zero partials at x1 = -1/4, x2 = 1/4, and (1 + 2^-53) - 1 = 0 where (1 - 1) + 2^-53 is not
+@example({"mul": [{"coord": 1}, {"const": {"re": -0.5}}, {"coord": 2}]}, [-0.25] * 17 + [0.25] * (3 * 17))
+@example({"add": [{"coord": 1}, {"const": {"re": 2.0**-53}}, {"coord": 2}]}, [1.0] * 17 + [-1.0] * 17 + [0.25] * 34)
 def test_compiled_tree_matches_the_tree_walk_bit_for_bit(node, raw):
     # values and partials, signed zeros included, at one point and on a 17-point block
     block = np.array(raw).reshape(N, 17)

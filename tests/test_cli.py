@@ -846,6 +846,41 @@ def test_bracket_with_h_field(tmp_path, capsys):
     assert data["cov"][2] == {"re": 1.0, "im": 0.0}
 
 
+def _square_bracket_payload(**extra):
+    """u = d/dx1 and v = x1^2 dx2 at x1 = 1.6, whose bracket is 2 x1 dx2: 3.2, or 1.2 with x1 reduced mod 1."""
+    zero = {"const": {}}
+    v = {"vec": [zero] * 4, "cov": [zero, {"pow": [{"coord": 1}, 2]}, zero, zero]}
+    return {**_bracket_payload(point=[1.6, 0.3, 0.4, 0.5]), "v": v, **extra}
+
+
+@pytest.mark.parametrize(
+    "extra, dx2",
+    [({}, 3.2), ({"periodic": [False] * 4}, 3.2), ({"periodic": [True, False, False, False]}, 1.2)],
+    ids=["absent", "all-false", "x1-periodic"],
+)
+def test_bracket_reads_a_boolean_periodic_mask(extra, dx2, tmp_path, capsys):
+    src = tmp_path / "fields.json"
+    src.write_text(json.dumps(_square_bracket_payload(**extra)))
+    assert run_cli(["bracket", "--input", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["cov"][1]["re"] == pytest.approx(dx2, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "periodic",
+    [["false", False, False, False], [1, False, False, False], "ffff", None, {"x1": True}, [[False]] * 4],
+    ids=["string-false", "leading-1", "string", "null", "object", "nested-lists"],
+)
+def test_bracket_refuses_a_periodic_mask_that_is_not_booleans(periodic, tmp_path, capsys):
+    # bool() would read "false", 1 and every character of "ffff" as periodic, and reduce x1 modulo 1
+    src = tmp_path / "fields.json"
+    src.write_text(json.dumps(_square_bracket_payload(periodic=periodic)))
+    assert run_cli(["bracket", "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: periodic must be "), err
+    assert captured.out == ""
+
+
 def test_check_jobs_flag_rejected(tmp_path, capsys):
     # the --jobs thread pool is gone; run-to-run byte identity is criterion 10
     with pytest.raises(SystemExit) as exc:

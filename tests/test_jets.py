@@ -501,3 +501,110 @@ def test_values_alone_is_refused_by_every_rule(rule):
     for name, (values, grads) in before.items():
         jet = getattr(jets, name)
         assert np.array_equal(jet.values, values) and (jet.grads is grads is None or np.array_equal(jet.grads, grads))
+
+
+# -- every rule hands Jet2 complex128, which it keeps without a second cast ------
+#
+# At a point the values are np.complex128, so numpy's errstate acts on a point as on a block; on a block
+# values and partials are complex128 arrays.  Python numbers, ints, floats and real arrays are still cast.
+
+SCALAR_RULES = {
+    "sum": lambda a, b: a + b,
+    "number_plus": lambda a, b: 2 + a,
+    "difference": lambda a, b: a - b,
+    "number_minus": lambda a, b: 1.5 - a,
+    "product": lambda a, b: a * b,
+    "number_times": lambda a, b: 3 * a,
+    "times_number": lambda a, b: a * 0.5,
+    "over_number": lambda a, b: a / 4,
+    "over_jet": lambda a, b: a / b,
+    "number_over": lambda a, b: 1 / a,
+    "power_0": lambda a, b: a**0,
+    "power_-3": lambda a, b: a**-3,
+    "power_3": lambda a, b: a**3,
+    "exp": lambda a, b: a.exp(),
+    "log": lambda a, b: a.log(),
+    "sqrt": lambda a, b: a.sqrt(),
+    "sin": lambda a, b: a.sin(),
+    "cos": lambda a, b: a.cos(),
+}
+FORM_RULES = {
+    "jet_times_form": lambda a, f: a * f,
+    "form_times_jet": lambda a, f: f * a,
+    "scale": lambda a, f: f.scale(a),
+}
+
+
+def _operands(batch):
+    """Two scalar jets away from 0 and a form jet, at one point (batch ()) or on a block."""
+    rng = np.random.default_rng(14)
+    a, b = (Jet2(N, *random_parts(rng, batch)) + 3.0 for _ in range(2))
+    return a, b, FormJet(N, *random_parts(rng, (SIZE, *batch)))
+
+
+def _assert_complex128(jet, shape):
+    if shape:
+        assert type(jet.values) is np.ndarray and jet.values.dtype == np.complex128 and jet.values.shape == shape
+    else:
+        assert type(jet.values) is np.complex128
+    assert type(jet.grads) is np.ndarray and jet.grads.dtype == np.complex128 and jet.grads.shape == shape + (N,)
+
+
+@pytest.mark.parametrize("batch", [(), (5,)], ids=["point", "block"])
+@pytest.mark.parametrize("rule", [*SCALAR_RULES, *FORM_RULES])
+def test_every_rule_result_is_complex128(rule, batch):
+    a, b, f = _operands(batch)
+    if rule in SCALAR_RULES:
+        out = SCALAR_RULES[rule](a, b)
+        assert type(out) is Jet2
+        _assert_complex128(out, batch)
+    else:
+        out = FORM_RULES[rule](a, f)
+        assert type(out) is FormJet
+        _assert_complex128(out, (SIZE, *batch))
+        _assert_complex128(out[0b0101], batch)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, 2, np.complex128(0.5 - 1j), np.array(0.25 + 1j), np.array([1.0, -2.0, 0.5j])],
+    ids=["float", "int", "complex128", "0-d-array", "block"],
+)
+def test_constant_keeps_its_values_with_zero_partials(value):
+    jet = Jet2.constant(N, value)
+    _assert_complex128(jet, np.shape(value))
+    np.testing.assert_array_equal(jet.values, value)
+    assert not jet.grads.any()
+
+
+@pytest.mark.parametrize(
+    "value, grad",
+    [
+        (2, [1, 0, 0, 0]),
+        (0.5, np.arange(N, dtype=float)),
+        (np.float64(-1.25), np.zeros(N, np.float32)),
+        (np.array([1.0, 2.0]), np.ones((2, N))),
+        (np.array([3, 4]), np.ones((2, N), dtype=int)),
+        (np.array([1 + 1j, 2j], dtype=np.complex64), np.ones((2, N), dtype=np.complex64)),
+    ],
+    ids=["int", "float", "float64", "real-block", "int-block", "complex64-block"],
+)
+def test_jet2_casts_what_is_not_complex128(value, grad):
+    jet = Jet2(N, value, grad)
+    _assert_complex128(jet, np.shape(value))
+    np.testing.assert_array_equal(jet.values, value)
+    np.testing.assert_array_equal(jet.grads, grad)
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [lambda a, b, f: a + b, lambda a, b, f: a - b, lambda a, b, f: a * b, lambda a, b, f: f * b, lambda a, b, f: b * f,
+     lambda a, b, f: f.wedge(FormJet.zero(1))],
+    ids=["sum", "difference", "product", "form_times_jet", "jet_times_form", "wedge"],
+)
+def test_a_dimension_mismatch_is_refused(combine):
+    # partials of a 1-dimensional jet broadcast against any others, so only the dimension check stops them
+    a, f = Jet2.coordinate(N, 1, 0.5), FormJet.zero(N)
+    b = Jet2.coordinate(1, 1, 0.5)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: (4 vs 1|1 vs 4)$"):
+        combine(a, b, f)
