@@ -5,8 +5,10 @@ under the Clifford action is maximal isotropic (dimension n).  Pure
 spinors factor as exp(B + i*omega) ^ Omega with B, omega real 2-forms
 and Omega decomposable of degree k (the type).  This module computes
 annihilators (the (2n, k) kernel matrix of the Clifford action, kept as
-``AnnihilatorBasis.matrix``), that factorization, the nondegeneracy
-test, B-field transforms, and the induced complex structure on T + T*.
+``AnnihilatorBasis.matrix``), that factorization, nondegeneracy (one
+rule, ``_nondegenerate``: a nonzero Mukai pairing, read with Omega scaled
+to a largest coefficient of 1), B-field transforms, and the induced
+complex structure on T + T*.
 """
 
 from dataclasses import dataclass
@@ -110,7 +112,8 @@ class GcEndomorphism:
         mat = np.array(matrix, dtype=float)
         if mat.shape != (2 * dim, 2 * dim):
             raise ValueError(f"expected {2 * dim}x{2 * dim} matrix, got {mat.shape}")
-        _check_structures(dim, mat)
+        if fault := _structure_fault(dim, mat):
+            raise ValueError(f"matrix {fault}")
         mat.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", mat)
@@ -119,13 +122,14 @@ class GcEndomorphism:
         raise AttributeError("GcEndomorphism is immutable")
 
 
-def _check_structures(dim: int, mats: np.ndarray) -> None:
-    """Raise ValueError unless each real (2n, 2n) matrix of a stack squares to -1 and preserves the pairing."""
+def _structure_fault(dim: int, mats: np.ndarray) -> str | None:
+    """The first check a stack of real (2n, 2n) matrices fails, squaring to -1 or preserving the pairing, or None."""
     if np.abs(mats @ mats + np.eye(2 * dim)).max() > 1e-8:
-        raise ValueError("matrix does not square to -identity")
+        return "does not square to -identity"
     g = pairing_gram(dim)
     if np.abs(mats.swapaxes(-1, -2) @ g @ mats - g).max() > 1e-8:
-        raise ValueError("matrix does not preserve the pairing")
+        return "does not preserve the pairing"
+    return None
 
 
 def _kept(svals: np.ndarray, tol: float) -> np.ndarray:
@@ -203,26 +207,43 @@ def _two_form_pairs(n: int) -> tuple:
     return two, t.w_src1[pick] | t.w_src2[pick], np.searchsorted(two, t.w_src1[pick]), t.w_src2[pick], t.w_sign[pick]
 
 
+def _lowest_part(coeffs: np.ndarray, tol: float) -> tuple:
+    """Types (N,), Omega (2^n, N) and largest |coefficient| (N,) of the columns of (2^n, N) coefficients: a type is
+    a column's lowest degree above tol times its largest coefficient, Omega its part of that degree."""
+    degree = _tables(len(coeffs).bit_length() - 1).degree[:, None]
+    mags = np.abs(coeffs)
+    scale = mags.max(axis=0)
+    types = np.where(mags > tol * scale, degree, degree[-1] + 1).min(axis=0)  # n + 1 for a zero column
+    return types, np.where(degree == types, coeffs, 0), scale
+
+
+def _nondegenerate(coeffs: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each column rho of (2^n, N) coefficients has a Mukai pairing |(sigma(rho) ^ conj(rho))_top| above tol,
+    sigma = (-1)^(k(k-1)/2) on degree k: for a pure rho, whether L meets conj(L) only in 0.  A column is read scaled
+    to a ``_lowest_part`` Omega of largest coefficient 1; neither that scale nor the pairing changes under exp(B) ^."""
+    n = len(coeffs).bit_length() - 1
+    unit = coeffs / np.abs(_lowest_part(coeffs, tol)[1]).max(axis=0)
+    sigma = np.where(_tables(n).degree % 4 < 2, 1.0, -1.0)[:, None]
+    return np.abs(wedge_coeffs(n, sigma * unit, unit.conj())[-1]) > tol
+
+
 def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     """Factor each column of (2^n, N) coefficients, a pure spinor, as exp(B + i*omega) ^ Omega.
 
     Returns types (N,), Omega and B + i*omega (2^n, N), and gauge_unique
-    (N,).  The type is a column's lowest degree above tol times its
-    largest coefficient.  Type 0 divides out the scalar part; type k > 0
-    takes the minimal-norm C with C ^ Omega = (degree k + 2 part), one
-    ``min_norm_solve`` per type, unique iff of full rank.  Raises ValueError
-    unless every column is pure, and RuntimeError on a degree-2 Omega
-    that is not decomposable or unless |exp(B + i*omega) ^ Omega - rho| <= 1e-10 |rho|.
+    (N,).  The types and Omega are ``_lowest_part``'s.  Type 0 divides
+    out the scalar part; type k > 0 takes the minimal-norm C with
+    C ^ Omega = (degree k + 2 part), one ``min_norm_solve`` per type,
+    unique iff of full rank.  Raises ValueError unless every column is
+    pure, and RuntimeError on a degree-2 Omega that is not decomposable
+    or unless |exp(B + i*omega) ^ Omega - rho| <= 1e-10 |rho|.
     """
     n = len(coeffs).bit_length() - 1
     if not _pure(coeffs, tol).all():
         raise ValueError("normal_form requires a pure spinor")
     degree = _tables(n).degree[:, None]
     two, dst, col, src, sign = _two_form_pairs(n)
-    mags = np.abs(coeffs)
-    scale = mags.max(axis=0)
-    types = np.where(mags > tol * scale, degree, n + 1).min(axis=0)
-    omega0 = np.where(degree == types, coeffs, 0)
+    types, omega0, scale = _lowest_part(coeffs, tol)
     exponent = np.zeros(coeffs.shape, complex)
     np.divide(np.where(degree == 2, coeffs, 0), coeffs[0], out=exponent, where=types == 0)
     unique = types == 0
@@ -263,24 +284,11 @@ def normal_form(rho: Multiform, tol: float = DEFAULT_TOL) -> NormalForm:
 
 
 def check_nondegenerate(nf: NormalForm, tol: float = DEFAULT_TOL) -> bool:
-    """Nondegeneracy of the factored spinor as a generalized complex point.
-
-    Requires the top coefficient of Omega ^ conj(Omega) ^ omega^(n/2 - k)
-    to exceed tol, where n is the (even) dimension, k the type, and Omega
-    is scaled to a largest coefficient of 1, so that the spinor's scale
-    does not move the verdict.
-    """
-    dim = nf.dim
-    if dim % 2:
+    """Nondegeneracy of the factored spinor as a generalized complex point: ``_nondegenerate`` on exp(i*omega) ^ Omega,
+    which has the spinor's Mukai pairing and Omega, so the spinor's scale and B do not move the verdict."""
+    if nf.dim % 2:
         raise ValueError("nondegeneracy is defined on even-dimensional spaces")
-    half = dim // 2
-    if nf.type > half:
-        return False
-    unit = nf.omega0 / nf.omega0.max_abs()
-    form = unit.wedge(unit.conjugate())
-    for _ in range(half - nf.type):
-        form = form.wedge(nf.omega)
-    return abs(form.top()) > tol
+    return bool(_nondegenerate(exp_wedge(1j * nf.omega).wedge(nf.omega0).coeffs[:, None], tol)[0])
 
 
 def b_transform(B: Multiform, rho: Multiform) -> Multiform:
@@ -293,21 +301,16 @@ def b_transform(B: Multiform, rho: Multiform) -> Multiform:
 
 
 def from_symplectic(omega: Multiform, tol: float = DEFAULT_TOL) -> Multiform:
-    """Spinor exp(i*omega) of a nondegenerate real 2-form."""
+    """Spinor exp(i*omega) of a real 2-form, nondegenerate by ``_nondegenerate`` (which reads omega unscaled;
+    every 2-form in odd dimension is degenerate)."""
     if not omega.is_real():
         raise ValueError("from_symplectic requires a real 2-form")
     if not omega.allclose(omega.degree_part(2)):
         raise ValueError("from_symplectic requires a homogeneous degree-2 form")
-    if omega.dim % 2:
-        raise ValueError("nondegeneracy needs an even-dimensional space")
-    power = Multiform.scalar(omega.dim, 1.0)
-    for _ in range(omega.dim // 2):
-        power = power.wedge(omega)
-    if abs(power.top()) <= tol:
-        raise ValueError(
-            f"degenerate 2-form: top power coefficient {power.top():.3e} below tol {tol:.1e}"
-        )
-    return exp_wedge(1j * omega)
+    rho = exp_wedge(1j * omega)
+    if not _nondegenerate(rho.coeffs[:, None], tol)[0]:
+        raise ValueError(f"degenerate 2-form: the Mukai pairing of exp(i*omega) is at most tol {tol:.1e}")
+    return rho
 
 
 def from_complex(I: np.ndarray, tol: float = DEFAULT_TOL) -> Multiform:
@@ -347,10 +350,10 @@ def j_endomorphisms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     and -i on conj(L).
 
     They exist iff every column is pure with L intersect conj(L) = 0.
-    ``_kernels`` gives the annihilators, a stacked SVD of [P, conj P] the
-    L-meets-conj(L) test (both ranks by ``_kept``), and one stacked inverse
-    the matrices, which must be real, square to -1 and preserve the
-    pairing (the checks of ``GcEndomorphism``).
+    ``_kernels`` gives the annihilators, ``_nondegenerate`` the
+    L-meets-conj(L) test, and one stacked inverse of [P, conj P] the
+    matrices.  These must be real, square to -1 and preserve the pairing
+    (the checks of ``GcEndomorphism``), or RuntimeError is raised.
     """
     n = len(coeffs).bit_length() - 1
     if (np.abs(coeffs).max(axis=0) == 0.0).any():
@@ -358,24 +361,20 @@ def j_endomorphisms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     dims, vh = _kernels(coeffs, tol)
     if (dims != n).any():
         raise ValueError(f"spinor is not pure (annihilator dimension {dims[dims != n][0]})")
+    if not _nondegenerate(coeffs, tol).all():
+        raise ValueError("degenerate spinor, no J exists (L meets conj(L))")
     p = vh[:, n:].conj().swapaxes(1, 2)  # (N, 2n, n): the kernel columns
     s = np.concatenate([p, p.conj()], axis=2)
-    svals = np.linalg.svd(s, compute_uv=False)
-    if not _kept(svals, tol)[:, -1].all():
-        raise ValueError("degenerate spinor, no J exists (L meets conj(L))")
     d = np.diag([1j] * n + [-1j] * n)
     jc = s @ d @ np.linalg.inv(s)
     if (np.abs(jc.imag).max(axis=(1, 2)) > 1e-9 * np.maximum(1.0, np.abs(jc.real).max(axis=(1, 2)))).any():
         raise RuntimeError("induced endomorphism has a non-real part")
-    _check_structures(n, jc.real)
+    if fault := _structure_fault(n, jc.real):
+        raise RuntimeError(f"induced endomorphism failed the cross-check: it {fault}")
     return jc.real
 
 
 def j_endomorphism(rho: Multiform, tol: float = DEFAULT_TOL) -> GcEndomorphism:
-    """Real endomorphism acting as +i on the annihilator of rho and -i on its conjugate: ``j_endomorphisms``
-    on one column.
-
-    Exists iff rho is pure and its annihilator L satisfies
-    L intersect conj(L) = 0.
-    """
+    """Real endomorphism acting as +i on the annihilator L of rho and -i on conj(L), which exists iff rho is pure
+    with L intersect conj(L) = 0: ``j_endomorphisms`` on one column."""
     return GcEndomorphism(rho.dim, j_endomorphisms(rho.coeffs[:, None], tol)[0])

@@ -8,6 +8,7 @@ finite-difference oracle for derivatives past the first, which jets do
 not carry.  ``naive_evaluate`` walks an expression tree one Jet2 per node,
 constants included: the oracle for ``expressions.compile``.
 ``random_polynomial`` is the seeded expression-tree fixture of the chart tests.
+``naive_nondegeneracy_figure`` is the nondegeneracy figure before the Mukai pairing.
 """
 
 import math
@@ -76,6 +77,18 @@ def naive_interior(j, form):
         rest = key[:pos] + key[pos + 1 :]
         out[rest] = out.get(rest, 0.0) + ((-1) ** pos) * c
     return cleanup(out)
+
+
+def naive_nondegeneracy_figure(omega0, omega):
+    """|top coefficient| of Omega ^ conj(Omega) ^ omega^(n/2 - k) by brute-force wedges, for Multiforms Omega of
+    degree k, scaled here to a largest coefficient of 1, and omega: the nondegeneracy figure the Mukai pairing
+    replaced, which it equals up to 2^j / j! (j = n/2 - k).  0 when k > n/2."""
+    n = omega0.dim
+    unit = from_multiform(omega0 / omega0.max_abs())
+    form = naive_wedge(unit, {key: c.conjugate() for key, c in unit.items()})
+    for _ in range(n // 2 - len(next(iter(unit)))):
+        form = naive_wedge(form, from_multiform(omega))
+    return abs(form.get(tuple(range(1, n + 1)), 0.0))
 
 
 def naive_clifford(vec, cov, form, n):

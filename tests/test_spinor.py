@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +24,7 @@ from gcx.spinor import (
     normal_form,
     normal_forms,
 )
-from helpers_naive import naive_clifford, random_multiform, to_multiform
+from helpers_naive import naive_clifford, naive_nondegeneracy_figure, random_multiform, to_multiform
 
 N = 4
 
@@ -321,6 +323,9 @@ def test_check_nondegenerate():
     nf1 = normal_form(rho1)
     assert nf1.type == 1
     assert not check_nondegenerate(nf1)
+    # types past n/2: Omega ^ conj(Omega) has degree above n, so the pairing is 0
+    for indices in [(1, 2, 3), (1, 2, 3, 4)]:
+        assert not check_nondegenerate(normal_form(Multiform.basis(N, indices)))
     # local model at z1 = 1: direct evaluation of Im(dz1^dz2)^2
     rho = Multiform.scalar(N, 1.0) + dz1_dz2()
     nf = normal_form(rho)
@@ -331,6 +336,40 @@ def test_check_nondegenerate():
     for scale in (1e-6, 1e200):
         assert check_nondegenerate(normal_form(exp_wedge(1j * omega0()) * scale))
         assert not check_nondegenerate(normal_form(rho1 * scale))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2]),
+    st.booleans(),
+    st.sampled_from([0.0, 1e-13, 1e-6, 1.0]),
+    st.sampled_from([1e-6, 1.0, 1e200]),
+    st.integers(0, 2**32 - 1),
+)
+def test_nondegeneracy_is_the_pairing_and_blind_to_b_transforms(k, degenerate, w_scale, scale, seed):
+    # Omega of type k from random complex 1-forms, or degenerate: a real 1-form, a ^ conj(a), or at type 0 a
+    # decomposable omega, whose square vanishes
+    rng = np.random.default_rng(seed)
+    a, b = (random_multiform(rng, N, degrees={1}) for _ in range(2))
+    w = real_two_form(rng)
+    if k == 0:
+        om = Multiform.scalar(N, complex(*rng.standard_normal(2)) + 2.0)
+        if degenerate:
+            w = Multiform(N, a.coeffs.real).wedge(Multiform(N, b.coeffs.real))
+    elif k == 1:
+        om = Multiform(N, a.coeffs.real) if degenerate else a
+    else:
+        om = a.wedge(a.conjugate() if degenerate else b)
+    rho = exp_wedge(1j * w_scale * w).wedge(om) * scale
+    nf = normal_form(rho)
+    assert nf.type == k
+    # the pairing is 2^j / j! times the old figure Omega ^ conj(Omega) ^ omega^j (j = n/2 - k): they agree
+    # outside (tol j! / 2^j, tol], kept clear of by a factor of 10 for round-off
+    figure, band = naive_nondegeneracy_figure(nf.omega0, nf.omega), 2 ** (N // 2 - k) / math.factorial(N // 2 - k)
+    assume(figure > 1e-8 or figure * band < 1e-10)
+    verdict = check_nondegenerate(nf)
+    assert verdict == (figure > 1e-9)
+    assert check_nondegenerate(normal_form(b_transform(real_two_form(rng), rho))) == verdict
 
 
 def test_b_transform_identity_and_additivity():
@@ -359,6 +398,10 @@ def test_from_symplectic():
     assert normal_form(rho).type == 0
     with pytest.raises(ValueError):
         from_symplectic(Multiform.basis(N, (1, 2)))
+    # every 2-form in odd dimension is degenerate: its exp(i*omega) has a zero pairing
+    with pytest.raises(ValueError, match="degenerate 2-form"):
+        from_symplectic(Multiform.basis(3, (1, 2)))
+    assert from_symplectic(Multiform.basis(2, (1, 2))).allclose(exp_wedge(Multiform.basis(2, (1, 2), 1j)))
 
 
 def test_from_complex():
@@ -425,13 +468,37 @@ def test_j_endomorphisms_block_equals_each_column():
 
 def test_j_endomorphisms_reject_a_block_with_one_bad_column():
     good = exp_wedge(1j * omega0()).coeffs
+    # dx1 ^ exp(i dx2^dx3): pure of type 1, but its Omega = dx1 is real, so L meets conj(L)
+    real_type_one = Multiform.from_terms(N, {(1,): 1.0, (1, 2, 3): 1j})
     for bad, kind, match in [
         (Multiform.basis(N, (1,)).coeffs, ValueError, "degenerate"),  # pure, but L = conj(L)
+        (real_type_one.coeffs, ValueError, "degenerate"),
         (np.zeros(1 << N), ValueError, "zero form"),
         ((Multiform.scalar(N, 1.0) + Multiform.basis(N, (1,))).coeffs, ValueError, "not pure"),
     ]:
         with pytest.raises(kind, match=match):
             j_endomorphisms(np.stack([good, bad, good], axis=1))
+    # the two public verdicts agree: on it, and on (dx1 + i dx2) ^ exp(i dx3^dx4), which has a J
+    assert is_pure(real_type_one) and not check_nondegenerate(normal_form(real_type_one))
+    complex_type_one = Multiform.from_terms(N, {(1,): 1.0, (2,): 1j, (1, 3, 4): 1j, (2, 3, 4): -1.0})
+    assert check_nondegenerate(normal_form(complex_type_one))
+    assert j_endomorphism(complex_type_one).dim == N
+
+
+def test_j_endomorphism_reports_a_failed_cross_check_as_a_runtime_error():
+    # exp(dx1^dx3 + dx2^dx4) ^ (dx1 + i dx2) ^ exp(i eps dx3^dx4) is nondegenerate, but its J has entries
+    # near 1/eps, whose round-off the 1e-8 checks of the computed J read: an output fault, not bad input
+    def rho(eps):
+        twisted = Multiform.from_terms(N, {(1,): 1.0, (2,): 1j}).wedge(exp_wedge(Multiform.basis(N, (3, 4), 1j * eps)))
+        return b_transform(Multiform.from_terms(N, {(1, 3): 1.0, (2, 4): 1.0}), twisted)
+
+    assert check_nondegenerate(normal_form(rho(1e-4))) and check_nondegenerate(normal_form(rho(1e-6)))
+    try:  # its pairing residual, 1.4e-8 under OpenBLAS, is too close to 1e-8 to pin the side it falls on
+        j_endomorphism(rho(1e-4))
+    except RuntimeError as exc:
+        assert "cross-check" in str(exc)
+    with pytest.raises(RuntimeError, match="failed the cross-check: it does not square to -identity"):
+        j_endomorphism(rho(1e-6))
 
 
 def test_gc_endomorphism_rejects_a_matrix_that_fails_either_check():
