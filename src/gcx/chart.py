@@ -23,7 +23,7 @@ import numpy as np
 
 from gcx import expressions
 from gcx.jets import FormJet, Jet2, _Jet
-from gcx.multilinear import GcVector, Multiform, action_matrix, interior_coeffs, wedge_coeffs
+from gcx.multilinear import GcVector, Multiform, action_matrix, exterior_coeffs, interior_coeffs, wedge_coeffs
 from gcx.spinor import min_norm_solve
 
 __all__ = [
@@ -124,8 +124,8 @@ class MapJet:
 
     ``image`` is the image point and ``jac[..., t, i]`` the first
     derivatives of the map's components there.  The pulled-back basis
-    forms are (2^n, *batch) coefficient arrays, built on first use and
-    shared by every form pulled back through this evaluation.
+    forms are (2^n, *batch) arrays, built on first use from Jacobian rows by
+    ``exterior_coeffs`` and shared by every form pulled back through it.
     """
 
     def __init__(self, image: ChartPoint, jac: np.ndarray):
@@ -141,7 +141,7 @@ class MapJet:
         """The coefficients of the pullback of the basis monomial ``mask``."""
         if mask not in self._basis:
             low = mask & -mask
-            self._basis[mask] = wedge_coeffs(self.jac.shape[-1], self._basis[low], self.basis(mask ^ low))
+            self._basis[mask] = exterior_coeffs(self.basis(mask ^ low), self.jac[..., low.bit_length() - 1, :].T)
         return self._basis[mask]
 
     def pull(self, coeffs: np.ndarray) -> np.ndarray:

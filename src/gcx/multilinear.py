@@ -24,6 +24,7 @@ __all__ = [
     "exp_wedge",
     "action_matrix",
     "interior_coeffs",
+    "exterior_coeffs",
 ]
 
 
@@ -325,26 +326,28 @@ def action_matrix(rho) -> np.ndarray:
     (2^n, N) of a block of N forms, which give N stacked matrices.
     """
     coeffs = rho.coeffs if isinstance(rho, Multiform) else rho
-    size = len(coeffs)
-    t = _tables(size.bit_length() - 1)
-    # a signed gather, exact and free of BLAS whatever N is, signed in place on its one copy; the
-    # transposed view keeps the generator axis outermost in memory, which fixes the summation order of
-    # products with the matrices
-    rows = np.asarray(coeffs, dtype=complex)[t.action_source]
-    rows *= t.action_sign.reshape((-1,) + (1,) * (rows.ndim - 1))
-    return rows.reshape(-1, size, *coeffs.shape[1:]).T
+    # the transposed view keeps the generator axis outermost in memory: it fixes the order of sums in products
+    return _action_rows(coeffs, len(coeffs).bit_length() - 1, slice(None)).T
+
+
+def _action_rows(coeffs: np.ndarray, n: int, gens: slice) -> np.ndarray:
+    """Generators ``gens`` (d/dx^i, then dx^i) on forms (2^n, *batch), (k, 2^n, *batch): one gather, signed in place."""
+    t = _tables(n)
+    rows = np.asarray(coeffs, dtype=complex)[t.action_source.reshape(2 * n, -1)[gens]]
+    rows *= t.action_sign.reshape(2 * n, -1)[gens].reshape(rows.shape[:2] + (1,) * (rows.ndim - 2))
+    return rows
 
 
 def interior_coeffs(coeffs: np.ndarray, vec) -> np.ndarray:
-    """i_X of forms (2^n, *batch) by vector components (n, *batch), broadcast past the first axis.
+    """i_X of forms (2^n, *batch) by vector components (n, *batch), broadcast past the first axis: the d/dx^i rows
+    times X^i, summed over i in turn, so that a block gives its per-point values bit for bit."""
+    return (_action_rows(coeffs, len(vec), slice(len(vec))) * np.asarray(vec)[:, None]).sum(axis=0)
 
-    The rows of d/dx^1..d/dx^n in ``action_matrix``, gathered and signed, times X^i and summed over i
-    in turn, so that a block gives its per-point values bit for bit."""
-    n = len(vec)
-    t = _tables(n)
-    rows = np.asarray(coeffs, dtype=complex)[t.action_source[: n << n].reshape(n, -1)]
-    rows *= t.action_sign[: n << n].reshape((n, -1) + (1,) * (rows.ndim - 2))
-    return (rows * np.asarray(vec)[:, None]).sum(axis=0)
+
+def exterior_coeffs(coeffs: np.ndarray, cov) -> np.ndarray:
+    """xi ^ forms (2^n, *batch) by covector components (n, *batch), the covector twin of ``interior_coeffs``: only the
+    degree-1 pairs of ``wedge_coeffs``, with xi_i first as there (complex products round in operand order)."""
+    return (np.asarray(cov)[:, None] * _action_rows(coeffs, len(cov), slice(len(cov), None))).sum(axis=0)
 
 
 def pairing(u: GcVector, v: GcVector) -> complex:

@@ -5,10 +5,10 @@ under the Clifford action is maximal isotropic (dimension n).  Pure
 spinors factor as exp(B + i*omega) ^ Omega with B, omega real 2-forms
 and Omega decomposable of degree k (the type).  This module computes
 annihilators (the (2n, k) kernel matrix of the Clifford action, kept as
-``AnnihilatorBasis.matrix``), that factorization, nondegeneracy (one
-rule, ``_nondegenerate``: a nonzero Mukai pairing, read with Omega scaled
-to a largest coefficient of 1), B-field transforms, and the induced
-complex structure on T + T*.
+``AnnihilatorBasis.matrix``), purity and nondegeneracy (one rule each,
+``_pure`` and ``_nondegenerate``, both from the Mukai pairing), that
+factorization, B-field transforms, and the induced complex structure on
+T + T*.
 """
 
 from dataclasses import dataclass
@@ -177,25 +177,29 @@ def annihilator(rho: Multiform, tol: float = DEFAULT_TOL) -> AnnihilatorBasis:
     return AnnihilatorBasis(dim=rho.dim, matrix=kernel)
 
 
-def _pure(coeffs: np.ndarray, tol: float) -> np.ndarray:
-    """Whether the annihilator of each column of (2^n, N) coefficients has the maximal dimension n.
+def _mukai_top(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(sigma(a) ^ b)_top of coefficient arrays (2^n, ...), sigma = (-1)^(k(k-1)/2) on degree k: the wedge's last
+    run, its 2^n complementary pairs (s, ~s), reduced as ``wedge_coeffs`` reduces it, so bit for bit its [-1]."""
+    t, shape = _tables(n), (-1,) + (1,) * (a.ndim - 1)
+    prod = np.where(t.degree % 4 < 2, 1.0, -1.0).reshape(shape) * a * b[::-1]
+    prod *= t.w_sign[t.w_starts[-1] :].reshape(shape)
+    return np.add.reduceat(prod, [0])[0]
 
-    Read from ``_kernels`` (a zero column has rank 0).  A maximal
-    annihilator, the last n right singular vectors, must be isotropic, or
-    RuntimeError is raised.
-    """
+
+def _pure(coeffs: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each column of (2^n, N) coefficients is pure: for n <= 4, of one parity with a zero Mukai self-pairing
+    (Chevalley).  So: nonzero, a minority-parity part at most tol times the largest coefficient, and
+    |(sigma(u) ^ u)_top| <= tol, u the column scaled to a largest coefficient of 1 (scaled to Omega, the round-off
+    of the cancelling terms would grow as |B + i*omega|^2)."""
     n = len(coeffs).bit_length() - 1
-    dims, vh = _kernels(coeffs, tol)
-    kernel = vh[:, n:]
-    pairing = np.abs(kernel @ pairing_gram(n) @ kernel.swapaxes(1, 2)).max(axis=(1, 2))
-    pure = dims == n
-    if (pure & (pairing > 1e3 * tol)).any():
-        raise RuntimeError("maximal annihilator failed the isotropy cross-check")
-    return pure
+    parts = [np.abs(coeffs[_tables(n).degree % 2 == parity]).max(axis=0) for parity in (0, 1)]
+    minority, scale = np.minimum(*parts), np.maximum(*parts)
+    unit = np.divide(coeffs, scale, out=np.zeros(coeffs.shape, complex), where=scale > 0)
+    return (scale > 0) & (minority <= tol * scale) & (np.abs(_mukai_top(n, unit, unit)) <= tol)
 
 
 def is_pure(rho: Multiform, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the annihilator of rho has the maximal dimension n."""
+    """True iff rho is a pure spinor, its annihilator of the maximal dimension n: ``_pure`` on one column."""
     return bool(_pure(rho.coeffs[:, None], tol)[0])
 
 
@@ -221,10 +225,8 @@ def _nondegenerate(coeffs: np.ndarray, tol: float) -> np.ndarray:
     """Whether each column rho of (2^n, N) coefficients has a Mukai pairing |(sigma(rho) ^ conj(rho))_top| above tol,
     sigma = (-1)^(k(k-1)/2) on degree k: for a pure rho, whether L meets conj(L) only in 0.  A column is read scaled
     to a ``_lowest_part`` Omega of largest coefficient 1; neither that scale nor the pairing changes under exp(B) ^."""
-    n = len(coeffs).bit_length() - 1
     unit = coeffs / np.abs(_lowest_part(coeffs, tol)[1]).max(axis=0)
-    sigma = np.where(_tables(n).degree % 4 < 2, 1.0, -1.0)[:, None]
-    return np.abs(wedge_coeffs(n, sigma * unit, unit.conj())[-1]) > tol
+    return np.abs(_mukai_top(len(coeffs).bit_length() - 1, unit, unit.conj())) > tol
 
 
 def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
@@ -235,8 +237,8 @@ def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     out the scalar part; type k > 0 takes the minimal-norm C with
     C ^ Omega = (degree k + 2 part), one ``min_norm_solve`` per type,
     unique iff of full rank.  Raises ValueError unless every column is
-    pure, and RuntimeError on a degree-2 Omega that is not decomposable
-    or unless |exp(B + i*omega) ^ Omega - rho| <= 1e-10 |rho|.
+    pure by ``_pure``, and RuntimeError unless
+    |exp(B + i*omega) ^ Omega - rho| <= 1e-10 |rho|.
     """
     n = len(coeffs).bit_length() - 1
     if not _pure(coeffs, tol).all():
@@ -249,18 +251,13 @@ def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     unique = types == 0
     for k in set(types.tolist()) - {0}:
         cols = types == k
-        factor = omega0[:, cols]
         # column s of a matrix: (basis 2-form s) ^ Omega, a signed gather from the wedge's pairs
-        mats = np.zeros((factor.shape[1], 1 << n, len(two)), complex)
-        mats[:, dst, col] = factor[src].T * sign
+        mats = np.zeros((cols.sum(), 1 << n, len(two)), complex)
+        mats[:, dst, col] = omega0[src][:, cols].T * sign
         rows, keep = min_norm_solve(mats, np.where(degree == k + 2, coeffs[:, cols], 0).T, tol)
         del mats  # not held through the reconstruct check
         exponent[two[:, None], cols] = rows.T
         unique[cols] = keep.all(axis=1)
-        if k == 2:  # on columns scaled to a largest coefficient of 1, as the reconstruct check
-            unit = factor / scale[cols]
-            if not (np.abs(wedge_coeffs(n, unit, unit)) <= 1e3 * tol).all():
-                raise RuntimeError("degree-2 factor of a pure spinor must be decomposable")
     rebuilt = wedge_coeffs(n, exp_wedge_coeffs(exponent), omega0)
     # scaled, no norm overflows to inf; and a NaN residual fails `<=`, where it passed `>`
     gap, size = np.linalg.norm(np.array([rebuilt - coeffs, coeffs]) / scale, axis=1)
@@ -350,17 +347,17 @@ def j_endomorphisms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     and -i on conj(L).
 
     They exist iff every column is pure with L intersect conj(L) = 0.
-    ``_kernels`` gives the annihilators, ``_nondegenerate`` the
-    L-meets-conj(L) test, and one stacked inverse of [P, conj P] the
-    matrices.  These must be real, square to -1 and preserve the pairing
-    (the checks of ``GcEndomorphism``), or RuntimeError is raised.
+    ``_pure`` and ``_nondegenerate`` decide it, ``_kernels`` gives the
+    annihilators, and one stacked inverse of [P, conj P] the matrices.
+    These must be real, square to -1 and preserve the pairing (the checks
+    of ``GcEndomorphism``), or RuntimeError is raised.
     """
     n = len(coeffs).bit_length() - 1
     if (np.abs(coeffs).max(axis=0) == 0.0).any():
         raise ValueError("annihilator of the zero form is everything; rejecting")
     dims, vh = _kernels(coeffs, tol)
-    if (dims != n).any():
-        raise ValueError(f"spinor is not pure (annihilator dimension {dims[dims != n][0]})")
+    if not (pure := _pure(coeffs, tol)).all():
+        raise ValueError(f"spinor is not pure (annihilator dimension {dims[~pure][0]})")
     if not _nondegenerate(coeffs, tol).all():
         raise ValueError("degenerate spinor, no J exists (L meets conj(L))")
     p = vh[:, n:].conj().swapaxes(1, 2)  # (N, 2n, n): the kernel columns

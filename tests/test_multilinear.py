@@ -12,6 +12,7 @@ from gcx.multilinear import (
     action_matrix,
     clifford,
     exp_wedge,
+    exterior_coeffs,
     interior_coeffs,
     pairing,
     pairing_gram,
@@ -172,6 +173,34 @@ def test_interior_is_the_vector_part_of_clifford_property(vec_rho):
     expected = clifford(GcVector(rho.dim, vec=vec), rho)
     got = Multiform(rho.dim, interior_coeffs(rho.coeffs, vec))
     assert got.allclose(expected, tol=1e-14 * rho.max_abs() * np.abs(vec).sum())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (17,)])
+def test_exterior_is_the_wedge_of_a_one_form(n, batch):
+    # xi ^ rho from the action table's covector rows against the full wedge of the one-form xi: the same products,
+    # so equal values (an exact zero may take the other sign: its zero products are not formed alike); only numpy's
+    # reduceat sums the wedge's 16-pair top run at n = 4 in its own pairwise order, where the rows sum in turn, and
+    # the two then agree to round-off.  On the checks' chart maps the bases match bit for bit (test_chart.py)
+    rng = np.random.default_rng([n, len(batch)])
+    for _ in range(20):
+        rho = rng.normal(size=(1 << n, *batch)) + 1j * rng.normal(size=(1 << n, *batch))
+        xi = rng.normal(size=(n, *batch)) + 1j * rng.normal(size=(n, *batch))
+        one = np.zeros_like(rho)
+        one[1 << np.arange(n)] = xi
+        got, expected = exterior_coeffs(rho, xi), wedge_coeffs(n, one, rho)
+        body = slice(None, -1) if n == 4 else slice(None)
+        assert got.shape == expected.shape and (got[body] == expected[body]).all()
+        if n == 4:
+            # dx^i ^ dx^(rest) = (-1)^i vol; array products, as numpy's scalar complex product rounds otherwise
+            terms = xi * rho[15 ^ (1 << np.arange(4))] * np.array([1, -1, 1, -1]).reshape(-1, *(1,) * len(batch))
+            assert (got[-1] == ((terms[0] + terms[1]) + terms[2]) + terms[3]).all()
+            # each order of the four-term sum errs by at most 3 u sum|t| per component (u = eps / 2)
+            assert (np.abs(got[-1] - expected[-1]) <= 6 * np.finfo(float).eps * np.abs(terms).sum(axis=0)).all()
+    # a block gives its per-point values bit for bit
+    if batch:
+        cols = [exterior_coeffs(rho[:, j], xi[:, j]) for j in range(batch[0])]
+        assert (np.stack(cols, axis=-1) == got).all()
 
 
 def test_graded_commutativity():

@@ -133,6 +133,62 @@ def test_is_pure():
     assert is_pure(exp_wedge(1j * omega0()))
     assert is_pure(Multiform.scalar(N, 1.0))
     assert not is_pure(omega0())  # kernel is trivial for the bare 2-form
+    assert not is_pure(Multiform.from_terms(N, {(): 1.0, (1,): 1.0}))  # both parities
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0, 0.0])
+def test_one_plus_f_plus_c_pfaffian_is_pure_only_at_c_one(c):
+    # 1 + F + c Pf(F) vol, Pf(F) != 0: one parity, and its Mukai self-pairing is 2 (c - 1) Pf(F); at c = 1 it is
+    # exp(F).  The SVD of the Clifford action, the rule's oracle, agrees
+    rng = np.random.default_rng(int(c))
+    for _ in range(10):
+        f = Multiform(N, random_multiform(rng, N, degrees={2}).coeffs)
+        pf = exp_wedge(f).top()
+        assert abs(pf) > 1e-2
+        rho = exp_wedge(f) + Multiform.basis(N, (1, 2, 3, 4), (c - 1.0) * pf)
+        assert is_pure(rho) == (c == 1.0) == (len(annihilator(rho)) == N)
+
+
+def test_zero_is_not_pure_and_raises_no_warning():
+    import warnings
+
+    from gcx.spinor import _pure
+
+    block = np.zeros((1 << N, 3), complex)
+    block[:, 1] = exp_wedge(1j * omega0()).coeffs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_pure(Multiform.zero(N))
+        assert _pure(block, 1e-9).tolist() == [False, True, False]
+
+
+def test_purity_runs_no_svd(monkeypatch):
+    # purity is read from the Mukai pairing: normal_forms and is_pure never reach the SVD of a Clifford action
+    from gcx import spinor
+
+    block = mixed_block(np.random.default_rng(14))
+    expected = normal_forms(block)
+
+    def no_svd(coeffs, tol):
+        raise AssertionError("purity ran an SVD of a Clifford action")
+
+    monkeypatch.setattr(spinor, "_kernels", no_svd)
+    assert all(is_pure(Multiform(N, col)) for col in block.T)
+    for got, want in zip(normal_forms(block), expected):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mukai_top_is_the_wedge_top_bit_for_bit(n):
+    from gcx.multilinear import _tables, wedge_coeffs
+    from gcx.spinor import _mukai_top
+
+    sigma = np.where(_tables(n).degree % 4 < 2, 1.0, -1.0)[:, None]
+    rng = np.random.default_rng(n)
+    for count in (1, 17):
+        for _ in range(20):
+            a, b = (rng.normal(size=(1 << n, count)) + 1j * rng.normal(size=(1 << n, count)) for _ in "ab")
+            assert _mukai_top(n, a, b).tobytes() == wedge_coeffs(n, sigma * a, b)[-1].tobytes()
 
 
 def test_annihilator_isotropy_and_roundtrip():
@@ -278,11 +334,6 @@ def test_normal_form_cross_checks_hold_at_any_magnitude(monkeypatch):
         for scale in (1.0, 1e200):
             with pytest.raises(RuntimeError, match="failed to reproduce the spinor"):
                 normal_form(rho * scale)
-    # past the purity check, dx1^dx2 + dx3^dx4 is a degree-2 factor that is not decomposable
-    monkeypatch.setattr(spinor, "_pure", lambda coeffs, tol: np.ones(coeffs.shape[1], bool))
-    for scale in (1.0, 1e200):
-        with pytest.raises(RuntimeError, match="must be decomposable"):
-            normal_form(omega0() * scale)
 
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -370,6 +421,26 @@ def test_nondegeneracy_is_the_pairing_and_blind_to_b_transforms(k, degenerate, w
     verdict = check_nondegenerate(nf)
     assert verdict == (figure > 1e-9)
     assert check_nondegenerate(normal_form(b_transform(real_two_form(rng), rho))) == verdict
+
+
+def test_nondegenerate_verdicts_are_the_wedge_rule():
+    # the pairing read from the wedge's complementary pairs against the full wedge's top coefficient, on a seeded
+    # block of every type, degenerate columns among them, at several tolerances
+    from gcx.multilinear import _tables, wedge_coeffs
+    from gcx.spinor import _lowest_part, _nondegenerate
+
+    rng = np.random.default_rng(15)
+    a = random_multiform(rng, N, degrees={1})
+    extra = [Multiform(N, a.coeffs.real), a.wedge(a.conjugate()), exp_wedge(1j * 1e-6 * omega0()) * 1e3]
+    block = np.column_stack([mixed_block(rng)] + [f.coeffs for f in extra])
+    sigma = np.where(_tables(N).degree % 4 < 2, 1.0, -1.0)[:, None]
+    verdicts = set()
+    for tol in (1e-13, 1e-9, 1e-6, 1e-3):
+        unit = block / np.abs(_lowest_part(block, tol)[1]).max(axis=0)
+        old = np.abs(wedge_coeffs(N, sigma * unit, unit.conj())[-1]) > tol
+        assert np.array_equal(_nondegenerate(block, tol), old)
+        verdicts.update(old.tolist())
+    assert verdicts == {True, False}
 
 
 def test_b_transform_identity_and_additivity():
