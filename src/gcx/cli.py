@@ -245,9 +245,11 @@ def _emit(lines: list, path: str | None = None, text: str = "") -> int:
     return 0
 
 
-def _read_json(path: str):
+def _read_json(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        if isinstance(data := json.load(handle), dict):
+            return data
+    raise ValueError(f"--input must hold a JSON object, got {type(data).__name__}")
 
 
 def _cmd_normal_form(args) -> int:
@@ -269,10 +271,11 @@ def _cmd_bracket(args) -> int:
     periodic = data.get("periodic", [False] * dim)
     if not isinstance(periodic, list) or not all(isinstance(b, bool) for b in periodic):
         raise ValueError(f"periodic must be a list of JSON booleans, got {periodic!r}")
-    coords = tuple(float(c) for c in data["point"])
-    if len(coords) != dim or not all(math.isfinite(c) for c in coords):
-        raise ValueError(f"point must have {dim} finite coordinates, got {coords}")
-    point = ChartPoint(chart, coords, periodic)
+    coords = data["point"]  # finite JSON numbers only: float() would read "0.5" and true
+    numbers = isinstance(coords, list) and all(type(c) in (int, float) and math.isfinite(c) for c in coords)
+    if not (numbers and len(coords) == dim):
+        raise ValueError(f"point must be a list of {dim} finite numbers, got {coords!r}")
+    point = ChartPoint(chart, tuple(map(float, coords)), periodic)
     u = GcField.from_expressions(chart, dim, data["u"]["vec"], data["u"]["cov"])
     v = GcField.from_expressions(chart, dim, data["v"]["vec"], data["v"]["cov"])
     h = None

@@ -26,7 +26,7 @@ import operator
 import numpy as np
 
 from gcx.jets import FormJet, Jet2, _Jet
-from gcx.multilinear import _indices_to_mask
+from gcx.multilinear import _indices_to_mask, _integer
 
 __all__ = ["compile", "evaluate"]
 
@@ -65,9 +65,9 @@ def compile(node: dict, dim: int):
             raise ValueError(f"const must be finite, got {value}")
         return Jet2.constant(dim, value)
     if kind == "coord":
-        if not 1 <= int(body) <= dim:
-            raise ValueError(f"coordinate index {body} out of range 1..{dim}")
-        return operator.itemgetter(int(body) - 1)
+        if not 1 <= (i := _integer(body, "a coordinate index")) <= dim:
+            raise ValueError(f"coordinate index {i} out of range 1..{dim}")
+        return operator.itemgetter(i - 1)
     if kind in ("add", "mul"):
         if not body:
             raise ValueError(f"empty {kind} node")
@@ -85,9 +85,9 @@ def compile(node: dict, dim: int):
         return run if rest else head
     if kind == "pow":
         child, k = body
-        if float(k) != int(k) or abs(int(k)) > MAX_POW:
+        if abs(k := _integer(k, "a pow exponent")) > MAX_POW:
             raise ValueError(f"pow exponent must be an integer with |k| <= {MAX_POW}, got {k!r}")
-        inner, k = compile(child, dim), int(k)
+        inner = compile(child, dim)
         return lambda xs: _run(inner, xs) ** k
     if kind in _UNARY:
         inner, fn = compile(body, dim), _UNARY[kind]

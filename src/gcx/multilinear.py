@@ -259,11 +259,20 @@ class Multiform:
         return "Multiform<" + (" + ".join(parts) if parts else "0") + ">"
 
 
+def _integer(value, what: str) -> int:
+    """value as an int, if it is an integer or an integral float; int() would truncate 1.7 and read True or "2"."""
+    if type(value) is not bool and hasattr(value, "__index__") or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _indices_to_mask(dim: int, indices) -> int:
+    if not isinstance(indices, (list, tuple)):
+        raise ValueError(f"indices must be a list, got {indices!r}")
     mask = 0
     prev = 0
     for i in indices:
-        i = int(i)
+        i = _integer(i, "an index")
         if not 1 <= i <= dim:
             raise ValueError(f"index {i} out of range 1..{dim}")
         if i <= prev:

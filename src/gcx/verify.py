@@ -62,8 +62,8 @@ from gcx.models import (
     quotient_spinor_field,
     tube_symplectic,
 )
-from gcx.multilinear import GcVector, _tables
-from gcx.spinor import j_endomorphisms, normal_forms
+from gcx.multilinear import GcVector, _tables, exterior_coeffs, interior_coeffs
+from gcx.spinor import DEFAULT_TOL, _nondegenerate, _pure, normal_forms
 
 __all__ = [
     "CheckReport",
@@ -705,7 +705,7 @@ def reduce_modular(tau: complex) -> complex:
     tau = complex(tau)
     if tau.imag < 0:
         tau = -tau
-    if tau.imag == 0:
+    if not abs(tau.imag) > 0:  # a NaN too
         raise ValueError("degenerate lattice: real modulus")
     for _ in range(200):
         tau = complex(tau.real - round(tau.real), tau.imag)
@@ -719,41 +719,28 @@ def reduce_modular(tau: complex) -> complex:
 
 
 def locus_complex_structures(rho_field: FormField, located: list, lattice_basis) -> tuple:
-    """Complex structure induced by the degree-2 part at each of N nondegenerate locus points.
-
-    Asserts that d(rho0) annihilates the anti-holomorphic tangent space and that the locus tangent
-    is invariant, then reduces the ratio of the two lattice generators in the induced complex line
-    to the modular fundamental domain.  The field is evaluated once, on the block of the points; J,
-    its eigenvectors, the tangent planes (kernels of one SVD of the stacked Jacobians) and their
-    projections are stacked numpy calls.  Returns tau, the dbar and tangent residuals (N,) and the
-    complex structures on T (N, n, n).
-    """
+    """tau and the dbar and tangent residuals (N,) of the structure that Omega, the degree-2 part, induces at N
+    nondegenerate locus points, its (1,0)-forms the xi with xi ^ Omega = 0.  With g = d(rho0), on one block:
+    dbar = |g ^ Omega| / (max|Omega| max(1, |g|)); tangent = |g ^ conj(g) ^ Omega| / (max|Omega| |g|^2), 0 iff ker g is
+    a complex line; a lattice vector l must have |g(l)| <= 1e-6 |g| max(1, |l|).  Each Omega(X, .) is (1,0), so
+    tau = Omega(X, l2) / Omega(X, l1), reduced, with X = conj(Omega(l1, .)): Omega(X, l1) = -|Omega(l1, .)|^2 != 0."""
     if not all(lp.nondegenerate for lp in located):
         raise ValueError("locus point is degenerate; no induced complex structure")
     jet = rho_field(located[0].location.with_coords(np.array([lp.location.coords for lp in located]).T))
-    n = jet.dim
-    omega2 = np.where(_tables(n).degree[:, None] == 2, jet.values, 0.0)
-    cplx = -j_endomorphisms(omega2)[:, :n, :n]
-
-    evals, evecs = np.linalg.eig(cplx)
-    anti_holo = np.abs(evals + 1j) < 1e-6  # (N, n): which eigenvector columns span the -i eigenspace
-    drho0 = jet.grads[0]  # (N, n)
-    dots = np.abs((drho0[:, None, :] @ evecs)[:, 0])
-    dbar_res = np.where(anti_holo, dots, 0.0).max(axis=1) / np.maximum(1.0, np.linalg.norm(drho0, axis=1))
-
-    # tangent invariance: I maps the locus tangent plane, the Jacobian's kernel, to itself
-    t_basis = np.linalg.svd(_scalar_jacobian(jet))[2][:, 2:].swapaxes(1, 2)  # (N, n, 2)
-    off = np.eye(n) - t_basis @ t_basis.swapaxes(1, 2)  # projections off the tangent planes, orthonormal bases
-    tangent_res = np.abs(off @ cplx @ t_basis).max(axis=(1, 2))
-
-    l1, l2 = (np.asarray(v, dtype=float) for v in lattice_basis)
-    for vec in (l1, l2):
-        if (np.abs(off @ vec).max(axis=1) > 1e-6 * max(1.0, np.linalg.norm(vec))).any():
-            raise ValueError("lattice vector does not lie in the locus tangent plane")
-    basis = np.stack([np.broadcast_to(l1, (len(located), n)), cplx @ l1], axis=-1)  # (N, n, 2)
-    ab = np.linalg.pinv(basis) @ l2
-    tau = np.array([reduce_modular(complex(a, b)) for a, b in ab])
-    return tau, dbar_res, tangent_res, cplx
+    omega = np.where(_tables(jet.dim).degree[:, None] == 2, jet.values, 0.0)
+    if not (_pure(omega, DEFAULT_TOL).all() and _nondegenerate(omega, DEFAULT_TOL).all()):
+        raise ValueError("degenerate Omega at a locus point; no induced complex structure")
+    g, scale = jet.grads[0].T, np.abs(omega).max(axis=0)  # g: (n, N)
+    size = np.linalg.norm(g, axis=0)
+    dbar = np.abs(exterior_coeffs(omega, g)).max(axis=0) / (scale * np.maximum(1.0, size))
+    tangent = np.abs(exterior_coeffs(exterior_coeffs(omega, g.conj()), g)).max(axis=0) / (scale * size**2)
+    l1, l2 = (np.asarray(v, dtype=float)[:, None] for v in lattice_basis)
+    if any((np.abs((g * vec).sum(axis=0)) > 1e-6 * size * max(1.0, np.linalg.norm(vec))).any() for vec in (l1, l2)):
+        raise ValueError("lattice vector does not lie in the locus tangent plane")
+    one = 1 << np.arange(jet.dim)  # the degree-1 positions
+    form = interior_coeffs(omega, interior_coeffs(omega, l1)[one].conj())[one]  # Omega(X, .)
+    tau = np.array([reduce_modular(t) for t in (form * l2).sum(axis=0) / (form * l1).sum(axis=0)])
+    return tau, dbar, tangent
 
 
 FIBER_LATTICE = (np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0]))
@@ -774,7 +761,7 @@ def check_locus(seeds_count: int = 100, seed: int = 42, tol: float = 1e-9) -> Ch
     )
 
     # per located point: |z1|, tau error vs i, dbar residual, tangent residual
-    tau, dbar_res, tangent_res, _ = locus_complex_structures(rho, located, FIBER_LATTICE)
+    tau, dbar_res, tangent_res = locus_complex_structures(rho, located, FIBER_LATTICE)
     coords = np.array([lp.location.coords for lp in located]).T
     z1 = np.hypot(coords[0], coords[1])
     top = _largest({"converged": z1, "tau": np.abs(tau - 1j), "dbar": dbar_res, "tangent": tangent_res}, coords)

@@ -9,6 +9,8 @@ not carry.  ``naive_evaluate`` walks an expression tree one Jet2 per node,
 constants included: the oracle for ``expressions.compile``.
 ``random_polynomial`` is the seeded expression-tree fixture of the chart tests.
 ``naive_nondegeneracy_figure`` is the nondegeneracy figure before the Mukai pairing.
+``naive_locus_structures`` is the induced locus structure through J, its eigenvectors, an SVD of the
+Jacobians and a pseudo-inverse: the oracle for ``verify.locus_complex_structures``.
 """
 
 import math
@@ -18,6 +20,7 @@ import numpy as np
 
 from gcx.jets import Jet2
 from gcx.multilinear import Multiform
+from gcx.spinor import j_endomorphisms
 
 
 def sort_parity(seq):
@@ -187,3 +190,27 @@ def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2, terms
         factors += [{"coord": int(rng.integers(1, dim + 1))} for _ in range(int(rng.integers(1, degree + 1)))]
         nodes.append({"mul": factors})
     return {"add": nodes}
+
+
+def naive_locus_structures(rho_field, located, lattice_basis):
+    """Unreduced tau, the dbar and tangent residuals (N,) and the complex structures on T (N, n, n) at the
+    located points: I = -J on T, J from the annihilator of the degree-2 part; dbar is |d(rho0)| on I's unit
+    -i eigenvectors over max(1, |d(rho0)|); tangent is how far I moves the Jacobian's SVD kernel off itself;
+    and l2 = a l1 + b I l1 by pseudo-inverse gives tau = a + i b."""
+    coords = np.array([lp.location.coords for lp in located]).T
+    jet = rho_field(located[0].location.with_coords(coords))
+    n = jet.dim
+    degree = np.array([bin(s).count("1") for s in range(1 << n)])
+    cplx = -j_endomorphisms(np.where(degree[:, None] == 2, jet.values, 0.0))[:, :n, :n]
+    evals, evecs = np.linalg.eig(cplx)
+    drho0 = jet.grads[0]  # (N, n)
+    dots = np.abs((drho0[:, None, :] @ evecs)[:, 0])
+    dbar = np.where(np.abs(evals + 1j) < 1e-6, dots, 0.0).max(axis=1) / np.maximum(1.0, np.linalg.norm(drho0, axis=1))
+    jac = np.stack([drho0.real, drho0.imag], axis=1)  # (N, 2, n)
+    t_basis = np.linalg.svd(jac)[2][:, 2:].swapaxes(1, 2)  # (N, n, 2)
+    off = np.eye(n) - t_basis @ t_basis.swapaxes(1, 2)
+    tangent = np.abs(off @ cplx @ t_basis).max(axis=(1, 2))
+    l1, l2 = (np.asarray(v, dtype=float) for v in lattice_basis)
+    basis = np.stack([np.broadcast_to(l1, (len(located), n)), cplx @ l1], axis=-1)  # (N, n, 2)
+    ab = np.linalg.pinv(basis) @ l2
+    return ab[:, 0] + 1j * ab[:, 1], dbar, tangent, cplx

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -212,12 +213,16 @@ def test_check_invalid_config_exit_2_before_any_check(flags, tmp_path, monkeypat
 @pytest.mark.parametrize("target", ["local-model", "locus"])
 def test_check_tol_below_round_off_is_a_verdict_not_a_crash(target, tmp_path, capsys):
     # --tol bounds residuals only: rank decisions keep their own cutoff, so a tolerance
-    # below round-off fails residuals (exit 1) and does not break a pure spinor (exit 3)
+    # below round-off fails residuals (exit 1) and does not break a pure spinor (exit 3);
+    # every locus figure of the local model is exactly 0, so locus passes (exit 0)
     out = tmp_path / "report.json"
-    assert run_cli(["check", target, "--tol", "1e-16", "--samples", "20", "--output", str(out)]) == 1
+    code = run_cli(["check", target, "--tol", "1e-16", "--samples", "20", "--output", str(out)])
     reports = json.loads(out.read_text())
-    assert reports and not all(r["pass"] for r in reports)
     assert "runtime failure" not in capsys.readouterr().err
+    if target == "locus":
+        assert code == 0 and [r["max_residual"] for r in reports] == [0.0]
+    else:
+        assert code == 1 and reports and not all(r["pass"] for r in reports)
 
 
 def _bracket_payload(point=(0.2, 0.3, 0.4, 0.5), u1=None):
@@ -344,6 +349,76 @@ def test_a_dim_that_is_not_an_integer_is_refused(command, payload, tmp_path, cap
     assert run_cli([command, "--input", str(src)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: dim must be 2, 3 or 4"), err
+
+
+@pytest.mark.parametrize("command", ["bracket", "normal-form"])
+@pytest.mark.parametrize("payload, kind", [([1, 2], "list"), ([], "list"), ("hello", "str"), (7, "int")])
+def test_an_input_that_is_not_a_json_object_is_refused(command, payload, kind, tmp_path, capsys):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(payload))
+    assert run_cli([command, "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: --input must hold a JSON object, got {kind}"] and not captured.out
+
+
+def _h_payload(indices):
+    """Bracket input of d/dx1 and d/dx2 twisted by H = (a 3-form of the given indices)."""
+    return {**_bracket_payload(), "H": {"terms": [{"indices": indices, "expr": {"const": {"re": 1.0}}}]}}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("bracket", _bracket_payload(u1={"coord": 1.9})),
+        ("bracket", _bracket_payload(u1={"coord": True})),
+        ("bracket", _bracket_payload(u1={"coord": "2"})),
+        ("bracket", _bracket_payload(u1={"pow": [{"coord": 1}, "2"]})),
+        ("bracket", _bracket_payload(u1={"pow": [{"coord": 1}, True]})),
+        ("bracket", _bracket_payload("0123")),
+        ("bracket", _bracket_payload([True, 0.3, 0.4, 0.5])),
+        ("bracket", _bracket_payload(["0.2", 0.3, 0.4, 0.5])),
+        ("bracket", _h_payload([1.5, 2, 3])),
+        ("bracket", _h_payload("123")),
+        ("normal-form", {"dim": 4, "terms": [{"indices": [1.7], "re": 1.0}]}),
+        ("normal-form", {"dim": 4, "terms": [{"indices": [True], "re": 1.0}]}),
+        ("normal-form", {"dim": 4, "terms": [{"indices": "2", "re": 1.0}]}),
+        ("normal-form", {"dim": 4, "terms": [{"indices": {"1": 2}, "re": 1.0}]}),
+    ],
+    ids=[
+        "coord-1.9", "coord-true", "coord-string", "pow-string", "pow-true", "point-string", "point-bool",
+        "point-string-entry", "h-indices-1.5", "h-indices-string", "indices-1.7", "indices-true",
+        "indices-string", "indices-object",
+    ],
+)
+def test_an_integer_field_that_is_not_an_integer_is_refused(command, payload, tmp_path, capsys):
+    # int() would truncate 1.9 to 1 and read true as 1, and a string would be read character by character
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(payload))
+    assert run_cli([command, "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and re.match(r"error: .* must be (an integer|a list)", err[0]), err
+    assert not captured.out
+
+
+@pytest.mark.parametrize(
+    "command, integral, integer",
+    [
+        ("bracket", _bracket_payload(u1={"coord": 2.0}), _bracket_payload(u1={"coord": 2})),
+        ("bracket", _bracket_payload(u1={"pow": [{"coord": 2}, 3.0]}), _bracket_payload(u1={"pow": [{"coord": 2}, 3]})),
+        ("bracket", _h_payload([1.0, 2.0, 4.0]), _h_payload([1, 2, 4])),
+        ("normal-form", {"dim": 4, "terms": [{"indices": [2.0], "re": 1.0}]}, {"dim": 4, "terms": [{"indices": [2], "re": 1}]}),
+    ],
+    ids=["coord", "pow", "h-indices", "indices"],
+)
+def test_an_integral_float_reads_as_its_integer(command, integral, integer, tmp_path, capsys):
+    outputs = []
+    for payload in (integral, integer):
+        src = tmp_path / "input.json"
+        src.write_text(json.dumps(payload))
+        assert run_cli([command, "--input", str(src)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and not outputs[0].err
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1", "2"])

@@ -221,7 +221,7 @@ def test_locate_type_change_from_seed():
     assert abs(complex(lp.location.coords[0], lp.location.coords[1])) < 1e-10
     # fibre coordinates are untouched by the Newton step on this model
     assert lp.location.coords[2] == pytest.approx(0.45)
-    # tangent plane, the Jacobian's kernel as locus_complex_structures reads it, is the fibre plane
+    # the tangent plane, the Jacobian's kernel, is the fibre plane: FIBER_LATTICE passes the lattice check
     tangent = np.linalg.svd(verify._scalar_jacobian(rho(lp.location)))[2][2:]
     assert np.abs(tangent[:, :2]).max() < 1e-9
 
@@ -350,7 +350,7 @@ def test_locate_nonconvergence_recorded_not_fatal():
 def test_locus_complex_structure_tau():
     rho = local_model_spinor()
     lp = locate_type_change(rho, [ChartPoint(CHART_CPLANE, (0.2, 0.1, 0.3, 0.6))])[0]
-    tau, dbar, tangent, _ = locus_complex_structures(rho, [lp], FIBER_LATTICE)
+    tau, dbar, tangent = locus_complex_structures(rho, [lp], FIBER_LATTICE)
     assert abs(tau[0] - 1j) < 1e-9
     assert dbar[0] < 1e-9
     assert tangent[0] < 1e-9
@@ -397,6 +397,9 @@ def test_reduce_modular():
     assert abs(reduce_modular(t) - reduce_modular(-1 / t)) < 1e-12
     with pytest.raises(ValueError):
         reduce_modular(0.5)
+    # a zero first lattice vector makes tau 0 / 0
+    with pytest.raises(ValueError, match="degenerate lattice"):
+        reduce_modular(complex(math.nan, math.nan))
 
 
 def test_check_locus_report():
@@ -414,13 +417,13 @@ def test_check_locus_worst_point_is_the_largest_residual(monkeypatch):
     located = []
 
     def inflated_at_fourth(rho, points, lattice_basis):
-        tau, dbar, tangent, cplx = real_structures(rho, points, lattice_basis)
+        tau, dbar, tangent = real_structures(rho, points, lattice_basis)
         dbar = dbar.copy()
         dbar[3] = 1e-3
         for lp, t, d, g in zip(points, tau, dbar, tangent):
             z1 = abs(complex(*lp.location.coords[:2]))
             located.append((lp.location.coords, max(z1, abs(t - 1j), d, g)))
-        return tau, dbar, tangent, cplx
+        return tau, dbar, tangent
 
     monkeypatch.setattr(verify, "locus_complex_structures", inflated_at_fourth)
     rep = check_locus(seeds_count=10, seed=42)
@@ -436,10 +439,10 @@ def test_check_locus_fails_on_a_nan_tau(monkeypatch):
     real_structures = verify.locus_complex_structures
 
     def nan_at_second(rho, points, lattice_basis):
-        tau, dbar, tangent, cplx = real_structures(rho, points, lattice_basis)
+        tau, dbar, tangent = real_structures(rho, points, lattice_basis)
         tau = tau.copy()
         tau[1] = complex(math.nan, 1.0)
-        return tau, dbar, tangent, cplx
+        return tau, dbar, tangent
 
     monkeypatch.setattr(verify, "locus_complex_structures", nan_at_second)
     rep = check_locus(seeds_count=10, seed=42)
@@ -450,63 +453,39 @@ def test_check_locus_fails_on_a_nan_tau(monkeypatch):
 
 
 def test_locus_block_core_equals_the_one_point_wrapper():
-    # one field evaluation and stacked J, eig and projections over 25 located points: each point's structure
-    # equals that of its one-point block
+    # one field evaluation and stacked wedges and contractions over 25 located points: each point's figures
+    # equal those of its one-point block
     rho = local_model_spinor()
     rng = np.random.default_rng(8)
     seeds = [ChartPoint(CHART_CPLANE, (*rng.uniform(-0.35, 0.35, 2), *rng.uniform(0, 1, 2))) for _ in range(25)]
     located = locate_type_change(rho, seeds)
-    tau, dbar, tangent, cplx = locus_complex_structures(rho, located, FIBER_LATTICE)
-    assert tau.shape == dbar.shape == tangent.shape == (25,) and cplx.shape == (25, 4, 4)
+    tau, dbar, tangent = locus_complex_structures(rho, located, FIBER_LATTICE)
+    assert tau.shape == dbar.shape == tangent.shape == (25,)
     for i, lp in enumerate(located):
-        one_tau, one_dbar, one_tangent, one_cplx = locus_complex_structures(rho, [lp], FIBER_LATTICE)
+        one_tau, one_dbar, one_tangent = locus_complex_structures(rho, [lp], FIBER_LATTICE)
         assert one_tau[0] == tau[i]
         assert one_dbar[0] == dbar[i]
         assert one_tangent[0] == tangent[i]
-        assert np.array_equal(one_cplx[0], cplx[i])
 
 
-def _spy_linalg(monkeypatch, calls, names=("lstsq", "svd")):
-    """Record (name, input shape, result) of each call of these numpy.linalg functions made through np.linalg."""
-    for name in names:
+def test_locate_and_check_locus_make_no_linalg_factorization(monkeypatch):
+    # Newton steps are closed forms, and the locus structure is wedges and contractions
+    calls = []
+    for name in ("svd", "eig", "inv", "pinv", "lstsq", "solve"):
         real = getattr(np.linalg, name)
 
-        def spy(a, *args, _real=real, _name=name, **kw):
-            out = _real(a, *args, **kw)
-            calls.append((_name, np.shape(a), out))
-            return out
+        def spy(*args, _real=real, _name=name, **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
 
         monkeypatch.setattr(np.linalg, name, spy)
-
-
-def test_locus_tangent_planes_are_the_per_point_jacobian_kernels_bit_for_bit(monkeypatch):
-    # the one stacked SVD in locus_complex_structures gives each located point the V^H rows that an SVD
-    # of its own Jacobian gives, as locate_type_change used to keep per seed
-    rho = local_model_spinor()
-    rng = np.random.default_rng(12)
-    seeds = [ChartPoint(CHART_CPLANE, (*rng.uniform(-0.35, 0.35, 2), *rng.uniform(0, 1, 2))) for _ in range(25)]
-    located = locate_type_change(rho, seeds)
-    calls = []
-    _spy_linalg(monkeypatch, calls, ("svd",))
-    locus_complex_structures(rho, located, FIBER_LATTICE)
-    monkeypatch.undo()
-    (vt,) = [out[2] for _, shape, out in calls if shape == (25, 2, 4)]
-    for i, lp in enumerate(located):
-        one = np.linalg.svd(verify._scalar_jacobian(rho(lp.location)))[2][2:]
-        assert one.tobytes() == vt[i, 2:].tobytes()
-
-
-def test_locate_makes_no_linalg_call_and_check_locus_one_stacked_svd(monkeypatch):
-    calls = []
-    _spy_linalg(monkeypatch, calls)
     rng = np.random.default_rng(4)
     fields = [local_model_spinor(), degenerate_locus_field()]
     for i in range(28):
         seed = ChartPoint(CHART_CPLANE, (*rng.uniform(-0.5, 0.5, 2), *rng.uniform(0, 1, 2)))
         assert locate_type_change(fields[i % 2], [seed])[0].converged
+    assert check_locus(seeds_count=100, seed=42).passed
     assert calls == []
-    check_locus(seeds_count=100, seed=42)
-    assert [(name, shape) for name, shape, _ in calls if shape[-2:] == (2, 4)] == [("svd", (100, 2, 4))]
 
 
 def test_locus_block_core_rejects_a_degenerate_point_among_nondegenerate_ones():
@@ -525,6 +504,88 @@ def test_locus_structure_rejects_a_lattice_off_the_tangent_plane():
         locus_complex_structures(rho, [lp], off_plane)
     with pytest.raises(ValueError, match="tangent plane"):
         locus_complex_structures(rho, [lp, lp], (FIBER_LATTICE[0], off_plane[0]))
+
+
+def _locus_field(rho0, omega=None, linear=np.eye(4)):
+    """The local model with rho0(y) for z1, y = linear @ x the coordinate jets, and the constant 2-form omega
+    (16 coefficients) for dz1^dz2; omega defaults to dz1^dz2 pulled back by x -> linear @ x."""
+    from gcx.chart import FormField
+    from gcx.jets import Jet2
+    from gcx.multilinear import Multiform
+
+    if omega is None:
+        rows = linear[::2] + 1j * linear[1::2]  # dz1 and dz2 pulled back, as covectors
+        dz1, dz2 = (Multiform.from_terms(4, {(j + 1,): c for j, c in enumerate(row)}) for row in rows)
+        omega = dz1.wedge(dz2).coeffs
+
+    def fn(coords):
+        jet = local_model_spinor().fn(coords)
+        xs = [Jet2.coordinate(4, j + 1, coords[j]) for j in range(4)]
+        jet[0] = rho0([sum((xs[j] * linear[i, j] for j in range(1, 4)), xs[0] * linear[i, 0]) for i in range(4)])
+        jet.values[1:] = omega[1:].reshape((-1,) + (1,) * (jet.values.ndim - 1))
+        return jet
+
+    return FormField(CHART_CPLANE, 4, fn)
+
+
+def _tangent_lattice(field, lp, coeffs):
+    """Lattice vectors coeffs (2, 2) @ (an orthonormal basis of ker d(rho0)) at a located point."""
+    g = field(lp.location).grads[0]
+    return tuple(coeffs @ np.linalg.svd(np.array([g.real, g.imag]))[2][2:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["local", "rho_f"]), st.integers(0, 2**32 - 1))
+def test_locus_structure_matches_the_j_eig_svd_pinv_reference(kind, seed):
+    # the local model and rho_f = z1 (1 + a z2 + b z1) + dz1^dz2 under a real linear change of coordinates of
+    # condition number <= 4, either orientation, on skewed lattices of the tangent plane: tau is the reference's,
+    # so tau is not flipped to -conj(tau), and the field is holomorphic, so dbar and tangent are at round-off
+    from helpers_naive import naive_locus_structures
+
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    linear = q * rng.uniform(0.5, 2.0, 4) * rng.choice([-1.0, 1.0], 4)  # columns of either sign
+    a, b = (rng.uniform(-0.3, 0.3) + 1j * rng.uniform(-0.3, 0.3) for _ in range(2))
+    factor = (lambda z1, z2: 1.0) if kind == "local" else (lambda z1, z2: 1 + a * z2 + b * z1)
+    field = _locus_field(lambda y: (y[0] + 1j * y[1]) * factor(y[0] + 1j * y[1], y[2] + 1j * y[3]), linear=linear)
+    start = np.linalg.solve(linear, [*rng.uniform(-0.3, 0.3, 2), *rng.uniform(0, 1, 2)])
+    lp = locate_type_change(field, [ChartPoint(CHART_CPLANE, tuple(start))])[0]
+    assert lp.converged and lp.nondegenerate
+    angle, shear, stretch = rng.uniform(0, 2 * np.pi), rng.uniform(-2, 2), rng.uniform(0.3, 2) * rng.choice([-1, 1])
+    unit, normal = np.array([np.cos(angle), np.sin(angle)]), np.array([-np.sin(angle), np.cos(angle)])
+    lattice = _tangent_lattice(field, lp, np.array([unit, shear * unit + stretch * normal]))
+    tau, dbar, tangent = locus_complex_structures(field, [lp], lattice)
+    ref_tau = naive_locus_structures(field, [lp], lattice)[0]
+    assert abs(tau[0] - reduce_modular(ref_tau[0])) <= 1e-9
+    assert dbar[0] <= 1e-14 and tangent[0] <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "rho0, dbar, tangent",
+    [
+        # rho0 = conj(z1): d(rho0) ^ Omega = 2i dx1^dx2^dz2, and its kernel is the fibre, a complex line
+        (lambda y: y[0] - 1j * y[1], 2.0 / math.sqrt(2.0), 0.0),
+        # rho0 = z1 + 0.3 conj(z2): |g ^ Omega| = 0.6, |g ^ conj(g) ^ Omega| = 1.2 and |g|^2 = 2.18
+        (lambda y: y[0] + 1j * y[1] + 0.3 * (y[2] - 1j * y[3]), 0.6 / math.sqrt(2.18), 1.2 / 2.18),
+    ],
+)
+def test_locus_structure_of_a_non_holomorphic_rho0_fails(rho0, dbar, tangent):
+    field = _locus_field(rho0)
+    lp = locate_type_change(field, [ChartPoint(CHART_CPLANE, (0.2, 0.1, 0.3, 0.6))])[0]
+    assert lp.converged and lp.nondegenerate
+    got = locus_complex_structures(field, [lp], _tangent_lattice(field, lp, np.eye(2)))
+    assert got[1][0] == pytest.approx(dbar, rel=1e-12) and got[2][0] == pytest.approx(tangent, rel=1e-12, abs=1e-15)
+
+
+def test_locus_structure_rejects_a_degenerate_omega_at_a_nondegenerate_point():
+    # z1 + dx1^dx2: rho0 has a nondegenerate zero, but Omega is real, so L meets conj(L)
+    omega = np.zeros(16, complex)
+    omega[0b0011] = 1.0
+    field = _locus_field(lambda y: y[0] + 1j * y[1], omega)
+    lp = locate_type_change(field, [ChartPoint(CHART_CPLANE, (0.2, 0.1, 0.3, 0.6))])[0]
+    assert lp.converged and lp.nondegenerate
+    with pytest.raises(ValueError, match="degenerate"):
+        locus_complex_structures(field, [lp], FIBER_LATTICE)
 
 
 # ------------------------------------------------------- determinism
