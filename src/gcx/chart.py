@@ -24,7 +24,7 @@ import numpy as np
 from gcx import expressions
 from gcx.jets import FormJet, Jet2, _Jet
 from gcx.multilinear import GcVector, Multiform, action_matrix, exterior_coeffs, interior_coeffs, wedge_coeffs
-from gcx.spinor import min_norm_solve
+from gcx.spinor import DEFAULT_TOL, _pure, min_norm_solve
 
 __all__ = [
     "ChartPoint",
@@ -257,9 +257,14 @@ def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint
     """Least-squares minimizer of |d rho + H ^ rho - v . rho| over v.
 
     A residual at round-off level certifies pointwise integrability of
-    the spinor line generated by rho.  The least squares is one
-    ``spinor.min_norm_solve`` on the action rows nonzero somewhere in the
-    block (the odd rows of an even spinor), cut off as numpy lstsq would
+    the spinor line generated by rho.  For a pure rho the action
+    A: u -> u . rho is |rho| times a partial isometry (iota_i and dx^i ^
+    are adjoints, and the kernel, the annihilator, has dimension n), so
+    the minimal-norm v is A^H b / |rho|^2, with no rank decision.  That
+    serves the columns ``spinor._pure`` accepts.  The others, and every
+    column for n > 4, where ``_pure`` is no purity test, take one
+    ``spinor.min_norm_solve`` on the action rows nonzero somewhere among
+    them (the odd rows of an even spinor), cut off as numpy lstsq would
     the whole matrix.
     """
     jet = rho(p)
@@ -267,12 +272,22 @@ def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint
     if (np.abs(val).max(axis=0) <= 1e-12).any():
         raise ValueError("spinor vanishes here; evaluate off the zero locus")
     n, target = jet.dim, jet.d().values
-    del jet  # the partials are not held through the stacked SVD
+    del jet  # the partials are not held through the solve
     if h is not None:
         target = target + wedge_coeffs(n, h(p).values, val)
     mat = action_matrix(val)
-    rows = np.flatnonzero(mat.reshape(-1, *mat.shape[-2:]).any(axis=(0, 2)))
-    sol, _ = min_norm_solve(mat[..., rows, :], target.T[..., rows], np.finfo(float).eps * max(mat.shape[-2:]))
+    mats, cols = mat.reshape(-1, *mat.shape[-2:]), target.reshape(len(target), -1).T  # (N, 2^n, 2n), (N, 2^n)
+    # both sums take the coefficients in turn (a C-order product summed over its middle axis, and accumulate),
+    # so that a block gives its per-point values bit for bit
+    prod = np.conj(mats, order="C")
+    prod *= cols[..., None]
+    sol = prod.sum(axis=1) / np.add.accumulate(np.abs(val) ** 2).reshape(len(val), -1)[-1][:, None]
+    rest = ~_pure(val.reshape(len(val), -1), DEFAULT_TOL) if n <= 4 else np.ones(len(mats), bool)
+    if rest.any():
+        sub = mats[rest]
+        rows = np.flatnonzero(sub.any(axis=(0, 2)))
+        sol[rest] = min_norm_solve(sub[:, rows], cols[rest][:, rows], np.finfo(float).eps * max(mat.shape[-2:]))[0]
+    sol = sol.reshape(*val.shape[1:], -1)
     residual = np.linalg.norm((mat @ sol[..., None])[..., 0] - target.T, axis=-1)
     if val.ndim > 1:
         return IntegrabilityWitness(sol.T, residual, mat)

@@ -262,6 +262,13 @@ def _cmd_normal_form(args) -> int:
     return _emit(lines, args.output, json.dumps(nf.to_json_dict(), indent=2) + "\n")
 
 
+def _lists(data: dict, name: str, keys: tuple) -> list:
+    """The members ``keys`` of the JSON object data[name], each a list, or ValueError naming the field."""
+    if not (isinstance(value := data.get(name), dict) and all(isinstance(value.get(key), list) for key in keys)):
+        raise ValueError(f"{name} must be a JSON object with list members {', '.join(keys)}, got {value!r}")
+    return [value[key] for key in keys]
+
+
 def _cmd_bracket(args) -> int:
     data = _read_json(args.input)
     dim = data.get("dim", 4)
@@ -271,16 +278,16 @@ def _cmd_bracket(args) -> int:
     periodic = data.get("periodic", [False] * dim)
     if not isinstance(periodic, list) or not all(isinstance(b, bool) for b in periodic):
         raise ValueError(f"periodic must be a list of JSON booleans, got {periodic!r}")
-    coords = data["point"]  # finite JSON numbers only: float() would read "0.5" and true
+    coords = data.get("point")  # finite JSON numbers only: float() would read "0.5" and true
     numbers = isinstance(coords, list) and all(type(c) in (int, float) and math.isfinite(c) for c in coords)
     if not (numbers and len(coords) == dim):
         raise ValueError(f"point must be a list of {dim} finite numbers, got {coords!r}")
     point = ChartPoint(chart, tuple(map(float, coords)), periodic)
-    u = GcField.from_expressions(chart, dim, data["u"]["vec"], data["u"]["cov"])
-    v = GcField.from_expressions(chart, dim, data["v"]["vec"], data["v"]["cov"])
+    u = GcField.from_expressions(chart, dim, *_lists(data, "u", ("vec", "cov")))
+    v = GcField.from_expressions(chart, dim, *_lists(data, "v", ("vec", "cov")))
     h = None
     if data.get("H") is not None:
-        h = FormField.from_expressions(chart, dim, data["H"]["terms"])
+        h = FormField.from_expressions(chart, dim, *_lists(data, "H", ("terms",)))
     with np.errstate(all="raise", under="ignore"):
         out = courant_bracket(u, v, h, point)
     # input safety: a bracket that is not finite is refused, whatever arithmetic produced it

@@ -26,7 +26,7 @@ import operator
 import numpy as np
 
 from gcx.jets import FormJet, Jet2, _Jet
-from gcx.multilinear import _indices_to_mask, _integer
+from gcx.multilinear import _indices_to_mask, _integer, _json_terms
 
 __all__ = ["compile", "evaluate"]
 
@@ -123,8 +123,8 @@ def _assemble(jet_type, size: int, dim: int, slots: list, evaluators: list):
 
 def compile_form(dim: int, terms: list):
     """Compile [{"indices": [...], "expr": node}, ...] once: coords -> FormJet."""
-    evaluators = [compile(term["expr"], dim) for term in terms]
-    return _assemble(FormJet, 1 << dim, dim, [_indices_to_mask(dim, term["indices"]) for term in terms], evaluators)
+    evaluators = [compile(term.get("expr"), dim) for term in _json_terms(terms)]
+    return _assemble(FormJet, 1 << dim, dim, [_indices_to_mask(dim, term.get("indices")) for term in terms], evaluators)
 
 
 def compile_generator(dim: int, vec_exprs: list, cov_exprs: list):

@@ -235,12 +235,12 @@ class Multiform:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Multiform":
-        if data["dim"] not in (2, 3, 4):  # refused before allocating, and never truncated as int(4.9) would be
-            raise ValueError(f"dim must be 2, 3 or 4, got {data['dim']!r}")
+        if data.get("dim") not in (2, 3, 4):  # refused before allocating, and never truncated as int(4.9) would be
+            raise ValueError(f"dim must be 2, 3 or 4, got {data.get('dim')!r}")
         dim = int(data["dim"])
         form = np.zeros(1 << dim, dtype=complex)
-        for term in data.get("terms", []):
-            mask = _indices_to_mask(dim, term["indices"])
+        for term in _json_terms(data.get("terms", [])):
+            mask = _indices_to_mask(dim, term.get("indices"))
             # summed in Python complex, which overflows to inf without a numpy warning
             value = complex(form[mask]) + complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
             if not cmath.isfinite(value):
@@ -264,6 +264,13 @@ def _integer(value, what: str) -> int:
     if type(value) is not bool and hasattr(value, "__index__") or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_terms(terms) -> list:
+    """The terms of a JSON form, a list of objects, or ValueError."""
+    if not isinstance(terms, list) or not all(isinstance(term, dict) for term in terms):
+        raise ValueError(f"terms must be a list of JSON objects, got {terms!r}")
+    return terms
 
 
 def _indices_to_mask(dim: int, indices) -> int:

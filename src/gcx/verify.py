@@ -735,6 +735,8 @@ def locus_complex_structures(rho_field: FormField, located: list, lattice_basis)
     dbar = np.abs(exterior_coeffs(omega, g)).max(axis=0) / (scale * np.maximum(1.0, size))
     tangent = np.abs(exterior_coeffs(exterior_coeffs(omega, g.conj()), g)).max(axis=0) / (scale * size**2)
     l1, l2 = (np.asarray(v, dtype=float)[:, None] for v in lattice_basis)
+    if not l1.any():  # Omega(X, l1) = 0: tau would be 0 / 0
+        raise ValueError("degenerate lattice: zero first vector")
     if any((np.abs((g * vec).sum(axis=0)) > 1e-6 * size * max(1.0, np.linalg.norm(vec))).any() for vec in (l1, l2)):
         raise ValueError("lattice vector does not lie in the locus tangent plane")
     one = 1 << np.arange(jet.dim)  # the degree-1 positions

@@ -15,7 +15,8 @@ from gcx.chart import (
     pullback_jet,
 )
 from gcx.jets import FormJet, Jet2, _Jet
-from gcx.multilinear import Multiform, exp_wedge, interior_coeffs
+from gcx.models import CHART_CPLANE, CHART_TUBE, SurgeryGeometry, bump_profile, glued_spinor_field, local_model_spinor
+from gcx.multilinear import Multiform, _tables, action_matrix, exp_wedge, exterior_coeffs, interior_coeffs
 from helpers_naive import central_partials, naive_action_table, random_polynomial
 
 N = 4
@@ -382,6 +383,124 @@ def test_integrability_least_squares_matches_lstsq(kind):
     one = integrability_residual(rho, None, pt(0.1, 0.2, 0.3, 0.4))  # the N-less path, point 0
     assert one.residual == pytest.approx(residuals[0], rel=1e-12)
     assert np.abs(one.v.as_array() - sols[:, 0]).max() <= 1e-12 * np.abs(sols[:, 0]).max()
+
+
+def _exp_two_forms(n, count, rng):
+    """exp of random complex 2-forms, one per column (2^n, count): pure spinors of type 0."""
+    two = rng.normal(size=(1 << n, count)) + 1j * rng.normal(size=(1 << n, count))
+    return FormJet.constant(n, np.where(_tables(n).degree[:, None] == 2, two, 0.0)).exp_wedge().values
+
+
+def _pure_spinors(kind):
+    """Columns (2^n, count) of pure spinors of one kind."""
+    rng = np.random.default_rng(61)
+    if kind.startswith("exp"):
+        return _exp_two_forms(int(kind[-1]), 9, rng)
+    if kind.startswith("odd"):  # exp(2-form) ^ (1-form), decomposable times exp: pure and odd
+        n = int(kind[-1])
+        return exterior_coeffs(_exp_two_forms(n, 9, rng), rng.normal(size=(n, 9)) + 1j * rng.normal(size=(n, 9)))
+    if kind == "dz1^dz2":  # the local model on its locus, z1 = 0
+        return local_model_spinor()(ChartPoint(CHART_CPLANE, (0.0, 0.0, 0.3, -0.7))).values[:, None]
+    if kind == "near-locus":  # z1 + dz1^dz2 with |z1| from 1e-9 to 1e-1
+        z1 = np.logspace(-9, -1, 9) * np.exp(2j * np.pi * rng.uniform(size=9))
+        return local_model_spinor()(ChartPoint(CHART_CPLANE, (z1.real, z1.imag, *rng.uniform(-1, 1, (2, 9))))).values
+    prof = bump_profile(SurgeryGeometry())  # the glued spinor across the bump and past it
+    coords = (np.linspace(prof.lo, prof.hi + 1.0, 9), *rng.uniform(0, 1, (3, 9)))
+    return glued_spinor_field(SurgeryGeometry())(ChartPoint(CHART_TUBE, coords)).values
+
+
+@pytest.mark.parametrize("kind", ["exp2", "exp3", "exp4", "odd3", "odd4", "dz1^dz2", "near-locus", "glued"])
+def test_pure_spinor_action_is_its_norm_times_a_partial_isometry(kind):
+    # the identity behind the integrability witness v = A^H b / |rho|^2: A A^H A = |rho|^2 A, and the
+    # singular values of A are |rho|, n times, and 0, n times
+    values = _pure_spinors(kind)
+    n = len(values).bit_length() - 1
+    mats = action_matrix(values)
+    size = np.sqrt((np.abs(values) ** 2).sum(axis=0))[:, None, None]
+    gap = np.abs(mats @ mats.conj().swapaxes(1, 2) @ mats - size**2 * mats).max(axis=(1, 2))
+    assert (gap <= 1e-13 * size[:, 0, 0] ** 3).all()
+    svals = np.linalg.svd(mats, compute_uv=False) / size[..., 0]
+    assert np.abs(svals[:, :n] - 1.0).max() <= 1e-13
+    assert svals[:, n:].max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_mixed_parity_action_is_no_partial_isometry(n):
+    # negative control of the identity above: 1 + dx1, and random mixed spinors
+    rng = np.random.default_rng(62)
+    values = rng.normal(size=(1 << n, 5)) + 1j * rng.normal(size=(1 << n, 5))
+    values[:, 0] = 0.0
+    values[[0, 1], 0] = 1.0
+    mats = action_matrix(values)
+    size = np.sqrt((np.abs(values) ** 2).sum(axis=0))[:, None, None]
+    gap = np.abs(mats @ mats.conj().swapaxes(1, 2) @ mats - size**2 * mats).max(axis=(1, 2))
+    assert (gap > 1e-2 * size[:, 0, 0] ** 3).all()  # round-off reads 1e-13 on the pure ones
+
+
+def _spy_on_svd(monkeypatch) -> list:
+    """The shapes of the arrays np.linalg.svd is called on from now on."""
+    shapes, real = [], np.linalg.svd
+
+    def spy(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def test_integrability_block_of_pure_and_impure_columns_matches_its_points(monkeypatch):
+    # pure columns take A^H b / |rho|^2, bit for bit as at one point; the others the stacked SVD, as lstsq does
+    rng = np.random.default_rng(63)
+    count = 12
+    values = rng.normal(size=(16, count)) + 1j * rng.normal(size=(16, count))
+    values[_tables(N).degree % 2 == 1, 4:8] = 0.0  # columns 4..7 even, not pure; 0..3 mixed
+    values[:, 8:] = 1e2 * _exp_two_forms(N, 4, rng)
+    grads = rng.normal(size=(16, count, N)) + 1j * rng.normal(size=(16, count, N))
+    sols, residuals = _lstsq_reference(values, grads)
+
+    def fn(coords):  # coordinate x1 is the column index
+        i = coords[0].astype(int)
+        return FormJet(N, values[:, i], grads[:, i])
+
+    rho = FormField(FLAT, N, fn)
+    shapes = _spy_on_svd(monkeypatch)
+    block = integrability_residual(rho, None, ChartPoint(FLAT, (np.arange(count), *np.zeros((3, count)))))
+    assert shapes == [(8, 16, 8)]  # one stacked SVD, of the eight impure columns
+    for i in range(count):
+        one = integrability_residual(rho, None, pt(float(i), 0.0, 0.0, 0.0))
+        if i < 8:
+            assert one.residual == pytest.approx(block.residual[i], rel=1e-12)
+            assert np.abs(one.v.as_array() - block.v[:, i]).max() <= 1e-12 * np.abs(sols[:, i]).max()
+        else:
+            assert one.residual == block.residual[i]
+            assert (one.v.as_array() == block.v[:, i]).all()
+    assert shapes[1:] == [(1, 16, 8)] * 4 + [(1, 8, 8)] * 4  # an even column has 8 nonzero action rows
+    assert np.abs(block.residual - residuals).max() <= 1e-12 * residuals.max()
+    assert np.abs(block.v - sols).max() <= 1e-12 * np.abs(sols).max()
+
+
+def test_integrability_above_dimension_four_takes_the_least_squares(monkeypatch):
+    # for n > 4 a spinor of one parity with a zero Mukai pairing need not be pure: 1 + dx1^dx2^dx3^dx4 at n = 5
+    # has singular values sqrt(2), 1 (8 times) and 0, so A^H b / |rho|^2 is not its minimal-norm solution
+    n, count = 5, 6
+    rng = np.random.default_rng(64)
+    values = np.zeros((32, count), complex)
+    values[[0, 0b1111]] = 1.0
+    values[:, 3:] = _exp_two_forms(n, 3, rng)
+    grads = rng.normal(size=(32, count, n)) + 1j * rng.normal(size=(32, count, n))
+    target = FormJet(n, values, grads).d().values
+    rho = FormField(FLAT, n, lambda coords: FormJet(n, values, grads))
+    shapes = _spy_on_svd(monkeypatch)
+    wit = integrability_residual(rho, None, ChartPoint(FLAT, tuple(np.zeros((n, count)))))
+    assert shapes == [(count, 16, 10)]  # the 16 odd rows of the even spinors
+    for i in range(count):
+        mat = action_matrix(values[:, i])
+        sol = np.linalg.lstsq(mat, target[:, i], rcond=None)[0]
+        assert np.abs(wit.v[:, i] - sol).max() <= 1e-12 * np.abs(sol).max()
+        assert wit.residual[i] == pytest.approx(np.linalg.norm(mat @ sol - target[:, i]), rel=1e-12, abs=1e-14)
+    naive = (action_matrix(values[:, 0]).conj().T @ target[:, 0]) / 2.0
+    assert np.abs(naive - wit.v[:, 0]).max() > 0.1 * np.abs(wit.v[:, 0]).max()
 
 
 def test_integrability_rejects_zero_spinor():

@@ -956,6 +956,33 @@ def test_bracket_refuses_a_periodic_mask_that_is_not_booleans(periodic, tmp_path
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("bracket", _square_bracket_payload(u=[1]), "u must be a JSON object with list members vec, cov, got [1]"),
+        ("bracket", _square_bracket_payload(v={"vec": 5}), "v must be a JSON object with list members vec, cov, got"),
+        ("bracket", _square_bracket_payload(H={"terms": [5]}), "terms must be a list of JSON objects, got [5]"),
+        ("bracket", _square_bracket_payload(H={"terms": {"a": 1}}), "H must be a JSON object with list members terms"),
+        ("bracket", _square_bracket_payload(H=[5]), "H must be a JSON object with list members terms, got [5]"),
+        ("normal-form", {"dim": 4, "terms": [5]}, "terms must be a list of JSON objects, got [5]"),
+        ("normal-form", {"dim": 4, "terms": {"a": 1}}, "terms must be a list of JSON objects, got {'a': 1}"),
+        ("normal-form", {"terms": []}, "dim must be 2, 3 or 4, got None"),
+        ("normal-form", {"dim": 4, "terms": [{"re": 1.0}]}, "indices must be a list, got None"),
+    ],
+    ids=["u-list", "vec-number", "H-term-number", "H-terms-object", "H-list", "term-number", "terms-object",
+         "no-dim", "no-indices"],
+)
+def test_nested_members_of_the_wrong_kind_are_named(command, payload, message, tmp_path, capsys):
+    # Python's own messages ("list indices must be integers", "'int' object is not subscriptable") named no field
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(payload))
+    assert run_cli([command, "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+    assert captured.out == ""
+
+
 def test_check_jobs_flag_rejected(tmp_path, capsys):
     # the --jobs thread pool is gone; run-to-run byte identity is criterion 10
     with pytest.raises(SystemExit) as exc:
@@ -964,22 +991,64 @@ def test_check_jobs_flag_rejected(tmp_path, capsys):
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
+# Child-side prelude of the CPU-time tests.  For about 0.1 s after `import numpy` OpenBLAS's start-up threads
+# spin, which reads as CPU time past wall time in whatever runs then; settle() waits, for at most 1 s, until
+# a 50 ms sleep costs under 5 ms of process CPU.
+_SETTLE = (
+    "import os, sys, time\n"
+    "def settle():\n"
+    "    end = time.perf_counter() + 1.0\n"
+    "    while time.perf_counter() < end:\n"
+    "        cpu = time.process_time()\n"
+    "        time.sleep(0.05)\n"
+    "        if time.process_time() - cpu < 0.005:\n"
+    "            return\n"
+)
+
+
+def _cpu_and_wall(child: str, args: list, cwd) -> list:
+    """The last line a child interpreter prints after the settle prelude, split."""
+    cmd = [sys.executable, "-c", _SETTLE + child, *args]
+    proc = subprocess.run(cmd, cwd=cwd, env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
 def test_check_all_runs_on_one_core(tmp_path):
     # a product that reaches OpenBLAS's threaded kernels keeps worker threads spinning: CPU time past wall
-    # time.  The child times itself from after its imports, so the spin of OpenBLAS's start-up threads
-    # during `import numpy` is not counted against the checks.
-    env = _child_env()
+    # time.  The child starts its clock after its imports and the settle.
     child = (
-        "import sys, time\n"
         "import gcx.cli\n"
+        "settle()\n"
         "cpu, wall = time.process_time(), time.perf_counter()\n"
         "code = gcx.cli.main(sys.argv[1:])\n"
         "print(code, time.process_time() - cpu, time.perf_counter() - wall)\n"
     )
-    cmd = [sys.executable, "-c", child, "check", "all", "--seed", "42", "--output", str(tmp_path / "r.json")]
-    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    code, cpu, wall = proc.stdout.splitlines()[-1].split()
-    assert code == "0", proc.stdout
+    args = ["check", "all", "--seed", "42", "--output", str(tmp_path / "r.json")]
+    code, cpu, wall = _cpu_and_wall(child, args, tmp_path)
+    assert code == "0"
     cpu, wall = float(cpu), float(wall)
     assert cpu <= 1.2 * wall, f"CPU {cpu:.2f} s against {wall:.2f} s wall"
+
+
+def test_one_core_bound_catches_a_threaded_product(tmp_path):
+    # positive control of the test above: after the same settle, a loop of 256 x 256 products, which
+    # OpenBLAS runs on its threads, reads more than 1.2 CPU seconds per wall second
+    if len(os.sched_getaffinity(0)) < 2 or not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs two cores and a per-thread process listing")
+    child = (
+        "import numpy as np\n"
+        "threads = len(os.listdir('/proc/self/task'))\n"
+        "settle()\n"
+        "a = np.random.default_rng(0).normal(size=(256, 256))\n"
+        "cpu, wall = time.process_time(), time.perf_counter()\n"
+        "while time.perf_counter() - wall < 0.3:\n"
+        "    a = a @ a\n"
+        "    a /= np.abs(a).max()\n"
+        "print(threads, time.process_time() - cpu, time.perf_counter() - wall)\n"
+    )
+    threads, cpu, wall = _cpu_and_wall(child, [], tmp_path)
+    if int(threads) < 2:
+        pytest.skip("OpenBLAS runs on one thread here")
+    cpu, wall = float(cpu), float(wall)
+    assert cpu > 1.2 * wall, f"CPU {cpu:.2f} s against {wall:.2f} s wall"

@@ -468,8 +468,8 @@ def test_locus_block_core_equals_the_one_point_wrapper():
         assert one_tangent[0] == tangent[i]
 
 
-def test_locate_and_check_locus_make_no_linalg_factorization(monkeypatch):
-    # Newton steps are closed forms, and the locus structure is wedges and contractions
+def _spy_on_factorizations(monkeypatch) -> list:
+    """The names of the np.linalg factorizations called from now on, in call order."""
     calls = []
     for name in ("svd", "eig", "inv", "pinv", "lstsq", "solve"):
         real = getattr(np.linalg, name)
@@ -479,6 +479,12 @@ def test_locate_and_check_locus_make_no_linalg_factorization(monkeypatch):
             return _real(*args, **kw)
 
         monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_locate_and_check_locus_make_no_linalg_factorization(monkeypatch):
+    # Newton steps are closed forms, and the locus structure is wedges and contractions
+    calls = _spy_on_factorizations(monkeypatch)
     rng = np.random.default_rng(4)
     fields = [local_model_spinor(), degenerate_locus_field()]
     for i in range(28):
@@ -486,6 +492,24 @@ def test_locate_and_check_locus_make_no_linalg_factorization(monkeypatch):
         assert locate_type_change(fields[i % 2], [seed])[0].converged
     assert check_locus(seeds_count=100, seed=42).passed
     assert calls == []
+
+
+def test_clean_integrability_blocks_make_no_linalg_factorization(monkeypatch):
+    # every model spinor is pure, so its witness is A^H b / |rho|^2: no SVD in integrability_residual
+    calls, during = _spy_on_factorizations(monkeypatch), []
+
+    def residual(*args, _real=verify.integrability_residual):
+        before = len(calls)
+        wit = _real(*args)
+        during.append(calls[before:])
+        return wit
+
+    monkeypatch.setattr(verify, "integrability_residual", residual)
+    reports = [check_integrability(region, samples=150, seed=5) for region in ("cplane", "polar", "bump", "outer")]
+    reports.append(check_quotient(LogModelParams(m=3, k=2), samples=150, seed=5))
+    assert all(rep.passed for rep in reports)
+    assert len(during) == 5 * 3  # blocks of 64 points
+    assert all(seen == [] for seen in during)
 
 
 def test_locus_block_core_rejects_a_degenerate_point_among_nondegenerate_ones():
@@ -504,6 +528,16 @@ def test_locus_structure_rejects_a_lattice_off_the_tangent_plane():
         locus_complex_structures(rho, [lp], off_plane)
     with pytest.raises(ValueError, match="tangent plane"):
         locus_complex_structures(rho, [lp, lp], (FIBER_LATTICE[0], off_plane[0]))
+
+
+def test_locus_structure_refuses_a_zero_first_lattice_vector_without_a_warning():
+    # Omega(X, l1) = 0 there: the refusal comes before tau's division, so numpy warns of no 0 / 0
+    rho = local_model_spinor()
+    lp = locate_type_change(rho, [ChartPoint(CHART_CPLANE, (0.2, 0.1, 0.3, 0.6))])[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="degenerate lattice"):
+            locus_complex_structures(rho, [lp, lp], (np.zeros(4), FIBER_LATTICE[1]))
 
 
 def _locus_field(rho0, omega=None, linear=np.eye(4)):
