@@ -4,8 +4,8 @@ The package is organised bottom-up:
 
 * ``multilinear`` -- exact graded exterior algebra over a fixed complex
   cotangent space, Clifford action, split-signature pairing.
-* ``spinor`` -- pointwise pure-spinor theory: annihilators, normal forms,
-  nondegeneracy, B-transforms, the induced endomorphism of T + T*.
+* ``spinor`` -- pointwise pure-spinor theory: annihilators, purity,
+  normal forms, nondegeneracy, B-transforms.
 * ``chart`` -- calculus on coordinate charts: first-order jets, exterior
   derivative, Courant bracket, pullback, integrability residuals.
 * ``models`` -- closed-form geometric models: the type-changing spinor on
@@ -18,7 +18,6 @@ The package is organised bottom-up:
 from gcx.multilinear import GcVector, Multiform, clifford, exp_wedge, pairing
 from gcx.spinor import (
     AnnihilatorBasis,
-    GcEndomorphism,
     NormalForm,
     annihilator,
     b_transform,
@@ -26,7 +25,6 @@ from gcx.spinor import (
     from_complex,
     from_symplectic,
     is_pure,
-    j_endomorphism,
     normal_form,
 )
 
@@ -38,7 +36,6 @@ __all__ = [
     "exp_wedge",
     "AnnihilatorBasis",
     "NormalForm",
-    "GcEndomorphism",
     "annihilator",
     "is_pure",
     "normal_form",
@@ -46,7 +43,6 @@ __all__ = [
     "b_transform",
     "from_symplectic",
     "from_complex",
-    "j_endomorphism",
 ]
 
 __version__ = "0.1.0"

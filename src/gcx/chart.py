@@ -286,7 +286,7 @@ def integrability_residual(rho: FormField, h: Optional[FormField], p: ChartPoint
     if rest.any():
         sub = mats[rest]
         rows = np.flatnonzero(sub.any(axis=(0, 2)))
-        sol[rest] = min_norm_solve(sub[:, rows], cols[rest][:, rows], np.finfo(float).eps * max(mat.shape[-2:]))[0]
+        sol[rest] = min_norm_solve(sub[:, rows], cols[rest][:, rows], np.finfo(float).eps * max(mat.shape[-2:]))
     sol = sol.reshape(*val.shape[1:], -1)
     residual = np.linalg.norm((mat @ sol[..., None])[..., 0] - target.T, axis=-1)
     if val.ndim > 1:

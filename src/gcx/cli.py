@@ -27,7 +27,7 @@ import numpy as np
 
 from gcx.chart import ChartPoint, FormField, GcField, courant_bracket
 from gcx.models import LogModelParams, SurgeryGeometry
-from gcx.multilinear import Multiform
+from gcx.multilinear import Multiform, _finite
 from gcx.spinor import check_nondegenerate, normal_form
 from gcx import verify
 
@@ -278,9 +278,8 @@ def _cmd_bracket(args) -> int:
     periodic = data.get("periodic", [False] * dim)
     if not isinstance(periodic, list) or not all(isinstance(b, bool) for b in periodic):
         raise ValueError(f"periodic must be a list of JSON booleans, got {periodic!r}")
-    coords = data.get("point")  # finite JSON numbers only: float() would read "0.5" and true
-    numbers = isinstance(coords, list) and all(type(c) in (int, float) and math.isfinite(c) for c in coords)
-    if not (numbers and len(coords) == dim):
+    coords = data.get("point")
+    if not (isinstance(coords, list) and len(coords) == dim and all(map(_finite, coords))):
         raise ValueError(f"point must be a list of {dim} finite numbers, got {coords!r}")
     point = ChartPoint(chart, tuple(map(float, coords)), periodic)
     u = GcField.from_expressions(chart, dim, *_lists(data, "u", ("vec", "cov")))

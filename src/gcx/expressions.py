@@ -19,14 +19,13 @@ JSON encoding, one key per node:
     {"exp": node} | {"log": node} | {"sin": node} | {"cos": node}
 """
 
-import cmath
 import math
 import operator
 
 import numpy as np
 
 from gcx.jets import FormJet, Jet2, _Jet
-from gcx.multilinear import _indices_to_mask, _integer, _json_terms
+from gcx.multilinear import _finite, _indices_to_mask, _integer, _json_terms
 
 __all__ = ["compile", "evaluate"]
 
@@ -60,10 +59,10 @@ def compile(node: dict, dim: int):
     if kind == "const":
         if not isinstance(body, dict):
             raise ValueError(f"const body must be a {{re, im}} object, got {body!r}")
-        value = complex(float(body.get("re", 0.0)), float(body.get("im", 0.0)))
-        if not cmath.isfinite(value):
-            raise ValueError(f"const must be finite, got {value}")
-        return Jet2.constant(dim, value)
+        re, im = body.get("re", 0.0), body.get("im", 0.0)
+        if not (_finite(re) and _finite(im)):
+            raise ValueError(f"const must be finite, got re {re!r}, im {im!r} (re and im must be JSON numbers)")
+        return Jet2.constant(dim, complex(re, im))
     if kind == "coord":
         if not 1 <= (i := _integer(body, "a coordinate index")) <= dim:
             raise ValueError(f"coordinate index {i} out of range 1..{dim}")

@@ -10,6 +10,7 @@ are pure functions.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -241,10 +242,13 @@ class Multiform:
         form = np.zeros(1 << dim, dtype=complex)
         for term in _json_terms(data.get("terms", [])):
             mask = _indices_to_mask(dim, term.get("indices"))
+            name, re, im = f"coefficient of {list(term['indices'])}", term.get("re", 0.0), term.get("im", 0.0)
+            if not (_finite(re) and _finite(im)):
+                raise ValueError(f"{name} must be finite, got re {re!r}, im {im!r} (re and im must be JSON numbers)")
             # summed in Python complex, which overflows to inf without a numpy warning
-            value = complex(form[mask]) + complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
+            value = complex(form[mask]) + complex(re, im)
             if not cmath.isfinite(value):
-                raise ValueError(f"coefficient of {list(term['indices'])} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
             form[mask] = value
         return cls(dim, form)
 
@@ -264,6 +268,11 @@ def _integer(value, what: str) -> int:
     if type(value) is not bool and hasattr(value, "__index__") or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _finite(value) -> bool:
+    """Whether value is a finite JSON number, an int or a float; float() would read True as 1 and "0.5" as 0.5."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _json_terms(terms) -> list:

@@ -7,8 +7,7 @@ and Omega decomposable of degree k (the type).  This module computes
 annihilators (the (2n, k) kernel matrix of the Clifford action, kept as
 ``AnnihilatorBasis.matrix``), purity and nondegeneracy (one rule each,
 ``_pure`` and ``_nondegenerate``, both from the Mukai pairing), that
-factorization, B-field transforms, and the induced complex structure on
-T + T*.
+factorization, and B-field transforms.
 """
 
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ from gcx.multilinear import (
 __all__ = [
     "AnnihilatorBasis",
     "NormalForm",
-    "GcEndomorphism",
     "annihilator",
     "is_pure",
     "normal_form",
@@ -41,8 +39,6 @@ __all__ = [
     "b_transform",
     "from_symplectic",
     "from_complex",
-    "j_endomorphism",
-    "j_endomorphisms",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -58,10 +54,6 @@ class AnnihilatorBasis:
     def __len__(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def vectors(self) -> tuple:
-        return tuple(GcVector.from_array(self.dim, col) for col in self.matrix.T)
-
     def max_pairing(self) -> float:
         """Largest |<u, v>| over basis pairs, max |P^T G P|; ~0 certifies isotropy."""
         return float(np.abs(self.matrix.T @ pairing_gram(self.dim) @ self.matrix).max(initial=0.0))
@@ -74,7 +66,7 @@ class NormalForm:
     omega0 is the decomposable degree-k factor; for type 0 it is the
     scalar part itself.  gauge_unique records whether B + i*omega was
     determined uniquely (type 0) or picked as the minimal-norm solution
-    of an underdetermined wedge equation (higher types).
+    of an underdetermined wedge equation (every higher type).
     """
 
     type: int
@@ -100,38 +92,6 @@ class NormalForm:
         }
 
 
-class GcEndomorphism:
-    """A pairing-preserving complex structure on T + T*, stored as a real matrix.
-
-    Coordinates are (X_1..X_n, xi_1..xi_n), matching GcVector.as_array().
-    """
-
-    __slots__ = ("dim", "matrix")
-
-    def __init__(self, dim: int, matrix):
-        mat = np.array(matrix, dtype=float)
-        if mat.shape != (2 * dim, 2 * dim):
-            raise ValueError(f"expected {2 * dim}x{2 * dim} matrix, got {mat.shape}")
-        if fault := _structure_fault(dim, mat):
-            raise ValueError(f"matrix {fault}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GcEndomorphism is immutable")
-
-
-def _structure_fault(dim: int, mats: np.ndarray) -> str | None:
-    """The first check a stack of real (2n, 2n) matrices fails, squaring to -1 or preserving the pairing, or None."""
-    if np.abs(mats @ mats + np.eye(2 * dim)).max() > 1e-8:
-        return "does not square to -identity"
-    g = pairing_gram(dim)
-    if np.abs(mats.swapaxes(-1, -2) @ g @ mats - g).max() > 1e-8:
-        return "does not preserve the pairing"
-    return None
-
-
 def _kept(svals: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the singular values (..., k) above the rank cutoff, tol times the largest.
 
@@ -140,27 +100,14 @@ def _kept(svals: np.ndarray, tol: float) -> np.ndarray:
     return svals > tol * svals[..., :1]
 
 
-def _kernels(coeffs: np.ndarray, tol: float) -> tuple:
-    """Annihilator dimensions (N,) of the columns of (2^n, N) coefficients, and V^H (N, 2n, 2n).
-
-    One stacked thin SVD of the action matrices, rank by ``_kept``; the
-    conjugated last ``dims`` rows of V^H span a column's annihilator.
-    """
-    _, svals, vh = np.linalg.svd(action_matrix(coeffs), full_matrices=False)
-    return vh.shape[-1] - _kept(svals, tol).sum(axis=-1), vh
-
-
-def min_norm_solve(mats: np.ndarray, targets: np.ndarray, tol: float) -> tuple:
-    """Minimal-norm least-squares x (..., k) of mats (..., m, k) @ x = targets (..., m), and the kept mask.
-
-    One stacked thin SVD, cut off by ``_kept``; a mask's count is that
-    matrix's rank.
-    """
+def min_norm_solve(mats: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
+    """Minimal-norm least-squares x (..., k) of mats (..., m, k) @ x = targets (..., m): one stacked thin SVD,
+    cut off by ``_kept``."""
     u, svals, vh = np.linalg.svd(mats, full_matrices=False)
     keep, proj = _kept(svals, tol)[..., None, :], targets[..., None, :] @ u.conj()
     # as rows: target^T conj(U) / s conj(V^H) = (V S^+ U^H target)^T
     scaled = np.divide(proj, svals[..., None, :], out=np.zeros(keep.shape, complex), where=keep)
-    return (scaled @ vh.conj())[..., 0, :], keep[..., 0, :]
+    return (scaled @ vh.conj())[..., 0, :]
 
 
 def annihilator(rho: Multiform, tol: float = DEFAULT_TOL) -> AnnihilatorBasis:
@@ -171,8 +118,8 @@ def annihilator(rho: Multiform, tol: float = DEFAULT_TOL) -> AnnihilatorBasis:
     """
     if rho.max_abs() == 0.0:
         raise ValueError("annihilator of the zero form is everything; rejecting")
-    dims, vh = _kernels(rho.coeffs[:, None], tol)
-    kernel = vh[0, 2 * rho.dim - dims[0] :].conj().T
+    _, svals, vh = np.linalg.svd(action_matrix(rho), full_matrices=False)
+    kernel = vh[_kept(svals, tol).sum() :].conj().T
     kernel.setflags(write=False)
     return AnnihilatorBasis(dim=rho.dim, matrix=kernel)
 
@@ -232,12 +179,11 @@ def _nondegenerate(coeffs: np.ndarray, tol: float) -> np.ndarray:
 def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     """Factor each column of (2^n, N) coefficients, a pure spinor, as exp(B + i*omega) ^ Omega.
 
-    Returns types (N,), Omega and B + i*omega (2^n, N), and gauge_unique
-    (N,).  The types and Omega are ``_lowest_part``'s.  Type 0 divides
-    out the scalar part; type k > 0 takes the minimal-norm C with
-    C ^ Omega = (degree k + 2 part), one ``min_norm_solve`` per type,
-    unique iff of full rank.  Raises ValueError unless every column is
-    pure by ``_pure``, and RuntimeError unless
+    Returns types (N,), and Omega and B + i*omega (2^n, N).  The types
+    and Omega are ``_lowest_part``'s.  Type 0 divides out the scalar
+    part; type k > 0 takes the minimal-norm C with C ^ Omega = (degree
+    k + 2 part), one ``min_norm_solve`` per type.  Raises ValueError
+    unless every column is pure by ``_pure``, and RuntimeError unless
     |exp(B + i*omega) ^ Omega - rho| <= 1e-10 |rho|.
     """
     n = len(coeffs).bit_length() - 1
@@ -248,35 +194,38 @@ def normal_forms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     types, omega0, scale = _lowest_part(coeffs, tol)
     exponent = np.zeros(coeffs.shape, complex)
     np.divide(np.where(degree == 2, coeffs, 0), coeffs[0], out=exponent, where=types == 0)
-    unique = types == 0
     for k in set(types.tolist()) - {0}:
         cols = types == k
         # column s of a matrix: (basis 2-form s) ^ Omega, a signed gather from the wedge's pairs
         mats = np.zeros((cols.sum(), 1 << n, len(two)), complex)
         mats[:, dst, col] = omega0[src][:, cols].T * sign
-        rows, keep = min_norm_solve(mats, np.where(degree == k + 2, coeffs[:, cols], 0).T, tol)
+        rows = min_norm_solve(mats, np.where(degree == k + 2, coeffs[:, cols], 0).T, tol)
         del mats  # not held through the reconstruct check
         exponent[two[:, None], cols] = rows.T
-        unique[cols] = keep.all(axis=1)
     rebuilt = wedge_coeffs(n, exp_wedge_coeffs(exponent), omega0)
     # scaled, no norm overflows to inf; and a NaN residual fails `<=`, where it passed `>`
     gap, size = np.linalg.norm(np.array([rebuilt - coeffs, coeffs]) / scale, axis=1)
     residual = (gap / size).max()
     if not residual <= 1e-10:
         raise RuntimeError(f"normal form failed to reproduce the spinor (relative residual {residual:.3e})")
-    return types, omega0, exponent, unique
+    return types, omega0, exponent
 
 
 def normal_form(rho: Multiform, tol: float = DEFAULT_TOL) -> NormalForm:
-    """Factor a pure spinor as exp(B + i*omega) ^ Omega: ``normal_forms`` on one column."""
-    types, omega0, exponent, unique = normal_forms(rho.coeffs[:, None], tol)
+    """Factor a pure spinor as exp(B + i*omega) ^ Omega: ``normal_forms`` on one column.
+
+    B + i*omega is unique iff the type is 0: for k >= 1, C -> C ^ Omega
+    maps the C(n, 2) 2-forms into the C(n, k + 2) < C(n, 2) forms of
+    degree k + 2 (n <= 4), so it has a kernel.
+    """
+    types, omega0, exponent = normal_forms(rho.coeffs[:, None], tol)
     n, c = rho.dim, exponent[:, 0]
     return NormalForm(
         type=int(types[0]),
         omega0=Multiform(n, omega0[:, 0]),
         B=Multiform(n, c.real),
         omega=Multiform(n, c.imag),
-        gauge_unique=bool(unique[0]),
+        gauge_unique=bool(types[0] == 0),
     )
 
 
@@ -340,38 +289,3 @@ def from_complex(I: np.ndarray, tol: float = DEFAULT_TOL) -> Multiform:
         if clifford(GcVector(n, vec=x), rho).max_abs() > 1e3 * tol:
             raise RuntimeError("result fails to annihilate the -i eigenspace of I")
     return rho
-
-
-def j_endomorphisms(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Real endomorphisms (N, 2n, 2n), each +i on the annihilator L of a column of (2^n, N) coefficients
-    and -i on conj(L).
-
-    They exist iff every column is pure with L intersect conj(L) = 0.
-    ``_pure`` and ``_nondegenerate`` decide it, ``_kernels`` gives the
-    annihilators, and one stacked inverse of [P, conj P] the matrices.
-    These must be real, square to -1 and preserve the pairing (the checks
-    of ``GcEndomorphism``), or RuntimeError is raised.
-    """
-    n = len(coeffs).bit_length() - 1
-    if (np.abs(coeffs).max(axis=0) == 0.0).any():
-        raise ValueError("annihilator of the zero form is everything; rejecting")
-    dims, vh = _kernels(coeffs, tol)
-    if not (pure := _pure(coeffs, tol)).all():
-        raise ValueError(f"spinor is not pure (annihilator dimension {dims[~pure][0]})")
-    if not _nondegenerate(coeffs, tol).all():
-        raise ValueError("degenerate spinor, no J exists (L meets conj(L))")
-    p = vh[:, n:].conj().swapaxes(1, 2)  # (N, 2n, n): the kernel columns
-    s = np.concatenate([p, p.conj()], axis=2)
-    d = np.diag([1j] * n + [-1j] * n)
-    jc = s @ d @ np.linalg.inv(s)
-    if (np.abs(jc.imag).max(axis=(1, 2)) > 1e-9 * np.maximum(1.0, np.abs(jc.real).max(axis=(1, 2)))).any():
-        raise RuntimeError("induced endomorphism has a non-real part")
-    if fault := _structure_fault(n, jc.real):
-        raise RuntimeError(f"induced endomorphism failed the cross-check: it {fault}")
-    return jc.real
-
-
-def j_endomorphism(rho: Multiform, tol: float = DEFAULT_TOL) -> GcEndomorphism:
-    """Real endomorphism acting as +i on the annihilator L of rho and -i on conj(L), which exists iff rho is pure
-    with L intersect conj(L) = 0: ``j_endomorphisms`` on one column."""
-    return GcEndomorphism(rho.dim, j_endomorphisms(rho.coeffs[:, None], tol)[0])

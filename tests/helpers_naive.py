@@ -10,7 +10,8 @@ constants included: the oracle for ``expressions.compile``.
 ``random_polynomial`` is the seeded expression-tree fixture of the chart tests.
 ``naive_nondegeneracy_figure`` is the nondegeneracy figure before the Mukai pairing.
 ``naive_locus_structures`` is the induced locus structure through J, its eigenvectors, an SVD of the
-Jacobians and a pseudo-inverse: the oracle for ``verify.locus_complex_structures``.
+Jacobians and a pseudo-inverse: the oracle for ``verify.locus_complex_structures``.  It builds J itself,
+from the null space of the action of ``naive_action_table`` by SVD, and imports nothing from gcx.spinor.
 """
 
 import math
@@ -20,7 +21,6 @@ import numpy as np
 
 from gcx.jets import Jet2
 from gcx.multilinear import Multiform
-from gcx.spinor import j_endomorphisms
 
 
 def sort_parity(seq):
@@ -194,14 +194,18 @@ def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2, terms
 
 def naive_locus_structures(rho_field, located, lattice_basis):
     """Unreduced tau, the dbar and tangent residuals (N,) and the complex structures on T (N, n, n) at the
-    located points: I = -J on T, J from the annihilator of the degree-2 part; dbar is |d(rho0)| on I's unit
-    -i eigenvectors over max(1, |d(rho0)|); tangent is how far I moves the Jacobian's SVD kernel off itself;
-    and l2 = a l1 + b I l1 by pseudo-inverse gives tau = a + i b."""
+    located points: I = -J on T, J = S diag(i, -i) S^-1 with S = [P, conj(P)] and P the annihilator of the
+    degree-2 part, the null space of its action matrix by SVD; dbar is |d(rho0)| on I's unit -i eigenvectors
+    over max(1, |d(rho0)|); tangent is how far I moves the Jacobian's SVD kernel off itself; and
+    l2 = a l1 + b I l1 by pseudo-inverse gives tau = a + i b."""
     coords = np.array([lp.location.coords for lp in located]).T
     jet = rho_field(located[0].location.with_coords(coords))
     n = jet.dim
     degree = np.array([bin(s).count("1") for s in range(1 << n)])
-    cplx = -j_endomorphisms(np.where(degree[:, None] == 2, jet.values, 0.0))[:, :n, :n]
+    action = np.einsum("jus,sp->puj", naive_action_table(n), np.where(degree[:, None] == 2, jet.values, 0.0))
+    kernel = np.linalg.svd(action)[2][:, n:].conj().swapaxes(1, 2)  # (N, 2n, n): the last n right singular vectors
+    s = np.concatenate([kernel, kernel.conj()], axis=2)
+    cplx = -(s @ np.diag([1j] * n + [-1j] * n) @ np.linalg.inv(s)).real[:, :n, :n]
     evals, evecs = np.linalg.eig(cplx)
     drho0 = jet.grads[0]  # (N, n)
     dots = np.abs((drho0[:, None, :] @ evecs)[:, 0])

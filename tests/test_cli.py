@@ -313,7 +313,7 @@ def test_deep_nesting_is_malformed_input(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.5"])  # float() reads true and "0.5"
 def test_bracket_refuses_a_const_that_is_not_finite(part, value, tmp_path, capsys):
     src = tmp_path / "fields.json"
     src.write_text(json.dumps(_bracket_payload(u1={"const": {part: value}})))
@@ -679,9 +679,10 @@ def test_normal_form_failed_cross_check_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.5"])
 def test_normal_form_refuses_a_coefficient_that_is_not_finite(part, value, tmp_path, capsys):
-    # json reads NaN, Infinity and -Infinity: one error line, and no numpy warning before it
+    # json reads NaN, Infinity and -Infinity, and float() would read true as 1 and "0.5" as 0.5: one error line,
+    # and no numpy warning before it
     src = tmp_path / "spinor.json"
     src.write_text(json.dumps({"dim": 4, "terms": [{"indices": [], "re": 1.0}, {"indices": [1, 2], part: value}]}))
     with warnings.catch_warnings(record=True) as caught:

@@ -10,16 +10,12 @@ from gcx.models import CHART_CPLANE, local_model_spinor
 from gcx.multilinear import GcVector, Multiform, action_matrix, clifford, exp_wedge, interior_coeffs, pairing
 from gcx.spinor import (
     AnnihilatorBasis,
-    _kernels,
-    GcEndomorphism,
     annihilator,
     b_transform,
     check_nondegenerate,
     from_complex,
     from_symplectic,
     is_pure,
-    j_endomorphism,
-    j_endomorphisms,
     min_norm_solve,
     normal_form,
     normal_forms,
@@ -60,8 +56,13 @@ def real_two_form(rng):
 
 
 def span_matches(basis, candidates, tol=1e-9):
-    stacked = np.column_stack([v.as_array() for v in basis] + [c for c in candidates])
-    return np.linalg.matrix_rank(stacked, tol=tol) == len(basis)
+    """Whether the columns of basis (2n, k) span the candidates, 2n-vectors."""
+    stacked = np.column_stack([basis] + list(candidates))
+    return np.linalg.matrix_rank(stacked, tol=tol) == basis.shape[1]
+
+
+def basis_vectors(ann):
+    return [GcVector.from_array(ann.dim, col) for col in ann.matrix.T]
 
 
 def test_annihilator_symplectic():
@@ -78,7 +79,7 @@ def test_annihilator_symplectic():
         v = GcVector(N, vec=ej, cov=-1j * cov)
         assert clifford(v, rho).max_abs() < 1e-12
         candidates.append(v.as_array())
-    assert span_matches(ann.vectors, candidates)
+    assert span_matches(ann.matrix, candidates)
 
 
 def test_annihilator_complex_type():
@@ -94,7 +95,7 @@ def test_annihilator_complex_type():
     ]
     for c in candidates:
         assert clifford(GcVector.from_array(N, c), rho).max_abs() < 1e-12
-    assert span_matches(ann.vectors, candidates)
+    assert span_matches(ann.matrix, candidates)
 
 
 def test_annihilator_real_one_form_by_bruteforce():
@@ -113,7 +114,7 @@ def test_annihilator_real_one_form_by_bruteforce():
 
     ann = annihilator(rho)
     assert len(ann) == 4
-    assert span_matches(ann.vectors, list(oracle_kernel))
+    assert span_matches(ann.matrix, list(oracle_kernel))
     # tangent directions 2..4 plus dx1 span the kernel
     expected = [
         GcVector(N, vec=np.eye(N)[1]).as_array(),
@@ -121,7 +122,7 @@ def test_annihilator_real_one_form_by_bruteforce():
         GcVector(N, vec=np.eye(N)[3]).as_array(),
         GcVector(N, cov=np.eye(N)[0]).as_array(),
     ]
-    assert span_matches(ann.vectors, expected)
+    assert span_matches(ann.matrix, expected)
 
 
 def test_annihilator_rejects_zero():
@@ -163,16 +164,17 @@ def test_zero_is_not_pure_and_raises_no_warning():
 
 
 def test_purity_runs_no_svd(monkeypatch):
-    # purity is read from the Mukai pairing: normal_forms and is_pure never reach the SVD of a Clifford action
+    # purity is read from the Mukai pairing: normal_forms and is_pure never build a Clifford action, so never
+    # reach its SVD
     from gcx import spinor
 
     block = mixed_block(np.random.default_rng(14))
     expected = normal_forms(block)
 
-    def no_svd(coeffs, tol):
-        raise AssertionError("purity ran an SVD of a Clifford action")
+    def no_action(coeffs):
+        raise AssertionError("purity built a Clifford action")
 
-    monkeypatch.setattr(spinor, "_kernels", no_svd)
+    monkeypatch.setattr(spinor, "action_matrix", no_action)
     assert all(is_pure(Multiform(N, col)) for col in block.T)
     for got, want in zip(normal_forms(block), expected):
         assert np.array_equal(got, want)
@@ -198,9 +200,9 @@ def test_annihilator_isotropy_and_roundtrip():
         rho = exp_wedge(b)  # generic complex 2-form exponent is pure of type 0
         ann = annihilator(rho)
         assert len(ann) == 4
-        for u in ann.vectors:
+        for u in basis_vectors(ann):
             assert clifford(u, rho).max_abs() < 1e-9
-            for v in ann.vectors:
+            for v in basis_vectors(ann):
                 assert abs(pairing(u, v)) < 1e-9
 
 
@@ -209,7 +211,7 @@ def test_max_pairing_is_the_largest_pairwise_pairing():
     rng = np.random.default_rng(17)
 
     def reference(basis):
-        return max(abs(pairing(u, v)) for u in basis.vectors for v in basis.vectors)
+        return max(abs(pairing(u, v)) for u in basis_vectors(basis) for v in basis_vectors(basis))
 
     for j in range(10):
         b = random_multiform(rng, N, degrees={2})
@@ -297,12 +299,12 @@ def mixed_block(rng):
 
 def test_normal_forms_block_matches_each_column():
     block = mixed_block(np.random.default_rng(12))
-    types, omega0s, exponents, unique = normal_forms(block)
+    types, omega0s, exponents = normal_forms(block)
     assert sorted(set(types.tolist())) == [0, 1, 2]
     for j, col in enumerate(block.T):
         nf = normal_form(Multiform(N, col))
         assert types[j] == nf.type
-        assert unique[j] == nf.gauge_unique == (nf.type == 0)
+        assert nf.gauge_unique == (nf.type == 0)
         assert np.array_equal(omega0s[:, j], nf.omega0.coeffs)
         assert np.array_equal(exponents[:, j].real, nf.B.coeffs.real)
         assert np.array_equal(exponents[:, j].imag, nf.omega.coeffs.real)
@@ -387,6 +389,12 @@ def test_check_nondegenerate():
     for scale in (1e-6, 1e200):
         assert check_nondegenerate(normal_form(exp_wedge(1j * omega0()) * scale))
         assert not check_nondegenerate(normal_form(rho1 * scale))
+    # dx1 ^ exp(i dx2^dx3) is pure of type 1, but its Omega = dx1 is real, so L meets conj(L);
+    # (dx1 + i dx2) ^ exp(i dx3^dx4) is not
+    real_type_one = Multiform.from_terms(N, {(1,): 1.0, (1, 2, 3): 1j})
+    assert is_pure(real_type_one) and not check_nondegenerate(normal_form(real_type_one))
+    complex_type_one = Multiform.from_terms(N, {(1,): 1.0, (2,): 1j, (1, 3, 4): 1j, (2, 3, 4): -1.0})
+    assert check_nondegenerate(normal_form(complex_type_one))
 
 
 @settings(max_examples=30, deadline=None)
@@ -485,132 +493,6 @@ def test_from_complex():
         from_complex(np.eye(4))
 
 
-def test_j_endomorphism_symplectic():
-    rho = exp_wedge(1j * omega0())
-    J = j_endomorphism(rho).matrix
-    # oracle: block matrix (0, -Wmap^-1; Wmap, 0) with Wmap X = contraction of omega0 by X
-    wmap = np.zeros((4, 4))
-    for i in range(4):
-        ei = np.zeros(4)
-        ei[i] = 1.0
-        iota = interior_coeffs(omega0().coeffs, ei)
-        wmap[:, i] = np.array([iota[1 << j].real for j in range(4)])
-    expected = np.zeros((8, 8))
-    expected[:4, 4:] = -np.linalg.inv(wmap)
-    expected[4:, :4] = wmap
-    assert np.abs(J - expected).max() < 1e-9
-
-
-def test_j_endomorphism_complex():
-    I = standard_I()
-    expected = np.zeros((8, 8))
-    expected[:4, :4] = -I
-    expected[4:, 4:] = I.T
-    assert np.abs(j_endomorphism(dz1_dz2()).matrix - expected).max() < 1e-9
-    # same block form straight from the almost complex structure
-    assert np.abs(j_endomorphism(from_complex(I)).matrix - expected).max() < 1e-9
-
-
-def test_j_endomorphism_squares_to_minus_one_under_b_transforms():
-    rng = np.random.default_rng(9)
-    rho = exp_wedge(1j * omega0())
-    for _ in range(10):
-        B = real_two_form(rng)
-        J = j_endomorphism(b_transform(B, rho)).matrix
-        assert np.abs(J @ J + np.eye(8)).max() < 1e-8
-
-
-def test_j_endomorphism_rejects_degenerate():
-    # dx1 is pure but L = conj(L); no J exists
-    with pytest.raises(ValueError, match="degenerate"):
-        j_endomorphism(Multiform.basis(N, (1,)))
-
-
-def test_j_endomorphisms_block_equals_each_column():
-    # the stacked SVDs and inverse give each column's J, bit for bit
-    rng = np.random.default_rng(12)
-    rhos = [dz1_dz2(), from_complex(standard_I())]
-    rhos += [b_transform(real_two_form(rng), exp_wedge(1j * omega0())) for _ in range(6)]
-    block = j_endomorphisms(np.stack([rho.coeffs for rho in rhos], axis=1))
-    assert block.shape == (len(rhos), 8, 8)
-    for rho, mat in zip(rhos, block):
-        assert np.array_equal(j_endomorphism(rho).matrix, mat)
-
-
-def test_j_endomorphisms_reject_a_block_with_one_bad_column():
-    good = exp_wedge(1j * omega0()).coeffs
-    # dx1 ^ exp(i dx2^dx3): pure of type 1, but its Omega = dx1 is real, so L meets conj(L)
-    real_type_one = Multiform.from_terms(N, {(1,): 1.0, (1, 2, 3): 1j})
-    for bad, kind, match in [
-        (Multiform.basis(N, (1,)).coeffs, ValueError, "degenerate"),  # pure, but L = conj(L)
-        (real_type_one.coeffs, ValueError, "degenerate"),
-        (np.zeros(1 << N), ValueError, "zero form"),
-        ((Multiform.scalar(N, 1.0) + Multiform.basis(N, (1,))).coeffs, ValueError, "not pure"),
-    ]:
-        with pytest.raises(kind, match=match):
-            j_endomorphisms(np.stack([good, bad, good], axis=1))
-    # the two public verdicts agree: on it, and on (dx1 + i dx2) ^ exp(i dx3^dx4), which has a J
-    assert is_pure(real_type_one) and not check_nondegenerate(normal_form(real_type_one))
-    complex_type_one = Multiform.from_terms(N, {(1,): 1.0, (2,): 1j, (1, 3, 4): 1j, (2, 3, 4): -1.0})
-    assert check_nondegenerate(normal_form(complex_type_one))
-    assert j_endomorphism(complex_type_one).dim == N
-
-
-def test_j_endomorphism_reports_a_failed_cross_check_as_a_runtime_error():
-    # exp(dx1^dx3 + dx2^dx4) ^ (dx1 + i dx2) ^ exp(i eps dx3^dx4) is nondegenerate, but its J has entries
-    # near 1/eps, whose round-off the 1e-8 checks of the computed J read: an output fault, not bad input
-    def rho(eps):
-        twisted = Multiform.from_terms(N, {(1,): 1.0, (2,): 1j}).wedge(exp_wedge(Multiform.basis(N, (3, 4), 1j * eps)))
-        return b_transform(Multiform.from_terms(N, {(1, 3): 1.0, (2, 4): 1.0}), twisted)
-
-    assert check_nondegenerate(normal_form(rho(1e-4))) and check_nondegenerate(normal_form(rho(1e-6)))
-    try:  # its pairing residual, 1.4e-8 under OpenBLAS, is too close to 1e-8 to pin the side it falls on
-        j_endomorphism(rho(1e-4))
-    except RuntimeError as exc:
-        assert "cross-check" in str(exc)
-    with pytest.raises(RuntimeError, match="failed the cross-check: it does not square to -identity"):
-        j_endomorphism(rho(1e-6))
-
-
-def test_gc_endomorphism_rejects_a_matrix_that_fails_either_check():
-    with pytest.raises(ValueError, match="square to -identity"):
-        GcEndomorphism(N, np.eye(8))
-    stretched = np.zeros((8, 8))  # squares to -1 but scales the pairing by 4
-    stretched[:4, 4:] = -0.5 * np.eye(4)
-    stretched[4:, :4] = 2.0 * np.eye(4)
-    with pytest.raises(ValueError, match="preserve the pairing"):
-        GcEndomorphism(N, stretched)
-
-
-def e_b_matrix(B):
-    """Matrix of X + xi -> X + xi + i_X B with i_X B = B(X, .)."""
-    out = np.eye(8)
-    for i in range(4):
-        ei = np.zeros(4)
-        ei[i] = 1.0
-        iota = interior_coeffs(B.coeffs, ei)
-        out[4:, i] = np.array([iota[1 << j].real for j in range(4)])
-    return out
-
-
-def test_b_transform_conjugates_j():
-    # frozen convention: j(exp(B)^rho) = E_B^{-1} . j(rho) . E_B
-    rng = np.random.default_rng(21)
-    rho = exp_wedge(1j * omega0())
-    J = j_endomorphism(rho).matrix
-    for _ in range(10):
-        B = real_two_form(rng)
-        eb = e_b_matrix(B)
-        Jb = j_endomorphism(b_transform(B, rho)).matrix
-        expected = np.linalg.inv(eb) @ J @ eb
-        assert np.abs(Jb - expected).max() < 1e-8
-    # the opposite conjugation direction is wrong for a generic B
-    B = Multiform.from_terms(N, {(1, 3): 1.0})
-    eb = e_b_matrix(B)
-    Jb = j_endomorphism(b_transform(B, rho)).matrix
-    assert np.abs(Jb - eb @ J @ np.linalg.inv(eb)).max() > 1e-3
-
-
 def test_type_parity_of_constructed_spinors():
     rng = np.random.default_rng(77)
     for k in (0, 1, 2):
@@ -629,7 +511,7 @@ def test_type_parity_of_constructed_spinors():
             assert nf.type % 2 == k % 2
 
 
-# ------------------------------------------------- the shared SVD core
+# ------------------------------------------------- the SVDs: min_norm_solve and annihilator
 
 
 def _unitary(rng, size):
@@ -648,12 +530,12 @@ def test_min_norm_solve_equals_lstsq_on_stacked_rank_deficient_matrices(n, seed,
         for r in ranks
     ])
     targets = rng.standard_normal((len(ranks), m)) + 1j * rng.standard_normal((len(ranks), m))
-    rows, keep = min_norm_solve(mats, targets, tol)
-    assert rows.shape == (len(ranks), k) and keep.shape == (len(ranks), k)
-    for a, b, x, kept, r in zip(mats, targets, rows, keep, ranks):
+    rows = min_norm_solve(mats, targets, tol)
+    assert rows.shape == (len(ranks), k)
+    for a, b, x, r in zip(mats, targets, rows, ranks):
+        assert r == np.linalg.matrix_rank(a)
         ref = np.linalg.lstsq(a, b, rcond=tol)[0]
         assert np.abs(x - ref).max() <= 1e-12 * max(np.abs(ref).max(), np.abs(b).max())
-        assert kept.sum() == r == np.linalg.matrix_rank(a)
 
 
 def _random_spinor(rng, n, kind):
@@ -686,12 +568,8 @@ def _random_spinor(rng, n, kind):
 )
 def test_kernels_agree_with_annihilator_and_is_pure(n, seed, kinds):
     rng = np.random.default_rng(seed)
-    forms = [_random_spinor(rng, n, kind) for kind in kinds]
-    coeffs = np.array([rho.coeffs for rho in forms]).T
-    dims, vh = _kernels(coeffs, 1e-9)
-    assert vh.shape == (len(forms), 2 * n, 2 * n)
-    for rho, kind, dim, rows, mat in zip(forms, kinds, dims, vh, action_matrix(coeffs)):
-        assert dim == len(annihilator(rho))
-        assert (dim == n) == is_pure(rho) == (kind != "random")
-        kernel = rows[2 * n - dim :].conj().T
-        assert np.abs(mat @ kernel).max(initial=0.0) <= 1e-12 * rho.max_abs()
+    for kind in kinds:
+        rho = _random_spinor(rng, n, kind)
+        kernel = annihilator(rho).matrix
+        assert (kernel.shape[1] == n) == is_pure(rho) == (kind != "random")
+        assert np.abs(action_matrix(rho) @ kernel).max(initial=0.0) <= 1e-12 * rho.max_abs()
